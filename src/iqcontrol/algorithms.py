@@ -91,18 +91,16 @@ class RunReport:
         return out
 
 
-def _run(
+def _amplify(
     initial: StateVector,
     good: GoodSubspace,
     phi1: float,
     phi2: float,
     iterations: Union[int, str],
-    seed: int,
-    shots: int,
     pre_rotation: bool,
     l_max: int,
-    measurement_shot: int,
-) -> tuple[AmplificationPlan, StateVector, MeasurementPartition, RunReport]:
+) -> tuple[StateVector, RunReport]:
+    """Plan and amplify; the report carries no measurement yet."""
     plan = make_plan(
         initial,
         good,
@@ -113,30 +111,30 @@ def _run(
         pre_rotation=pre_rotation,
     )
     amplified = amplified_state(plan)
-    partition = MeasurementPartition.binary(good)
-
-    measurement = None
-    histogram = None
-    empirical = None
-    success = None
-    if shots > 1:
-        histogram = measurement_histogram(amplified, partition, seed, shots)
-        empirical = histogram[0] / shots
-    else:
-        measurement = sample_collapse(amplified, partition, seed, shot=measurement_shot)
-        success = measurement.block_index == 0  # block 0 is the good block
-
     report = RunReport(
         plan=plan,
         pre_amplification=np.abs(plan.prepared_state().amplitudes),
         post_amplification=np.abs(amplified.amplitudes),
         predicted_success=plan.predicted_success,
-        measurement=measurement,
-        histogram=histogram,
-        empirical_success=empirical,
-        success=success,
     )
-    return plan, amplified, partition, report
+    return amplified, report
+
+
+def _measure(
+    amplified: StateVector,
+    report: RunReport,
+    seed: int,
+    shots: int,
+    measurement_shot: int,
+) -> RunReport:
+    """Measure against the plan's good-vs-rest partition; add it to the report."""
+    partition = MeasurementPartition.binary(report.plan.good)
+    if shots > 1:
+        histogram = measurement_histogram(amplified, partition, seed, shots)
+        return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
+    measurement = sample_collapse(amplified, partition, seed, shot=measurement_shot)
+    # block 0 is the good block
+    return replace(report, measurement=measurement, success=measurement.block_index == 0)
 
 
 def run_algorithm1(
@@ -169,10 +167,8 @@ def run_algorithm1(
             f"initial state dimension {initial.dim} does not match system {spec.dim}"
         )
     good = GoodSubspace.of(good_index, spec.dim)
-    plan, amplified, partition, report = _run(
-        initial, good, phi1, phi2, iterations, seed, shots, pre_rotation, l_max,
-        measurement_shot,
-    )
+    amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+    report = _measure(amplified, report, seed, shots, measurement_shot)
     if report.success and final_pulse is not None:
         final = propagate(spec, final_pulse, report.measurement.collapsed)
         fidelity = None
@@ -213,10 +209,10 @@ def run_algorithm2(
         raise DimensionMismatchError(
             f"subspace dimension {subspace.dim} does not match system {spec.dim}"
         )
-    plan, amplified, partition, report = _run(
-        initial, subspace, phi1, phi2, iterations, seed, shots, pre_rotation, l_max,
-        measurement_shot,
+    amplified, report = _amplify(
+        initial, subspace, phi1, phi2, iterations, pre_rotation, l_max
     )
+    report = _measure(amplified, report, seed, shots, measurement_shot)
 
     analysis = assess(spec, controllability_config or ControllabilityConfig())
     target_set = tuple(sorted(subspace.indices))

@@ -81,8 +81,10 @@ class GoodSubspace:
 class Decomposition:
     """Split of a state into its good-support and bad-support parts.
 
-    good_part + bad_part reconstructs the state; g is the weight of the
-    good part, b = 1 - g, and theta = arcsin(sqrt(g)).
+    good_part + bad_part reconstructs the state; g and b are the weights
+    of the good and bad parts (g + b = 1 up to round-off), and theta =
+    arcsin(sqrt(g)).  b is summed from the bad part rather than taken as
+    1 - g, which would lose its relative precision as g approaches 1.
     """
 
     good_part: np.ndarray
@@ -90,9 +92,6 @@ class Decomposition:
     g: float
     b: float
     theta: float
-
-    def state(self) -> StateVector:
-        return StateVector(self.good_part + self.bad_part)
 
 
 def decompose(state: StateVector, good: GoodSubspace) -> Decomposition:
@@ -102,15 +101,20 @@ def decompose(state: StateVector, good: GoodSubspace) -> Decomposition:
             f"good subspace dimension {good.dim} does not match state dimension {state.dim}"
         )
     mask = good.mask()
-    good_part = np.where(mask, state.amplitudes, 0.0)
-    bad_part = np.where(mask, 0.0, state.amplitudes)
-    g = float(np.vdot(good_part, good_part).real)
-    g = min(max(g, 0.0), 1.0)
+    return _split(
+        np.where(mask, state.amplitudes, 0.0), np.where(mask, 0.0, state.amplitudes)
+    )
+
+
+def _split(good_part: np.ndarray, bad_part: np.ndarray) -> Decomposition:
+    """Decomposition of good_part + bad_part, weights summed per part."""
+    g = min(max(float(np.vdot(good_part, good_part).real), 0.0), 1.0)
+    b = min(max(float(np.vdot(bad_part, bad_part).real), 0.0), 1.0)
     return Decomposition(
         good_part=good_part,
         bad_part=bad_part,
         g=g,
-        b=1.0 - g,
+        b=b,
         theta=math.asin(math.sqrt(g)),
     )
 
@@ -155,21 +159,50 @@ def amplification_operator(
     return UnitaryOperator(q)
 
 
-def _step_matrix(g: float, phi1: float, phi2: float) -> np.ndarray:
-    """2x2 action of Q on (good_part, bad_part) coordinates.
+def _coefficients(
+    g: float, b: float, phi1: float, phi2: float, iterations: int
+) -> tuple[complex, complex]:
+    """Scalars (c_good, c_bad) with Q^L psi = c_good * good_part + c_bad * bad_part.
 
-    Columns are the images of the unnormalized good and bad parts of the
-    state Q was built from, whose good weight is g.
+    psi is the state Q was built from, g and b the weights of its good and
+    bad parts, and L = ``iterations``.  Q never leaves span{good_part,
+    bad_part}; in the orthonormal basis (good_part / sqrt(g),
+    bad_part / sqrt(b)) it is the unitary 2x2 matrix W below, whose
+    determinant is e^{i(phi1 + phi2)}.  Dividing out the square root
+    e^{i alpha} of the determinant leaves an SU(2) matrix cos(w) I + S
+    with S traceless and det S = sin^2(w), so
+
+        W^L = e^{i L alpha} (cos(L w) I + sin(L w) / sin(w) S)
+
+    at O(1) cost in L.  The square-root branch is chosen so that
+    cos(w) >= 0: w then stays small when W is near a multiple of I, where
+    atan2 resolves it to full relative precision.
     """
     e1 = cmath.exp(1j * phi1)
     e2 = cmath.exp(1j * phi2)
-    return np.array(
-        [
-            [e2 * ((1.0 - e1) * g - 1.0), (1.0 - e1) * (1.0 - g)],
-            [e2 * (1.0 - e1) * g, -((1.0 - e1) * g + e1)],
-        ],
-        dtype=complex,
-    )
+    root_g, root_b = math.sqrt(g), math.sqrt(b)
+    w00 = e2 * ((1.0 - e1) * g - 1.0)
+    w01 = (1.0 - e1) * root_g * root_b
+    w10 = e2 * w01
+    w11 = -((1.0 - e1) * g + e1)
+    alpha = 0.5 * (phi1 + phi2)
+    root = cmath.exp(1j * alpha)
+    if ((w00 + w11) / root).real < 0.0:
+        alpha += math.pi
+        root = -root
+    n00, n01, n10, n11 = w00 / root, w01 / root, w10 / root, w11 / root
+    cos_w = 0.5 * (n00 + n11).real
+    s00, s11 = n00 - cos_w, n11 - cos_w
+    sin_w = math.sqrt(abs(s00 * s11 - n01 * n10))
+    omega = math.atan2(sin_w, cos_w)
+    # S = 0 (e.g. phi1 = phi2 = 0) makes the ratio's value irrelevant
+    ratio = math.sin(iterations * omega) / sin_w if sin_w > 0.0 else 0.0
+    cos_l = math.cos(iterations * omega)
+    phase = cmath.exp(1j * (iterations * alpha))
+    x = phase * ((cos_l + ratio * s00) * root_g + ratio * n01 * root_b)
+    y = phase * (ratio * n10 * root_g + (cos_l + ratio * s11) * root_b)
+    # an empty part (g = 0 or b = 0) stays empty whatever its scalar
+    return (x / root_g if g > 0.0 else 0j), (y / root_b if b > 0.0 else 0j)
 
 
 def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decomposition:
@@ -184,19 +217,8 @@ def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decompositio
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    m = _step_matrix(d.g, phi1, phi2)
-    coef = m @ np.array([1.0, 1.0], dtype=complex)
-    good_part = coef[0] * d.good_part
-    bad_part = coef[1] * d.bad_part
-    g = float(np.vdot(good_part, good_part).real)
-    g = min(max(g, 0.0), 1.0)
-    return Decomposition(
-        good_part=good_part,
-        bad_part=bad_part,
-        g=g,
-        b=1.0 - g,
-        theta=math.asin(math.sqrt(g)),
-    )
+    c_good, c_bad = _coefficients(d.g, d.b, phi1, phi2, 1)
+    return _split(c_good * d.good_part, c_bad * d.bad_part)
 
 
 def closed_form_weights(
@@ -205,9 +227,9 @@ def closed_form_weights(
     """(good, bad) weights after ``iterations`` applications of one fixed
     amplification operator to the state it was built from.
 
-    Tracks the two coordinates of the state in the span of its initial
-    good and bad parts through the closed-form 2x2 action; equivalent to
-    applying the explicit operator matrix ``iterations`` times.
+    Takes the closed-form power of the 2x2 action on the span of the
+    initial good and bad parts; equivalent to applying the explicit
+    operator matrix ``iterations`` times, at a cost independent of it.
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
@@ -215,13 +237,9 @@ def closed_form_weights(
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"good weight must lie in [0, 1], got {g}")
-    m = _step_matrix(g, phi1, phi2)
-    coords = np.array([1.0, 1.0], dtype=complex)
-    for _ in range(iterations):
-        coords = m @ coords
-    good = float(abs(coords[0]) ** 2 * g)
-    bad = float(abs(coords[1]) ** 2 * (1.0 - g))
-    return good, bad
+    c_good, c_bad = _coefficients(g, 1.0 - g, phi1, phi2, iterations)
+    # round-off may not lift a probability above 1
+    return min(abs(c_good) ** 2 * g, 1.0), min(abs(c_bad) ** 2 * (1.0 - g), 1.0)
 
 
 def success_probability(g: float, iterations: int) -> float:
@@ -358,9 +376,11 @@ def make_plan(
 
 
 def amplified_state(plan: AmplificationPlan) -> StateVector:
-    """Apply the plan's operator ``iterations`` times to its prepared state."""
-    q = amplification_operator(plan.preparation, plan.good, plan.phi1, plan.phi2)
-    c = plan.preparation.matrix[:, 0].copy()
-    for _ in range(plan.iterations):
-        c = q.matrix @ c
-    return StateVector(c)
+    """Apply the plan's operator ``iterations`` times to its prepared state.
+
+    Scales the good and bad parts of the prepared state by the closed-form
+    coefficients of Q^L: O(N) work, independent of L, and no N x N matrix.
+    """
+    d = decompose(plan.prepared_state(), plan.good)
+    c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
+    return StateVector(c_good * d.good_part + c_bad * d.bad_part)

@@ -26,13 +26,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__
-from .algorithms import RunReport, run_algorithm1, run_algorithm2
-from .amplification import (
-    DEFAULT_L_MAX,
-    GoodSubspace,
-    amplified_state,
-    make_plan,
-)
+from .algorithms import _amplify, run_algorithm1, run_algorithm2
+from .amplification import DEFAULT_L_MAX, GoodSubspace
 from .controllability import ControllabilityConfig, assess
 from .core import StateVector, SystemSpec
 from .errors import ConfigError
@@ -55,6 +50,7 @@ MODES = (
 )
 SAMPLING_MODES = ("algo1", "algo2", "hydrogen-case1", "hydrogen-case2", "measure-stats")
 INITIAL_NORM_TOL = 1e-8
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
@@ -116,16 +112,21 @@ def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    # false for NaN, +-Infinity and integer literals beyond the float range
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _parse_complex(value, path: str) -> complex:
+    # every coupling entry passes here, so plain numbers are checked inline
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return complex(value)
+    elif isinstance(value, list) and len(value) == 2:
         return complex(_require_number(value[0], path + "[0]"),
                        _require_number(value[1], path + "[1]"))
-    _fail(path, f"expected a number or an [re, im] pair, got {value!r}")
+    _fail(path, f"expected a finite number or an [re, im] pair, got {value!r}")
 
 
 def _parse_vector(value, path: str) -> list[complex]:
@@ -403,21 +404,10 @@ def _execute_algorithm(config: RunConfig) -> dict:
 def _execute_amplify(config: RunConfig) -> dict:
     system = _build_system(config)
     initial = _build_initial(config)
-    good = _good_subspace(config, system.dim)
     phi1, phi2 = config.phases
-    plan = make_plan(
-        initial, good,
-        phi1=phi1, phi2=phi2,
-        iterations=config.iterations,
-        l_max=config.l_max,
-        pre_rotation=config.pre_rotation,
-    )
-    amplified = amplified_state(plan)
-    report = RunReport(
-        plan=plan,
-        pre_amplification=np.abs(plan.prepared_state().amplitudes),
-        post_amplification=np.abs(amplified.amplitudes),
-        predicted_success=plan.predicted_success,
+    _, report = _amplify(
+        initial, _good_subspace(config, system.dim), phi1, phi2,
+        config.iterations, config.pre_rotation, config.l_max,
     )
     return report.to_dict()
 

@@ -71,15 +71,6 @@ class ConnectivityGraph:
             if not (1 <= i < j <= self.num_vertices):
                 raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{self.num_vertices}")
 
-    def neighbors(self, vertex: int) -> set[int]:
-        out = set()
-        for i, j in self.edges:
-            if i == vertex:
-                out.add(j)
-            elif j == vertex:
-                out.add(i)
-        return out
-
 
 @dataclass(frozen=True)
 class DegeneratePair:

@@ -223,10 +223,16 @@ class TestClosedFormStep:
 
 class TestClosedFormWeights:
     def test_matches_matrix_powers(self, rng):
+        # oracle: the explicit operator's matrix power, for the weights and
+        # for the amplitudes amplified_state returns; the all-good input
+        # (g = 1) comes last
+        cases = []
         for _ in range(30):
             dim = int(rng.integers(2, 9))
             u = haar_unitary(rng, dim)
-            good = random_good(rng, dim)
+            cases.append((u, random_good(rng, dim)))
+        cases.append((prepare_unitary(StateVector([0.6, 0.8j, 0.0])), GoodSubspace.of([1, 2], 3)))
+        for u, good in cases:
             phi1 = float(rng.uniform(0, math.pi))
             phi2 = float(rng.uniform(0, math.pi))
             iterations = int(rng.integers(0, 51))
@@ -240,6 +246,8 @@ class TestClosedFormWeights:
             wg, wb = closed_form_weights(d.g, phi1, phi2, iterations)
             assert abs(wg - good_weight) < 1e-9
             assert abs(wb - bad_weight) < 1e-9
+            plan = make_plan(state, good, phi1, phi2, iterations=iterations)
+            assert np.max(np.abs(amplified_state(plan).amplitudes - c)) < 1e-9
 
     def test_pi_phases_reduce_to_success_formula(self, rng):
         for _ in range(50):
@@ -367,6 +375,36 @@ class TestAmplifiedState:
             amp = amplified_state(plan)
             weight = float(np.sum(np.abs(amp.amplitudes[[2, 5]]) ** 2))
             assert abs(weight - success_probability(g, plan.iterations)) < 1e-9
+
+    def test_tiny_weight_at_l_max(self, rng):
+        # g = 1e-14 asks for L ~ 7.9e6, clamped to l_max; L repeated
+        # products used to drift the norm past the state tolerance
+        g = 1e-14
+        s = state_with_good_weight(rng, 5, [2, 4], g)
+        plan = make_plan(s, GoodSubspace.of([2, 4], 5), l_max=10**6)
+        assert plan.iterations == 10**6
+        amp = amplified_state(plan)
+        assert abs(float(np.linalg.norm(amp.amplitudes)) - 1.0) < 1e-12
+        weight = float(np.sum(np.abs(amp.amplitudes[[1, 3]]) ** 2))
+        assert abs(weight - success_probability(g, plan.iterations)) < 1e-12
+
+    def test_near_full_weight_matches_operator(self, rng):
+        # bad weight 1e-10: taken as 1 - g it keeps only six digits, which
+        # showed as a 6e-10 amplitude error after 1000 applications
+        s = state_with_good_weight(rng, 4, [1, 3], 1.0 - 1e-10)
+        good = GoodSubspace.of([1, 3], 4)
+        plan = make_plan(s, good, iterations=1000)
+        q = amplification_operator(plan.preparation, good, math.pi, math.pi)
+        c = np.linalg.matrix_power(q.matrix, 1000) @ s.amplitudes
+        assert np.max(np.abs(amplified_state(plan).amplitudes - c)) < 1e-11
+
+    def test_predicted_success_never_above_one(self, rng):
+        s = state_with_good_weight(rng, 5, [2, 4], 1e-12)
+        plan = make_plan(s, GoodSubspace.of([2, 4], 5))
+        assert plan.predicted_success <= 1.0
+        assert plan.predicted_success == pytest.approx(
+            success_probability(plan.initial_good_weight, plan.iterations), abs=1e-12
+        )
 
 
 class TestPreRotationOperator:

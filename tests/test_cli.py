@@ -255,6 +255,60 @@ class TestExecute:
         assert code != 0 and "error" in report
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        pytest.param(
+            {"system": {**HYDROGEN_INLINE, "drift": [0.0, NAN]}},
+            "system.drift[1]", id="drift",
+        ),
+        pytest.param(
+            {"system": {**HYDROGEN_INLINE, "coupling": [[0.0, INF], [INF, 0.0]]}},
+            "system.coupling[0][1]", id="coupling",
+        ),
+        pytest.param(
+            {"system": {**HYDROGEN_INLINE, "coupling": [[0.0, [1.0, NAN]], [1.0, 0.0]]}},
+            "system.coupling[0][1][1]", id="coupling-pair",
+        ),
+        pytest.param(
+            {"mode": "amplify", "initial": [NAN, 1.0], "good": 2},
+            "initial[0]", id="initial",
+        ),
+        pytest.param(
+            {"mode": "amplify", "initial": [[0.6, -INF], 0.8], "good": 2},
+            "initial[0][1]", id="initial-pair",
+        ),
+        pytest.param(
+            {"tolerances": {"ratio_tol": NAN}}, "tolerances.ratio_tol", id="tolerance-nan",
+        ),
+        pytest.param(
+            {"tolerances": {"edge_threshold": -INF}},
+            "tolerances.edge_threshold", id="tolerance-inf",
+        ),
+    ],
+)
+def test_non_finite_numbers_rejected_with_path(tmp_path, overrides, path):
+    # Python's json reads NaN and Infinity; they must end in a ConfigError
+    # naming the field, never in a verdict, a late runtime error or a NaN
+    # written into the report
+    payload = {"mode": "analyze", "system": HYDROGEN_INLINE, **overrides}
+    out = tmp_path / "report.json"
+    code = main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+    report = _strict_json(out.read_text())
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(path + ": expected a finite number")
+
+
 class TestReportContract:
     def test_determinism_modulo_timestamp(self, tmp_path):
         payload = {"mode": "hydrogen-case2", "seed": 7, "shots": 200}
