@@ -11,7 +11,7 @@ Basis labels are 1-based throughout the public API; internal units set
 hbar = 1.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .algorithms import RunReport, run_algorithm1, run_algorithm2
 from .amplification import (
@@ -62,6 +62,7 @@ from .errors import (
     HermiticityError,
     IntegrationError,
     MeasurementGuardError,
+    NonFiniteError,
     NormalizationError,
     UnitarityError,
     ZeroOverlapError,
@@ -110,5 +111,5 @@ __all__ = [
     # errors
     "NormalizationError", "HermiticityError", "UnitarityError",
     "DimensionMismatchError", "ZeroOverlapError", "MeasurementGuardError",
-    "IntegrationError", "ConfigError",
+    "IntegrationError", "ConfigError", "NonFiniteError",
 ]

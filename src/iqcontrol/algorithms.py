@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError
 from .measurement import (
     MeasurementOutcome,
     MeasurementPartition,
+    _first_shot_on,
     measurement_histogram,
     sample_collapse,
 )
@@ -54,6 +55,7 @@ class RunReport:
     final_state: Optional[StateVector] = None
     fidelity: Optional[float] = None
     controllability_note: Optional[dict] = None
+    attempts: Optional[int] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -88,6 +90,8 @@ class RunReport:
             out["fidelity"] = self.fidelity
         if self.controllability_note is not None:
             out["controllability_note"] = self.controllability_note
+        if self.attempts is not None:
+            out["attempts"] = self.attempts
         return out
 
 
@@ -137,6 +141,37 @@ def _measure(
     return replace(report, measurement=measurement, success=measurement.block_index == 0)
 
 
+def _check_attempts(shots: int, max_attempts: Optional[int]) -> None:
+    if max_attempts is not None and (shots != 1 or max_attempts < 1):
+        raise ValueError(
+            f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
+            f"max_attempts={max_attempts}"
+        )
+
+
+def _repeat_until_success(
+    amplified: StateVector,
+    report: RunReport,
+    seed: int,
+    first_shot: int,
+    max_attempts: int,
+) -> RunReport:
+    """Re-measure on the shots after ``first_shot`` until one succeeds.
+
+    ``report`` holds the measurement of ``first_shot``; at most
+    ``max_attempts`` shots are drawn in all.  The plan and the amplified
+    state are reused, so only the measurement repeats.  The result is
+    the last attempt's report with ``attempts`` set, exactly what
+    re-running the whole algorithm per shot would give.
+    """
+    last = first_shot
+    if not report.success and max_attempts > 1:
+        partition = MeasurementPartition.binary(report.plan.good)
+        last = _first_shot_on(amplified, partition, seed, 0, first_shot + 1, max_attempts - 1)
+        report = _measure(amplified, report, seed, 1, last)
+    return replace(report, attempts=last - first_shot + 1)
+
+
 def run_algorithm1(
     spec: SystemSpec,
     initial: StateVector,
@@ -151,6 +186,7 @@ def run_algorithm1(
     pre_rotation: bool = False,
     l_max: int = DEFAULT_L_MAX,
     measurement_shot: int = 0,
+    max_attempts: Optional[int] = None,
 ) -> RunReport:
     """Amplify one target eigenstate, measure, optionally steer onward.
 
@@ -161,14 +197,21 @@ def run_algorithm1(
     ``shots > 1`` the run reports the outcome histogram instead.
     ``measurement_shot`` picks the shot index of the single measurement,
     which lets a caller re-run the probabilistic part under one seed.
+    With ``max_attempts`` (single-shot runs only) the measurement repeats
+    on shots ``measurement_shot``, ``measurement_shot + 1``, ... until
+    it succeeds or ``max_attempts`` shots are drawn; the plan is made
+    once and the report records the ``attempts``.
     """
     if initial.dim != spec.dim:
         raise DimensionMismatchError(
             f"initial state dimension {initial.dim} does not match system {spec.dim}"
         )
+    _check_attempts(shots, max_attempts)
     good = GoodSubspace.of(good_index, spec.dim)
     amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     report = _measure(amplified, report, seed, shots, measurement_shot)
+    if max_attempts is not None:
+        report = _repeat_until_success(amplified, report, seed, measurement_shot, max_attempts)
     if report.success and final_pulse is not None:
         final = propagate(spec, final_pulse, report.measurement.collapsed)
         fidelity = None
@@ -191,6 +234,7 @@ def run_algorithm2(
     l_max: int = DEFAULT_L_MAX,
     controllability_config: Optional[ControllabilityConfig] = None,
     measurement_shot: int = 0,
+    max_attempts: Optional[int] = None,
 ) -> RunReport:
     """Amplify a whole subspace, measure, and report the in-subspace state.
 
@@ -199,7 +243,9 @@ def run_algorithm2(
     report, and a warning is emitted when no component matches.  On a
     successful measurement the collapsed state lies entirely inside the
     subspace and is recorded as the post-measurement starting point for
-    any further in-subspace control.
+    any further in-subspace control.  ``measurement_shot`` and
+    ``max_attempts`` work as in ``run_algorithm1``; the controllability
+    analysis, like the plan, runs once.
     """
     if initial.dim != spec.dim:
         raise DimensionMismatchError(
@@ -209,6 +255,7 @@ def run_algorithm2(
         raise DimensionMismatchError(
             f"subspace dimension {subspace.dim} does not match system {spec.dim}"
         )
+    _check_attempts(shots, max_attempts)
     amplified, report = _amplify(
         initial, subspace, phi1, phi2, iterations, pre_rotation, l_max
     )
@@ -232,4 +279,7 @@ def run_algorithm2(
             "verdict": None,
             "notes": ["not a connected component of the coupling graph"],
         }
+    # repeated after the analysis, so errors come in the order of whole runs per attempt
+    if max_attempts is not None:
+        report = _repeat_until_success(amplified, report, seed, measurement_shot, max_attempts)
     return replace(report, controllability_note=note)

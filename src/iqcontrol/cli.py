@@ -333,22 +333,6 @@ def _good_subspace(config: RunConfig, dim: int) -> GoodSubspace:
     return GoodSubspace.of(config.subspace, dim)
 
 
-def _run_with_repeat(runner, config: RunConfig) -> dict:
-    """Single run, or CLI-level repeat-until-success up to ``shots`` attempts."""
-    if not config.repeat_until_success:
-        return runner(shots=config.shots, measurement_shot=0).to_dict()
-    attempts = 0
-    report = None
-    for attempt in range(config.shots):
-        attempts += 1
-        report = runner(shots=1, measurement_shot=attempt)
-        if report.success:
-            break
-    result = report.to_dict()
-    result["attempts"] = attempts
-    return result
-
-
 def _execute_algorithm(config: RunConfig) -> dict:
     if config.mode == "hydrogen-case1":
         preset, system = case1_preset(), hydrogen_spec()
@@ -379,20 +363,19 @@ def _execute_algorithm(config: RunConfig) -> dict:
         pre_rotation=config.pre_rotation,
         l_max=config.l_max,
     )
-    if algorithm == 1:
-        def runner(shots, measurement_shot):
-            return run_algorithm1(
-                system, initial, good,
-                shots=shots, measurement_shot=measurement_shot, **common,
-            )
+    # repeat-until-success: up to ``shots`` single-shot attempts
+    if config.repeat_until_success:
+        common.update(shots=1, max_attempts=config.shots)
     else:
-        def runner(shots, measurement_shot):
-            return run_algorithm2(
-                system, initial, subspace,
-                shots=shots, measurement_shot=measurement_shot,
-                controllability_config=_controllability_config(config), **common,
-            )
-    result = _run_with_repeat(runner, config)
+        common.update(shots=config.shots)
+    if algorithm == 1:
+        report = run_algorithm1(system, initial, good, **common)
+    else:
+        report = run_algorithm2(
+            system, initial, subspace,
+            controllability_config=_controllability_config(config), **common,
+        )
+    result = report.to_dict()
     if preset is not None:
         result["preset_expectation"] = {
             "iterations": preset.expected_iterations,

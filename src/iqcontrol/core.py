@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     HermiticityError,
+    NonFiniteError,
     NormalizationError,
     UnitarityError,
 )
@@ -57,6 +58,8 @@ class StateVector:
             raise DimensionMismatchError(
                 f"state needs at least 2 levels, got {arr.size}"
             )
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("state amplitudes must be finite, got NaN or an infinity")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
@@ -113,6 +116,10 @@ class SystemSpec:
             raise DimensionMismatchError(
                 f"coupling shape {coupling.shape} does not match dimension {self.dim}"
             )
+        if not np.isfinite(drift).all():
+            raise NonFiniteError("drift eigenvalues must be finite, got NaN or an infinity")
+        if not np.isfinite(coupling).all():
+            raise NonFiniteError("coupling entries must be finite, got NaN or an infinity")
         dev = np.max(np.abs(coupling - coupling.conj().T))
         if dev > HERMITICITY_TOL:
             raise HermiticityError(

@@ -5,6 +5,10 @@ class NormalizationError(ValueError):
     """A state vector does not have unit norm within tolerance."""
 
 
+class NonFiniteError(ValueError):
+    """An input array holds NaN or an infinity."""
+
+
 class HermiticityError(ValueError):
     """A matrix that must be Hermitian is not, within tolerance."""
 

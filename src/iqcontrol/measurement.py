@@ -1,9 +1,16 @@
 """Projective measurements: Born probabilities, seeded sampling, collapse.
 
 A measurement is defined by a partition of the basis labels 1..N into
-blocks; each block is one outcome (the projector onto its span).  Shot k
-of a multi-shot run draws from a generator seeded by (master seed, k),
-so runs are reproducible and shots are order-independent.
+blocks; each block is one outcome (the projector onto its span).  All
+shots under one seed share one counter-based stream: numpy's ``Philox``
+keyed by the seed (through ``SeedSequence``, so any nonnegative integer
+seed works), whose k-th ``random()`` output is the uniform of shot k
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+Philox yields four 64-bit outputs per counter value, so a single shot k
+is replayed by advancing the counter by k // 4 and taking lane k % 4,
+and a histogram draws its uniforms in bulk.  Runs are reproducible,
+shots are order-independent, and a histogram agrees with single-shot
+replay shot by shot.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .core import StateVector
 from .errors import DimensionMismatchError, MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
+_MAX_CHUNK = 1 << 16  # uniforms drawn at once: bounds memory for any shot count
 
 __all__ = [
     "MeasurementPartition",
@@ -44,6 +52,13 @@ class MeasurementPartition:
             raise ValueError(
                 f"blocks must partition 1..N exactly, got labels {sorted(set(flat))}"
             )
+        # 0-based block position of each label, in label order
+        block_of_label = np.empty(n, dtype=np.intp)
+        block_of_label[np.asarray(flat) - 1] = np.repeat(
+            np.arange(len(blocks)), [len(b) for b in blocks]
+        )
+        block_of_label.setflags(write=False)
+        object.__setattr__(self, "_block_of_label", block_of_label)
 
     @property
     def dim(self) -> int:
@@ -80,35 +95,58 @@ def born_probabilities(state: StateVector, partition: MeasurementPartition) -> n
         raise DimensionMismatchError(
             f"partition covers {partition.dim} labels, state has {state.dim}"
         )
-    pops = state.populations()
-    return np.array([sum(pops[i - 1] for i in block) for block in partition.blocks])
+    return np.bincount(
+        partition._block_of_label,
+        weights=state.populations(),
+        minlength=len(partition.blocks),
+    )
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(shot),))
-    return np.random.default_rng(ss)
+def _shot_uniforms(seed: int, first: int, count: int):
+    """Yield the uniforms of shots ``first .. first + count - 1`` in chunks.
 
-
-def _select_block(probs: np.ndarray, u: float) -> int:
-    """Index of the block whose cumulative interval contains u.
-
-    Zero-width intervals are unselectable; if float edge effects land on
-    one anyway, that is the numerically impossible branch and it raises.
+    Shot k's uniform is output k of the seed's Philox stream: the counter
+    starts ``first // 4`` values in and ``first % 4`` lanes are skipped.
+    Chunks double from 64 up to ``_MAX_CHUNK``, so a caller that stops
+    early draws little and a large count never holds every draw at once.
     """
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    if probs[idx] < IMPOSSIBLE_BLOCK_TOL:
+    if first < 0:
+        raise ValueError(f"shot index must be >= 0, got {first}")
+    bitgen = np.random.Philox(int(seed))
+    bitgen.advance(first // 4)
+    gen = np.random.Generator(bitgen)
+    gen.random(first % 4)
+    size = 64
+    while count > 0:
+        n = min(count, size)
+        yield gen.random(n)
+        count -= n
+        size = min(2 * size, _MAX_CHUNK)
+
+
+def _blocks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Unguarded index of the block whose cumulative interval contains each u."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
+
+
+def _select_block(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the block whose cumulative interval contains each u.
+
+    Zero-width intervals are unselectable; if float edge effects land a
+    draw on one anyway, that is the numerically impossible branch and it
+    raises, naming the first such draw.
+    """
+    idx = _blocks(probs, u)
+    impossible = probs[idx] < IMPOSSIBLE_BLOCK_TOL
+    if np.any(impossible):
+        bad = int(np.ravel(idx)[np.argmax(impossible)])
         raise MeasurementGuardError(
-            f"sampled block {idx} has probability {probs[idx]:.3e} < {IMPOSSIBLE_BLOCK_TOL:g}"
+            f"sampled block {bad} has probability {probs[bad]:.3e} < {IMPOSSIBLE_BLOCK_TOL:g}"
         )
     return idx
 
 
-def _collapse(state: StateVector, block: tuple[int, ...], probability: float) -> StateVector:
-    mask = np.zeros(state.dim, dtype=bool)
-    for i in block:
-        mask[i - 1] = True
+def _collapse(state: StateVector, mask: np.ndarray, probability: float) -> StateVector:
     projected = np.where(mask, state.amplitudes, 0.0)
     return StateVector(projected / np.sqrt(probability))
 
@@ -121,19 +159,18 @@ def sample_collapse(
 ) -> MeasurementOutcome:
     """Draw one outcome by the Born rule and collapse onto its block.
 
-    Deterministic in (state, partition, seed, shot): the generator is
-    derived from the seed and the shot index only.
+    Deterministic in (state, partition, seed, shot): the uniform is
+    output ``shot`` of the seed's Philox stream.
     """
     probs = born_probabilities(state, partition)
-    u = float(_shot_rng(seed, shot).random())
-    idx = _select_block(probs, u)
-    block = partition.blocks[idx]
+    (u,) = _shot_uniforms(seed, shot, 1)
+    idx = int(_select_block(probs, u)[0])
     p = float(probs[idx])
     return MeasurementOutcome(
         block_index=idx,
-        block=block,
+        block=partition.blocks[idx],
         probability=p,
-        collapsed=_collapse(state, block, p),
+        collapsed=_collapse(state, partition._block_of_label == idx, p),
     )
 
 
@@ -151,8 +188,32 @@ def measurement_histogram(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = born_probabilities(state, partition)
-    counts = [0] * len(partition.blocks)
-    for k in range(shots):
-        u = float(_shot_rng(seed, k).random())
-        counts[_select_block(probs, u)] += 1
-    return counts
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for u in _shot_uniforms(seed, 0, shots):
+        counts += np.bincount(_select_block(probs, u), minlength=probs.size)
+    return counts.tolist()
+
+
+def _first_shot_on(
+    state: StateVector,
+    partition: MeasurementPartition,
+    seed: int,
+    block_index: int,
+    first: int,
+    count: int,
+) -> int:
+    """First shot in ``first .. first + count - 1`` landing on ``block_index``.
+
+    Returns the last of those shots when none lands there.  Every shot up
+    to the returned one passes the impossible-branch guard, as it would
+    in a loop of ``sample_collapse`` calls; later draws are never checked.
+    """
+    probs = born_probabilities(state, partition)
+    for u in _shot_uniforms(seed, first, count):
+        hits = np.flatnonzero(_blocks(probs, u) == block_index)
+        drawn = int(hits[0]) + 1 if hits.size else u.size
+        _select_block(probs, u[:drawn])
+        first += drawn
+        if hits.size:
+            break
+    return first - 1

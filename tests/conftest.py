@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from iqcontrol import StateVector, SystemSpec, UnitaryOperator
+
+# Property tests draw a fixed sequence of examples and keep no example
+# database, so every Tier-1 run checks the same inputs.
+settings.register_profile("iqcontrol", derandomize=True, database=None, deadline=None)
+settings.load_profile("iqcontrol")
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

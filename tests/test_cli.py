@@ -1,9 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from iqcontrol import ConfigError
+import iqcontrol.algorithms
+from iqcontrol import (
+    ConfigError,
+    GoodSubspace,
+    StateVector,
+    case1_preset,
+    case2_preset,
+    hydrogen_spec,
+    run_algorithm1,
+    run_algorithm2,
+)
 from iqcontrol.cli import execute, main, parse_config, render_report, summarize, validate_config
 
 
@@ -363,3 +374,92 @@ class TestReportContract:
         assert code == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["result"]["plan"]["iterations"] == 7
+
+
+ALGO2_ONE_ITERATION = {
+    "mode": "algo2",
+    "system": "hydrogen",
+    "initial": [0.1, 0.06, 0.08, 0.7, 0.7],
+    "subspace": [1, 2, 3],
+    "iterations": 1,
+}
+ALGO1_NO_ITERATION = {
+    "mode": "algo1",
+    "system": "hydrogen",
+    "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+    "good": 5,
+    "iterations": 0,
+}
+
+
+def per_attempt_oracle(payload, seed, cap):
+    """Repeat-until-success as a loop of whole runs, one shot index each."""
+    spec = hydrogen_spec()
+    mode = payload["mode"]
+    if mode == "hydrogen-case1":
+        preset = case1_preset()
+        run = lambda k: run_algorithm1(spec, preset.initial, 5, seed=seed, measurement_shot=k)
+    elif mode == "hydrogen-case2":
+        preset = case2_preset()
+        run = lambda k: run_algorithm2(spec, preset.initial, preset.good, seed=seed, measurement_shot=k)
+    else:
+        amps = np.array(payload["initial"], dtype=complex)
+        initial = StateVector(amps / np.linalg.norm(amps))  # as the CLI builds it
+        if mode == "algo1":
+            run = lambda k: run_algorithm1(
+                spec, initial, payload["good"], iterations=payload["iterations"],
+                seed=seed, measurement_shot=k,
+            )
+        else:
+            run = lambda k: run_algorithm2(
+                spec, initial, GoodSubspace.of(payload["subspace"], 5),
+                iterations=payload["iterations"], seed=seed, measurement_shot=k,
+            )
+    for attempt in range(cap):
+        report = run(attempt)
+        if report.success:
+            break
+    return report, attempt + 1
+
+
+@pytest.mark.parametrize(
+    "payload, caps, seeds, late",
+    [
+        pytest.param({"mode": "hydrogen-case1"}, (1, 5), range(10), None, id="case1"),
+        pytest.param({"mode": "hydrogen-case2"}, (1, 5), range(10), None, id="case2"),
+        pytest.param(ALGO2_ONE_ITERATION, (1, 4, 50), range(20), 1, id="algo2-L1"),
+        # success probability 0.01: late hits cross the first chunks of draws
+        pytest.param(ALGO1_NO_ITERATION, (100, 300), range(20), 64, id="algo1-L0"),
+    ],
+)
+def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, late, monkeypatch):
+    calls = {"make_plan": 0, "assess": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(iqcontrol.algorithms, name, counted)
+    outcomes = []
+    for cap in caps:
+        for seed in seeds:
+            config = validate_config(
+                {**payload, "seed": seed, "shots": cap, "repeat_until_success": True}
+            )
+            calls.update(make_plan=0, assess=0)
+            code, report = execute(config)
+            # plan and controllability analysis once per run, not per attempt
+            algorithm2 = payload["mode"] in ("algo2", "hydrogen-case2")
+            assert calls == {"make_plan": 1, "assess": int(algorithm2)}
+            assert code == 0
+            result = report["result"]
+            result.pop("preset_expectation", None)
+            expected, attempts = per_attempt_oracle(payload, seed, cap)
+            assert result["attempts"] == attempts
+            assert result["success"] is expected.success
+            assert result == {**expected.to_dict(), "attempts": attempts}
+            outcomes.append((attempts, expected.success, cap))
+    if late is not None:
+        # the inputs reach both ends: caps run out, and hits come late
+        assert any(not hit and n == limit > 1 for n, hit, limit in outcomes)
+        assert any(hit and n > late for n, hit, _ in outcomes)

@@ -5,6 +5,7 @@ from iqcontrol import (
     ControlPulse,
     DimensionMismatchError,
     HermiticityError,
+    NonFiniteError,
     NormalizationError,
     StateVector,
     SystemSpec,
@@ -30,6 +31,16 @@ class TestStateVector:
         amps = np.array([0.6, 0.8]) * (1.0 + 1e-12)
         StateVector(amps)
 
+    @pytest.mark.parametrize(
+        "amps",
+        [[np.nan, 1.0], [1.0, np.inf], [complex(0.6, np.nan), 0.8], [-np.inf, np.inf]],
+    )
+    def test_rejects_non_finite(self, amps):
+        # a NaN norm compares false against the tolerance, so only the
+        # finite check stops these
+        with pytest.raises(NonFiniteError, match="finite"):
+            StateVector(amps)
+
     def test_basis_state(self):
         e2 = StateVector.basis_state(2, 3)
         assert np.allclose(e2.amplitudes, [0, 1, 0])
@@ -51,6 +62,19 @@ class TestSystemSpec:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SystemSpec(dim=3, drift=[0.0, 1.0], coupling=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("drift", [[0.0, np.nan], [np.inf, 1.0], [0.0, -np.inf]])
+    def test_rejects_non_finite_drift(self, drift):
+        with pytest.raises(NonFiniteError, match="drift"):
+            SystemSpec(dim=2, drift=drift, coupling=_sigma_x_block(2))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
+    def test_rejects_non_finite_coupling(self, entry):
+        b = _sigma_x_block(2)
+        b[0, 1] = entry
+        b[1, 0] = np.conj(entry)
+        with pytest.raises(NonFiniteError, match="coupling"):
+            SystemSpec(dim=2, drift=[0.0, 1.0], coupling=b)
 
     def test_warns_when_commuting(self):
         # diagonal B commutes with diagonal A

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from iqcontrol import measurement
 from iqcontrol import (
     GoodSubspace,
     MeasurementGuardError,
@@ -10,7 +13,7 @@ from iqcontrol import (
     measurement_histogram,
     sample_collapse,
 )
-from iqcontrol.measurement import _select_block
+from iqcontrol.measurement import _first_shot_on, _select_block
 from conftest import random_state
 
 
@@ -110,6 +113,10 @@ class TestSampleCollapse:
         with pytest.raises(MeasurementGuardError):
             _select_block(np.array([1.0, 1e-20]), 1.0 - 1e-18)
 
+    def test_impossible_branch_guard_on_any_draw(self):
+        with pytest.raises(MeasurementGuardError, match="sampled block 1 has probability 1.000e-20"):
+            _select_block(np.array([1.0, 1e-20]), np.array([0.2, 0.7, 1.0, 0.5]))
+
     def test_shot_index_changes_draw(self):
         state = StateVector(np.ones(4) / 2.0)
         p = MeasurementPartition.per_index(4)
@@ -162,3 +169,103 @@ class TestHistogram:
     def test_rejects_zero_shots(self, rng):
         with pytest.raises(ValueError):
             measurement_histogram(random_state(rng, 3), MeasurementPartition.per_index(3), 1, 0)
+
+
+def philox_blocks(state, partition, seed, shots) -> np.ndarray:
+    """Reference outcome of shots 0..shots-1: output k of Philox(seed),
+    placed in the cumulative Born intervals, is the outcome of shot k."""
+    u = np.random.Generator(np.random.Philox(seed)).random(shots)
+    cum = np.cumsum(born_probabilities(state, partition))
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(partition.blocks) - 1)
+
+
+def shot_outcome_from_histograms(state, partition, seed, shot) -> np.ndarray:
+    """One-hot outcome of ``shot``, read off two prefix histograms."""
+    before = measurement_histogram(state, partition, seed, shot) if shot else [0] * len(partition.blocks)
+    return np.array(measurement_histogram(state, partition, seed, shot + 1)) - before
+
+
+class TestReplay:
+    def test_every_lane_and_prefix(self, rng):
+        # shots 0..11 visit each Philox lane k % 4 three times, and the
+        # prefix histograms take every length 1..12
+        state = random_state(rng, 6)
+        p = MeasurementPartition.per_index(6)
+        expected = philox_blocks(state, p, 31, 12)
+        for k in range(12):
+            assert sample_collapse(state, p, seed=31, shot=k).block_index == expected[k]
+            one_hot = shot_outcome_from_histograms(state, p, 31, k)
+            assert np.array_equal(one_hot, np.eye(6, dtype=int)[expected[k]])
+
+    @pytest.mark.parametrize("seed", [5, 2**200 + 17])
+    def test_replay_deep_in_the_stream(self, rng, seed):
+        # seeds beyond 128 bits go through SeedSequence like small ones
+        state = random_state(rng, 5)
+        p = MeasurementPartition.per_index(5)
+        expected = philox_blocks(state, p, seed, 12353)
+        for k in range(12345, 12353):
+            block = sample_collapse(state, p, seed=seed, shot=k).block_index
+            assert block == expected[k]
+            one_hot = shot_outcome_from_histograms(state, p, seed, k)
+            assert np.array_equal(one_hot, np.eye(5, dtype=int)[block])
+
+    @pytest.mark.parametrize("shots", [1, 3, 63, 64, 65, 191, 193, 1001, 2**17 + 5])
+    def test_histogram_equals_bulk_stream(self, rng, shots):
+        # chunk edges of the draws sit at 64, 192, 448, ... and every
+        # 2**16 past 65472
+        state = random_state(rng, 7)
+        p = random_partition(rng, 7)
+        expected = np.bincount(philox_blocks(state, p, 8, shots), minlength=len(p.blocks))
+        assert measurement_histogram(state, p, seed=8, shots=shots) == expected.tolist()
+
+    def test_first_shot_on_guards_only_drawn_shots(self, monkeypatch):
+        # the impossible branch raises only when it comes before the hit,
+        # as in a loop of single shots that stops at the hit
+        state = StateVector([1.0, 1e-10])  # probabilities [1, 1e-20]
+        p = MeasurementPartition.per_index(2)
+
+        def uniforms(*draws):
+            monkeypatch.setattr(
+                measurement, "_shot_uniforms", lambda seed, first, count: iter([np.array(draws)])
+            )
+
+        uniforms(0.5, 1.0)
+        assert _first_shot_on(state, p, 0, 0, 3, 2) == 3
+        uniforms(1.0, 0.5)
+        with pytest.raises(MeasurementGuardError, match="sampled block 1"):
+            _first_shot_on(state, p, 0, 0, 3, 2)
+
+    def test_first_shot_on_matches_single_shots(self):
+        # block 0 has probability 0.01: the first hit is usually past the
+        # first chunk of 64 draws
+        state = StateVector([0.1, np.sqrt(0.99)])
+        p = MeasurementPartition.per_index(2)
+        for seed in range(20):
+            for first, count in ((0, 500), (7, 150), (70, 1)):
+                shots = range(first, first + count)
+                hits = [k for k in shots if sample_collapse(state, p, seed, shot=k).block_index == 0]
+                expected = hits[0] if hits else first + count - 1
+                assert _first_shot_on(state, p, seed, 0, first, count) == expected
+
+
+@st.composite
+def states_and_partitions(draw):
+    dim = draw(st.integers(2, 8))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    z = np.array([complex(draw(parts), draw(parts)) for _ in range(dim)])
+    assume(np.linalg.norm(z) > 1e-3)
+    labels = draw(st.permutations(range(1, dim + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1))))
+    bounds = [0, *cuts, dim]
+    blocks = tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return StateVector(z / np.linalg.norm(z)), MeasurementPartition(blocks)
+
+
+@given(case=states_and_partitions(), seed=st.integers(0, 2**130), shots=st.integers(1, 40))
+def test_histogram_is_single_shot_replay(case, seed, shots):
+    state, partition = case
+    blocks = [sample_collapse(state, partition, seed, shot=k).block_index for k in range(shots)]
+    counts = measurement_histogram(state, partition, seed, shots)
+    assert counts == np.bincount(blocks, minlength=len(partition.blocks)).tolist()
+    one_hot = shot_outcome_from_histograms(state, partition, seed, shots - 1)
+    assert np.flatnonzero(one_hot).tolist() == [blocks[-1]]
