@@ -7,8 +7,9 @@ then goes to stderr), and carries a provenance block with the config
 hash, the seed, and the library version, so identical configs produce
 byte-identical reports apart from the timestamp field.
 
-Exit status: 0 on success, 2 on configuration errors, 1 on runtime
-errors; any nonzero exit writes a report containing an error record.
+Exit status: 0 on success, 2 on a malformed field (a ConfigError naming
+its JSON path), 1 only on a runtime failure; any nonzero exit writes a
+report containing an error record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
@@ -61,7 +62,8 @@ __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description, kept JSON-shaped for hashing and echo."""
+    """Validated run: JSON-shaped fields to hash and echo, then the library
+    objects that validation built from them, once."""
 
     mode: str
     system: Optional[dict] = None
@@ -77,6 +79,11 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     repeat_until_success: bool = False
     out: Optional[str] = None
+    spec: Optional[SystemSpec] = None
+    state: Optional[StateVector] = None
+    # the good set amplified by 'amplify', 'algo2' and 'measure-stats' runs
+    target: Optional[GoodSubspace] = None
+    controllability: ControllabilityConfig = field(default_factory=ControllabilityConfig)
 
     def echo(self) -> dict:
         """JSON-serializable echo of everything that defines the run."""
@@ -101,6 +108,10 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _at(path: str, *index: int) -> str:
+    return path + "".join(f"[{k}]" for k in index)
+
+
 def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
@@ -109,91 +120,79 @@ def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    # false for NaN, +-Infinity and integer literals beyond the float range
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        _fail(path, f"expected a finite number, got {value!r}")
+def _require_number(value, path: str, *index: int) -> float:
+    # rejects booleans, NaN, +-Infinity and integer literals beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -_FLOAT_MAX <= value <= _FLOAT_MAX
+    ):
+        _fail(_at(path, *index), f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _parse_complex(value, path: str) -> complex:
-    # every coupling entry passes here, so plain numbers are checked inline
+def _parse_complex(value, path: str, *index: int) -> complex:
+    # every coupling and initial entry passes here once: plain numbers are
+    # checked inline, and the entry's path is built only when it fails
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return complex(value)
     elif isinstance(value, list) and len(value) == 2:
-        return complex(_require_number(value[0], path + "[0]"),
-                       _require_number(value[1], path + "[1]"))
-    _fail(path, f"expected a finite number or an [re, im] pair, got {value!r}")
+        return complex(_require_number(value[0], path, *index, 0),
+                       _require_number(value[1], path, *index, 1))
+    _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {value!r}")
 
 
-def _parse_vector(value, path: str) -> list[complex]:
-    if not isinstance(value, list) or len(value) < 2:
-        _fail(path, "expected a list of at least 2 amplitudes")
-    return [_parse_complex(v, f"{path}[{k}]") for k, v in enumerate(value)]
+def _built(prefix: str, build, *args, **kwargs):
+    """``build(...)`` with a ValueError raised as a ConfigError: ``prefix`` is
+    "<path>: ", or "<path>." for types whose messages start with a field name."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _validate_system(value, path: str) -> dict:
-    if isinstance(value, str):
-        value = {"preset": value}
+def _system_spec(value) -> SystemSpec:
     if not isinstance(value, dict):
-        _fail(path, f"expected a system object or preset name, got {value!r}")
+        _fail("system", f"expected a system object or preset name, got {value!r}")
     if "preset" in value:
         if value["preset"] != "hydrogen":
-            _fail(path + ".preset", f"unknown preset {value['preset']!r}")
-        if "energy_gap" in value:
-            gap = _require_number(value["energy_gap"], path + ".energy_gap")
-            if gap <= 0:
-                _fail(path + ".energy_gap", f"must be positive, got {gap}")
-        return value
+            _fail("system.preset", f"unknown preset {value['preset']!r}")
+        gap = _require_number(value.get("energy_gap", 1.0), "system.energy_gap")
+        return _built("system.energy_gap: ", hydrogen_spec, gap)
     for key in ("dim", "drift", "coupling"):
         if key not in value:
-            _fail(path, f"missing required field {key!r}")
-    dim = _require_int(value["dim"], path + ".dim", minimum=2)
-    drift = value["drift"]
-    if not isinstance(drift, list) or len(drift) != dim:
-        _fail(path + ".drift", f"expected {dim} eigenvalues")
-    for k, x in enumerate(drift):
-        _require_number(x, f"{path}.drift[{k}]")
-    coupling = value["coupling"]
+            _fail("system", f"missing required field {key!r}")
+    dim = _require_int(value["dim"], "system.dim", minimum=2)
+    drift, coupling = value["drift"], value["coupling"]
+    if not isinstance(drift, list):
+        _fail("system.drift", f"expected {dim} eigenvalues")
     if not isinstance(coupling, list) or len(coupling) != dim:
-        _fail(path + ".coupling", f"expected a {dim}x{dim} matrix")
-    parsed = []
+        _fail("system.coupling", f"expected a {dim}x{dim} matrix")
     for i, row in enumerate(coupling):
         if not isinstance(row, list) or len(row) != dim:
-            _fail(f"{path}.coupling[{i}]", f"expected {dim} entries")
-        parsed.append([_parse_complex(x, f"{path}.coupling[{i}][{j}]") for j, x in enumerate(row)])
-    for i in range(dim):
-        for j in range(dim):
-            if abs(parsed[i][j] - parsed[j][i].conjugate()) > 1e-12:
-                _fail(
-                    f"{path}.coupling[{i}][{j}]",
-                    f"not Hermitian: value {parsed[i][j]} does not match the "
-                    f"conjugate of coupling[{j}][{i}] = {parsed[j][i]}",
-                )
-    return value
-
-
-def _build_system(config: RunConfig) -> SystemSpec:
-    sys_obj = config.system
-    if sys_obj.get("preset") == "hydrogen":
-        return hydrogen_spec(float(sys_obj.get("energy_gap", 1.0)))
-    dim = sys_obj["dim"]
-    drift = [float(x) for x in sys_obj["drift"]]
-    coupling = np.array(
-        [[_parse_complex(x, "system.coupling") for x in row] for row in sys_obj["coupling"]]
+            _fail(f"system.coupling[{i}]", f"expected {dim} entries")
+    return _built(
+        "system.",
+        SystemSpec,
+        dim=dim,
+        drift=[_require_number(x, "system.drift", k) for k, x in enumerate(drift)],
+        coupling=[
+            [_parse_complex(x, "system.coupling", i, j) for j, x in enumerate(row)]
+            for i, row in enumerate(coupling)
+        ],
     )
-    return SystemSpec(dim=dim, drift=drift, coupling=coupling)
 
 
-def _build_initial(config: RunConfig) -> StateVector:
-    amps = np.array(_parse_vector(config.initial, "initial"))
+def _initial_state(value, spec: Optional[SystemSpec]) -> StateVector:
+    """The state within INITIAL_NORM_TOL of unit norm, divided by its norm."""
+    if not isinstance(value, list):
+        _fail("initial", f"expected a list of amplitudes, got {value!r}")
+    if spec is not None and len(value) != spec.dim:
+        _fail("initial", f"expected {spec.dim} amplitudes to match the system, got {len(value)}")
+    amps = np.array([_parse_complex(v, "initial", k) for k, v in enumerate(value)])
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > INITIAL_NORM_TOL:
         _fail("initial", f"state is not normalized: norm is {norm!r}")
-    return StateVector(amps / norm)
+    return _built("initial: ", StateVector, amps / norm)
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -213,11 +212,9 @@ def validate_config(raw: dict) -> RunConfig:
         _fail("mode", f"expected one of {', '.join(MODES)}; got {mode!r}")
 
     system = raw.get("system")
-    if system is not None:
-        system = _validate_system(system, "system")
+    if isinstance(system, str):
+        system = {"preset": system}
     initial = raw.get("initial")
-    if initial is not None:
-        _parse_vector(initial, "initial")
 
     good = raw.get("good")
     if good is not None:
@@ -235,7 +232,7 @@ def validate_config(raw: dict) -> RunConfig:
         _fail("phases", "expected [phi1, phi2]")
     phi = []
     for k, p in enumerate(phases):
-        v = _require_number(p, f"phases[{k}]")
+        v = _require_number(p, "phases", k)
         if not 0.0 <= v <= math.pi:
             _fail(f"phases[{k}]", f"must lie in [0, pi], got {v}")
         phi.append(v)
@@ -260,12 +257,12 @@ def validate_config(raw: dict) -> RunConfig:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
-    allowed_tols = {"edge_threshold", "degeneracy_tol", "ratio_tol", "max_denominator"}
+    allowed_tols = sorted(f.name for f in fields(ControllabilityConfig))
     for key, value in tolerances.items():
         if key not in allowed_tols:
-            _fail(f"tolerances.{key}", f"unknown tolerance (allowed: {sorted(allowed_tols)})")
+            _fail(f"tolerances.{key}", f"unknown tolerance (allowed: {allowed_tols})")
         if key == "max_denominator":
-            _require_int(value, f"tolerances.{key}", minimum=1)
+            _require_int(value, f"tolerances.{key}")
         else:
             _require_number(value, f"tolerances.{key}")
 
@@ -292,6 +289,16 @@ def validate_config(raw: dict) -> RunConfig:
     if mode in SAMPLING_MODES and seed is None:
         _fail("seed", f"required for sampling mode {mode!r}")
 
+    # the library objects, each built once, after the presence checks above
+    spec = None if system is None else _system_spec(system)
+    state = None if initial is None else _initial_state(initial, spec)
+    targets = {
+        name: _built(f"{name}: ", GoodSubspace.of, labels, spec.dim)
+        for name, labels in (("good", good), ("subspace", subspace))
+        if labels is not None and spec is not None
+    }
+    # 'algo2' amplifies its subspace; 'amplify' and 'measure-stats' take 'good' first
+    target = targets.get("subspace" if mode == "algo2" else "good", targets.get("subspace"))
     return RunConfig(
         mode=mode,
         system=system,
@@ -307,6 +314,10 @@ def validate_config(raw: dict) -> RunConfig:
         tolerances=dict(tolerances),
         repeat_until_success=repeat,
         out=out,
+        spec=spec,
+        state=state,
+        target=target,
+        controllability=_built("tolerances.", ControllabilityConfig, **tolerances),
     )
 
 
@@ -323,16 +334,6 @@ def parse_config(text: str) -> RunConfig:
 # execution
 
 
-def _controllability_config(config: RunConfig) -> ControllabilityConfig:
-    return ControllabilityConfig(**config.tolerances)
-
-
-def _good_subspace(config: RunConfig, dim: int) -> GoodSubspace:
-    if config.good is not None:
-        return GoodSubspace.of(config.good, dim)
-    return GoodSubspace.of(config.subspace, dim)
-
-
 def _execute_algorithm(config: RunConfig) -> dict:
     if config.mode == "hydrogen-case1":
         preset, system = case1_preset(), hydrogen_spec()
@@ -343,16 +344,9 @@ def _execute_algorithm(config: RunConfig) -> dict:
         initial, algorithm = preset.initial, 2
         good, subspace = None, preset.good
     else:
-        preset = None
-        system = _build_system(config)
-        initial = _build_initial(config)
+        preset, system, initial = None, config.spec, config.state
         algorithm = 1 if config.mode == "algo1" else 2
-        good = config.good
-        subspace = (
-            GoodSubspace.of(config.subspace, system.dim)
-            if config.subspace is not None
-            else None
-        )
+        good, subspace = config.good, config.target
 
     phi1, phi2 = config.phases
     common = dict(
@@ -373,7 +367,7 @@ def _execute_algorithm(config: RunConfig) -> dict:
     else:
         report = run_algorithm2(
             system, initial, subspace,
-            controllability_config=_controllability_config(config), **common,
+            controllability_config=config.controllability, **common,
         )
     result = report.to_dict()
     if preset is not None:
@@ -385,23 +379,20 @@ def _execute_algorithm(config: RunConfig) -> dict:
 
 
 def _execute_amplify(config: RunConfig) -> dict:
-    system = _build_system(config)
-    initial = _build_initial(config)
     phi1, phi2 = config.phases
     _, report = _amplify(
-        initial, _good_subspace(config, system.dim), phi1, phi2,
+        config.state, config.target, phi1, phi2,
         config.iterations, config.pre_rotation, config.l_max,
     )
     return report.to_dict()
 
 
 def _execute_measure_stats(config: RunConfig) -> dict:
-    system = _build_system(config)
-    state = _build_initial(config)
-    if config.good is not None or config.subspace is not None:
-        partition = MeasurementPartition.binary(_good_subspace(config, system.dim))
+    state = config.state
+    if config.target is not None:
+        partition = MeasurementPartition.binary(config.target)
     else:
-        partition = MeasurementPartition.per_index(system.dim)
+        partition = MeasurementPartition.per_index(state.dim)
     probs = born_probabilities(state, partition)
     result = {
         "blocks": [list(b) for b in partition.blocks],
@@ -423,7 +414,7 @@ def _execute_measure_stats(config: RunConfig) -> dict:
 
 
 def execute(config: RunConfig) -> tuple[int, dict]:
-    """Run the configured mode; return (exit_code, report dict)."""
+    """Run a validated config; return (exit code 0 or 1, report dict)."""
     report = {
         "provenance": _provenance(config),
         "config": config.echo(),
@@ -431,17 +422,13 @@ def execute(config: RunConfig) -> tuple[int, dict]:
     }
     try:
         if config.mode == "analyze":
-            system = _build_system(config)
-            result = assess(system, _controllability_config(config)).to_dict()
+            result = assess(config.spec, config.controllability).to_dict()
         elif config.mode == "amplify":
             result = _execute_amplify(config)
         elif config.mode == "measure-stats":
             result = _execute_measure_stats(config)
         else:
             result = _execute_algorithm(config)
-    except ConfigError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return 2, report
     except Exception as exc:  # propagate module errors into the report
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return 1, report

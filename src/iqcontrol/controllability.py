@@ -26,6 +26,7 @@ which case the condition is decided exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -139,10 +140,20 @@ class SubspaceVerdict:
 
 @dataclass(frozen=True)
 class ControllabilityConfig:
+    """Tolerances of the analysis; each error message starts with its field's name."""
+
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
     max_denominator: int = DEFAULT_MAX_DENOMINATOR
     ratio_tol: float = DEFAULT_RATIO_TOL
+
+    def __post_init__(self):
+        for name in ("edge_threshold", "degeneracy_tol", "ratio_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
+        if not self.max_denominator >= 1:
+            raise ValueError(f"max_denominator: must be >= 1, got {self.max_denominator!r}")
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,9 @@ class SystemSpec:
     ``drift`` holds the eigenvalues in basis order; the order is the basis
     labeling and is never sorted.  ``exact_drift`` optionally carries the
     same eigenvalues as exact rationals, which makes the frequency-ratio
-    controllability condition decidable instead of heuristic.
+    controllability condition decidable instead of heuristic.  Every
+    error message starts with the name of the field at fault, with entry
+    indices 0-based as in nested lists, e.g. ``coupling[0][1]: ...``.
     """
 
     dim: int
@@ -105,36 +107,39 @@ class SystemSpec:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise DimensionMismatchError(f"system dimension must be >= 2, got {self.dim}")
+            raise DimensionMismatchError(f"dim: must be >= 2, got {self.dim}")
         drift = np.asarray(self.drift, dtype=float).reshape(-1)
         coupling = np.asarray(self.coupling, dtype=complex)
         if drift.size != self.dim:
             raise DimensionMismatchError(
-                f"drift has {drift.size} eigenvalues for dimension {self.dim}"
+                f"drift: {drift.size} eigenvalues for dimension {self.dim}"
             )
         if coupling.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"coupling shape {coupling.shape} does not match dimension {self.dim}"
+                f"coupling: shape {coupling.shape} does not match dimension {self.dim}"
             )
         if not np.isfinite(drift).all():
-            raise NonFiniteError("drift eigenvalues must be finite, got NaN or an infinity")
+            raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
         if not np.isfinite(coupling).all():
-            raise NonFiniteError("coupling entries must be finite, got NaN or an infinity")
-        dev = np.max(np.abs(coupling - coupling.conj().T))
-        if dev > HERMITICITY_TOL:
+            raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
+        off = np.abs(coupling - coupling.conj().T) > HERMITICITY_TOL
+        if off.any():
+            # first offending entry in row-major order, 0-based as in nested lists
+            i, j = divmod(int(np.argmax(off)), self.dim)
             raise HermiticityError(
-                f"coupling is not Hermitian: max |B - B^H| = {dev:.3e}"
+                f"coupling[{i}][{j}]: not Hermitian: value {coupling[i, j]} does not "
+                f"match the conjugate of coupling[{j}][{i}] = {coupling[j, i]}"
             )
         if self.exact_drift is not None:
             exact = tuple(Fraction(x) for x in self.exact_drift)
             if len(exact) != self.dim:
                 raise DimensionMismatchError(
-                    f"exact_drift has {len(exact)} entries for dimension {self.dim}"
+                    f"exact_drift: {len(exact)} entries for dimension {self.dim}"
                 )
             for i, (num, approx) in enumerate(zip(exact, drift)):
                 if abs(float(num) - approx) > 1e-9:
                     raise ValueError(
-                        f"exact_drift[{i}] = {num} disagrees with drift[{i}] = {approx}"
+                        f"exact_drift[{i}]: {num} disagrees with drift[{i}] = {approx}"
                     )
             object.__setattr__(self, "exact_drift", exact)
         drift.setflags(write=False)

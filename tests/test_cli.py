@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import iqcontrol.algorithms
+import iqcontrol.cli
 from iqcontrol import (
     ConfigError,
     GoodSubspace,
     StateVector,
+    SystemSpec,
     case1_preset,
     case2_preset,
     hydrogen_spec,
@@ -94,7 +98,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"phases\[1\]"):
             validate_config({"mode": "hydrogen-case1", "seed": 1, "phases": [1.0, 4.0]})
 
-    def test_non_normalized_initial_rejected_with_norm(self):
+    def test_non_normalized_initial_rejected_with_norm(self, tmp_path):
         raw = {
             "mode": "algo1",
             "system": HYDROGEN_INLINE,
@@ -102,10 +106,13 @@ class TestParseConfig:
             "good": 2,
             "seed": 1,
         }
-        code, report = execute(validate_config(raw))
+        with pytest.raises(ConfigError, match="^initial: ") as info:
+            validate_config(raw)
+        assert "norm" in str(info.value)
+        assert "1.41" in str(info.value)  # the computed norm
+        code, report = run_cli(tmp_path, raw)
         assert code == 2
-        assert "norm" in report["error"]["message"]
-        assert "1.41" in report["error"]["message"]  # the computed norm
+        assert report["error"]["message"] == str(info.value)
 
     def test_auto_iterations_propagates(self, tmp_path):
         code, report = run_cli(
@@ -318,6 +325,198 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, overrides, path):
     assert code == 2
     assert report["error"]["type"] == "ConfigError"
     assert report["error"]["message"].startswith(path + ": expected a finite number")
+
+
+CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        pytest.param(
+            {"mode": "algo1", "system": "hydrogen", "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+             "good": 7, "seed": 1},
+            "good", id="good-out-of-range",
+        ),
+        pytest.param(
+            {"mode": "algo2", "system": HYDROGEN_INLINE, "initial": [0.6, 0.8],
+             "subspace": [1, 2], "seed": 1},
+            "subspace", id="subspace-whole-basis",
+        ),
+        pytest.param(
+            {"mode": "amplify", "system": "hydrogen", "initial": [0.6, 0.8], "good": 1},
+            "initial", id="initial-length",
+        ),
+        pytest.param(
+            {"mode": "measure-stats", "system": HYDROGEN_INLINE, "initial": [0.6, 0.8],
+             "good": 3, "seed": 1},
+            "good", id="measure-stats-good",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": CHAIN, "tolerances": {"ratio_tol": -1e-9}},
+            "tolerances.ratio_tol", id="ratio-tol-negative",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": CHAIN, "tolerances": {"degeneracy_tol": -1e-9}},
+            "tolerances.degeneracy_tol", id="degeneracy-tol-negative",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": CHAIN, "tolerances": {"edge_threshold": -1e-12}},
+            "tolerances.edge_threshold", id="edge-threshold-negative",
+        ),
+    ],
+)
+def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
+    # labels, lengths and tolerances the library types reject end in exit 2
+    # naming the field, not in a runtime error or a changed verdict
+    out = tmp_path / "report.json"
+    code = main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+    report = _strict_json(out.read_text())
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(path + ": ")
+
+
+def test_entries_parsed_once(tmp_path, monkeypatch):
+    calls = {"parse": 0, "SystemSpec": 0}
+    parse, post_init = iqcontrol.cli._parse_complex, SystemSpec.__post_init__
+
+    def counted_parse(*args):
+        calls["parse"] += 1
+        return parse(*args)
+
+    def counted_post_init(self):
+        calls["SystemSpec"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(iqcontrol.cli, "_parse_complex", counted_parse)
+    monkeypatch.setattr(SystemSpec, "__post_init__", counted_post_init)
+    system = {
+        "dim": 3,
+        "drift": [0.0, 1.0, 3.0],
+        "coupling": [[0, [1.0, 0.5], 0], [[1.0, -0.5], 0, 2], [0, 2, 0]],
+    }
+    initial = [[0.6, 0.0], [0.0, 0.6], 0.52915026221291817]
+    code, _ = run_cli(
+        tmp_path, {"mode": "algo1", "system": system, "initial": initial, "good": 2, "seed": 3}
+    )
+    assert code == 0
+    assert calls == {"parse": 3 * 3 + len(initial), "SystemSpec": 1}
+
+
+REQUIRED = {
+    "analyze": ["system"],
+    "amplify": ["system", "initial"],  # plus its good set, either field
+    "algo1": ["system", "initial", "good", "seed"],
+    "algo2": ["system", "initial", "subspace", "seed"],
+    "measure-stats": ["system", "initial", "seed"],
+}
+TARGETS = {
+    "analyze": [None],
+    "amplify": ["good", "subspace"],
+    "algo1": ["good"],
+    "algo2": ["subspace"],
+    "measure-stats": ["good", "subspace", None],
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with dim <= 6 and at most one mutation.
+
+    Returns the payload and the JSON path its error must start with, or
+    None when the payload is valid.
+    """
+    dim = draw(st.integers(2, 6))
+    mode = draw(st.sampled_from(sorted(REQUIRED)))
+    small = st.integers(-2, 2)
+    coupling = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        coupling[i][i] = draw(small)
+        for j in range(i + 1, dim):
+            re, im = draw(small), draw(small)
+            coupling[i][j], coupling[j][i] = ([re, im], [re, -im]) if im else (re, re)
+    drift = draw(st.lists(st.integers(0, 9), min_size=dim, max_size=dim))
+    amps = [complex(draw(small), draw(small)) for _ in range(dim)]
+    assume(any(amps))
+    norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
+    initial = [[z.real / norm, z.imag / norm] for z in amps]
+    payload = {
+        "mode": mode,
+        "system": {"dim": dim, "drift": drift, "coupling": coupling},
+        "initial": initial,
+        "seed": draw(st.integers(0, 99)),
+        "tolerances": draw(st.fixed_dictionaries({}, optional={
+            "ratio_tol": st.floats(0.0, 1e-6), "max_denominator": st.integers(1, 10**5),
+        })),
+    }
+    labels = draw(st.lists(st.integers(1, dim), min_size=1, max_size=dim - 1, unique=True))
+    target = draw(st.sampled_from(TARGETS[mode]))
+    if target is not None:
+        payload[target] = labels[0] if target == "good" else labels
+
+    mutation = draw(st.sampled_from(["none", "drop", "label", "length", "tolerance", "hermitian"]))
+    if mutation == "drop":
+        key = draw(st.sampled_from(["mode", *REQUIRED[mode], *([target] if mode == "amplify" else [])]))
+        del payload[key]
+        return payload, "good" if mode == "amplify" and key == target else key
+    if mutation == "label":
+        key = target or "good"
+        bad = draw(st.sampled_from([0, dim + 1, dim + 4, None]))
+        if key == "good":
+            payload["good"] = bad or dim + 2
+            return payload, "good"
+        payload["subspace"] = [*labels[:-1], bad] if bad is not None else list(range(1, dim + 1))
+        return payload, f"subspace[{len(labels) - 1}]" if bad == 0 else "subspace"
+    if mutation == "length":
+        what = draw(st.sampled_from(["initial", "drift", "row", "rows"]))
+        grow = draw(st.booleans())
+        if what == "initial":
+            payload["initial"] = initial + [[0.0, 0.0]] if grow else initial[:-1]
+            return payload, "initial"
+        if what == "drift":
+            payload["system"]["drift"] = drift + [0] if grow else drift[:-1]
+            return payload, "system.drift"
+        if what == "row":
+            i = draw(st.integers(0, dim - 1))
+            coupling[i] = coupling[i] + [0] if grow else coupling[i][:-1]
+            return payload, f"system.coupling[{i}]"
+        payload["system"]["coupling"] = coupling + [[0] * dim] if grow else coupling[:-1]
+        return payload, "system.coupling"
+    if mutation == "tolerance":
+        name = draw(st.sampled_from(["edge_threshold", "degeneracy_tol", "ratio_tol", "max_denominator"]))
+        negative = draw(st.floats(-1.0, -1e-300))
+        payload["tolerances"] = {name: 0 if name == "max_denominator" else negative}
+        return payload, f"tolerances.{name}"
+    if mutation == "hermitian":
+        i, j = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)))
+        coupling[i][j] = [draw(small), 3]  # imaginary part 3 matches no conjugate entry
+        return payload, f"system.coupling[{i}][{j}]"
+    return payload, None
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(case=mutated_configs())
+def test_config_boundary_fuzz(fuzz_dir, case):
+    # every example ends in an exit status and a strict-JSON report, exit 2
+    # exactly for a ConfigError, and a mutated field is named by its path
+    payload, path = case
+    out = fuzz_dir / "report.json"
+    code = main(["--config", write_config(fuzz_dir, payload), "--out", str(out)])
+    report = _strict_json(out.read_text())
+    error = report.get("error")
+    assert code in (0, 1, 2)
+    assert (code == 0) == (error is None)
+    assert (code == 2) == (error is not None and error["type"] == "ConfigError")
+    if path is None:
+        assert code != 2, error
+    else:
+        assert code == 2 and error["message"].startswith(path + ": "), error
 
 
 class TestReportContract:

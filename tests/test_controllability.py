@@ -6,6 +6,7 @@ from iqcontrol import (
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
     ConnectivityGraph,
+    ControllabilityConfig,
     SystemSpec,
     assess,
     build_graph,
@@ -276,6 +277,29 @@ class TestRationalRatios:
     def test_invalid_max_denominator(self):
         with pytest.raises(ValueError):
             check_rational_ratios(hydrogen_spec(), [1, 2, 3], max_denominator=0)
+
+
+class TestControllabilityConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("edge_threshold", -1e-12),
+            ("degeneracy_tol", -1e-9),
+            ("ratio_tol", -1e-9),
+            ("ratio_tol", float("nan")),
+            ("degeneracy_tol", float("inf")),
+            ("max_denominator", 0),
+        ],
+    )
+    def test_rejects_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            ControllabilityConfig(**{name: value})
+
+    def test_zero_tolerances_accepted(self):
+        config = ControllabilityConfig(
+            edge_threshold=0.0, degeneracy_tol=0.0, ratio_tol=0.0, max_denominator=1
+        )
+        assert config.ratio_tol == 0.0
 
 
 class TestAssess:
