@@ -284,6 +284,10 @@ def validate_config(raw: dict) -> RunConfig:
     for name in needs:
         if present[name] is None:
             _fail(name, f"required for mode {mode!r}")
+    if mode in ("hydrogen-case1", "hydrogen-case2"):
+        for name, value in present.items():
+            if value is not None:
+                _fail(name, f"not accepted by preset mode {mode!r}; the preset sets it")
     if mode == "amplify" and good is None and subspace is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
     if mode in SAMPLING_MODES and seed is None:

@@ -18,10 +18,13 @@ Verdict vocabulary:
   subspaces are routinely controllable in practice, so the verdict is
   downgraded rather than declared violated.
 
-Rationality of a float ratio is undecidable; the check is a continued-
-fraction heuristic (best rational approximation with bounded
-denominator) unless the system carries exact rational eigenvalues, in
-which case the condition is decided exactly.
+Each component is analysed once.  Rationality of a float ratio is
+undecidable; the check compares every level's offset from one reference
+level with one reference frequency by a continued-fraction heuristic
+(best rational approximation with bounded denominator) unless the system
+carries exact rational eigenvalues, in which case the condition is
+decided exactly.  Frequency collisions are found by one sweep over the
+sorted signed transition frequencies.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .core import SystemSpec
 
@@ -183,54 +188,49 @@ def build_graph(spec: SystemSpec, edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     """Edges are exactly the pairs i < j with |B_ij| > edge_threshold."""
     if edge_threshold < 0:
         raise ValueError(f"edge threshold must be nonnegative, got {edge_threshold}")
-    edges = set()
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            if abs(spec.coupling[i, j]) > edge_threshold:
-                edges.add((i + 1, j + 1))
-    return ConnectivityGraph(spec.dim, frozenset(edges))
+    rows, cols = np.nonzero(np.abs(spec.coupling) > edge_threshold)
+    upper = rows < cols
+    return ConnectivityGraph(
+        spec.dim, frozenset(zip((rows[upper] + 1).tolist(), (cols[upper] + 1).tolist()))
+    )
 
 
 def connected_components(graph: ConnectivityGraph) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest member."""
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, graph.num_vertices + 1)}
+    """Components as sorted vertex tuples, ordered by smallest member.
+
+    Union-find with path halving over the edges, then one pass over the
+    labels in order, which lists each component sorted and the components
+    by smallest member.
+    """
+    root = list(range(graph.num_vertices + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
     for i, j in graph.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen: set[int] = set()
-    components = []
-    for start in range(1, graph.num_vertices + 1):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v] - comp)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return sorted(components, key=lambda c: c[0])
+        root[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    for v in range(1, graph.num_vertices + 1):
+        members.setdefault(find(v), []).append(v)
+    return [tuple(c) for c in members.values()]
 
 
-def _coupled_edges(
-    spec: SystemSpec, vertex_set: Iterable[int], edge_threshold: float
-) -> list[tuple[int, int]]:
-    vs = sorted(set(vertex_set))
-    edges = []
-    for a, i in enumerate(vs):
-        for j in vs[a + 1:]:
-            if abs(spec.coupling[i - 1, j - 1]) > edge_threshold:
-                edges.append((i, j))
-    return edges
+def _coupled_edges(graph: ConnectivityGraph, vertex_set: Iterable[int]) -> list[tuple[int, int]]:
+    """The graph's edges with both ends in ``vertex_set``, sorted."""
+    vs = set(vertex_set)
+    return sorted(e for e in graph.edges if e[0] in vs and e[1] in vs)
 
 
-def _nu(spec: SystemSpec, pair: tuple[int, int]):
+def _frequencies(spec: SystemSpec, pairs: list[tuple[int, int]]) -> list:
+    """nu_ij = lambda_i - lambda_j per pair: Fractions when the drift is exact."""
     if spec.exact_drift is not None:
-        return spec.exact_drift[pair[0] - 1] - spec.exact_drift[pair[1] - 1]
-    return spec.transition_frequency(*pair)
+        exact = spec.exact_drift
+        return [exact[i - 1] - exact[j - 1] for i, j in pairs]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T - 1
+    return (spec.drift[i] - spec.drift[j]).tolist()
 
 
 def check_degenerate_transitions(
@@ -238,6 +238,8 @@ def check_degenerate_transitions(
     vertex_set: Iterable[int],
     tol: float = DEFAULT_DEGENERACY_TOL,
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
+    *,
+    graph: Optional[ConnectivityGraph] = None,
 ) -> list[DegeneratePair]:
     """Ordered transition pairs inside ``vertex_set`` sharing a frequency.
 
@@ -247,8 +249,18 @@ def check_degenerate_transitions(
     orientation (j, i) of a single edge flags a coupled transition
     between degenerate levels.  With exact rational eigenvalues the
     comparison is exact and ``tol`` is ignored.
+
+    The edges come from ``graph`` when given (``edge_threshold`` is then
+    already applied), else from ``build_graph(spec, edge_threshold)``.
+    Sorting the 2E signed frequencies +-nu_e puts every matching pair of
+    edges, in either orientation, inside a run of values within ``tol``
+    of its first, so one sweep over the runs finds them in
+    O(E log E + output).  The hits are listed by edge pair (k, l), k <= l
+    in sorted edge order, with k = l for a self-reverse match.
     """
-    edges = _coupled_edges(spec, vertex_set, edge_threshold)
+    if graph is None:
+        graph = build_graph(spec, edge_threshold)
+    edges = _coupled_edges(graph, vertex_set)
     exact = spec.exact_drift is not None
 
     def matches(x, y) -> bool:
@@ -260,18 +272,33 @@ def check_degenerate_transitions(
         zero = (nu1 == 0 and nu2 == 0) if exact else (abs(nu1) <= tol and abs(nu2) <= tol)
         return DegeneratePair(p1, p2, float(nu1), float(nu2), zero)
 
+    num_edges = len(edges)
+    nus = _frequencies(spec, edges)
+    signed = nus + [-nu for nu in nus]  # slot s holds +nu of edge s, slot E + s its -nu
+    order = sorted(range(2 * num_edges), key=signed.__getitem__)
+    values = [signed[s] for s in order]
+    # |x - y| is monotone along the sorted run, so each window stops at its first miss
+    candidates = set()
+    for a, x in enumerate(values):
+        b = a + 1
+        while b < len(values) and matches(x, values[b]):
+            k, l = order[a] % num_edges, order[b] % num_edges
+            candidates.add((k, l) if k <= l else (l, k))
+            b += 1
+
     out: list[DegeneratePair] = []
-    for k, e1 in enumerate(edges):
-        nu1 = _nu(spec, e1)
-        # a transition between degenerate levels matches its own reverse
-        if matches(nu1, -nu1):
-            out.append(pair(e1, (e1[1], e1[0]), nu1, -nu1))
-        for e2 in edges[k + 1:]:
-            nu2 = _nu(spec, e2)
-            if matches(nu1, nu2):
-                out.append(pair(e1, e2, nu1, nu2))
-            elif matches(nu1, -nu2):
-                out.append(pair(e1, (e2[1], e2[0]), nu1, -nu2))
+    for k, l in sorted(candidates):
+        e1, nu1 = edges[k], nus[k]
+        if k == l:
+            # a transition between degenerate levels matches its own reverse
+            if matches(nu1, -nu1):
+                out.append(pair(e1, (e1[1], e1[0]), nu1, -nu1))
+            continue
+        e2, nu2 = edges[l], nus[l]
+        if matches(nu1, nu2):
+            out.append(pair(e1, e2, nu1, nu2))
+        elif matches(nu1, -nu2):
+            out.append(pair(e1, (e2[1], e2[0]), nu1, -nu2))
     return out
 
 
@@ -281,12 +308,16 @@ def check_rational_ratios(
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     tol: float = DEFAULT_RATIO_TOL,
 ) -> list[IrrationalWitness]:
-    """Frequency ratios with no rational approximation within tolerance.
+    """Level offsets inside ``vertex_set`` with no rational ratio to a reference.
 
-    For every pair of level pairs inside ``vertex_set`` with a nonzero
-    denominator frequency, the ratio nu_ab / nu_ij is approximated by the
-    best fraction with denominator <= max_denominator; ratios missing it
-    by more than ``tol`` are returned.  Exact rational eigenvalues make
+    The reference level ``ref`` is the smallest label in the set and the
+    reference frequency nu_ref,j the first nu_ref,i in label order with
+    |nu| > ``tol``.  Every transition-frequency ratio in the set is
+    rational exactly when each nu_ref,i is a rational multiple of nu_ref,j,
+    so each other level with |nu_ref,i| > ``tol`` gets one check: the best
+    fraction with denominator <= max_denominator to nu_ref,i / nu_ref,j,
+    reported when it misses by more than ``tol``.  That is at most
+    |set| - 2 checks and witnesses.  Exact rational eigenvalues make
     every ratio rational, so the result is empty by construction.
     """
     if max_denominator < 1:
@@ -294,27 +325,21 @@ def check_rational_ratios(
     if spec.exact_drift is not None:
         return []
     vs = sorted(set(vertex_set))
-    pairs = [(i, j) for a, i in enumerate(vs) for j in vs[a + 1:]]
+    pairs = [(vs[0], i) for i in vs[1:]]
+    # levels within tol of the reference level have ratio 0, which is rational
+    offsets = [(p, nu) for p, nu in zip(pairs, _frequencies(spec, pairs)) if abs(nu) > tol]
+    if not offsets:
+        return []
+    den_pair, nu_den = offsets[0]
     out: list[IrrationalWitness] = []
-    for num_pair in pairs:
-        nu_num = spec.transition_frequency(*num_pair)
-        if abs(nu_num) <= tol:
-            continue  # ratio 0 is rational
-        for den_pair in pairs:
-            if den_pair == num_pair:
-                continue
-            nu_den = spec.transition_frequency(*den_pair)
-            if abs(nu_den) <= tol:
-                continue
-            ratio = nu_num / nu_den
-            best = Fraction(ratio).limit_denominator(max_denominator)
-            err = abs(ratio - float(best))
-            if err > tol:
-                out.append(
-                    IrrationalWitness(
-                        num_pair, den_pair, ratio, best.numerator, best.denominator, err
-                    )
-                )
+    for num_pair, nu_num in offsets[1:]:
+        ratio = nu_num / nu_den
+        best = Fraction(ratio).limit_denominator(max_denominator)
+        err = abs(ratio - float(best))
+        if err > tol:
+            out.append(
+                IrrationalWitness(num_pair, den_pair, ratio, best.numerator, best.denominator, err)
+            )
     return out
 
 
@@ -342,24 +367,19 @@ def _verdict_for(
 def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConfig()) -> ControllabilityReport:
     """Full controllability report: graph, components, and verdicts.
 
-    The global verdict applies the sufficient criteria to the whole
-    system (connected graph, no shared transition frequencies, rational
-    frequency ratios).  Each connected component additionally receives
-    its own verdict with the frequency conditions restricted to the
+    Each connected component is analysed once: no shared transition
+    frequencies and rational frequency ratios, restricted to the
     component.  Single-vertex components are trivially controllable
-    within their one-dimensional span and are marked as such.
+    within their one-dimensional span and are marked as such.  The
+    report's ``degenerate_pairs`` and ``irrational_witnesses`` are the
+    components' lists concatenated in component order, and the global
+    verdict is the sufficient criteria for the whole system: a connected
+    graph and the verdict of its one component.
     """
     graph = build_graph(spec, config.edge_threshold)
     components = connected_components(graph)
-    all_vertices = range(1, spec.dim + 1)
-    degenerate = check_degenerate_transitions(
-        spec, all_vertices, config.degeneracy_tol, config.edge_threshold
-    )
-    irrational = check_rational_ratios(
-        spec, all_vertices, config.max_denominator, config.ratio_tol
-    )
-    global_verdict, notes = _verdict_for(degenerate, irrational, len(components) == 1)
-
+    degenerate: list[DegeneratePair] = []
+    irrational: list[IrrationalWitness] = []
     subspace_verdicts = []
     for comp in components:
         if len(comp) == 1:
@@ -370,13 +390,16 @@ def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConf
             )
             continue
         comp_degenerate = check_degenerate_transitions(
-            spec, comp, config.degeneracy_tol, config.edge_threshold
+            spec, comp, config.degeneracy_tol, graph=graph
         )
         comp_irrational = check_rational_ratios(
             spec, comp, config.max_denominator, config.ratio_tol
         )
         verdict, comp_notes = _verdict_for(comp_degenerate, comp_irrational, True)
         subspace_verdicts.append(SubspaceVerdict(comp, verdict, tuple(comp_notes)))
+        degenerate += comp_degenerate
+        irrational += comp_irrational
+    global_verdict, notes = _verdict_for(degenerate, irrational, len(components) == 1)
 
     return ControllabilityReport(
         graph=graph,

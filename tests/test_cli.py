@@ -364,6 +364,20 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
             {"mode": "analyze", "system": CHAIN, "tolerances": {"edge_threshold": -1e-12}},
             "tolerances.edge_threshold", id="edge-threshold-negative",
         ),
+        pytest.param(
+            {"mode": "hydrogen-case1", "seed": 1, "good": 2, "system": HYDROGEN_INLINE,
+             "initial": [0.6, 0.8]},
+            "system", id="preset-with-system",
+        ),
+        pytest.param(
+            {"mode": "hydrogen-case1", "seed": 1, "initial": [0.7, 0.5, 0.3, 0.4, 0.1]},
+            "initial", id="preset-with-initial",
+        ),
+        pytest.param({"mode": "hydrogen-case1", "seed": 1, "good": 2}, "good", id="preset-with-good"),
+        pytest.param(
+            {"mode": "hydrogen-case2", "seed": 1, "subspace": [1, 2]},
+            "subspace", id="preset-with-subspace",
+        ),
     ],
 )
 def test_malformed_fields_rejected_with_path(tmp_path, payload, path):

@@ -1,5 +1,10 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcontrol import (
     VERDICT_CONTROLLABLE,
@@ -7,6 +12,8 @@ from iqcontrol import (
     VERDICT_VIOLATED,
     ConnectivityGraph,
     ControllabilityConfig,
+    DegeneratePair,
+    IrrationalWitness,
     SystemSpec,
     assess,
     build_graph,
@@ -15,6 +22,7 @@ from iqcontrol import (
     connected_components,
     hydrogen_spec,
 )
+from iqcontrol.controllability import DEFAULT_DEGENERACY_TOL
 
 
 def spec_from_edges(drift, edges, dim=None):
@@ -108,6 +116,97 @@ def brute_assess(spec):
         else:
             sub.append((comp, brute_verdict(spec.drift, spec.coupling, list(comp), True)))
     return comps, global_verdict, sub
+
+
+# ---------------------------------------------------------------------------
+# pairwise oracles: the O(E^2) collision scan and the O(N^4) all-pairs ratio
+# check that the sorted sweep and the reference-frequency check replaced,
+# plus the analysis they fed, run on all vertices and on each component
+
+
+def pairwise_degenerate_transitions(spec, vertex_set, tol=1e-9, edge_threshold=1e-12):
+    vs = sorted(set(vertex_set))
+    edges = [
+        (i, j)
+        for a, i in enumerate(vs)
+        for j in vs[a + 1:]
+        if abs(spec.coupling[i - 1, j - 1]) > edge_threshold
+    ]
+    exact = spec.exact_drift is not None
+
+    def nu(p):
+        if exact:
+            return spec.exact_drift[p[0] - 1] - spec.exact_drift[p[1] - 1]
+        return spec.transition_frequency(*p)
+
+    def matches(x, y):
+        return x == y if exact else abs(x - y) <= tol
+
+    def pair(p1, p2, nu1, nu2):
+        zero = (nu1 == 0 and nu2 == 0) if exact else (abs(nu1) <= tol and abs(nu2) <= tol)
+        return DegeneratePair(p1, p2, float(nu1), float(nu2), zero)
+
+    out = []
+    for k, e1 in enumerate(edges):
+        nu1 = nu(e1)
+        if matches(nu1, -nu1):
+            out.append(pair(e1, (e1[1], e1[0]), nu1, -nu1))
+        for e2 in edges[k + 1:]:
+            nu2 = nu(e2)
+            if matches(nu1, nu2):
+                out.append(pair(e1, e2, nu1, nu2))
+            elif matches(nu1, -nu2):
+                out.append(pair(e1, (e2[1], e2[0]), nu1, -nu2))
+    return out
+
+
+def pairwise_rational_ratios(spec, vertex_set, max_denominator=10**4, tol=1e-9):
+    if spec.exact_drift is not None:
+        return []
+    vs = sorted(set(vertex_set))
+    pairs = [(i, j) for a, i in enumerate(vs) for j in vs[a + 1:]]
+    out = []
+    for num_pair in pairs:
+        nu_num = spec.transition_frequency(*num_pair)
+        if abs(nu_num) <= tol:
+            continue
+        for den_pair in pairs:
+            if den_pair == num_pair:
+                continue
+            nu_den = spec.transition_frequency(*den_pair)
+            if abs(nu_den) <= tol:
+                continue
+            ratio = nu_num / nu_den
+            best = Fraction(ratio).limit_denominator(max_denominator)
+            err = abs(ratio - float(best))
+            if err > tol:
+                out.append(
+                    IrrationalWitness(
+                        num_pair, den_pair, ratio, best.numerator, best.denominator, err
+                    )
+                )
+    return out
+
+
+def pairwise_verdict(spec, vertices, connected):
+    degenerate = pairwise_degenerate_transitions(spec, vertices)
+    if not connected or pairwise_rational_ratios(spec, vertices):
+        return VERDICT_VIOLATED
+    if degenerate:
+        zero_only = all(p.zero_frequency for p in degenerate)
+        return VERDICT_INCONCLUSIVE if zero_only else VERDICT_VIOLATED
+    return VERDICT_CONTROLLABLE
+
+
+def pairwise_assess(spec):
+    """Global verdict and (component, verdict) list of the all-pairs analysis."""
+    comps = brute_components(spec.dim, spec.coupling)
+    global_verdict = pairwise_verdict(spec, range(1, spec.dim + 1), len(comps) == 1)
+    sub = [
+        (comp, VERDICT_CONTROLLABLE if len(comp) == 1 else pairwise_verdict(spec, comp, True))
+        for comp in comps
+    ]
+    return global_verdict, sub
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +463,162 @@ class TestAssess:
             assert list(report.components) == comps
             assert report.global_verdict == global_verdict
             assert [(v.component, v.verdict) for v in report.subspace_verdicts] == sub
+
+
+# ---------------------------------------------------------------------------
+# the sorted collision sweep and the one-pass analysis against the pairwise
+# oracles
+
+TOL = DEFAULT_DEGENERACY_TOL
+
+
+def _edge_subset(draw, dim):
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [p for p, k in zip(pairs, keep) if k]
+
+
+@st.composite
+def collision_specs(draw):
+    """Small specs whose frequencies lie within 2 tol of each other and of
+    zero, as floats or as exact rationals that floats cannot tell apart;
+    returns the spec and the vertex set to check."""
+    dim = draw(st.integers(2, 7))
+    levels = st.integers(0, 2)
+    if draw(st.booleans()):
+        # 1e-11 apart: equal within tol as floats, distinct as Fractions
+        nudge = st.sampled_from([Fraction(0), Fraction(1, 10**11), Fraction(-1, 10**11)])
+        exact = [Fraction(draw(levels), draw(st.integers(1, 2))) + draw(nudge) for _ in range(dim)]
+        drift = [float(x) for x in exact]
+    else:
+        exact = None
+        offsets = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1.0, -1.5, -2.0]),
+            st.floats(-2.0, 2.0),
+        )
+        drift = [draw(levels) + draw(offsets) * TOL for _ in range(dim)]
+    spec = spec_from_edges(drift, _edge_subset(draw, dim), dim=dim)
+    if exact is not None:
+        spec = SystemSpec(dim=dim, drift=drift, coupling=spec.coupling, exact_drift=tuple(exact))
+    vertices = draw(st.one_of(
+        st.just(range(1, dim + 1)),
+        st.sets(st.integers(1, dim), min_size=1, max_size=dim),
+    ))
+    return spec, vertices
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@settings(max_examples=200)
+@given(case=collision_specs())
+def test_sweep_equals_pairwise_oracle(case):
+    # list-identical: same pairs, same (k, l) order, same orientation
+    spec, vertices = case
+    assert check_degenerate_transitions(spec, vertices, TOL) == pairwise_degenerate_transitions(
+        spec, vertices, TOL
+    )
+
+
+@st.composite
+def verdict_specs(draw):
+    """Rational spectra k/m with m <= 10 in [0, 2], or half-integer spectra
+    in [0, 4] with one level offset by sqrt(2).
+
+    Every ratio the reference check can take in the second family misses
+    all fractions with denominator <= 1e4 by more than 1e-9
+    (``test_half_integer_sqrt2_ratios_fail_the_check``), so both families
+    are decided the same way by one ratio per level and by all pairs.  A
+    base k/m with m up to 10 under the offset is not: 6.5% of its single
+    ratios fall within 1e-9 of such a fraction.
+    """
+    dim = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        drift = []
+        for _ in range(dim):
+            m = draw(st.integers(1, 10))
+            drift.append(draw(st.integers(0, 2 * m)) / m)
+    else:
+        drift = [draw(st.integers(0, 8)) / 2 for _ in range(dim)]
+        drift[draw(st.integers(0, dim - 1))] += np.sqrt(2.0)
+    return spec_from_edges(drift, _edge_subset(draw, dim), dim=dim)
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@given(spec=verdict_specs())
+def test_verdicts_equal_pairwise_oracle(spec):
+    report = assess(spec)
+    global_verdict, sub = pairwise_assess(spec)
+    assert report.global_verdict == global_verdict
+    assert [(v.component, v.verdict) for v in report.subspace_verdicts] == sub
+
+
+def test_half_integer_sqrt2_ratios_fail_the_check():
+    # every nu_ref,i / nu_ref,j with half-integer levels in [0, 4] and the
+    # sqrt(2) offset on the numerator level i, the reference-frequency level
+    # j or the reference level itself
+    levels = [k / 2 for k in range(9)]
+    s2 = np.sqrt(2.0)
+    ratios = []
+    for a in levels:
+        for b in levels:
+            for c in levels:
+                ratios += [(a - (b + s2)) / (a - c)] if a != c else []
+                ratios += [(a - b) / (a - (c + s2))] if a != b else []
+                ratios += [(a + s2 - b) / (a + s2 - c)] if b != c else []
+    for ratio in ratios:
+        best = Fraction(ratio).limit_denominator(10**4)
+        assert abs(ratio - float(best)) > 1e-9, ratio
+
+
+def test_harmonic_ladder_all_pairs():
+    # 63 equal-spacing chain edges at N=64: every one of C(63, 2) pairs collides
+    n = 64
+    spec = spec_from_edges(np.arange(n, dtype=float), [(i, i + 1) for i in range(1, n)])
+    pairs = check_degenerate_transitions(spec, range(1, n + 1))
+    assert len(pairs) == 63 * 62 // 2 == 1953
+    assert pairs == pairwise_degenerate_transitions(spec, range(1, n + 1))
+
+
+def test_reference_witnesses_are_a_subset_of_all_pairs():
+    drift = [0.0, 1.0, np.sqrt(2.0), np.sqrt(3.0), 2.5]
+    spec = spec_from_edges(drift, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    witnesses = check_rational_ratios(spec, range(1, 6))
+    assert [(w.numerator_pair, w.denominator_pair) for w in witnesses] == [
+        ((1, 3), (1, 2)), ((1, 4), (1, 2)),
+    ]
+    assert set(witnesses) <= set(pairwise_rational_ratios(spec, range(1, 6)))
+
+
+def test_reference_skips_levels_degenerate_with_reference():
+    # level 2 sits on the reference level, so the reference frequency is nu_13
+    spec = spec_from_edges([1.0, 1.0, 2.0, 1.0 + np.sqrt(2.0)], [(1, 2), (2, 3), (3, 4)])
+    witnesses = check_rational_ratios(spec, range(1, 5))
+    assert [(w.numerator_pair, w.denominator_pair) for w in witnesses] == [((1, 4), (1, 3))]
+
+
+def test_disconnected_lists_are_component_concatenation():
+    # two equal-spacing components: no cross-component pairs are listed
+    spec = spec_from_edges([0.0, 1.0, 2.0, 5.0, 6.0, 7.0], [(1, 2), (2, 3), (4, 5), (5, 6)])
+    report = assess(spec)
+    assert report.global_verdict == VERDICT_VIOLATED
+    assert [(p.first, p.second) for p in report.degenerate_pairs] == [
+        ((1, 2), (2, 3)), ((4, 5), (5, 6)),
+    ]
+    assert list(report.degenerate_pairs) == (
+        check_degenerate_transitions(spec, (1, 2, 3))
+        + check_degenerate_transitions(spec, (4, 5, 6))
+    )
+
+
+def test_dense_n256_scales_with_levels_and_edges():
+    # counts, not wall time: at most N - 2 witnesses and a report of size O(N + E)
+    n = 256
+    rng = np.random.default_rng(256)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    spec = SystemSpec(dim=n, drift=rng.uniform(0.0, 10.0, size=n), coupling=(z + z.conj().T) / 2)
+    report = assess(spec)
+    num_edges = len(report.graph.edges)
+    assert num_edges == n * (n - 1) // 2
+    assert report.global_verdict == VERDICT_VIOLATED
+    assert 0 < len(report.irrational_witnesses) <= n - 2
+    size = len(json.dumps(report.to_dict()))
+    assert size <= 32 * (n + num_edges), size
