@@ -11,7 +11,7 @@ Basis labels are 1-based throughout the public API; internal units set
 hbar = 1.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .algorithms import RunReport, run_algorithm1, run_algorithm2
 from .amplification import (
@@ -19,16 +19,11 @@ from .amplification import (
     AmplificationPlan,
     Decomposition,
     GoodSubspace,
-    amplification_operator,
     amplified_state,
-    closed_form_step,
     closed_form_weights,
     decompose,
     make_plan,
     optimal_iterations,
-    phase_oracle_chi,
-    phase_oracle_zero,
-    pre_rotation_operator,
     success_probability,
 )
 from .controllability import (
@@ -96,10 +91,9 @@ __all__ = [
     "VERDICT_CONTROLLABLE", "VERDICT_VIOLATED", "VERDICT_INCONCLUSIVE",
     # amplification
     "GoodSubspace", "Decomposition", "AmplificationPlan",
-    "decompose", "phase_oracle_zero", "phase_oracle_chi",
-    "amplification_operator", "closed_form_step", "closed_form_weights",
+    "decompose", "closed_form_weights",
     "success_probability", "optimal_iterations", "make_plan",
-    "amplified_state", "pre_rotation_operator", "DEFAULT_L_MAX",
+    "amplified_state", "DEFAULT_L_MAX",
     # measurement
     "MeasurementPartition", "MeasurementOutcome",
     "born_probabilities", "sample_collapse", "measurement_histogram",

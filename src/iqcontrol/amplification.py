@@ -1,5 +1,5 @@
-"""Amplitude amplification: phase oracles, the amplification operator,
-closed-form weight tracking, and iteration-count selection.
+"""Amplitude amplification: closed-form weight tracking, iteration-count
+selection, and the plan that amplifies a state toward a good index set.
 
 The amplification operator for a preparation unitary U, a good index set
 chi, and phase angles (phi1, phi2) is
@@ -9,7 +9,9 @@ chi, and phase angles (phi1, phi2) is
 where P0 multiplies the first basis state by e^{i phi1} and Pchi
 multiplies every good basis state by e^{i phi2}.  With phi1 = phi2 = pi
 and initial good weight g = sin^2(theta), L applications of Q to the
-prepared state U e1 leave good weight sin^2((2L+1) theta).
+prepared state U e1 leave good weight sin^2((2L+1) theta).  Q never
+leaves the span of the prepared state's good and bad parts, so no N x N
+matrix is built: Q^L acts as a 2x2 power on that span.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import StateVector, UnitaryOperator, apply_operator, prepare_unitary
+from .core import StateVector, UnitaryOperator, prepare_unitary
 from .errors import DimensionMismatchError, ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
@@ -33,16 +35,11 @@ __all__ = [
     "Decomposition",
     "AmplificationPlan",
     "decompose",
-    "phase_oracle_zero",
-    "phase_oracle_chi",
-    "amplification_operator",
-    "closed_form_step",
     "closed_form_weights",
     "success_probability",
     "optimal_iterations",
     "make_plan",
     "amplified_state",
-    "pre_rotation_operator",
     "DEFAULT_L_MAX",
 ]
 
@@ -126,37 +123,25 @@ def _check_phase(name: str, value: float) -> float:
     return value
 
 
-def phase_oracle_zero(dim: int, phi1: float) -> UnitaryOperator:
-    """Diagonal operator putting phase e^{i phi1} on the first basis state."""
-    phi1 = _check_phase("phi1", phi1)
-    diag = np.ones(dim, dtype=complex)
-    diag[0] = cmath.exp(1j * phi1)
-    return UnitaryOperator(np.diag(diag))
-
-
-def phase_oracle_chi(dim: int, good: GoodSubspace, phi2: float) -> UnitaryOperator:
-    """Diagonal operator putting phase e^{i phi2} on every good basis state."""
-    phi2 = _check_phase("phi2", phi2)
-    if good.dim != dim:
-        raise DimensionMismatchError(
-            f"good subspace dimension {good.dim} does not match {dim}"
-        )
-    diag = np.where(good.mask(), cmath.exp(1j * phi2), 1.0 + 0j)
-    return UnitaryOperator(np.diag(diag))
-
-
 def amplification_operator(
     prep: UnitaryOperator, good: GoodSubspace, phi1: float, phi2: float
 ) -> UnitaryOperator:
-    """Explicit matrix Q = -U P0(phi1) U^H Pchi(phi2)."""
+    """Explicit N x N matrix Q = -U P0(phi1) U^H Pchi(phi2).
+
+    The O(N^3) reference the tests compare the closed-form kernel with;
+    nothing in the package calls it.  It stays in this module, outside
+    ``__all__``, because the benchmark times a span under its name.
+    P0 and Pchi are diagonal, so they scale columns.
+    """
     if good.dim != prep.dim:
         raise DimensionMismatchError(
             f"good subspace dimension {good.dim} does not match operator dimension {prep.dim}"
         )
-    p0 = phase_oracle_zero(prep.dim, phi1).matrix
-    pchi = phase_oracle_chi(prep.dim, good, phi2).matrix
-    q = -(prep.matrix @ p0 @ prep.matrix.conj().T @ pchi)
-    return UnitaryOperator(q)
+    p0 = np.ones(prep.dim, dtype=complex)
+    p0[0] = cmath.exp(1j * _check_phase("phi1", phi1))
+    pchi = np.where(good.mask(), cmath.exp(1j * _check_phase("phi2", phi2)), 1.0 + 0j)
+    u = prep.matrix
+    return UnitaryOperator(-((u * p0) @ u.conj().T) * pchi)
 
 
 def _coefficients(
@@ -203,22 +188,6 @@ def _coefficients(
     y = phase * (ratio * n10 * root_g + (cos_l + ratio * s11) * root_b)
     # an empty part (g = 0 or b = 0) stays empty whatever its scalar
     return (x / root_g if g > 0.0 else 0j), (y / root_b if b > 0.0 else 0j)
-
-
-def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decomposition:
-    """One application of the amplification operator built for d's state.
-
-    Uses the closed-form 2x2 action, so the good and bad parts are each
-    scaled in place and the supports never mix.  Note the operator is the
-    one whose preparation maps e1 to d's own state; iterating this
-    function re-builds the reflection around the current state each time.
-    For the weights left by L applications of one fixed operator use
-    :func:`closed_form_weights`.
-    """
-    phi1 = _check_phase("phi1", phi1)
-    phi2 = _check_phase("phi2", phi2)
-    c_good, c_bad = _coefficients(d.g, d.b, phi1, phi2, 1)
-    return _split(c_good * d.good_part, c_bad * d.bad_part)
 
 
 def closed_form_weights(
@@ -284,30 +253,17 @@ def optimal_iterations(g: float, l_max: int = DEFAULT_L_MAX) -> int:
     return best
 
 
-def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:
-    """Small real rotation mixing basis state 1 with the first good state.
-
-    Applied to an initial state with zero good weight before planning; it
-    moves sin^2(angle) of any weight on basis state 1 into the good
-    subspace.
-    """
-    target = min(good.indices)
-    mat = np.eye(good.dim, dtype=complex)
-    if target == 1:
-        return UnitaryOperator(mat)
-    c, s = math.cos(PRE_ROTATION_ANGLE), math.sin(PRE_ROTATION_ANGLE)
-    mat[0, 0] = c
-    mat[target - 1, target - 1] = c
-    mat[target - 1, 0] = s
-    mat[0, target - 1] = -s
-    return UnitaryOperator(mat)
-
-
 @dataclass(frozen=True, eq=False)
 class AmplificationPlan:
-    """Preparation unitary, phases, iteration count and predicted outcome."""
+    """Prepared state, phases, iteration count and predicted outcome.
 
-    preparation: UnitaryOperator
+    ``prepared`` is the state the plan amplifies: the initial state
+    itself, or the pre-rotated one.  The preparation unitary U with
+    U e1 = ``prepared`` is never needed to amplify it, and is built only
+    when :attr:`preparation` is read.
+    """
+
+    prepared: StateVector
     good: GoodSubspace
     phi1: float
     phi2: float
@@ -316,9 +272,35 @@ class AmplificationPlan:
     initial_good_weight: float
     pre_rotated: bool = False
 
+    @property
+    def preparation(self) -> UnitaryOperator:
+        """The N x N Householder unitary sending e1 to the prepared state,
+        built (with its O(N^3) unitarity check) on every access."""
+        return prepare_unitary(self.prepared)
+
     def prepared_state(self) -> StateVector:
-        """The state the plan amplifies: preparation applied to e1."""
-        return StateVector(self.preparation.matrix[:, 0])
+        """The state the plan amplifies."""
+        return self.prepared
+
+
+def _pre_rotated(state: StateVector, good: GoodSubspace) -> StateVector:
+    """``state`` under a small real rotation mixing basis state 1 with the
+    first good state.
+
+    Applied to an initial state with zero good weight before planning; it
+    moves sin^2(PRE_ROTATION_ANGLE) of any weight on basis state 1 into
+    the good subspace.  Only those two amplitudes change; when state 1 is
+    itself good the rotation is the identity.
+    """
+    target = min(good.indices) - 1
+    if target == 0:
+        return state
+    c, s = math.cos(PRE_ROTATION_ANGLE), math.sin(PRE_ROTATION_ANGLE)
+    amps = state.amplitudes.copy()
+    first, other = amps[0], amps[target]
+    amps[0] = c * first - s * other
+    amps[target] = s * first + c * other
+    return StateVector(amps)
 
 
 def make_plan(
@@ -343,7 +325,7 @@ def make_plan(
     pre_rotated = False
     d = decompose(initial, good)
     if d.g < MIN_GOOD_WEIGHT and pre_rotation:
-        initial = apply_operator(pre_rotation_operator(good), initial)
+        initial = _pre_rotated(initial, good)
         d = decompose(initial, good)
         pre_rotated = True
     if d.g < MIN_GOOD_WEIGHT:
@@ -364,7 +346,7 @@ def make_plan(
             raise ValueError(f"iterations must be nonnegative, got {count}")
     predicted, _ = closed_form_weights(d.g, phi1, phi2, count)
     return AmplificationPlan(
-        preparation=prepare_unitary(initial),
+        prepared=initial,
         good=good,
         phi1=phi1,
         phi2=phi2,

@@ -8,8 +8,9 @@ hash, the seed, and the library version, so identical configs produce
 byte-identical reports apart from the timestamp field.
 
 Exit status: 0 on success, 2 on a malformed field (a ConfigError naming
-its JSON path), 1 only on a runtime failure; any nonzero exit writes a
-report containing an error record.
+its JSON path), 1 only on a runtime failure, a result holding a NaN or an
+infinity among them; any nonzero exit writes a report containing an error
+record.  Reports are strict JSON.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ MODES = (
 SAMPLING_MODES = ("algo1", "algo2", "hydrogen-case1", "hydrogen-case2", "measure-stats")
 INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
+_PLAIN_NUMBERS = {int, float}
+# json's own string escaper, as json.dumps applies it with ensure_ascii
+_quoted = json.encoder.encode_basestring_ascii
 
 __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
@@ -141,6 +145,23 @@ def _parse_complex(value, path: str, *index: int) -> complex:
     _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {value!r}")
 
 
+def _coupling_matrix(rows: list):
+    """The coupling rows, read in bulk when every entry is a plain int or
+    float (bools and strings are not); otherwise, and to name the path of a
+    non-finite or out-of-range entry, read one entry at a time."""
+    if all(set(map(type, row)) <= _PLAIN_NUMBERS for row in rows):
+        try:
+            matrix = np.array(rows, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            matrix = None
+        if matrix is not None and np.isfinite(matrix).all():
+            return matrix
+    return [
+        [_parse_complex(x, "system.coupling", i, j) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
 def _built(prefix: str, build, *args, **kwargs):
     """``build(...)`` with a ValueError raised as a ConfigError: ``prefix`` is
     "<path>: ", or "<path>." for types whose messages start with a field name."""
@@ -175,10 +196,7 @@ def _system_spec(value) -> SystemSpec:
         SystemSpec,
         dim=dim,
         drift=[_require_number(x, "system.drift", k) for k, x in enumerate(drift)],
-        coupling=[
-            [_parse_complex(x, "system.coupling", i, j) for j, x in enumerate(row)]
-            for i, row in enumerate(coupling)
-        ],
+        coupling=_coupling_matrix(coupling),
     )
 
 
@@ -598,18 +616,90 @@ def _assemble_raw_config(args) -> dict:
     return raw
 
 
+def _number_reprs(items):
+    """``items`` spelled as json spells them, when each is a plain int or a
+    finite float (numpy's float64 is a float); None otherwise."""
+    kinds = set(map(type, items))
+    if kinds <= _PLAIN_NUMBERS:
+        spell = repr
+    elif all(issubclass(kind, float) for kind in kinds):
+        spell = float.__repr__
+    else:
+        return None
+    try:
+        # a NaN or an infinity makes the sum non-finite; so does an overflowing
+        # sum of finite items, which then take the per-item path
+        if not math.isfinite(sum(items)):
+            return None
+    except OverflowError:  # an int beyond the float range
+        return None
+    return map(spell, items)
+
+
+def _render(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` writes it at indentation ``pad``.
+
+    Python's json falls back to its pure-Python encoder when indenting;
+    this renderer writes the same bytes but spells each list of numbers
+    with one ``map`` in C.  Whatever it does not handle itself goes
+    through ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str:
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = _number_reprs(value)
+        if items is None:
+            items = (_render(item, inner) for item in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (_quoted(key) + ": " + _render(value[key], inner) for key in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # other keys and types; raises on NaN and infinities
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as sorted, 2-space-indented strict JSON plus a newline.
+
+    Raises ValueError on a NaN or an infinity, which strict JSON cannot
+    hold."""
+    return _render(report, "") + "\n"
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = render_report(report)
+def _emit(code: int, report: dict, out: Optional[str]) -> int:
+    """Write the report and its summary; return the exit status.
+
+    A report that strict JSON cannot hold is replaced by an error record
+    and exits 1, so a NaN never reaches the output."""
+    try:
+        text = render_report(report)
+    except ValueError as exc:
+        report = {key: value for key, value in report.items() if key != "result"}
+        report["error"] = {"type": type(exc).__name__, "message": f"result: {exc}"}
+        code, text = 1, render_report(report)
     if out:
         Path(out).write_text(text)
         print(summarize(report))
     else:
         sys.stdout.write(text)
         print(summarize(report), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -622,8 +712,6 @@ def main(argv=None) -> int:
             "mode": None,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _emit(report, args.out)
-        return 2
+        return _emit(2, report, args.out)
     code, report = execute(config)
-    _emit(report, config.out)
-    return code
+    return _emit(code, report, config.out)

@@ -12,12 +12,10 @@ from iqcontrol import (
     GoodSubspace,
     MeasurementPartition,
     StateVector,
-    amplification_operator,
     amplified_state,
     assess,
     build_graph,
     case2_preset,
-    closed_form_step,
     connected_components,
     decompose,
     hydrogen_spec,
@@ -31,8 +29,9 @@ from iqcontrol import (
     ControlPulse,
     HydrogenModel,
 )
-from iqcontrol.amplification import MIN_GOOD_WEIGHT
+from iqcontrol.amplification import MIN_GOOD_WEIGHT, amplification_operator
 from conftest import haar_unitary, random_spec, random_state, state_with_good_weight
+from oracles import closed_form_step
 from test_controllability import brute_assess, spec_from_edges
 
 

@@ -11,7 +11,6 @@ from iqcontrol import (
     SystemSpec,
     VERDICT_INCONCLUSIVE,
     ZeroOverlapError,
-    amplification_operator,
     case1_preset,
     case2_preset,
     decompose,
@@ -21,6 +20,7 @@ from iqcontrol import (
     run_algorithm2,
     success_probability,
 )
+from iqcontrol.amplification import amplification_operator
 from conftest import random_state
 
 

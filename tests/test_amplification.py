@@ -7,21 +7,24 @@ import pytest
 from iqcontrol import (
     GoodSubspace,
     ZeroOverlapError,
-    amplification_operator,
     amplified_state,
-    closed_form_step,
     closed_form_weights,
     decompose,
     make_plan,
     optimal_iterations,
-    phase_oracle_chi,
-    phase_oracle_zero,
     prepare_unitary,
-    pre_rotation_operator,
     success_probability,
     StateVector,
+    UnitaryOperator,
 )
+from iqcontrol.amplification import amplification_operator
 from conftest import haar_unitary, random_state, state_with_good_weight
+from oracles import (
+    closed_form_step,
+    phase_oracle_chi,
+    phase_oracle_zero,
+    pre_rotation_operator,
+)
 
 
 def step_coefficients(g, phi1, phi2):
@@ -115,6 +118,20 @@ class TestPhaseOracles:
 
 
 class TestAmplificationOperator:
+    def test_equals_phase_oracle_product(self, rng):
+        for _ in range(30):
+            dim = int(rng.integers(2, 9))
+            u = haar_unitary(rng, dim)
+            good = random_good(rng, dim)
+            phi1 = float(rng.uniform(0.0, math.pi))
+            phi2 = float(rng.uniform(0.0, math.pi))
+            product = -(
+                u.matrix @ phase_oracle_zero(dim, phi1).matrix @ u.matrix.conj().T
+                @ phase_oracle_chi(dim, good, phi2).matrix
+            )
+            q = amplification_operator(u, good, phi1, phi2)
+            assert np.max(np.abs(q.matrix - product)) < 1e-12
+
     def test_zero_phases_give_minus_identity(self, rng):
         u = haar_unitary(rng, 4)
         q = amplification_operator(u, GoodSubspace.of(2, 4), 0.0, 0.0)
@@ -365,6 +382,28 @@ class TestMakePlan:
         plan = make_plan(s, GoodSubspace.of(2, 4))
         assert np.max(np.abs(plan.prepared_state().amplitudes - s.amplitudes)) < 1e-10
 
+    def test_plan_builds_no_matrix(self, rng, monkeypatch):
+        # the prepared state is the initial state itself; the preparation
+        # unitary is built only when read
+        built = []
+        monkeypatch.setattr(
+            UnitaryOperator, "__post_init__", lambda op: built.append(op.matrix.shape)
+        )
+        s = random_state(rng, 64)
+        plan = make_plan(s, GoodSubspace.of([5, 9], 64))
+        amplified_state(plan)
+        assert plan.prepared_state() is s
+        assert built == []
+        assert plan.preparation.dim == 64
+        assert built == [(64, 64)]
+
+    def test_preparation_maps_e1_to_prepared_state(self, rng):
+        for dim in (2, 5, 9):
+            s = random_state(rng, dim)
+            plan = make_plan(s, GoodSubspace.of(dim, dim))
+            u = plan.preparation
+            assert np.max(np.abs(u.matrix[:, 0] - s.amplitudes)) < 1e-12
+
 
 class TestAmplifiedState:
     def test_matches_success_formula(self, rng):
@@ -417,3 +456,29 @@ class TestPreRotationOperator:
     def test_good_contains_first_index_is_identity(self):
         op = pre_rotation_operator(GoodSubspace.of([1, 3], 4))
         assert np.array_equal(op.matrix, np.eye(4))
+
+
+class TestPreRotation:
+    def test_matches_operator_oracle(self, rng):
+        # make_plan rotates amplitudes 1 and min(good) in place; the oracle
+        # applies the explicit N x N rotation
+        for _ in range(30):
+            dim = int(rng.integers(3, 12))
+            good = GoodSubspace.of(
+                [int(i) for i in rng.choice(np.arange(2, dim + 1), size=2, replace=False)], dim
+            )
+            z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            z[good.mask()] = 0.0
+            s = StateVector(z / np.linalg.norm(z))
+            plan = make_plan(s, good, pre_rotation=True)
+            expected = pre_rotation_operator(good).matrix @ s.amplitudes
+            assert plan.pre_rotated
+            assert np.max(np.abs(plan.prepared_state().amplitudes - expected)) < 1e-15
+            assert plan.initial_good_weight == pytest.approx(
+                math.sin(0.1) ** 2 * abs(s.amplitudes[0]) ** 2, rel=1e-12
+            )
+
+    def test_identity_when_first_index_is_good(self):
+        s = StateVector([0.0, 0.6, 0.8])
+        with pytest.raises(ZeroOverlapError, match="pre-rotation also left"):
+            make_plan(s, GoodSubspace.of([1], 3), pre_rotation=True)

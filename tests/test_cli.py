@@ -28,11 +28,18 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def oracle_render(report):
+    """The renderer's oracle: Python's json, sorted keys, 2-space indent."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def run_cli(tmp_path, payload, extra_args=(), capsys=None):
     out = str(tmp_path / "report.json")
     args = ["--config", write_config(tmp_path, payload), "--out", out, *extra_args]
     code = main(args)
-    report = json.loads((tmp_path / "report.json").read_text())
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text)
+    assert text == render_report(report) == oracle_render(report)
     return code, report
 
 
@@ -276,7 +283,9 @@ class TestExecute:
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
-    return json.loads(text, parse_constant=reject)
+    report = json.loads(text, parse_constant=reject)
+    assert text == oracle_render(report)
+    return report
 
 
 NAN, INF = float("nan"), float("inf")
@@ -311,6 +320,10 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(
             {"tolerances": {"edge_threshold": -INF}},
             "tolerances.edge_threshold", id="tolerance-inf",
+        ),
+        pytest.param(
+            {"system": {**HYDROGEN_INLINE, "coupling": [[0, 10**400], [1.0, 0]]}},
+            "system.coupling[0][1]", id="coupling-int-beyond-float",
         ),
     ],
 )
@@ -378,6 +391,16 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
             {"mode": "hydrogen-case2", "seed": 1, "subspace": [1, 2]},
             "subspace", id="preset-with-subspace",
         ),
+        # one bad entry among plain numbers: the bulk read falls back to
+        # the per-entry parse, which names it
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "coupling": [[0, True, 0], [1, 0, 1.5], [0, 1.5, 0]]}},
+            "system.coupling[0][1]", id="coupling-bool",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "coupling": [[0, 1, 0], [1, 0, "1.5"], [0, 1.5, 0]]}},
+            "system.coupling[1][2]", id="coupling-string",
+        ),
     ],
 )
 def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
@@ -416,6 +439,32 @@ def test_entries_parsed_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == {"parse": 3 * 3 + len(initial), "SystemSpec": 1}
+
+
+def test_plain_coupling_read_in_bulk(tmp_path, monkeypatch):
+    # a coupling of plain ints and floats is read as one array: only the
+    # initial amplitudes pass the per-entry parse
+    calls = {"parse": 0}
+    parse = iqcontrol.cli._parse_complex
+
+    def counted_parse(*args):
+        calls["parse"] += 1
+        return parse(*args)
+
+    monkeypatch.setattr(iqcontrol.cli, "_parse_complex", counted_parse)
+    system = {
+        "dim": 3,
+        "drift": [0.0, 1.0, 3.0],
+        "coupling": [[0, 1.25, 0], [1.25, -0.5, 2], [0, 2, 0.0]],
+    }
+    initial = [[0.6, 0.0], [0.0, 0.6], 0.52915026221291817]
+    payload = {"mode": "algo1", "system": system, "initial": initial, "good": 2, "seed": 3}
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 0
+    assert calls == {"parse": len(initial)}
+    spec = validate_config(payload).spec
+    assert spec.coupling.dtype == complex
+    assert np.array_equal(spec.coupling, np.array(system["coupling"], dtype=complex))
 
 
 REQUIRED = {
@@ -531,6 +580,81 @@ def test_config_boundary_fuzz(fuzz_dir, case):
         assert code != 2, error
     else:
         assert code == 2 and error["message"].startswith(path + ": "), error
+
+
+# leaves at the edges of json's spelling: bools and None, ints past 2^63,
+# signed zero, the smallest subnormal, huge and inexact floats, numpy
+# float64 (a float subclass), and strings json must escape
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+FINITE_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text(alphabet=st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'))
+)
+NUMBER_LISTS = st.lists(
+    st.integers() | st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+    max_size=6,
+)
+
+
+def json_trees(leaves):
+    keys = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\x01é'))
+    return st.recursive(
+        leaves | NUMBER_LISTS,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=100)
+@given(tree=json_trees(FINITE_LEAVES))
+def test_render_report_equals_json_dumps(tree):
+    assert render_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=60)
+@given(
+    tree=json_trees(FINITE_LEAVES | st.sampled_from([NAN, INF, -INF]) | st.just([1, NAN, 2.5])),
+)
+def test_render_report_rejects_what_strict_json_rejects(tree):
+    # NaN and infinities raise as json.dumps(allow_nan=False) raises
+    try:
+        expected = json.dumps(tree, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report(tree)
+    else:
+        assert render_report(tree) == expected
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_non_finite_result_becomes_error_record(tmp_path, monkeypatch, capsys, to_file):
+    # a NaN the library lets through must not reach the report: the run
+    # exits 1 with an error record, and the output stays strict JSON
+    def nan_execute(config):
+        return 0, {"mode": config.mode, "config": config.echo(),
+                   "result": {"predicted_success": float("nan")}}
+
+    monkeypatch.setattr(iqcontrol.cli, "execute", nan_execute)
+    out = tmp_path / "report.json"
+    args = ["--config", write_config(tmp_path, {"mode": "analyze", "system": "hydrogen"})]
+    code = main(args + ["--out", str(out)] if to_file else args)
+    captured = capsys.readouterr()
+    report = _strict_json(out.read_text() if to_file else captured.out)
+    assert code == 1
+    assert "result" not in report
+    assert report["error"]["type"] == "ValueError"
+    assert "not JSON compliant" in report["error"]["message"]
+    assert report["config"]["mode"] == "analyze"
+    summary = captured.out if to_file else captured.err
+    assert summary.strip() == summarize(report).strip()
 
 
 class TestReportContract:
