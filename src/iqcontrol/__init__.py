@@ -11,7 +11,7 @@ Basis labels are 1-based throughout the public API; internal units set
 hbar = 1.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .algorithms import RunReport, run_algorithm1, run_algorithm2
 from .amplification import (
@@ -55,7 +55,6 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     HermiticityError,
-    IntegrationError,
     MeasurementGuardError,
     NonFiniteError,
     NormalizationError,
@@ -105,5 +104,5 @@ __all__ = [
     # errors
     "NormalizationError", "HermiticityError", "UnitarityError",
     "DimensionMismatchError", "ZeroOverlapError", "MeasurementGuardError",
-    "IntegrationError", "ConfigError", "NonFiniteError",
+    "ConfigError", "NonFiniteError",
 ]

@@ -112,6 +112,16 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _parse_json(text: str, path: str):
+    """``json.loads``, with every failure a ConfigError naming ``path``:
+    malformed text, an integer literal past Python's digit limit, or
+    nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
 def _at(path: str, *index: int) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
@@ -345,11 +355,7 @@ def validate_config(raw: dict) -> RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from None
-    return validate_config(raw)
+    return validate_config(_parse_json(text, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +569,7 @@ def _load_json_or_path(value: str, path_hint: str):
         if not file.is_file():
             _fail(path_hint, f"{value!r} is neither inline JSON nor an existing file")
         text = file.read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path_hint}: invalid JSON ({exc})") from None
+    return _parse_json(text, path_hint)
 
 
 def _assemble_raw_config(args) -> dict:
@@ -575,10 +578,7 @@ def _assemble_raw_config(args) -> dict:
         file = Path(args.config)
         if not file.is_file():
             _fail("config", f"no such file: {args.config}")
-        try:
-            raw = json.loads(file.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from None
+        raw = _parse_json(file.read_text(), "config")
         if not isinstance(raw, dict):
             _fail("config", "expected a JSON object at the top level")
     if args.mode is not None:

@@ -35,10 +35,6 @@ class MeasurementGuardError(RuntimeError):
     """A sampled outcome landed on a numerically impossible branch."""
 
 
-class IntegrationError(RuntimeError):
-    """Time integration failed to reach the requested accuracy."""
-
-
 class ConfigError(ValueError):
     """A run configuration document is malformed.
 

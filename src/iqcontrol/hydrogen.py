@@ -14,7 +14,6 @@ factor and only the excitation gap enters the dynamics (default 1.0).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -22,16 +21,19 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .amplification import GoodSubspace, success_probability
-from .core import ControlPulse, StateVector, SystemSpec
-from .errors import DimensionMismatchError, IntegrationError
+from .core import ControlPulse, StateVector, SystemSpec, _evolve
+from .errors import DimensionMismatchError, NonFiniteError
 
 KAPPA_GROUND = 128.0 * math.sqrt(2.0) / 243.0   # ground <-> excited-3 channel
 KAPPA_EXCITED = 3.0                              # excited-2 <-> excited-3 channel
 
-NORM_DRIFT_TARGET = 1e-9
-NORM_DRIFT_ACCEPT = 1e-8
-NORM_DRIFT_FAIL = 1e-6
-MAX_REFINEMENTS = 12
+# Fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math.
+# 56, 1519 (2006)): the field at the Gauss points t_mid -+ GAUSS_OFFSET * h
+# sets the amplitudes CF4_HEAVY * u1 + CF4_LIGHT * u2 and
+# CF4_LIGHT * u1 + CF4_HEAVY * u2 of two constant half-steps.
+GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+CF4_HEAVY = (3.0 + 2.0 * math.sqrt(3.0)) / 6.0
+CF4_LIGHT = (3.0 - 2.0 * math.sqrt(3.0)) / 6.0
 
 FieldLike = Union[ControlPulse, Callable[[float], float]]
 
@@ -58,6 +60,14 @@ class HydrogenModel:
             raise ValueError(f"energy gap must be positive, got {self.energy_gap}")
 
 
+def _model_spec(model: HydrogenModel) -> SystemSpec:
+    gap = model.energy_gap
+    b = np.zeros((5, 5), dtype=complex)
+    b[0, 2] = b[2, 0] = -model.kappa_ground
+    b[1, 2] = b[2, 1] = model.kappa_excited
+    return SystemSpec(dim=5, drift=np.array([0.0, gap, gap, gap, gap]), coupling=b)
+
+
 def hydrogen_spec(energy_gap: float = 1.0) -> SystemSpec:
     """SystemSpec for the 5-level model: diagonal drift plus dipole coupling.
 
@@ -66,96 +76,53 @@ def hydrogen_spec(energy_gap: float = 1.0) -> SystemSpec:
     channel and +kappa_excited on the (2, 3) channel; all other
     off-diagonals vanish, so states 4 and 5 are uncoupled.
     """
-    model = HydrogenModel(energy_gap)
-    drift = np.array([0.0, model.energy_gap, model.energy_gap, model.energy_gap, model.energy_gap])
-    b = np.zeros((5, 5), dtype=complex)
-    b[0, 2] = b[2, 0] = -model.kappa_ground
-    b[1, 2] = b[2, 1] = model.kappa_excited
-    return SystemSpec(dim=5, drift=drift, coupling=b)
+    return _model_spec(HydrogenModel(energy_gap))
 
 
-def _field_function(field: FieldLike) -> Callable[[float], float]:
-    if isinstance(field, ControlPulse):
-        return field.amplitude
-    if callable(field):
-        return field
-    raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
-
-
-def _intervals(field: FieldLike, duration: Optional[float], t0: float):
-    """(start, end, u(t)) intervals; pulse segments become intervals so
-    integration steps never straddle a control discontinuity."""
-    if duration is not None and duration < 0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
-    if isinstance(field, ControlPulse):
-        if not field.segments:
-            return []
-        total = field.duration if duration is None else float(duration)
-        out = []
-        t = t0
-        acc = 0.0
-        for d, u in field.segments:
-            end = min(d, total - acc)
-            if end <= 0:
-                break
-            out.append((t, t + end, (lambda s, uu=u: uu)))
-            t += end
-            acc += end
-        return out
+def _pulse_segments(pulse: ControlPulse, duration: Optional[float]):
+    """The pulse's (durations, amplitudes), cut at ``duration``."""
+    durations, amplitudes = np.array(pulse.segments, dtype=float).reshape(-1, 2).T
     if duration is None:
-        raise ValueError("a callable field needs an explicit duration")
-    if duration == 0:
-        return []
-    fn = _field_function(field)
-    return [(t0, t0 + float(duration), fn)]
+        return durations, amplitudes
+    starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
+    kept = starts < duration
+    return np.minimum(durations, duration - starts)[kept], amplitudes[kept]
 
 
-def _peak_amplitude(intervals) -> float:
-    peak = 0.0
-    for start, end, fn in intervals:
-        for s in np.linspace(start, end, 64):
-            peak = max(peak, abs(fn(float(s))))
-    return peak
+def _field_segments(model, field, duration: float, t0: float, max_step: Optional[float]):
+    """(durations, amplitudes) of the CF4 half-steps that stand for ``field``.
 
-
-def _integrate(intervals, c, model: HydrogenModel, steps_scale: float, hermitian_phase: bool):
-    """Fixed-step RK4 over the coupled 3-level block.
-
-    Only the first three amplitudes evolve; the generator is evaluated
-    with scalar complex arithmetic, which is faster than array ops at
-    this size.
+    The step is min(max_step, 0.02 / max(gap, peak * kappa, 1e-6)); the
+    peak is read from the field's values at the Gauss points of the steps
+    the gap alone asks for, and the field is sampled again on a finer grid
+    only when that peak asks for shorter steps.
     """
-    gap = model.energy_gap
-    k1 = model.kappa_ground
-    k2 = model.kappa_excited
-    y0, y1, y2 = complex(c[0]), complex(c[1]), complex(c[2])
+    limit = math.inf if max_step is None else float(max_step)
+    if not limit > 0:
+        raise ValueError(f"max_step must be positive, got {max_step}")
 
-    def deriv(t, a0, a1, a2, fn):
-        f = fn(t)
-        p = cmath.exp(-1j * gap * t)
-        t02 = 1j * k1 * f * p
-        t20 = 1j * k1 * f * (p.conjugate() if hermitian_phase else p)
-        t12 = -1j * k2 * f
-        return t02 * a2, t12 * a2, t20 * a0 + t12 * a1
+    def steps(rate: float) -> int:
+        return max(math.ceil(duration / min(limit, 0.02 / rate)), 1)
 
-    for start, end, fn in intervals:
-        span = end - start
-        n = max(int(math.ceil(span / steps_scale)), 2)
-        dt = span / n
-        t = start
-        for _ in range(n):
-            k1a, k1b, k1c = deriv(t, y0, y1, y2, fn)
-            h = dt / 2.0
-            k2a, k2b, k2c = deriv(t + h, y0 + h * k1a, y1 + h * k1b, y2 + h * k1c, fn)
-            k3a, k3b, k3c = deriv(t + h, y0 + h * k2a, y1 + h * k2b, y2 + h * k2c, fn)
-            k4a, k4b, k4c = deriv(t + dt, y0 + dt * k3a, y1 + dt * k3b, y2 + dt * k3c, fn)
-            y0 += dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            y1 += dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            y2 += dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-            t += dt
-    out = np.array(c, dtype=complex)
-    out[0], out[1], out[2] = y0, y1, y2
-    return out
+    def gauss_values(n: int):
+        h = duration / n
+        mid = t0 + h * (np.arange(n) + 0.5)
+        u1 = np.fromiter(map(field, (mid - GAUSS_OFFSET * h).tolist()), float, n)
+        u2 = np.fromiter(map(field, (mid + GAUSS_OFFSET * h).tolist()), float, n)
+        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+            raise NonFiniteError("field: values must be finite, got NaN or an infinity")
+        return u1, u2
+
+    kappa = max(model.kappa_ground, model.kappa_excited)
+    n = steps(max(model.energy_gap, 1e-6))
+    u1, u2 = gauss_values(n)
+    peak = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+    finer = steps(max(model.energy_gap, peak * kappa, 1e-6))
+    if finer > n:
+        n = finer
+        u1, u2 = gauss_values(n)
+    amplitudes = np.column_stack((CF4_HEAVY * u1 + CF4_LIGHT * u2, CF4_LIGHT * u1 + CF4_HEAVY * u2))
+    return np.full(2 * n, duration / (2 * n)), amplitudes.ravel()
 
 
 def propagate_interaction_picture(
@@ -164,73 +131,45 @@ def propagate_interaction_picture(
     initial: StateVector,
     duration: Optional[float] = None,
     t0: float = 0.0,
-    hermitian_phase: bool = True,
     max_step: Optional[float] = None,
 ) -> StateVector:
-    """Integrate the interaction-picture coefficient equation dC/dt = T C.
+    """Evolve the interaction-picture coefficients D = exp(iAt) C from t0
+    to t0 + T, where the lab-frame C obeys i dC/dt = (A + u(t) B) C.
 
     ``field`` is either a piecewise-constant pulse (duration taken from
-    the pulse) or a callable u(t) with an explicit ``duration``; ``t0``
-    sets the absolute start time so long integrations can be chained.
-    The generator keeps the oscillating phase on the ground channel and
-    its conjugate on the transpose entry, which makes it skew-Hermitian
-    and norm-conserving.  ``hermitian_phase=False`` switches the
-    transpose entry to the same un-conjugated phase for comparison; that
-    variant does not conserve the norm and normally fails integration.
-
-    Fixed-step 4th-order integration with step control: the step is
-    halved until the norm drift falls below {target:g} or stops improving
-    (drift then is not a discretization artifact); drift above {fail:g}
-    raises IntegrationError.  The coupled block is rescaled back to its
-    exact initial weight afterwards, so the uncoupled amplitudes (labels
-    4 and 5) come back bit-exact and the state stays normalized.
+    the pulse, or cut at ``duration``) or a callable u(t) with an explicit
+    ``duration``; ``t0`` sets the absolute start time so long runs can be
+    chained.  The result is exp(iA(t0 + T)) U exp(-iA t0) D, with U the
+    lab-frame propagator of ``iqcontrol.core``: exact segment exponentials
+    for a pulse, and for a callable the fourth-order commutator-free
+    Magnus step, two constant half-steps per step of at most
+    ``max_step``.  Only the coupled levels the state occupies are
+    evolved; every other amplitude (labels 4 and 5 always) comes back
+    bit-exact.
     """
     if initial.dim != 5:
         raise DimensionMismatchError(f"hydrogen model is 5-level, state has {initial.dim}")
-    intervals = _intervals(field, duration, t0)
-    if not intervals:
+    if duration is not None and duration < 0:
+        raise ValueError(f"duration must be nonnegative, got {duration}")
+    if isinstance(field, ControlPulse):
+        durations, amplitudes = _pulse_segments(field, duration)
+    elif not callable(field):
+        raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
+    elif duration is None:
+        raise ValueError("a callable field needs an explicit duration")
+    elif duration == 0:
         return initial
-    peak = _peak_amplitude(intervals)
-    rate = max(
-        model.energy_gap,
-        peak * max(model.kappa_ground, model.kappa_excited),
-        1e-6,
-    )
-    dt = 0.02 / rate
-    if max_step is not None:
-        dt = min(dt, float(max_step))
-
-    c = initial.amplitudes
-    prev_drift = None
-    result = None
-    for _ in range(MAX_REFINEMENTS + 1):
-        result = _integrate(intervals, c, model, dt, hermitian_phase)
-        drift = abs(float(np.linalg.norm(result)) - 1.0)
-        if drift <= NORM_DRIFT_TARGET:
-            break
-        if prev_drift is not None and drift > 0.5 * prev_drift:
-            break  # halving no longer helps: drift is not a step-size effect
-        prev_drift = drift
-        dt /= 2.0
-    drift = abs(float(np.linalg.norm(result)) - 1.0)
-    if drift > NORM_DRIFT_FAIL:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_FAIL:g} and step refinement "
-            "cannot reduce it (non-norm-conserving generator or unstable field)"
-        )
-    # the generator only moves weight within the coupled block, so pin the
-    # block back to its exact initial weight instead of renormalizing the
-    # whole vector; amplitudes 4 and 5 stay bit-exact
-    block_target = float(np.linalg.norm(c[:3]))
-    block_raw = float(np.linalg.norm(result[:3]))
-    if block_target > 1e-15 and block_raw > 0.0:
-        result[:3] *= block_target / block_raw
-    return StateVector(result)
-
-
-propagate_interaction_picture.__doc__ = propagate_interaction_picture.__doc__.format(
-    target=NORM_DRIFT_TARGET, fail=NORM_DRIFT_FAIL
-)
+    else:
+        durations, amplitudes = _field_segments(model, field, float(duration), t0, max_step)
+    if not durations.size:
+        return initial
+    spec = _model_spec(model)
+    lab = initial.amplitudes * np.exp(-1j * spec.drift * t0)
+    frame = np.exp(1j * spec.drift * (t0 + durations.sum()))
+    out = initial.amplitudes.copy()
+    for levels, part in _evolve(spec, durations, amplitudes, lab):
+        out[levels] = frame[levels] * part
+    return StateVector(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,15 @@
-"""Explicit reference operators for amplitude amplification.
+"""Explicit reference operators and integrators.
 
 The library amplifies with a closed-form 2x2 kernel and builds none of
-these; the tests compare its amplitudes and weights against them.  The
-explicit Q itself is ``iqcontrol.amplification.amplification_operator``;
-the tests check it against the product of the phase oracles below.
+the amplification operators below; the tests compare its amplitudes and
+weights against them.  The explicit Q itself is
+``iqcontrol.amplification.amplification_operator``; the tests check it
+against the product of the phase oracles below.
+
+The library propagates through exact segment exponentials restricted to
+the coupled blocks a state occupies; ``full_matrix_propagate`` and the
+RK4 integrator ``rk4_interaction_picture`` are the references it is
+checked against.
 """
 
 import cmath
@@ -11,7 +17,13 @@ import math
 
 import numpy as np
 
-from iqcontrol import Decomposition, DimensionMismatchError, GoodSubspace, UnitaryOperator
+from iqcontrol import (
+    ControlPulse,
+    Decomposition,
+    DimensionMismatchError,
+    GoodSubspace,
+    UnitaryOperator,
+)
 from iqcontrol.amplification import PRE_ROTATION_ANGLE, _check_phase, _coefficients, _split
 
 
@@ -57,3 +69,64 @@ def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:
     mat[target - 1, 0] = s
     mat[0, target - 1] = -s
     return UnitaryOperator(mat)
+
+
+def full_matrix_propagate(spec, pulse: ControlPulse, initial) -> np.ndarray:
+    """Amplitudes after the pulse, one N x N eigendecomposition per segment."""
+    c = initial.amplitudes
+    for dt, u in pulse.segments:
+        w, v = np.linalg.eigh(spec.hamiltonian(u))
+        c = (v * np.exp(-1j * w * dt)) @ v.conj().T @ c
+    return c
+
+
+def rk4_interaction_picture(
+    model, field, initial, duration=None, t0=0.0, step=1e-3, hermitian_phase=True
+) -> np.ndarray:
+    """Fixed-step RK4 on the hydrogen interaction-picture equation dD/dt = T(t) D.
+
+    Only the coupled block (labels 1-3) evolves, with scalar complex
+    arithmetic; steps never straddle a pulse segment boundary.  The
+    ground channel carries the phase exp(-i gap t) and its transpose
+    entry the conjugate, which makes T skew-Hermitian;
+    ``hermitian_phase=False`` puts the same un-conjugated phase on both,
+    and the norm is then not conserved.  Returns the raw amplitudes.
+    """
+    if isinstance(field, ControlPulse):
+        total = field.duration if duration is None else duration
+        intervals, t, acc = [], t0, 0.0
+        for d, u in field.segments:
+            end = min(d, total - acc)
+            if end <= 0:
+                break
+            intervals.append((t, t + end, lambda s, u=u: u))
+            t, acc = t + end, acc + end
+    else:
+        intervals = [(t0, t0 + duration, field)]
+    gap, k1, k2 = model.energy_gap, model.kappa_ground, model.kappa_excited
+
+    def deriv(t, a0, a1, a2, fn):
+        f = fn(t)
+        p = cmath.exp(-1j * gap * t)
+        t02 = 1j * k1 * f * p
+        t20 = 1j * k1 * f * (p.conjugate() if hermitian_phase else p)
+        t12 = -1j * k2 * f
+        return t02 * a2, t12 * a2, t20 * a0 + t12 * a1
+
+    y0, y1, y2 = (complex(z) for z in initial.amplitudes[:3])
+    for start, end, fn in intervals:
+        n = max(math.ceil((end - start) / step), 2)
+        dt = (end - start) / n
+        for k in range(n):
+            t = start + k * dt
+            h = dt / 2.0
+            k1a, k1b, k1c = deriv(t, y0, y1, y2, fn)
+            k2a, k2b, k2c = deriv(t + h, y0 + h * k1a, y1 + h * k1b, y2 + h * k1c, fn)
+            k3a, k3b, k3c = deriv(t + h, y0 + h * k2a, y1 + h * k2b, y2 + h * k2c, fn)
+            k4a, k4b, k4c = deriv(t + dt, y0 + dt * k3a, y1 + dt * k3b, y2 + dt * k3c, fn)
+            y0 += dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            y1 += dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            y2 += dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
+    out = np.array(initial.amplitudes, dtype=complex)
+    out[:3] = y0, y1, y2
+    return out

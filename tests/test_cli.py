@@ -414,6 +414,45 @@ def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
     assert report["error"]["message"].startswith(path + ": ")
 
 
+# json.loads raises a plain ValueError for an integer literal past Python's
+# 4,300-digit limit and a RecursionError for nesting past the recursion limit
+HUGE_INT = "1" * 5000
+DEEP = "[" * 100_000
+UNREADABLE_JSON = {
+    "huge-int": {
+        "config": '{"mode": "analyze", "system": "hydrogen", "seed": ' + HUGE_INT + "}",
+        "system": '{"dim": ' + HUGE_INT + "}",
+        "initial": "[" + HUGE_INT + ", 0.0]",
+        "subspace": "[" + HUGE_INT + "]",
+    },
+    "deep": {"config": DEEP, "system": DEEP, "initial": DEEP, "subspace": DEEP},
+}
+
+
+@pytest.mark.parametrize("flag", ["config", "system", "initial", "subspace"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exits_2_with_path(tmp_path, kind, flag):
+    text = UNREADABLE_JSON[kind][flag]
+    out = tmp_path / "report.json"
+    if flag == "config":
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        args = ["--config", str(path)]
+    else:
+        args = ["--mode", "algo2", "--system", "hydrogen", "--seed", "1", f"--{flag}", text]
+    code = main([*args, "--out", str(out)])
+    report = _strict_json(out.read_text())
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(f"{flag}: invalid JSON")
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+def test_parse_config_unreadable_json(kind):
+    with pytest.raises(ConfigError, match="^config: invalid JSON"):
+        parse_config(UNREADABLE_JSON[kind]["config"])
+
+
 def test_entries_parsed_once(tmp_path, monkeypatch):
     calls = {"parse": 0, "SystemSpec": 0}
     parse, post_init = iqcontrol.cli._parse_complex, SystemSpec.__post_init__

@@ -15,7 +15,8 @@ from iqcontrol import (
     prepare_unitary,
     propagate,
 )
-from conftest import haar_unitary, random_spec, random_state
+from conftest import haar_unitary, random_hermitian, random_spec, random_state
+from oracles import full_matrix_propagate
 
 
 class TestStateVector:
@@ -186,6 +187,58 @@ class TestPropagate:
         spec = random_spec(rng, 4)
         with pytest.raises(DimensionMismatchError):
             propagate(spec, ControlPulse(((1.0, 0.1),)), random_state(rng, 3))
+
+
+def random_segments(rng) -> ControlPulse:
+    return ControlPulse(tuple(
+        (float(rng.uniform(0.1, 2.0)), float(rng.normal()))
+        for _ in range(int(rng.integers(1, 6)))
+    ))
+
+
+def block_diagonal_spec(rng, dim):
+    """A spec whose coupling is block-diagonal over a random partition of
+    the levels: the first block has two levels or more and is coupled,
+    each other block is zero or dense, and a dense singleton is a
+    diagonal entry.  Returns the spec and its blocks as 0-based levels."""
+    cuts = rng.choice(np.arange(2, dim), size=int(rng.integers(0, dim - 1)), replace=False)
+    blocks = np.split(rng.permutation(dim), np.sort(cuts))
+    b = np.zeros((dim, dim), dtype=complex)
+    for k, block in enumerate(blocks):
+        if k == 0 or rng.uniform() < 0.6:
+            b[np.ix_(block, block)] = random_hermitian(rng, block.size)
+    return SystemSpec(dim=dim, drift=rng.normal(size=dim) * 2.0, coupling=b), blocks
+
+
+class TestPropagateBlocks:
+    def test_matches_full_matrix_oracle(self, rng):
+        for _ in range(30):
+            dim = int(rng.integers(2, 8))
+            spec, pulse, state = random_spec(rng, dim), random_segments(rng), random_state(rng, dim)
+            out = propagate(spec, pulse, state)
+            assert np.max(np.abs(out.amplitudes - full_matrix_propagate(spec, pulse, state))) < 1e-12
+
+    def test_block_diagonal_coupling(self, rng):
+        for _ in range(60):
+            dim = int(rng.integers(3, 10))
+            spec, blocks = block_diagonal_spec(rng, dim)
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            for block in blocks:
+                if rng.uniform() < 0.3:
+                    amps[block] = 0.0  # a block the state does not occupy
+            if not amps.any():
+                amps[blocks[0]] = 1.0
+            state = StateVector(amps / np.linalg.norm(amps))
+            pulse = random_segments(rng)
+            out = propagate(spec, pulse, state)
+            assert np.max(np.abs(out.amplitudes - full_matrix_propagate(spec, pulse, state))) < 1e-12
+            # a level in a block that is zero or unoccupied only picks up its drift phase
+            c = state.amplitudes
+            for block in blocks:
+                untouched = not spec.coupling[np.ix_(block, block)].any() or not c[block].any()
+                if untouched:
+                    expected = c[block] * np.exp(-1j * spec.drift[block] * pulse.duration)
+                    assert np.array_equal(out.amplitudes[block], expected)
 
 
 class TestApplyOperator:

@@ -6,8 +6,9 @@ import pytest
 from iqcontrol import (
     ControlPulse,
     HydrogenModel,
-    IntegrationError,
+    NonFiniteError,
     StateVector,
+    SystemSpec,
     build_graph,
     case1_preset,
     case2_preset,
@@ -20,6 +21,7 @@ from iqcontrol import (
 )
 from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND
 from conftest import random_state
+from oracles import rk4_interaction_picture
 
 
 def random_pulse(rng, max_amplitude=1.0, max_segments=4) -> ControlPulse:
@@ -171,16 +173,109 @@ class TestInteractionPicture:
 
     def test_literal_unconjugated_phase_fails_norm(self):
         # keeping the same oscillating phase on both ground-channel
-        # entries makes the generator non-skew-Hermitian; the integrator
-        # detects the norm loss and refuses
+        # entries makes the generator non-skew-Hermitian: the RK4 oracle
+        # loses norm with it and keeps norm with the conjugated phase
         model = HydrogenModel()
         pulse = ControlPulse(((40.0, 0.8),))
         state = StateVector([0.5, 0.5, 0.5, 0.5, 0.0])
-        with pytest.raises(IntegrationError):
-            propagate_interaction_picture(model, pulse, state, hermitian_phase=False)
+        literal = rk4_interaction_picture(model, pulse, state, step=0.005, hermitian_phase=False)
+        conjugated = rk4_interaction_picture(model, pulse, state, step=0.005)
+        assert abs(np.linalg.norm(literal) - 1.0) > 1e-6
+        assert abs(np.linalg.norm(conjugated) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, rng, value):
+        with pytest.raises(NonFiniteError, match="field"):
+            propagate_interaction_picture(
+                HydrogenModel(), lambda s: value if s > 0.5 else 0.1, random_state(rng, 5), 1.0
+            )
 
     def test_rejects_wrong_dimension(self, rng):
         with pytest.raises(Exception):
             propagate_interaction_picture(
                 HydrogenModel(), ControlPulse(((1.0, 0.1),)), random_state(rng, 4)
             )
+
+
+def cut(pulse: ControlPulse, duration: float) -> ControlPulse:
+    """The pulse's first ``duration`` time units."""
+    segments, acc = [], 0.0
+    for d, u in pulse.segments:
+        if acc >= duration:
+            break
+        segments.append((min(d, duration - acc), u))
+        acc += d
+    return ControlPulse(tuple(segments))
+
+
+def lab_frame_route(spec, pulse, state, t0):
+    """exp(iA(t0 + T)) U exp(-iA t0) D through the lab-frame propagator."""
+    lab = StateVector(np.exp(-1j * spec.drift * t0) * state.amplitudes)
+    return np.exp(1j * spec.drift * (t0 + pulse.duration)) * propagate(spec, pulse, lab).amplitudes
+
+
+def custom_model_spec(gap, kappa_ground, kappa_excited):
+    b = np.zeros((5, 5))
+    b[0, 2] = b[2, 0] = -kappa_ground
+    b[1, 2] = b[2, 1] = kappa_excited
+    return SystemSpec(dim=5, drift=[0.0, gap, gap, gap, gap], coupling=b)
+
+
+class TestOneExactPropagator:
+    @pytest.mark.parametrize("t0", [0.0, 2.7])
+    def test_frame_change_of_propagate(self, rng, t0):
+        model, spec = HydrogenModel(), hydrogen_spec()
+        for _ in range(10):
+            pulse, state = random_pulse(rng), random_state(rng, 5)
+            out = propagate_interaction_picture(model, pulse, state, t0=t0)
+            assert np.max(np.abs(out.amplitudes - lab_frame_route(spec, pulse, state, t0))) < 1e-13
+
+    def test_pulse_cut_by_duration(self, rng):
+        model, spec = HydrogenModel(), hydrogen_spec()
+        for _ in range(10):
+            pulse, state = random_pulse(rng), random_state(rng, 5)
+            duration = float(rng.uniform(0.1, 1.0)) * pulse.duration
+            t0 = float(rng.uniform(-3.0, 3.0))
+            out = propagate_interaction_picture(model, pulse, state, duration, t0)
+            expected = lab_frame_route(spec, cut(pulse, duration), state, t0)
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+
+    def test_pulses_match_rk4_oracle(self, rng):
+        model = HydrogenModel()
+        for t0 in (0.0, 1.3):
+            pulse, state = random_pulse(rng), random_state(rng, 5)
+            duration = 0.8 * pulse.duration
+            out = propagate_interaction_picture(model, pulse, state, duration, t0)
+            oracle = rk4_interaction_picture(model, pulse, state, duration, t0, step=1e-3)
+            assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
+
+    def test_callable_matches_rk4_oracle(self, rng):
+        model = HydrogenModel()
+        state = random_state(rng, 5)
+        field = lambda s: 0.6 * math.cos(1.1 * s + 0.1 * s * s)
+        out = propagate_interaction_picture(model, field, state, duration=4.0, t0=0.5)
+        oracle = rk4_interaction_picture(model, field, state, duration=4.0, t0=0.5, step=1e-3)
+        assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
+
+    def test_constant_callable_equals_one_segment_pulse(self, rng):
+        model = HydrogenModel()
+        for _ in range(5):
+            state = random_state(rng, 5)
+            u, duration = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 3.0))
+            t0 = float(rng.uniform(0.0, 5.0))
+            pulse = ControlPulse(((duration, u),))
+            from_pulse = propagate_interaction_picture(model, pulse, state, t0=t0)
+            from_callable = propagate_interaction_picture(model, lambda s: u, state, duration, t0)
+            assert np.max(np.abs(from_pulse.amplitudes - from_callable.amplitudes)) < 1e-12
+
+    def test_custom_kappas(self, rng):
+        model = HydrogenModel(energy_gap=1.7, kappa_ground=0.4, kappa_excited=1.2)
+        spec = custom_model_spec(1.7, 0.4, 1.2)
+        for _ in range(5):
+            pulse, state = random_pulse(rng), random_state(rng, 5)
+            out = propagate_interaction_picture(model, pulse, state, t0=0.9)
+            assert np.max(np.abs(out.amplitudes - lab_frame_route(spec, pulse, state, 0.9))) < 1e-13
+            oracle = rk4_interaction_picture(model, pulse, state, t0=0.9, step=1e-3)
+            assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
+            assert out.amplitudes[3] == state.amplitudes[3]
+            assert out.amplitudes[4] == state.amplitudes[4]
