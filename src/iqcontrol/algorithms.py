@@ -127,12 +127,13 @@ def _amplify(
 def _measure(
     amplified: StateVector,
     report: RunReport,
+    partition: MeasurementPartition,
     seed: int,
     shots: int,
     measurement_shot: int,
 ) -> RunReport:
-    """Measure against the plan's good-vs-rest partition; add it to the report."""
-    partition = MeasurementPartition.binary(report.plan.good)
+    """Measure against ``partition``, the plan's good-vs-rest partition built
+    once per run; add the measurement to the report."""
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
@@ -152,6 +153,7 @@ def _check_attempts(shots: int, max_attempts: Optional[int]) -> None:
 def _repeat_until_success(
     amplified: StateVector,
     report: RunReport,
+    partition: MeasurementPartition,
     seed: int,
     first_shot: int,
     max_attempts: int,
@@ -166,9 +168,8 @@ def _repeat_until_success(
     """
     last = first_shot
     if not report.success and max_attempts > 1:
-        partition = MeasurementPartition.binary(report.plan.good)
         last = _first_shot_on(amplified, partition, seed, 0, first_shot + 1, max_attempts - 1)
-        report = _measure(amplified, report, seed, 1, last)
+        report = _measure(amplified, report, partition, seed, 1, last)
     return replace(report, attempts=last - first_shot + 1)
 
 
@@ -209,9 +210,12 @@ def run_algorithm1(
     _check_attempts(shots, max_attempts)
     good = GoodSubspace.of(good_index, spec.dim)
     amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-    report = _measure(amplified, report, seed, shots, measurement_shot)
+    partition = MeasurementPartition.binary(good)
+    report = _measure(amplified, report, partition, seed, shots, measurement_shot)
     if max_attempts is not None:
-        report = _repeat_until_success(amplified, report, seed, measurement_shot, max_attempts)
+        report = _repeat_until_success(
+            amplified, report, partition, seed, measurement_shot, max_attempts
+        )
     if report.success and final_pulse is not None:
         final = propagate(spec, final_pulse, report.measurement.collapsed)
         fidelity = None
@@ -259,7 +263,8 @@ def run_algorithm2(
     amplified, report = _amplify(
         initial, subspace, phi1, phi2, iterations, pre_rotation, l_max
     )
-    report = _measure(amplified, report, seed, shots, measurement_shot)
+    partition = MeasurementPartition.binary(subspace)
+    report = _measure(amplified, report, partition, seed, shots, measurement_shot)
 
     analysis = assess(spec, controllability_config or ControllabilityConfig())
     target_set = tuple(sorted(subspace.indices))
@@ -281,5 +286,7 @@ def run_algorithm2(
         }
     # repeated after the analysis, so errors come in the order of whole runs per attempt
     if max_attempts is not None:
-        report = _repeat_until_success(amplified, report, seed, measurement_shot, max_attempts)
+        report = _repeat_until_success(
+            amplified, report, partition, seed, measurement_shot, max_attempts
+        )
     return replace(report, controllability_note=note)

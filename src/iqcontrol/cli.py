@@ -562,6 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import: ``parse_args`` only reads it, so every ``main`` call
+# in a process, from any thread, shares it
+_PARSER = _build_parser()
+
+
 def _load_json_or_path(value: str, path_hint: str):
     text = value
     if not value.lstrip().startswith(("[", "{")):
@@ -703,7 +708,7 @@ def _emit(code: int, report: dict, out: Optional[str]) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = validate_config(_assemble_raw_config(args))
     except ConfigError as exc:

@@ -7,6 +7,7 @@ entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,7 +201,11 @@ class ControlPulse:
 
     def __post_init__(self):
         segs = tuple((float(d), float(u)) for d, u in self.segments)
-        for k, (d, _) in enumerate(segs):
+        for k, (d, u) in enumerate(segs):
+            if not (math.isfinite(d) and math.isfinite(u)):
+                raise NonFiniteError(
+                    f"segments[{k}]: duration and amplitude must be finite, got ({d}, {u})"
+                )
             if d <= 0.0:
                 raise ValueError(f"segment {k} duration must be positive, got {d}")
         object.__setattr__(self, "segments", segs)

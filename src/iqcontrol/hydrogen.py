@@ -14,8 +14,9 @@ factor and only the excitation gap enters the dynamics (default 1.0).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -56,11 +57,18 @@ class HydrogenModel:
     kappa_excited: float = KAPPA_EXCITED
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{f.name}: must be finite, got {value!r}")
         if self.energy_gap <= 0:
             raise ValueError(f"energy gap must be positive, got {self.energy_gap}")
 
 
+@functools.lru_cache(maxsize=64)
 def _model_spec(model: HydrogenModel) -> SystemSpec:
+    """The model's 5-level SystemSpec, built and validated once per model;
+    the spec is frozen and its arrays read-only, so callers share it."""
     gap = model.energy_gap
     b = np.zeros((5, 5), dtype=complex)
     b[0, 2] = b[2, 0] = -model.kappa_ground
@@ -74,7 +82,8 @@ def hydrogen_spec(energy_gap: float = 1.0) -> SystemSpec:
     Drift eigenvalues are (0, gap, gap, gap, gap).  The coupling matrix
     carries the signed z-dipole elements: -kappa_ground on the (1, 3)
     channel and +kappa_excited on the (2, 3) channel; all other
-    off-diagonals vanish, so states 4 and 5 are uncoupled.
+    off-diagonals vanish, so states 4 and 5 are uncoupled.  The spec is
+    built once per gap and shared: it is frozen and its arrays read-only.
     """
     return _model_spec(HydrogenModel(energy_gap))
 
@@ -149,6 +158,9 @@ def propagate_interaction_picture(
     """
     if initial.dim != 5:
         raise DimensionMismatchError(f"hydrogen model is 5-level, state has {initial.dim}")
+    for name, value in (("duration", duration), ("t0", t0)):
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteError(f"{name}: must be finite, got {value!r}")
     if duration is not None and duration < 0:
         raise ValueError(f"duration must be nonnegative, got {duration}")
     if isinstance(field, ControlPulse):

@@ -15,6 +15,7 @@ replay shot by shot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,25 @@ def born_probabilities(state: StateVector, partition: MeasurementPartition) -> n
     )
 
 
-def _shot_uniforms(seed: int, first: int, count: int):
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: any integer type, numpy's included, but no
+    bool and nothing that would be truncated; a TypeError names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     """Yield the uniforms of shots ``first .. first + count - 1`` in chunks.
 
     Shot k's uniform is output k of the seed's Philox stream: the counter
     starts ``first // 4`` values in and ``first % 4`` lanes are skipped.
-    Chunks double from 64 up to ``_MAX_CHUNK``, so a caller that stops
-    early draws little and a large count never holds every draw at once.
+    Chunks double from ``size`` up to ``_MAX_CHUNK``, so a caller that
+    stops early draws little and a large count never holds every draw at
+    once.
     """
     if first < 0:
         raise ValueError(f"shot index must be >= 0, got {first}")
@@ -116,7 +129,6 @@ def _shot_uniforms(seed: int, first: int, count: int):
     bitgen.advance(first // 4)
     gen = np.random.Generator(bitgen)
     gen.random(first % 4)
-    size = 64
     while count > 0:
         n = min(count, size)
         yield gen.random(n)
@@ -160,8 +172,10 @@ def sample_collapse(
     """Draw one outcome by the Born rule and collapse onto its block.
 
     Deterministic in (state, partition, seed, shot): the uniform is
-    output ``shot`` of the seed's Philox stream.
+    output ``shot`` of the seed's Philox stream.  ``seed`` and ``shot``
+    must be integers (not bools), or a TypeError names the argument.
     """
+    seed, shot = _integer(seed, "seed"), _integer(shot, "shot")
     probs = born_probabilities(state, partition)
     (u,) = _shot_uniforms(seed, shot, 1)
     idx = int(_select_block(probs, u)[0])
@@ -183,13 +197,17 @@ def measurement_histogram(
     """Outcome counts per block over ``shots`` independent draws.
 
     Shot k draws exactly what ``sample_collapse(..., shot=k)`` would, so
-    histograms and single-shot runs agree outcome by outcome.
+    histograms and single-shot runs agree outcome by outcome.  All shots
+    are drawn, so every chunk holds ``_MAX_CHUNK`` draws but the last.
+    ``seed`` and ``shots`` must be integers (not bools), or a TypeError
+    names the argument.
     """
+    seed, shots = _integer(seed, "seed"), _integer(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = born_probabilities(state, partition)
     counts = np.zeros(probs.size, dtype=np.int64)
-    for u in _shot_uniforms(seed, 0, shots):
+    for u in _shot_uniforms(seed, 0, shots, _MAX_CHUNK):
         counts += np.bincount(_select_block(probs, u), minlength=probs.size)
     return counts.tolist()
 

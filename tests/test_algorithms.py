@@ -7,6 +7,7 @@ import pytest
 from iqcontrol import (
     ControlPulse,
     GoodSubspace,
+    MeasurementPartition,
     StateVector,
     SystemSpec,
     VERDICT_INCONCLUSIVE,
@@ -186,3 +187,35 @@ class TestAlgorithm2:
             for k in range(100)
         }
         assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"shots": 500}, {"max_attempts": 1}, {"max_attempts": 300}],
+    ids=["single-shot", "histogram", "one-attempt", "repeat"],
+)
+def test_one_partition_per_run(monkeypatch, kwargs):
+    # at 0.5.0 a repeat run whose first shot failed built the binary
+    # partition three times
+    built = []
+    binary = MeasurementPartition.binary.__func__
+
+    def counted(cls, good):
+        built.append(good)
+        return binary(cls, good)
+
+    monkeypatch.setattr(MeasurementPartition, "binary", classmethod(counted))
+    spec = hydrogen_spec()
+    # no iterations: success 0.01 for algorithm 1 and 0.02 for algorithm 2,
+    # so under seed 3 the first shot fails and the repeat draws again
+    p1, p2 = case1_preset(), case2_preset()
+    runs = [
+        lambda: run_algorithm1(spec, p1.initial, 5, iterations=0, seed=3, **kwargs),
+        lambda: run_algorithm2(spec, p2.initial, p2.good, iterations=0, seed=3, **kwargs),
+    ]
+    for run in runs:
+        built.clear()
+        report = run()
+        assert len(built) == 1
+        if kwargs.get("max_attempts") == 300:
+            assert report.attempts > 1 and report.success

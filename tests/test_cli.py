@@ -735,6 +735,35 @@ class TestReportContract:
         assert report["config"]["seed"] == 33
         assert report["provenance"]["seed"] == 33
 
+    def test_main_reuses_one_parser(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once, at import: a usage error and --help leave
+        # it as they found it, and flags of one call never reach the next
+        def rebuilt():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(iqcontrol.cli, "_build_parser", rebuilt)
+
+        def report(payload, extra_args=()):
+            code, rep = run_cli(tmp_path, payload, extra_args)
+            assert code == 0
+            rep["provenance"].pop("generated_at")
+            return render_report(rep)
+
+        case1 = {"mode": "hydrogen-case1", "seed": 5}
+        case2 = {"mode": "hydrogen-case2", "seed": 6, "shots": 300}
+        first = report(case1)
+        for argv, status in ((["--bogus"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == status
+        capsys.readouterr()
+        assert report(case1) == first
+        second = report(case2)
+        assert second != first
+        assert json.loads(report(case1, ["--seed", "33"]))["config"]["seed"] == 33
+        assert report(case2) == second
+        assert report(case1) == first
+
     def test_flag_only_invocation(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")
         code = main(

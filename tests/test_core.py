@@ -101,6 +101,17 @@ class TestControlPulse:
         with pytest.raises(ValueError):
             ControlPulse(((-1.0, 1.0),))
 
+    @pytest.mark.parametrize(
+        "segment",
+        [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, -np.inf)],
+        ids=["nan-duration", "inf-duration", "nan-amplitude", "inf-amplitude"],
+    )
+    def test_rejects_non_finite_segment(self, segment):
+        # at 0.5.0 these were accepted, and propagate failed later with a
+        # LinAlgError or a misleading normalization error
+        with pytest.raises(NonFiniteError, match=r"^segments\[1\]: "):
+            ControlPulse(((1.0, 0.2), segment))
+
     def test_duration_and_amplitude(self):
         p = ControlPulse(((1.0, 0.3), (2.0, -0.5)))
         assert p.duration == 3.0

@@ -19,7 +19,7 @@ from iqcontrol import (
     hydrogen_spec,
     success_probability,
 )
-from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND
+from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
 from conftest import random_state
 from oracles import rk4_interaction_picture
 
@@ -64,6 +64,39 @@ class TestHydrogenSpec:
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
             hydrogen_spec(energy_gap=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("energy_gap", math.nan),
+            ("energy_gap", math.inf),
+            ("kappa_ground", math.nan),
+            ("kappa_excited", -math.inf),
+        ],
+    )
+    def test_model_rejects_non_finite(self, field, value):
+        with pytest.raises(NonFiniteError, match=f"^{field}: must be finite"):
+            HydrogenModel(**{field: value})
+
+    def test_model_spec_built_once_and_read_only(self):
+        first = _model_spec(HydrogenModel())
+        for _ in range(3):
+            again = _model_spec(HydrogenModel())
+            assert np.array_equal(again.drift, first.drift)
+            assert np.array_equal(again.coupling, first.coupling)
+        assert hydrogen_spec() is first
+        for array in (first.drift, first.coupling):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert np.array_equal(first.coupling, custom_model_spec(1.0, KAPPA_GROUND, KAPPA_EXCITED).coupling)
+
+    def test_custom_model_gets_its_own_spec(self):
+        custom = _model_spec(HydrogenModel(energy_gap=1.7, kappa_ground=0.4, kappa_excited=1.2))
+        expected = custom_model_spec(1.7, 0.4, 1.2)
+        assert custom is not _model_spec(HydrogenModel())
+        assert np.array_equal(custom.drift, expected.drift)
+        assert np.array_equal(custom.coupling, expected.coupling)
 
 
 class TestPresets:
@@ -189,6 +222,27 @@ class TestInteractionPicture:
             propagate_interaction_picture(
                 HydrogenModel(), lambda s: value if s > 0.5 else 0.1, random_state(rng, 5), 1.0
             )
+
+    @pytest.mark.parametrize(
+        "name, value, field",
+        [
+            ("duration", math.nan, ControlPulse(((1.0, 0.1),))),
+            ("duration", math.inf, ControlPulse(((1.0, 0.1),))),
+            ("duration", math.inf, lambda s: 0.1),
+            ("t0", math.nan, ControlPulse(((1.0, 0.1),))),
+            ("t0", math.inf, ControlPulse(((1.0, 0.1),))),
+            ("t0", -math.inf, lambda s: 0.1),
+        ],
+        ids=["duration-nan", "duration-inf", "duration-inf-callable", "t0-nan", "t0-inf",
+             "t0-inf-callable"],
+    )
+    def test_non_finite_times_rejected(self, rng, name, value, field):
+        # at 0.5.0: duration=nan returned the initial state, duration=inf on a
+        # callable raised OverflowError, and t0 = +-inf or nan ended in a
+        # RuntimeWarning and "state amplitudes must be finite"
+        times = {"duration": 1.0, name: value}
+        with pytest.raises(NonFiniteError, match=f"^{name}: must be finite"):
+            propagate_interaction_picture(HydrogenModel(), field, random_state(rng, 5), **times)
 
     def test_rejects_wrong_dimension(self, rng):
         with pytest.raises(Exception):

@@ -171,6 +171,46 @@ class TestHistogram:
             measurement_histogram(random_state(rng, 3), MeasurementPartition.per_index(3), 1, 0)
 
 
+class TestIntegerArguments:
+    # at 0.5.0 a float seed was truncated (seed 1.5 gave the counts of seed
+    # 1), a bool seed was accepted, and a float shot or shot count ended in
+    # a numpy TypeError that named no argument
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": np.True_}, "seed"),
+            ({"seed": "1"}, "seed"),
+            ({"shots": 2.5}, "shots"),
+            ({"shots": True}, "shots"),
+            ({"shots": np.float64(100.0)}, "shots"),
+        ],
+    )
+    def test_histogram_rejects_non_integers(self, rng, kwargs, name):
+        args = {"seed": 1, "shots": 100, **kwargs}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            measurement_histogram(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"seed": 2.0}, "seed"), ({"seed": False}, "seed"), ({"shot": 1.5}, "shot"),
+         ({"shot": True}, "shot")],
+    )
+    def test_sample_collapse_rejects_non_integers(self, rng, kwargs, name):
+        args = {"seed": 1, "shot": 0, **kwargs}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            sample_collapse(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
+
+    def test_numpy_integers_accepted(self, rng):
+        state, p = random_state(rng, 4), MeasurementPartition.per_index(4)
+        assert measurement_histogram(state, p, np.int64(7), np.uint16(300)) == (
+            measurement_histogram(state, p, 7, 300)
+        )
+        single = sample_collapse(state, p, seed=np.int32(7), shot=np.int64(12))
+        assert single.block_index == sample_collapse(state, p, seed=7, shot=12).block_index
+
+
 def philox_blocks(state, partition, seed, shots) -> np.ndarray:
     """Reference outcome of shots 0..shots-1: output k of Philox(seed),
     placed in the cumulative Born intervals, is the outcome of shot k."""
@@ -209,10 +249,13 @@ class TestReplay:
             one_hot = shot_outcome_from_histograms(state, p, seed, k)
             assert np.array_equal(one_hot, np.eye(5, dtype=int)[block])
 
-    @pytest.mark.parametrize("shots", [1, 3, 63, 64, 65, 191, 193, 1001, 2**17 + 5])
+    @pytest.mark.parametrize(
+        "shots", [1, 3, 63, 64, 65, 191, 193, 1001, 2**16, 2**16 + 1, 2**17 + 5]
+    )
     def test_histogram_equals_bulk_stream(self, rng, shots):
-        # chunk edges of the draws sit at 64, 192, 448, ... and every
-        # 2**16 past 65472
+        # a histogram's chunk edges sit at every 2**16 draws; the doubling
+        # chunks from 64 (edges 64, 192, 448, ...) are the repeat loop's,
+        # checked against single shots below
         state = random_state(rng, 7)
         p = random_partition(rng, 7)
         expected = np.bincount(philox_blocks(state, p, 8, shots), minlength=len(p.blocks))
