@@ -195,8 +195,8 @@ class TestAlgorithm2:
     ids=["single-shot", "histogram", "one-attempt", "repeat"],
 )
 def test_one_partition_per_run(monkeypatch, kwargs):
-    # at 0.5.0 a repeat run whose first shot failed built the binary
-    # partition three times
+    # without the shared partition, a repeat run whose first shot failed built
+    # the binary partition three times
     built = []
     binary = MeasurementPartition.binary.__func__
 

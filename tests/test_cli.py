@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -763,6 +765,43 @@ class TestReportContract:
         assert json.loads(report(case1, ["--seed", "33"]))["config"]["seed"] == 33
         assert report(case2) == second
         assert report(case1) == first
+
+    def test_main_from_threads(self, tmp_path, capsys):
+        # threads share the parser and the cached hydrogen spec: each run
+        # gives the report it gives alone
+        def timeless(path):
+            report = json.loads(path.read_text())
+            report["provenance"].pop("generated_at")
+            return render_report(report)
+
+        argvs, expected = [], []
+        for k in range(6):
+            out = tmp_path / f"report{k}.json"
+            mode = ("hydrogen-case1", "hydrogen-case2")[k % 2]
+            argvs.append(["--mode", mode, "--seed", str(k), "--shots", str(1 + 40 * (k % 3)),
+                          "--out", str(out)])
+            assert main(argvs[k]) == 0
+            expected.append(timeless(out))
+        mismatches = []
+
+        def worker(k):
+            for _ in range(10):
+                if main(argvs[k]) != 0 or timeless(tmp_path / f"report{k}.json") != expected[k]:
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        capsys.readouterr()
 
     def test_flag_only_invocation(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")

@@ -107,7 +107,7 @@ class TestControlPulse:
         ids=["nan-duration", "inf-duration", "nan-amplitude", "inf-amplitude"],
     )
     def test_rejects_non_finite_segment(self, segment):
-        # at 0.5.0 these were accepted, and propagate failed later with a
+        # unchecked, these reached propagate, which failed with a
         # LinAlgError or a misleading normalization error
         with pytest.raises(NonFiniteError, match=r"^segments\[1\]: "):
             ControlPulse(((1.0, 0.2), segment))

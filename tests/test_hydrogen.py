@@ -237,7 +237,7 @@ class TestInteractionPicture:
              "t0-inf-callable"],
     )
     def test_non_finite_times_rejected(self, rng, name, value, field):
-        # at 0.5.0: duration=nan returned the initial state, duration=inf on a
+        # unchecked, duration=nan returned the initial state, duration=inf on a
         # callable raised OverflowError, and t0 = +-inf or nan ended in a
         # RuntimeWarning and "state amplitudes must be finite"
         times = {"duration": 1.0, name: value}

@@ -172,7 +172,7 @@ class TestHistogram:
 
 
 class TestIntegerArguments:
-    # at 0.5.0 a float seed was truncated (seed 1.5 gave the counts of seed
+    # unchecked, a float seed was truncated (seed 1.5 gave the counts of seed
     # 1), a bool seed was accepted, and a float shot or shot count ended in
     # a numpy TypeError that named no argument
     @pytest.mark.parametrize(
