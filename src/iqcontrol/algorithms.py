@@ -33,6 +33,7 @@ from .measurement import (
     MeasurementOutcome,
     MeasurementPartition,
     _first_shot_on,
+    _integer,
     measurement_histogram,
     sample_collapse,
 )
@@ -73,12 +74,7 @@ class RunReport:
             "predicted_success": self.predicted_success,
         }
         if self.measurement is not None:
-            out["measurement"] = {
-                "block_index": self.measurement.block_index,
-                "block": list(self.measurement.block),
-                "probability": self.measurement.probability,
-                "collapsed": [[z.real, z.imag] for z in self.measurement.collapsed.amplitudes],
-            }
+            out["measurement"] = self.measurement.to_dict()
         if self.histogram is not None:
             out["histogram"] = list(self.histogram)
             out["empirical_success"] = self.empirical_success
@@ -142,12 +138,18 @@ def _measure(
     return replace(report, measurement=measurement, success=measurement.block_index == 0)
 
 
-def _check_attempts(shots: int, max_attempts: Optional[int]) -> None:
-    if max_attempts is not None and (shots != 1 or max_attempts < 1):
+def _check_attempts(shots: int, max_attempts: Optional[int]) -> Optional[int]:
+    """``max_attempts`` as a Python int, or None; a TypeError names a
+    non-integer and a ValueError a count the run cannot use."""
+    if max_attempts is None:
+        return None
+    max_attempts = _integer(max_attempts, "max_attempts")
+    if shots != 1 or max_attempts < 1:
         raise ValueError(
             f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
             f"max_attempts={max_attempts}"
         )
+    return max_attempts
 
 
 def _repeat_until_success(
@@ -207,7 +209,7 @@ def run_algorithm1(
         raise DimensionMismatchError(
             f"initial state dimension {initial.dim} does not match system {spec.dim}"
         )
-    _check_attempts(shots, max_attempts)
+    max_attempts = _check_attempts(shots, max_attempts)
     good = GoodSubspace.of(good_index, spec.dim)
     amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     partition = MeasurementPartition.binary(good)
@@ -259,7 +261,7 @@ def run_algorithm2(
         raise DimensionMismatchError(
             f"subspace dimension {subspace.dim} does not match system {spec.dim}"
         )
-    _check_attempts(shots, max_attempts)
+    max_attempts = _check_attempts(shots, max_attempts)
     amplified, report = _amplify(
         initial, subspace, phi1, phi2, iterations, pre_rotation, l_max
     )

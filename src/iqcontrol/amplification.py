@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -344,6 +345,11 @@ def make_plan(
         count = int(iterations)
         if count < 0:
             raise ValueError(f"iterations must be nonnegative, got {count}")
+        if count > sys.float_info.max:  # the closed form takes L as a float
+            raise ValueError(
+                f"iterations must not exceed {sys.float_info.max:g}, "
+                f"got a {count.bit_length()}-bit integer"
+            )
     predicted, _ = closed_form_weights(d.g, phi1, phi2, count)
     return AmplificationPlan(
         prepared=initial,

@@ -10,7 +10,8 @@ byte-identical reports apart from the timestamp field.
 Exit status: 0 on success, 2 on a malformed field (a ConfigError naming
 its JSON path), 1 only on a runtime failure, a result holding a NaN or an
 infinity among them; any nonzero exit writes a report containing an error
-record.  Reports are strict JSON.
+record.  Reports are strict JSON.  Run it as ``iqcontrol`` or as
+``python -m iqcontrol.cli``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
@@ -41,16 +42,28 @@ from .measurement import (
     sample_collapse,
 )
 
-MODES = (
-    "analyze",
-    "amplify",
-    "algo1",
-    "algo2",
-    "hydrogen-case1",
-    "hydrogen-case2",
-    "measure-stats",
+# every config field, in the order a RunConfig holds them; the report
+# echoes all but 'out', and each flag's dest is its field
+CONFIG_FIELDS = (
+    "mode", "system", "initial", "good", "subspace", "phases", "iterations", "seed",
+    "shots", "pre_rotation", "l_max", "tolerances", "repeat_until_success", "out",
 )
-SAMPLING_MODES = ("algo1", "algo2", "hydrogen-case1", "hydrogen-case2", "measure-stats")
+# each mode and the fields it cannot run without, in the order they are
+# checked; a mode that needs a seed samples, and 'amplify' also needs
+# 'good' or 'subspace'
+_MODE_FIELDS = {
+    "analyze": ("system",),
+    "amplify": ("system", "initial"),
+    "algo1": ("system", "initial", "good", "seed"),
+    "algo2": ("system", "initial", "subspace", "seed"),
+    "hydrogen-case1": ("seed",),
+    "hydrogen-case2": ("seed",),
+    "measure-stats": ("system", "initial", "seed"),
+}
+MODES = tuple(_MODE_FIELDS)
+# the preset modes' hydrogen runs, built once at import: frozen, with
+# read-only arrays, so every run and thread shares them
+_PRESETS = {preset.name: preset for preset in (case1_preset(), case2_preset())}
 INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
 _PLAIN_NUMBERS = {int, float}
@@ -66,46 +79,35 @@ __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run: JSON-shaped fields to hash and echo, then the library
-    objects that validation built from them, once."""
+    """Validated run: the JSON-shaped fields of CONFIG_FIELDS to hash and
+    echo, then the library objects that validation built from them, once.
+    ``validate_config`` builds it and supplies every default."""
 
     mode: str
-    system: Optional[dict] = None
-    initial: Optional[list] = None
-    good: Optional[int] = None
-    subspace: Optional[list[int]] = None
-    phases: tuple[float, float] = (math.pi, math.pi)
-    iterations: Union[int, str] = "auto"
-    seed: Optional[int] = None
-    shots: int = 1
-    pre_rotation: bool = False
-    l_max: int = DEFAULT_L_MAX
-    tolerances: dict = field(default_factory=dict)
-    repeat_until_success: bool = False
-    out: Optional[str] = None
-    spec: Optional[SystemSpec] = None
-    state: Optional[StateVector] = None
-    # the good set amplified by 'amplify', 'algo2' and 'measure-stats' runs
-    target: Optional[GoodSubspace] = None
-    controllability: ControllabilityConfig = field(default_factory=ControllabilityConfig)
+    system: Optional[dict]
+    initial: Optional[list]
+    good: Optional[int]
+    subspace: Optional[list[int]]
+    phases: tuple[float, float]
+    iterations: Union[int, str]
+    seed: Optional[int]
+    shots: int
+    pre_rotation: bool
+    l_max: int
+    tolerances: dict
+    repeat_until_success: bool
+    out: Optional[str]
+    spec: Optional[SystemSpec]
+    state: Optional[StateVector]
+    # the good set amplified: a preset's, or the one built from 'good' or 'subspace'
+    target: Optional[GoodSubspace]
+    controllability: ControllabilityConfig
 
     def echo(self) -> dict:
         """JSON-serializable echo of everything that defines the run."""
-        return {
-            "mode": self.mode,
-            "system": self.system,
-            "initial": self.initial,
-            "good": self.good,
-            "subspace": self.subspace,
-            "phases": list(self.phases),
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "shots": self.shots,
-            "pre_rotation": self.pre_rotation,
-            "l_max": self.l_max,
-            "tolerances": self.tolerances,
-            "repeat_until_success": self.repeat_until_success,
-        }
+        echo = {name: getattr(self, name) for name in CONFIG_FIELDS if name != "out"}
+        echo["phases"] = list(self.phases)
+        return echo
 
 
 def _fail(path: str, message: str):
@@ -210,11 +212,11 @@ def _system_spec(value) -> SystemSpec:
     )
 
 
-def _initial_state(value, spec: Optional[SystemSpec]) -> StateVector:
+def _initial_state(value, spec: SystemSpec) -> StateVector:
     """The state within INITIAL_NORM_TOL of unit norm, divided by its norm."""
     if not isinstance(value, list):
         _fail("initial", f"expected a list of amplitudes, got {value!r}")
-    if spec is not None and len(value) != spec.dim:
+    if len(value) != spec.dim:
         _fail("initial", f"expected {spec.dim} amplitudes to match the system, got {len(value)}")
     amps = np.array([_parse_complex(v, "initial", k) for k, v in enumerate(value)])
     norm = float(np.linalg.norm(amps))
@@ -227,13 +229,8 @@ def validate_config(raw: dict) -> RunConfig:
     """Validate a raw config dict, apply defaults, return a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    known = {
-        "mode", "system", "initial", "good", "subspace", "phases", "iterations",
-        "seed", "shots", "pre_rotation", "l_max", "tolerances",
-        "repeat_until_success", "out",
-    }
     for key in raw:
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             _fail(key, "unknown field")
     mode = raw.get("mode")
     if mode not in MODES:
@@ -268,6 +265,9 @@ def validate_config(raw: dict) -> RunConfig:
     iterations = raw.get("iterations", "auto")
     if iterations != "auto":
         iterations = _require_int(iterations, "iterations", minimum=0)
+        if iterations > _FLOAT_MAX:
+            _fail("iterations", f"must not exceed {_FLOAT_MAX:g}, got a "
+                  f"{iterations.bit_length()}-bit integer")
 
     seed = raw.get("seed")
     if seed is not None:
@@ -298,39 +298,35 @@ def validate_config(raw: dict) -> RunConfig:
     if out is not None and not isinstance(out, str):
         _fail("out", f"expected a path string, got {out!r}")
 
-    # mode-specific requirements
-    needs = {
-        "analyze": ("system",),
-        "amplify": ("system", "initial"),
-        "algo1": ("system", "initial", "good"),
-        "algo2": ("system", "initial", "subspace"),
-        "hydrogen-case1": (),
-        "hydrogen-case2": (),
-        "measure-stats": ("system", "initial"),
-    }[mode]
+    # the mode's requirements; a preset sets the system, the state and the target
     present = {"system": system, "initial": initial, "good": good, "subspace": subspace}
-    for name in needs:
-        if present[name] is None:
-            _fail(name, f"required for mode {mode!r}")
-    if mode in ("hydrogen-case1", "hydrogen-case2"):
+    preset = _PRESETS.get(mode)
+    if preset is not None:
         for name, value in present.items():
             if value is not None:
                 _fail(name, f"not accepted by preset mode {mode!r}; the preset sets it")
+    present["seed"] = seed
+    for name in _MODE_FIELDS[mode]:
+        if present[name] is None:
+            kind = "sampling mode" if name == "seed" else "mode"
+            _fail(name, f"required for {kind} {mode!r}")
     if mode == "amplify" and good is None and subspace is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
-    if mode in SAMPLING_MODES and seed is None:
-        _fail("seed", f"required for sampling mode {mode!r}")
 
     # the library objects, each built once, after the presence checks above
-    spec = None if system is None else _system_spec(system)
-    state = None if initial is None else _initial_state(initial, spec)
-    targets = {
-        name: _built(f"{name}: ", GoodSubspace.of, labels, spec.dim)
-        for name, labels in (("good", good), ("subspace", subspace))
-        if labels is not None and spec is not None
-    }
-    # 'algo2' amplifies its subspace; 'amplify' and 'measure-stats' take 'good' first
-    target = targets.get("subspace" if mode == "algo2" else "good", targets.get("subspace"))
+    if preset is not None:
+        spec, state, target = hydrogen_spec(), preset.initial, preset.good
+    else:
+        # every other mode requires a system
+        spec = _system_spec(system)
+        state = None if initial is None else _initial_state(initial, spec)
+        targets = {
+            name: _built(f"{name}: ", GoodSubspace.of, labels, spec.dim)
+            for name, labels in (("good", good), ("subspace", subspace))
+            if labels is not None
+        }
+        # 'algo2' amplifies its subspace; 'amplify' and 'measure-stats' take 'good' first
+        target = targets.get("subspace" if mode == "algo2" else "good", targets.get("subspace"))
     return RunConfig(
         mode=mode,
         system=system,
@@ -363,19 +359,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _execute_algorithm(config: RunConfig) -> dict:
-    if config.mode == "hydrogen-case1":
-        preset, system = case1_preset(), hydrogen_spec()
-        initial, algorithm = preset.initial, 1
-        good, subspace = min(preset.good.indices), None
-    elif config.mode == "hydrogen-case2":
-        preset, system = case2_preset(), hydrogen_spec()
-        initial, algorithm = preset.initial, 2
-        good, subspace = None, preset.good
-    else:
-        preset, system, initial = None, config.spec, config.state
-        algorithm = 1 if config.mode == "algo1" else 2
-        good, subspace = config.good, config.target
-
+    preset = _PRESETS.get(config.mode)
     phi1, phi2 = config.phases
     common = dict(
         phi1=phi1,
@@ -390,11 +374,11 @@ def _execute_algorithm(config: RunConfig) -> dict:
         common.update(shots=1, max_attempts=config.shots)
     else:
         common.update(shots=config.shots)
-    if algorithm == 1:
-        report = run_algorithm1(system, initial, good, **common)
+    if config.mode == "algo1" or (preset is not None and preset.algorithm == 1):
+        report = run_algorithm1(config.spec, config.state, min(config.target.indices), **common)
     else:
         report = run_algorithm2(
-            system, initial, subspace,
+            config.spec, config.state, config.target,
             controllability_config=config.controllability, **common,
         )
     result = report.to_dict()
@@ -431,23 +415,14 @@ def _execute_measure_stats(config: RunConfig) -> dict:
         result["histogram"] = counts
         result["frequencies"] = [c / config.shots for c in counts]
     else:
-        outcome = sample_collapse(state, partition, config.seed)
-        result["outcome"] = {
-            "block_index": outcome.block_index,
-            "block": list(outcome.block),
-            "probability": outcome.probability,
-            "collapsed": [[z.real, z.imag] for z in outcome.collapsed.amplitudes],
-        }
+        result["outcome"] = sample_collapse(state, partition, config.seed).to_dict()
     return result
 
 
 def execute(config: RunConfig) -> tuple[int, dict]:
     """Run a validated config; return (exit code 0 or 1, report dict)."""
-    report = {
-        "provenance": _provenance(config),
-        "config": config.echo(),
-        "mode": config.mode,
-    }
+    echo = config.echo()
+    report = {"provenance": _provenance(echo), "config": echo, "mode": config.mode}
     try:
         if config.mode == "analyze":
             result = assess(config.spec, config.controllability).to_dict()
@@ -464,11 +439,11 @@ def execute(config: RunConfig) -> tuple[int, dict]:
     return 0, report
 
 
-def _provenance(config: RunConfig) -> dict:
-    canonical = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
+def _provenance(echo: dict) -> dict:
+    canonical = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     return {
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": config.seed,
+        "seed": echo["seed"],
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -578,6 +553,8 @@ def _load_json_or_path(value: str, path_hint: str):
 
 
 def _assemble_raw_config(args) -> dict:
+    """The config file's fields with every given flag merged over them; the
+    flags that carry JSON, a path or a keyword are read in flag order."""
     raw: dict = {}
     if args.config:
         file = Path(args.config)
@@ -586,38 +563,20 @@ def _assemble_raw_config(args) -> dict:
         raw = _parse_json(file.read_text(), "config")
         if not isinstance(raw, dict):
             _fail("config", "expected a JSON object at the top level")
-    if args.mode is not None:
-        raw["mode"] = args.mode
-    if args.system is not None:
-        raw["system"] = args.system if args.system == "hydrogen" else _load_json_or_path(args.system, "system")
-    if args.initial is not None:
-        raw["initial"] = _load_json_or_path(args.initial, "initial")
-    if args.good is not None:
-        raw["good"] = args.good
-    if args.subspace is not None:
-        raw["subspace"] = _load_json_or_path(args.subspace, "subspace")
-    if args.phases is not None:
-        raw["phases"] = list(args.phases)
-    if args.iterations is not None:
-        if args.iterations == "auto":
-            raw["iterations"] = "auto"
-        else:
-            try:
-                raw["iterations"] = int(args.iterations)
-            except ValueError:
-                _fail("iterations", f"expected 'auto' or an integer, got {args.iterations!r}")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.shots is not None:
-        raw["shots"] = args.shots
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.pre_rotation is not None:
-        raw["pre_rotation"] = args.pre_rotation
-    if args.l_max is not None:
-        raw["l_max"] = args.l_max
-    if args.repeat_until_success is not None:
-        raw["repeat_until_success"] = args.repeat_until_success
+    flags = {
+        key: value for key, value in vars(args).items() if value is not None and key != "config"
+    }
+    if flags.get("system", "hydrogen") != "hydrogen":
+        flags["system"] = _load_json_or_path(flags["system"], "system")
+    for key in ("initial", "subspace"):
+        if key in flags:
+            flags[key] = _load_json_or_path(flags[key], key)
+    if flags.get("iterations", "auto") != "auto":
+        try:
+            flags["iterations"] = int(flags["iterations"])
+        except ValueError:
+            _fail("iterations", f"expected 'auto' or an integer, got {flags['iterations']!r}")
+    raw.update(flags)
     return raw
 
 
@@ -720,3 +679,7 @@ def main(argv=None) -> int:
         return _emit(2, report, args.out)
     code, report = execute(config)
     return _emit(code, report, config.out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

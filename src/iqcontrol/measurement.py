@@ -89,6 +89,15 @@ class MeasurementOutcome:
     probability: float
     collapsed: StateVector
 
+    def to_dict(self) -> dict:
+        """The outcome as JSON: amplitudes are [re, im] pairs."""
+        return {
+            "block_index": self.block_index,
+            "block": list(self.block),
+            "probability": self.probability,
+            "collapsed": [[z.real, z.imag] for z in self.collapsed.amplitudes],
+        }
+
 
 def born_probabilities(state: StateVector, partition: MeasurementPartition) -> np.ndarray:
     """Per-block probabilities: sum of |c_i|^2 over each block."""

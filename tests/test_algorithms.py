@@ -219,3 +219,22 @@ def test_one_partition_per_run(monkeypatch, kwargs):
         assert len(built) == 1
         if kwargs.get("max_attempts") == 300:
             assert report.attempts > 1 and report.success
+
+
+@pytest.mark.parametrize("run", [1, 2], ids=["algorithm1", "algorithm2"])
+def test_max_attempts_must_be_an_integer(run):
+    # unchecked, 2.5 ended in a numpy TypeError that named no argument and
+    # True ran as one attempt; a numpy integer is an integer
+    spec, p = hydrogen_spec(), (case1_preset() if run == 1 else case2_preset())
+    target = 5 if run == 1 else p.good
+    algorithm = run_algorithm1 if run == 1 else run_algorithm2
+
+    def attempts(max_attempts):
+        return algorithm(spec, p.initial, target, iterations=0, seed=3, max_attempts=max_attempts)
+
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match="^max_attempts must be an integer"):
+            attempts(bad)
+    report = attempts(np.int64(3))
+    assert report.to_dict() == attempts(3).to_dict()
+    assert type(report.attempts) is int

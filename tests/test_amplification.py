@@ -377,6 +377,13 @@ class TestMakePlan:
         )
         assert plan.iterations == 3
 
+    def test_iterations_beyond_float_range_named(self):
+        # the closed form takes L as a float: past the float range it ended
+        # in "OverflowError: int too large to convert to float"
+        state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
+        with pytest.raises(ValueError, match="^iterations must not exceed"):
+            make_plan(state, good, iterations=10**400)
+
     def test_prepared_state_matches_initial(self, rng):
         s = random_state(rng, 4)
         plan = make_plan(s, GoodSubspace.of(2, 4))

@@ -1,15 +1,22 @@
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import threading
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import iqcontrol
 import iqcontrol.algorithms
 import iqcontrol.cli
+import iqcontrol.hydrogen
 from iqcontrol import (
     ConfigError,
     GoodSubspace,
@@ -392,6 +399,11 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
         pytest.param(
             {"mode": "hydrogen-case2", "seed": 1, "subspace": [1, 2]},
             "subspace", id="preset-with-subspace",
+        ),
+        # past the float range the plan's closed form raised OverflowError (exit 1)
+        pytest.param(
+            {"mode": "hydrogen-case1", "seed": 1, "iterations": 10**400},
+            "iterations", id="iterations-beyond-float",
         ),
         # one bad entry among plain numbers: the bulk read falls back to
         # the per-entry parse, which names it
@@ -907,3 +919,66 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
         # the inputs reach both ends: caps run out, and hits come late
         assert any(not hit and n == limit > 1 for n, hit, limit in outcomes)
         assert any(hit and n > late for n, hit, _ in outcomes)
+
+
+def test_one_flag_per_config_field():
+    # every flag's dest is its config field, so the flags merge over the
+    # config file in one step; 'tolerances' has no flag, '--config' no field
+    dests = {action.dest for action in iqcontrol.cli._PARSER._actions} - {"help"}
+    assert dests == set(iqcontrol.cli.CONFIG_FIELDS) - {"tolerances"} | {"config"}
+    names = [f.name for f in fields(iqcontrol.cli.RunConfig)]
+    assert names[: len(iqcontrol.cli.CONFIG_FIELDS)] == list(iqcontrol.cli.CONFIG_FIELDS)
+
+
+def test_readme_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Flags \(long-form only\):(.*?)\. Flags override", readme, re.S)
+    listed = re.findall(r"`(--[a-z-]+)`", sentence.group(1))
+    options = [
+        option
+        for action in iqcontrol.cli._PARSER._actions
+        if action.dest != "help"
+        for option in action.option_strings
+    ]
+    assert sorted(listed) == sorted(options)
+
+
+def test_preset_runs_build_no_preset(tmp_path, monkeypatch):
+    # the presets are built once, at import; a run reads them from the table
+    def built(*args):
+        raise AssertionError("a run built a preset")
+
+    for module in (iqcontrol, iqcontrol.hydrogen, iqcontrol.cli):
+        for name in ("case1_preset", "case2_preset"):
+            monkeypatch.setattr(module, name, built, raising=False)
+    for payload in (
+        {"mode": "hydrogen-case1", "seed": 11},
+        {"mode": "hydrogen-case2", "seed": 7, "shots": 300},
+        {"mode": "hydrogen-case1", "seed": 3, "shots": 40, "repeat_until_success": True},
+    ):
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        assert report["result"]["preset_expectation"]["iterations"] in (5, 7)
+
+
+def test_python_dash_m_runs_main(tmp_path, capsys):
+    # 'python -m iqcontrol.cli' is the CLI itself, not a silent no-op
+    env = {**os.environ, "PYTHONPATH": str(Path(iqcontrol.__file__).resolve().parents[1])}
+    argv = ["--mode", "hydrogen-case1", "--seed", "1"]
+
+    def timeless(text):
+        report = json.loads(text)
+        report["provenance"].pop("generated_at")
+        return render_report(report)
+
+    run = subprocess.run([sys.executable, "-m", "iqcontrol.cli", *argv],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert timeless(run.stdout) == timeless(captured.out)
+    assert run.stderr == captured.err
+    bogus = subprocess.run([sys.executable, "-m", "iqcontrol.cli", "--mode", "bogus"],
+                           capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert bogus.returncode == 2
+    assert "invalid choice: 'bogus'" in bogus.stderr
