@@ -11,7 +11,7 @@ Basis labels are 1-based throughout the public API; internal units set
 hbar = 1.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .algorithms import RunReport, run_algorithm1, run_algorithm2
 from .amplification import (
@@ -47,7 +47,6 @@ from .core import (
     StateVector,
     SystemSpec,
     UnitaryOperator,
-    apply_operator,
     prepare_unitary,
     propagate,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "__version__",
     # core
     "StateVector", "SystemSpec", "UnitaryOperator", "ControlPulse",
-    "prepare_unitary", "propagate", "apply_operator",
+    "prepare_unitary", "propagate",
     # controllability
     "ConnectivityGraph", "ControllabilityConfig", "ControllabilityReport",
     "DegeneratePair", "IrrationalWitness", "SubspaceVerdict",

@@ -1,13 +1,15 @@
-"""End-to-end control runs: amplify, measure, optionally steer.
+"""End-to-end control runs: amplify, measure, then act on the collapsed state.
 
-Two entry points mirror the two target classes the package handles:
-``run_algorithm1`` amplifies toward a single target eigenstate and
-``run_algorithm2`` toward a controllable subspace.  Both build the
-preparation unitary from the initial state, apply the amplification
-operator the planned number of times, and measure against the binary
-good-vs-rest partition.  The final coherent transfer into an arbitrary
-target is outside the simulated scheme; a caller-supplied pulse hook
-propagates the collapsed state and records the reached fidelity instead.
+The paper's two algorithms are one pipeline, ``_run``: plan the
+amplification of the initial state toward a good index set and apply it
+in closed form, then measure against the binary good-vs-rest partition,
+as one shot, a histogram, or single shots repeated until one lands on
+the good block.  They differ in the target and in the last step.
+``run_algorithm1`` targets one eigenstate and may steer the collapsed
+state onward with a caller-supplied pulse, recording the reached
+fidelity; the coherent transfer into an arbitrary target is outside the
+simulated scheme.  ``run_algorithm2`` targets a subspace and attaches
+the controllability verdict of the matching connected component.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .amplification import (
     make_plan,
 )
 from .controllability import ControllabilityConfig, assess
-from .core import ControlPulse, StateVector, SystemSpec, propagate
+from .core import ControlPulse, StateVector, SystemSpec, _integer, propagate
 from .errors import DimensionMismatchError
 from .measurement import (
     MeasurementOutcome,
     MeasurementPartition,
     _first_shot_on,
-    _integer,
     measurement_histogram,
     sample_collapse,
 )
@@ -92,87 +93,72 @@ class RunReport:
 
 
 def _amplify(
-    initial: StateVector,
-    good: GoodSubspace,
-    phi1: float,
-    phi2: float,
-    iterations: Union[int, str],
-    pre_rotation: bool,
-    l_max: int,
+    initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
+    iterations: Union[int, str], pre_rotation: bool, l_max: int,
 ) -> tuple[StateVector, RunReport]:
     """Plan and amplify; the report carries no measurement yet."""
-    plan = make_plan(
-        initial,
-        good,
-        phi1=phi1,
-        phi2=phi2,
-        iterations=iterations,
-        l_max=l_max,
-        pre_rotation=pre_rotation,
-    )
+    plan = make_plan(initial, good, phi1, phi2, iterations, l_max, pre_rotation)
     amplified = amplified_state(plan)
     report = RunReport(
         plan=plan,
-        pre_amplification=np.abs(plan.prepared_state().amplitudes),
+        pre_amplification=np.abs(plan.prepared.amplitudes),
         post_amplification=np.abs(amplified.amplitudes),
         predicted_success=plan.predicted_success,
     )
     return amplified, report
 
 
-def _measure(
-    amplified: StateVector,
-    report: RunReport,
-    partition: MeasurementPartition,
-    seed: int,
-    shots: int,
-    measurement_shot: int,
+def _run(
+    spec: SystemSpec, initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
+    iterations: Union[int, str], seed: int, shots: int, pre_rotation: bool, l_max: int,
+    measurement_shot: int, max_attempts: Optional[int],
 ) -> RunReport:
-    """Measure against ``partition``, the plan's good-vs-rest partition built
-    once per run; add the measurement to the report."""
+    """The pipeline both algorithms share: amplify, then measure against
+    the good-vs-rest partition.
+
+    ``shots > 1`` gives the outcome histogram; otherwise one shot, number
+    ``measurement_shot``, collapses the state.  With ``max_attempts`` the
+    shots after it are drawn until one lands on the good block or
+    ``max_attempts`` shots are drawn in all.  The plan, the amplified
+    state and the partition are made once, so only the measurement
+    repeats, and the report (with ``attempts`` set) is the one that
+    re-running the whole pipeline per shot would give.
+    """
+    if initial.dim != spec.dim:
+        raise DimensionMismatchError(
+            f"initial state dimension {initial.dim} does not match system {spec.dim}"
+        )
+    if good.dim != spec.dim:
+        raise DimensionMismatchError(
+            f"subspace dimension {good.dim} does not match system {spec.dim}"
+        )
+    shots = _integer(shots, "shots")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if max_attempts is not None:
+        max_attempts = _integer(max_attempts, "max_attempts")
+        if shots != 1 or max_attempts < 1:
+            raise ValueError(
+                f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
+                f"max_attempts={max_attempts}"
+            )
+    amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+    partition = MeasurementPartition.binary(good)
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
-    measurement = sample_collapse(amplified, partition, seed, shot=measurement_shot)
     # block 0 is the good block
-    return replace(report, measurement=measurement, success=measurement.block_index == 0)
-
-
-def _check_attempts(shots: int, max_attempts: Optional[int]) -> Optional[int]:
-    """``max_attempts`` as a Python int, or None; a TypeError names a
-    non-integer and a ValueError a count the run cannot use."""
-    if max_attempts is None:
-        return None
-    max_attempts = _integer(max_attempts, "max_attempts")
-    if shots != 1 or max_attempts < 1:
-        raise ValueError(
-            f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
-            f"max_attempts={max_attempts}"
-        )
-    return max_attempts
-
-
-def _repeat_until_success(
-    amplified: StateVector,
-    report: RunReport,
-    partition: MeasurementPartition,
-    seed: int,
-    first_shot: int,
-    max_attempts: int,
-) -> RunReport:
-    """Re-measure on the shots after ``first_shot`` until one succeeds.
-
-    ``report`` holds the measurement of ``first_shot``; at most
-    ``max_attempts`` shots are drawn in all.  The plan and the amplified
-    state are reused, so only the measurement repeats.  The result is
-    the last attempt's report with ``attempts`` set, exactly what
-    re-running the whole algorithm per shot would give.
-    """
-    last = first_shot
-    if not report.success and max_attempts > 1:
-        last = _first_shot_on(amplified, partition, seed, 0, first_shot + 1, max_attempts - 1)
-        report = _measure(amplified, report, partition, seed, 1, last)
-    return replace(report, attempts=last - first_shot + 1)
+    measurement = sample_collapse(amplified, partition, seed, shot=measurement_shot)
+    attempts = None
+    if max_attempts is not None:
+        last = measurement_shot
+        if measurement.block_index != 0 and max_attempts > 1:
+            last = _first_shot_on(amplified, partition, seed, 0, last + 1, max_attempts - 1)
+            measurement = sample_collapse(amplified, partition, seed, shot=last)
+        attempts = last - measurement_shot + 1
+    return replace(
+        report, measurement=measurement, success=measurement.block_index == 0, attempts=attempts
+    )
 
 
 def run_algorithm1(
@@ -205,19 +191,10 @@ def run_algorithm1(
     it succeeds or ``max_attempts`` shots are drawn; the plan is made
     once and the report records the ``attempts``.
     """
-    if initial.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"initial state dimension {initial.dim} does not match system {spec.dim}"
-        )
-    max_attempts = _check_attempts(shots, max_attempts)
-    good = GoodSubspace.of(good_index, spec.dim)
-    amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-    partition = MeasurementPartition.binary(good)
-    report = _measure(amplified, report, partition, seed, shots, measurement_shot)
-    if max_attempts is not None:
-        report = _repeat_until_success(
-            amplified, report, partition, seed, measurement_shot, max_attempts
-        )
+    report = _run(
+        spec, initial, GoodSubspace.of(good_index, spec.dim), phi1, phi2, iterations,
+        seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
+    )
     if report.success and final_pulse is not None:
         final = propagate(spec, final_pulse, report.measurement.collapsed)
         fidelity = None
@@ -253,28 +230,15 @@ def run_algorithm2(
     ``max_attempts`` work as in ``run_algorithm1``; the controllability
     analysis, like the plan, runs once.
     """
-    if initial.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"initial state dimension {initial.dim} does not match system {spec.dim}"
-        )
-    if subspace.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"subspace dimension {subspace.dim} does not match system {spec.dim}"
-        )
-    max_attempts = _check_attempts(shots, max_attempts)
-    amplified, report = _amplify(
-        initial, subspace, phi1, phi2, iterations, pre_rotation, l_max
+    report = _run(
+        spec, initial, subspace, phi1, phi2, iterations,
+        seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
     )
-    partition = MeasurementPartition.binary(subspace)
-    report = _measure(amplified, report, partition, seed, shots, measurement_shot)
-
     analysis = assess(spec, controllability_config or ControllabilityConfig())
     target_set = tuple(sorted(subspace.indices))
-    note = None
-    for verdict in analysis.subspace_verdicts:
-        if verdict.component == target_set:
-            note = verdict.to_dict()
-            break
+    note = next(
+        (v.to_dict() for v in analysis.subspace_verdicts if v.component == target_set), None
+    )
     if note is None:
         warnings.warn(
             f"subspace {list(target_set)} is not a connected component of the "
@@ -286,9 +250,4 @@ def run_algorithm2(
             "verdict": None,
             "notes": ["not a connected component of the coupling graph"],
         }
-    # repeated after the analysis, so errors come in the order of whole runs per attempt
-    if max_attempts is not None:
-        report = _repeat_until_success(
-            amplified, report, partition, seed, measurement_shot, max_attempts
-        )
     return replace(report, controllability_note=note)

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .core import StateVector, UnitaryOperator, prepare_unitary
+from .core import StateVector, UnitaryOperator, _integer, prepare_unitary
 from .errors import DimensionMismatchError, ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
 MIN_GOOD_WEIGHT = 1e-15
 PRE_ROTATION_ANGLE = 0.1  # radians; mixes basis state 1 with the first good state
+MAX_ITERATIONS = 2**53  # the closed form takes L as a float, exact up to here
 
 __all__ = [
     "GoodSubspace",
@@ -235,6 +235,7 @@ def optimal_iterations(g: float, l_max: int = DEFAULT_L_MAX) -> int:
     verifies against both neighbors.  Ties within float noise resolve
     toward the smaller count.
     """
+    l_max = _integer(l_max, "l_max")
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     if not 0.0 < g <= 1.0:
@@ -279,10 +280,6 @@ class AmplificationPlan:
         built (with its O(N^3) unitarity check) on every access."""
         return prepare_unitary(self.prepared)
 
-    def prepared_state(self) -> StateVector:
-        """The state the plan amplifies."""
-        return self.prepared
-
 
 def _pre_rotated(state: StateVector, good: GoodSubspace) -> StateVector:
     """``state`` under a small real rotation mixing basis state 1 with the
@@ -319,7 +316,8 @@ def make_plan(
     ``pre_rotation`` first mixes a small amplitude from basis state 1
     into the good subspace, which fixes the common case where the weight
     sits on state 1.  ``iterations="auto"`` selects
-    :func:`optimal_iterations`.
+    :func:`optimal_iterations`; an explicit count is an integer (not a
+    bool) in 0..2**53, or a TypeError or ValueError names it.
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
@@ -342,13 +340,12 @@ def make_plan(
     if iterations == "auto":
         count = optimal_iterations(d.g, l_max)
     else:
-        count = int(iterations)
+        count = _integer(iterations, "iterations")
         if count < 0:
             raise ValueError(f"iterations must be nonnegative, got {count}")
-        if count > sys.float_info.max:  # the closed form takes L as a float
+        if count > MAX_ITERATIONS:
             raise ValueError(
-                f"iterations must not exceed {sys.float_info.max:g}, "
-                f"got a {count.bit_length()}-bit integer"
+                f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"
             )
     predicted, _ = closed_form_weights(d.g, phi1, phi2, count)
     return AmplificationPlan(
@@ -369,6 +366,6 @@ def amplified_state(plan: AmplificationPlan) -> StateVector:
     Scales the good and bad parts of the prepared state by the closed-form
     coefficients of Q^L: O(N) work, independent of L, and no N x N matrix.
     """
-    d = decompose(plan.prepared_state(), plan.good)
+    d = decompose(plan.prepared, plan.good)
     c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
     return StateVector(c_good * d.good_part + c_bad * d.bad_part)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import _amplify, run_algorithm1, run_algorithm2
-from .amplification import DEFAULT_L_MAX, GoodSubspace
+from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace
 from .controllability import ControllabilityConfig, assess
 from .core import StateVector, SystemSpec
 from .errors import ConfigError
@@ -265,8 +265,8 @@ def validate_config(raw: dict) -> RunConfig:
     iterations = raw.get("iterations", "auto")
     if iterations != "auto":
         iterations = _require_int(iterations, "iterations", minimum=0)
-        if iterations > _FLOAT_MAX:
-            _fail("iterations", f"must not exceed {_FLOAT_MAX:g}, got a "
+        if iterations > MAX_ITERATIONS:
+            _fail("iterations", f"must not exceed 2**53, got a "
                   f"{iterations.bit_length()}-bit integer")
 
     seed = raw.get("seed")

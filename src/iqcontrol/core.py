@@ -8,6 +8,7 @@ entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,6 @@ __all__ = [
     "ControlPulse",
     "prepare_unitary",
     "propagate",
-    "apply_operator",
 ]
 
 
@@ -45,6 +45,17 @@ def _as_complex_vector(values: Sequence) -> np.ndarray:
     arr = np.asarray(values, dtype=complex).reshape(-1)
     arr.setflags(write=False)
     return arr
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: any integer type, numpy's included, but no
+    bool and nothing that would be truncated; a TypeError names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +164,12 @@ class SystemSpec:
         if np.max(np.abs(commutator)) <= COMMUTATOR_TOL:
             warnings.warn(
                 "drift and coupling commute; the control problem is trivial",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
     def transition_frequency(self, i: int, j: int) -> float:
         """nu_ij = lambda_i - lambda_j for 1-based labels i, j."""
         return float(self.drift[i - 1] - self.drift[j - 1])
-
-    def hamiltonian(self, u: float) -> np.ndarray:
-        """Total Hamiltonian matrix A + u*B."""
-        return np.diag(self.drift).astype(complex) + u * self.coupling
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +191,6 @@ class UnitaryOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def adjoint(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T)
 
     @classmethod
     def identity(cls, dim: int) -> "UnitaryOperator":
@@ -213,15 +217,6 @@ class ControlPulse:
     @property
     def duration(self) -> float:
         return sum(d for d, _ in self.segments)
-
-    def amplitude(self, t: float) -> float:
-        """Control value at time t (last segment value beyond the end)."""
-        acc = 0.0
-        for d, u in self.segments:
-            acc += d
-            if t < acc:
-                return u
-        return self.segments[-1][1] if self.segments else 0.0
 
 
 def prepare_unitary(target: StateVector) -> UnitaryOperator:
@@ -319,12 +314,3 @@ def propagate(spec: SystemSpec, pulse: ControlPulse, initial: StateVector) -> St
     for levels, part in _evolve(spec, durations, amplitudes, c):
         out[levels] = part
     return StateVector(out)
-
-
-def apply_operator(op: UnitaryOperator, state: StateVector) -> StateVector:
-    """Matrix-vector product U c.  No renormalization: U preserves norm."""
-    if op.dim != state.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {op.dim} does not match state dimension {state.dim}"
-        )
-    return StateVector(op.matrix @ state.amplitudes)

@@ -15,13 +15,12 @@ replay shot by shot.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amplification import GoodSubspace
-from .core import StateVector
+from .core import StateVector, _integer
 from .errors import DimensionMismatchError, MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
@@ -112,17 +111,6 @@ def born_probabilities(state: StateVector, partition: MeasurementPartition) -> n
     )
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int: any integer type, numpy's included, but no
-    bool and nothing that would be truncated; a TypeError names ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     """Yield the uniforms of shots ``first .. first + count - 1`` in chunks.
 
@@ -132,6 +120,8 @@ def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     stops early draws little and a large count never holds every draw at
     once.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if first < 0:
         raise ValueError(f"shot index must be >= 0, got {first}")
     bitgen = np.random.Philox(int(seed))
@@ -182,7 +172,8 @@ def sample_collapse(
 
     Deterministic in (state, partition, seed, shot): the uniform is
     output ``shot`` of the seed's Philox stream.  ``seed`` and ``shot``
-    must be integers (not bools), or a TypeError names the argument.
+    must be nonnegative integers (not bools), or a TypeError or a
+    ValueError names the argument.
     """
     seed, shot = _integer(seed, "seed"), _integer(shot, "shot")
     probs = born_probabilities(state, partition)
@@ -208,7 +199,8 @@ def measurement_histogram(
     Shot k draws exactly what ``sample_collapse(..., shot=k)`` would, so
     histograms and single-shot runs agree outcome by outcome.  All shots
     are drawn, so every chunk holds ``_MAX_CHUNK`` draws but the last.
-    ``seed`` and ``shots`` must be integers (not bools), or a TypeError
+    ``seed`` and ``shots`` must be integers (not bools), ``seed``
+    nonnegative and ``shots`` positive, or a TypeError or a ValueError
     names the argument.
     """
     seed, shots = _integer(seed, "seed"), _integer(shots, "shots")

@@ -74,8 +74,9 @@ def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:
 def full_matrix_propagate(spec, pulse: ControlPulse, initial) -> np.ndarray:
     """Amplitudes after the pulse, one N x N eigendecomposition per segment."""
     c = initial.amplitudes
+    drift = np.diag(spec.drift).astype(complex)
     for dt, u in pulse.segments:
-        w, v = np.linalg.eigh(spec.hamiltonian(u))
+        w, v = np.linalg.eigh(drift + u * spec.coupling)
         c = (v * np.exp(-1j * w * dt)) @ v.conj().T @ c
     return c
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcontrol import (
     ControlPulse,
+    DimensionMismatchError,
     GoodSubspace,
     MeasurementPartition,
     StateVector,
@@ -238,3 +241,86 @@ def test_max_attempts_must_be_an_integer(run):
     report = attempts(np.int64(3))
     assert report.to_dict() == attempts(3).to_dict()
     assert type(report.attempts) is int
+
+
+@settings(max_examples=80)
+@given(
+    k=st.sampled_from([4, 5]),
+    initial=st.sampled_from([case1_preset().initial, case2_preset().initial]),
+    seed=st.integers(0, 2**64),
+    shots=st.sampled_from([1, 500]),
+    max_attempts=st.sampled_from([None, 1, 300]),
+    iterations=st.sampled_from(["auto", 0, 3]),
+    measurement_shot=st.integers(0, 10**6),
+)
+def test_algorithm1_is_algorithm2_on_a_singleton_component(k, initial, **kw):
+    # one pipeline: on a label whose singleton is a component of the
+    # coupling graph (hydrogen 4 or 5) both algorithms report the same run,
+    # or raise the same error, and algorithm 2 only adds its note
+    def outcome(algorithm, target):
+        try:
+            return algorithm(hydrogen_spec(), initial, target, **kw).to_dict()
+        except ValueError as exc:
+            return repr(exc)
+
+    first = outcome(run_algorithm1, k)
+    second = outcome(run_algorithm2, GoodSubspace.of(k, 5))
+    if isinstance(second, dict):
+        assert second.pop("controllability_note")["component"] == [k]
+    assert first == second
+
+
+BAD_ARGUMENTS = [
+    # id, kwargs, exception type, message prefix: one argument out of range each
+    ("initial-dim", {"initial": StateVector([0.6, 0.8, 0.0, 0.0])}, DimensionMismatchError,
+     "initial state dimension 4 does not match system 5"),
+    ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
+     "initial state has no weight on good indices"),
+    ("phi1", {"phi1": 4.0}, ValueError, "phi1 must lie in [0, pi]"),
+    ("shots-0", {"shots": 0}, ValueError, "shots must be >= 1, got 0"),
+    ("shots-negative", {"shots": -3}, ValueError, "shots must be >= 1, got -3"),
+    ("shots-bool", {"shots": True}, TypeError, "shots must be an integer"),
+    ("shots-float", {"shots": 2.5}, TypeError, "shots must be an integer"),
+    ("seed-negative", {"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+    ("seed-negative-histogram", {"seed": -1, "shots": 500}, ValueError,
+     "seed must be >= 0, got -1"),
+    ("seed-float", {"seed": 1.5}, TypeError, "seed must be an integer"),
+    ("l_max-float", {"l_max": 6.5}, TypeError, "l_max must be an integer"),
+    ("iterations-float", {"iterations": 2.5}, TypeError, "iterations must be an integer"),
+    ("iterations-negative", {"iterations": -1}, ValueError, "iterations must be nonnegative"),
+    ("iterations-2**53+1", {"iterations": 2**53 + 1}, ValueError,
+     "iterations must not exceed 2**53"),
+    ("max_attempts-0", {"max_attempts": 0}, ValueError,
+     "max_attempts needs shots == 1 and a count >= 1"),
+    ("max_attempts-histogram", {"max_attempts": 3, "shots": 500}, ValueError,
+     "max_attempts needs shots == 1"),
+    ("max_attempts-float", {"max_attempts": 2.5}, TypeError, "max_attempts must be an integer"),
+    ("measurement_shot-negative", {"measurement_shot": -1}, ValueError,
+     "shot index must be >= 0"),
+    ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
+]
+
+
+@pytest.mark.parametrize("run", [1, 2], ids=["algorithm1", "algorithm2"])
+@pytest.mark.parametrize(
+    "kwargs, error, prefix", [row[1:] for row in BAD_ARGUMENTS], ids=[row[0] for row in BAD_ARGUMENTS]
+)
+def test_invalid_argument_raises_named_error(run, kwargs, error, prefix):
+    p = case1_preset() if run == 1 else case2_preset()
+    kwargs = {"spec": hydrogen_spec(), "initial": p.initial, "seed": 3, **kwargs}
+    if run == 1:
+        call = lambda: run_algorithm1(good_index=5, **kwargs)
+    else:
+        call = lambda: run_algorithm2(subspace=p.good, **kwargs)
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(prefix), str(info.value)
+
+
+def test_invalid_target_raises_named_error():
+    spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
+    with pytest.raises(ValueError, match=r"^good indices \[9\] outside 1\.\.5"):
+        run_algorithm1(spec, p1.initial, 9, seed=3)
+    with pytest.raises(DimensionMismatchError, match="^subspace dimension 4 does not match system 5"):
+        run_algorithm2(spec, p2.initial, GoodSubspace.of([1, 2, 3], 4), seed=3)

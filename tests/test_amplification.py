@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ class TestOptimalIterations:
         assert optimal_iterations(0.01, l_max=3) == 3
         assert optimal_iterations(0.01, l_max=0) == 0
 
+    def test_l_max_must_be_an_integer(self):
+        # True read as 1, 2.5 clamped the count to 2.5
+        for bad in (True, 2.5):
+            with pytest.raises(TypeError, match="^l_max must be an integer"):
+                optimal_iterations(0.01, bad)
+        assert optimal_iterations(0.01, np.int64(3)) == 3
+
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
             optimal_iterations(0.0)
@@ -384,10 +392,38 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="^iterations must not exceed"):
             make_plan(state, good, iterations=10**400)
 
+    @pytest.mark.parametrize(
+        "kwargs, error, prefix",
+        [
+            # int() read 2.5 as 2 and True as 1
+            ({"iterations": 2.5}, TypeError, "iterations must be an integer"),
+            ({"iterations": True}, TypeError, "iterations must be an integer"),
+            # past 2**53 the float L is inexact; near the float range's top
+            # L * alpha overflowed and the plan predicted nan
+            ({"iterations": 2**53 + 1}, ValueError, "iterations must not exceed"),
+            ({"iterations": 10**308}, ValueError, "iterations must not exceed"),
+            # l_max=2.5 planned 2.5 iterations
+            ({"l_max": 2.5}, TypeError, "l_max must be an integer"),
+        ],
+        ids=["iterations-float", "iterations-bool", "iterations-2**53+1",
+             "iterations-1e308", "l_max-float"],
+    )
+    def test_counts_are_integers_in_range(self, kwargs, error, prefix):
+        state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
+        with pytest.raises(error, match="^" + re.escape(prefix)):
+            make_plan(state, good, **kwargs)
+
+    def test_iterations_up_to_2_53_plan_finite(self):
+        state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
+        plan = make_plan(state, good, iterations=np.int64(2**53))
+        assert plan.iterations == 2**53 and type(plan.iterations) is int
+        assert 0.0 <= plan.predicted_success <= 1.0
+        assert np.isfinite(amplified_state(plan).amplitudes).all()
+
     def test_prepared_state_matches_initial(self, rng):
         s = random_state(rng, 4)
         plan = make_plan(s, GoodSubspace.of(2, 4))
-        assert np.max(np.abs(plan.prepared_state().amplitudes - s.amplitudes)) < 1e-10
+        assert np.max(np.abs(plan.prepared.amplitudes - s.amplitudes)) < 1e-10
 
     def test_plan_builds_no_matrix(self, rng, monkeypatch):
         # the prepared state is the initial state itself; the preparation
@@ -399,7 +435,7 @@ class TestMakePlan:
         s = random_state(rng, 64)
         plan = make_plan(s, GoodSubspace.of([5, 9], 64))
         amplified_state(plan)
-        assert plan.prepared_state() is s
+        assert plan.prepared is s
         assert built == []
         assert plan.preparation.dim == 64
         assert built == [(64, 64)]
@@ -480,7 +516,7 @@ class TestPreRotation:
             plan = make_plan(s, good, pre_rotation=True)
             expected = pre_rotation_operator(good).matrix @ s.amplitudes
             assert plan.pre_rotated
-            assert np.max(np.abs(plan.prepared_state().amplitudes - expected)) < 1e-15
+            assert np.max(np.abs(plan.prepared.amplitudes - expected)) < 1e-15
             assert plan.initial_good_weight == pytest.approx(
                 math.sin(0.1) ** 2 * abs(s.amplitudes[0]) ** 2, rel=1e-12
             )

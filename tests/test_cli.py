@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -405,6 +406,16 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
             {"mode": "hydrogen-case1", "seed": 1, "iterations": 10**400},
             "iterations", id="iterations-beyond-float",
         ),
+        # past 2**53 the float L is inexact, and near the float range's top
+        # the plan was nan (exit 1, "state amplitudes must be finite")
+        pytest.param(
+            {"mode": "hydrogen-case1", "seed": 1, "iterations": 2**53 + 1},
+            "iterations", id="iterations-beyond-2**53",
+        ),
+        pytest.param(
+            {"mode": "hydrogen-case1", "seed": 1, "iterations": 10**308},
+            "iterations", id="iterations-1e308",
+        ),
         # one bad entry among plain numbers: the bulk read falls back to
         # the per-entry parse, which names it
         pytest.param(
@@ -620,10 +631,16 @@ def fuzz_dir(tmp_path_factory):
 @given(case=mutated_configs())
 def test_config_boundary_fuzz(fuzz_dir, case):
     # every example ends in an exit status and a strict-JSON report, exit 2
-    # exactly for a ConfigError, and a mutated field is named by its path
+    # exactly for a ConfigError, and a mutated field is named by its path;
+    # the only warnings are the two documented ones
     payload, path = case
     out = fuzz_dir / "report.json"
-    code = main(["--config", write_config(fuzz_dir, payload), "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--config", write_config(fuzz_dir, payload), "--out", str(out)])
+    for w in caught:
+        assert w.category is UserWarning, w
+        assert re.search("commute|not a connected component", str(w.message)), w
     report = _strict_json(out.read_text())
     error = report.get("error")
     assert code in (0, 1, 2)
