@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class GoodSubspace:
     dim: int
 
     def __post_init__(self):
-        idx = frozenset(int(i) for i in self.indices)
+        idx = frozenset(_integer(i, "good index") for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("good subspace must be nonempty")
@@ -64,7 +65,9 @@ class GoodSubspace:
 
     @classmethod
     def of(cls, indices: Union[int, Iterable[int]], dim: int) -> "GoodSubspace":
-        if isinstance(indices, int):
+        """The subspace of one label or of an iterable of labels; every
+        label is an integer (no bool), or a TypeError names it."""
+        if not isinstance(indices, Iterable):
             indices = [indices]
         return cls(frozenset(indices), dim)
 
@@ -115,6 +118,14 @@ def _split(good_part: np.ndarray, bad_part: np.ndarray) -> Decomposition:
         b=b,
         theta=math.asin(math.sqrt(g)),
     )
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a nonnegative int, or a TypeError or ValueError naming ``name``."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def _check_phase(name: str, value: float) -> float:
@@ -235,9 +246,7 @@ def optimal_iterations(g: float, l_max: int = DEFAULT_L_MAX) -> int:
     verifies against both neighbors.  Ties within float noise resolve
     toward the smaller count.
     """
-    l_max = _integer(l_max, "l_max")
-    if l_max < 0:
-        raise ValueError(f"l_max must be nonnegative, got {l_max}")
+    l_max = _count(l_max, "l_max")
     if not 0.0 < g <= 1.0:
         raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
     theta = math.asin(math.sqrt(g))
@@ -317,10 +326,12 @@ def make_plan(
     into the good subspace, which fixes the common case where the weight
     sits on state 1.  ``iterations="auto"`` selects
     :func:`optimal_iterations`; an explicit count is an integer (not a
-    bool) in 0..2**53, or a TypeError or ValueError names it.
+    bool) in 0..2**53, or a TypeError or ValueError names it.  ``l_max``
+    is a nonnegative integer whichever ``iterations`` is given.
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
+    l_max = _count(l_max, "l_max")
     pre_rotated = False
     d = decompose(initial, good)
     if d.g < MIN_GOOD_WEIGHT and pre_rotation:
@@ -340,9 +351,7 @@ def make_plan(
     if iterations == "auto":
         count = optimal_iterations(d.g, l_max)
     else:
-        count = _integer(iterations, "iterations")
-        if count < 0:
-            raise ValueError(f"iterations must be nonnegative, got {count}")
+        count = _count(iterations, "iterations")
         if count > MAX_ITERATIONS:
             raise ValueError(
                 f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"

@@ -20,9 +20,11 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -69,6 +71,13 @@ _FLOAT_MAX = sys.float_info.max
 _PLAIN_NUMBERS = {int, float}
 # json's own string escaper, as json.dumps applies it with ensure_ascii
 _quoted = json.encoder.encode_basestring_ascii
+# the tokens of compact JSON that re-indenting tells apart: an empty
+# container or an opening bracket; a closing bracket; a run of scalars,
+# commas, colons and strings that hold no escape and none of ',:[]{}'; any
+# other string, kept verbatim
+_COMPACT_TOKEN = re.compile(
+    r'(\[\]|\{\}|[\[{])|([\]}])|((?:[^"\[\]{}]+|"[^"\\,:\[\]{}]*")+)|("[^"\\]*(?:\\.[^"\\]*)*")'
+)
 
 __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
@@ -108,6 +117,12 @@ class RunConfig:
         echo = {name: getattr(self, name) for name in CONFIG_FIELDS if name != "out"}
         echo["phases"] = list(self.phases)
         return echo
+
+    @cached_property
+    def canonical(self) -> str:
+        """The echo as sorted, compact strict JSON, encoded once: the text
+        the provenance hashes and the report's config block re-indents."""
+        return json.dumps(self.echo(), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _fail(path: str, message: str):
@@ -186,6 +201,10 @@ def _built(prefix: str, build, *args, **kwargs):
 def _system_spec(value) -> SystemSpec:
     if not isinstance(value, dict):
         _fail("system", f"expected a system object or preset name, got {value!r}")
+    allowed = ("preset", "energy_gap") if "preset" in value else ("dim", "drift", "coupling")
+    for key in value:
+        if key not in allowed:
+            _fail(f"system.{key}", "unknown field")
     if "preset" in value:
         if value["preset"] != "hydrogen":
             _fail("system.preset", f"unknown preset {value['preset']!r}")
@@ -421,8 +440,7 @@ def _execute_measure_stats(config: RunConfig) -> dict:
 
 def execute(config: RunConfig) -> tuple[int, dict]:
     """Run a validated config; return (exit code 0 or 1, report dict)."""
-    echo = config.echo()
-    report = {"provenance": _provenance(echo), "config": echo, "mode": config.mode}
+    report = {"provenance": _provenance(config), "config": config.echo(), "mode": config.mode}
     try:
         if config.mode == "analyze":
             result = assess(config.spec, config.controllability).to_dict()
@@ -439,11 +457,10 @@ def execute(config: RunConfig) -> tuple[int, dict]:
     return 0, report
 
 
-def _provenance(echo: dict) -> dict:
-    canonical = json.dumps(echo, sort_keys=True, separators=(",", ":"))
+def _provenance(config: RunConfig) -> dict:
     return {
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": echo["seed"],
+        "config_sha256": hashlib.sha256(config.canonical.encode()).hexdigest(),
+        "seed": config.seed,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -638,25 +655,62 @@ def _render(value, pad: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
-def render_report(report: dict) -> str:
+def _reindent(text: str, pad: str) -> str:
+    """Compact JSON ``text`` (``separators=(",", ":")``) as ``json.dumps``
+    writes the same value with ``indent=2`` at indentation ``pad``.
+
+    The depth changes only at brackets, so Python handles one match per
+    bracket and per string holding an escape or a separator; the runs of
+    numbers between them are spaced out by ``str.replace``.
+    """
+    depth = 0
+
+    def token(match):
+        nonlocal depth
+        opening, closing, run, string = match.groups()
+        if opening:
+            if len(opening) == 2:  # [] or {}
+                return opening
+            depth += 1
+            return opening + "\n" + pad + "  " * depth
+        if closing:
+            depth -= 1
+            return "\n" + pad + "  " * depth + closing
+        if run:
+            return run.replace(",", ",\n" + pad + "  " * depth).replace(":", ": ")
+        return string
+
+    return _COMPACT_TOKEN.sub(token, text)
+
+
+def render_report(report: dict, *, config_text: Optional[str] = None) -> str:
     """The report as sorted, 2-space-indented strict JSON plus a newline.
 
-    Raises ValueError on a NaN or an infinity, which strict JSON cannot
-    hold."""
-    return _render(report, "") + "\n"
+    ``config_text``, the config's canonical text (``RunConfig.canonical``),
+    is written re-indented as the ``config`` block in place of rendering
+    ``report["config"]`` again.  Raises ValueError on a NaN or an
+    infinity, which strict JSON cannot hold."""
+    if config_text is None:
+        return _render(report, "") + "\n"
+    items = (
+        _quoted(key) + ": "
+        + (_reindent(config_text, "  ") if key == "config" else _render(report[key], "  "))
+        for key in sorted(report)
+    )
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
-def _emit(code: int, report: dict, out: Optional[str]) -> int:
+def _emit(code: int, report: dict, out: Optional[str], config_text: Optional[str] = None) -> int:
     """Write the report and its summary; return the exit status.
 
     A report that strict JSON cannot hold is replaced by an error record
     and exits 1, so a NaN never reaches the output."""
     try:
-        text = render_report(report)
+        text = render_report(report, config_text=config_text)
     except ValueError as exc:
         report = {key: value for key, value in report.items() if key != "result"}
         report["error"] = {"type": type(exc).__name__, "message": f"result: {exc}"}
-        code, text = 1, render_report(report)
+        code, text = 1, render_report(report, config_text=config_text)
     if out:
         Path(out).write_text(text)
         print(summarize(report))
@@ -678,7 +732,7 @@ def main(argv=None) -> int:
         }
         return _emit(2, report, args.out)
     code, report = execute(config)
-    return _emit(code, report, config.out)
+    return _emit(code, report, config.out, config.canonical)
 
 
 if __name__ == "__main__":

@@ -286,6 +286,9 @@ BAD_ARGUMENTS = [
      "seed must be >= 0, got -1"),
     ("seed-float", {"seed": 1.5}, TypeError, "seed must be an integer"),
     ("l_max-float", {"l_max": 6.5}, TypeError, "l_max must be an integer"),
+    # l_max is checked whether or not an explicit count makes it unused
+    ("l_max-negative-explicit-iterations", {"iterations": 3, "l_max": -1}, ValueError,
+     "l_max must be nonnegative, got -1"),
     ("iterations-float", {"iterations": 2.5}, TypeError, "iterations must be an integer"),
     ("iterations-negative", {"iterations": -1}, ValueError, "iterations must be nonnegative"),
     ("iterations-2**53+1", {"iterations": 2**53 + 1}, ValueError,
@@ -298,6 +301,10 @@ BAD_ARGUMENTS = [
     ("measurement_shot-negative", {"measurement_shot": -1}, ValueError,
      "shot index must be >= 0"),
     ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
+    # 'labels' is good_index for algorithm 1 and the subspace's labels for algorithm 2
+    ("label-float", {"labels": 5.0}, TypeError, "good index must be an integer, got 5.0"),
+    ("label-bool", {"labels": True}, TypeError, "good index must be an integer, got True"),
+    ("labels-float", {"labels": [2.7]}, TypeError, "good index must be an integer, got 2.7"),
 ]
 
 
@@ -308,10 +315,13 @@ BAD_ARGUMENTS = [
 def test_invalid_argument_raises_named_error(run, kwargs, error, prefix):
     p = case1_preset() if run == 1 else case2_preset()
     kwargs = {"spec": hydrogen_spec(), "initial": p.initial, "seed": 3, **kwargs}
+    labels = kwargs.pop("labels", None)
     if run == 1:
-        call = lambda: run_algorithm1(good_index=5, **kwargs)
+        call = lambda: run_algorithm1(good_index=5 if labels is None else labels, **kwargs)
     else:
-        call = lambda: run_algorithm2(subspace=p.good, **kwargs)
+        call = lambda: run_algorithm2(
+            subspace=p.good if labels is None else GoodSubspace.of(labels, 5), **kwargs
+        )
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import iqcontrol
@@ -29,7 +29,15 @@ from iqcontrol import (
     run_algorithm1,
     run_algorithm2,
 )
-from iqcontrol.cli import execute, main, parse_config, render_report, summarize, validate_config
+from iqcontrol.cli import (
+    _reindent,
+    execute,
+    main,
+    parse_config,
+    render_report,
+    summarize,
+    validate_config,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -426,6 +434,31 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
             {"mode": "analyze", "system": {**CHAIN, "coupling": [[0, 1, 0], [1, 0, "1.5"], [0, 1.5, 0]]}},
             "system.coupling[1][2]", id="coupling-string",
         ),
+        # a system object holds its own fields only: a non-finite value under
+        # another key reached the echo and ended in a traceback (exit 1), and
+        # a misspelt key was ignored
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "x": NAN}}, "system.x", id="system-extra-nan",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "x": INF}}, "system.x", id="system-extra-inf",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {"preset": "hydrogen", "x": NAN}},
+            "system.x", id="preset-extra-nan",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "typo_dim": 3}},
+            "system.typo_dim", id="system-misspelt",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {**CHAIN, "energy_gap": 2.0}},
+            "system.energy_gap", id="system-preset-field",
+        ),
+        pytest.param(
+            {"mode": "analyze", "system": {"preset": "hydrogen", "dim": 5}},
+            "system.dim", id="preset-system-field",
+        ),
     ],
 )
 def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
@@ -654,8 +687,10 @@ def test_config_boundary_fuzz(fuzz_dir, case):
 
 # leaves at the edges of json's spelling: bools and None, ints past 2^63,
 # signed zero, the smallest subnormal, huge and inexact floats, numpy
-# float64 (a float subclass), and strings json must escape
+# float64 (a float subclass), strings json must escape, and strings that
+# hold compact JSON's separators and brackets
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+SEPARATOR_TEXT = st.text(alphabet=st.sampled_from('",:[]{}\\\nxé\u2028'))
 FINITE_LEAVES = (
     st.none()
     | st.booleans()
@@ -665,6 +700,7 @@ FINITE_LEAVES = (
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
     | st.text(alphabet=st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'))
+    | SEPARATOR_TEXT
 )
 NUMBER_LISTS = st.lists(
     st.integers() | st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
@@ -673,7 +709,7 @@ NUMBER_LISTS = st.lists(
 
 
 def json_trees(leaves):
-    keys = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\x01é'))
+    keys = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\x01é')) | SEPARATOR_TEXT
     return st.recursive(
         leaves | NUMBER_LISTS,
         lambda children: st.lists(children, max_size=4)
@@ -687,6 +723,19 @@ def json_trees(leaves):
 @given(tree=json_trees(FINITE_LEAVES))
 def test_render_report_equals_json_dumps(tree):
     assert render_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+# the explicit example holds separators inside plain strings, which none of
+# the derandomized profile's 100 draws does
+@settings(max_examples=100)
+@given(tree=json_trees(FINITE_LEAVES))
+@example(tree={"a,b": ["c:d", "[x]", "{}", "", [], {}], ":": {"{": "é\u2028", "]": 'q"\\,'}})
+def test_reindent_equals_json_dumps(tree):
+    # the report's config block is the canonical compact text re-indented
+    compact = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    expected = json.dumps(tree, sort_keys=True, indent=2)
+    assert _reindent(compact, "") == expected
+    assert "  " + _reindent(compact, "  ") == "  " + expected.replace("\n", "\n  ")
 
 
 @settings(max_examples=60)
@@ -759,6 +808,37 @@ class TestReportContract:
         assert set(prov) == {"config_sha256", "seed", "version", "generated_at"}
         assert prov["seed"] == 9
         assert len(prov["config_sha256"]) == 64
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            pytest.param(
+                {"mode": "hydrogen-case1", "seed": 9},
+                "90ff5963a6c04c0152e4295e10daa47dc9b87702c05c324aa15acd9cd4eb6e92", id="preset",
+            ),
+            pytest.param(
+                {"mode": "amplify", "initial": [0.6, [0, 0.8], 0], "subspace": [1, 2],
+                 "system": {"dim": 3, "drift": [0, 1.5, 3.25],
+                            "coupling": [[0, [0.5, 0.25], 0], [[0.5, -0.25], 0, 1], [0, 1, 0]]},
+                 "phases": [3.0, 1.25], "iterations": 2,
+                 "tolerances": {"ratio_tol": 1e-8, "max_denominator": 500}},
+                "b74ea7d7f0037d82f8c561bb32a1c56f9cfd231082d073db04083a43cd805610", id="inline",
+            ),
+            pytest.param(
+                {"mode": "algo1", "initial": [0.125] * 64, "good": 64, "seed": 5,
+                 "system": {"dim": 64, "drift": [0.5 * k * k for k in range(64)],
+                            "coupling": [[1.0 if abs(i - j) == 1 else 0 for j in range(64)]
+                                         for i in range(64)]}},
+                "16200d853c82c46d6b3b39e36e2756dc6a537e9a71bf2a474832cd35d4941456", id="chain-64",
+            ),
+        ],
+    )
+    def test_config_hash_pinned(self, tmp_path, payload, digest):
+        # digests computed at version 0.6.0: a drift in the canonical echo
+        # bytes, which identical configs must keep, shows here
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        assert report["provenance"]["config_sha256"] == digest
 
     def test_flags_override_config(self, tmp_path):
         payload = {"mode": "hydrogen-case1", "seed": 1, "shots": 1}
