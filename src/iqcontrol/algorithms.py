@@ -117,9 +117,10 @@ def _run(
     the good-vs-rest partition.
 
     ``shots > 1`` gives the outcome histogram; otherwise one shot, number
-    ``measurement_shot``, collapses the state.  With ``max_attempts`` the
-    shots after it are drawn until one lands on the good block or
-    ``max_attempts`` shots are drawn in all.  The plan, the amplified
+    ``measurement_shot``, collapses the state.  With ``max_attempts`` one
+    search over the shots from ``measurement_shot`` on finds the first
+    that lands on the good block, or stops after ``max_attempts`` shots,
+    and that shot collapses the state.  The plan, the amplified
     state and the partition are made once, so only the measurement
     repeats, and the report (with ``attempts`` set) is the one that
     re-running the whole pipeline per shot would give.
@@ -132,6 +133,8 @@ def _run(
         raise DimensionMismatchError(
             f"subspace dimension {good.dim} does not match system {spec.dim}"
         )
+    # read before any draw: the repeated search takes them without a check
+    seed, measurement_shot = _integer(seed, "seed"), _integer(measurement_shot, "shot")
     shots = _integer(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -147,15 +150,13 @@ def _run(
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
-    # block 0 is the good block
-    measurement = sample_collapse(amplified, partition, seed, shot=measurement_shot)
-    attempts = None
+    # block 0 is the good block; a repeated run collapses once, at the first
+    # shot that lands on it or at its last shot
+    shot, attempts = measurement_shot, None
     if max_attempts is not None:
-        last = measurement_shot
-        if measurement.block_index != 0 and max_attempts > 1:
-            last = _first_shot_on(amplified, partition, seed, 0, last + 1, max_attempts - 1)
-            measurement = sample_collapse(amplified, partition, seed, shot=last)
-        attempts = last - measurement_shot + 1
+        shot = _first_shot_on(amplified, partition, seed, 0, measurement_shot, max_attempts)
+        attempts = shot - measurement_shot + 1
+    measurement = sample_collapse(amplified, partition, seed, shot=shot)
     return replace(
         report, measurement=measurement, success=measurement.block_index == 0, attempts=attempts
     )

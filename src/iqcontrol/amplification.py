@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Union
 
@@ -65,10 +65,14 @@ class GoodSubspace:
 
     @classmethod
     def of(cls, indices: Union[int, Iterable[int]], dim: int) -> "GoodSubspace":
-        """The subspace of one label or of an iterable of labels; every
-        label is an integer (no bool), or a TypeError names it."""
-        if not isinstance(indices, Iterable):
-            indices = [indices]
+        """The subspace of one label (a 0-d integer array among them) or of
+        an iterable of labels that is not a mapping; every label is an
+        integer (no bool), or a TypeError names it."""
+        if isinstance(indices, Mapping):
+            raise TypeError(f"good index must be an integer or an iterable of them, "
+                            f"not a mapping, got {indices!r}")
+        if not isinstance(indices, Iterable) or getattr(indices, "ndim", None) == 0:
+            indices = [_integer(indices, "good index")]
         return cls(frozenset(indices), dim)
 
     def mask(self) -> np.ndarray:

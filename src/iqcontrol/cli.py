@@ -8,10 +8,12 @@ hash, the seed, and the library version, so identical configs produce
 byte-identical reports apart from the timestamp field.
 
 Exit status: 0 on success, 2 on a malformed field (a ConfigError naming
-its JSON path), 1 only on a runtime failure, a result holding a NaN or an
-infinity among them; any nonzero exit writes a report containing an error
-record.  Reports are strict JSON.  Run it as ``iqcontrol`` or as
-``python -m iqcontrol.cli``.
+its JSON path, 'out' among them when the report cannot be written there
+and goes to stdout instead), 1 only on a runtime failure, a result
+holding a NaN or an infinity among them.  Any nonzero exit writes a
+report containing an error record, except an argparse usage error, which
+raises SystemExit(2) before any config is read.  Reports are strict JSON.
+Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 """
 
 from __future__ import annotations
@@ -71,13 +73,28 @@ _FLOAT_MAX = sys.float_info.max
 _PLAIN_NUMBERS = {int, float}
 # json's own string escaper, as json.dumps applies it with ensure_ascii
 _quoted = json.encoder.encode_basestring_ascii
-# the tokens of compact JSON that re-indenting tells apart: an empty
-# container or an opening bracket; a closing bracket; a run of scalars,
-# commas, colons and strings that hold no escape and none of ',:[]{}'; any
-# other string, kept verbatim
+# the one encoder of the report and of the config's canonical text:
+# sorted, compact, strict JSON, written in C
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# the tokens of compact JSON that re-indenting tells apart: the inside of
+# a nonempty list of scalars (no string, no container); a run of scalars,
+# commas, colons, empty containers and strings that hold no escape and none
+# of ',:[]{}'; an opening bracket; a closing bracket; any other string
 _COMPACT_TOKEN = re.compile(
-    r'(\[\]|\{\}|[\[{])|([\]}])|((?:[^"\[\]{}]+|"[^"\\,:\[\]{}]*")+)|("[^"\\]*(?:\\.[^"\\]*)*")'
+    r'\[([^"\[\]{}]+)\]|((?:[^"\[\]{}]+|"[^"\\,:\[\]{}]*"|\[\]|\{\})+)'
+    r'|([\[{])|([\]}])|("[^"\\]*(?:\\.[^"\\]*)*")'
 )
+
+
+class _Newlines(dict):
+    # a line break indented to each depth, made on first use; threads that
+    # race on a new depth store equal strings
+    def __missing__(self, depth: int) -> str:
+        self[depth] = line = "\n" + "  " * depth
+        return line
+
+
+_NEWLINES = _Newlines()
 
 __all__ = ["RunConfig", "parse_config", "execute", "summarize", "main"]
 
@@ -121,8 +138,8 @@ class RunConfig:
     @cached_property
     def canonical(self) -> str:
         """The echo as sorted, compact strict JSON, encoded once: the text
-        the provenance hashes and the report's config block re-indents."""
-        return json.dumps(self.echo(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+        the provenance hashes and the report splices in as its config block."""
+        return _encode(self.echo())
 
 
 def _fail(path: str, message: str):
@@ -438,6 +455,13 @@ def _execute_measure_stats(config: RunConfig) -> dict:
     return result
 
 
+def _with_error(report: dict, error: Exception) -> dict:
+    """The report with a record of ``error`` in place of any result."""
+    report = {key: value for key, value in report.items() if key != "result"}
+    report["error"] = {"type": type(error).__name__, "message": str(error)}
+    return report
+
+
 def execute(config: RunConfig) -> tuple[int, dict]:
     """Run a validated config; return (exit code 0 or 1, report dict)."""
     report = {"provenance": _provenance(config), "config": config.echo(), "mode": config.mode}
@@ -451,8 +475,7 @@ def execute(config: RunConfig) -> tuple[int, dict]:
         else:
             result = _execute_algorithm(config)
     except Exception as exc:  # propagate module errors into the report
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return 1, report
+        return 1, _with_error(report, exc)
     report["result"] = result
     return 0, report
 
@@ -597,122 +620,66 @@ def _assemble_raw_config(args) -> dict:
     return raw
 
 
-def _number_reprs(items):
-    """``items`` spelled as json spells them, when each is a plain int or a
-    finite float (numpy's float64 is a float); None otherwise."""
-    kinds = set(map(type, items))
-    if kinds <= _PLAIN_NUMBERS:
-        spell = repr
-    elif all(issubclass(kind, float) for kind in kinds):
-        spell = float.__repr__
-    else:
-        return None
-    try:
-        # a NaN or an infinity makes the sum non-finite; so does an overflowing
-        # sum of finite items, which then take the per-item path
-        if not math.isfinite(sum(items)):
-            return None
-    except OverflowError:  # an int beyond the float range
-        return None
-    return map(spell, items)
-
-
-def _render(value, pad: str) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
-    allow_nan=False)`` writes it at indentation ``pad``.
-
-    Python's json falls back to its pure-Python encoder when indenting;
-    this renderer writes the same bytes but spells each list of numbers
-    with one ``map`` in C.  Whatever it does not handle itself goes
-    through ``json.dumps``.
-    """
-    kind = type(value)
-    if kind is int:
-        return repr(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is str:
-        return _quoted(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = _number_reprs(value)
-        if items is None:
-            items = (_render(item, inner) for item in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = (_quoted(key) + ": " + _render(value[key], inner) for key in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # other keys and types; raises on NaN and infinities
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
-
-
-def _reindent(text: str, pad: str) -> str:
+def _reindent(text: str) -> str:
     """Compact JSON ``text`` (``separators=(",", ":")``) as ``json.dumps``
-    writes the same value with ``indent=2`` at indentation ``pad``.
-
-    The depth changes only at brackets, so Python handles one match per
-    bracket and per string holding an escape or a separator; the runs of
-    numbers between them are spaced out by ``str.replace``.
-    """
+    writes the same value with ``indent=2``: one token per bracket, per
+    list of scalars and per string holding an escape or a separator, the
+    runs between them spaced out by ``str.replace``."""
+    out = []
     depth = 0
-
-    def token(match):
-        nonlocal depth
-        opening, closing, run, string = match.groups()
-        if opening:
-            if len(opening) == 2:  # [] or {}
-                return opening
+    for scalars, run, opening, closing, string in _COMPACT_TOKEN.findall(text):
+        if scalars:
+            inner = _NEWLINES[depth + 1]
+            out.append("[" + inner + scalars.replace(",", "," + inner) + _NEWLINES[depth] + "]")
+        elif run:
+            out.append(run.replace(",", "," + _NEWLINES[depth]).replace(":", ": "))
+        elif opening:
             depth += 1
-            return opening + "\n" + pad + "  " * depth
-        if closing:
+            out.append(opening + _NEWLINES[depth])
+        elif closing:
             depth -= 1
-            return "\n" + pad + "  " * depth + closing
-        if run:
-            return run.replace(",", ",\n" + pad + "  " * depth).replace(":", ": ")
-        return string
-
-    return _COMPACT_TOKEN.sub(token, text)
+            out.append(_NEWLINES[depth] + closing)
+        else:
+            out.append(string)
+    return "".join(out)
 
 
 def render_report(report: dict, *, config_text: Optional[str] = None) -> str:
-    """The report as sorted, 2-space-indented strict JSON plus a newline.
-
-    ``config_text``, the config's canonical text (``RunConfig.canonical``),
-    is written re-indented as the ``config`` block in place of rendering
-    ``report["config"]`` again.  Raises ValueError on a NaN or an
-    infinity, which strict JSON cannot hold."""
+    """The report as sorted, 2-space-indented strict JSON plus a newline:
+    encoded once in C, with ``config_text`` (``RunConfig.canonical``)
+    spliced in as the ``config`` block when given, then re-indented.
+    Raises ValueError on a NaN or an infinity, as strict JSON does."""
     if config_text is None:
-        return _render(report, "") + "\n"
-    items = (
-        _quoted(key) + ": "
-        + (_reindent(config_text, "  ") if key == "config" else _render(report[key], "  "))
-        for key in sorted(report)
-    )
-    return "{\n  " + ",\n  ".join(items) + "\n}\n"
+        text = _encode(report)
+    else:
+        text = "{" + ",".join(
+            _quoted(key) + ":" + (config_text if key == "config" else _encode(report[key]))
+            for key in sorted(report)
+        ) + "}"
+    return _reindent(text) + "\n"
 
 
 def _emit(code: int, report: dict, out: Optional[str], config_text: Optional[str] = None) -> int:
     """Write the report and its summary; return the exit status.
 
     A report that strict JSON cannot hold is replaced by an error record
-    and exits 1, so a NaN never reaches the output."""
+    and exits 1, so a NaN never reaches the output.  When ``out`` cannot
+    be written the report goes to stdout instead and the run exits 2; a
+    report without an error then carries one naming 'out'."""
     try:
         text = render_report(report, config_text=config_text)
     except ValueError as exc:
-        report = {key: value for key, value in report.items() if key != "result"}
-        report["error"] = {"type": type(exc).__name__, "message": f"result: {exc}"}
+        report = _with_error(report, ValueError(f"result: {exc}"))
         code, text = 1, render_report(report, config_text=config_text)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            if "error" not in report:
+                report = _with_error(report, ConfigError(f"out: {exc}"))
+                text = render_report(report, config_text=config_text)
+            code, out = 2, None
+    if out:
         print(summarize(report))
     else:
         sys.stdout.write(text)
@@ -725,12 +692,8 @@ def main(argv=None) -> int:
     try:
         config = validate_config(_assemble_raw_config(args))
     except ConfigError as exc:
-        report = {
-            "provenance": {"version": __version__},
-            "mode": None,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        return _emit(2, report, args.out)
+        report = {"provenance": {"version": __version__}, "mode": None}
+        return _emit(2, _with_error(report, exc), args.out)
     code, report = execute(config)
     return _emit(code, report, config.out, config.canonical)
 

@@ -301,10 +301,19 @@ BAD_ARGUMENTS = [
     ("measurement_shot-negative", {"measurement_shot": -1}, ValueError,
      "shot index must be >= 0"),
     ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
+    # the repeated search draws before any collapse, so it reads both first
+    ("measurement_shot-bool-repeat", {"measurement_shot": True, "max_attempts": 3}, TypeError,
+     "shot must be an integer, got True"),
+    ("seed-string-repeat", {"seed": "1", "max_attempts": 3}, TypeError,
+     "seed must be an integer, got '1'"),
     # 'labels' is good_index for algorithm 1 and the subspace's labels for algorithm 2
     ("label-float", {"labels": 5.0}, TypeError, "good index must be an integer, got 5.0"),
     ("label-bool", {"labels": True}, TypeError, "good index must be an integer, got True"),
     ("labels-float", {"labels": [2.7]}, TypeError, "good index must be an integer, got 2.7"),
+    ("label-0d-float", {"labels": np.array(2.5)}, TypeError,
+     "good index must be an integer, got array(2.5)"),
+    ("labels-mapping", {"labels": {3: 1}}, TypeError,
+     "good index must be an integer or an iterable of them, not a mapping"),
 ]
 
 

@@ -90,6 +90,10 @@ class TestGoodSubspace:
         with pytest.raises(ValueError):
             GoodSubspace.of(4, 3)
 
+    def test_zero_dim_integer_array_is_one_label(self):
+        assert GoodSubspace.of(np.array(3), 5) == GoodSubspace.of(3, 5)
+        assert GoodSubspace.of(np.array([1, 3]), 5) == GoodSubspace.of([1, 3], 5)
+
 
 class TestPhaseOracles:
     def test_zero_phase_is_identity(self):

@@ -725,17 +725,21 @@ def test_render_report_equals_json_dumps(tree):
     assert render_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
-# the explicit example holds separators inside plain strings, which none of
-# the derandomized profile's 100 draws does
+# the explicit examples hold separators inside plain strings, and lists of
+# scalars (one token each) at depths 0-3 next to nested and empty lists,
+# which the derandomized profile's 100 draws rarely do
 @settings(max_examples=100)
 @given(tree=json_trees(FINITE_LEAVES))
 @example(tree={"a,b": ["c:d", "[x]", "{}", "", [], {}], ":": {"{": "é\u2028", "]": 'q"\\,'}})
+@example(tree=[True, None, -0.0, 1e308])
+@example(tree={"a": [[1]], "b": [[], [1, 2.5], []], "c": [7]})
+@example(tree=[[[True, None, -0.0, 1e308], [[1]]], [[], [-1, 2**64]]])
+@example(tree={"x": [{"y": [[0.5, -0.0], [], [5e-324]], "z": [{}, [1]]}]})
 def test_reindent_equals_json_dumps(tree):
     # the report's config block is the canonical compact text re-indented
     compact = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     expected = json.dumps(tree, sort_keys=True, indent=2)
-    assert _reindent(compact, "") == expected
-    assert "  " + _reindent(compact, "  ") == "  " + expected.replace("\n", "\n  ")
+    assert _reindent(compact) == expected
 
 
 @settings(max_examples=60)
@@ -774,6 +778,32 @@ def test_non_finite_result_becomes_error_record(tmp_path, monkeypatch, capsys, t
     assert report["config"]["mode"] == "analyze"
     summary = captured.out if to_file else captured.err
     assert summary.strip() == summarize(report).strip()
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+@pytest.mark.parametrize("payload, kept", [
+    ({"mode": "hydrogen-case1", "seed": 3}, None),
+    ({"mode": "analyze"}, "system: required for mode 'analyze'"),
+], ids=["run", "config-error"])
+def test_unwritable_out_sends_report_to_stdout(tmp_path, capsys, target, payload, kept):
+    # the report is not lost: it goes to stdout with the summary on stderr,
+    # the run exits 2, and a report without an error gets one naming 'out'
+    out = tmp_path / "missing" / "r.json" if target == "missing-parent" else tmp_path
+    code = main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+    captured = capsys.readouterr()
+    report = _strict_json(captured.out)
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert captured.err.strip() == summarize(report).strip()
+    assert "result" not in report
+    error = report["error"]
+    if kept is None:
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("out: [Errno "), error
+        assert str(out) in error["message"]
+        assert report["config"]["mode"] == payload["mode"]
+    else:
+        assert error["message"] == kept
 
 
 class TestReportContract:
