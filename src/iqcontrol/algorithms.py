@@ -31,13 +31,7 @@ from .amplification import (
 from .controllability import ControllabilityConfig, assess
 from .core import ControlPulse, StateVector, SystemSpec, _integer, propagate
 from .errors import DimensionMismatchError
-from .measurement import (
-    MeasurementOutcome,
-    MeasurementPartition,
-    _first_shot_on,
-    measurement_histogram,
-    sample_collapse,
-)
+from .measurement import MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
 
@@ -116,14 +110,14 @@ def _run(
     """The pipeline both algorithms share: amplify, then measure against
     the good-vs-rest partition.
 
-    ``shots > 1`` gives the outcome histogram; otherwise one shot, number
-    ``measurement_shot``, collapses the state.  With ``max_attempts`` one
-    search over the shots from ``measurement_shot`` on finds the first
-    that lands on the good block, or stops after ``max_attempts`` shots,
-    and that shot collapses the state.  The plan, the amplified
-    state and the partition are made once, so only the measurement
-    repeats, and the report (with ``attempts`` set) is the one that
-    re-running the whole pipeline per shot would give.
+    ``shots > 1`` gives the outcome histogram; otherwise one pass of the
+    single-shot sampler draws shot ``measurement_shot`` (with
+    ``max_attempts``, the shots from it on until one lands on the good
+    block or ``max_attempts`` are drawn) and collapses the state on the
+    last shot drawn.  The plan, the amplified state and the partition
+    are made once, so only the measurement repeats, and the report (with
+    ``attempts`` set to the shots drawn) is the one that re-running the
+    whole pipeline per shot would give.
     """
     if initial.dim != spec.dim:
         raise DimensionMismatchError(
@@ -133,7 +127,8 @@ def _run(
         raise DimensionMismatchError(
             f"subspace dimension {good.dim} does not match system {spec.dim}"
         )
-    # read before any draw: the repeated search takes them without a check
+    # read up front: a histogram leaves measurement_shot unused but still
+    # rejects a non-integer, and the sampler does not check their type
     seed, measurement_shot = _integer(seed, "seed"), _integer(measurement_shot, "shot")
     shots = _integer(shots, "shots")
     if shots < 1:
@@ -150,15 +145,11 @@ def _run(
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
-    # block 0 is the good block; a repeated run collapses once, at the first
-    # shot that lands on it or at its last shot
-    shot, attempts = measurement_shot, None
-    if max_attempts is not None:
-        shot = _first_shot_on(amplified, partition, seed, 0, measurement_shot, max_attempts)
-        attempts = shot - measurement_shot + 1
-    measurement = sample_collapse(amplified, partition, seed, shot=shot)
+    # block 0 is the good block: a repeated run stops at the first shot on it
+    measurement, drawn = _sample(amplified, partition, seed, measurement_shot, max_attempts or 1, 0)
     return replace(
-        report, measurement=measurement, success=measurement.block_index == 0, attempts=attempts
+        report, measurement=measurement, success=measurement.block_index == 0,
+        attempts=None if max_attempts is None else drawn,
     )
 
 
@@ -187,10 +178,11 @@ def run_algorithm1(
     ``shots > 1`` the run reports the outcome histogram instead.
     ``measurement_shot`` picks the shot index of the single measurement,
     which lets a caller re-run the probabilistic part under one seed.
-    With ``max_attempts`` (single-shot runs only) the measurement repeats
-    on shots ``measurement_shot``, ``measurement_shot + 1``, ... until
-    it succeeds or ``max_attempts`` shots are drawn; the plan is made
-    once and the report records the ``attempts``.
+    With ``max_attempts`` (single-shot runs only) one pass of the
+    sampler draws shots ``measurement_shot``, ``measurement_shot + 1``,
+    ... until one succeeds or ``max_attempts`` are drawn, and collapses
+    on the last; the plan is made once and the report records the
+    ``attempts``.
     """
     report = _run(
         spec, initial, GoodSubspace.of(good_index, spec.dim), phi1, phi2, iterations,

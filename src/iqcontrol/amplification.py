@@ -54,6 +54,7 @@ class GoodSubspace:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         idx = frozenset(_integer(i, "good index") for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if not idx:

@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import SystemSpec
+from .core import SystemSpec, _integer
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -157,6 +157,9 @@ class ControllabilityConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
+        object.__setattr__(
+            self, "max_denominator", _integer(self.max_denominator, "max_denominator")
+        )
         if not self.max_denominator >= 1:
             raise ValueError(f"max_denominator: must be >= 1, got {self.max_denominator!r}")
 

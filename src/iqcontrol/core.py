@@ -119,6 +119,7 @@ class SystemSpec:
     exact_drift: Optional[tuple[Fraction, ...]] = field(default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 2:
             raise DimensionMismatchError(f"dim: must be >= 2, got {self.dim}")
         drift = np.asarray(self.drift, dtype=float).reshape(-1)
@@ -166,10 +167,6 @@ class SystemSpec:
                 "drift and coupling commute; the control problem is trivial",
                 stacklevel=3,  # past the dataclass __init__, to the caller
             )
-
-    def transition_frequency(self, i: int, j: int) -> float:
-        """nu_ij = lambda_i - lambda_j for 1-based labels i, j."""
-        return float(self.drift[i - 1] - self.drift[j - 1])
 
 
 @dataclass(frozen=True, eq=False)

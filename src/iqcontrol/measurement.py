@@ -6,16 +6,21 @@ shots under one seed share one counter-based stream: numpy's ``Philox``
 keyed by the seed (through ``SeedSequence``, so any nonnegative integer
 seed works), whose k-th ``random()`` output is the uniform of shot k
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-Philox yields four 64-bit outputs per counter value, so a single shot k
-is replayed by advancing the counter by k // 4 and taking lane k % 4,
-and a histogram draws its uniforms in bulk.  Runs are reproducible,
-shots are order-independent, and a histogram agrees with single-shot
-replay shot by shot.
+Philox yields four 64-bit outputs per counter value, so the stream is
+entered at shot k by advancing the counter by k // 4 and skipping k % 4
+lanes.  One sampler serves every single-shot draw: it enters the stream
+once and reads shots from k on until one lands on a stop block or a
+count runs out, guarding only those shots, and collapses the last one;
+``sample_collapse`` is that sampler with a count of 1.  A histogram
+draws its uniforms in bulk.  Runs are reproducible, shots are
+order-independent, and a histogram agrees with single-shot replay shot
+by shot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,12 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementPartition:
-    """Disjoint nonempty blocks of basis labels covering 1..N exactly."""
+    """Disjoint nonempty blocks of basis labels covering 1..N exactly;
+    every label is an integer (no bool), or a TypeError names it."""
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(
+            tuple(sorted(_integer(i, "partition label") for i in b)) for b in self.blocks
+        )
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise ValueError("partition blocks must be nonempty")
@@ -135,19 +143,20 @@ def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
         size = min(2 * size, _MAX_CHUNK)
 
 
-def _blocks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Unguarded index of the block whose cumulative interval contains each u."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
-
-
-def _select_block(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _select_block(probs: np.ndarray, u: np.ndarray, stop: Optional[int] = None) -> np.ndarray:
     """Index of the block whose cumulative interval contains each u.
 
-    Zero-width intervals are unselectable; if float edge effects land a
-    draw on one anyway, that is the numerically impossible branch and it
-    raises, naming the first such draw.
+    With ``stop`` the draws end at the first one on block ``stop``, and
+    only those are returned.  Zero-width intervals are unselectable; if
+    float edge effects land a returned draw on one anyway, that is the
+    numerically impossible branch and it raises, naming the first such
+    draw.  Draws past the stop are never checked.
     """
-    idx = _blocks(probs, u)
+    idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
+    if stop is not None:
+        hits = np.flatnonzero(idx == stop)
+        if hits.size:
+            idx = idx[: hits[0] + 1]
     impossible = probs[idx] < IMPOSSIBLE_BLOCK_TOL
     if np.any(impossible):
         bad = int(np.ravel(idx)[np.argmax(impossible)])
@@ -157,9 +166,39 @@ def _select_block(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _collapse(state: StateVector, mask: np.ndarray, probability: float) -> StateVector:
-    projected = np.where(mask, state.amplitudes, 0.0)
-    return StateVector(projected / np.sqrt(probability))
+def _sample(
+    state: StateVector,
+    partition: MeasurementPartition,
+    seed: int,
+    first: int,
+    count: int,
+    stop: int,
+) -> tuple[MeasurementOutcome, int]:
+    """Draw shots ``first``, ``first + 1``, ... until one lands on block
+    ``stop`` or ``count`` are drawn, and collapse the state on the last.
+
+    Returns that shot's outcome and the number of shots drawn.  Every
+    drawn shot passes the impossible-branch guard, as in a loop of
+    single shots that stops at the hit; later draws are never checked.
+    The caller has read ``seed`` and ``first`` as integers; ``count >= 1``.
+    """
+    probs = born_probabilities(state, partition)
+    drawn = 0
+    for u in _shot_uniforms(seed, first, count):
+        idx = _select_block(probs, u, stop)
+        drawn += idx.size
+        if idx[-1] == stop:
+            break
+    block = int(idx[-1])
+    p = float(probs[block])
+    collapsed = np.where(partition._block_of_label == block, state.amplitudes, 0.0) / np.sqrt(p)
+    outcome = MeasurementOutcome(
+        block_index=block,
+        block=partition.blocks[block],
+        probability=p,
+        collapsed=StateVector(collapsed),
+    )
+    return outcome, drawn
 
 
 def sample_collapse(
@@ -176,16 +215,7 @@ def sample_collapse(
     ValueError names the argument.
     """
     seed, shot = _integer(seed, "seed"), _integer(shot, "shot")
-    probs = born_probabilities(state, partition)
-    (u,) = _shot_uniforms(seed, shot, 1)
-    idx = int(_select_block(probs, u)[0])
-    p = float(probs[idx])
-    return MeasurementOutcome(
-        block_index=idx,
-        block=partition.blocks[idx],
-        probability=p,
-        collapsed=_collapse(state, partition._block_of_label == idx, p),
-    )
+    return _sample(state, partition, seed, shot, 1, 0)[0]
 
 
 def measurement_histogram(
@@ -211,28 +241,3 @@ def measurement_histogram(
     for u in _shot_uniforms(seed, 0, shots, _MAX_CHUNK):
         counts += np.bincount(_select_block(probs, u), minlength=probs.size)
     return counts.tolist()
-
-
-def _first_shot_on(
-    state: StateVector,
-    partition: MeasurementPartition,
-    seed: int,
-    block_index: int,
-    first: int,
-    count: int,
-) -> int:
-    """First shot in ``first .. first + count - 1`` landing on ``block_index``.
-
-    Returns the last of those shots when none lands there.  Every shot up
-    to the returned one passes the impossible-branch guard, as it would
-    in a loop of ``sample_collapse`` calls; later draws are never checked.
-    """
-    probs = born_probabilities(state, partition)
-    for u in _shot_uniforms(seed, first, count):
-        hits = np.flatnonzero(_blocks(probs, u) == block_index)
-        drawn = int(hits[0]) + 1 if hits.size else u.size
-        _select_block(probs, u[:drawn])
-        first += drawn
-        if hits.size:
-            break
-    return first - 1

@@ -71,6 +71,11 @@ def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:
     return UnitaryOperator(mat)
 
 
+def transition_frequency(spec, i: int, j: int) -> float:
+    """nu_ij = lambda_i - lambda_j for 1-based labels i, j."""
+    return float(spec.drift[i - 1] - spec.drift[j - 1])
+
+
 def full_matrix_propagate(spec, pulse: ControlPulse, initial) -> np.ndarray:
     """Amplitudes after the pulse, one N x N eigendecomposition per segment."""
     c = initial.amplitudes

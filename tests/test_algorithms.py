@@ -24,6 +24,7 @@ from iqcontrol import (
     run_algorithm2,
     success_probability,
 )
+from iqcontrol import measurement
 from iqcontrol.amplification import amplification_operator
 from conftest import random_state
 
@@ -224,6 +225,28 @@ def test_one_partition_per_run(monkeypatch, kwargs):
             assert report.attempts > 1 and report.success
 
 
+def test_repeat_run_draws_from_one_stream(monkeypatch):
+    # a repeat run enters the shot stream and computes the Born
+    # probabilities once: the search and the collapse are one pass
+    calls = {"_shot_uniforms": 0, "born_probabilities": 0}
+
+    def counted(name):
+        original = getattr(measurement, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    p = case1_preset()
+    report = run_algorithm1(hydrogen_spec(), p.initial, 5, iterations=0, seed=3, max_attempts=40)
+    assert report.attempts > 1
+    assert calls == {"_shot_uniforms": 1, "born_probabilities": 1}
+
+
 @pytest.mark.parametrize("run", [1, 2], ids=["algorithm1", "algorithm2"])
 def test_max_attempts_must_be_an_integer(run):
     # unchecked, 2.5 ended in a numpy TypeError that named no argument and
@@ -301,7 +324,7 @@ BAD_ARGUMENTS = [
     ("measurement_shot-negative", {"measurement_shot": -1}, ValueError,
      "shot index must be >= 0"),
     ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
-    # the repeated search draws before any collapse, so it reads both first
+    # the sampler takes seed and shot unchecked, so a repeat run reads both first
     ("measurement_shot-bool-repeat", {"measurement_shot": True, "max_attempts": 3}, TypeError,
      "shot must be an integer, got True"),
     ("seed-string-repeat", {"seed": "1", "max_attempts": 3}, TypeError,

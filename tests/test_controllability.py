@@ -23,6 +23,7 @@ from iqcontrol import (
     hydrogen_spec,
 )
 from iqcontrol.controllability import DEFAULT_DEGENERACY_TOL
+from oracles import transition_frequency
 
 
 def spec_from_edges(drift, edges, dim=None):
@@ -137,7 +138,7 @@ def pairwise_degenerate_transitions(spec, vertex_set, tol=1e-9, edge_threshold=1
     def nu(p):
         if exact:
             return spec.exact_drift[p[0] - 1] - spec.exact_drift[p[1] - 1]
-        return spec.transition_frequency(*p)
+        return transition_frequency(spec, *p)
 
     def matches(x, y):
         return x == y if exact else abs(x - y) <= tol
@@ -167,13 +168,13 @@ def pairwise_rational_ratios(spec, vertex_set, max_denominator=10**4, tol=1e-9):
     pairs = [(i, j) for a, i in enumerate(vs) for j in vs[a + 1:]]
     out = []
     for num_pair in pairs:
-        nu_num = spec.transition_frequency(*num_pair)
+        nu_num = transition_frequency(spec, *num_pair)
         if abs(nu_num) <= tol:
             continue
         for den_pair in pairs:
             if den_pair == num_pair:
                 continue
-            nu_den = spec.transition_frequency(*den_pair)
+            nu_den = transition_frequency(spec, *den_pair)
             if abs(nu_den) <= tol:
                 continue
             ratio = nu_num / nu_den

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from iqcontrol import (
+    ControllabilityConfig,
     ControlPulse,
     DimensionMismatchError,
+    GoodSubspace,
     HermiticityError,
     NonFiniteError,
     NormalizationError,
@@ -15,7 +19,7 @@ from iqcontrol import (
     propagate,
 )
 from conftest import random_hermitian, random_spec, random_state
-from oracles import full_matrix_propagate
+from oracles import full_matrix_propagate, transition_frequency
 
 
 class TestStateVector:
@@ -89,8 +93,29 @@ class TestSystemSpec:
 
     def test_transition_frequency(self):
         spec = SystemSpec(dim=3, drift=[0.0, 1.0, 3.0], coupling=_sigma_x_block(3))
-        assert spec.transition_frequency(1, 2) == -1.0
-        assert spec.transition_frequency(3, 1) == 3.0
+        assert transition_frequency(spec, 1, 2) == -1.0
+        assert transition_frequency(spec, 3, 1) == 3.0
+
+
+INTEGER_FIELDS = [
+    # id, constructor from the field's value, field name, a valid value
+    ("spec-dim", lambda v: SystemSpec(dim=v, drift=[0, 1], coupling=_sigma_x_block(2)), "dim", 2),
+    ("good-dim", lambda v: GoodSubspace.of(1, v), "dim", 5),
+    ("max_denominator", lambda v: ControllabilityConfig(max_denominator=v), "max_denominator", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "build, name, valid", [row[1:] for row in INTEGER_FIELDS], ids=[row[0] for row in INTEGER_FIELDS]
+)
+def test_integer_fields_are_read_as_integers(build, name, valid):
+    # unchecked, a float dim failed later in numpy naming no field, and a
+    # float or bool max_denominator was used as given
+    for bad in (float(valid), np.float64(valid), True):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}"):
+            build(bad)
+    value = getattr(build(np.int64(valid)), name)
+    assert value == valid and type(value) is int
 
 
 def _sigma_x_block(dim):

@@ -13,7 +13,7 @@ from iqcontrol import (
     measurement_histogram,
     sample_collapse,
 )
-from iqcontrol.measurement import _first_shot_on, _select_block
+from iqcontrol.measurement import _sample, _select_block
 from conftest import random_state
 
 
@@ -39,6 +39,17 @@ class TestPartition:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             MeasurementPartition(((1, 2), ()))
+
+    @pytest.mark.parametrize("label", [1.5, True])
+    def test_rejects_non_integer_labels(self, label):
+        # int() truncated 1.5 to label 1 and took True as 1
+        with pytest.raises(TypeError, match=f"^partition label must be an integer, got {label!r}"):
+            MeasurementPartition(((label,), (2,)))
+
+    def test_numpy_integer_labels_accepted(self):
+        p = MeasurementPartition(((np.int64(2),), (np.uint8(1), 3)))
+        assert p.blocks == ((2,), (1, 3))
+        assert all(type(i) is int for b in p.blocks for i in b)
 
     def test_binary_helper(self):
         p = MeasurementPartition.binary(GoodSubspace.of([1, 3], 5))
@@ -273,14 +284,15 @@ class TestReplay:
             )
 
         uniforms(0.5, 1.0)
-        assert _first_shot_on(state, p, 0, 0, 3, 2) == 3
+        outcome, drawn = _sample(state, p, 0, 3, 2, 0)
+        assert (outcome.block_index, drawn) == (0, 1)
         uniforms(1.0, 0.5)
         with pytest.raises(MeasurementGuardError, match="sampled block 1"):
-            _first_shot_on(state, p, 0, 0, 3, 2)
+            _sample(state, p, 0, 3, 2, 0)
 
     def test_first_shot_on_matches_single_shots(self):
         # block 0 has probability 0.01: the first hit is usually past the
-        # first chunk of 64 draws
+        # first chunk of 64 draws; the repeat collapses on the shot it stops at
         state = StateVector([0.1, np.sqrt(0.99)])
         p = MeasurementPartition.per_index(2)
         for seed in range(20):
@@ -288,7 +300,21 @@ class TestReplay:
                 shots = range(first, first + count)
                 hits = [k for k in shots if sample_collapse(state, p, seed, shot=k).block_index == 0]
                 expected = hits[0] if hits else first + count - 1
-                assert _first_shot_on(state, p, seed, 0, first, count) == expected
+                outcome, drawn = _sample(state, p, seed, first, count, 0)
+                assert drawn == expected - first + 1
+                assert outcome.to_dict() == sample_collapse(state, p, seed, shot=expected).to_dict()
+
+    @pytest.mark.parametrize("stop", [0, 1, 3])
+    def test_one_shot_sample_is_sample_collapse(self, rng, stop):
+        # a count of 1 draws shot ``first`` whatever the stop block
+        state, p = random_state(rng, 6), random_partition(rng, 6)
+        for shot in (0, 1, 5, 4099):
+            outcome, drawn = _sample(state, p, 13, shot, 1, stop)
+            single = sample_collapse(state, p, seed=13, shot=shot)
+            assert drawn == 1
+            assert (outcome.block_index, outcome.block) == (single.block_index, single.block)
+            assert outcome.probability == single.probability
+            assert np.array_equal(outcome.collapsed.amplitudes, single.collapsed.amplitudes)
 
 
 @st.composite
