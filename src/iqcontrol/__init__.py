@@ -11,7 +11,7 @@ Basis labels are 1-based throughout the public API; internal units set
 hbar = 1.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 from .algorithms import RunReport, run_algorithm1, run_algorithm2
 from .amplification import (

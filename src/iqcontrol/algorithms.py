@@ -28,7 +28,12 @@ from .amplification import (
     amplified_state,
     make_plan,
 )
-from .controllability import ControllabilityConfig, assess
+from .controllability import (
+    ControllabilityConfig,
+    _component_verdict,
+    build_graph,
+    connected_components,
+)
 from .core import ControlPulse, StateVector, SystemSpec, _integer, propagate
 from .errors import DimensionMismatchError
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
@@ -227,11 +232,12 @@ def run_algorithm2(
         spec, initial, subspace, phi1, phi2, iterations,
         seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
     )
-    analysis = assess(spec, controllability_config or ControllabilityConfig())
+    config = controllability_config or ControllabilityConfig()
+    graph = build_graph(spec, config.edge_threshold)
     target_set = tuple(sorted(subspace.indices))
-    note = next(
-        (v.to_dict() for v in analysis.subspace_verdicts if v.component == target_set), None
-    )
+    note = None
+    if target_set in connected_components(graph):
+        note = _component_verdict(spec, graph, target_set, config)[0].to_dict()
     if note is None:
         warnings.warn(
             f"subspace {list(target_set)} is not a connected component of the "

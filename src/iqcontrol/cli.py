@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -189,21 +190,36 @@ def _parse_complex(value, path: str, *index: int) -> complex:
     _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {value!r}")
 
 
-def _coupling_matrix(rows: list):
-    """The coupling rows, read in bulk when every entry is a plain int or
-    float (bools and strings are not); otherwise, and to name the path of a
-    non-finite or out-of-range entry, read one entry at a time."""
-    if all(set(map(type, row)) <= _PLAIN_NUMBERS for row in rows):
+def _numbers(value: list, path: str, parse, depth: int = 1, pairs: bool = True):
+    """The entries of ``value``, lists nested ``depth`` deep whose lengths
+    the caller has checked, read in bulk: as one float array when every
+    entry is a plain int or float (bools and strings are not), and as one
+    complex array when every entry is an [re, im] pair of them and
+    ``pairs`` allows it.  Any other value, and one holding a non-finite
+    number or one at or past the float range's end, is read one entry at a
+    time by ``parse(entry, path, *index)``, which names the first bad one."""
+    flat = chain.from_iterable if depth == 2 else iter
+    kinds = set(map(type, flat(value)))
+    paired = pairs and kinds == {list}
+    if paired:  # the kinds of the pairs' parts
+        kinds = set(map(type, chain.from_iterable(flat(value))))
+    if value and kinds <= _PLAIN_NUMBERS:
         try:
-            matrix = np.array(rows, dtype=float)
-        except OverflowError:  # an integer literal beyond the float range
-            matrix = None
-        if matrix is not None and np.isfinite(matrix).all():
-            return matrix
-    return [
-        [_parse_complex(x, "system.coupling", i, j) for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+            array = np.array(value, dtype=float)
+        except (OverflowError, ValueError):  # an integer past the float range; ragged pairs
+            array = None
+        # a NaN fails both comparisons; an integer just past the float range
+        # rounds to its end, where the per-entry parse tells it from a float
+        if (
+            array is not None
+            and (not paired or array.shape[-1] == 2)
+            and -_FLOAT_MAX < array.min()
+            and array.max() < _FLOAT_MAX
+        ):
+            return array.view(complex)[..., 0] if paired else array
+    if depth == 2:
+        return [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
+    return [parse(x, path, k) for k, x in enumerate(value)]
 
 
 def _built(prefix: str, build, *args, **kwargs):
@@ -243,8 +259,8 @@ def _system_spec(value) -> SystemSpec:
         "system.",
         SystemSpec,
         dim=dim,
-        drift=[_require_number(x, "system.drift", k) for k, x in enumerate(drift)],
-        coupling=_coupling_matrix(coupling),
+        drift=_numbers(drift, "system.drift", _require_number, pairs=False),
+        coupling=_numbers(coupling, "system.coupling", _parse_complex, depth=2),
     )
 
 
@@ -254,7 +270,7 @@ def _initial_state(value, spec: SystemSpec) -> StateVector:
         _fail("initial", f"expected a list of amplitudes, got {value!r}")
     if len(value) != spec.dim:
         _fail("initial", f"expected {spec.dim} amplitudes to match the system, got {len(value)}")
-    amps = np.array([_parse_complex(v, "initial", k) for k, v in enumerate(value)])
+    amps = np.asarray(_numbers(value, "initial", _parse_complex), dtype=complex)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > INITIAL_NORM_TOL:
         _fail("initial", f"state is not normalized: norm is {norm!r}")

@@ -367,6 +367,27 @@ def _verdict_for(
     return VERDICT_CONTROLLABLE, notes
 
 
+def _component_verdict(
+    spec: SystemSpec,
+    graph: ConnectivityGraph,
+    component: tuple[int, ...],
+    config: ControllabilityConfig,
+) -> tuple[SubspaceVerdict, list[DegeneratePair], list[IrrationalWitness]]:
+    """One connected component's verdict and the failures behind it.
+
+    A single-vertex component is trivially controllable within its
+    one-dimensional span; any other is checked for shared transition
+    frequencies and rational frequency ratios, restricted to it.
+    """
+    if len(component) == 1:
+        trivial = SubspaceVerdict(component, VERDICT_CONTROLLABLE, ("trivial single-state subspace",))
+        return trivial, [], []
+    degenerate = check_degenerate_transitions(spec, component, config.degeneracy_tol, graph=graph)
+    irrational = check_rational_ratios(spec, component, config.max_denominator, config.ratio_tol)
+    verdict, notes = _verdict_for(degenerate, irrational, True)
+    return SubspaceVerdict(component, verdict, tuple(notes)), degenerate, irrational
+
+
 def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConfig()) -> ControllabilityReport:
     """Full controllability report: graph, components, and verdicts.
 
@@ -385,21 +406,8 @@ def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConf
     irrational: list[IrrationalWitness] = []
     subspace_verdicts = []
     for comp in components:
-        if len(comp) == 1:
-            subspace_verdicts.append(
-                SubspaceVerdict(
-                    comp, VERDICT_CONTROLLABLE, ("trivial single-state subspace",)
-                )
-            )
-            continue
-        comp_degenerate = check_degenerate_transitions(
-            spec, comp, config.degeneracy_tol, graph=graph
-        )
-        comp_irrational = check_rational_ratios(
-            spec, comp, config.max_denominator, config.ratio_tol
-        )
-        verdict, comp_notes = _verdict_for(comp_degenerate, comp_irrational, True)
-        subspace_verdicts.append(SubspaceVerdict(comp, verdict, tuple(comp_notes)))
+        verdict, comp_degenerate, comp_irrational = _component_verdict(spec, graph, comp, config)
+        subspace_verdicts.append(verdict)
         degenerate += comp_degenerate
         irrational += comp_irrational
     global_verdict, notes = _verdict_for(degenerate, irrational, len(components) == 1)

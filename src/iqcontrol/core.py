@@ -12,6 +12,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,16 @@ __all__ = [
     "prepare_unitary",
     "propagate",
 ]
+
+
+def _real_or_complex(values) -> np.ndarray:
+    """``values`` as float64 when every entry is real (float, int or bool),
+    as complex128 when they are complex; anything else (strings, Python
+    ints past int64) as ``np.asarray(values, dtype=complex)`` reads it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biufc":
+        return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+    return np.asarray(values, dtype=complex)
 
 
 def _as_complex_vector(values: Sequence) -> np.ndarray:
@@ -123,7 +134,7 @@ class SystemSpec:
         if self.dim < 2:
             raise DimensionMismatchError(f"dim: must be >= 2, got {self.dim}")
         drift = np.asarray(self.drift, dtype=float).reshape(-1)
-        coupling = np.asarray(self.coupling, dtype=complex)
+        coupling = _real_or_complex(self.coupling)
         if drift.size != self.dim:
             raise DimensionMismatchError(
                 f"drift: {drift.size} eigenvalues for dimension {self.dim}"
@@ -136,13 +147,20 @@ class SystemSpec:
             raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
         if not np.isfinite(coupling).all():
             raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
-        off = np.abs(coupling - coupling.conj().T) > HERMITICITY_TOL
-        if off.any():
+        # the checks run in the coupling's own dtype, a real one in one
+        # float scratch: for real entries |x - y| and |d_i b - b d_j| equal
+        # their complex-arithmetic values exactly
+        real = coupling.dtype == float
+        scratch = np.empty(coupling.shape)
+        deviation = np.subtract(coupling, coupling.conj().T, out=scratch if real else None)
+        np.abs(deviation, out=scratch)
+        if scratch.max() > HERMITICITY_TOL:
             # first offending entry in row-major order, 0-based as in nested lists
-            i, j = divmod(int(np.argmax(off)), self.dim)
+            i, j = divmod(int(np.argmax(scratch > HERMITICITY_TOL)), self.dim)
             raise HermiticityError(
-                f"coupling[{i}][{j}]: not Hermitian: value {coupling[i, j]} does not "
-                f"match the conjugate of coupling[{j}][{i}] = {coupling[j, i]}"
+                f"coupling[{i}][{j}]: not Hermitian: value {np.complex128(coupling[i, j])} "
+                f"does not match the conjugate of coupling[{j}][{i}] = "
+                f"{np.complex128(coupling[j, i])}"
             )
         if self.exact_drift is not None:
             exact = tuple(Fraction(x) for x in self.exact_drift)
@@ -156,17 +174,31 @@ class SystemSpec:
                         f"exact_drift[{i}]: {num} disagrees with drift[{i}] = {approx}"
                     )
             object.__setattr__(self, "exact_drift", exact)
+        # [A, B] = 0 means the control cannot move populations at all.
+        commutator = np.multiply(drift[:, None], coupling, out=scratch if real else None)
+        commutator -= coupling * drift
+        commutes = np.abs(commutator, out=scratch).max() <= COMMUTATOR_TOL
+        del scratch, deviation, commutator  # before the complex copy, which sets the peak
+        if real:
+            coupling = coupling.astype(complex)
         drift.setflags(write=False)
         coupling.setflags(write=False)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "coupling", coupling)
-        # [A, B] = 0 means the control cannot move populations at all.
-        commutator = drift[:, None] * coupling - coupling * drift[None, :]
-        if np.max(np.abs(commutator)) <= COMMUTATOR_TOL:
+        if commutes:
             warnings.warn(
                 "drift and coupling commute; the control problem is trivial",
                 stacklevel=3,  # past the dataclass __init__, to the caller
             )
+
+    @cached_property
+    def _blocks(self) -> list[tuple[int, ...]]:
+        """The labels of each block of the coupling's exact nonzeros, as
+        ``connected_components(build_graph(self, 0.0))`` lists them."""
+        # lazy: controllability imports this module
+        from .controllability import build_graph, connected_components
+
+        return connected_components(build_graph(self, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,14 +290,11 @@ def _evolve(
     Each block's segments are diagonalised SEGMENT_BATCH at a time by one
     batched Hermitian ``eigh``, so every segment is exactly unitary.
     """
-    # lazy: controllability imports this module
-    from .controllability import build_graph, connected_components
-
     # labels that hold amplitude and that B touches; a block holds part of
     # c exactly when it contains one of them
     held = set((np.flatnonzero(spec.coupling.any(axis=0) & (c != 0)) + 1).tolist())
     evolved = []
-    for component in connected_components(build_graph(spec, 0.0)):
+    for component in spec._blocks:
         if held.isdisjoint(component):
             continue
         levels = np.array(component) - 1

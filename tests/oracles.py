@@ -10,6 +10,10 @@ The library propagates through exact segment exponentials restricted to
 the coupled blocks a state occupies; ``full_matrix_propagate`` and the
 RK4 integrator ``rk4_interaction_picture`` are the references it is
 checked against.
+
+``SystemSpec`` checks a real coupling in real arithmetic;
+``system_spec_checks`` runs its checks on the coupling read as complex,
+as the library did before 0.8.1.
 """
 
 import cmath
@@ -22,8 +26,11 @@ from iqcontrol import (
     Decomposition,
     DimensionMismatchError,
     GoodSubspace,
+    HermiticityError,
+    NonFiniteError,
     UnitaryOperator,
 )
+from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from iqcontrol.amplification import PRE_ROTATION_ANGLE, _check_phase, _coefficients, _split
 
 
@@ -74,6 +81,33 @@ def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:
 def transition_frequency(spec, i: int, j: int) -> float:
     """nu_ij = lambda_i - lambda_j for 1-based labels i, j."""
     return float(spec.drift[i - 1] - spec.drift[j - 1])
+
+
+def system_spec_checks(dim: int, drift, coupling):
+    """The drift and coupling a ``SystemSpec`` stores, and whether it warns
+    that they commute, from its checks in complex arithmetic; or the error
+    it raises.  ``exact_drift`` is not covered."""
+    drift = np.asarray(drift, dtype=float).reshape(-1)
+    coupling = np.array(coupling, dtype=complex)
+    if drift.size != dim:
+        raise DimensionMismatchError(f"drift: {drift.size} eigenvalues for dimension {dim}")
+    if coupling.shape != (dim, dim):
+        raise DimensionMismatchError(
+            f"coupling: shape {coupling.shape} does not match dimension {dim}"
+        )
+    if not np.isfinite(drift).all():
+        raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
+    if not np.isfinite(coupling).all():
+        raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
+    off = np.abs(coupling - coupling.conj().T) > HERMITICITY_TOL
+    if off.any():
+        i, j = divmod(int(np.argmax(off)), dim)
+        raise HermiticityError(
+            f"coupling[{i}][{j}]: not Hermitian: value {coupling[i, j]} does not "
+            f"match the conjugate of coupling[{j}][{i}] = {coupling[j, i]}"
+        )
+    commutator = drift[:, None] * coupling - coupling * drift[None, :]
+    return drift, coupling, bool(np.max(np.abs(commutator)) <= COMMUTATOR_TOL)
 
 
 def full_matrix_propagate(spec, pulse: ControlPulse, initial) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from iqcontrol import (
     SystemSpec,
     VERDICT_INCONCLUSIVE,
     ZeroOverlapError,
+    assess,
+    build_graph,
     case1_preset,
     case2_preset,
+    connected_components,
     decompose,
     hydrogen_spec,
     prepare_unitary,
@@ -24,7 +28,7 @@ from iqcontrol import (
     run_algorithm2,
     success_probability,
 )
-from iqcontrol import measurement
+from iqcontrol import ControllabilityConfig, controllability, measurement
 from iqcontrol.amplification import amplification_operator
 from conftest import random_state
 
@@ -291,6 +295,79 @@ def test_algorithm1_is_algorithm2_on_a_singleton_component(k, initial, **kw):
     if isinstance(second, dict):
         assert second.pop("controllability_note")["component"] == [k]
     assert first == second
+
+
+@st.composite
+def algorithm2_cases(draw):
+    """A chain, a dense spec (each cut in two at a random level) or
+    hydrogen, a controllability config, and a subspace: one of the graph's
+    components or any other strict subset."""
+    family = draw(st.sampled_from(["chain", "dense", "hydrogen"]))
+    if family == "hydrogen":
+        spec = hydrogen_spec()
+    else:
+        dim = draw(st.integers(3, 7))
+        # rational levels, some shared; or half-integers, one offset by sqrt(2)
+        drift = [draw(st.integers(0, 6)) / draw(st.sampled_from([1, 2, 3])) for _ in range(dim)]
+        if draw(st.booleans()):
+            drift[draw(st.integers(0, dim - 1))] += math.sqrt(2.0)
+        pairs = [(i, i + 1) for i in range(dim - 1)] if family == "chain" else [
+            (i, j) for i in range(dim) for j in range(i + 1, dim)
+        ]
+        cut = draw(st.integers(1, dim))  # no pair crosses the cut
+        coupling = np.zeros((dim, dim))
+        for i, j in (p for p in pairs if (p[0] < cut) == (p[1] < cut)):
+            coupling[i, j] = coupling[j, i] = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "drift and coupling commute")
+            spec = SystemSpec(dim=dim, drift=drift, coupling=coupling)
+    config = ControllabilityConfig(edge_threshold=draw(st.sampled_from([1e-12, 0.75])))
+    components = [
+        c for c in connected_components(build_graph(spec, config.edge_threshold))
+        if len(c) < spec.dim
+    ]
+    labels = st.sets(st.integers(1, spec.dim), min_size=1, max_size=spec.dim - 1)
+    if components:
+        labels = labels | st.sampled_from(components)
+    subspace = GoodSubspace.of(draw(labels), spec.dim)
+    return spec, config, subspace, random_state(np.random.default_rng(draw(st.integers(0, 99))), spec.dim)
+
+
+@settings(max_examples=150)
+@given(case=algorithm2_cases())
+def test_algorithm2_note_equals_the_assess_verdict(case):
+    # the note is the matching component's verdict in a whole-system
+    # assess, byte for byte, and a subspace that is no component warns
+    spec, config, subspace, initial = case
+    target = tuple(sorted(subspace.indices))
+    verdicts = {v.component: v.to_dict() for v in assess(spec, config).subspace_verdicts}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_algorithm2(
+            spec, initial, subspace, iterations=1, seed=1, controllability_config=config
+        )
+    expected = verdicts.get(target, {
+        "component": list(target),
+        "verdict": None,
+        "notes": ["not a connected component of the coupling graph"],
+    })
+    assert json.dumps(report.controllability_note) == json.dumps(expected)
+    warned = [] if target in verdicts else [
+        f"subspace {list(target)} is not a connected component of the coupling graph; "
+        "its controllability is not established"
+    ]
+    assert [str(w.message) for w in caught] == warned
+
+
+def test_algorithm2_runs_no_assess(monkeypatch):
+    # only the target's component is analysed, never the whole system
+    calls = []
+    monkeypatch.setattr(controllability, "assess", lambda *args: calls.append(args))
+    for subspace in ([1, 2, 3], [4]):
+        p = case2_preset()
+        report = run_algorithm2(hydrogen_spec(), p.initial, GoodSubspace.of(subspace, 5), seed=7)
+        assert report.controllability_note["component"] == subspace
+    assert calls == []
 
 
 BAD_ARGUMENTS = [

@@ -564,6 +564,46 @@ def test_plain_coupling_read_in_bulk(tmp_path, monkeypatch):
     assert np.array_equal(spec.coupling, np.array(system["coupling"], dtype=complex))
 
 
+def test_pairs_read_in_bulk(tmp_path, monkeypatch):
+    # an initial state and a coupling of [re, im] pairs alone are read as
+    # one array each, signed zeros kept, with no per-entry parse
+    calls = {"parse": 0}
+    parse = iqcontrol.cli._parse_complex
+
+    def counted_parse(*args):
+        calls["parse"] += 1
+        return parse(*args)
+
+    monkeypatch.setattr(iqcontrol.cli, "_parse_complex", counted_parse)
+    coupling = [
+        [[0, 0], [1.0, 0.5], [0, -0.0]],
+        [[1.0, -0.5], [-0.0, 0], [2, 0]],
+        [[0, 0.0], [2, -0.0], [0, 0]],
+    ]
+    system = {"dim": 3, "drift": [0.0, 1.0, 3.0], "coupling": coupling}
+    initial = [[0.6, -0.0], [-0.0, 0.6], [0.52915026221291817, 0]]
+    payload = {"mode": "algo1", "system": system, "initial": initial, "good": 2, "seed": 3}
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 0
+    config = validate_config(payload)
+    assert calls == {"parse": 0}
+    expected = np.array([[complex(*x) for x in row] for row in coupling])
+    assert config.spec.coupling.tobytes() == expected.tobytes()
+    amps = np.array([complex(*x) for x in initial])
+    assert config.state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+
+
+def test_hermiticity_error_record_pinned(tmp_path):
+    payload = {"mode": "analyze", "system": {"dim": 2, "drift": [0, 1], "coupling": [[0, 1], [2, 0]]}}
+    out = tmp_path / "report.json"
+    assert main(["--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"] == {
+        "type": "ConfigError",
+        "message": "system.coupling[0][1]: not Hermitian: value (1+0j) does not match the "
+        "conjugate of coupling[1][0] = (2+0j)",
+    }
+
+
 REQUIRED = {
     "analyze": ["system"],
     "amplify": ["system", "initial"],  # plus its good set, either field
@@ -706,6 +746,76 @@ NUMBER_LISTS = st.lists(
     st.integers() | st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
     max_size=6,
 )
+
+
+# the bulk read of drift, initial and coupling against the per-entry parse:
+# plain numbers (signed zero, ints past 2^63) and [re, im] pairs of them,
+# now and then mixed, or holding one odd entry: one the parse rejects (NaN
+# and infinity literals, bools, strings, None, ints past the float range,
+# among them one that float() rounds to its end, pairs of other lengths),
+# or a float at the range's end, which the parse accepts
+FLOAT_MAX = sys.float_info.max
+NUMBERS = (
+    st.integers(-5, 5)
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+REJECTED = st.sampled_from(
+    [NAN, INF, -INF, True, False, None, "1.5", 10**400, int(FLOAT_MAX) + 1, -int(FLOAT_MAX) - 1]
+)
+ODD_ENTRIES = (
+    REJECTED
+    | st.lists(NUMBERS | REJECTED, min_size=1, max_size=3)
+    | st.just([[1, 2], 3])
+    | st.sampled_from([FLOAT_MAX, -FLOAT_MAX, [FLOAT_MAX, 0.0]])
+)
+ARRAY_FIELDS = {
+    # name: (path, per-entry parse, nesting depth, pairs allowed, dtype)
+    "drift": ("system.drift", iqcontrol.cli._require_number, 1, False, float),
+    "initial": ("initial", iqcontrol.cli._parse_complex, 1, True, complex),
+    "coupling": ("system.coupling", iqcontrol.cli._parse_complex, 2, True, complex),
+}
+
+
+@st.composite
+def numeric_arrays(draw):
+    name = draw(st.sampled_from(sorted(ARRAY_FIELDS)))
+    depth = ARRAY_FIELDS[name][2]
+    size = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([NUMBERS, PAIRS, NUMBERS | PAIRS]))
+    flat = draw(st.lists(entries, min_size=size**depth, max_size=size**depth))
+    if draw(st.booleans()):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(ODD_ENTRIES)
+    value = [flat[k : k + size] for k in range(0, len(flat), size)] if depth == 2 else flat
+    return name, value
+
+
+@settings(max_examples=300)
+@given(case=numeric_arrays())
+@example(case=("initial", [[0.5, -0.0], [-0.0, 0.5]]))
+@example(case=("coupling", [[1, int(FLOAT_MAX) + 1], [0.5, 2**64]]))
+@example(case=("drift", [0, FLOAT_MAX, -0.0]))
+@example(case=("coupling", [[[1, 2], [3, 4]], [[5, 6], [7, 8, 9]]]))
+def test_bulk_read_equals_per_entry_parse(case):
+    # bit-identical arrays, or the same ConfigError naming the same path
+    name, value = case
+    path, parse, depth, pairs, dtype = ARRAY_FIELDS[name]
+
+    def outcome(read):
+        try:
+            return np.asarray(read(), dtype=dtype).tobytes()
+        except ConfigError as exc:
+            return str(exc)
+
+    def per_entry():
+        if depth == 2:
+            return [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
+        return [parse(x, path, k) for k, x in enumerate(value)]
+
+    bulk = outcome(lambda: iqcontrol.cli._numbers(value, path, parse, depth, pairs))
+    assert bulk == outcome(per_entry)
 
 
 def json_trees(leaves):
@@ -1016,7 +1126,7 @@ def per_attempt_oracle(payload, seed, cap):
     ],
 )
 def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, late, monkeypatch):
-    calls = {"make_plan": 0, "assess": 0}
+    calls = {"make_plan": 0, "build_graph": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
             calls[_name] += 1
@@ -1029,11 +1139,11 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
             config = validate_config(
                 {**payload, "seed": seed, "shots": cap, "repeat_until_success": True}
             )
-            calls.update(make_plan=0, assess=0)
+            calls.update(make_plan=0, build_graph=0)
             code, report = execute(config)
             # plan and controllability analysis once per run, not per attempt
             algorithm2 = payload["mode"] in ("algo2", "hydrogen-case2")
-            assert calls == {"make_plan": 1, "assess": int(algorithm2)}
+            assert calls == {"make_plan": 1, "build_graph": int(algorithm2)}
             assert code == 0
             result = report["result"]
             result.pop("preset_expectation", None)

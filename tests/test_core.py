@@ -1,7 +1,11 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iqcontrol import (
     ControllabilityConfig,
@@ -18,8 +22,10 @@ from iqcontrol import (
     prepare_unitary,
     propagate,
 )
+from iqcontrol import controllability
+from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from conftest import random_hermitian, random_spec, random_state
-from oracles import full_matrix_propagate, transition_frequency
+from oracles import full_matrix_propagate, system_spec_checks, transition_frequency
 
 
 class TestStateVector:
@@ -91,6 +97,34 @@ class TestSystemSpec:
             SystemSpec(dim=2, drift=[0.0, 1.0], coupling=np.diag([1.0, 2.0]))
         assert [w.filename for w in record] == [__file__]
 
+    def test_hermiticity_message_pinned(self):
+        # the offending values print as complex numbers, whatever dtype the
+        # coupling arrives in
+        message = (
+            "coupling[0][1]: not Hermitian: value (1+0j) does not match the "
+            "conjugate of coupling[1][0] = (2+0j)"
+        )
+        for coupling in ([[0, 1], [2, 0]], np.array([[0.0, 1.0], [2.0, 0.0]]),
+                         np.array([[0, 1], [2, 0]], dtype=complex)):
+            with pytest.raises(HermiticityError) as raised:
+                SystemSpec(dim=2, drift=[0, 1], coupling=coupling)
+            assert str(raised.value) == message
+
+    def test_real_coupling_peak_memory(self):
+        # a real coupling is checked in one float scratch and made complex
+        # once; checked in complex arithmetic it peaked at 3.19 MiB
+        dim = 256
+        coupling = np.diag(np.linspace(0.5, 2.0, dim - 1), 1)
+        coupling += coupling.T
+        drift = np.arange(dim, dtype=float)
+        tracemalloc.start()
+        try:
+            SystemSpec(dim=dim, drift=drift, coupling=coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_transition_frequency(self):
         spec = SystemSpec(dim=3, drift=[0.0, 1.0, 3.0], coupling=_sigma_x_block(3))
         assert transition_frequency(spec, 1, 2) == -1.0
@@ -116,6 +150,85 @@ def test_integer_fields_are_read_as_integers(build, name, valid):
             build(bad)
     value = getattr(build(np.int64(valid)), name)
     assert value == valid and type(value) is int
+
+
+# entries at and just past both tolerances: |x - y| = HERMITICITY_TOL passes
+# the Hermiticity check, and |d_i b - b d_j| = COMMUTATOR_TOL still commutes
+SPEC_ENTRIES = st.sampled_from([
+    0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e-300,
+    HERMITICITY_TOL, -HERMITICITY_TOL, np.nextafter(HERMITICITY_TOL, 1.0),
+    COMMUTATOR_TOL, -COMMUTATOR_TOL, np.nextafter(COMMUTATOR_TOL, 1.0),
+])
+SPEC_INPUTS = {
+    "float": lambda re, im: re,
+    "float32": lambda re, im: re.astype(np.float32),
+    "int": lambda re, im: re.astype(int),
+    "bool": lambda re, im: re != 0,
+    # Python ints where the entry is integral, floats elsewhere
+    "list": lambda re, im: [[int(x) if x == int(x) else x for x in row] for row in re.tolist()],
+    "complex": lambda re, im: re + 1j * im,
+    "complex-list": lambda re, im: (re + 1j * im).tolist(),
+}
+
+
+@st.composite
+def spec_inputs(draw):
+    """dim, drift and a coupling of one input kind, its entries mostly
+    mirrored (conjugated) across the diagonal, where they are mostly real."""
+    dim = draw(st.integers(2, 4))
+    drift = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), min_size=dim, max_size=dim))
+    re, im = (np.array([[draw(SPEC_ENTRIES) for _ in range(dim)] for _ in range(dim)])
+              for _ in range(2))
+    for i in range(dim):
+        for j in range(i + 1):
+            if draw(st.sampled_from([True, True, True, False])):
+                re[i, j], im[i, j] = re[j, i], -im[j, i] if j < i else 0.0
+    kind = draw(st.sampled_from(sorted(SPEC_INPUTS)))
+    return dim, drift, SPEC_INPUTS[kind](re, im)
+
+
+@settings(max_examples=300)
+@given(case=spec_inputs())
+@example(case=(2, [0.0, 1.0], np.array([[0.0, HERMITICITY_TOL], [0.0, 0.0]])))
+@example(case=(2, [0.0, 1.0], np.array([[0.0, COMMUTATOR_TOL], [COMMUTATOR_TOL, 0.0]])))
+@example(case=(2, [0.0, 1.0], [[0, np.nextafter(COMMUTATOR_TOL, 1.0)], [COMMUTATOR_TOL, 0]]))
+@example(case=(2, [0.0, 1.0], [[0, 1], [2, 0]]))
+def test_spec_checks_equal_complex_oracle(case):
+    # every input kind stores the same read-only complex128 arrays, raises
+    # the same error with the same text, and warns exactly when the checks
+    # in complex arithmetic find that drift and coupling commute
+    dim, drift, coupling = case
+    try:
+        expected_drift, expected_coupling, commutes = system_spec_checks(dim, drift, coupling)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            SystemSpec(dim=dim, drift=drift, coupling=coupling)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = SystemSpec(dim=dim, drift=drift, coupling=coupling)
+    assert [str(w.message) for w in caught] == (
+        ["drift and coupling commute; the control problem is trivial"] if commutes else []
+    )
+    for stored, expected in ((spec.drift, expected_drift), (spec.coupling, expected_coupling)):
+        assert stored.dtype == expected.dtype and not stored.flags.writeable
+        assert stored.tobytes() == expected.tobytes()  # signed zeros included
+
+
+def test_second_propagate_reuses_the_blocks(rng, monkeypatch):
+    # the coupling's blocks are found once per spec, not once per call
+    calls = []
+    build_graph = controllability.build_graph
+    monkeypatch.setattr(
+        controllability, "build_graph", lambda *args: calls.append(args) or build_graph(*args)
+    )
+    spec, pulse, state = random_spec(rng, 5), random_segments(rng), random_state(rng, 5)
+    first = propagate(spec, pulse, state)
+    assert len(calls) == 1
+    second = propagate(spec, pulse, state)
+    assert len(calls) == 1
+    assert second.amplitudes.tobytes() == first.amplitudes.tobytes()
 
 
 def _sigma_x_block(dim):

@@ -19,6 +19,7 @@ from iqcontrol import (
     hydrogen_spec,
     success_probability,
 )
+from iqcontrol import controllability
 from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
 from conftest import random_state
 from oracles import rk4_interaction_picture
@@ -133,6 +134,20 @@ class TestInteractionPicture:
             # amplitudes 4 and 5 are structurally untouched: bit-exact
             assert out.amplitudes[3] == state.amplitudes[3]
             assert out.amplitudes[4] == state.amplitudes[4]
+
+    def test_second_call_reuses_the_blocks(self, rng, monkeypatch):
+        # the model's spec finds its coupling's blocks once, not once per call
+        calls = []
+        build = controllability.build_graph
+        monkeypatch.setattr(
+            controllability, "build_graph", lambda *args: calls.append(args) or build(*args)
+        )
+        model, pulse, state = HydrogenModel(energy_gap=0.8125), random_pulse(rng), random_state(rng, 5)
+        first = propagate_interaction_picture(model, pulse, state)
+        calls.clear()
+        second = propagate_interaction_picture(model, pulse, state)
+        assert calls == []
+        assert second.amplitudes.tobytes() == first.amplitudes.tobytes()
 
     def test_pure_uncoupled_state_unchanged(self, rng):
         model = HydrogenModel()
