@@ -72,6 +72,7 @@ _PRESETS = {preset.name: preset for preset in (case1_preset(), case2_preset())}
 INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
 _PLAIN_NUMBERS = {int, float}
+_PAIRED_KINDS = {list, int, float}
 # json's own string escaper, as json.dumps applies it with ensure_ascii
 _quoted = json.encoder.encode_basestring_ascii
 # the one encoder of the report and of the config's canonical text:
@@ -194,18 +195,26 @@ def _numbers(value: list, path: str, parse, depth: int = 1, pairs: bool = True):
     """The entries of ``value``, lists nested ``depth`` deep whose lengths
     the caller has checked, read in bulk: as one float array when every
     entry is a plain int or float (bools and strings are not), and as one
-    complex array when every entry is an [re, im] pair of them and
-    ``pairs`` allows it.  Any other value, and one holding a non-finite
-    number or one at or past the float range's end, is read one entry at a
-    time by ``parse(entry, path, *index)``, which names the first bad one."""
+    complex array when ``pairs`` allows it and every entry is an [re, im]
+    pair of them or a plain one, x read as [x, 0].  Any other value, and
+    one holding a non-finite number or one at or past the float range's
+    end, is read one entry at a time by ``parse(entry, path, *index)``,
+    which names the first bad one."""
     flat = chain.from_iterable if depth == 2 else iter
     kinds = set(map(type, flat(value)))
-    paired = pairs and kinds == {list}
-    if paired:  # the kinds of the pairs' parts
-        kinds = set(map(type, chain.from_iterable(flat(value))))
+    paired = pairs and list in kinds and kinds <= _PAIRED_KINDS
+    bulk = value
+    if paired:
+        if kinds != {list}:  # pad the plain entries; +0.0 imaginary parts, signs kept
+            if depth == 2:
+                bulk = [[x if type(x) is list else [x, 0] for x in row] for row in value]
+            else:
+                bulk = [x if type(x) is list else [x, 0] for x in value]
+        # the kinds of the pairs' parts
+        kinds = set(map(type, chain.from_iterable(flat(bulk))))
     if value and kinds <= _PLAIN_NUMBERS:
         try:
-            array = np.array(value, dtype=float)
+            array = np.array(bulk, dtype=float)
         except (OverflowError, ValueError):  # an integer past the float range; ragged pairs
             array = None
         # a NaN fails both comparisons; an integer just past the float range
@@ -217,6 +226,7 @@ def _numbers(value: list, path: str, parse, depth: int = 1, pairs: bool = True):
             and array.max() < _FLOAT_MAX
         ):
             return array.view(complex)[..., 0] if paired else array
+    # the original entries, so an error names the entry as written
     if depth == 2:
         return [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
     return [parse(x, path, k) for k, x in enumerate(value)]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
@@ -337,13 +336,39 @@ def check_rational_ratios(
     out: list[IrrationalWitness] = []
     for num_pair, nu_num in offsets[1:]:
         ratio = nu_num / nu_den
-        best = Fraction(ratio).limit_denominator(max_denominator)
-        err = abs(ratio - float(best))
+        p, q = _best_fraction(ratio, max_denominator)
+        err = abs(ratio - p / q)
         if err > tol:
-            out.append(
-                IrrationalWitness(num_pair, den_pair, ratio, best.numerator, best.denominator, err)
-            )
+            out.append(IrrationalWitness(num_pair, den_pair, ratio, p, q, err))
     return out
+
+
+def _best_fraction(ratio: float, max_denominator: int) -> tuple[int, int]:
+    """The numerator and denominator of
+    ``Fraction(ratio).limit_denominator(max_denominator)``, in ints.
+
+    The same continued-fraction convergents, then the closer of the last
+    convergent p1/q1 and the semiconvergent pb/qb to ratio = n/d, compared
+    by exact cross-multiplication; a tie goes to the convergent.  A NaN or
+    an infinity raises in ``float.as_integer_ratio`` as in ``Fraction``.
+    """
+    n, d = ratio.as_integer_ratio()
+    if d <= max_denominator:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_denominator - q0) // q1
+    pb, qb = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * qb <= abs(pb * d - n * qb) * q1:
+        return p1, q1
+    return pb, qb
 
 
 def _verdict_for(

@@ -53,7 +53,8 @@ def _real_or_complex(values) -> np.ndarray:
 
 
 def _as_complex_vector(values: Sequence) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex).reshape(-1)
+    # a private copy, never a view of the caller's array
+    arr = np.array(values, dtype=complex).reshape(-1)
     arr.setflags(write=False)
     return arr
 
@@ -133,7 +134,7 @@ class SystemSpec:
         object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 2:
             raise DimensionMismatchError(f"dim: must be >= 2, got {self.dim}")
-        drift = np.asarray(self.drift, dtype=float).reshape(-1)
+        drift = np.array(self.drift, dtype=float).reshape(-1)
         coupling = _real_or_complex(self.coupling)
         if drift.size != self.dim:
             raise DimensionMismatchError(
@@ -179,8 +180,9 @@ class SystemSpec:
         commutator -= coupling * drift
         commutes = np.abs(commutator, out=scratch).max() <= COMMUTATOR_TOL
         del scratch, deviation, commutator  # before the complex copy, which sets the peak
-        if real:
-            coupling = coupling.astype(complex)
+        # the stored arrays are private copies, so no caller's array is
+        # frozen or can change the spec afterwards
+        coupling = coupling.astype(complex)
         drift.setflags(write=False)
         coupling.setflags(write=False)
         object.__setattr__(self, "drift", drift)

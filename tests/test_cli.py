@@ -512,6 +512,8 @@ def test_parse_config_unreadable_json(kind):
 
 
 def test_entries_parsed_once(tmp_path, monkeypatch):
+    # a coupling and an initial state that mix plain numbers and [re, im]
+    # pairs are read in bulk, and the spec is built once
     calls = {"parse": 0, "SystemSpec": 0}
     parse, post_init = iqcontrol.cli._parse_complex, SystemSpec.__post_init__
 
@@ -535,12 +537,12 @@ def test_entries_parsed_once(tmp_path, monkeypatch):
         tmp_path, {"mode": "algo1", "system": system, "initial": initial, "good": 2, "seed": 3}
     )
     assert code == 0
-    assert calls == {"parse": 3 * 3 + len(initial), "SystemSpec": 1}
+    assert calls == {"parse": 0, "SystemSpec": 1}
 
 
 def test_plain_coupling_read_in_bulk(tmp_path, monkeypatch):
-    # a coupling of plain ints and floats is read as one array: only the
-    # initial amplitudes pass the per-entry parse
+    # a coupling of plain ints and floats is read as one array, and so is
+    # an initial state mixing plain amplitudes and [re, im] pairs
     calls = {"parse": 0}
     parse = iqcontrol.cli._parse_complex
 
@@ -558,7 +560,7 @@ def test_plain_coupling_read_in_bulk(tmp_path, monkeypatch):
     payload = {"mode": "algo1", "system": system, "initial": initial, "good": 2, "seed": 3}
     code, _ = run_cli(tmp_path, payload)
     assert code == 0
-    assert calls == {"parse": len(initial)}
+    assert calls == {"parse": 0}
     spec = validate_config(payload).spec
     assert spec.coupling.dtype == complex
     assert np.array_equal(spec.coupling, np.array(system["coupling"], dtype=complex))
@@ -591,6 +593,65 @@ def test_pairs_read_in_bulk(tmp_path, monkeypatch):
     assert config.spec.coupling.tobytes() == expected.tobytes()
     amps = np.array([complex(*x) for x in initial])
     assert config.state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+
+
+def test_dense_hermitian_coupling_read_in_bulk(monkeypatch):
+    # a 16x16 dense Hermitian coupling written the natural way, a real
+    # diagonal and [re, im] pairs off it, makes no per-entry parse call
+    calls = {"parse": 0}
+    parse = iqcontrol.cli._parse_complex
+
+    def counted_parse(*args):
+        calls["parse"] += 1
+        return parse(*args)
+
+    monkeypatch.setattr(iqcontrol.cli, "_parse_complex", counted_parse)
+    dim = 16
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = h + h.conj().T
+    coupling = [
+        [float(h[i, j].real) if i == j else [float(h[i, j].real), float(h[i, j].imag)]
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+    coupling[0][0] = -0.0
+    system = {"dim": dim, "drift": [float(k) ** 1.5 for k in range(dim)], "coupling": coupling}
+    spec = validate_config({"mode": "analyze", "system": system}).spec
+    assert calls == {"parse": 0}
+    expected = np.array(
+        [[parse(x, "system.coupling", i, j) for j, x in enumerate(row)]
+         for i, row in enumerate(coupling)]
+    )
+    assert spec.coupling.tobytes() == expected.tobytes()
+    assert math.copysign(1.0, spec.coupling[0, 0].real) == -1.0
+
+
+# a mixed coupling row that fails the bulk read, and the error record the
+# per-entry parse of the entry as written gives
+MIXED_ROW_ERRORS = {
+    "bool": ([True, [1, 0]], "system.coupling[0][0]: expected a finite number or an "
+             "[re, im] pair, got True"),
+    "nan": ([math.nan, [1, 0]], "system.coupling[0][0]: expected a finite number or an "
+            "[re, im] pair, got nan"),
+    "ragged pair": ([0, [1, 0, 0]], "system.coupling[0][1]: expected a finite number or an "
+                    "[re, im] pair, got [1, 0, 0]"),
+    "integer past the float range": (
+        [int(sys.float_info.max) + 1, [1, 0]],
+        f"system.coupling[0][0]: expected a finite number or an [re, im] pair, "
+        f"got {int(sys.float_info.max) + 1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MIXED_ROW_ERRORS))
+def test_mixed_coupling_errors_name_the_entry(tmp_path, kind):
+    row, message = MIXED_ROW_ERRORS[kind]
+    system = {"dim": 2, "drift": [0, 1], "coupling": [row, [[1, 0], 0]]}
+    out = tmp_path / "report.json"
+    payload = {"mode": "analyze", "system": system}
+    assert main(["--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"] == {"type": "ConfigError", "message": message}
 
 
 def test_hermiticity_error_record_pinned(tmp_path):

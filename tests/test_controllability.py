@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqcontrol import (
@@ -22,7 +22,7 @@ from iqcontrol import (
     connected_components,
     hydrogen_spec,
 )
-from iqcontrol.controllability import DEFAULT_DEGENERACY_TOL
+from iqcontrol.controllability import DEFAULT_DEGENERACY_TOL, _best_fraction
 from oracles import transition_frequency
 
 
@@ -568,6 +568,39 @@ def test_half_integer_sqrt2_ratios_fail_the_check():
     for ratio in ratios:
         best = Fraction(ratio).limit_denominator(10**4)
         assert abs(ratio - float(best)) > 1e-9, ratio
+
+
+RATIOS = (
+    st.floats(allow_nan=False, allow_infinity=False)  # negative, tiny and huge among them
+    | st.builds(lambda k, e: k / 2**e, st.integers(-(2**53), 2**53), st.integers(0, 1074))
+    | st.integers(-(10**15), 10**15).map(float)
+    | st.builds(lambda k, m: k / m, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+)
+
+
+@settings(max_examples=1000)
+@given(ratio=RATIOS, max_denominator=st.integers(1, 10**6))
+# ties between the convergent and the semiconvergent go to the convergent
+@example(ratio=0.5, max_denominator=1)
+@example(ratio=-2.5, max_denominator=1)
+@example(ratio=1.25, max_denominator=2)
+@example(ratio=1.75, max_denominator=2)
+@example(ratio=5e-324, max_denominator=10**6)
+@example(ratio=-1.7976931348623157e308, max_denominator=10**4)
+@example(ratio=2**0.5, max_denominator=10**4)
+def test_best_fraction_is_limit_denominator(ratio, max_denominator):
+    best = Fraction(ratio).limit_denominator(max_denominator)
+    p, q = _best_fraction(ratio, max_denominator)
+    assert (p, q) == (best.numerator, best.denominator)
+    assert abs(ratio - p / q).hex() == abs(ratio - float(best)).hex()
+
+
+@pytest.mark.parametrize("ratio", [float("inf"), float("-inf"), float("nan")])
+def test_best_fraction_of_a_non_finite_ratio_raises_as_fraction_does(ratio):
+    with pytest.raises((OverflowError, ValueError)) as expected:
+        Fraction(ratio).limit_denominator(10**4)
+    with pytest.raises(expected.type, match=f"^{expected.value}$"):
+        _best_fraction(ratio, 10**4)
 
 
 def test_harmonic_ladder_all_pairs():

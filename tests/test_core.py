@@ -57,6 +57,14 @@ class TestStateVector:
         with pytest.raises(DimensionMismatchError):
             StateVector.basis_state(4, 3)
 
+    def test_stores_a_private_copy(self):
+        amps = np.array([0.6, 0.8j])
+        state = StateVector(amps)
+        assert not np.shares_memory(amps, state.amplitudes)
+        assert amps.flags.writeable and not state.amplitudes.flags.writeable
+        amps[0] = 5.0
+        assert state.amplitudes.tolist() == [0.6, 0.8j]
+
     def test_populations_sum_to_one(self, rng):
         for _ in range(20):
             s = random_state(rng, int(rng.integers(2, 9)))
@@ -124,6 +132,22 @@ class TestSystemSpec:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stores_private_copies(self, dtype):
+        # the caller's arrays stay writeable and writing to them afterwards
+        # changes nothing in the spec
+        drift = np.array([0.0, 1.0, 3.0])
+        coupling = _sigma_x_block(3).real.astype(dtype)
+        spec = SystemSpec(dim=3, drift=drift, coupling=coupling)
+        stored = [spec.drift.copy(), spec.coupling.copy()]
+        for caller, kept in ((drift, spec.drift), (coupling, spec.coupling)):
+            assert not np.shares_memory(caller, kept)
+            assert caller.flags.writeable and not kept.flags.writeable
+        drift[1] = 5.0
+        coupling[0, 1] = coupling[1, 0] = 7.0
+        assert spec.drift.tobytes() == stored[0].tobytes()
+        assert spec.coupling.tobytes() == stored[1].tobytes()
 
     def test_transition_frequency(self):
         spec = SystemSpec(dim=3, drift=[0.0, 1.0, 3.0], coupling=_sigma_x_block(3))
