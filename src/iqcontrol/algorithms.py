@@ -69,8 +69,8 @@ class RunReport:
                 "predicted_success": self.plan.predicted_success,
                 "pre_rotated": self.plan.pre_rotated,
             },
-            "pre_amplification": [float(x) for x in self.pre_amplification],
-            "post_amplification": [float(x) for x in self.post_amplification],
+            "pre_amplification": self.pre_amplification.tolist(),
+            "post_amplification": self.post_amplification.tolist(),
             "predicted_success": self.predicted_success,
         }
         if self.measurement is not None:
@@ -81,7 +81,7 @@ class RunReport:
         if self.success is not None:
             out["success"] = self.success
         if self.final_state is not None:
-            out["final_state"] = [[z.real, z.imag] for z in self.final_state.amplitudes]
+            out["final_state"] = self.final_state.amplitudes.view(float).reshape(-1, 2).tolist()
         if self.fidelity is not None:
             out["fidelity"] = self.fidelity
         if self.controllability_note is not None:

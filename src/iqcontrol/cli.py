@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -71,13 +70,17 @@ MODES = tuple(_MODE_FIELDS)
 _PRESETS = {preset.name: preset for preset in (case1_preset(), case2_preset())}
 INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
-_PLAIN_NUMBERS = {int, float}
-_PAIRED_KINDS = {list, int, float}
+# the characters of compact JSON lists whose leaves are plain numbers
+_NUMBER_TEXT = b"0123456789+-.e,[]"
 # json's own string escaper, as json.dumps applies it with ensure_ascii
 _quoted = json.encoder.encode_basestring_ascii
 # the one encoder of the report and of the config's canonical text:
 # sorted, compact, strict JSON, written in C
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# a NUL-prefixed string, as json encodes it: the stand-in for a field in
+# RunConfig.canonical.  No validated echo field holds one: the echo's
+# strings (mode, preset and tolerance names, 'auto') come from fixed lists
+_STAND_IN = re.compile(r'"\\u0000(\w+)"')
 # the tokens of compact JSON that re-indenting tells apart: the inside of
 # a nonempty list of scalars (no string, no container); a run of scalars,
 # commas, colons, empty containers and strings that hold no escape and none
@@ -130,6 +133,9 @@ class RunConfig:
     # the good set amplified: a preset's, or the one built from 'good' or 'subspace'
     target: Optional[GoodSubspace]
     controllability: ControllabilityConfig
+    # the canonical texts of the echo fields validation encoded: 'system'
+    # when it is written out, and 'initial'
+    texts: dict
 
     def echo(self) -> dict:
         """JSON-serializable echo of everything that defines the run."""
@@ -139,9 +145,13 @@ class RunConfig:
 
     @cached_property
     def canonical(self) -> str:
-        """The echo as sorted, compact strict JSON, encoded once: the text
-        the provenance hashes and the report splices in as its config block."""
-        return _encode(self.echo())
+        """The echo as sorted, compact strict JSON: the text the provenance
+        hashes and the report splices in as its config block.  The fields
+        in ``texts`` are not encoded again: the echo is encoded once with a
+        stand-in for each, which the field's text then replaces."""
+        echo = self.echo()
+        echo.update({name: "\0" + name for name in self.texts})
+        return _STAND_IN.sub(lambda match: self.texts[match[1]], _encode(echo))
 
 
 def _fail(path: str, message: str):
@@ -180,12 +190,13 @@ def _require_number(value, path: str, *index: int) -> float:
 
 
 def _parse_complex(value, path: str, *index: int) -> complex:
-    # every coupling and initial entry passes here once: plain numbers are
-    # checked inline, and the entry's path is built only when it fails
+    # every coupling and initial entry the bulk read declines passes here:
+    # plain numbers are checked inline, and the entry's path is built only
+    # when it fails; a pair may be a tuple, which json writes as a list
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return complex(value)
-    elif isinstance(value, list) and len(value) == 2:
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_require_number(value[0], path, *index, 0),
                        _require_number(value[1], path, *index, 1))
     _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {value!r}")
@@ -193,43 +204,61 @@ def _parse_complex(value, path: str, *index: int) -> complex:
 
 def _numbers(value: list, path: str, parse, depth: int = 1, pairs: bool = True):
     """The entries of ``value``, lists nested ``depth`` deep whose lengths
-    the caller has checked, read in bulk: as one float array when every
-    entry is a plain int or float (bools and strings are not), and as one
-    complex array when ``pairs`` allows it and every entry is an [re, im]
-    pair of them or a plain one, x read as [x, 0].  Any other value, and
-    one holding a non-finite number or one at or past the float range's
-    end, is read one entry at a time by ``parse(entry, path, *index)``,
-    which names the first bad one."""
-    flat = chain.from_iterable if depth == 2 else iter
-    kinds = set(map(type, flat(value)))
-    paired = pairs and list in kinds and kinds <= _PAIRED_KINDS
-    bulk = value
-    if paired:
-        if kinds != {list}:  # pad the plain entries; +0.0 imaginary parts, signs kept
-            if depth == 2:
-                bulk = [[x if type(x) is list else [x, 0] for x in row] for row in value]
-            else:
-                bulk = [x if type(x) is list else [x, 0] for x in value]
-        # the kinds of the pairs' parts
-        kinds = set(map(type, chain.from_iterable(flat(bulk))))
-    if value and kinds <= _PLAIN_NUMBERS:
-        try:
-            array = np.array(bulk, dtype=float)
-        except (OverflowError, ValueError):  # an integer past the float range; ragged pairs
-            array = None
-        # a NaN fails both comparisons; an integer just past the float range
-        # rounds to its end, where the per-entry parse tells it from a float
-        if (
-            array is not None
-            and (not paired or array.shape[-1] == 2)
-            and -_FLOAT_MAX < array.min()
-            and array.max() < _FLOAT_MAX
-        ):
-            return array.view(complex)[..., 0] if paired else array
-    # the original entries, so an error names the entry as written
+    the caller has checked, and its canonical text, encoded once.  The
+    entries are read in bulk: as one float array when every one is a plain
+    int or float (bools and strings are not), and as one complex array
+    when ``pairs`` allows it and every one is an [re, im] pair of them or
+    a plain one, x read as [x, 0].  Any other value, and one holding a
+    number at or past the float range's end, is read one entry at a time
+    by ``parse(entry, path, *index)``, which names the first bad one."""
+    try:
+        text = _encode(value)
+    except (ValueError, TypeError, RecursionError):
+        # a NaN or an infinity, a leaf json cannot spell, or nesting past the
+        # recursion limit: an entry the per-entry parse rejects
+        text = None
+    # every leaf is a plain int or float exactly when the text holds nothing
+    # but their characters, commas and brackets
+    if value and text is not None and not text.encode().translate(None, _NUMBER_TEXT):
+        array = _bulk_array(value, depth, pairs)
+        if array is not None:
+            return array, text
+    # the original entries, so an error names the entry as written; it
+    # accepts none that json cannot encode, so the text is set here
     if depth == 2:
-        return [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
-    return [parse(x, path, k) for k, x in enumerate(value)]
+        parsed = [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
+    else:
+        parsed = [parse(x, path, k) for k, x in enumerate(value)]
+    return parsed, text
+
+
+def _bulk_array(value: list, depth: int, pairs: bool) -> Optional[np.ndarray]:
+    """``value``, whose leaves are plain numbers, as one float array of
+    ``depth`` axes or, when ``pairs`` allows it, one complex array read
+    from [re, im] pairs; None for any other shape or a number at or past
+    the float range's end."""
+    try:
+        array = np.array(value, dtype=float)
+    except ValueError:  # ragged: plain numbers mixed with pairs, or bad pairs
+        if not pairs:
+            return None
+        # pad the plain entries; +0.0 imaginary parts, signs kept
+        if depth == 2:
+            value = [[x if isinstance(x, list) else [x, 0] for x in row] for row in value]
+        else:
+            value = [x if isinstance(x, list) else [x, 0] for x in value]
+        try:
+            array = np.array(value, dtype=float)
+        except (OverflowError, ValueError):
+            return None
+    except OverflowError:  # an integer past the float range
+        return None
+    paired = pairs and array.ndim == depth + 1 and array.shape[-1] == 2
+    # an integer just past the float range rounds to its end, where the
+    # per-entry parse tells it from a float
+    if (array.ndim == depth or paired) and -_FLOAT_MAX < array.min() and array.max() < _FLOAT_MAX:
+        return array.view(complex)[..., 0] if paired else array
+    return None
 
 
 def _built(prefix: str, build, *args, **kwargs):
@@ -241,7 +270,9 @@ def _built(prefix: str, build, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _system_spec(value) -> SystemSpec:
+def _system_spec(value) -> tuple[SystemSpec, Optional[str]]:
+    """The spec ``value`` describes, and its canonical text when it is
+    written out (None for a preset, which is encoded with the echo)."""
     if not isinstance(value, dict):
         _fail("system", f"expected a system object or preset name, got {value!r}")
     allowed = ("preset", "energy_gap") if "preset" in value else ("dim", "drift", "coupling")
@@ -252,7 +283,7 @@ def _system_spec(value) -> SystemSpec:
         if value["preset"] != "hydrogen":
             _fail("system.preset", f"unknown preset {value['preset']!r}")
         gap = _require_number(value.get("energy_gap", 1.0), "system.energy_gap")
-        return _built("system.energy_gap: ", hydrogen_spec, gap)
+        return _built("system.energy_gap: ", hydrogen_spec, gap), None
     for key in ("dim", "drift", "coupling"):
         if key not in value:
             _fail("system", f"missing required field {key!r}")
@@ -265,26 +296,26 @@ def _system_spec(value) -> SystemSpec:
     for i, row in enumerate(coupling):
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"system.coupling[{i}]", f"expected {dim} entries")
-    return _built(
-        "system.",
-        SystemSpec,
-        dim=dim,
-        drift=_numbers(drift, "system.drift", _require_number, pairs=False),
-        coupling=_numbers(coupling, "system.coupling", _parse_complex, depth=2),
-    )
+    drift, drift_text = _numbers(drift, "system.drift", _require_number, pairs=False)
+    coupling, coupling_text = _numbers(coupling, "system.coupling", _parse_complex, depth=2)
+    spec = _built("system.", SystemSpec, dim=dim, drift=drift, coupling=coupling)
+    # the object's canonical text: its keys are exactly these, in sorted order
+    return spec, f'{{"coupling":{coupling_text},"dim":{int(dim)},"drift":{drift_text}}}'
 
 
-def _initial_state(value, spec: SystemSpec) -> StateVector:
-    """The state within INITIAL_NORM_TOL of unit norm, divided by its norm."""
+def _initial_state(value, spec: SystemSpec) -> tuple[StateVector, str]:
+    """The state within INITIAL_NORM_TOL of unit norm, divided by its norm,
+    and the canonical text of ``value``."""
     if not isinstance(value, list):
         _fail("initial", f"expected a list of amplitudes, got {value!r}")
     if len(value) != spec.dim:
         _fail("initial", f"expected {spec.dim} amplitudes to match the system, got {len(value)}")
-    amps = np.asarray(_numbers(value, "initial", _parse_complex), dtype=complex)
+    amps, text = _numbers(value, "initial", _parse_complex)
+    amps = np.asarray(amps, dtype=complex)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > INITIAL_NORM_TOL:
         _fail("initial", f"state is not normalized: norm is {norm!r}")
-    return _built("initial: ", StateVector, amps / norm)
+    return _built("initial: ", StateVector, amps / norm), text
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -375,13 +406,17 @@ def validate_config(raw: dict) -> RunConfig:
     if mode == "amplify" and good is None and subspace is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
 
-    # the library objects, each built once, after the presence checks above
+    # the library objects, each built once, after the presence checks above,
+    # and the canonical texts of the echo fields that validation encoded
+    texts = {}
     if preset is not None:
         spec, state, target = hydrogen_spec(), preset.initial, preset.good
     else:
         # every other mode requires a system
-        spec = _system_spec(system)
-        state = None if initial is None else _initial_state(initial, spec)
+        spec, texts["system"] = _system_spec(system)
+        state = None
+        if initial is not None:
+            state, texts["initial"] = _initial_state(initial, spec)
         targets = {
             name: _built(f"{name}: ", GoodSubspace.of, labels, spec.dim)
             for name, labels in (("good", good), ("subspace", subspace))
@@ -408,6 +443,7 @@ def validate_config(raw: dict) -> RunConfig:
         state=state,
         target=target,
         controllability=_built("tolerances.", ControllabilityConfig, **tolerances),
+        texts={name: text for name, text in texts.items() if text is not None},
     )
 
 
@@ -648,25 +684,28 @@ def _assemble_raw_config(args) -> dict:
 
 def _reindent(text: str) -> str:
     """Compact JSON ``text`` (``separators=(",", ":")``) as ``json.dumps``
-    writes the same value with ``indent=2``: one token per bracket, per
-    list of scalars and per string holding an escape or a separator, the
-    runs between them spaced out by ``str.replace``."""
+    writes the same value with ``indent=2``, plus a newline: one token per
+    bracket, per list of scalars and per string holding an escape or a
+    separator, the runs between them spaced out by ``str.replace``.  Each
+    piece is copied once, by the final join."""
     out = []
+    append, extend = out.append, out.extend
     depth = 0
     for scalars, run, opening, closing, string in _COMPACT_TOKEN.findall(text):
         if scalars:
             inner = _NEWLINES[depth + 1]
-            out.append("[" + inner + scalars.replace(",", "," + inner) + _NEWLINES[depth] + "]")
+            extend(("[", inner, scalars.replace(",", "," + inner), _NEWLINES[depth], "]"))
         elif run:
-            out.append(run.replace(",", "," + _NEWLINES[depth]).replace(":", ": "))
+            append(run.replace(",", "," + _NEWLINES[depth]).replace(":", ": "))
         elif opening:
             depth += 1
-            out.append(opening + _NEWLINES[depth])
+            extend((opening, _NEWLINES[depth]))
         elif closing:
             depth -= 1
-            out.append(_NEWLINES[depth] + closing)
+            extend((_NEWLINES[depth], closing))
         else:
-            out.append(string)
+            append(string)
+    append("\n")
     return "".join(out)
 
 
@@ -682,7 +721,7 @@ def render_report(report: dict, *, config_text: Optional[str] = None) -> str:
             _quoted(key) + ":" + (config_text if key == "config" else _encode(report[key]))
             for key in sorted(report)
         ) + "}"
-    return _reindent(text) + "\n"
+    return _reindent(text)
 
 
 def _emit(code: int, report: dict, out: Optional[str], config_text: Optional[str] = None) -> int:

@@ -210,7 +210,8 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        # a private copy, so no caller's array is frozen or can change the operator
+        mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))

@@ -102,7 +102,7 @@ class MeasurementOutcome:
             "block_index": self.block_index,
             "block": list(self.block),
             "probability": self.probability,
-            "collapsed": [[z.real, z.imag] for z in self.collapsed.amplitudes],
+            "collapsed": self.collapsed.amplitudes.view(float).reshape(-1, 2).tolist(),
         }
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,26 @@ class TestAlgorithm1:
         p = case1_preset()
         report = run_algorithm1(hydrogen_spec(), p.initial, 5, seed=11, shots=100)
         json.dumps(report.to_dict())
+
+    def test_report_lists_equal_per_element_form(self):
+        # the bulk lists encode as the per-element ones did, signed zeros kept
+        p = case1_preset()
+        report = run_algorithm1(hydrogen_spec(), p.initial, 5, seed=11)
+        state = StateVector(np.array([complex(-0.0, 0.6), complex(0.8, -0.0), 0, 0, 0]))
+        report = replace(
+            report,
+            pre_amplification=np.array([-0.0, 0.1, 0.2, 0.3, 1e-300]),
+            final_state=state,
+            measurement=replace(report.measurement, collapsed=state),
+        )
+        expected = report.to_dict()
+        for name in ("pre_amplification", "post_amplification"):
+            expected[name] = [float(x) for x in getattr(report, name)]
+        expected["final_state"] = [[z.real, z.imag] for z in state.amplitudes]
+        expected["measurement"]["collapsed"] = [[z.real, z.imag] for z in state.amplitudes]
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert text == json.dumps(expected, sort_keys=True)
+        assert "[-0.0, 0.6]" in text and "[0.8, -0.0]" in text
 
 
 class TestAlgorithm2:

@@ -859,8 +859,18 @@ def numeric_arrays(draw):
 @example(case=("coupling", [[1, int(FLOAT_MAX) + 1], [0.5, 2**64]]))
 @example(case=("drift", [0, FLOAT_MAX, -0.0]))
 @example(case=("coupling", [[[1, 2], [3, 4]], [[5, 6], [7, 8, 9]]]))
+@example(case=("coupling", [[1, np.int64(2)], [3, 4]]))
+@example(case=("drift", [np.int64(1), 2]))
+@example(case=("initial", [[], 1]))
+@example(case=("coupling", [[[], []], [[], []]]))
+@example(case=("initial", [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
+@example(case=("coupling", [[FLOAT_MAX, [0.5, -FLOAT_MAX]], [-FLOAT_MAX, 2]]))
+@example(case=("initial", [[FLOAT_MAX, 0.0], -FLOAT_MAX]))
+@example(case=("initial", [(0.5, 0.5), (0.5, -0.5)]))
+@example(case=("initial", [(0.5, 0.5), 0.5, (1, 2, 3)]))
 def test_bulk_read_equals_per_entry_parse(case):
-    # bit-identical arrays, or the same ConfigError naming the same path
+    # bit-identical arrays, or the same ConfigError naming the same path;
+    # an array read comes with its canonical text
     name, value = case
     path, parse, depth, pairs, dtype = ARRAY_FIELDS[name]
 
@@ -875,8 +885,95 @@ def test_bulk_read_equals_per_entry_parse(case):
             return [[parse(x, path, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
         return [parse(x, path, k) for k, x in enumerate(value)]
 
-    bulk = outcome(lambda: iqcontrol.cli._numbers(value, path, parse, depth, pairs))
-    assert bulk == outcome(per_entry)
+    def bulk():
+        array, text = iqcontrol.cli._numbers(value, path, parse, depth, pairs)
+        assert text == json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return array
+
+    assert outcome(bulk) == outcome(per_entry)
+
+
+# entries of a config that validates: plain numbers, numpy float64 leaves
+# (as a library caller may pass), and the float range's ends, which only
+# the per-entry parse accepts
+REALS = (
+    st.integers(-5, 5)
+    | st.sampled_from([-0.0, 5e-324, FLOAT_MAX, -FLOAT_MAX])
+    | st.floats(-1e3, 1e3)
+)
+REALS = REALS | REALS.map(np.float64)
+
+
+@st.composite
+def valid_configs(draw):
+    # presets, and written-out systems whose coupling and initial entries
+    # are plain numbers, [re, im] pairs or a mix of both
+    mode = draw(st.sampled_from(["hydrogen-case1", "hydrogen-case2", "analyze",
+                                 "measure-stats", "amplify"]))
+    if mode.startswith("hydrogen"):
+        return {"mode": mode, "seed": draw(st.integers(0, 99))}
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["plain", "pairs", "mixed"]))
+
+    def entry(re, im):
+        plain = kind == "plain" or (kind == "mixed" and draw(st.booleans()))
+        return re if plain and im == 0 else [re, im]
+
+    coupling = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        coupling[i][i] = entry(draw(REALS), 0)
+        for j in range(i + 1, dim):
+            re, im = draw(REALS), 0 if kind == "plain" else draw(REALS)
+            coupling[i][j], coupling[j][i] = entry(re, im), entry(re, -im)
+    raw = {"mode": mode, "system": {"dim": dim, "drift": draw(st.lists(REALS, min_size=dim,
+                                                                        max_size=dim)),
+                                    "coupling": coupling}}
+    if mode != "analyze":
+        parts = draw(st.lists(st.floats(-1, 1), min_size=2 * dim, max_size=2 * dim))
+        amps = [complex(2 + parts[0], parts[1])] + [complex(*parts[k : k + 2])
+                                                    for k in range(2, 2 * dim, 2)]
+        norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
+        raw["initial"] = [entry(z.real / norm, z.imag / norm) for z in amps]
+        raw["seed"] = 5
+        raw["good"] = draw(st.integers(1, dim))
+    return raw
+
+
+@settings(max_examples=150)
+@given(raw=valid_configs())
+def test_canonical_equals_encoded_echo(raw):
+    # the texts validation encoded, spliced into the stand-ins' places, are
+    # the echo encoded whole
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # commuting specs; overflow at the float range's end
+        config = validate_config(raw)
+    assert config.canonical == iqcontrol.cli._encode(config.echo())
+
+
+def test_each_array_encoded_once(tmp_path, monkeypatch):
+    # a written-out coupling reaches the encoder once, in validation; a
+    # preset run encodes its canonical echo and each other report key once
+    encode, texts = iqcontrol.cli._encode, []
+
+    def counting(value):
+        texts.append(encode(value))
+        return texts[-1]
+
+    monkeypatch.setattr(iqcontrol.cli, "_encode", counting)
+    rng = np.random.default_rng(64)
+    coupling = np.diag(rng.uniform(0.5, 2.0, 63), 1)
+    payload = {"mode": "algo1", "initial": [0.125] * 64, "good": 64, "seed": 5,
+               "system": {"dim": 64, "drift": [0.5 * k * k for k in range(64)],
+                          "coupling": (coupling + coupling.T).tolist()}}
+    out = str(tmp_path / "report.json")
+    assert main(["--config", write_config(tmp_path, payload), "--out", out]) == 0
+    coupling_text = encode(payload["system"]["coupling"])
+    assert sum(coupling_text in text for text in texts) == 1
+    assert coupling_text in Path(out).read_text().replace(" ", "").replace("\n", "")
+    texts.clear()
+    preset = write_config(tmp_path, {"mode": "hydrogen-case1", "seed": 9})
+    assert main(["--config", preset, "--out", out]) == 0
+    assert len(texts) <= 4  # config, mode, provenance, result
 
 
 def json_trees(leaves):
@@ -910,7 +1007,7 @@ def test_reindent_equals_json_dumps(tree):
     # the report's config block is the canonical compact text re-indented
     compact = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     expected = json.dumps(tree, sort_keys=True, indent=2)
-    assert _reindent(compact) == expected
+    assert _reindent(compact) == expected + "\n"
 
 
 @settings(max_examples=60)

@@ -419,6 +419,16 @@ class TestPropagateBlocks:
 
 
 class TestUnitaryOperator:
+    def test_stores_a_private_copy(self):
+        # the caller's matrix stays writeable, and writing to it afterwards
+        # changes nothing in the operator
+        m = np.eye(2, dtype=complex)
+        u = UnitaryOperator(m)
+        assert not np.shares_memory(m, u.matrix)
+        assert m.flags.writeable and not u.matrix.flags.writeable
+        m[0, 0] = 5.0
+        assert u.matrix.tolist() == [[1, 0], [0, 1]]
+
     def test_rejects_non_unitary(self):
         with pytest.raises(UnitarityError):
             UnitaryOperator(np.array([[1.0, 0.1], [0.0, 1.0]]))
