@@ -23,15 +23,19 @@ undecidable; the check compares every level's offset from one reference
 level with one reference frequency by a continued-fraction heuristic
 (best rational approximation with bounded denominator) unless the system
 carries exact rational eigenvalues, in which case the condition is
-decided exactly.  Frequency collisions are found by one sweep over the
-sorted signed transition frequencies.
+decided exactly.  Two coupled transitions share a frequency in some
+orientation exactly when their |nu| lie within the tolerance, so
+collisions are found by one sweep over the sorted |nu|.  The public
+checks read their vertex labels as integers in 1..dim and their
+tolerances by the rule of ``ControllabilityConfig``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -144,7 +148,8 @@ class SubspaceVerdict:
 
 @dataclass(frozen=True)
 class ControllabilityConfig:
-    """Tolerances of the analysis; each error message starts with its field's name."""
+    """Tolerances of the analysis: finite real numbers >= 0, and an integer
+    ``max_denominator`` >= 1.  Each error message starts with its field's name."""
 
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
@@ -153,14 +158,35 @@ class ControllabilityConfig:
 
     def __post_init__(self):
         for name in ("edge_threshold", "degeneracy_tol", "ratio_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
-        object.__setattr__(
-            self, "max_denominator", _integer(self.max_denominator, "max_denominator")
-        )
-        if not self.max_denominator >= 1:
-            raise ValueError(f"max_denominator: must be >= 1, got {self.max_denominator!r}")
+            _check_tolerance(getattr(self, name), name)
+        object.__setattr__(self, "max_denominator", _max_denominator(self.max_denominator))
+
+
+def _check_tolerance(value, name: str) -> None:
+    """Raise unless ``value`` is a real number (no bool), finite and >= 0;
+    the error names ``name``.  A NaN would fail every comparison, so a
+    check would pass vacuously."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}: must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
+
+
+def _max_denominator(value) -> int:
+    """``value`` as an int >= 1; the error names ``max_denominator``."""
+    value = _integer(value, "max_denominator")
+    if value < 1:
+        raise ValueError(f"max_denominator: must be >= 1, got {value!r}")
+    return value
+
+
+def _labels(spec: SystemSpec, vertex_set: Iterable[int]) -> list[int]:
+    """The distinct labels of ``vertex_set``, sorted: integers in 1..dim."""
+    labels = sorted({_integer(v, "vertex_set label") for v in vertex_set})
+    for v in labels[:1] + labels[-1:]:
+        if not 1 <= v <= spec.dim:
+            raise ValueError(f"vertex_set: label {v} outside 1..{spec.dim}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -188,8 +214,7 @@ class ControllabilityReport:
 
 def build_graph(spec: SystemSpec, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> ConnectivityGraph:
     """Edges are exactly the pairs i < j with |B_ij| > edge_threshold."""
-    if edge_threshold < 0:
-        raise ValueError(f"edge threshold must be nonnegative, got {edge_threshold}")
+    _check_tolerance(edge_threshold, "edge_threshold")
     rows, cols = np.nonzero(np.abs(spec.coupling) > edge_threshold)
     upper = rows < cols
     return ConnectivityGraph(
@@ -240,67 +265,54 @@ def check_degenerate_transitions(
     vertex_set: Iterable[int],
     tol: float = DEFAULT_DEGENERACY_TOL,
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
-    *,
-    graph: Optional[ConnectivityGraph] = None,
 ) -> list[DegeneratePair]:
     """Ordered transition pairs inside ``vertex_set`` sharing a frequency.
 
     Coupled ordered pairs (i, j) and (a, b) violate the criterion when
-    |nu_ij - nu_ab| <= tol.  Each violation is reported once, with the
-    second pair oriented so the reported frequencies actually match; the
-    orientation (j, i) of a single edge flags a coupled transition
-    between degenerate levels.  With exact rational eigenvalues the
-    comparison is exact and ``tol`` is ignored.
-
-    The edges come from ``graph`` when given (``edge_threshold`` is then
-    already applied), else from ``build_graph(spec, edge_threshold)``.
-    Sorting the 2E signed frequencies +-nu_e puts every matching pair of
-    edges, in either orientation, inside a run of values within ``tol``
-    of its first, so one sweep over the runs finds them in
-    O(E log E + output).  The hits are listed by edge pair (k, l), k <= l
-    in sorted edge order, with k = l for a self-reverse match.
+    |nu_ij - nu_ab| <= tol, the edges being those of
+    ``build_graph(spec, edge_threshold)``.  Each violation is reported
+    once, with the second pair oriented so the reported frequencies
+    actually match; the orientation (j, i) of a single edge flags a
+    coupled transition between degenerate levels.  With exact rational
+    eigenvalues the comparison is exact and ``tol`` is ignored.  The
+    labels must be integers in 1..dim and the tolerances finite and >= 0.
     """
-    if graph is None:
-        graph = build_graph(spec, edge_threshold)
-    edges = _coupled_edges(graph, vertex_set)
-    exact = spec.exact_drift is not None
+    _check_tolerance(tol, "tol")
+    edges = _coupled_edges(build_graph(spec, edge_threshold), _labels(spec, vertex_set))
+    return _degenerate_pairs(spec, edges, tol)
 
-    def matches(x, y) -> bool:
-        if exact:
-            return x == y
-        return abs(x - y) <= tol
 
-    def pair(p1, p2, nu1, nu2) -> DegeneratePair:
-        zero = (nu1 == 0 and nu2 == 0) if exact else (abs(nu1) <= tol and abs(nu2) <= tol)
-        return DegeneratePair(p1, p2, float(nu1), float(nu2), zero)
+def _degenerate_pairs(spec: SystemSpec, edges: list[tuple[int, int]], tol: float) -> list[DegeneratePair]:
+    """The collisions among the sorted coupled ``edges``.
 
-    num_edges = len(edges)
+    Two edges match in some orientation exactly when
+    ||nu_k| - |nu_l|| <= tol, in floating point too, as negation and
+    ``abs`` are exact; an edge matches its own reverse when |2 nu| <= tol.
+    So one sort of the E values |nu| and one walk of each window of
+    values within ``tol`` of its first find every hit in
+    O(E log E + output).  The hits are listed by edge pair (k, l),
+    k <= l in sorted edge order, with k = l for a self-reverse match.
+    Exact eigenvalues compare with tolerance 0, which is equality.
+    """
+    if spec.exact_drift is not None:
+        tol = 0
     nus = _frequencies(spec, edges)
-    signed = nus + [-nu for nu in nus]  # slot s holds +nu of edge s, slot E + s its -nu
-    order = sorted(range(2 * num_edges), key=signed.__getitem__)
-    values = [signed[s] for s in order]
-    # |x - y| is monotone along the sorted run, so each window stops at its first miss
-    candidates = set()
-    for a, x in enumerate(values):
+    mags = [abs(nu) for nu in nus]
+    order = sorted(range(len(nus)), key=mags.__getitem__)
+    hits = [(k, k, -1) for k, nu in enumerate(nus) if abs(2 * nu) <= tol]
+    for a, k in enumerate(order):
+        # the gap only grows along the sorted order, so a window stops at its first miss
         b = a + 1
-        while b < len(values) and matches(x, values[b]):
-            k, l = order[a] % num_edges, order[b] % num_edges
-            candidates.add((k, l) if k <= l else (l, k))
+        while b < len(order) and mags[order[b]] - mags[k] <= tol:
+            l = order[b]
+            sign = 1 if abs(nus[k] - nus[l]) <= tol else -1
+            hits.append((k, l, sign) if k < l else (l, k, sign))
             b += 1
-
     out: list[DegeneratePair] = []
-    for k, l in sorted(candidates):
-        e1, nu1 = edges[k], nus[k]
-        if k == l:
-            # a transition between degenerate levels matches its own reverse
-            if matches(nu1, -nu1):
-                out.append(pair(e1, (e1[1], e1[0]), nu1, -nu1))
-            continue
-        e2, nu2 = edges[l], nus[l]
-        if matches(nu1, nu2):
-            out.append(pair(e1, e2, nu1, nu2))
-        elif matches(nu1, -nu2):
-            out.append(pair(e1, (e2[1], e2[0]), nu1, -nu2))
+    for k, l, sign in sorted(hits):
+        (i, j), nu1, nu2 = edges[l], nus[k], sign * nus[l]
+        zero = abs(nu1) <= tol and abs(nu2) <= tol
+        out.append(DegeneratePair(edges[k], (i, j) if sign > 0 else (j, i), float(nu1), float(nu2), zero))
     return out
 
 
@@ -320,14 +332,22 @@ def check_rational_ratios(
     fraction with denominator <= max_denominator to nu_ref,i / nu_ref,j,
     reported when it misses by more than ``tol``.  That is at most
     |set| - 2 checks and witnesses.  Exact rational eigenvalues make
-    every ratio rational, so the result is empty by construction.
+    every ratio rational, so the result is empty by construction.  The
+    labels must be integers in 1..dim, ``max_denominator`` an integer
+    >= 1 and ``tol`` finite and >= 0.
     """
-    if max_denominator < 1:
-        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
+    max_denominator = _max_denominator(max_denominator)
+    _check_tolerance(tol, "tol")
+    return _irrational_witnesses(spec, _labels(spec, vertex_set), max_denominator, tol)
+
+
+def _irrational_witnesses(
+    spec: SystemSpec, labels: list[int], max_denominator: int, tol: float
+) -> list[IrrationalWitness]:
+    """``check_rational_ratios`` on sorted distinct ``labels``."""
     if spec.exact_drift is not None:
         return []
-    vs = sorted(set(vertex_set))
-    pairs = [(vs[0], i) for i in vs[1:]]
+    pairs = [(labels[0], i) for i in labels[1:]]
     # levels within tol of the reference level have ratio 0, which is rational
     offsets = [(p, nu) for p, nu in zip(pairs, _frequencies(spec, pairs)) if abs(nu) > tol]
     if not offsets:
@@ -403,12 +423,14 @@ def _component_verdict(
     A single-vertex component is trivially controllable within its
     one-dimensional span; any other is checked for shared transition
     frequencies and rational frequency ratios, restricted to it.
+    ``component`` holds sorted distinct labels and ``config`` is checked
+    on construction, so nothing is validated again per component.
     """
     if len(component) == 1:
         trivial = SubspaceVerdict(component, VERDICT_CONTROLLABLE, ("trivial single-state subspace",))
         return trivial, [], []
-    degenerate = check_degenerate_transitions(spec, component, config.degeneracy_tol, graph=graph)
-    irrational = check_rational_ratios(spec, component, config.max_denominator, config.ratio_tol)
+    degenerate = _degenerate_pairs(spec, _coupled_edges(graph, component), config.degeneracy_tol)
+    irrational = _irrational_witnesses(spec, component, config.max_denominator, config.ratio_tol)
     verdict, notes = _verdict_for(degenerate, irrational, True)
     return SubspaceVerdict(component, verdict, tuple(notes)), degenerate, irrational
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from iqcontrol import (
     connected_components,
     hydrogen_spec,
 )
+from iqcontrol import controllability
 from iqcontrol.controllability import DEFAULT_DEGENERACY_TOL, _best_fraction
 from oracles import transition_frequency
 
@@ -401,6 +403,97 @@ class TestControllabilityConfig:
         )
         assert config.ratio_tol == 0.0
 
+    @pytest.mark.parametrize("name", ["edge_threshold", "degeneracy_tol", "ratio_tol"])
+    @pytest.mark.parametrize("value", [True, "x", None, 1j])
+    def test_rejects_a_tolerance_of_the_wrong_kind(self, name, value):
+        # a bool passed as 1 or 0, and a string failed naming no field
+        with pytest.raises(TypeError, match=f"^{name}: must be a real number"):
+            ControllabilityConfig(**{name: value})
+
+
+CHAIN = spec_from_edges([0.0, 1.0, 2.0], [(1, 2), (2, 3)])
+SQRT2 = spec_from_edges([0.0, 1.0, np.sqrt(2.0)], [(1, 2), (2, 3)])
+NAN = float("nan")
+
+
+class TestArgumentRule:
+    """The public checks apply ``ControllabilityConfig``'s rule and read
+    their labels as integers in 1..dim; unchecked, a NaN tolerance made
+    each check pass vacuously and a bad label read the wrong level."""
+
+    @pytest.mark.parametrize(
+        "call, error, name",
+        [
+            (lambda: check_degenerate_transitions(CHAIN, [1, 2, 3], NAN), ValueError, "tol"),
+            (lambda: check_degenerate_transitions(CHAIN, [1, 2, 3], -1e-9), ValueError, "tol"),
+            (lambda: check_degenerate_transitions(CHAIN, [1, 2, 3], True), TypeError, "tol"),
+            (lambda: check_degenerate_transitions(CHAIN, [1, 2, 3], edge_threshold=NAN),
+             ValueError, "edge_threshold"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], tol=NAN), ValueError, "tol"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], tol=float("inf")), ValueError, "tol"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], tol=True), TypeError, "tol"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], tol="1e-9"), TypeError, "tol"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], max_denominator=2.5),
+             TypeError, "max_denominator"),
+            (lambda: check_rational_ratios(SQRT2, [1, 2, 3], max_denominator=True),
+             TypeError, "max_denominator"),
+            (lambda: build_graph(CHAIN, NAN), ValueError, "edge_threshold"),
+            (lambda: build_graph(CHAIN, "0"), TypeError, "edge_threshold"),
+        ],
+    )
+    def test_bad_tolerance_raises_naming_the_argument(self, call, error, name):
+        with pytest.raises(error, match=f"^{name}[: ]"):
+            call()
+
+    def test_valid_arguments_of_other_numeric_types(self):
+        assert len(check_degenerate_transitions(CHAIN, [1, 2, 3], np.float64(1e-9))) == 1
+        assert len(check_degenerate_transitions(CHAIN, np.array([1, 2, 3]), 0)) == 1
+        assert len(check_rational_ratios(SQRT2, (1, 2, 3), np.int64(10**4), Fraction(1, 10**9))) == 1
+        assert len(build_graph(CHAIN, np.float32(0.5)).edges) == 2
+
+    @pytest.mark.parametrize("check", [check_degenerate_transitions, check_rational_ratios])
+    @pytest.mark.parametrize(
+        "labels, error, message",
+        [
+            ([0, 1, 2], ValueError, "vertex_set: label 0 outside 1..3"),
+            ([1, 99], ValueError, "vertex_set: label 99 outside 1..3"),
+            ([-1, 2], ValueError, "vertex_set: label -1 outside 1..3"),
+            ([1, 2, 2.5], TypeError, "vertex_set label must be an integer, got 2.5"),
+            ([1, True], TypeError, "vertex_set label must be an integer, got True"),
+        ],
+    )
+    def test_bad_labels_raise_naming_vertex_set(self, check, labels, error, message):
+        # label 0 read drift[-1], 2.5 was truncated to 2, and 99 raised a raw
+        # IndexError in one check and was ignored by the other
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check(SQRT2, labels)
+
+    def test_labels_may_repeat_and_come_in_any_order(self):
+        assert check_rational_ratios(SQRT2, [3, 1, 2, 1]) == check_rational_ratios(SQRT2, [1, 2, 3])
+        assert check_degenerate_transitions(CHAIN, (3, np.int64(2), 1, 3)) == (
+            check_degenerate_transitions(CHAIN, [1, 2, 3])
+        )
+
+    def test_empty_and_single_label_sets_have_no_failures(self):
+        for labels in ([], [2]):
+            assert check_degenerate_transitions(CHAIN, labels) == []
+            assert check_rational_ratios(SQRT2, labels) == []
+
+    def test_assess_validates_once_per_call(self, monkeypatch):
+        # the config is checked on construction and the components are the
+        # graph's own, so no component's check reads its arguments again
+        config = ControllabilityConfig(degeneracy_tol=1e-6)
+        calls = []
+        check = controllability._check_tolerance
+        monkeypatch.setattr(
+            controllability, "_check_tolerance", lambda *args: calls.append(args) or check(*args)
+        )
+        monkeypatch.setattr(controllability, "_labels", lambda *args: pytest.fail("labels read"))
+        spec = spec_from_edges([0.0, 1.0, 2.0, 5.0, 6.0, 7.0], [(1, 2), (2, 3), (4, 5), (5, 6)])
+        report = assess(spec, config)
+        assert len(report.degenerate_pairs) == 2
+        assert calls == [(1e-12, "edge_threshold")]
+
 
 class TestAssess:
     def test_hydrogen_report(self):
@@ -508,9 +601,32 @@ def collision_specs(draw):
     return spec, vertices
 
 
+def _exact_spec(levels, edges):
+    drift = [float(x) for x in levels]
+    coupling = spec_from_edges(drift, edges).coupling
+    return SystemSpec(dim=len(levels), drift=drift, coupling=coupling, exact_drift=tuple(levels))
+
+
 @pytest.mark.filterwarnings("ignore:drift and coupling commute")
 @settings(max_examples=200)
 @given(case=collision_specs())
+# frequencies equal as floats, a gap of exactly 0
+@example(case=(spec_from_edges([0.0, 1.0, 2.0, 1.0], [(1, 2), (2, 3), (3, 4)]), range(1, 5)))
+# one self-reverse zero-frequency edge beside a nonzero one
+@example(case=(spec_from_edges([0.0, 0.0, 1.0], [(1, 2), (2, 3)]), range(1, 4)))
+# nu = -tol and -2 tol: differ by exactly tol in the same orientation
+@example(case=(spec_from_edges([0.0, TOL, 2 * TOL], [(1, 2), (1, 3)]), range(1, 4)))
+# nu = -tol and +2 tol: differ by exactly tol in the opposite orientation
+@example(case=(spec_from_edges([0.0, TOL, 2 * TOL, 0.0], [(1, 2), (3, 4)]), range(1, 5)))
+# exact levels nudged by 1e-11: float frequencies all within tol, exact ones
+# apart but for nu_23 = nu_45
+@example(case=(
+    _exact_spec(
+        [Fraction(0), Fraction(1), 2 + Fraction(1, 10**11), 1 - Fraction(1, 10**11), Fraction(2)],
+        [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)],
+    ),
+    range(1, 6),
+))
 def test_sweep_equals_pairwise_oracle(case):
     # list-identical: same pairs, same (k, l) order, same orientation
     spec, vertices = case
@@ -610,6 +726,31 @@ def test_harmonic_ladder_all_pairs():
     pairs = check_degenerate_transitions(spec, range(1, n + 1))
     assert len(pairs) == 63 * 62 // 2 == 1953
     assert pairs == pairwise_degenerate_transitions(spec, range(1, n + 1))
+
+
+@pytest.mark.parametrize("tol", [TOL, 0.0])
+@pytest.mark.parametrize(
+    "drift",
+    [
+        range(20),
+        # folded at level 10: levels k and 20 - k are degenerate, and the
+        # frequencies change sign along the labels
+        [abs(k - 10) for k in range(20)],
+    ],
+    ids=["ladder", "folded-ladder"],
+)
+def test_complete_harmonic_ladder_equals_pairwise_oracle(drift, tol):
+    # all 190 pairs of 20 levels coupled: the hits pile up in long windows
+    n = 20
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    spec = spec_from_edges([float(x) for x in drift], edges)
+    pairs = check_degenerate_transitions(spec, range(1, n + 1), tol)
+    assert pairs == pairwise_degenerate_transitions(spec, range(1, n + 1), tol)
+    kinds = {
+        "self-reverse" if p.second == p.first[::-1] else "same" if p.second[0] < p.second[1] else "opposite"
+        for p in pairs
+    }
+    assert kinds == ({"same"} if drift == range(20) else {"self-reverse", "same", "opposite"})
 
 
 def test_reference_witnesses_are_a_subset_of_all_pairs():

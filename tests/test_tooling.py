@@ -18,6 +18,12 @@ def test_pyproject_version_is_package_version():
     assert match[1] == iqcontrol.__version__
 
 
+def test_readme_report_example_version_is_package_version():
+    # the README's report example is written by hand
+    versions = re.findall(r'"version": "([^"]+)"', (ROOT / "README.md").read_text())
+    assert versions == [iqcontrol.__version__]
+
+
 def test_sources_found():
     assert ROOT / "src" / "iqcontrol" / "cli.py" in SOURCES
 
