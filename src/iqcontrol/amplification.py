@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import StateVector, UnitaryOperator, _integer, prepare_unitary
+from .core import StateVector, UnitaryOperator, _integer, _real, prepare_unitary
 from .errors import DimensionMismatchError, ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
@@ -133,8 +133,19 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _iterations(value) -> int:
+    """An explicit iteration count: an integer (not a bool) in 0..2**53,
+    or a TypeError or ValueError naming ``iterations``."""
+    count = _count(value, "iterations")
+    if count > MAX_ITERATIONS:
+        raise ValueError(
+            f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"
+        )
+    return count
+
+
 def _check_phase(name: str, value: float) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not 0.0 <= value <= math.pi:
         raise ValueError(f"{name} must lie in [0, pi], got {value}")
     return value
@@ -219,8 +230,8 @@ def closed_form_weights(
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    if iterations < 0:
-        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+    iterations = _iterations(iterations)
+    g = _real(g, "g")
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"good weight must lie in [0, 1], got {g}")
     c_good, c_bad = _coefficients(g, 1.0 - g, phi1, phi2, iterations)
@@ -230,8 +241,8 @@ def closed_form_weights(
 
 def success_probability(g: float, iterations: int) -> float:
     """sin^2((2L+1) theta) with sin^2(theta) = g, for L = iterations."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+    iterations = _iterations(iterations)
+    g = _real(g, "g")
     if not 0.0 < g <= 1.0:
         raise ValueError(
             f"initial good weight must lie in (0, 1], got {g}; "
@@ -252,6 +263,7 @@ def optimal_iterations(g: float, l_max: int = DEFAULT_L_MAX) -> int:
     toward the smaller count.
     """
     l_max = _count(l_max, "l_max")
+    g = _real(g, "g")
     if not 0.0 < g <= 1.0:
         raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
     theta = math.asin(math.sqrt(g))
@@ -356,11 +368,7 @@ def make_plan(
     if iterations == "auto":
         count = optimal_iterations(d.g, l_max)
     else:
-        count = _count(iterations, "iterations")
-        if count > MAX_ITERATIONS:
-            raise ValueError(
-                f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"
-            )
+        count = _iterations(iterations)
     predicted, _ = closed_form_weights(d.g, phi1, phi2, count)
     return AmplificationPlan(
         prepared=initial,

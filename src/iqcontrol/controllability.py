@@ -33,13 +33,12 @@ tolerances by the rule of ``ControllabilityConfig``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import SystemSpec, _integer
+from .core import SystemSpec, _integer, _real
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -166,9 +165,7 @@ def _check_tolerance(value, name: str) -> None:
     """Raise unless ``value`` is a real number (no bool), finite and >= 0;
     the error names ``name``.  A NaN would fail every comparison, so a
     check would pass vacuously."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name}: must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value >= 0):
+    if not (math.isfinite(_real(value, name)) and value >= 0):
         raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
 
 

@@ -8,6 +8,7 @@ entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -70,6 +71,18 @@ def _integer(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float: any real number, numpy's included, but no bool;
+    a TypeError names ``name``.  An int beyond the float range reads as an
+    infinity, so the caller's finiteness check names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}: must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over the drift eigenbasis."""
@@ -106,6 +119,7 @@ class StateVector:
     @classmethod
     def basis_state(cls, index: int, dim: int) -> "StateVector":
         """Basis state with 1-based label ``index``."""
+        index, dim = _integer(index, "index"), _integer(dim, "dim")
         if not 1 <= index <= dim:
             raise DimensionMismatchError(f"basis label {index} outside 1..{dim}")
         amps = np.zeros(dim, dtype=complex)
@@ -236,7 +250,10 @@ class ControlPulse:
     segments: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        segs = tuple((float(d), float(u)) for d, u in self.segments)
+        segs = tuple(
+            (_real(d, f"segments[{k}][0]"), _real(u, f"segments[{k}][1]"))
+            for k, (d, u) in enumerate(self.segments)
+        )
         for k, (d, u) in enumerate(segs):
             if not (math.isfinite(d) and math.isfinite(u)):
                 raise NonFiniteError(

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NormalizationError", "NonFiniteError", "HermiticityError", "UnitarityError",
+    "DimensionMismatchError", "ZeroOverlapError", "MeasurementGuardError", "ConfigError",
+]
+
 
 class NormalizationError(ValueError):
     """A state vector does not have unit norm within tolerance."""

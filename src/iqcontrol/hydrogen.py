@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .amplification import GoodSubspace, success_probability
-from .core import ControlPulse, StateVector, SystemSpec, _evolve
+from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real
 from .errors import DimensionMismatchError, NonFiniteError
 
 KAPPA_GROUND = 128.0 * math.sqrt(2.0) / 243.0   # ground <-> excited-3 channel
@@ -50,7 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HydrogenModel:
-    """Energies and coupling constants of the truncated 5-level atom."""
+    """Energies and coupling constants of the truncated 5-level atom, each
+    a finite real number (no bool), stored as a float."""
 
     energy_gap: float = 1.0
     kappa_ground: float = KAPPA_GROUND
@@ -58,9 +59,10 @@ class HydrogenModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = _real(getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise NonFiniteError(f"{f.name}: must be finite, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.energy_gap <= 0:
             raise ValueError(f"energy gap must be positive, got {self.energy_gap}")
 
@@ -98,7 +100,7 @@ def _pulse_segments(pulse: ControlPulse, duration: Optional[float]):
     return np.minimum(durations, duration - starts)[kept], amplitudes[kept]
 
 
-def _field_segments(model, field, duration: float, t0: float, max_step: Optional[float]):
+def _field_segments(model, field, duration: float, t0: float, max_step: float):
     """(durations, amplitudes) of the CF4 half-steps that stand for ``field``.
 
     The step is min(max_step, 0.02 / max(gap, peak * kappa, 1e-6)); the
@@ -106,12 +108,9 @@ def _field_segments(model, field, duration: float, t0: float, max_step: Optional
     the gap alone asks for, and the field is sampled again on a finer grid
     only when that peak asks for shorter steps.
     """
-    limit = math.inf if max_step is None else float(max_step)
-    if not limit > 0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
 
     def steps(rate: float) -> int:
-        return max(math.ceil(duration / min(limit, 0.02 / rate)), 1)
+        return max(math.ceil(duration / min(max_step, 0.02 / rate)), 1)
 
     def gauss_values(n: int):
         h = duration / n
@@ -152,12 +151,17 @@ def propagate_interaction_picture(
     lab-frame propagator of ``iqcontrol.core``: exact segment exponentials
     for a pulse, and for a callable the fourth-order commutator-free
     Magnus step, two constant half-steps per step of at most
-    ``max_step``.  Only the coupled levels the state occupies are
+    ``max_step``, which is checked whichever field is given.  Only the coupled levels the state occupies are
     evolved; every other amplitude (labels 4 and 5 always) comes back
     bit-exact.
     """
     if initial.dim != 5:
         raise DimensionMismatchError(f"hydrogen model is 5-level, state has {initial.dim}")
+    duration = None if duration is None else _real(duration, "duration")
+    t0 = _real(t0, "t0")
+    limit = math.inf if max_step is None else _real(max_step, "max_step")
+    if not limit > 0:
+        raise ValueError(f"max_step must be positive, got {max_step}")
     for name, value in (("duration", duration), ("t0", t0)):
         if value is not None and not math.isfinite(value):
             raise NonFiniteError(f"{name}: must be finite, got {value!r}")
@@ -172,7 +176,7 @@ def propagate_interaction_picture(
     elif duration == 0:
         return initial
     else:
-        durations, amplitudes = _field_segments(model, field, float(duration), t0, max_step)
+        durations, amplitudes = _field_segments(model, field, duration, t0, limit)
     if not durations.size:
         return initial
     spec = _model_spec(model)

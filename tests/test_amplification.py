@@ -44,6 +44,20 @@ def random_good(rng, dim) -> GoodSubspace:
     return GoodSubspace.of([int(i) for i in indices], dim)
 
 
+# explicit iteration counts that make_plan, closed_form_weights and
+# success_probability all reject: (value, error, message prefix)
+BAD_ITERATIONS = [
+    # int() read 2.5 as 2 and True as 1
+    (2.5, TypeError, "iterations must be an integer"),
+    (True, TypeError, "iterations must be an integer"),
+    # past 2**53 the float L is inexact; near the float range's top
+    # L * alpha overflowed and the plan predicted nan
+    (2**53 + 1, ValueError, "iterations must not exceed"),
+    (10**308, ValueError, "iterations must not exceed"),
+]
+BAD_ITERATION_IDS = ["float", "bool", "2**53+1", "1e308"]
+
+
 class TestDecompose:
     def test_case1_good_weight(self):
         d = decompose(StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5))
@@ -303,6 +317,23 @@ class TestSuccessProbability:
             success_probability(0.5, -1)
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [lambda L: closed_form_weights(0.5, math.pi, math.pi, L), lambda L: success_probability(0.5, L)],
+    ids=["closed_form_weights", "success_probability"],
+)
+@pytest.mark.parametrize(
+    "iterations, error, prefix",
+    BAD_ITERATIONS + [(10**400, ValueError, "iterations must not exceed")],
+    ids=BAD_ITERATION_IDS + ["1e400"],
+)
+def test_formulas_read_iterations_as_make_plan_does(formula, iterations, error, prefix):
+    # unchecked, 2.5 gave a weight for L = 2.5, True counted as 1, 2**53 + 1
+    # passed with an inexact float L, and 10**400 raised a raw OverflowError
+    with pytest.raises(error, match="^" + re.escape(prefix)):
+        formula(iterations)
+
+
 class TestOptimalIterations:
     def test_one_percent_weight(self):
         assert optimal_iterations(0.01) == 7
@@ -398,19 +429,10 @@ class TestMakePlan:
 
     @pytest.mark.parametrize(
         "kwargs, error, prefix",
-        [
-            # int() read 2.5 as 2 and True as 1
-            ({"iterations": 2.5}, TypeError, "iterations must be an integer"),
-            ({"iterations": True}, TypeError, "iterations must be an integer"),
-            # past 2**53 the float L is inexact; near the float range's top
-            # L * alpha overflowed and the plan predicted nan
-            ({"iterations": 2**53 + 1}, ValueError, "iterations must not exceed"),
-            ({"iterations": 10**308}, ValueError, "iterations must not exceed"),
-            # l_max=2.5 planned 2.5 iterations
-            ({"l_max": 2.5}, TypeError, "l_max must be an integer"),
-        ],
-        ids=["iterations-float", "iterations-bool", "iterations-2**53+1",
-             "iterations-1e308", "l_max-float"],
+        [({"iterations": value}, error, prefix) for value, error, prefix in BAD_ITERATIONS]
+        # l_max=2.5 planned 2.5 iterations
+        + [({"l_max": 2.5}, TypeError, "l_max must be an integer")],
+        ids=[f"iterations-{i}" for i in BAD_ITERATION_IDS] + ["l_max-float"],
     )
     def test_counts_are_integers_in_range(self, kwargs, error, prefix):
         state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)

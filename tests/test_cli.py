@@ -672,6 +672,21 @@ REQUIRED = {
     "algo2": ["system", "initial", "subspace", "seed"],
     "measure-stats": ["system", "initial", "seed"],
 }
+# a scalar field set to a value of the wrong JSON kind or range: (field,
+# value, the path its error names); 'out' is left out, because --out
+# overrides it, and so is null, which means "absent"
+WRONG_KINDS = [
+    ("phases", "x", "phases"), ("phases", [1.0], "phases"),
+    ("phases", [1.0, "x"], "phases[1]"), ("phases", [4.0, 1.0], "phases[0]"),
+    *(("iterations", v, "iterations") for v in (2.5, True, "x", -1)),
+    *(("seed", v, "seed") for v in (1.5, True, -1)),
+    *(("shots", v, "shots") for v in (0, True, 2.5)),
+    *(("l_max", v, "l_max") for v in (-1, 2.5)),
+    *((field, v, field) for field in ("pre_rotation", "repeat_until_success") for v in (1, "yes")),
+    ("tolerances", [], "tolerances"),
+    ("tolerances", {"ratio_tol": "x"}, "tolerances.ratio_tol"),
+    ("tolerances", {"max_denominator": 2.5}, "tolerances.max_denominator"),
+]
 TARGETS = {
     "analyze": [None],
     "amplify": ["good", "subspace"],
@@ -716,7 +731,7 @@ def mutated_configs(draw):
     if target is not None:
         payload[target] = labels[0] if target == "good" else labels
 
-    mutation = draw(st.sampled_from(["none", "drop", "label", "length", "tolerance", "hermitian"]))
+    mutation = draw(st.sampled_from(["none", "drop", "label", "length", "tolerance", "hermitian", "kind"]))
     if mutation == "drop":
         key = draw(st.sampled_from(["mode", *REQUIRED[mode], *([target] if mode == "amplify" else [])]))
         del payload[key]
@@ -753,6 +768,10 @@ def mutated_configs(draw):
         i, j = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)))
         coupling[i][j] = [draw(small), 3]  # imaginary part 3 matches no conjugate entry
         return payload, f"system.coupling[{i}][{j}]"
+    if mutation == "kind":
+        field, value, path = draw(st.sampled_from(WRONG_KINDS))
+        payload[field] = value
+        return payload, path
     return payload, None
 
 
@@ -784,6 +803,26 @@ def test_config_boundary_fuzz(fuzz_dir, case):
         assert code != 2, error
     else:
         assert code == 2 and error["message"].startswith(path + ": "), error
+
+
+# the fuzz draws only some of WRONG_KINDS; this runs each in every mode
+KIND_RUNS = {
+    "analyze": {},
+    "amplify": {"initial": [0.6, 0.8, 0.0], "good": 2},
+    "algo1": {"initial": [0.6, 0.8, 0.0], "good": 2, "seed": 1},
+    "algo2": {"initial": [0.6, 0.8, 0.0], "subspace": [2], "seed": 1},
+    "measure-stats": {"initial": [0.6, 0.8, 0.0], "seed": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, path", WRONG_KINDS, ids=[f"{f}={json.dumps(v)}" for f, v, _ in WRONG_KINDS]
+)
+def test_wrong_kind_names_its_field(tmp_path, field, value, path):
+    system = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}
+    for mode, fields in KIND_RUNS.items():
+        code, report = run_cli(tmp_path, {"mode": mode, "system": system, **fields, field: value})
+        assert code == 2 and report["error"]["message"].startswith(path + ": "), (mode, report)
 
 
 # leaves at the edges of json's spelling: bools and None, ints past 2^63,

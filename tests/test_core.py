@@ -1,6 +1,8 @@
+import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +15,21 @@ from iqcontrol import (
     DimensionMismatchError,
     GoodSubspace,
     HermiticityError,
+    HydrogenModel,
     NonFiniteError,
     NormalizationError,
     StateVector,
     SystemSpec,
     UnitarityError,
     UnitaryOperator,
+    closed_form_weights,
+    hydrogen_spec,
+    make_plan,
+    optimal_iterations,
     prepare_unitary,
     propagate,
+    propagate_interaction_picture,
+    success_probability,
 )
 from iqcontrol import controllability
 from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
@@ -56,6 +65,15 @@ class TestStateVector:
         assert np.allclose(e2.amplitudes, [0, 1, 0])
         with pytest.raises(DimensionMismatchError):
             StateVector.basis_state(4, 3)
+
+    def test_basis_state_reads_integers(self):
+        # unchecked, numpy raised IndexError for label 1.5, and True was label 1
+        for bad in (1.5, True):
+            with pytest.raises(TypeError, match=f"^index must be an integer, got {bad!r}$"):
+                StateVector.basis_state(bad, 3)
+        with pytest.raises(TypeError, match="^dim must be an integer, got 3.0$"):
+            StateVector.basis_state(1, 3.0)
+        assert StateVector.basis_state(np.int64(3), np.int64(3)).amplitudes.tolist() == [0, 0, 1]
 
     def test_stores_a_private_copy(self):
         amps = np.array([0.6, 0.8j])
@@ -174,6 +192,61 @@ def test_integer_fields_are_read_as_integers(build, name, valid):
             build(bad)
     value = getattr(build(np.int64(valid)), name)
     assert value == valid and type(value) is int
+
+
+E1 = StateVector.basis_state(1, 5)
+PULSE = ControlPulse(((1.0, 0.1),))
+
+REAL_ARGUMENTS = [
+    # id, call with the argument's value, argument name, a valid value
+    ("pulse-duration", lambda v: ControlPulse(((v, 0.5),)), "segments[0][0]", 1.0),
+    ("pulse-amplitude", lambda v: ControlPulse(((1.0, 0.5), (1.0, v))), "segments[1][1]", -0.5),
+    ("phi1", lambda v: make_plan(E1, GoodSubspace.of(1, 5), phi1=v), "phi1", 3.0),
+    ("phi2", lambda v: make_plan(E1, GoodSubspace.of(1, 5), phi2=v), "phi2", 3.0),
+    ("weights-g", lambda v: closed_form_weights(v, math.pi, math.pi, 1), "g", 0.5),
+    ("success-g", lambda v: success_probability(v, 1), "g", 0.5),
+    ("optimal-g", lambda v: optimal_iterations(v), "g", 0.5),
+    ("energy_gap", lambda v: HydrogenModel(v), "energy_gap", 2.0),
+    ("kappa_ground", lambda v: HydrogenModel(kappa_ground=v), "kappa_ground", 0.5),
+    ("kappa_excited", lambda v: HydrogenModel(kappa_excited=v), "kappa_excited", 3.0),
+    ("spec-gap", lambda v: hydrogen_spec(v), "energy_gap", 2.0),
+    ("duration", lambda v: propagate_interaction_picture(HydrogenModel(), PULSE, E1, duration=v),
+     "duration", 0.5),
+    ("duration-callable",
+     lambda v: propagate_interaction_picture(HydrogenModel(), lambda t: 0.1, E1, duration=v),
+     "duration", 0.5),
+    ("t0", lambda v: propagate_interaction_picture(HydrogenModel(), PULSE, E1, t0=v), "t0", 1.0),
+    ("max_step",
+     lambda v: propagate_interaction_picture(HydrogenModel(), lambda t: 0.1, E1, 0.5, max_step=v),
+     "max_step", 0.25),
+    # a pulse takes no steps, but its max_step is read all the same
+    ("max_step-pulse", lambda v: propagate_interaction_picture(HydrogenModel(), PULSE, E1, max_step=v),
+     "max_step", 0.25),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, valid", [row[1:] for row in REAL_ARGUMENTS], ids=[row[0] for row in REAL_ARGUMENTS]
+)
+def test_real_arguments_are_read_as_real_numbers(call, name, valid):
+    # unchecked, float() read True as 1 and "3.0" as 3.0, and a bare
+    # comparison or math.isfinite failed on a string naming no argument
+    for bad in (True, str(valid), complex(valid)):
+        message = f"^{re.escape(name)}: must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            call(bad)
+    for good in (np.float64(valid), np.float32(valid), Fraction(valid), max(int(valid), 1)):
+        call(good)
+
+
+def test_int_past_the_float_range_is_not_finite():
+    # float() raised a raw OverflowError
+    with pytest.raises(NonFiniteError, match=r"^segments\[0\]: .* got \(inf, -inf\)$"):
+        ControlPulse(((10**400, -(10**400)),))
+    with pytest.raises(NonFiniteError, match="^energy_gap: must be finite, got inf$"):
+        HydrogenModel(10**400)
+    with pytest.raises(ValueError, match="^phi1 must lie in \\[0, pi\\], got inf$"):
+        make_plan(E1, GoodSubspace.of(1, 5), phi1=10**400)
 
 
 # entries at and just past both tolerances: |x - y| = HERMITICITY_TOL passes

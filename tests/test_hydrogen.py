@@ -259,6 +259,13 @@ class TestInteractionPicture:
         with pytest.raises(NonFiniteError, match=f"^{name}: must be finite"):
             propagate_interaction_picture(HydrogenModel(), field, random_state(rng, 5), **times)
 
+    def test_max_step_checked_for_a_pulse(self, rng):
+        # a pulse took no steps, so its max_step went unread and 0 ran
+        with pytest.raises(ValueError, match="^max_step must be positive, got 0$"):
+            propagate_interaction_picture(
+                HydrogenModel(), ControlPulse(((1.0, 0.1),)), random_state(rng, 5), max_step=0
+            )
+
     def test_rejects_wrong_dimension(self, rng):
         with pytest.raises(Exception):
             propagate_interaction_picture(
