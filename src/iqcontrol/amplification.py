@@ -31,6 +31,7 @@ DEFAULT_L_MAX = 10**6
 MIN_GOOD_WEIGHT = 1e-15
 PRE_ROTATION_ANGLE = 0.1  # radians; mixes basis state 1 with the first good state
 MAX_ITERATIONS = 2**53  # the closed form takes L as a float, exact up to here
+_TIE = 1e-12  # good weights this close count as equal when choosing a count
 
 __all__ = [
     "GoodSubspace",
@@ -38,7 +39,6 @@ __all__ = [
     "AmplificationPlan",
     "decompose",
     "closed_form_weights",
-    "success_probability",
     "optimal_iterations",
     "make_plan",
     "amplified_state",
@@ -172,30 +172,25 @@ def amplification_operator(
     return UnitaryOperator(-((u * p0) @ u.conj().T) * pchi)
 
 
-def _coefficients(
-    g: float, b: float, phi1: float, phi2: float, iterations: int
-) -> tuple[complex, complex]:
-    """Scalars (c_good, c_bad) with Q^L psi = c_good * good_part + c_bad * bad_part.
+def _rotation(g: float, b: float, phi1: float, phi2: float) -> tuple:
+    """Q as (alpha, w, sin(w), (s00, n01, n10, s11)), S's entries row by row.
 
-    psi is the state Q was built from, g and b the weights of its good and
-    bad parts, and L = ``iterations``.  Q never leaves span{good_part,
-    bad_part}; in the orthonormal basis (good_part / sqrt(g),
-    bad_part / sqrt(b)) it is the unitary 2x2 matrix W below, whose
-    determinant is e^{i(phi1 + phi2)}.  Dividing out the square root
-    e^{i alpha} of the determinant leaves an SU(2) matrix cos(w) I + S
-    with S traceless and det S = sin^2(w), so
+    g and b are the weights of the good and bad parts of the state Q was
+    built from.  Q never leaves span{good_part, bad_part}; in the
+    orthonormal basis (good_part / sqrt(g), bad_part / sqrt(b)) it is the
+    unitary 2x2 matrix W below, whose determinant is e^{i(phi1 + phi2)}.
+    Dividing out the square root e^{i alpha} of the determinant leaves an
+    SU(2) matrix cos(w) I + S with S traceless and det S = sin^2(w), so
 
         W^L = e^{i L alpha} (cos(L w) I + sin(L w) / sin(w) S)
 
-    at O(1) cost in L.  The square-root branch is chosen so that
-    cos(w) >= 0: w then stays small when W is near a multiple of I, where
-    atan2 resolves it to full relative precision.
+    at O(1) cost in L.  The square-root branch makes cos(w) >= 0, so w
+    lies in [0, pi/2] and stays small when W is near a multiple of I,
+    where atan2 resolves it to full relative precision.
     """
-    e1 = cmath.exp(1j * phi1)
-    e2 = cmath.exp(1j * phi2)
-    root_g, root_b = math.sqrt(g), math.sqrt(b)
+    e1, e2 = cmath.exp(1j * phi1), cmath.exp(1j * phi2)
     w00 = e2 * ((1.0 - e1) * g - 1.0)
-    w01 = (1.0 - e1) * root_g * root_b
+    w01 = (1.0 - e1) * math.sqrt(g) * math.sqrt(b)
     w10 = e2 * w01
     w11 = -((1.0 - e1) * g + e1)
     alpha = 0.5 * (phi1 + phi2)
@@ -207,7 +202,16 @@ def _coefficients(
     cos_w = 0.5 * (n00 + n11).real
     s00, s11 = n00 - cos_w, n11 - cos_w
     sin_w = math.sqrt(abs(s00 * s11 - n01 * n10))
-    omega = math.atan2(sin_w, cos_w)
+    return alpha, math.atan2(sin_w, cos_w), sin_w, (s00, n01, n10, s11)
+
+
+def _coefficients(
+    g: float, b: float, phi1: float, phi2: float, iterations: int
+) -> tuple[complex, complex]:
+    """Scalars (c_good, c_bad) with Q^L psi = c_good * good_part + c_bad * bad_part,
+    for L = ``iterations``, from the SU(2) form of :func:`_rotation`."""
+    alpha, omega, sin_w, (s00, n01, n10, s11) = _rotation(g, b, phi1, phi2)
+    root_g, root_b = math.sqrt(g), math.sqrt(b)
     # S = 0 (e.g. phi1 = phi2 = 0) makes the ratio's value irrelevant
     ratio = math.sin(iterations * omega) / sin_w if sin_w > 0.0 else 0.0
     cos_l = math.cos(iterations * omega)
@@ -218,9 +222,7 @@ def _coefficients(
     return (x / root_g if g > 0.0 else 0j), (y / root_b if b > 0.0 else 0j)
 
 
-def closed_form_weights(
-    g: float, phi1: float, phi2: float, iterations: int
-) -> tuple[float, float]:
+def closed_form_weights(g: float, phi1: float, phi2: float, iterations: int) -> tuple[float, float]:
     """(good, bad) weights after ``iterations`` applications of one fixed
     amplification operator to the state it was built from.
 
@@ -239,44 +241,41 @@ def closed_form_weights(
     return min(abs(c_good) ** 2 * g, 1.0), min(abs(c_bad) ** 2 * (1.0 - g), 1.0)
 
 
-def success_probability(g: float, iterations: int) -> float:
-    """sin^2((2L+1) theta) with sin^2(theta) = g, for L = iterations."""
-    iterations = _iterations(iterations)
-    g = _real(g, "g")
-    if not 0.0 < g <= 1.0:
-        raise ValueError(
-            f"initial good weight must lie in (0, 1], got {g}; "
-            "amplification from zero weight is undefined"
-        )
-    theta = math.asin(math.sqrt(g))
-    return math.sin((2 * iterations + 1) * theta) ** 2
+def optimal_iterations(
+    g: float, l_max: int = DEFAULT_L_MAX, phi1: float = math.pi, phi2: float = math.pi
+) -> int:
+    """The first local maximum of the good weight P(L) after L applications
+    of Q(phi1, phi2), clamped to [0, l_max]; later peaks are never chosen.
 
-
-def optimal_iterations(g: float, l_max: int = DEFAULT_L_MAX) -> int:
-    """Argmax of sin^2((2L+1) theta) over the first arch (2L+1) theta <= pi,
-    clamped to [0, l_max].
-
-    This is the first peak; later peaks, which may lie closer to 1, are
-    never chosen.  Uses the standard amplitude-amplification optimum
-    (2L+1) theta ~ pi/2, i.e. L = round(pi/(4 theta) - 1/2), then
-    verifies against both neighbors.  Ties within float noise resolve
-    toward the smaller count.
+    With :func:`_rotation`'s good amplitude cos(L w) sqrt(g) + sin(L w) v,
+    P(L) = A + B cos 2Lw + C sin 2Lw exactly, so for x = atan2(C, B),
+    P(L+1) <= P(L) just when sin((2L+1) w - x) >= 0.  As w <= pi/2, that
+    first holds at 0 if y = (w - x) mod 2 pi <= pi, else at ceil((2 pi - y)
+    / (2 w)); steps all within 1e-12 (w = 0, or B = C = 0) give 0.  Both
+    neighbors are checked by P, ties within 1e-12 going to the smaller.
     """
+    phi1 = _check_phase("phi1", phi1)
+    phi2 = _check_phase("phi2", phi2)
     l_max = _count(l_max, "l_max")
     g = _real(g, "g")
     if not 0.0 < g <= 1.0:
         raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
-    theta = math.asin(math.sqrt(g))
-    guess = int(round(math.pi / (4.0 * theta) - 0.5))
-    guess = min(max(guess, 0), l_max)
-    candidates = sorted(
-        {min(max(guess + delta, 0), l_max) for delta in (-1, 0, 1)}
-    )
-    best = candidates[0]
-    best_value = success_probability(g, best)
-    for cand in candidates[1:]:
-        value = success_probability(g, cand)
-        if value > best_value + 1e-12:
+    _, omega, sin_w, (s00, n01, _, _) = _rotation(g, 1.0 - g, phi1, phi2)
+    # sin(w) = 0 leaves P constant, whatever v is taken to be
+    v = (s00 * math.sqrt(g) + n01 * math.sqrt(1.0 - g)) / sin_w if sin_w > 0.0 else 0j
+    a_term = 0.5 * (g + abs(v) ** 2)
+    b_term, c_term = g - a_term, math.sqrt(g) * v.real
+    y = (omega - math.atan2(c_term, b_term)) % (2.0 * math.pi)
+    # the largest step |P(L+1) - P(L)| is 2 sqrt(B^2 + C^2) sin(w)
+    if y <= math.pi or 2.0 * math.hypot(b_term, c_term) * sin_w <= _TIE:
+        guess = 0
+    else:
+        guess = min(math.ceil((2.0 * math.pi - y) / (2.0 * omega)), l_max)
+    best, best_value = 0, -1.0
+    for cand in sorted({min(max(guess + delta, 0), l_max) for delta in (-1, 0, 1)}):
+        angle = 2.0 * cand * omega
+        value = a_term + b_term * math.cos(angle) + c_term * math.sin(angle)
+        if value > best_value + _TIE:
             best, best_value = cand, value
     return best
 
@@ -341,10 +340,10 @@ def make_plan(
     Fails when the initial good weight is numerically zero; enabling
     ``pre_rotation`` first mixes a small amplitude from basis state 1
     into the good subspace, which fixes the common case where the weight
-    sits on state 1.  ``iterations="auto"`` selects
-    :func:`optimal_iterations`; an explicit count is an integer (not a
-    bool) in 0..2**53, or a TypeError or ValueError names it.  ``l_max``
-    is a nonnegative integer whichever ``iterations`` is given.
+    sits on state 1.  ``iterations="auto"`` takes :func:`optimal_iterations`
+    at the plan's phases; an explicit count is an integer (not a bool) in
+    0..2**53, or a TypeError or ValueError names it.  ``l_max`` is a
+    nonnegative integer whichever ``iterations`` is given.
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
@@ -366,7 +365,7 @@ def make_plan(
             f"initial state has no weight on good indices {sorted(good.indices)}; {hint}"
         )
     if iterations == "auto":
-        count = optimal_iterations(d.g, l_max)
+        count = optimal_iterations(d.g, l_max, phi1, phi2)
     else:
         count = _iterations(iterations)
     predicted, _ = closed_form_weights(d.g, phi1, phi2, count)

@@ -14,6 +14,20 @@ holding a NaN or an infinity among them.  Any nonzero exit writes a
 report containing an error record, except an argparse usage error, which
 raises SystemExit(2) before any config is read.  Reports are strict JSON.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
+
+The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+newline, byte for byte, without that call: ``render_report`` encodes it
+once as sorted compact strict JSON with json's C encoder, and
+``_reindent`` spaces that out in one tokenizer pass, copying each piece
+once.  ``RunConfig.canonical`` is the config echo in the same encoding:
+``config_sha256`` hashes it and the report splices it in as its
+``config`` block.  Validation encodes each numeric array (``system.drift``,
+``system.coupling``, ``initial``) once and the echo splices those texts
+in too, so a large coupling is encoded once per run.  An array's kinds
+are checked on its text, and one whose text holds only number
+characters, commas and brackets is read in bulk (``_numbers``); any
+other is read entry by entry, so the error names the first bad entry's
+path.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Optional, Union
 
@@ -77,10 +92,6 @@ _quoted = json.encoder.encode_basestring_ascii
 # the one encoder of the report and of the config's canonical text:
 # sorted, compact, strict JSON, written in C
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
-# a NUL-prefixed string, as json encodes it: the stand-in for a field in
-# RunConfig.canonical.  No validated echo field holds one: the echo's
-# strings (mode, preset and tolerance names, 'auto') come from fixed lists
-_STAND_IN = re.compile(r'"\\u0000(\w+)"')
 # the tokens of compact JSON that re-indenting tells apart: the inside of
 # a nonempty list of scalars (no string, no container); a run of scalars,
 # commas, colons, empty containers and strings that hold no escape and none
@@ -147,11 +158,22 @@ class RunConfig:
     def canonical(self) -> str:
         """The echo as sorted, compact strict JSON: the text the provenance
         hashes and the report splices in as its config block.  The fields
-        in ``texts`` are not encoded again: the echo is encoded once with a
-        stand-in for each, which the field's text then replaces."""
-        echo = self.echo()
-        echo.update({name: "\0" + name for name in self.texts})
-        return _STAND_IN.sub(lambda match: self.texts[match[1]], _encode(echo))
+        in ``texts`` are spliced in, not encoded again."""
+        return _spliced(self.echo(), self.texts)
+
+
+def _spliced(mapping: dict, texts: dict) -> str:
+    """``mapping`` as ``_encode`` writes it, keys sorted, with the value of
+    each key in ``texts`` written as that already encoded text.  Each run of
+    keys between two such keys is encoded in one call, since every call to
+    the encoder costs about a microsecond."""
+    parts = []
+    for spliced, keys in groupby(sorted(mapping), texts.__contains__):
+        if spliced:
+            parts += (_quoted(key) + ":" + texts[key] for key in keys)
+        else:
+            parts.append(_encode({key: mapping[key] for key in keys})[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 def _fail(path: str, message: str):
@@ -714,13 +736,7 @@ def render_report(report: dict, *, config_text: Optional[str] = None) -> str:
     encoded once in C, with ``config_text`` (``RunConfig.canonical``)
     spliced in as the ``config`` block when given, then re-indented.
     Raises ValueError on a NaN or an infinity, as strict JSON does."""
-    if config_text is None:
-        text = _encode(report)
-    else:
-        text = "{" + ",".join(
-            _quoted(key) + ":" + (config_text if key == "config" else _encode(report[key]))
-            for key in sorted(report)
-        ) + "}"
+    text = _encode(report) if config_text is None else _spliced(report, {"config": config_text})
     return _reindent(text)
 
 

@@ -19,15 +19,16 @@ Verdict vocabulary:
   downgraded rather than declared violated.
 
 Each component is analysed once.  Rationality of a float ratio is
-undecidable; the check compares every level's offset from one reference
-level with one reference frequency by a continued-fraction heuristic
-(best rational approximation with bounded denominator) unless the system
-carries exact rational eigenvalues, in which case the condition is
-decided exactly.  Two coupled transitions share a frequency in some
-orientation exactly when their |nu| lie within the tolerance, so
-collisions are found by one sweep over the sorted |nu|.  The public
-checks read their vertex labels as integers in 1..dim and their
-tolerances by the rule of ``ControllabilityConfig``.
+undecidable; the check compares every level's offset from the lowest
+level with the smallest and the largest offset by a continued-fraction
+heuristic (best rational approximation with bounded denominator) unless
+the system carries exact rational eigenvalues, in which case the
+condition is decided exactly.  Levels are chosen by eigenvalue, so the
+outcome does not depend on how the levels are labelled.  Two coupled
+transitions share a frequency in some orientation exactly when their
+|nu| lie within the tolerance, so collisions are found by one sweep over
+the sorted |nu|.  The public checks read their vertex labels as integers
+in 1..dim and their tolerances by the rule of ``ControllabilityConfig``.
 """
 
 from __future__ import annotations
@@ -321,17 +322,20 @@ def check_rational_ratios(
 ) -> list[IrrationalWitness]:
     """Level offsets inside ``vertex_set`` with no rational ratio to a reference.
 
-    The reference level ``ref`` is the smallest label in the set and the
-    reference frequency nu_ref,j the first nu_ref,i in label order with
-    |nu| > ``tol``.  Every transition-frequency ratio in the set is
-    rational exactly when each nu_ref,i is a rational multiple of nu_ref,j,
-    so each other level with |nu_ref,i| > ``tol`` gets one check: the best
-    fraction with denominator <= max_denominator to nu_ref,i / nu_ref,j,
-    reported when it misses by more than ``tol``.  That is at most
-    |set| - 2 checks and witnesses.  Exact rational eigenvalues make
-    every ratio rational, so the result is empty by construction.  The
-    labels must be integers in 1..dim, ``max_denominator`` an integer
-    >= 1 and ``tol`` finite and >= 0.
+    The reference level ``ref`` has the lowest eigenvalue in the set (ties
+    go to the smaller label), the denominator nu_ref,j is the smallest
+    offset with |nu| > ``tol`` and nu_ref,t the largest (ties by label).
+    Every transition-frequency ratio in the set is rational exactly when
+    each nu_ref,i is a rational multiple of nu_ref,j.  Each other level
+    with |nu_ref,i| > ``tol`` is checked by the best fraction with
+    denominator <= max_denominator to nu_ref,i / nu_ref,j, and once more
+    to nu_ref,i / nu_ref,t when that passes; a miss by more than ``tol``
+    is reported, at most once per level.  That is at most 2(|set| - 2)
+    checks and |set| - 2 witnesses, chosen by eigenvalue, so relabeling
+    the levels only renames them.  Exact rational eigenvalues make every
+    ratio rational, so the result is empty by construction.  The labels
+    must be integers in 1..dim, ``max_denominator`` an integer >= 1 and
+    ``tol`` finite and >= 0.
     """
     max_denominator = _max_denominator(max_denominator)
     _check_tolerance(tol, "tol")
@@ -342,21 +346,29 @@ def _irrational_witnesses(
     spec: SystemSpec, labels: list[int], max_denominator: int, tol: float
 ) -> list[IrrationalWitness]:
     """``check_rational_ratios`` on sorted distinct ``labels``."""
-    if spec.exact_drift is not None:
+    if spec.exact_drift is not None or len(labels) < 3:
         return []
-    pairs = [(labels[0], i) for i in labels[1:]]
+    ref = min(labels, key=lambda v: (spec.drift[v - 1], v))
+    pairs = [(ref, i) for i in labels if i != ref]
     # levels within tol of the reference level have ratio 0, which is rational
-    offsets = [(p, nu) for p, nu in zip(pairs, _frequencies(spec, pairs)) if abs(nu) > tol]
+    offsets = sorted(
+        (abs(nu), p[1], p, nu) for p, nu in zip(pairs, _frequencies(spec, pairs)) if abs(nu) > tol
+    )
     if not offsets:
         return []
-    den_pair, nu_den = offsets[0]
+    _, _, den_pair, nu_den = offsets[0]
+    _, _, top_pair, nu_top = offsets[-1]
     out: list[IrrationalWitness] = []
-    for num_pair, nu_num in offsets[1:]:
-        ratio = nu_num / nu_den
-        p, q = _best_fraction(ratio, max_denominator)
-        err = abs(ratio - p / q)
-        if err > tol:
-            out.append(IrrationalWitness(num_pair, den_pair, ratio, p, q, err))
+    for _, _, num_pair, nu_num in offsets[1:]:
+        for base_pair, nu_base in ((den_pair, nu_den), (top_pair, nu_top)):
+            if base_pair == num_pair:  # the largest offset is not checked against itself
+                break
+            ratio = nu_num / nu_base
+            p, q = _best_fraction(ratio, max_denominator)
+            err = abs(ratio - p / q)
+            if err > tol:
+                out.append(IrrationalWitness(num_pair, base_pair, ratio, p, q, err))
+                break
     return out
 
 

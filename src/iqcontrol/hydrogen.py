@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .amplification import GoodSubspace, success_probability
+from .amplification import GoodSubspace, closed_form_weights
 from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real
 from .errors import DimensionMismatchError, NonFiniteError
 
@@ -214,7 +214,7 @@ def case1_preset() -> CasePreset:
         phi1=math.pi,
         phi2=math.pi,
         expected_iterations=7,
-        expected_success=success_probability(0.01, 7),
+        expected_success=closed_form_weights(0.01, math.pi, math.pi, 7)[0],
         algorithm=1,
     )
 
@@ -230,6 +230,6 @@ def case2_preset() -> CasePreset:
         phi1=math.pi,
         phi2=math.pi,
         expected_iterations=5,
-        expected_success=success_probability(0.02, 5),
+        expected_success=closed_form_weights(0.02, math.pi, math.pi, 5)[0],
         algorithm=2,
     )

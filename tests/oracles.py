@@ -11,6 +11,12 @@ the coupled blocks a state occupies; ``full_matrix_propagate`` and the
 RK4 integrator ``rk4_interaction_picture`` are the references it is
 checked against.
 
+The library plans and predicts with ``closed_form_weights`` for any
+phases; ``success_probability`` is its phi1 = phi2 = pi case written as
+sin^2((2L+1) theta), read with the library's argument rules, and
+``pi_phase_count`` picks the first peak of that curve from the textbook
+optimum (2L+1) theta ~ pi/2.
+
 ``SystemSpec`` checks a real coupling in real arithmetic;
 ``system_spec_checks`` runs its checks on the coupling read as complex,
 as the library did before 0.8.1.
@@ -30,8 +36,14 @@ from iqcontrol import (
     NonFiniteError,
     UnitaryOperator,
 )
-from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
-from iqcontrol.amplification import PRE_ROTATION_ANGLE, _check_phase, _coefficients, _split
+from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL, _real
+from iqcontrol.amplification import (
+    PRE_ROTATION_ANGLE,
+    _check_phase,
+    _coefficients,
+    _iterations,
+    _split,
+)
 
 
 def phase_oracle_zero(dim: int, phi1: float) -> UnitaryOperator:
@@ -61,6 +73,35 @@ def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decompositio
     phi2 = _check_phase("phi2", phi2)
     c_good, c_bad = _coefficients(d.g, d.b, phi1, phi2, 1)
     return _split(c_good * d.good_part, c_bad * d.bad_part)
+
+
+def success_probability(g: float, iterations: int) -> float:
+    """sin^2((2L+1) theta) with sin^2(theta) = g, for L = iterations."""
+    iterations = _iterations(iterations)
+    g = _real(g, "g")
+    if not 0.0 < g <= 1.0:
+        raise ValueError(
+            f"initial good weight must lie in (0, 1], got {g}; "
+            "amplification from zero weight is undefined"
+        )
+    theta = math.asin(math.sqrt(g))
+    return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+def pi_phase_count(g: float, l_max: int) -> int:
+    """The first peak of sin^2((2L+1) theta), sin^2(theta) = g, in [0, l_max]:
+    L = round(pi/(4 theta) - 1/2) clamped, then checked against both
+    neighbors, ties within 1e-12 going to the smaller count."""
+    theta = math.asin(math.sqrt(g))
+    guess = min(max(int(round(math.pi / (4.0 * theta) - 0.5)), 0), l_max)
+    candidates = sorted({min(max(guess + delta, 0), l_max) for delta in (-1, 0, 1)})
+    best = candidates[0]
+    best_value = success_probability(g, best)
+    for cand in candidates[1:]:
+        value = success_probability(g, cand)
+        if value > best_value + 1e-12:
+            best, best_value = cand, value
+    return best
 
 
 def pre_rotation_operator(good: GoodSubspace) -> UnitaryOperator:

@@ -25,13 +25,12 @@ from iqcontrol import (
     prepare_unitary,
     propagate,
     propagate_interaction_picture,
-    success_probability,
     ControlPulse,
     HydrogenModel,
 )
 from iqcontrol.amplification import MIN_GOOD_WEIGHT, amplification_operator
 from conftest import haar_unitary, random_spec, random_state, state_with_good_weight
-from oracles import closed_form_step
+from oracles import closed_form_step, success_probability
 from test_controllability import brute_assess, spec_from_edges
 
 

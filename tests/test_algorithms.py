@@ -27,11 +27,11 @@ from iqcontrol import (
     prepare_unitary,
     run_algorithm1,
     run_algorithm2,
-    success_probability,
 )
 from iqcontrol import ControllabilityConfig, controllability, measurement
 from iqcontrol.amplification import amplification_operator
 from conftest import random_state
+from oracles import success_probability
 
 
 class TestAlgorithm1:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcontrol import (
     GoodSubspace,
@@ -14,17 +16,18 @@ from iqcontrol import (
     make_plan,
     optimal_iterations,
     prepare_unitary,
-    success_probability,
     StateVector,
     UnitaryOperator,
 )
-from iqcontrol.amplification import amplification_operator
+from iqcontrol.amplification import DEFAULT_L_MAX, MIN_GOOD_WEIGHT, amplification_operator
 from conftest import haar_unitary, random_state, state_with_good_weight
 from oracles import (
     closed_form_step,
     phase_oracle_chi,
     phase_oracle_zero,
+    pi_phase_count,
     pre_rotation_operator,
+    success_probability,
 )
 
 
@@ -383,6 +386,44 @@ class TestOptimalIterations:
         with pytest.raises(ValueError):
             optimal_iterations(1.5)
 
+    def test_pi_phases_keep_the_first_arch_count(self):
+        # the count comes from the closed form for any phases; at phi = pi
+        # it must be the sin^2((2L+1) theta) rule's, g >= 0.5 included,
+        # where a bare sinusoid argmax picks a later peak
+        rng = np.random.default_rng(2204)
+        low = 10.0 ** rng.uniform(math.log10(MIN_GOOD_WEIGHT), 0.0, size=12000)
+        weights = np.concatenate([low, rng.uniform(0.5, 1.0, size=8000)]).tolist()
+        mismatches = []
+        for g in weights:
+            clamped = int(rng.integers(0, pi_phase_count(g, DEFAULT_L_MAX) + 2))
+            for l_max in (DEFAULT_L_MAX, clamped):
+                if optimal_iterations(g, l_max) != pi_phase_count(g, l_max):
+                    mismatches.append((g, l_max))
+        assert mismatches == []
+
+
+# Below phases of 0.01 (0 aside) or g of 1e-4, P can rise by less than
+# 1e-12 a step for many steps before its peak, where the exact peak and
+# the first tie part ways; test_optimal_iterations_exhaustive_argmax
+# covers small g at phi = pi.
+@settings(max_examples=150)
+@given(
+    g=st.floats(1e-4, 1.0),
+    phi1=st.just(0.0) | st.floats(0.01, math.pi),
+    phi2=st.just(0.0) | st.floats(0.01, math.pi),
+    l_max=st.integers(0, 2000),
+)
+def test_optimal_iterations_is_the_first_local_maximum(g, phi1, phi2, l_max):
+    # the first L with P(L+1) <= P(L) + 1e-12, by scanning the closed form
+    first, previous = l_max, closed_form_weights(g, phi1, phi2, 0)[0]
+    for count in range(l_max):
+        weight = closed_form_weights(g, phi1, phi2, count + 1)[0]
+        if weight <= previous + 1e-12:
+            first = count
+            break
+        previous = weight
+    assert optimal_iterations(g, l_max, phi1, phi2) == first
+
 
 class TestMakePlan:
     def test_zero_overlap_raises_with_hint(self):
@@ -419,6 +460,15 @@ class TestMakePlan:
             StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5), iterations=3
         )
         assert plan.iterations == 3
+
+    def test_auto_reads_the_phases(self):
+        # the phi = pi count, L = 7, predicted 0.764 at phi = pi/2
+        state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
+        plan = make_plan(state, good, math.pi / 2, math.pi / 2)
+        assert plan.iterations == 11
+        assert plan.predicted_success >= 0.99
+        weight = float(abs(amplified_state(plan).amplitudes[4]) ** 2)
+        assert weight == pytest.approx(plan.predicted_success, abs=1e-12)
 
     def test_iterations_beyond_float_range_named(self):
         # the closed form takes L as a float: past the float range it ended

@@ -696,9 +696,13 @@ TARGETS = {
 }
 
 
+MUTATIONS = ("none", "drop", "label", "length", "tolerance", "hermitian", "kind")
+
+
 @st.composite
-def mutated_configs(draw):
-    """A valid config with dim <= 6 and at most one mutation.
+def mutated_configs(draw, mutations=MUTATIONS):
+    """A valid config with dim <= 6 and at most one mutation, drawn from
+    ``mutations``.
 
     Returns the payload and the JSON path its error must start with, or
     None when the payload is valid.
@@ -731,7 +735,7 @@ def mutated_configs(draw):
     if target is not None:
         payload[target] = labels[0] if target == "good" else labels
 
-    mutation = draw(st.sampled_from(["none", "drop", "label", "length", "tolerance", "hermitian", "kind"]))
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "drop":
         key = draw(st.sampled_from(["mode", *REQUIRED[mode], *([target] if mode == "amplify" else [])]))
         del payload[key]
@@ -803,6 +807,23 @@ def test_config_boundary_fuzz(fuzz_dir, case):
         assert code != 2, error
     else:
         assert code == 2 and error["message"].startswith(path + ": "), error
+
+
+# the derandomized fuzz draws few of its mutations (4 of the 23 WRONG_KINDS
+# among them); this draws each mutation kind on its own
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@pytest.mark.filterwarnings("ignore:subspace .* is not a connected component")
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_each_mutation_kind_exits_as_expected(fuzz_dir, mutation, data):
+    payload, path = data.draw(mutated_configs(mutations=(mutation,)))
+    code, report = run_cli(fuzz_dir, payload)
+    if path is None:
+        # a valid config fails at run time only when its state misses the good set
+        assert code == 0 or (code, report["error"]["type"]) == (1, "ZeroOverlapError"), report
+    else:
+        assert code == 2 and report["error"]["message"].startswith(path + ": "), report
 
 
 # the fuzz draws only some of WRONG_KINDS; this runs each in every mode

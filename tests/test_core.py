@@ -29,12 +29,16 @@ from iqcontrol import (
     prepare_unitary,
     propagate,
     propagate_interaction_picture,
-    success_probability,
 )
 from iqcontrol import controllability
 from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from conftest import random_hermitian, random_spec, random_state
-from oracles import full_matrix_propagate, system_spec_checks, transition_frequency
+from oracles import (
+    full_matrix_propagate,
+    success_probability,
+    system_spec_checks,
+    transition_frequency,
+)
 
 
 class TestStateVector:
@@ -206,6 +210,8 @@ REAL_ARGUMENTS = [
     ("weights-g", lambda v: closed_form_weights(v, math.pi, math.pi, 1), "g", 0.5),
     ("success-g", lambda v: success_probability(v, 1), "g", 0.5),
     ("optimal-g", lambda v: optimal_iterations(v), "g", 0.5),
+    ("optimal-phi1", lambda v: optimal_iterations(0.5, 10, v), "phi1", 3.0),
+    ("optimal-phi2", lambda v: optimal_iterations(0.5, 10, phi2=v), "phi2", 3.0),
     ("energy_gap", lambda v: HydrogenModel(v), "energy_gap", 2.0),
     ("kappa_ground", lambda v: HydrogenModel(kappa_ground=v), "kappa_ground", 0.5),
     ("kappa_excited", lambda v: HydrogenModel(kappa_excited=v), "kappa_excited", 3.0),

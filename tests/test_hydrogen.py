@@ -12,17 +12,17 @@ from iqcontrol import (
     build_graph,
     case1_preset,
     case2_preset,
+    closed_form_weights,
     connected_components,
     decompose,
     propagate,
     propagate_interaction_picture,
     hydrogen_spec,
-    success_probability,
 )
 from iqcontrol import controllability
 from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
 from conftest import random_state
-from oracles import rk4_interaction_picture
+from oracles import rk4_interaction_picture, success_probability
 
 
 def random_pulse(rng, max_amplitude=1.0, max_segments=4) -> ControlPulse:
@@ -122,7 +122,11 @@ class TestPresets:
     def test_expected_success_internally_consistent(self):
         for p in (case1_preset(), case2_preset()):
             g = decompose(p.initial, p.good).g
-            assert p.expected_success == success_probability(g, p.expected_iterations)
+            weight, _ = closed_form_weights(g, p.phi1, p.phi2, p.expected_iterations)
+            assert p.expected_success == pytest.approx(weight, abs=1e-12)
+            assert p.expected_success == pytest.approx(
+                success_probability(g, p.expected_iterations), abs=1e-12
+            )
 
 
 class TestInteractionPicture:

@@ -50,7 +50,6 @@ PUBLIC_NAMES = [
     "closed_form_weights", "connected_components", "decompose", "hydrogen_spec", "make_plan",
     "measurement_histogram", "optimal_iterations", "prepare_unitary", "propagate",
     "propagate_interaction_picture", "run_algorithm1", "run_algorithm2", "sample_collapse",
-    "success_probability",
 ]
 LAYERS = ["core", "controllability", "amplification", "measurement", "algorithms", "hydrogen",
           "errors"]
