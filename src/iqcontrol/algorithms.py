@@ -28,13 +28,8 @@ from .amplification import (
     amplified_state,
     make_plan,
 )
-from .controllability import (
-    ControllabilityConfig,
-    _component_verdict,
-    build_graph,
-    connected_components,
-)
-from .core import ControlPulse, StateVector, SystemSpec, _integer, propagate
+from .controllability import ControllabilityConfig, _component_verdict
+from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, propagate
 from .errors import DimensionMismatchError
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
 
@@ -226,18 +221,23 @@ def run_algorithm2(
     subspace and is recorded as the post-measurement starting point for
     any further in-subspace control.  ``measurement_shot`` and
     ``max_attempts`` work as in ``run_algorithm1``; the controllability
-    analysis, like the plan, runs once.
+    analysis, like the plan, runs once, and reads only the subspace's rows
+    and columns of the coupling, by the upper-triangle rule of ``build_graph``.
     """
     report = _run(
         spec, initial, subspace, phi1, phi2, iterations,
         seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
     )
     config = controllability_config or ControllabilityConfig()
-    graph = build_graph(spec, config.edge_threshold)
     target_set = tuple(sorted(subspace.indices))
+    levels = np.asarray(target_set) - 1
+    upper = np.where(np.arange(spec.dim) > levels[:, None],
+                     spec.coupling[levels], spec.coupling.T[levels])
     note = None
-    if target_set in connected_components(graph):
-        note = _component_verdict(spec, graph, target_set, config)[0].to_dict()
+    if not (np.abs(upper[:, ~subspace.mask()]) > config.edge_threshold).any():
+        edges = _edges(spec, target_set, config.edge_threshold)
+        if len(_components(target_set, edges)) == 1:
+            note = _component_verdict(spec, target_set, edges, config)[0].to_dict()
     if note is None:
         warnings.warn(
             f"subspace {list(target_set)} is not a connected component of the "

@@ -594,7 +594,7 @@ def summarize(report: dict) -> str:
         lines.append(f"global verdict: {result['global_verdict']}")
         for v in result["subspace_verdicts"]:
             lines.append("component {" + ",".join(map(str, v["component"])) + "}: " + v["verdict"])
-        lines.append(f"degenerate transition pairs: {len(result['degenerate_pairs'])}")
+        lines.append(f"frequency collisions: {len(result['frequency_collisions'])}")
         lines.append(f"irrational ratio witnesses: {len(result['irrational_witnesses'])}")
     elif report["mode"] == "measure-stats":
         for block, p in zip(result["blocks"], result["born_probabilities"]):
@@ -630,7 +630,7 @@ def summarize(report: dict) -> str:
             lines.append("final-state fidelity = " + _fmt(result["fidelity"]))
         note = result.get("controllability_note")
         if note is not None:
-            lines.append(f"subspace verdict: {note['verdict']}")
+            lines.append(f"subspace verdict: {note['verdict'] or '; '.join(note['notes'])}")
     return "\n".join(lines)
 
 

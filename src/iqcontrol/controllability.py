@@ -7,6 +7,7 @@ sufficient controllability criteria when the graph is connected, no two
 coupled transitions share a frequency, and all transition-frequency
 ratios are rational.  The same conditions restricted to one connected
 component decide whether that component spans a controllable subspace.
+One scan of the coupling and one union-find give each component its edges.
 
 Verdict vocabulary:
 
@@ -26,9 +27,10 @@ the system carries exact rational eigenvalues, in which case the
 condition is decided exactly.  Levels are chosen by eigenvalue, so the
 outcome does not depend on how the levels are labelled.  Two coupled
 transitions share a frequency in some orientation exactly when their
-|nu| lie within the tolerance, so collisions are found by one sweep over
-the sorted |nu|.  The public checks read their vertex labels as integers
-in 1..dim and their tolerances by the rule of ``ControllabilityConfig``.
+|nu| lie within the tolerance, so collisions are reported as the runs of
+the sorted |nu| that lie within it of each other.  The public checks read
+their vertex labels as integers in 1..dim and their tolerances by the
+rule of ``ControllabilityConfig``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SystemSpec, _integer, _real
+from .core import SystemSpec, _components, _edges, _integer, _real
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -52,7 +54,7 @@ DEFAULT_RATIO_TOL = 1e-9
 
 __all__ = [
     "ConnectivityGraph",
-    "DegeneratePair",
+    "FrequencyCollision",
     "IrrationalWitness",
     "SubspaceVerdict",
     "ControllabilityReport",
@@ -82,30 +84,24 @@ class ConnectivityGraph:
 
 
 @dataclass(frozen=True)
-class DegeneratePair:
-    """Two coupled ordered transitions with (numerically) equal frequency.
+class FrequencyCollision:
+    """A class of coupled transitions (i, j), each with nu_ij >= 0, in
+    order of nu and each within the tolerance of the one before, so the
+    span ``nu_max - nu_min`` can exceed it; or one transition with |2 nu|
+    within it, which matches its own reverse.  ``zero_frequency``: every
+    nu is within the tolerance of 0 (degenerate levels), the one failure
+    the subspace verdict treats as inconclusive rather than violated."""
 
-    ``first`` and ``second`` are ordered index pairs (i, j) such that
-    nu_first = lambda_i - lambda_j matches nu_second within the tolerance
-    used for the check.  A pair of the form ((i, j), (j, i)) marks a
-    single coupled transition between degenerate levels.
-    ``zero_frequency`` records whether both matched frequencies vanish
-    (transitions between degenerate levels), the one failure mode the
-    subspace verdict treats as inconclusive rather than violated.
-    """
-
-    first: tuple[int, int]
-    second: tuple[int, int]
-    nu_first: float
-    nu_second: float
+    transitions: tuple[tuple[int, int], ...]
+    nu_min: float
+    nu_max: float
     zero_frequency: bool
 
     def to_dict(self) -> dict:
         return {
-            "first": list(self.first),
-            "second": list(self.second),
-            "nu_first": self.nu_first,
-            "nu_second": self.nu_second,
+            "transitions": [list(t) for t in self.transitions],
+            "nu_min": self.nu_min,
+            "nu_max": self.nu_max,
             "zero_frequency": self.zero_frequency,
         }
 
@@ -191,7 +187,7 @@ def _labels(spec: SystemSpec, vertex_set: Iterable[int]) -> list[int]:
 class ControllabilityReport:
     graph: ConnectivityGraph
     components: tuple[tuple[int, ...], ...]
-    degenerate_pairs: tuple[DegeneratePair, ...]
+    frequency_collisions: tuple[FrequencyCollision, ...]
     irrational_witnesses: tuple[IrrationalWitness, ...]
     global_verdict: str
     subspace_verdicts: tuple[SubspaceVerdict, ...]
@@ -202,7 +198,7 @@ class ControllabilityReport:
             "num_vertices": self.graph.num_vertices,
             "edges": [list(e) for e in sorted(self.graph.edges)],
             "components": [list(c) for c in self.components],
-            "degenerate_pairs": [p.to_dict() for p in self.degenerate_pairs],
+            "frequency_collisions": [c.to_dict() for c in self.frequency_collisions],
             "irrational_witnesses": [w.to_dict() for w in self.irrational_witnesses],
             "global_verdict": self.global_verdict,
             "subspace_verdicts": [v.to_dict() for v in self.subspace_verdicts],
@@ -213,40 +209,12 @@ class ControllabilityReport:
 def build_graph(spec: SystemSpec, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> ConnectivityGraph:
     """Edges are exactly the pairs i < j with |B_ij| > edge_threshold."""
     _check_tolerance(edge_threshold, "edge_threshold")
-    rows, cols = np.nonzero(np.abs(spec.coupling) > edge_threshold)
-    upper = rows < cols
-    return ConnectivityGraph(
-        spec.dim, frozenset(zip((rows[upper] + 1).tolist(), (cols[upper] + 1).tolist()))
-    )
+    return ConnectivityGraph(spec.dim, frozenset(_edges(spec, range(1, spec.dim + 1), edge_threshold)))
 
 
 def connected_components(graph: ConnectivityGraph) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest member.
-
-    Union-find with path halving over the edges, then one pass over the
-    labels in order, which lists each component sorted and the components
-    by smallest member.
-    """
-    root = list(range(graph.num_vertices + 1))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for i, j in graph.edges:
-        root[find(i)] = find(j)
-    members: dict[int, list[int]] = {}
-    for v in range(1, graph.num_vertices + 1):
-        members.setdefault(find(v), []).append(v)
-    return [tuple(c) for c in members.values()]
-
-
-def _coupled_edges(graph: ConnectivityGraph, vertex_set: Iterable[int]) -> list[tuple[int, int]]:
-    """The graph's edges with both ends in ``vertex_set``, sorted."""
-    vs = set(vertex_set)
-    return sorted(e for e in graph.edges if e[0] in vs and e[1] in vs)
+    """Components as sorted vertex tuples, ordered by smallest member."""
+    return list(_components(range(1, graph.num_vertices + 1), graph.edges))
 
 
 def _frequencies(spec: SystemSpec, pairs: list[tuple[int, int]]) -> list:
@@ -263,54 +231,47 @@ def check_degenerate_transitions(
     vertex_set: Iterable[int],
     tol: float = DEFAULT_DEGENERACY_TOL,
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD,
-) -> list[DegeneratePair]:
-    """Ordered transition pairs inside ``vertex_set`` sharing a frequency.
+) -> list[FrequencyCollision]:
+    """Classes of coupled transitions inside ``vertex_set`` sharing a frequency.
 
-    Coupled ordered pairs (i, j) and (a, b) violate the criterion when
-    |nu_ij - nu_ab| <= tol, the edges being those of
-    ``build_graph(spec, edge_threshold)``.  Each violation is reported
-    once, with the second pair oriented so the reported frequencies
-    actually match; the orientation (j, i) of a single edge flags a
-    coupled transition between degenerate levels.  With exact rational
+    Transitions (i, j) and (a, b) with |B| > ``edge_threshold`` collide
+    when |nu_ij - nu_ab| <= tol in some orientation, and the collisions
+    chain into classes, in order of |nu|.  A transition with
+    |2 nu_ij| <= tol, between degenerate levels, is a class of its own
+    when nothing else collides with it.  With exact rational
     eigenvalues the comparison is exact and ``tol`` is ignored.  The
     labels must be integers in 1..dim and the tolerances finite and >= 0.
     """
     _check_tolerance(tol, "tol")
-    edges = _coupled_edges(build_graph(spec, edge_threshold), _labels(spec, vertex_set))
-    return _degenerate_pairs(spec, edges, tol)
+    _check_tolerance(edge_threshold, "edge_threshold")
+    return _collisions(spec, _edges(spec, _labels(spec, vertex_set), edge_threshold), tol)
 
 
-def _degenerate_pairs(spec: SystemSpec, edges: list[tuple[int, int]], tol: float) -> list[DegeneratePair]:
-    """The collisions among the sorted coupled ``edges``.
+def _collisions(spec: SystemSpec, edges: list[tuple[int, int]], tol: float) -> list[FrequencyCollision]:
+    """The collision classes among the coupled ``edges``.
 
     Two edges match in some orientation exactly when
     ||nu_k| - |nu_l|| <= tol, in floating point too, as negation and
     ``abs`` are exact; an edge matches its own reverse when |2 nu| <= tol.
-    So one sort of the E values |nu| and one walk of each window of
-    values within ``tol`` of its first find every hit in
-    O(E log E + output).  The hits are listed by edge pair (k, l),
-    k <= l in sorted edge order, with k = l for a self-reverse match.
-    Exact eigenvalues compare with tolerance 0, which is equality.
+    So the matches chain into the maximal runs of the sorted |nu| whose
+    neighbours lie within ``tol``, and no two runs match: O(E log E), with
+    O(E) output.  Exact eigenvalues compare with tolerance 0, equality.
     """
     if spec.exact_drift is not None:
         tol = 0
     nus = _frequencies(spec, edges)
     mags = [abs(nu) for nu in nus]
     order = sorted(range(len(nus)), key=mags.__getitem__)
-    hits = [(k, k, -1) for k, nu in enumerate(nus) if abs(2 * nu) <= tol]
-    for a, k in enumerate(order):
-        # the gap only grows along the sorted order, so a window stops at its first miss
-        b = a + 1
-        while b < len(order) and mags[order[b]] - mags[k] <= tol:
-            l = order[b]
-            sign = 1 if abs(nus[k] - nus[l]) <= tol else -1
-            hits.append((k, l, sign) if k < l else (l, k, sign))
-            b += 1
-    out: list[DegeneratePair] = []
-    for k, l, sign in sorted(hits):
-        (i, j), nu1, nu2 = edges[l], nus[k], sign * nus[l]
-        zero = abs(nu1) <= tol and abs(nu2) <= tol
-        out.append(DegeneratePair(edges[k], (i, j) if sign > 0 else (j, i), float(nu1), float(nu2), zero))
+    out: list[FrequencyCollision] = []
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end < len(order) and mags[order[end]] - mags[order[end - 1]] <= tol:
+            continue
+        run, start = order[start:end], end
+        hi = mags[run[-1]]
+        if len(run) > 1 or 2 * hi <= tol:
+            transitions = tuple(edges[k] if nus[k] >= 0 else edges[k][::-1] for k in run)
+            out.append(FrequencyCollision(transitions, float(mags[run[0]]), float(hi), hi <= tol))
     return out
 
 
@@ -401,7 +362,7 @@ def _best_fraction(ratio: float, max_denominator: int) -> tuple[int, int]:
 
 
 def _verdict_for(
-    degenerate: list[DegeneratePair],
+    collisions: list[FrequencyCollision],
     irrational: list[IrrationalWitness],
     connected: bool,
 ) -> tuple[str, list[str]]:
@@ -410,68 +371,69 @@ def _verdict_for(
         return VERDICT_VIOLATED, ["coupling graph is not connected"]
     if irrational:
         return VERDICT_VIOLATED, [f"{len(irrational)} frequency ratio(s) failed the rationality check"]
-    if degenerate:
-        if all(p.zero_frequency for p in degenerate):
+    if collisions:
+        if all(c.zero_frequency for c in collisions):
             notes.append(
                 "all frequency collisions are zero-frequency transitions between "
                 "degenerate levels; the sufficient criteria do not decide this case"
             )
             return VERDICT_INCONCLUSIVE, notes
-        return VERDICT_VIOLATED, [f"{len(degenerate)} degenerate transition pair(s)"]
+        return VERDICT_VIOLATED, [f"{len(collisions)} frequency collision(s)"]
     return VERDICT_CONTROLLABLE, notes
 
 
 def _component_verdict(
     spec: SystemSpec,
-    graph: ConnectivityGraph,
     component: tuple[int, ...],
+    edges: list[tuple[int, int]],
     config: ControllabilityConfig,
-) -> tuple[SubspaceVerdict, list[DegeneratePair], list[IrrationalWitness]]:
+) -> tuple[SubspaceVerdict, list[FrequencyCollision], list[IrrationalWitness]]:
     """One connected component's verdict and the failures behind it.
 
     A single-vertex component is trivially controllable within its
-    one-dimensional span; any other is checked for shared transition
-    frequencies and rational frequency ratios, restricted to it.
+    one-dimensional span; any other is checked for shared frequencies
+    among its coupled ``edges`` and for rational frequency ratios.
     ``component`` holds sorted distinct labels and ``config`` is checked
     on construction, so nothing is validated again per component.
     """
     if len(component) == 1:
         trivial = SubspaceVerdict(component, VERDICT_CONTROLLABLE, ("trivial single-state subspace",))
         return trivial, [], []
-    degenerate = _degenerate_pairs(spec, _coupled_edges(graph, component), config.degeneracy_tol)
+    collisions = _collisions(spec, edges, config.degeneracy_tol)
     irrational = _irrational_witnesses(spec, component, config.max_denominator, config.ratio_tol)
-    verdict, notes = _verdict_for(degenerate, irrational, True)
-    return SubspaceVerdict(component, verdict, tuple(notes)), degenerate, irrational
+    verdict, notes = _verdict_for(collisions, irrational, True)
+    return SubspaceVerdict(component, verdict, tuple(notes)), collisions, irrational
 
 
 def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConfig()) -> ControllabilityReport:
     """Full controllability report: graph, components, and verdicts.
 
-    Each connected component is analysed once: no shared transition
-    frequencies and rational frequency ratios, restricted to the
-    component.  Single-vertex components are trivially controllable
-    within their one-dimensional span and are marked as such.  The
-    report's ``degenerate_pairs`` and ``irrational_witnesses`` are the
+    Each connected component is analysed once, on its own edges: no
+    shared transition frequencies and rational frequency ratios.
+    Single-vertex components are trivially controllable within their
+    one-dimensional span and are marked as such.  The report's
+    ``frequency_collisions`` and ``irrational_witnesses`` are the
     components' lists concatenated in component order, and the global
     verdict is the sufficient criteria for the whole system: a connected
     graph and the verdict of its one component.
     """
-    graph = build_graph(spec, config.edge_threshold)
-    components = connected_components(graph)
-    degenerate: list[DegeneratePair] = []
+    labels = range(1, spec.dim + 1)
+    edges = _edges(spec, labels, config.edge_threshold)
+    components = _components(labels, edges)
+    collisions: list[FrequencyCollision] = []
     irrational: list[IrrationalWitness] = []
     subspace_verdicts = []
-    for comp in components:
-        verdict, comp_degenerate, comp_irrational = _component_verdict(spec, graph, comp, config)
+    for comp, comp_edges in components.items():
+        verdict, comp_collisions, comp_irrational = _component_verdict(spec, comp, comp_edges, config)
         subspace_verdicts.append(verdict)
-        degenerate += comp_degenerate
+        collisions += comp_collisions
         irrational += comp_irrational
-    global_verdict, notes = _verdict_for(degenerate, irrational, len(components) == 1)
+    global_verdict, notes = _verdict_for(collisions, irrational, len(components) == 1)
 
     return ControllabilityReport(
-        graph=graph,
+        graph=ConnectivityGraph(spec.dim, frozenset(edges)),
         components=tuple(components),
-        degenerate_pairs=tuple(degenerate),
+        frequency_collisions=tuple(collisions),
         irrational_witnesses=tuple(irrational),
         global_verdict=global_verdict,
         subspace_verdicts=tuple(subspace_verdicts),

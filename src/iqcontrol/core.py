@@ -209,12 +209,49 @@ class SystemSpec:
 
     @cached_property
     def _blocks(self) -> list[tuple[int, ...]]:
-        """The labels of each block of the coupling's exact nonzeros, as
-        ``connected_components(build_graph(self, 0.0))`` lists them."""
-        # lazy: controllability imports this module
-        from .controllability import build_graph, connected_components
+        """The labels of each block of the coupling's exact nonzeros, sorted,
+        in order of smallest label: the components of ``_edges(self, labels, 0.0)``."""
+        labels = range(1, self.dim + 1)
+        return list(_components(labels, _edges(self, labels, 0.0)))
 
-        return connected_components(build_graph(self, 0.0))
+
+def _edges(spec: SystemSpec, labels: Sequence[int], threshold: float) -> list[tuple[int, int]]:
+    """The pairs i < j among the sorted distinct ``labels`` with
+    |B_ij| > ``threshold``, sorted.  The full label set reads the coupling
+    in place; a subset reads only its own rows and columns."""
+    labels = np.asarray(labels, dtype=int)
+    coupling = spec.coupling
+    if labels.size != spec.dim:
+        levels = labels - 1
+        coupling = coupling[levels[:, None], levels]
+    rows, cols = np.nonzero(np.abs(coupling) > threshold)
+    upper = rows < cols
+    return list(zip(labels[rows[upper]].tolist(), labels[cols[upper]].tolist()))
+
+
+def _components(
+    labels: Sequence[int], edges: Sequence[tuple[int, int]]
+) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Each connected component's sorted labels, in order of smallest label,
+    mapped to its own ``edges`` in their order: union-find with path
+    halving over ``edges``, which join the sorted distinct ``labels``."""
+    root = {v: v for v in labels}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    for v in labels:
+        members.setdefault(find(v), []).append(v)
+    own: dict[int, list[tuple[int, int]]] = {r: [] for r in members}
+    for edge in edges:
+        own[find(edge[0])].append(edge)
+    return {tuple(m): own[r] for r, m in members.items()}
 
 
 @dataclass(frozen=True, eq=False)

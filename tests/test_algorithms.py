@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqcontrol import (
@@ -378,6 +378,60 @@ def test_algorithm2_note_equals_the_assess_verdict(case):
         "its controllability is not established"
     ]
     assert [str(w.message) for w in caught] == warned
+
+
+@st.composite
+def sparse_targets(draw):
+    """A sparse random coupling whose entries may equal the edge threshold,
+    or be Hermitian only within tolerance with the two entries of a pair on
+    either side of it, that threshold, and a target: one of the graph's
+    components or any other strict subset."""
+    dim = draw(st.integers(2, 8))
+    threshold = draw(st.sampled_from([0.0, 1e-12, 0.5]))
+    straddle = (threshold + 5e-13, max(threshold - 4e-13, 0.0))
+    coupling = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            kind = draw(st.integers(0, 3))
+            if kind == 0:
+                coupling[i, j] = coupling[j, i] = draw(st.sampled_from([threshold, 0.25, 0.5, 1.0]))
+            elif kind == 1:
+                coupling[i, j], coupling[j, i] = draw(st.sampled_from([straddle, straddle[::-1]]))
+    drift = [draw(st.integers(0, 4)) / 2 for _ in range(dim)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "drift and coupling commute")
+        spec = SystemSpec(dim=dim, drift=drift, coupling=coupling)
+    components = [c for c in connected_components(build_graph(spec, threshold)) if len(c) < dim]
+    labels = st.sets(st.integers(1, dim), min_size=1, max_size=dim - 1)
+    if components:
+        labels = labels | st.sampled_from(components)
+    return spec, threshold, GoodSubspace.of(draw(labels), dim)
+
+
+def _straddling_pair():
+    # B_12 is an edge at the default threshold 1e-12, B_21 is not: the graph
+    # reads the upper triangle, so [2] is no component
+    coupling = [[0.0, 1.5e-12], [0.6e-12, 0.0]]
+    return SystemSpec(dim=2, drift=[0.0, 1.0], coupling=coupling), 1e-12, GoodSubspace.of([2], 2)
+
+
+@settings(max_examples=200)
+@given(case=sparse_targets())
+@example(case=_straddling_pair())
+def test_algorithm2_note_has_a_verdict_exactly_for_a_component(case):
+    # the note reads only the target's rows and columns of the coupling, and
+    # must agree with the whole graph's components
+    spec, threshold, subspace = case
+    target = tuple(sorted(subspace.indices))
+    initial = StateVector(np.full(spec.dim, spec.dim**-0.5))
+    config = ControllabilityConfig(edge_threshold=threshold)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "subspace .* is not a connected component")
+        report = run_algorithm2(
+            spec, initial, subspace, iterations=1, seed=1, controllability_config=config
+        )
+    components = connected_components(build_graph(spec, threshold))
+    assert (report.controllability_note["verdict"] is not None) == (target in components)
 
 
 def test_algorithm2_runs_no_assess(monkeypatch):

@@ -1160,6 +1160,18 @@ class TestReportContract:
         assert report["mode"] == "analyze"
         assert summarize(report).strip() == captured.err.strip()
 
+    @pytest.mark.filterwarnings("ignore:subspace .* is not a connected component")
+    def test_summary_counts_collisions_and_explains_a_missing_verdict(self, tmp_path):
+        # a target that is no component printed "subspace verdict: None"
+        _, analyze = run_cli(tmp_path, {"mode": "analyze", "system": "hydrogen"})
+        assert "frequency collisions: 1" in summarize(analyze).splitlines()
+        payload = {"mode": "algo2", "system": "hydrogen", "subspace": [1, 2],
+                   "initial": [0.5, 0.5, 0.5, 0.5, 0.0], "seed": 1}
+        _, algo2 = run_cli(tmp_path, payload)
+        assert summarize(algo2).splitlines()[-1] == (
+            "subspace verdict: not a connected component of the coupling graph"
+        )
+
     def test_provenance_block(self, tmp_path):
         _, report = run_cli(tmp_path, {"mode": "hydrogen-case1", "seed": 9})
         prov = report["provenance"]
@@ -1344,7 +1356,7 @@ def per_attempt_oracle(payload, seed, cap):
     ],
 )
 def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, late, monkeypatch):
-    calls = {"make_plan": 0, "build_graph": 0}
+    calls = {"make_plan": 0, "_edges": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
             calls[_name] += 1
@@ -1357,11 +1369,11 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
             config = validate_config(
                 {**payload, "seed": seed, "shots": cap, "repeat_until_success": True}
             )
-            calls.update(make_plan=0, build_graph=0)
+            calls.update(make_plan=0, _edges=0)
             code, report = execute(config)
             # plan and controllability analysis once per run, not per attempt
             algorithm2 = payload["mode"] in ("algo2", "hydrogen-case2")
-            assert calls == {"make_plan": 1, "build_graph": int(algorithm2)}
+            assert calls == {"make_plan": 1, "_edges": int(algorithm2)}
             assert code == 0
             result = report["result"]
             result.pop("preset_expectation", None)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from iqcontrol import (
     VERDICT_VIOLATED,
     ConnectivityGraph,
     ControllabilityConfig,
-    DegeneratePair,
+    FrequencyCollision,
     IrrationalWitness,
     SystemSpec,
     assess,
@@ -127,6 +128,18 @@ def brute_assess(spec):
 # plus the analysis they fed, run on all vertices and on each component
 
 
+@dataclass(frozen=True)
+class DegeneratePair:
+    """Two coupled ordered transitions with matching frequencies; a pair
+    ((i, j), (j, i)) is one transition between degenerate levels."""
+
+    first: tuple[int, int]
+    second: tuple[int, int]
+    nu_first: float
+    nu_second: float
+    zero_frequency: bool
+
+
 def pairwise_degenerate_transitions(spec, vertex_set, tol=1e-9, edge_threshold=1e-12):
     vs = sorted(set(vertex_set))
     edges = [
@@ -161,6 +174,62 @@ def pairwise_degenerate_transitions(spec, vertex_set, tol=1e-9, edge_threshold=1
             elif matches(nu1, -nu2):
                 out.append(pair(e1, (e2[1], e2[0]), nu1, -nu2))
     return out
+
+
+def chained_classes(pairs):
+    """The classes that the colliding ``pairs`` chain together, each as its
+    set of unoriented edges with the flag that all its pairs are
+    zero-frequency."""
+    root = {}
+
+    def find(e):
+        root.setdefault(e, e)
+        while root[e] != e:
+            e = root[e]
+        return e
+
+    def edge(t):
+        return tuple(sorted(t))
+
+    for p in pairs:
+        root[find(edge(p.first))] = find(edge(p.second))
+    members = {}
+    for p in pairs:
+        members.setdefault(find(edge(p.first)), []).append(p)
+    return {
+        (frozenset(edge(t) for q in ps for t in (q.first, q.second)), all(q.zero_frequency for q in ps))
+        for ps in members.values()
+    }
+
+
+def class_sets(collisions):
+    """``collisions`` as ``chained_classes`` lists them."""
+    return {
+        (frozenset(tuple(sorted(t)) for t in c.transitions), c.zero_frequency) for c in collisions
+    }
+
+
+def assert_well_formed(spec, collisions, tol):
+    """Each class lists distinct transitions with nu >= 0 in order of nu,
+    each within ``tol`` of the one before (equal with exact eigenvalues),
+    between its ``nu_min`` and ``nu_max``; a single transition matches its
+    own reverse, and the zero flag says every nu is within ``tol`` of 0."""
+    exact = spec.exact_drift
+    for c in collisions:
+        nus = [
+            float(exact[i - 1] - exact[j - 1]) if exact else transition_frequency(spec, i, j)
+            for i, j in c.transitions
+        ]
+        assert all(nu >= 0 for nu in nus) and nus == sorted(nus)
+        assert (nus[0], nus[-1]) == (c.nu_min, c.nu_max)
+        assert len(set(map(frozenset, c.transitions))) == len(nus)
+        if exact:
+            assert len(set(exact[i - 1] - exact[j - 1] for i, j in c.transitions)) == 1
+            assert c.zero_frequency == (c.nu_max == 0)
+        else:
+            assert all(b - a <= tol for a, b in zip(nus, nus[1:]))
+            assert c.zero_frequency == (c.nu_max <= tol)
+        assert len(nus) > 1 or 2 * nus[0] <= (0 if exact else tol)
 
 
 def pairwise_rational_ratios(spec, vertex_set, max_denominator=10**4, tol=1e-9):
@@ -287,24 +356,30 @@ class TestDegenerateTransitions:
 
     def test_equal_spacing_flagged(self):
         spec = spec_from_edges([0.0, 1.0, 2.0], [(1, 2), (2, 3)])
-        pairs = check_degenerate_transitions(spec, [1, 2, 3])
-        assert len(pairs) == 1
-        assert pairs[0].first == (1, 2) and pairs[0].second == (2, 3)
-        assert not pairs[0].zero_frequency
+        assert check_degenerate_transitions(spec, [1, 2, 3]) == [
+            FrequencyCollision(((2, 1), (3, 2)), 1.0, 1.0, False)
+        ]
 
     def test_hydrogen_zero_frequency_pair(self):
-        pairs = check_degenerate_transitions(hydrogen_spec(), [1, 2, 3])
-        assert len(pairs) == 1
-        assert pairs[0].first == (2, 3) and pairs[0].second == (3, 2)
-        assert pairs[0].zero_frequency
+        # one transition between degenerate levels matches its own reverse
+        assert check_degenerate_transitions(hydrogen_spec(), [1, 2, 3]) == [
+            FrequencyCollision(((2, 3),), 0.0, 0.0, True)
+        ]
 
     def test_opposite_sign_collision(self):
-        # nu_12 = -1 and nu_34 = +1 collide as (1,2) vs (4,3)
+        # nu_12 = -1 and nu_34 = +1 collide, listed as (2, 1) and (3, 4)
         spec = spec_from_edges([0.0, 1.0, 1.0, 0.0], [(1, 2), (3, 4)])
-        pairs = check_degenerate_transitions(spec, [1, 2, 3, 4])
-        assert len(pairs) == 1
-        assert pairs[0].first == (1, 2) and pairs[0].second == (4, 3)
-        assert not pairs[0].zero_frequency
+        assert check_degenerate_transitions(spec, [1, 2, 3, 4]) == [
+            FrequencyCollision(((2, 1), (3, 4)), 1.0, 1.0, False)
+        ]
+
+    def test_class_span_can_exceed_the_tolerance(self):
+        # nu = 1, 1 + 0.6 tol, 1 + 1.2 tol: neighbours match, the ends do not
+        tol = 1e-9
+        spec = spec_from_edges([0.0, 1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol], [(1, 2), (1, 3), (1, 4)])
+        (collision,) = check_degenerate_transitions(spec, [1, 2, 3, 4], tol)
+        assert collision.transitions == ((2, 1), (3, 1), (4, 1))
+        assert collision.nu_max - collision.nu_min > tol
 
     @pytest.mark.filterwarnings("ignore:drift and coupling commute")
     def test_witness_soundness(self, rng):
@@ -318,11 +393,10 @@ class TestDegenerateTransitions:
                 if rng.random() < 0.5
             ]
             spec = spec_from_edges(drift, edges, dim=n)
-            for p in check_degenerate_transitions(spec, range(1, n + 1)):
-                nu1 = drift[p.first[0] - 1] - drift[p.first[1] - 1]
-                nu2 = drift[p.second[0] - 1] - drift[p.second[1] - 1]
-                assert abs(nu1 - nu2) <= 1e-9
-                assert p.nu_first == nu1 and p.nu_second == nu2
+            collisions = check_degenerate_transitions(spec, range(1, n + 1))
+            assert_well_formed(spec, collisions, 1e-9)
+            for c in collisions:
+                assert {tuple(sorted(t)) for t in c.transitions} <= set(edges)
 
     def test_exact_mode_distinguishes_near_degenerate(self):
         from fractions import Fraction
@@ -481,7 +555,7 @@ class TestArgumentRule:
 
     def test_assess_validates_once_per_call(self, monkeypatch):
         # the config is checked on construction and the components are the
-        # graph's own, so no component's check reads its arguments again
+        # coupling's own, so assess reads no argument again
         config = ControllabilityConfig(degeneracy_tol=1e-6)
         calls = []
         check = controllability._check_tolerance
@@ -491,8 +565,8 @@ class TestArgumentRule:
         monkeypatch.setattr(controllability, "_labels", lambda *args: pytest.fail("labels read"))
         spec = spec_from_edges([0.0, 1.0, 2.0, 5.0, 6.0, 7.0], [(1, 2), (2, 3), (4, 5), (5, 6)])
         report = assess(spec, config)
-        assert len(report.degenerate_pairs) == 2
-        assert calls == [(1e-12, "edge_threshold")]
+        assert len(report.frequency_collisions) == 2
+        assert calls == []
 
 
 class TestAssess:
@@ -531,7 +605,8 @@ class TestAssess:
         spec = spec_from_edges([0.0, 0.0, 0.0], [(1, 2), (2, 3)])
         report = assess(spec)
         assert report.global_verdict == VERDICT_INCONCLUSIVE
-        assert all(p.zero_frequency for p in report.degenerate_pairs)
+        assert [c.transitions for c in report.frequency_collisions] == [((1, 2), (2, 3))]
+        assert all(c.zero_frequency for c in report.frequency_collisions)
 
     def test_report_serializes(self):
         d = assess(hydrogen_spec()).to_dict()
@@ -628,11 +703,13 @@ def _exact_spec(levels, edges):
     range(1, 6),
 ))
 def test_sweep_equals_pairwise_oracle(case):
-    # list-identical: same pairs, same (k, l) order, same orientation
+    # the classes are the runs that the all-pairs scan's pairs chain together
     spec, vertices = case
-    assert check_degenerate_transitions(spec, vertices, TOL) == pairwise_degenerate_transitions(
-        spec, vertices, TOL
+    collisions = check_degenerate_transitions(spec, vertices, TOL)
+    assert class_sets(collisions) == chained_classes(
+        pairwise_degenerate_transitions(spec, vertices, TOL)
     )
+    assert_well_formed(spec, collisions, TOL)
 
 
 @st.composite
@@ -720,12 +797,16 @@ def test_best_fraction_of_a_non_finite_ratio_raises_as_fraction_does(ratio):
 
 
 def test_harmonic_ladder_all_pairs():
-    # 63 equal-spacing chain edges at N=64: every one of C(63, 2) pairs collides
+    # 63 equal-spacing chain edges at N=64: every one of C(63, 2) pairs
+    # collides, and the 1953 pairs are one class of 63 transitions
     n = 64
     spec = spec_from_edges(np.arange(n, dtype=float), [(i, i + 1) for i in range(1, n)])
-    pairs = check_degenerate_transitions(spec, range(1, n + 1))
+    pairs = pairwise_degenerate_transitions(spec, range(1, n + 1))
     assert len(pairs) == 63 * 62 // 2 == 1953
-    assert pairs == pairwise_degenerate_transitions(spec, range(1, n + 1))
+    assert check_degenerate_transitions(spec, range(1, n + 1)) == [
+        FrequencyCollision(tuple((i + 1, i) for i in range(1, n)), 1.0, 1.0, False)
+    ]
+    assert class_sets(check_degenerate_transitions(spec, range(1, n + 1))) == chained_classes(pairs)
 
 
 @pytest.mark.parametrize("tol", [TOL, 0.0])
@@ -744,13 +825,15 @@ def test_complete_harmonic_ladder_equals_pairwise_oracle(drift, tol):
     n = 20
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     spec = spec_from_edges([float(x) for x in drift], edges)
-    pairs = check_degenerate_transitions(spec, range(1, n + 1), tol)
-    assert pairs == pairwise_degenerate_transitions(spec, range(1, n + 1), tol)
-    kinds = {
-        "self-reverse" if p.second == p.first[::-1] else "same" if p.second[0] < p.second[1] else "opposite"
-        for p in pairs
-    }
-    assert kinds == ({"same"} if drift == range(20) else {"self-reverse", "same", "opposite"})
+    collisions = check_degenerate_transitions(spec, range(1, n + 1), tol)
+    assert class_sets(collisions) == chained_classes(
+        pairwise_degenerate_transitions(spec, range(1, n + 1), tol)
+    )
+    assert_well_formed(spec, collisions, tol)
+    # one class per |nu| shared by two or more edges, and the zero class
+    # of the folded ladder's degenerate levels
+    nus = [c.nu_min for c in collisions]
+    assert nus == ([float(d) for d in range(1, 19)] if drift == range(20) else [float(d) for d in range(10)])
 
 
 def test_reference_witnesses_are_a_subset_of_all_pairs():
@@ -775,10 +858,10 @@ def test_disconnected_lists_are_component_concatenation():
     spec = spec_from_edges([0.0, 1.0, 2.0, 5.0, 6.0, 7.0], [(1, 2), (2, 3), (4, 5), (5, 6)])
     report = assess(spec)
     assert report.global_verdict == VERDICT_VIOLATED
-    assert [(p.first, p.second) for p in report.degenerate_pairs] == [
-        ((1, 2), (2, 3)), ((4, 5), (5, 6)),
+    assert [c.transitions for c in report.frequency_collisions] == [
+        ((2, 1), (3, 2)), ((5, 4), (6, 5)),
     ]
-    assert list(report.degenerate_pairs) == (
+    assert list(report.frequency_collisions) == (
         check_degenerate_transitions(spec, (1, 2, 3))
         + check_degenerate_transitions(spec, (4, 5, 6))
     )
@@ -797,3 +880,38 @@ def test_dense_n256_scales_with_levels_and_edges():
     assert 0 < len(report.irrational_witnesses) <= n - 2
     size = len(json.dumps(report.to_dict()))
     assert size <= 32 * (n + num_edges), size
+
+
+def test_complete_ladder_report_scales_with_levels_and_edges():
+    # every |nu| = d of the N=64 complete ladder is shared by 64 - d edges;
+    # listed as classes the report stays within the bound of the dense case
+    n = 64
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    report = assess(spec_from_edges(np.arange(n, dtype=float), edges))
+    assert report.global_verdict == VERDICT_VIOLATED
+    assert [len(c.transitions) for c in report.frequency_collisions] == list(range(n - 1, 1, -1))
+    size = len(json.dumps(report.to_dict()))
+    assert size <= 32 * (n + len(edges)), size
+
+
+@st.composite
+def rational_spectra(draw):
+    """Levels k/m in [-4, 4] with m <= 10 on a random coupling, and a vertex
+    set: every frequency ratio is p/q with q <= 8000 < max_denominator."""
+    dim = draw(st.integers(2, 12))
+    drift = []
+    for _ in range(dim):
+        m = draw(st.integers(1, 10))
+        drift.append(draw(st.integers(-4 * m, 4 * m)) / m)
+    vertices = draw(st.sets(st.integers(1, dim), max_size=dim))
+    return spec_from_edges(drift, _edge_subset(draw, dim), dim=dim), vertices
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@settings(max_examples=300)
+@given(case=rational_spectra())
+def test_rational_spectra_are_never_rejected(case):
+    spec, vertices = case
+    assert check_rational_ratios(spec, vertices) == []
+    assert check_rational_ratios(spec, range(1, spec.dim + 1)) == []
+    assert assess(spec).irrational_witnesses == ()

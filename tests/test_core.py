@@ -30,7 +30,7 @@ from iqcontrol import (
     propagate,
     propagate_interaction_picture,
 )
-from iqcontrol import controllability
+from iqcontrol import core
 from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from conftest import random_hermitian, random_spec, random_state
 from oracles import (
@@ -322,10 +322,8 @@ def test_spec_checks_equal_complex_oracle(case):
 def test_second_propagate_reuses_the_blocks(rng, monkeypatch):
     # the coupling's blocks are found once per spec, not once per call
     calls = []
-    build_graph = controllability.build_graph
-    monkeypatch.setattr(
-        controllability, "build_graph", lambda *args: calls.append(args) or build_graph(*args)
-    )
+    edges = core._edges
+    monkeypatch.setattr(core, "_edges", lambda *args: calls.append(args) or edges(*args))
     spec, pulse, state = random_spec(rng, 5), random_segments(rng), random_state(rng, 5)
     first = propagate(spec, pulse, state)
     assert len(calls) == 1

@@ -19,7 +19,7 @@ from iqcontrol import (
     propagate_interaction_picture,
     hydrogen_spec,
 )
-from iqcontrol import controllability
+from iqcontrol import core
 from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
 from conftest import random_state
 from oracles import rk4_interaction_picture, success_probability
@@ -142,10 +142,8 @@ class TestInteractionPicture:
     def test_second_call_reuses_the_blocks(self, rng, monkeypatch):
         # the model's spec finds its coupling's blocks once, not once per call
         calls = []
-        build = controllability.build_graph
-        monkeypatch.setattr(
-            controllability, "build_graph", lambda *args: calls.append(args) or build(*args)
-        )
+        edges = core._edges
+        monkeypatch.setattr(core, "_edges", lambda *args: calls.append(args) or edges(*args))
         model, pulse, state = HydrogenModel(energy_gap=0.8125), random_pulse(rng), random_state(rng, 5)
         first = propagate_interaction_picture(model, pulse, state)
         calls.clear()

@@ -47,14 +47,11 @@ def relabeled_chains(draw):
 
 
 def _collisions(report, rename):
-    """Each collision as its two unoriented edges under ``rename``, with its
-    zero-frequency flag: a relabeling may reverse either edge."""
-    def edge(pair):
-        return tuple(sorted(rename(v) for v in pair))
-
+    """Each collision class as its set of unoriented edges under ``rename``,
+    with its zero-frequency flag: a relabeling may reverse any edge."""
     return sorted(
-        (tuple(sorted((edge(p.first), edge(p.second)))), p.zero_frequency)
-        for p in report.degenerate_pairs
+        (sorted(tuple(sorted(map(rename, t))) for t in c.transitions), c.zero_frequency)
+        for c in report.frequency_collisions
     )
 
 

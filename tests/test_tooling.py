@@ -40,7 +40,7 @@ def test_source_parses_as_python_3_10(path):
 PUBLIC_NAMES = [
     "AmplificationPlan", "CasePreset", "ConfigError", "ConnectivityGraph", "ControlPulse",
     "ControllabilityConfig", "ControllabilityReport", "DEFAULT_L_MAX", "Decomposition",
-    "DegeneratePair", "DimensionMismatchError", "GoodSubspace", "HermiticityError",
+    "DimensionMismatchError", "FrequencyCollision", "GoodSubspace", "HermiticityError",
     "HydrogenModel", "IrrationalWitness", "MeasurementGuardError", "MeasurementOutcome",
     "MeasurementPartition", "NonFiniteError", "NormalizationError", "RunReport", "StateVector",
     "SubspaceVerdict", "SystemSpec", "UnitarityError", "UnitaryOperator",
