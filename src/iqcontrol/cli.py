@@ -22,12 +22,23 @@ once as sorted compact strict JSON with json's C encoder, and
 once.  ``RunConfig.canonical`` is the config echo in the same encoding:
 ``config_sha256`` hashes it and the report splices it in as its
 ``config`` block.  Validation encodes each numeric array (``system.drift``,
-``system.coupling``, ``initial``) once and the echo splices those texts
-in too, so a large coupling is encoded once per run.  An array's kinds
+``system.coupling``, ``initial``) at most once and the echo splices those
+texts in too, so a large coupling is encoded at most once per run.  An array's kinds
 are checked on its text, and one whose text holds only number
 characters, commas and brackets is read in bulk (``_numbers``); any
 other is read entry by entry, so the error names the first bad entry's
 path.
+
+An integer-heavy document is not re-encoded at all: when a JSON text has
+at least 1024 commas and at least four commas per dot,
+``_parse_json`` hands each number-only array that sits in an object (or
+is the document) back with its own text, JSON whitespace deleted, as the
+canonical text, whenever that text is exactly what ``_encode`` would
+write: no float spelled other than its ``repr`` (``1.50``, ``1E-7``) and
+no ``-0`` integer.  ``_numbers`` uses that text instead of encoding the
+array.  Float-dense and small documents, and dicts from library callers,
+are encoded as above.  The ``RunConfig`` keeps plain lists, so an echo
+that is edited and validated again is encoded too.
 """
 
 from __future__ import annotations
@@ -87,6 +98,11 @@ INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
 # the characters of compact JSON lists whose leaves are plain numbers
 _NUMBER_TEXT = b"0123456789+-.e,[]"
+# deletes JSON's whitespace from a text
+_NO_WHITESPACE = str.maketrans("", "", " \t\n\r")
+# an integer -0, which json reads as 0; a regex finds it far faster than
+# ``in`` does in a text of "0,0,0"
+_NEGATIVE_ZERO = re.compile(r"-0[,\]]")
 # json's own string escaper, as json.dumps applies it with ensure_ascii
 _quoted = json.encoder.encode_basestring_ascii
 # the one encoder of the report and of the config's canonical text:
@@ -144,8 +160,8 @@ class RunConfig:
     # the good set amplified: a preset's, or the one built from 'good' or 'subspace'
     target: Optional[GoodSubspace]
     controllability: ControllabilityConfig
-    # the canonical texts of the echo fields validation encoded: 'system'
-    # when it is written out, and 'initial'
+    # the canonical texts of the echo fields validation encoded or read
+    # back from the input: 'system' when it is written out, and 'initial'
     texts: dict
 
     def echo(self) -> dict:
@@ -180,14 +196,86 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+class _EchoedList(list):
+    """A parsed array of numbers with its canonical text, as ``_encode``
+    writes it, read from the JSON text it was parsed from.  None leaves
+    validation (``_plain``): an edit to one would leave its text stale."""
+
+    __slots__ = ("text",)
+
+
+def _plain(value):
+    """``value``, or a copy of it with a plain list in place of each
+    ``_EchoedList`` it is or holds as a value: an O(N) shallow copy."""
+    if type(value) is _EchoedList:
+        return list(value)
+    if isinstance(value, dict) and any(type(item) is _EchoedList for item in value.values()):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 def _parse_json(text: str, path: str):
     """``json.loads``, with every failure a ConfigError naming ``path``:
     malformed text, an integer literal past Python's digit limit, or
-    nesting past the recursion limit."""
+    nesting past the recursion limit.
+
+    A text with at least 1024 commas and at least four commas per dot is
+    mostly integers: it is decoded by ``_decode_echoing``, whose arrays
+    of numbers carry their own text, so ``_numbers`` need not encode them.
+    That decode costs about 10 us more per text, and its hook's ``float``
+    and ``repr`` per float token cost more than encoding the float would,
+    while each integer it echoes saves about 90 ns of encoding.  So
+    float-dense and small texts take ``json.loads`` alone: at N=256 the two
+    paths break even near three commas per dot, and an all-float coupling
+    decodes 13-110% slower with the hook.  Any failure there runs
+    ``json.loads`` again, whose error the ConfigError quotes."""
     try:
+        if text.count(",") >= max(1024, 4 * text.count(".")):
+            try:
+                return _decode_echoing(text)
+            except (ValueError, RecursionError):
+                pass
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _decode_echoing(text: str):
+    """``json.loads(text)``, with each array that sits in an object, or is
+    the document, returned as an ``_EchoedList`` when its text with JSON
+    whitespace deleted is exactly ``_encode`` of its value: it holds only
+    ``_NUMBER_TEXT`` characters, no ``-0`` integer (which reads as 0), and
+    no float token spelled other than its value's ``repr``.  Objects are
+    read by json's Python ``JSONObject`` and arrays by its C scanner; the
+    count of respelled floats lives in this call, so threads share
+    nothing."""
+    respelled = 0
+
+    def parse_float(token: str) -> float:
+        nonlocal respelled
+        number = float(token)
+        if repr(number) != token:
+            respelled += 1
+        return number
+
+    decoder = json.JSONDecoder(parse_float=parse_float)
+    scan_value, memo = decoder.scan_once, {}
+
+    def scan_once(s: str, idx: int):
+        if s.startswith("{", idx):
+            return json.decoder.JSONObject((s, idx + 1), True, scan_once, None, None, memo)
+        before = respelled
+        value, end = scan_value(s, idx)
+        if type(value) is list and respelled == before:
+            spelled = s[idx:end].translate(_NO_WHITESPACE)
+            if not (spelled.encode().translate(None, _NUMBER_TEXT)
+                    or _NEGATIVE_ZERO.search(spelled)):
+                value = _EchoedList(value)
+                value.text = spelled
+        return value, end
+
+    decoder.scan_once = scan_once
+    return decoder.decode(text)
 
 
 def _at(path: str, *index: int) -> str:
@@ -226,22 +314,29 @@ def _parse_complex(value, path: str, *index: int) -> complex:
 
 def _numbers(value: list, path: str, parse, depth: int = 1, pairs: bool = True):
     """The entries of ``value``, lists nested ``depth`` deep whose lengths
-    the caller has checked, and its canonical text, encoded once.  The
-    entries are read in bulk: as one float array when every one is a plain
-    int or float (bools and strings are not), and as one complex array
-    when ``pairs`` allows it and every one is an [re, im] pair of them or
-    a plain one, x read as [x, 0].  Any other value, and one holding a
-    number at or past the float range's end, is read one entry at a time
-    by ``parse(entry, path, *index)``, which names the first bad one."""
-    try:
-        text = _encode(value)
-    except (ValueError, TypeError, RecursionError):
-        # a NaN or an infinity, a leaf json cannot spell, or nesting past the
-        # recursion limit: an entry the per-entry parse rejects
-        text = None
-    # every leaf is a plain int or float exactly when the text holds nothing
-    # but their characters, commas and brackets
-    if value and text is not None and not text.encode().translate(None, _NUMBER_TEXT):
+    the caller has checked, and its canonical text: the text an
+    ``_EchoedList`` carries from its JSON input, else ``_encode(value)``.
+    The entries are read in bulk: as one float array when every one is a
+    plain int or float (bools and strings are not), and as one complex
+    array when ``pairs`` allows it and every one is an [re, im] pair of
+    them or a plain one, x read as [x, 0].  Any other value, and one
+    holding a number at or past the float range's end, is read one entry
+    at a time by ``parse(entry, path, *index)``, which names the first bad
+    one."""
+    if type(value) is _EchoedList:
+        # its text holds only number characters, commas and brackets
+        text, numeric = value.text, True
+    else:
+        try:
+            text = _encode(value)
+        except (ValueError, TypeError, RecursionError):
+            # a NaN or an infinity, a leaf json cannot spell, or nesting past
+            # the recursion limit: an entry the per-entry parse rejects
+            text = None
+        # every leaf is a plain int or float exactly when the text holds
+        # nothing but their characters, commas and brackets
+        numeric = text is not None and not text.encode().translate(None, _NUMBER_TEXT)
+    if value and numeric:
         array = _bulk_array(value, depth, pairs)
         if array is not None:
             return array, text
@@ -448,8 +543,9 @@ def validate_config(raw: dict) -> RunConfig:
         target = targets.get("subspace" if mode == "algo2" else "good", targets.get("subspace"))
     return RunConfig(
         mode=mode,
-        system=system,
-        initial=initial,
+        # the echo, which a caller may edit and validate again, holds plain lists
+        system=_plain(system),
+        initial=_plain(initial),
         good=good,
         subspace=subspace,
         phases=(phi[0], phi[1]),
@@ -676,17 +772,19 @@ def _load_json_or_path(value: str, path_hint: str):
     return _parse_json(text, path_hint)
 
 
-def _assemble_raw_config(args) -> dict:
-    """The config file's fields with every given flag merged over them; the
-    flags that carry JSON, a path or a keyword are read in flag order."""
-    raw: dict = {}
+def _assemble_raw_config(args, raw: dict) -> dict:
+    """``raw``, filled with the config file's fields and then every given
+    flag merged over them; the flags that carry JSON, a path or a keyword
+    are read in flag order.  On a ConfigError ``raw`` keeps the file's
+    fields when the file was read."""
     if args.config:
         file = Path(args.config)
         if not file.is_file():
             _fail("config", f"no such file: {args.config}")
-        raw = _parse_json(file.read_text(), "config")
-        if not isinstance(raw, dict):
+        parsed = _parse_json(file.read_text(), "config")
+        if not isinstance(parsed, dict):
             _fail("config", "expected a JSON object at the top level")
+        raw.update(parsed)
     flags = {
         key: value for key, value in vars(args).items() if value is not None and key != "config"
     }
@@ -770,10 +868,14 @@ def _emit(code: int, report: dict, out: Optional[str], config_text: Optional[str
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    raw: dict = {}
     try:
-        config = validate_config(_assemble_raw_config(args))
+        config = validate_config(_assemble_raw_config(args, raw))
     except ConfigError as exc:
-        report = {"provenance": {"version": __version__}, "mode": None}
+        # the mode asked for: the flag's, which argparse checked, else the
+        # config file's when it names a mode
+        mode = args.mode or raw.get("mode")
+        report = {"provenance": {"version": __version__}, "mode": mode if mode in MODES else None}
         return _emit(2, _with_error(report, exc), args.out)
     code, report = execute(config)
     return _emit(code, report, config.out, config.canonical)

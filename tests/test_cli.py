@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import os
@@ -509,6 +511,40 @@ def test_unreadable_json_exits_2_with_path(tmp_path, kind, flag):
 def test_parse_config_unreadable_json(kind):
     with pytest.raises(ConfigError, match="^config: invalid JSON"):
         parse_config(UNREADABLE_JSON[kind]["config"])
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_config_error_keeps_the_mode_asked_for(tmp_path, capsys, to_file):
+    # --mode is already checked by argparse; the report and summary keep it
+    out = tmp_path / "report.json"
+    args = ["--mode", "algo2", "--system", "hydrogen", "--subspace", "[1,2]"]
+    code = main([*args, "--out", str(out)] if to_file else args)
+    captured = capsys.readouterr()
+    report = _strict_json(out.read_text() if to_file else captured.out)
+    summary = captured.out if to_file else captured.err
+    assert code == 2
+    assert report["mode"] == "algo2"
+    assert report["error"]["message"] == "initial: required for mode 'algo2'"
+    assert summary.splitlines()[0] == "mode: algo2"
+
+
+@pytest.mark.parametrize("payload, extra, mode", [
+    ({"mode": "algo1", "system": "hydrogen"}, [], "algo1"),
+    ({"mode": "algo1"}, ["--system", "no-such-file.json"], "algo1"),
+    ({"mode": "algo1"}, ["--mode", "analyze", "--subspace", "[1,"], "analyze"),
+    ({"mode": "algo3", "system": "hydrogen"}, [], None),
+    ({"mode": ["algo1"], "system": "hydrogen"}, [], None),
+    ({"system": "hydrogen"}, [], None),
+], ids=["file-mode", "file-mode-bad-flag", "flag-over-file", "invalid", "wrong-kind", "absent"])
+def test_config_error_mode_from_file(tmp_path, capsys, payload, extra, mode):
+    # a config file's mode is kept when it names a mode, even when a later
+    # flag fails; --mode wins over it
+    out = tmp_path / "report.json"
+    code = main(["--config", write_config(tmp_path, payload), *extra, "--out", str(out)])
+    report = _strict_json(out.read_text())
+    assert code == 2 and report["error"]["type"] == "ConfigError"
+    assert report["mode"] == mode
+    assert capsys.readouterr().out.splitlines()[0] == f"mode: {mode}"
 
 
 def test_entries_parsed_once(tmp_path, monkeypatch):
@@ -1036,6 +1072,249 @@ def test_each_array_encoded_once(tmp_path, monkeypatch):
     assert len(texts) <= 4  # config, mode, provenance, result
 
 
+def echoed_texts(value):
+    """Each (list, carried text) pair in a parsed JSON value."""
+    found = []
+    if isinstance(value, dict):
+        for item in value.values():
+            found += echoed_texts(item)
+    elif isinstance(value, list):
+        if type(value) is iqcontrol.cli._EchoedList:
+            found.append((value, value.text))
+        for item in value:
+            found += echoed_texts(item)
+    return found
+
+
+def integer_coupling_config(seed, dim=64):
+    # a chain coupling with integer zeros, as json.dumps writes a list built
+    # from [0] * dim: mostly integers, so its text is read back, not encoded
+    rng = np.random.default_rng(seed)
+    coupling = [[0] * dim for _ in range(dim)]
+    for k in range(dim - 1):
+        coupling[k][k + 1] = coupling[k + 1][k] = float(rng.uniform(0.5, 2.0))
+    return {"mode": "algo1", "initial": [0.125] * dim, "good": dim, "seed": seed,
+            "system": {"dim": dim, "drift": [0.5 * k * k for k in range(dim)],
+                       "coupling": coupling}}
+
+
+# the spellings of number tokens: some are what _encode writes (repr of the
+# value), some are not (trailing zeros, other exponent forms, an integer -0)
+NUMBER_TOKENS = (
+    st.sampled_from(["0", "-0", "1.50", "1e5", "1E-7", "1e-07", "-0.0", "0.0", "2.5e+300",
+                     "1e400", str(10**400), "-" + str(2**1100), "12.0"])
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+JSON_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+
+
+@st.composite
+def number_documents(draw):
+    # number arrays up to 3 deep, inside objects up to two deep, spelled with
+    # JSON whitespace anywhere it may stand
+    def spaced(text):
+        return draw(JSON_WHITESPACE) + text + draw(JSON_WHITESPACE)
+
+    def array(depth):
+        size = draw(st.integers(0, 3))
+        items = [array(depth - 1) if depth > 1 and draw(st.booleans()) else draw(NUMBER_TOKENS)
+                 for _ in range(size)]
+        return "[" + (",".join(map(spaced, items)) if items else draw(JSON_WHITESPACE)) + "]"
+
+    def obj(depth):
+        keys = draw(st.lists(st.text(alphabet="abc", max_size=2), max_size=3, unique=True))
+        members = []
+        for key in keys:
+            if depth > 1 and draw(st.booleans()):
+                value = obj(depth - 1)
+            elif draw(st.booleans()):
+                value = array(draw(st.integers(1, 3)))
+            else:
+                value = draw(NUMBER_TOKENS)
+            members.append(spaced(json.dumps(key)) + ":" + spaced(value))
+        return "{" + ",".join(members) + "}"
+
+    body = obj(2)
+    # a padding array of integers long enough for the integer-heavy decode
+    pad = "[" + "0," * max(1024, 4 * body.count(".")) + "0]"
+    return spaced("{" + spaced('"pad"') + ":" + pad + ("," + body[1:] if body != "{}" else "}"))
+
+
+@settings(max_examples=200)
+@given(text=number_documents())
+@example(text='{"pad":[' + "0," * 1024 + '0 ], "a": {"b": [[-0.0, 1.50], [], [[1e5]]], "c": [ -0 ]}}')
+@example(text='{"a": [-0], "pad": [' + "0, " * 1024 + '0\t]\r\n, "b": [1E-7]}')
+@example(text='{"a": {"b": [' + str(10**400) + ', [[]]]}, "pad": [' + "7,\n" * 1024 + "0]}")
+def test_echoing_decode_equals_json_loads(text):
+    # the integer-heavy decode returns json.loads's value, and each text it
+    # carries is what _encode writes for its array
+    assert text.count(",") >= max(1024, 4 * text.count("."))
+    value = iqcontrol.cli._parse_json(text, "config")
+    assert value == json.loads(text)
+    texts = echoed_texts(value)
+    assert type(value["pad"]) is iqcontrol.cli._EchoedList
+    for array, carried in texts:
+        assert carried == iqcontrol.cli._encode(array)
+
+
+def test_echoing_decode_keeps_only_exact_spellings():
+    decode = iqcontrol.cli._decode_echoing
+    value = decode('{"a": [1, 2.5], "b": [1.50], "c": [-0], "d": [[1e5]], "e": [-0.0],'
+                   ' "f": [true], "g": {"h": [ 3 ,\n4 ]}, "i": [[1], [2]], "j": []}')
+    kept = {key: getattr(value[key], "text", None) for key in "abcdefij"}
+    assert kept == {"a": "[1,2.5]", "b": None, "c": None, "d": None, "e": "[-0.0]",
+                    "f": None, "i": "[[1],[2]]", "j": "[]"}
+    assert value["g"]["h"].text == "[3,4]"
+    # arrays inside arrays are read by the C scanner whole: only the
+    # outermost carries its text
+    assert type(value["i"][0]) is list
+    top = decode("[[0, 1], [2, 3]]")
+    assert top.text == "[[0,1],[2,3]]"
+
+
+# documents the integer-heavy decode must reject as json.loads does, each
+# with a padding array that sends it there
+INTEGER_PAD = "[" + "0, " * 1024 + "0]"
+MALFORMED_INTEGER_HEAVY = {
+    "trailing-comma-array": '{"pad": ' + INTEGER_PAD[:-1] + ",]}",
+    "trailing-comma-object": '{"pad": ' + INTEGER_PAD + ",}",
+    "extra-data": '{"pad": ' + INTEGER_PAD + "} {}",
+    "extra-data-array": INTEGER_PAD + " 0",
+    "missing-colon": '{"pad" ' + INTEGER_PAD + "}",
+    "deep-arrays": '{"pad": ' + INTEGER_PAD + ', "deep": ' + "[" * 100_000 + "}",
+    "deep-objects": '{"pad": ' + INTEGER_PAD + ', "deep": ' + '{"a": ' * 100_000 + "}",
+    "deep-braces": '{"pad": ' + INTEGER_PAD + ', "deep": ' + "{" * 100_000 + "}",
+    "unclosed": '{"pad": ' + INTEGER_PAD,
+    "huge-int": '{"pad": ' + INTEGER_PAD + ', "n": [' + HUGE_INT + "]}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_INTEGER_HEAVY))
+def test_echoing_decode_rejects_what_json_rejects(kind):
+    text = MALFORMED_INTEGER_HEAVY[kind]
+    assert text.count(",") >= 1024 and "." not in text
+    with pytest.raises((ValueError, RecursionError)) as loads:
+        json.loads(text)
+    with pytest.raises((ValueError, RecursionError)):
+        iqcontrol.cli._decode_echoing(text)
+    with pytest.raises(ConfigError) as parsed:
+        iqcontrol.cli._parse_json(text, "config")
+    assert str(parsed.value) == f"config: invalid JSON ({loads.value})"
+
+
+@pytest.mark.parametrize("variant, encoded", [
+    ("integer-zeros", 0), ("float-zeros", 1), ("one-respelled-float", 1),
+])
+def test_integer_coupling_text_read_back(tmp_path, monkeypatch, variant, encoded):
+    # an integer-heavy coupling's text is read back from the input; one
+    # with float zeros (float-dense) or with a float spelled other than
+    # its repr is encoded once, in validation
+    payload = integer_coupling_config(64)
+    coupling = payload["system"]["coupling"]
+    if variant == "float-zeros":
+        payload["system"]["coupling"] = np.array(coupling, dtype=float).tolist()
+    text = json.dumps(payload)
+    if variant == "one-respelled-float":
+        text = text.replace('"coupling": [[0, ', '"coupling": [[1.50, ', 1)
+    encode, texts = iqcontrol.cli._encode, []
+
+    def counting(value):
+        texts.append(encode(value))
+        return texts[-1]
+
+    monkeypatch.setattr(iqcontrol.cli, "_encode", counting)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    coupling_text = encode(json.loads(text)["system"]["coupling"])
+    assert sum(coupling_text in written for written in texts) == encoded
+    # the report is the one the json.loads path writes, config block and hash
+    report = _strict_json(out.read_text())
+    echo = validate_config(json.loads(text)).echo()
+    assert report["config"] == json.loads(encode(echo))
+    assert report["provenance"]["config_sha256"] == hashlib.sha256(encode(echo).encode()).hexdigest()
+
+
+def test_edited_echo_validated_again_is_encoded():
+    # a config parsed from integer-heavy text keeps plain lists: an edit to
+    # its echo, validated again, is encoded, not read from a stale text
+    text = json.dumps(integer_coupling_config(7))
+    assert type(iqcontrol.cli._parse_json(text, "config")["initial"]) is iqcontrol.cli._EchoedList
+    config = iqcontrol.cli.parse_config(text)
+    assert echoed_texts(config.echo()) == []
+    original = config.canonical
+    assert original == iqcontrol.cli._encode(config.echo())
+    for edit in (copy.deepcopy, lambda echo: echo):
+        raw = edit(config.echo())
+        raw["system"]["coupling"][0][1] = raw["system"]["coupling"][1][0] = 3
+        raw["initial"][0] = -0.125
+        edited = validate_config(raw)
+        assert edited.canonical == iqcontrol.cli._encode(edited.echo()) != original
+        assert edited.spec.coupling[0, 1] == 3
+    # a library caller's dict is kept as it is given
+    raw = integer_coupling_config(7)
+    assert validate_config(raw).system is raw["system"]
+
+
+def assert_thread_runs_match(argvs, timeout=60):
+    """Each argv (ending in ``--out PATH``), run 10 times in a thread of its
+    own while the others run, writes the report it writes alone, with
+    ``generated_at`` masked; the reports of different argvs differ.  A
+    thread still running ``timeout`` seconds after the joins begin fails."""
+    def timeless(argv):
+        report = json.loads(Path(argv[-1]).read_text())
+        report["provenance"].pop("generated_at")
+        return render_report(report)
+
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(timeless(argv))
+    assert len(set(expected)) == len(argvs)
+    mismatches = []
+
+    def worker(k):
+        for _ in range(10):
+            if main(argvs[k]) != 0 or timeless(argvs[k]) != expected[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(argvs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_integer_coupling_main_from_threads(tmp_path, capsys):
+    # the decode's respelled-float count lives in each call: threads that
+    # read integer-heavy configs at once, half of them with a coupling that
+    # spells a float 1.50, write the reports they write alone
+    argvs = []
+    for k in range(4):
+        payload = integer_coupling_config(100 + k)
+        payload["system"]["coupling"][0][1] = payload["system"]["coupling"][1][0] = 1.5
+        text = json.dumps(payload)
+        if k % 2:
+            text = text.replace('"coupling": [[0, 1.5, ', '"coupling": [[0, 1.50, ', 1)
+        config = tmp_path / f"config{k}.json"
+        config.write_text(text)
+        coupling = iqcontrol.cli._parse_json(text, "config")["system"]["coupling"]
+        assert (type(coupling) is iqcontrol.cli._EchoedList) == (k % 2 == 0)
+        argvs.append(["--config", str(config), "--out", str(tmp_path / f"report{k}.json")])
+    assert_thread_runs_match(argvs)
+    capsys.readouterr()
+
+
 def json_trees(leaves):
     keys = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\x01é')) | SEPARATOR_TEXT
     return st.recursive(
@@ -1248,38 +1527,12 @@ class TestReportContract:
     def test_main_from_threads(self, tmp_path, capsys):
         # threads share the parser and the cached hydrogen spec: each run
         # gives the report it gives alone
-        def timeless(path):
-            report = json.loads(path.read_text())
-            report["provenance"].pop("generated_at")
-            return render_report(report)
-
-        argvs, expected = [], []
+        argvs = []
         for k in range(6):
-            out = tmp_path / f"report{k}.json"
             mode = ("hydrogen-case1", "hydrogen-case2")[k % 2]
             argvs.append(["--mode", mode, "--seed", str(k), "--shots", str(1 + 40 * (k % 3)),
-                          "--out", str(out)])
-            assert main(argvs[k]) == 0
-            expected.append(timeless(out))
-        mismatches = []
-
-        def worker(k):
-            for _ in range(10):
-                if main(argvs[k]) != 0 or timeless(tmp_path / f"report{k}.json") != expected[k]:
-                    mismatches.append(k)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert mismatches == []
+                          "--out", str(tmp_path / f"report{k}.json")])
+        assert_thread_runs_match(argvs)
         capsys.readouterr()
 
     def test_flag_only_invocation(self, tmp_path, capsys):
