@@ -10,6 +10,8 @@ units of (Bohr radius x elementary charge): 128*sqrt(2)/243 for the
 ground channel and 3 for the excited channel.  Internally everything is
 dimensionless with hbar = 1; the field amplitude absorbs the a*e/hbar
 factor and only the excitation gap enters the dynamics (default 1.0).
+``iqcontrol.core`` samples and propagates the field; this module adds
+the model's spec and the interaction-picture frame change.
 """
 
 from __future__ import annotations
@@ -22,19 +24,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .amplification import GoodSubspace, closed_form_weights
-from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real
+from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real, _segments
 from .errors import DimensionMismatchError, NonFiniteError
 
 KAPPA_GROUND = 128.0 * math.sqrt(2.0) / 243.0   # ground <-> excited-3 channel
 KAPPA_EXCITED = 3.0                              # excited-2 <-> excited-3 channel
-
-# Fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math.
-# 56, 1519 (2006)): the field at the Gauss points t_mid -+ GAUSS_OFFSET * h
-# sets the amplitudes CF4_HEAVY * u1 + CF4_LIGHT * u2 and
-# CF4_LIGHT * u1 + CF4_HEAVY * u2 of two constant half-steps.
-GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-CF4_HEAVY = (3.0 + 2.0 * math.sqrt(3.0)) / 6.0
-CF4_LIGHT = (3.0 - 2.0 * math.sqrt(3.0)) / 6.0
 
 FieldLike = Union[ControlPulse, Callable[[float], float]]
 
@@ -90,49 +84,6 @@ def hydrogen_spec(energy_gap: float = 1.0) -> SystemSpec:
     return _model_spec(HydrogenModel(energy_gap))
 
 
-def _pulse_segments(pulse: ControlPulse, duration: Optional[float]):
-    """The pulse's (durations, amplitudes), cut at ``duration``."""
-    durations, amplitudes = np.array(pulse.segments, dtype=float).reshape(-1, 2).T
-    if duration is None:
-        return durations, amplitudes
-    starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
-    kept = starts < duration
-    return np.minimum(durations, duration - starts)[kept], amplitudes[kept]
-
-
-def _field_segments(model, field, duration: float, t0: float, max_step: float):
-    """(durations, amplitudes) of the CF4 half-steps that stand for ``field``.
-
-    The step is min(max_step, 0.02 / max(gap, peak * kappa, 1e-6)); the
-    peak is read from the field's values at the Gauss points of the steps
-    the gap alone asks for, and the field is sampled again on a finer grid
-    only when that peak asks for shorter steps.
-    """
-
-    def steps(rate: float) -> int:
-        return max(math.ceil(duration / min(max_step, 0.02 / rate)), 1)
-
-    def gauss_values(n: int):
-        h = duration / n
-        mid = t0 + h * (np.arange(n) + 0.5)
-        u1 = np.fromiter(map(field, (mid - GAUSS_OFFSET * h).tolist()), float, n)
-        u2 = np.fromiter(map(field, (mid + GAUSS_OFFSET * h).tolist()), float, n)
-        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-            raise NonFiniteError("field: values must be finite, got NaN or an infinity")
-        return u1, u2
-
-    kappa = max(model.kappa_ground, model.kappa_excited)
-    n = steps(max(model.energy_gap, 1e-6))
-    u1, u2 = gauss_values(n)
-    peak = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
-    finer = steps(max(model.energy_gap, peak * kappa, 1e-6))
-    if finer > n:
-        n = finer
-        u1, u2 = gauss_values(n)
-    amplitudes = np.column_stack((CF4_HEAVY * u1 + CF4_LIGHT * u2, CF4_LIGHT * u1 + CF4_HEAVY * u2))
-    return np.full(2 * n, duration / (2 * n)), amplitudes.ravel()
-
-
 def propagate_interaction_picture(
     model: HydrogenModel,
     field: FieldLike,
@@ -151,35 +102,17 @@ def propagate_interaction_picture(
     lab-frame propagator of ``iqcontrol.core``: exact segment exponentials
     for a pulse, and for a callable the fourth-order commutator-free
     Magnus step, two constant half-steps per step of at most
-    ``max_step``, which is checked whichever field is given.  Only the coupled levels the state occupies are
-    evolved; every other amplitude (labels 4 and 5 always) comes back
-    bit-exact.
+    ``max_step``, which is checked whichever field is given.  Only the
+    coupled levels the state occupies are evolved; every other amplitude
+    (labels 4 and 5 always) comes back bit-exact.
     """
     if initial.dim != 5:
         raise DimensionMismatchError(f"hydrogen model is 5-level, state has {initial.dim}")
-    duration = None if duration is None else _real(duration, "duration")
-    t0 = _real(t0, "t0")
-    limit = math.inf if max_step is None else _real(max_step, "max_step")
-    if not limit > 0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
-    for name, value in (("duration", duration), ("t0", t0)):
-        if value is not None and not math.isfinite(value):
-            raise NonFiniteError(f"{name}: must be finite, got {value!r}")
-    if duration is not None and duration < 0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
-    if isinstance(field, ControlPulse):
-        durations, amplitudes = _pulse_segments(field, duration)
-    elif not callable(field):
-        raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
-    elif duration is None:
-        raise ValueError("a callable field needs an explicit duration")
-    elif duration == 0:
-        return initial
-    else:
-        durations, amplitudes = _field_segments(model, field, duration, t0, limit)
+    spec = _model_spec(model)
+    durations, amplitudes = _segments(spec, field, duration, t0, max_step)
     if not durations.size:
         return initial
-    spec = _model_spec(model)
+    t0 = float(t0)  # a finite real, as _segments has checked
     lab = initial.amplitudes * np.exp(-1j * spec.drift * t0)
     frame = np.exp(1j * spec.drift * (t0 + durations.sum()))
     out = initial.amplitudes.copy()

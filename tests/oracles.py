@@ -7,9 +7,10 @@ weights against them.  The explicit Q itself is
 against the product of the phase oracles below.
 
 The library propagates through exact segment exponentials restricted to
-the coupled blocks a state occupies; ``full_matrix_propagate`` and the
-RK4 integrator ``rk4_interaction_picture`` are the references it is
-checked against.
+the coupled blocks a state occupies, and samples a callable field into
+CF4 half-steps; ``full_matrix_propagate`` and the RK4 integrators
+``rk4_interaction_picture`` (hydrogen) and ``rk4_lab_frame`` (any spec)
+are the references it is checked against.
 
 The library plans and predicts with ``closed_form_weights`` for any
 phases; ``success_probability`` is its phi1 = phi2 = pi case written as
@@ -211,3 +212,25 @@ def rk4_interaction_picture(
     out = np.array(initial.amplitudes, dtype=complex)
     out[:3] = y0, y1, y2
     return out
+
+
+def rk4_lab_frame(spec, field, initial, duration, t0=0.0, step=2.5e-4) -> np.ndarray:
+    """Fixed-step RK4 on the lab-frame equation i dC/dt = (A + u(t) B) C
+    from t0 to t0 + duration, with the full N x N generator and a
+    callable u.  Returns the raw amplitudes."""
+    drift = np.diag(spec.drift).astype(complex)
+    n = max(math.ceil(duration / step), 2)
+    dt = duration / n
+
+    def deriv(t, c):
+        return -1j * ((drift + field(t) * spec.coupling) @ c)
+
+    c = np.array(initial.amplitudes, dtype=complex)
+    for k in range(n):
+        t = t0 + k * dt
+        k1 = deriv(t, c)
+        k2 = deriv(t + dt / 2.0, c + dt / 2.0 * k1)
+        k3 = deriv(t + dt / 2.0, c + dt / 2.0 * k2)
+        k4 = deriv(t + dt, c + dt * k3)
+        c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return c

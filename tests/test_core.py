@@ -35,6 +35,7 @@ from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from conftest import random_hermitian, random_spec, random_state
 from oracles import (
     full_matrix_propagate,
+    rk4_lab_frame,
     success_probability,
     system_spec_checks,
     transition_frequency,
@@ -441,6 +442,29 @@ class TestPropagate:
         spec = random_spec(rng, 4)
         with pytest.raises(DimensionMismatchError):
             propagate(spec, ControlPulse(((1.0, 0.1),)), random_state(rng, 3))
+
+    def test_rejects_a_callable(self, rng):
+        # propagate takes no duration, so a callable is a type error here
+        with pytest.raises(TypeError, match="^pulse must be a ControlPulse"):
+            propagate(random_spec(rng, 4), lambda t: 0.1, random_state(rng, 4))
+
+
+class TestSegments:
+    def test_callable_matches_lab_frame_oracle(self, rng):
+        # the CF4 step rule reads any spec: on 8-level systems, once with the
+        # drift's spread setting the step and once with the coupling's peak
+        for scale in (1.0, 3.0, 1.0, 3.0):
+            spec, state = random_spec(rng, 8), random_state(rng, 8)
+            spec = SystemSpec(dim=8, drift=spec.drift, coupling=scale * spec.coupling)
+            a, w, phase, offset = rng.uniform([0.5, 0.5, 0.0, -0.5], [2.0, 3.0, 6.0, 0.5])
+            field = lambda t: a * math.cos(w * t + phase) + offset
+            duration, t0 = float(rng.uniform(0.5, 1.5)), float(rng.uniform(-2.0, 2.0))
+            durations, amplitudes = core._segments(spec, field, duration, t0, None)
+            c = state.amplitudes
+            out = c * np.exp(-1j * spec.drift * duration)
+            for levels, part in core._evolve(spec, durations, amplitudes, c):
+                out[levels] = part
+            assert np.max(np.abs(out - rk4_lab_frame(spec, field, state, duration, t0))) < 1e-9
 
 
 def random_segments(rng) -> ControlPulse:

@@ -19,7 +19,7 @@ from iqcontrol import (
     propagate_interaction_picture,
     hydrogen_spec,
 )
-from iqcontrol import core
+from iqcontrol import core, hydrogen
 from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
 from conftest import random_state
 from oracles import rk4_interaction_picture, success_probability
@@ -267,6 +267,49 @@ class TestInteractionPicture:
             propagate_interaction_picture(
                 HydrogenModel(), ControlPulse(((1.0, 0.1),)), random_state(rng, 5), max_step=0
             )
+
+    def test_mirrored_couplings_take_the_same_steps(self, rng):
+        # flipping the sign of both couplings and of the field leaves u(t) B,
+        # and so the dynamics, unchanged; the step rule read the signed
+        # kappas and stepped the negative model by the gap alone
+        state = random_state(rng, 5)
+        mirrored = [
+            propagate_interaction_picture(
+                HydrogenModel(1.0, sign * 0.5, sign * 3.0),
+                lambda t, sign=sign: -sign * 8.0 * math.sin(1.3 * t), state, 20.0,
+            ).amplitudes
+            for sign in (-1.0, 1.0)
+        ]
+        assert np.max(np.abs(mirrored[0] - mirrored[1])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "gap, kappa_ground, kappa_excited, peak, max_step",
+        [
+            (1.0, KAPPA_GROUND, KAPPA_EXCITED, 0.1, None),   # the gap sets the step
+            (1.0, KAPPA_GROUND, KAPPA_EXCITED, 2.0, None),   # the field sets it
+            (0.25, -2.0, 0.5, 1.5, None),                    # a negative kappa sets it
+            (2.0, -0.5, -3.0, 0.7, None),
+            (1.0, 0.5, 3.0, 2.0, 0.001),                     # max_step sets it
+            (1e-7, 1e-4, 0.0, 1e-3, None),                   # the 1e-6 floor sets it
+        ],
+    )
+    def test_step_count_follows_the_rule(
+        self, rng, monkeypatch, gap, kappa_ground, kappa_excited, peak, max_step
+    ):
+        # README: the step is min(max_step, 0.02 / max(gap, peak * max|kappa|, 1e-6))
+        sizes = []
+        evolve = hydrogen._evolve
+        monkeypatch.setattr(
+            hydrogen, "_evolve", lambda spec, d, *rest: sizes.append(d.size) or evolve(spec, d, *rest)
+        )
+        model = HydrogenModel(gap, kappa_ground, kappa_excited)
+        duration = 3.0
+        propagate_interaction_picture(
+            model, lambda t: -peak, random_state(rng, 5), duration, 0.4, max_step
+        )
+        rate = max(gap, peak * max(abs(kappa_ground), abs(kappa_excited)), 1e-6)
+        step = min(math.inf if max_step is None else max_step, 0.02 / rate)
+        assert sizes == [2 * max(math.ceil(duration / step), 1)]
 
     def test_rejects_wrong_dimension(self, rng):
         with pytest.raises(Exception):
