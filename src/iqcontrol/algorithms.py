@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -88,27 +88,32 @@ class RunReport:
 
 def _amplify(
     initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
-    iterations: Union[int, str], pre_rotation: bool, l_max: int,
-) -> tuple[StateVector, RunReport]:
-    """Plan and amplify; the report carries no measurement yet."""
+    iterations: Union[int, str], pre_rotation: bool, l_max: int, report=RunReport,
+) -> tuple[StateVector, Union[RunReport, dict]]:
+    """Plan and amplify; the report carries no measurement yet.
+
+    ``report`` is called with the report's fields: ``RunReport`` makes
+    the report itself, and ``dict`` the fields of a report that a caller
+    completes before making it once.
+    """
     plan = make_plan(initial, good, phi1, phi2, iterations, l_max, pre_rotation)
     amplified = amplified_state(plan)
-    report = RunReport(
+    return amplified, report(
         plan=plan,
         pre_amplification=np.abs(plan.prepared.amplitudes),
         post_amplification=np.abs(amplified.amplitudes),
         predicted_success=plan.predicted_success,
     )
-    return amplified, report
 
 
 def _run(
     spec: SystemSpec, initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
     iterations: Union[int, str], seed: int, shots: int, pre_rotation: bool, l_max: int,
     measurement_shot: int, max_attempts: Optional[int],
-) -> RunReport:
+) -> dict:
     """The pipeline both algorithms share: amplify, then measure against
-    the good-vs-rest partition.
+    the good-vs-rest partition.  Returns the fields of the run's
+    ``RunReport``, which each algorithm completes and makes once.
 
     ``shots > 1`` gives the outcome histogram; otherwise one pass of the
     single-shot sampler draws shot ``measurement_shot`` (with
@@ -140,17 +145,21 @@ def _run(
                 f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
                 f"max_attempts={max_attempts}"
             )
-    amplified, report = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+    amplified, fields = _amplify(
+        initial, good, phi1, phi2, iterations, pre_rotation, l_max, report=dict
+    )
     partition = MeasurementPartition.binary(good)
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
-        return replace(report, histogram=histogram, empirical_success=histogram[0] / shots)
+        fields.update(histogram=histogram, empirical_success=histogram[0] / shots)
+        return fields
     # block 0 is the good block: a repeated run stops at the first shot on it
     measurement, drawn = _sample(amplified, partition, seed, measurement_shot, max_attempts or 1, 0)
-    return replace(
-        report, measurement=measurement, success=measurement.block_index == 0,
+    fields.update(
+        measurement=measurement, success=measurement.block_index == 0,
         attempts=None if max_attempts is None else drawn,
     )
+    return fields
 
 
 def run_algorithm1(
@@ -184,17 +193,16 @@ def run_algorithm1(
     on the last; the plan is made once and the report records the
     ``attempts``.
     """
-    report = _run(
+    fields = _run(
         spec, initial, GoodSubspace.of(good_index, spec.dim), phi1, phi2, iterations,
         seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
     )
-    if report.success and final_pulse is not None:
-        final = propagate(spec, final_pulse, report.measurement.collapsed)
-        fidelity = None
+    if fields.get("success") and final_pulse is not None:
+        final = propagate(spec, final_pulse, fields["measurement"].collapsed)
+        fields["final_state"] = final
         if target is not None:
-            fidelity = float(abs(target.overlap(final)) ** 2)
-        report = replace(report, final_state=final, fidelity=fidelity)
-    return report
+            fields["fidelity"] = float(abs(target.overlap(final)) ** 2)
+    return RunReport(**fields)
 
 
 def run_algorithm2(
@@ -224,7 +232,7 @@ def run_algorithm2(
     analysis, like the plan, runs once, and reads only the subspace's rows
     and columns of the coupling, by the upper-triangle rule of ``build_graph``.
     """
-    report = _run(
+    fields = _run(
         spec, initial, subspace, phi1, phi2, iterations,
         seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
     )
@@ -234,7 +242,7 @@ def run_algorithm2(
     upper = np.where(np.arange(spec.dim) > levels[:, None],
                      spec.coupling[levels], spec.coupling.T[levels])
     note = None
-    if not (np.abs(upper[:, ~subspace.mask()]) > config.edge_threshold).any():
+    if not (np.abs(upper[:, ~subspace._mask]) > config.edge_threshold).any():
         edges = _edges(spec, target_set, config.edge_threshold)
         if len(_components(target_set, edges)) == 1:
             note = _component_verdict(spec, target_set, edges, config)[0].to_dict()
@@ -249,4 +257,4 @@ def run_algorithm2(
             "verdict": None,
             "notes": ["not a connected component of the coupling graph"],
         }
-    return replace(report, controllability_note=note)
+    return RunReport(**fields, controllability_note=note)

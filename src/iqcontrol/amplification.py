@@ -11,7 +11,10 @@ multiplies every good basis state by e^{i phi2}.  With phi1 = phi2 = pi
 and initial good weight g = sin^2(theta), L applications of Q to the
 prepared state U e1 leave good weight sin^2((2L+1) theta).  Q never
 leaves the span of the prepared state's good and bad parts, so no N x N
-matrix is built: Q^L acts as a 2x2 power on that span.
+matrix is built: Q^L acts as a 2x2 power on that span.  ``make_plan``
+splits the prepared state into those parts once and the plan carries the
+split, so ``amplified_state`` scales them without splitting it again;
+a ``GoodSubspace`` builds its mask on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import cmath
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -77,9 +81,16 @@ class GoodSubspace:
         return cls(frozenset(indices), dim)
 
     def mask(self) -> np.ndarray:
+        """A new boolean array over the 0-based levels, True on the good ones."""
+        return self._mask.copy()
+
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        """:meth:`mask`, built on first use and kept read-only."""
         m = np.zeros(self.dim, dtype=bool)
         for i in self.indices:
             m[i - 1] = True
+        m.setflags(write=False)
         return m
 
 
@@ -106,7 +117,7 @@ def decompose(state: StateVector, good: GoodSubspace) -> Decomposition:
         raise DimensionMismatchError(
             f"good subspace dimension {good.dim} does not match state dimension {state.dim}"
         )
-    mask = good.mask()
+    mask = good._mask
     return _split(
         np.where(mask, state.amplitudes, 0.0), np.where(mask, 0.0, state.amplitudes)
     )
@@ -167,7 +178,7 @@ def amplification_operator(
         )
     p0 = np.ones(prep.dim, dtype=complex)
     p0[0] = cmath.exp(1j * _check_phase("phi1", phi1))
-    pchi = np.where(good.mask(), cmath.exp(1j * _check_phase("phi2", phi2)), 1.0 + 0j)
+    pchi = np.where(good._mask, cmath.exp(1j * _check_phase("phi2", phi2)), 1.0 + 0j)
     u = prep.matrix
     return UnitaryOperator(-((u * p0) @ u.conj().T) * pchi)
 
@@ -236,6 +247,11 @@ def closed_form_weights(g: float, phi1: float, phi2: float, iterations: int) -> 
     g = _real(g, "g")
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"good weight must lie in [0, 1], got {g}")
+    return _weights(g, phi1, phi2, iterations)
+
+
+def _weights(g: float, phi1: float, phi2: float, iterations: int) -> tuple[float, float]:
+    """:func:`closed_form_weights` of arguments it has already checked."""
     c_good, c_bad = _coefficients(g, 1.0 - g, phi1, phi2, iterations)
     # round-off may not lift a probability above 1
     return min(abs(c_good) ** 2 * g, 1.0), min(abs(c_bad) ** 2 * (1.0 - g), 1.0)
@@ -260,6 +276,11 @@ def optimal_iterations(
     g = _real(g, "g")
     if not 0.0 < g <= 1.0:
         raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
+    return _first_peak(g, l_max, phi1, phi2)
+
+
+def _first_peak(g: float, l_max: int, phi1: float, phi2: float) -> int:
+    """:func:`optimal_iterations` of arguments it has already checked."""
     _, omega, sin_w, (s00, n01, _, _) = _rotation(g, 1.0 - g, phi1, phi2)
     # sin(w) = 0 leaves P constant, whatever v is taken to be
     v = (s00 * math.sqrt(g) + n01 * math.sqrt(1.0 - g)) / sin_w if sin_w > 0.0 else 0j
@@ -364,12 +385,13 @@ def make_plan(
         raise ZeroOverlapError(
             f"initial state has no weight on good indices {sorted(good.indices)}; {hint}"
         )
+    # the phases and l_max are checked above, and d.g lies in [MIN_GOOD_WEIGHT, 1]
     if iterations == "auto":
-        count = optimal_iterations(d.g, l_max, phi1, phi2)
+        count = _first_peak(d.g, l_max, phi1, phi2)
     else:
         count = _iterations(iterations)
-    predicted, _ = closed_form_weights(d.g, phi1, phi2, count)
-    return AmplificationPlan(
+    predicted, _ = _weights(d.g, phi1, phi2, count)
+    plan = AmplificationPlan(
         prepared=initial,
         good=good,
         phi1=phi1,
@@ -379,6 +401,10 @@ def make_plan(
         initial_good_weight=d.g,
         pre_rotated=pre_rotated,
     )
+    # the prepared state's split, which amplified_state reads instead of
+    # splitting it again; a plan made any other way has none
+    object.__setattr__(plan, "_decomposition", d)
+    return plan
 
 
 def amplified_state(plan: AmplificationPlan) -> StateVector:
@@ -386,7 +412,9 @@ def amplified_state(plan: AmplificationPlan) -> StateVector:
 
     Scales the good and bad parts of the prepared state by the closed-form
     coefficients of Q^L: O(N) work, independent of L, and no N x N matrix.
+    A plan from :func:`make_plan` carries that split; any other plan, one
+    copied with ``dataclasses.replace`` among them, is split here.
     """
-    d = decompose(plan.prepared, plan.good)
+    d = vars(plan).get("_decomposition") or decompose(plan.prepared, plan.good)
     c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
     return StateVector(c_good * d.good_part + c_bad * d.bad_part)

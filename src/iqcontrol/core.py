@@ -2,6 +2,9 @@
 
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, into constant segments that ``_evolve`` applies exactly.
+A spec finds the blocks of its coupling, and builds the read-only levels,
+coupling and drift arrays of each coupled one, on its first propagation
+and keeps them, so every later one starts at the batched ``eigh``.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
 entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
@@ -70,6 +73,13 @@ def _as_complex_vector(values: Sequence) -> np.ndarray:
     return arr
 
 
+def _norm(arr: np.ndarray) -> float:
+    """The 2-norm of a contiguous 1-D complex array, bit for bit as
+    ``np.linalg.norm`` computes it, without its argument handling."""
+    real, imag = arr.real, arr.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
+
+
 def _integer(value, name: str) -> int:
     """``value`` as a Python int: any integer type, numpy's included, but no
     bool and nothing that would be truncated; a TypeError names ``name``."""
@@ -106,9 +116,10 @@ class StateVector:
             raise DimensionMismatchError(
                 f"state needs at least 2 levels, got {arr.size}"
             )
-        if not np.isfinite(arr).all():
+        # a finite norm has finite entries, so only a non-finite one needs the scan
+        norm = _norm(arr)
+        if not math.isfinite(norm) and not np.isfinite(arr).all():
             raise NonFiniteError("state amplitudes must be finite, got NaN or an infinity")
-        norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
                 f"state norm is {norm!r}, expected 1 within {NORM_TOL:g}"
@@ -223,6 +234,28 @@ class SystemSpec:
         in order of smallest label: the components of ``_edges(self, labels, 0.0)``."""
         labels = range(1, self.dim + 1)
         return list(_components(labels, _edges(self, labels, 0.0)))
+
+    @cached_property
+    def _block_arrays(self) -> list[tuple[np.ndarray, ...]]:
+        """(levels, touched, coupling, drift) for each of ``_blocks`` that
+        holds a level whose column of B has a nonzero, in ``_blocks`` order:
+        its 0-based levels, those of them with such a column, B's sub-block
+        on the levels (real when it has no imaginary part) and diag(A) on
+        them.  Every array is read-only; ``_evolve`` reads them per call."""
+        touched = self.coupling.any(axis=0)
+        arrays = []
+        for component in self._blocks:
+            levels = np.array(component) - 1
+            if not touched[levels].any():
+                continue
+            coupling = self.coupling[levels[:, None], levels]
+            if not coupling.imag.any():  # a real symmetric block diagonalises faster
+                coupling = coupling.real
+            block = (levels, levels[touched[levels]], coupling, np.diag(self.drift[levels]))
+            for array in block:
+                array.setflags(write=False)
+            arrays.append(block)
+        return arrays
 
 
 def _edges(spec: SystemSpec, labels: Sequence[int], threshold: float) -> list[tuple[int, int]]:
@@ -407,30 +440,25 @@ def _evolve(
     """Apply the segments exp(-i (A + u_k B) dt_k) in order to ``c``.
 
     Returns (levels, amplitudes) for each block of B's exact nonzeros that
-    holds part of ``c``; every other level evolves under A alone, so the
-    caller applies its drift phase, or nothing.
+    holds part of ``c`` on a level B's columns touch; every other level
+    evolves under A alone, so the caller applies its drift phase, or nothing.
+    The blocks' arrays come from the spec, built on its first propagation.
     Each block's segments are diagonalised SEGMENT_BATCH at a time by one
     batched Hermitian ``eigh``, so every segment is exactly unitary.
     """
-    # labels that hold amplitude and that B touches; a block holds part of
-    # c exactly when it contains one of them
-    held = set((np.flatnonzero(spec.coupling.any(axis=0) & (c != 0)) + 1).tolist())
+    held = c != 0
     evolved = []
-    for component in spec._blocks:
-        if held.isdisjoint(component):
+    for levels, touched, coupling, drift in spec._block_arrays:
+        if not held[touched].any():
             continue
-        levels = np.array(component) - 1
-        coupling = spec.coupling[levels[:, None], levels]
         part = c[levels]
-        if not coupling.imag.any():  # a real symmetric block diagonalises faster
-            coupling = coupling.real
-        drift = np.diag(spec.drift[levels])
+        weight = _norm(part)
         for start in range(0, durations.size, SEGMENT_BATCH):
             batch = slice(start, start + SEGMENT_BATCH)
             w, v = np.linalg.eigh(amplitudes[batch, None, None] * coupling + drift)
             phases = np.exp(-1j * w * durations[batch, None])
             part = _ordered_product((v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)) @ part
-        weight, reached = float(np.linalg.norm(c[levels])), float(np.linalg.norm(part))
+        reached = _norm(part)
         moved = abs(reached - weight)
         if moved > PROPAGATION_NORM_TOL:
             raise NormalizationError(f"propagation lost normalization: the norm moved by {moved:.3e}")

@@ -1,7 +1,9 @@
 """Projective measurements: Born probabilities, seeded sampling, collapse.
 
 A measurement is defined by a partition of the basis labels 1..N into
-blocks; each block is one outcome (the projector onto its span).  All
+blocks; each block is one outcome (the projector onto its span).  The
+good-vs-rest partition of a run is built from the good mask alone, as a
+``GoodSubspace`` is already a valid first block.  All
 shots under one seed share one counter-based stream: numpy's ``Philox``
 keyed by the seed (through ``SeedSequence``, so any nonnegative integer
 seed works), whose k-th ``random()`` output is the uniform of shot k
@@ -19,6 +21,7 @@ by shot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,13 +73,23 @@ class MeasurementPartition:
 
     @property
     def dim(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return self._block_of_label.size
 
     @classmethod
     def binary(cls, good: GoodSubspace) -> "MeasurementPartition":
-        """Two blocks: the good indices and their complement."""
-        rest = tuple(sorted(set(range(1, good.dim + 1)) - good.indices))
-        return cls((tuple(sorted(good.indices)), rest))
+        """Two blocks: the good indices and their complement.
+
+        Built from the good mask, without the cover checks: a
+        ``GoodSubspace`` is a nonempty strict subset of 1..N, so its labels
+        and the rest are two nonempty blocks that partition 1..N.
+        """
+        block_of_label = (~good._mask).astype(np.intp)
+        block_of_label.setflags(write=False)
+        partition = object.__new__(cls)
+        rest = tuple((block_of_label.nonzero()[0] + 1).tolist())
+        object.__setattr__(partition, "blocks", (tuple(sorted(good.indices)), rest))
+        object.__setattr__(partition, "_block_of_label", block_of_label)
+        return partition
 
     @classmethod
     def per_index(cls, dim: int) -> "MeasurementPartition":
@@ -133,9 +146,11 @@ def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     if first < 0:
         raise ValueError(f"shot index must be >= 0, got {first}")
     bitgen = np.random.Philox(int(seed))
-    bitgen.advance(first // 4)
+    if first >= 4:  # advancing by 0 would only cost the call
+        bitgen.advance(first // 4)
     gen = np.random.Generator(bitgen)
-    gen.random(first % 4)
+    if first % 4:
+        gen.random(first % 4)
     while count > 0:
         n = min(count, size)
         yield gen.random(n)
@@ -152,13 +167,13 @@ def _select_block(probs: np.ndarray, u: np.ndarray, stop: Optional[int] = None) 
     numerically impossible branch and it raises, naming the first such
     draw.  Draws past the stop are never checked.
     """
-    idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
+    idx = np.minimum(probs.cumsum().searchsorted(u, side="right"), probs.size - 1)
     if stop is not None:
-        hits = np.flatnonzero(idx == stop)
+        hits = (idx == stop).nonzero()[0]
         if hits.size:
             idx = idx[: hits[0] + 1]
     impossible = probs[idx] < IMPOSSIBLE_BLOCK_TOL
-    if np.any(impossible):
+    if impossible.any():
         bad = int(np.ravel(idx)[np.argmax(impossible)])
         raise MeasurementGuardError(
             f"sampled block {bad} has probability {probs[bad]:.3e} < {IMPOSSIBLE_BLOCK_TOL:g}"
@@ -191,7 +206,7 @@ def _sample(
             break
     block = int(idx[-1])
     p = float(probs[block])
-    collapsed = np.where(partition._block_of_label == block, state.amplitudes, 0.0) / np.sqrt(p)
+    collapsed = np.where(partition._block_of_label == block, state.amplitudes, 0.0) / math.sqrt(p)
     outcome = MeasurementOutcome(
         block_index=block,
         block=partition.blocks[block],

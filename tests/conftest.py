@@ -35,6 +35,39 @@ def random_spec(rng: np.random.Generator, dim: int) -> SystemSpec:
     return SystemSpec(dim=dim, drift=drift, coupling=random_hermitian(rng, dim))
 
 
+COUPLING_KINDS = ("complex", "real", "blocks", "one-sided")
+
+
+def coupling_of_kind(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    """A Hermitian coupling of one of COUPLING_KINDS: dense complex; dense
+    real; blocks over a random partition of the levels, real or complex
+    each, with level 1 a singleton with B_11 != 0 and some singletons
+    with no coupling at all; or a sparse real one with a single entry
+    below the Hermiticity tolerance on one side of the diagonal only."""
+    if kind == "complex":
+        return random_hermitian(rng, dim)
+    if kind == "real":
+        return random_hermitian(rng, dim).real
+    coupling = np.zeros((dim, dim), dtype=complex)
+    if kind == "blocks":
+        coupling[0, 0] = rng.normal()
+        start = 1
+        for end in range(2, dim + 1):
+            if end < dim and rng.random() < 0.6:
+                continue
+            block, start = np.arange(start, end), end
+            if block.size > 1 and rng.random() < 0.8:
+                sub = random_hermitian(rng, block.size)
+                coupling[np.ix_(block, block)] = sub.real if rng.random() < 0.5 else sub
+        return coupling
+    upper = np.triu(rng.random((dim, dim)) < 0.3, 1) * rng.normal(size=(dim, dim))
+    coupling = upper + upper.T
+    i, j = sorted(rng.choice(dim, 2, replace=False))
+    coupling[i, j] = coupling[j, i] = 0.0
+    coupling[(i, j) if rng.random() < 0.5 else (j, i)] = 5e-13
+    return coupling.real
+
+
 def state_with_good_weight(
     rng: np.random.Generator, dim: int, good_indices, g: float
 ) -> StateVector:

@@ -21,12 +21,21 @@ optimum (2L+1) theta ~ pi/2.
 ``SystemSpec`` checks a real coupling in real arithmetic;
 ``system_spec_checks`` runs its checks on the coupling read as complex,
 as the library did before 0.8.1.
+
+Since 0.10.3 a run carries what an earlier stage computed: a plan from
+``make_plan`` keeps the split of its prepared state, the binary partition
+is built from the good mask, and a spec keeps the arrays of its coupled
+blocks.  ``rebuilt_paths`` puts back the path that recomputed them, from
+``resplit_amplified_state``, ``checked_binary_partition`` and
+``rebuilding_evolve``, so a run can be compared with it bit for bit.
 """
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
+import pytest
 
 from iqcontrol import (
     ControlPulse,
@@ -34,10 +43,22 @@ from iqcontrol import (
     DimensionMismatchError,
     GoodSubspace,
     HermiticityError,
+    MeasurementPartition,
     NonFiniteError,
+    NormalizationError,
+    StateVector,
     UnitaryOperator,
+    decompose,
 )
-from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL, _real
+from iqcontrol import algorithms, core, hydrogen
+from iqcontrol.core import (
+    COMMUTATOR_TOL,
+    HERMITICITY_TOL,
+    PROPAGATION_NORM_TOL,
+    SEGMENT_BATCH,
+    _ordered_product,
+    _real,
+)
 from iqcontrol.amplification import (
     PRE_ROTATION_ANGLE,
     _check_phase,
@@ -234,3 +255,59 @@ def rk4_lab_frame(spec, field, initial, duration, t0=0.0, step=2.5e-4) -> np.nda
         k4 = deriv(t + dt, c + dt * k3)
         c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+def resplit_amplified_state(plan) -> StateVector:
+    """``amplified_state`` that splits the prepared state again, as every
+    plan was amplified before plans carried their split."""
+    d = decompose(plan.prepared, plan.good)
+    c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
+    return StateVector(c_good * d.good_part + c_bad * d.bad_part)
+
+
+def checked_binary_partition(good: GoodSubspace) -> MeasurementPartition:
+    """The good-vs-rest partition through the generic constructor and its
+    cover checks."""
+    rest = tuple(sorted(set(range(1, good.dim + 1)) - good.indices))
+    return MeasurementPartition((tuple(sorted(good.indices)), rest))
+
+
+def rebuilding_evolve(spec, durations, amplitudes, c):
+    """``core._evolve`` that builds each block's levels, coupling and drift
+    on every call, from the spec's blocks and its coupling."""
+    held = set((np.flatnonzero(spec.coupling.any(axis=0) & (c != 0)) + 1).tolist())
+    evolved = []
+    for component in spec._blocks:
+        if held.isdisjoint(component):
+            continue
+        levels = np.array(component) - 1
+        coupling = spec.coupling[levels[:, None], levels]
+        part = c[levels]
+        if not coupling.imag.any():
+            coupling = coupling.real
+        drift = np.diag(spec.drift[levels])
+        for start in range(0, durations.size, SEGMENT_BATCH):
+            batch = slice(start, start + SEGMENT_BATCH)
+            w, v = np.linalg.eigh(amplitudes[batch, None, None] * coupling + drift)
+            phases = np.exp(-1j * w * durations[batch, None])
+            part = _ordered_product((v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)) @ part
+        weight, reached = float(np.linalg.norm(c[levels])), float(np.linalg.norm(part))
+        moved = abs(reached - weight)
+        if moved > PROPAGATION_NORM_TOL:
+            raise NormalizationError(f"propagation lost normalization: the norm moved by {moved:.3e}")
+        if moved > 1e-12:
+            part = part * (weight / reached)
+        evolved.append((levels, part))
+    return evolved
+
+
+@contextlib.contextmanager
+def rebuilt_paths():
+    """Run the library on the paths above instead of the ones that reuse
+    a plan's split, the good mask and a spec's block arrays."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "amplified_state", resplit_amplified_state)
+        patch.setattr(MeasurementPartition, "binary", staticmethod(checked_binary_partition))
+        patch.setattr(core, "_evolve", rebuilding_evolve)
+        patch.setattr(hydrogen, "_evolve", rebuilding_evolve)
+        yield

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -13,6 +14,7 @@ from iqcontrol import (
     DimensionMismatchError,
     GoodSubspace,
     MeasurementPartition,
+    RunReport,
     StateVector,
     SystemSpec,
     VERDICT_INCONCLUSIVE,
@@ -28,10 +30,10 @@ from iqcontrol import (
     run_algorithm1,
     run_algorithm2,
 )
-from iqcontrol import ControllabilityConfig, controllability, measurement
+from iqcontrol import ControllabilityConfig, algorithms, amplification, controllability, measurement
 from iqcontrol.amplification import amplification_operator
-from conftest import random_state
-from oracles import success_probability
+from conftest import COUPLING_KINDS, coupling_of_kind, random_state
+from oracles import rebuilt_paths, success_probability
 
 
 class TestAlgorithm1:
@@ -248,6 +250,152 @@ def test_one_partition_per_run(monkeypatch, kwargs):
         assert len(built) == 1
         if kwargs.get("max_attempts") == 300:
             assert report.attempts > 1 and report.success
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+RUN_KINDS = [{}, {"shots": 500}, {"max_attempts": 300}]
+
+
+@pytest.mark.parametrize("kwargs", RUN_KINDS, ids=["single-shot", "histogram", "repeat"])
+def test_one_decomposition_per_run(monkeypatch, kwargs):
+    # the plan carries the split of its prepared state, and amplifying reads
+    # it: a run used to split the same state twice
+    splits = _count_calls(monkeypatch, amplification, "_split")
+    spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
+    for run in (
+        lambda: run_algorithm1(spec, p1.initial, 5, iterations=0, seed=3, **kwargs),
+        lambda: run_algorithm2(spec, p2.initial, p2.good, seed=3, **kwargs),
+    ):
+        splits.clear()
+        run()
+        assert len(splits) == 1
+    # a pre-rotated plan splits the initial and the rotated state, and no more
+    splits.clear()
+    run_algorithm1(spec, StateVector.basis_state(1, 5), 5, seed=3, pre_rotation=True, **kwargs)
+    assert len(splits) == 2
+
+
+def test_one_report_per_run(monkeypatch):
+    # each run makes its RunReport once, with every field, instead of
+    # copying a partial one with dataclasses.replace
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dataclasses.replace called")
+
+    monkeypatch.setattr(dataclasses, "replace", forbidden)
+    monkeypatch.setattr(algorithms, "replace", forbidden, raising=False)
+    made = []
+    init = RunReport.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunReport, "__init__", counted)
+    spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
+    pulse = ControlPulse(((0.4, 0.7), (0.3, -0.2)))
+    target = StateVector.basis_state(1, 5)
+    for kwargs in RUN_KINDS:
+        for run in (
+            lambda: run_algorithm1(spec, p1.initial, 5, seed=3, **kwargs),
+            lambda: run_algorithm1(spec, StateVector([0.6, 0, 0.8, 0, 0]), 3, seed=3,
+                                   final_pulse=pulse, target=target, **kwargs),
+            lambda: run_algorithm2(spec, p2.initial, p2.good, seed=3, **kwargs),
+        ):
+            made.clear()
+            run()
+            assert len(made) == 1
+
+
+def _observed(run):
+    """What a run shows, bit for bit: its report as JSON text and the bytes
+    of its amplitude arrays, or the error it raised; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = run()
+        except Exception as exc:  # both paths must raise the same error
+            shown = (type(exc).__name__, str(exc))
+        else:
+            states = (report.measurement and report.measurement.collapsed, report.final_state)
+            arrays = [report.pre_amplification, report.post_amplification]
+            arrays += [state.amplitudes for state in states if state is not None]
+            shown = (json.dumps(report.to_dict(), sort_keys=True), [a.tobytes() for a in arrays])
+    return shown, [str(w.message) for w in caught]
+
+
+def _pulse(rng) -> ControlPulse:
+    return ControlPulse(tuple(
+        (float(rng.uniform(0.05, 1.0)), float(rng.normal())) for _ in range(int(rng.integers(1, 9)))
+    ))
+
+
+@st.composite
+def pipeline_runs(draw):
+    """One run of either algorithm, over every input the run's reuse
+    touches: N from 2 to 64, each coupling kind of ``coupling_of_kind``,
+    random good sets, phases, counts, shot kinds and seeds, and states
+    with no weight on some levels (the good ones, with or without the
+    pre-rotation, or a coupled block); algorithm 1 steers with a pulse."""
+    dim = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a diagonal coupling commutes with the drift
+        spec = SystemSpec(dim=dim, drift=rng.normal(size=dim) * 2.0,
+                          coupling=coupling_of_kind(rng, dim, draw(st.sampled_from(COUPLING_KINDS))))
+    algorithm = draw(st.sampled_from([1, 2]))
+    if algorithm == 1:
+        good = {draw(st.integers(1, dim))}
+    else:
+        good = draw(st.sets(st.integers(1, dim), min_size=1, max_size=dim - 1))
+    amplitudes = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    zeroed = draw(st.sampled_from(["none", "none", "good", "random", "random"]))
+    if zeroed == "good":
+        amplitudes[[i - 1 for i in good]] = 0.0
+    elif zeroed == "random":
+        amplitudes[rng.random(dim) < 0.5] = 0.0
+        if not amplitudes.any():
+            amplitudes[0] = 1.0
+    shots = draw(st.one_of(st.just(1), st.integers(2, 3000)))
+    kwargs = dict(
+        phi1=draw(st.floats(0.0, math.pi)),
+        phi2=draw(st.floats(0.0, math.pi)),
+        iterations=draw(st.sampled_from(["auto", "auto", 0, "explicit"])),
+        seed=draw(st.integers(0, 2**130)),
+        shots=shots,
+        pre_rotation=draw(st.booleans()),
+        measurement_shot=draw(st.integers(0, 7)),
+        max_attempts=draw(st.none() | st.integers(1, 300)) if shots == 1 else None,
+    )
+    if kwargs["iterations"] == "explicit":
+        kwargs["iterations"] = draw(st.integers(1, 2**53))
+    initial = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    if algorithm == 2:
+        return lambda: run_algorithm2(spec, initial, GoodSubspace.of(good, dim), **kwargs)
+    kwargs.update(final_pulse=_pulse(rng), target=draw(st.none() | st.just(random_state(rng, dim))))
+    return lambda: run_algorithm1(spec, initial, min(good), **kwargs)
+
+
+@settings(max_examples=200)
+@given(run=pipeline_runs())
+def test_runs_equal_the_rebuilding_path(run):
+    # the plan's carried split, the mask-built partition, the spec's block
+    # arrays and the one report change no bit of a run, its errors or its
+    # warnings; the second run reads the arrays the first one left
+    first = _observed(run)
+    with rebuilt_paths():
+        assert _observed(run) == first
+    assert _observed(run) == first
 
 
 def test_repeat_run_draws_from_one_stream(monkeypatch):

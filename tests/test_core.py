@@ -32,9 +32,10 @@ from iqcontrol import (
 )
 from iqcontrol import core
 from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
-from conftest import random_hermitian, random_spec, random_state
+from conftest import COUPLING_KINDS, coupling_of_kind, random_hermitian, random_spec, random_state
 from oracles import (
     full_matrix_propagate,
+    rebuilt_paths,
     rk4_lab_frame,
     success_probability,
     system_spec_checks,
@@ -331,6 +332,92 @@ def test_second_propagate_reuses_the_blocks(rng, monkeypatch):
     second = propagate(spec, pulse, state)
     assert len(calls) == 1
     assert second.amplitudes.tobytes() == first.amplitudes.tobytes()
+
+
+def test_second_propagation_builds_no_block_arrays(rng, monkeypatch):
+    # a spec keeps its coupled blocks' levels, coupling and drift, read-only,
+    # so no later propagation, in either frame, builds them again
+    built = []
+    diag = np.diag
+    monkeypatch.setattr(np, "diag", lambda *args: built.append(args) or diag(*args))
+    spec = SystemSpec(dim=9, drift=rng.normal(size=9), coupling=coupling_of_kind(rng, 9, "blocks"))
+    pulse, state = random_segments(rng), random_state(rng, 9)
+    first = propagate(spec, pulse, state)
+    assert len(built) == len(spec._block_arrays) > 1
+    for array in (a for block in spec._block_arrays for a in block):
+        assert not array.flags.writeable
+    built.clear()
+    assert propagate(spec, pulse, state).amplitudes.tobytes() == first.amplitudes.tobytes()
+    model = HydrogenModel(energy_gap=0.6875)
+    propagate_interaction_picture(model, pulse, random_state(rng, 5))
+    built.clear()
+    propagate_interaction_picture(model, pulse, random_state(rng, 5))
+    assert built == []
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 300), scale=st.sampled_from([1e-160, 1.0, 1e150]))
+def test_norm_is_numpys_bit_for_bit(seed, dim, scale):
+    rng = np.random.default_rng(seed)
+    arr = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * scale
+    assert core._norm(arr) == float(np.linalg.norm(arr))
+
+
+def _observed(evolve):
+    try:
+        return evolve().amplitudes.tobytes()
+    except Exception as exc:  # both paths must raise the same error
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 64), kind=st.sampled_from(COUPLING_KINDS),
+       zeroed=st.sampled_from(["none", "levels", "one"]))
+def test_propagate_equals_the_rebuilding_path(seed, dim, kind, zeroed):
+    # the spec's kept block arrays change no bit of a propagation; the state
+    # may hold no weight on some coupled blocks, or sit on one level
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a diagonal coupling commutes with the drift
+        spec = SystemSpec(dim=dim, drift=rng.normal(size=dim) * 2.0,
+                          coupling=coupling_of_kind(rng, dim, kind))
+    amplitudes = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if zeroed == "levels":
+        amplitudes[rng.random(dim) < 0.5] = 0.0
+    elif zeroed == "one":
+        amplitudes[np.arange(dim) != rng.integers(dim)] = 0.0
+    if not amplitudes.any():
+        amplitudes[0] = 1.0
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    pulse = ControlPulse(tuple(
+        (float(rng.uniform(0.05, 1.0)), float(rng.normal() * 2.0)) for _ in range(int(rng.integers(1, 9)))
+    ))
+    first = _observed(lambda: propagate(spec, pulse, state))
+    with rebuilt_paths():
+        assert _observed(lambda: propagate(spec, pulse, state)) == first
+    assert _observed(lambda: propagate(spec, pulse, state)) == first
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), callable_field=st.booleans())
+def test_interaction_picture_equals_the_rebuilding_path(seed, callable_field):
+    rng = np.random.default_rng(seed)
+    gap, kappa_ground, kappa_excited = rng.uniform([0.1, -3.0, -3.0], [2.0, 3.0, 3.0])
+    if rng.random() < 0.25:
+        kappa_excited = 0.0  # labels 1 and 3 form the one coupled block
+    model = HydrogenModel(float(gap), float(kappa_ground), float(kappa_excited))
+    state = random_state(rng, 5)
+    t0 = float(rng.uniform(-5.0, 5.0))
+    if callable_field:
+        a, w, duration = rng.uniform([0.0, 0.2, 0.1], [2.0, 3.0, 3.0])
+        field = lambda t: a * math.cos(w * t)  # noqa: E731
+    else:
+        field, duration = random_segments(rng), None
+    run = lambda: propagate_interaction_picture(model, field, state, duration, t0)  # noqa: E731
+    first = _observed(run)
+    with rebuilt_paths():
+        assert _observed(run) == first
+    assert _observed(run) == first
 
 
 def _sigma_x_block(dim):

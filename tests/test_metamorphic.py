@@ -3,6 +3,7 @@ input whose effect on the output is known without a reference
 implementation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from iqcontrol import (
     amplified_state,
     assess,
     born_probabilities,
+    closed_form_weights,
     make_plan,
     propagate,
     propagate_interaction_picture,
 )
-from conftest import random_spec, random_state
+from conftest import random_spec, random_state, state_with_good_weight
 
 
 @st.composite
@@ -165,3 +167,111 @@ def test_interaction_picture_concatenates_a_callable(seed, steps, t0_steps, data
     chained = propagate_interaction_picture(model, field, head, duration - start, t0 + start, step)
     joined = propagate_interaction_picture(model, field, state, duration, t0, step)
     np.testing.assert_allclose(chained.amplitudes, joined.amplitudes, rtol=0, atol=1e-12)
+
+
+@st.composite
+def phased_plans(draw):
+    """A state with good weight g from 1e-12 to 1 on a random good set, or
+    with none and the pre-rotation on; phases; and a global phase alpha."""
+    dim = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    good = draw(st.sets(st.integers(1, dim), min_size=1, max_size=dim - 1))
+    if 1 not in good and draw(st.booleans()):
+        state, pre_rotation = state_with_good_weight(rng, dim, good, 0.0), True
+    else:
+        g = min(10.0 ** draw(st.floats(-12.0, 0.0)), 1.0)
+        state, pre_rotation = state_with_good_weight(rng, dim, good, g), False
+    phases = (draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, math.pi)))
+    return state, GoodSubspace.of(sorted(good), dim), phases, pre_rotation, draw(st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=300)
+@given(case=phased_plans())
+def test_global_phase_changes_no_plan(case):
+    # e^{i alpha} psi is the same physical state: the plan's count, its
+    # predicted success and the Born probabilities after amplification agree
+    state, good, (phi1, phi2), pre_rotation, alpha = case
+    phased = StateVector(np.exp(1j * alpha) * state.amplitudes)
+    plan = make_plan(state, good, phi1, phi2, pre_rotation=pre_rotation)
+    moved = make_plan(phased, good, phi1, phi2, pre_rotation=pre_rotation)
+    tol = 1e-12
+    if moved.iterations != plan.iterations:
+        # optimal_iterations' tie: both counts' weights lie within its 1e-12,
+        # and the round-off of |e^{i alpha} c|^2 chose the other one
+        g = plan.initial_good_weight
+        first, other = (closed_form_weights(g, phi1, phi2, n)[0] for n in (plan.iterations, moved.iterations))
+        assert abs(first - other) <= 1e-12 + 1e-14
+        tol = 2e-12 + 1e-14
+    assert abs(moved.predicted_success - plan.predicted_success) <= tol
+    partition = MeasurementPartition.binary(good)
+    probs = born_probabilities(amplified_state(plan), partition)
+    moved_probs = born_probabilities(amplified_state(moved), partition)
+    np.testing.assert_allclose(moved_probs, probs, rtol=0, atol=tol)
+
+
+@st.composite
+def coupled_graphs(draw, levels):
+    """3-10 levels from ``levels``, random couplings in [0.1, 1] on a random
+    edge set that always holds a spanning path with at most one link cut."""
+    dim = draw(st.integers(3, 10))
+    drift = [draw(levels) for _ in range(dim)]
+    coupling = np.zeros((dim, dim))
+    cut = draw(st.sets(st.integers(1, dim - 1), max_size=1))
+    for i in range(1, dim):
+        if i not in cut:
+            coupling[i - 1, i] = coupling[i, i - 1] = draw(st.floats(0.1, 1.0))
+    for i, j in draw(st.sets(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=4)):
+        if i != j:
+            coupling[i, j] = coupling[j, i] = draw(st.floats(0.1, 1.0))
+    return drift, coupling
+
+
+def _verdicts(spec):
+    report = assess(spec)
+    return report.global_verdict, [(v.component, v.verdict) for v in report.subspace_verdicts]
+
+
+DYADIC = st.builds(lambda k, m: Fraction(k, 2**m), st.integers(-64, 64), st.integers(0, 4))
+SMALL_RATIONAL = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@settings(max_examples=200)
+@given(case=coupled_graphs(DYADIC), shift=st.integers(-1000, 1000))
+def test_integer_shift_of_a_dyadic_spectrum_changes_no_verdict(case, shift):
+    # a shift moves no transition frequency, and on dyadic levels the float
+    # differences are exact, so nothing the verdicts read changes
+    drift, coupling = case
+    spec = SystemSpec(dim=len(drift), drift=[float(x) for x in drift], coupling=coupling)
+    moved = SystemSpec(dim=len(drift), drift=[float(x + shift) for x in drift], coupling=coupling)
+    assert _verdicts(moved) == _verdicts(spec)
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@settings(max_examples=200)
+@given(case=coupled_graphs(SMALL_RATIONAL),
+       shift=st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)))
+def test_rational_shift_of_an_exact_spectrum_changes_no_verdict(case, shift):
+    drift, coupling = case
+
+    def exact_spec(levels):
+        return SystemSpec(dim=len(levels), drift=[float(x) for x in levels], coupling=coupling,
+                          exact_drift=levels)
+
+    assert _verdicts(exact_spec([x + shift for x in drift])) == _verdicts(exact_spec(drift))
+
+
+@pytest.mark.filterwarnings("ignore:drift and coupling commute")
+@settings(max_examples=200)
+@given(case=coupled_graphs(SMALL_RATIONAL))
+def test_exact_and_float_drift_agree_on_small_denominators(case):
+    # levels k/m with |k| <= 12 and m <= 4: every frequency ratio has a
+    # denominator below 3,500, within the default max_denominator of 10^4,
+    # and equal frequencies differ by round-off only, far below the
+    # degeneracy tolerance, so the float heuristics decide as exact arithmetic
+    drift, coupling = case
+    floats = [float(x) for x in drift]
+    exact = SystemSpec(dim=len(drift), drift=floats, coupling=coupling, exact_drift=drift)
+    heuristic = SystemSpec(dim=len(drift), drift=floats, coupling=coupling)
+    assert _verdicts(heuristic) == _verdicts(exact)
+    assert assess(heuristic).irrational_witnesses == ()
