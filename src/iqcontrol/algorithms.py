@@ -88,17 +88,14 @@ class RunReport:
 
 def _amplify(
     initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
-    iterations: Union[int, str], pre_rotation: bool, l_max: int, report=RunReport,
-) -> tuple[StateVector, Union[RunReport, dict]]:
-    """Plan and amplify; the report carries no measurement yet.
-
-    ``report`` is called with the report's fields: ``RunReport`` makes
-    the report itself, and ``dict`` the fields of a report that a caller
-    completes before making it once.
-    """
+    iterations: Union[int, str], pre_rotation: bool, l_max: int,
+) -> tuple[StateVector, dict]:
+    """Plan and amplify: the amplified state and the fields of a
+    ``RunReport`` with no measurement yet, which a caller completes
+    before making the report once."""
     plan = make_plan(initial, good, phi1, phi2, iterations, l_max, pre_rotation)
     amplified = amplified_state(plan)
-    return amplified, report(
+    return amplified, dict(
         plan=plan,
         pre_amplification=np.abs(plan.prepared.amplitudes),
         post_amplification=np.abs(amplified.amplitudes),
@@ -145,9 +142,7 @@ def _run(
                 f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
                 f"max_attempts={max_attempts}"
             )
-    amplified, fields = _amplify(
-        initial, good, phi1, phi2, iterations, pre_rotation, l_max, report=dict
-    )
+    amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     partition = MeasurementPartition.binary(good)
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
@@ -230,7 +225,7 @@ def run_algorithm2(
     any further in-subspace control.  ``measurement_shot`` and
     ``max_attempts`` work as in ``run_algorithm1``; the controllability
     analysis, like the plan, runs once, and reads only the subspace's rows
-    and columns of the coupling, by the upper-triangle rule of ``build_graph``.
+    of the coupling, which the spec stores exactly Hermitian.
     """
     fields = _run(
         spec, initial, subspace, phi1, phi2, iterations,
@@ -238,11 +233,9 @@ def run_algorithm2(
     )
     config = controllability_config or ControllabilityConfig()
     target_set = tuple(sorted(subspace.indices))
-    levels = np.asarray(target_set) - 1
-    upper = np.where(np.arange(spec.dim) > levels[:, None],
-                     spec.coupling[levels], spec.coupling.T[levels])
+    rows = spec.coupling[np.asarray(target_set) - 1]
     note = None
-    if not (np.abs(upper[:, ~subspace._mask]) > config.edge_threshold).any():
+    if not (np.abs(rows[:, ~subspace._mask]) > config.edge_threshold).any():
         edges = _edges(spec, target_set, config.edge_threshold)
         if len(_components(target_set, edges)) == 1:
             note = _component_verdict(spec, target_set, edges, config)[0].to_dict()

@@ -59,7 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__
-from .algorithms import _amplify, run_algorithm1, run_algorithm2
+from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace
 from .controllability import ControllabilityConfig, assess
 from .core import StateVector, SystemSpec
@@ -608,11 +608,11 @@ def _execute_algorithm(config: RunConfig) -> dict:
 
 def _execute_amplify(config: RunConfig) -> dict:
     phi1, phi2 = config.phases
-    _, report = _amplify(
+    _, run_fields = _amplify(
         config.state, config.target, phi1, phi2,
         config.iterations, config.pre_rotation, config.l_max,
     )
-    return report.to_dict()
+    return RunReport(**run_fields).to_dict()
 
 
 def _execute_measure_stats(config: RunConfig) -> dict:

@@ -2,9 +2,11 @@
 
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, into constant segments that ``_evolve`` applies exactly.
-A spec finds the blocks of its coupling, and builds the read-only levels,
-coupling and drift arrays of each coupled one, on its first propagation
-and keeps them, so every later one starts at the batched ``eigh``.
+A spec stores its coupling exactly Hermitian, so the graph's upper
+triangle and every reader of B agree on which levels it joins.  It finds
+the blocks of that graph, and builds the read-only levels, coupling and
+drift arrays of each coupled one, on its first propagation and keeps
+them, so every later one starts at the batched ``eigh``.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
 entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
@@ -155,9 +157,13 @@ class SystemSpec:
     ``drift`` holds the eigenvalues in basis order; the order is the basis
     labeling and is never sorted.  ``exact_drift`` optionally carries the
     same eigenvalues as exact rationals, which makes the frequency-ratio
-    controllability condition decidable instead of heuristic.  Every
-    error message starts with the name of the field at fault, with entry
-    indices 0-based as in nested lists, e.g. ``coupling[0][1]: ...``.
+    controllability condition decidable instead of heuristic.  A coupling
+    accepted within ``HERMITICITY_TOL`` of Hermitian but not exactly so is
+    stored built from its upper triangle: that triangle as given, its
+    conjugate below the diagonal and a real diagonal; an exactly Hermitian
+    one is stored as given.  Every error message starts with the name of
+    the field at fault, with entry indices 0-based as in nested lists,
+    e.g. ``coupling[0][1]: ...``.
     """
 
     dim: int
@@ -190,7 +196,8 @@ class SystemSpec:
         scratch = np.empty(coupling.shape)
         deviation = np.subtract(coupling, coupling.conj().T, out=scratch if real else None)
         np.abs(deviation, out=scratch)
-        if scratch.max() > HERMITICITY_TOL:
+        worst = scratch.max()
+        if worst > HERMITICITY_TOL:
             # first offending entry in row-major order, 0-based as in nested lists
             i, j = divmod(int(np.argmax(scratch > HERMITICITY_TOL)), self.dim)
             raise HermiticityError(
@@ -218,6 +225,10 @@ class SystemSpec:
         # the stored arrays are private copies, so no caller's array is
         # frozen or can change the spec afterwards
         coupling = coupling.astype(complex)
+        if worst:  # Hermitian within the tolerance only: mirror the upper triangle
+            lower = np.tril_indices(self.dim, -1)
+            coupling[lower] = coupling.T[lower].conj()
+            coupling.imag[np.diag_indices(self.dim)] = 0.0
         drift.setflags(write=False)
         coupling.setflags(write=False)
         object.__setattr__(self, "drift", drift)
@@ -229,29 +240,22 @@ class SystemSpec:
             )
 
     @cached_property
-    def _blocks(self) -> list[tuple[int, ...]]:
-        """The labels of each block of the coupling's exact nonzeros, sorted,
-        in order of smallest label: the components of ``_edges(self, labels, 0.0)``."""
-        labels = range(1, self.dim + 1)
-        return list(_components(labels, _edges(self, labels, 0.0)))
-
-    @cached_property
     def _block_arrays(self) -> list[tuple[np.ndarray, ...]]:
-        """(levels, touched, coupling, drift) for each of ``_blocks`` that
-        holds a level whose column of B has a nonzero, in ``_blocks`` order:
-        its 0-based levels, those of them with such a column, B's sub-block
-        on the levels (real when it has no imaginary part) and diag(A) on
-        them.  Every array is read-only; ``_evolve`` reads them per call."""
-        touched = self.coupling.any(axis=0)
+        """(levels, coupling, drift) for each component of
+        ``_edges(self, labels, 0.0)`` on which B's sub-block is nonzero, in
+        order of smallest label: its 0-based levels, the sub-block (real
+        when it has no imaginary part) and diag(A) on them.  Every array is
+        read-only; ``_evolve`` reads them per call."""
+        labels = range(1, self.dim + 1)
         arrays = []
-        for component in self._blocks:
+        for component in _components(labels, _edges(self, labels, 0.0)):
             levels = np.array(component) - 1
-            if not touched[levels].any():
-                continue
             coupling = self.coupling[levels[:, None], levels]
+            if not coupling.any():
+                continue
             if not coupling.imag.any():  # a real symmetric block diagonalises faster
                 coupling = coupling.real
-            block = (levels, levels[touched[levels]], coupling, np.diag(self.drift[levels]))
+            block = (levels, coupling, np.diag(self.drift[levels]))
             for array in block:
                 array.setflags(write=False)
             arrays.append(block)
@@ -440,16 +444,16 @@ def _evolve(
     """Apply the segments exp(-i (A + u_k B) dt_k) in order to ``c``.
 
     Returns (levels, amplitudes) for each block of B's exact nonzeros that
-    holds part of ``c`` on a level B's columns touch; every other level
-    evolves under A alone, so the caller applies its drift phase, or nothing.
+    holds part of ``c`` on any of its levels; every other level evolves
+    under A alone, so the caller applies its drift phase, or nothing.
     The blocks' arrays come from the spec, built on its first propagation.
     Each block's segments are diagonalised SEGMENT_BATCH at a time by one
     batched Hermitian ``eigh``, so every segment is exactly unitary.
     """
     held = c != 0
     evolved = []
-    for levels, touched, coupling, drift in spec._block_arrays:
-        if not held[touched].any():
+    for levels, coupling, drift in spec._block_arrays:
+        if not held[levels].any():
             continue
         part = c[levels]
         weight = _norm(part)

@@ -149,7 +149,9 @@ def transition_frequency(spec, i: int, j: int) -> float:
 def system_spec_checks(dim: int, drift, coupling):
     """The drift and coupling a ``SystemSpec`` stores, and whether it warns
     that they commute, from its checks in complex arithmetic; or the error
-    it raises.  ``exact_drift`` is not covered."""
+    it raises.  A coupling that passes but is not exactly Hermitian is
+    stored with its upper triangle, that triangle's conjugate below the
+    diagonal and a real diagonal.  ``exact_drift`` is not covered."""
     drift = np.asarray(drift, dtype=float).reshape(-1)
     coupling = np.array(coupling, dtype=complex)
     if drift.size != dim:
@@ -170,7 +172,15 @@ def system_spec_checks(dim: int, drift, coupling):
             f"match the conjugate of coupling[{j}][{i}] = {coupling[j, i]}"
         )
     commutator = drift[:, None] * coupling - coupling * drift[None, :]
-    return drift, coupling, bool(np.max(np.abs(commutator)) <= COMMUTATOR_TOL)
+    commutes = bool(np.max(np.abs(commutator)) <= COMMUTATOR_TOL)
+    if (coupling != coupling.conj().T).any():
+        mirrored = coupling.copy()
+        for i in range(dim):
+            mirrored[i, i] = complex(coupling[i, i].real, 0.0)
+            for j in range(i):
+                mirrored[i, j] = coupling[j, i].conjugate()
+        coupling = mirrored
+    return drift, coupling, commutes
 
 
 def full_matrix_propagate(spec, pulse: ControlPulse, initial) -> np.ndarray:
@@ -274,10 +284,13 @@ def checked_binary_partition(good: GoodSubspace) -> MeasurementPartition:
 
 def rebuilding_evolve(spec, durations, amplitudes, c):
     """``core._evolve`` that builds each block's levels, coupling and drift
-    on every call, from the spec's blocks and its coupling."""
+    on every call, from the components of the coupling's exact nonzeros,
+    and evolves a block that holds ``c`` on a level whose column of B has
+    a nonzero."""
     held = set((np.flatnonzero(spec.coupling.any(axis=0) & (c != 0)) + 1).tolist())
+    labels = range(1, spec.dim + 1)
     evolved = []
-    for component in spec._blocks:
+    for component in core._components(labels, core._edges(spec, labels, 0.0)):
         if held.isdisjoint(component):
             continue
         levels = np.array(component) - 1

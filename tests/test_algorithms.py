@@ -557,8 +557,8 @@ def sparse_targets(draw):
 
 
 def _straddling_pair():
-    # B_12 is an edge at the default threshold 1e-12, B_21 is not: the graph
-    # reads the upper triangle, so [2] is no component
+    # B_12 is an edge at the default threshold 1e-12, B_21 is not: the spec
+    # stores B_21 as the conjugate of B_12, so [2] is no component
     coupling = [[0.0, 1.5e-12], [0.6e-12, 0.0]]
     return SystemSpec(dim=2, drift=[0.0, 1.0], coupling=coupling), 1e-12, GoodSubspace.of([2], 2)
 
@@ -567,8 +567,8 @@ def _straddling_pair():
 @given(case=sparse_targets())
 @example(case=_straddling_pair())
 def test_algorithm2_note_has_a_verdict_exactly_for_a_component(case):
-    # the note reads only the target's rows and columns of the coupling, and
-    # must agree with the whole graph's components
+    # the note reads only the target's rows of the coupling, and must agree
+    # with the whole graph's components
     spec, threshold, subspace = case
     target = tuple(sorted(subspace.indices))
     initial = StateVector(np.full(spec.dim, spec.dim**-0.5))

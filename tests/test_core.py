@@ -321,6 +321,58 @@ def test_spec_checks_equal_complex_oracle(case):
         assert stored.tobytes() == expected.tobytes()  # signed zeros included
 
 
+# deviations a spec accepts: |B_ij - conj(B_ji)| <= HERMITICITY_TOL off the
+# diagonal, and 2 |Im B_ii| <= HERMITICITY_TOL on it
+SMALL_DEVIATIONS = st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-13, -5e-13, HERMITICITY_TOL / 2, HERMITICITY_TOL]
+)
+
+
+@st.composite
+def near_hermitian_couplings(draw):
+    """dim and a Hermitian coupling with entries within the tolerance added
+    to one side of some pairs and to some diagonals' imaginary parts, as a
+    float array, a complex array or a nested list of complex entries."""
+    dim = draw(st.integers(2, 5))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0])
+    coupling = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        coupling[i, i] = draw(entries)
+        for j in range(i + 1, dim):
+            coupling[i, j] = complex(draw(entries), draw(entries))
+            coupling[j, i] = coupling[i, j].conjugate()
+    for i in range(dim):
+        for j in range(dim):
+            if draw(st.sampled_from([True, False, False])):
+                if i == j:
+                    coupling[i, i] += 0.5j * draw(SMALL_DEVIATIONS)
+                elif i < j or not draw(st.booleans()):
+                    coupling[i, j] += complex(draw(SMALL_DEVIATIONS), draw(SMALL_DEVIATIONS)) / 2
+    kind = draw(st.sampled_from(["float", "complex", "complex-list"]))
+    if kind == "float":
+        return dim, coupling.real
+    return dim, coupling if kind == "complex" else coupling.tolist()
+
+
+@settings(max_examples=300)
+@given(case=near_hermitian_couplings())
+def test_coupling_is_stored_exactly_hermitian(case):
+    # == treats the two zeros alike, so this is exact equality with the
+    # conjugate transpose; an exactly Hermitian input keeps its bytes, and
+    # any other keeps its upper triangle and the real part of its diagonal
+    dim, coupling = case
+    entered = np.array(coupling, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "drift and coupling commute")
+        stored = SystemSpec(dim=dim, drift=np.arange(dim, dtype=float), coupling=coupling).coupling
+    assert (stored == stored.conj().T).all()
+    if (entered == entered.conj().T).all():
+        assert stored.tobytes() == entered.tobytes()
+    upper = np.triu_indices(dim, 1)
+    assert stored[upper].tobytes() == entered[upper].tobytes()
+    assert stored.diagonal().real.tobytes() == entered.diagonal().real.tobytes()
+
+
 def test_second_propagate_reuses_the_blocks(rng, monkeypatch):
     # the coupling's blocks are found once per spec, not once per call
     calls = []
@@ -604,6 +656,19 @@ class TestPropagateBlocks:
                 if untouched:
                     expected = c[block] * np.exp(-1j * spec.drift[block] * pulse.duration)
                     assert np.array_equal(out.amplitudes[block], expected)
+
+    def test_one_sided_entry_joins_no_block(self):
+        # B_21 = 5e-13 is within HERMITICITY_TOL of B_12 = 0, so the spec
+        # stores B_21 = 0 too: level 1 lies outside every block on which B
+        # is nonzero and only picks up its drift phase
+        coupling = np.zeros((3, 3))
+        coupling[1, 2] = coupling[2, 1] = 1.0
+        coupling[1, 0] = 5e-13
+        spec = SystemSpec(dim=3, drift=[0.3, 1.1, 2.7], coupling=coupling)
+        pulse = ControlPulse(((0.4, 0.7), (0.9, -1.3), (0.5, 2.1)))
+        state = StateVector([0.6, 0.8, 0.0])
+        expected = state.amplitudes * np.exp(-1j * spec.drift * pulse.duration)
+        assert propagate(spec, pulse, state).amplitudes[0] == expected[0]
 
 
 class TestUnitaryOperator:
