@@ -130,18 +130,13 @@ def _run(
             f"subspace dimension {good.dim} does not match system {spec.dim}"
         )
     # read up front: a histogram leaves measurement_shot unused but still
-    # rejects a non-integer, and the sampler does not check their type
-    seed, measurement_shot = _integer(seed, "seed"), _integer(measurement_shot, "shot")
-    shots = _integer(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    # rejects it out of range, and the sampler trusts what it is given
+    seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
+    shots = _integer(shots, "shots", 1)
     if max_attempts is not None:
-        max_attempts = _integer(max_attempts, "max_attempts")
-        if shots != 1 or max_attempts < 1:
-            raise ValueError(
-                f"max_attempts needs shots == 1 and a count >= 1, got shots={shots}, "
-                f"max_attempts={max_attempts}"
-            )
+        max_attempts = _integer(max_attempts, "max_attempts", 1)
+        if shots != 1:
+            raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
     amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     partition = MeasurementPartition.binary(good)
     if shots > 1:

@@ -136,18 +136,10 @@ def _split(good_part: np.ndarray, bad_part: np.ndarray) -> Decomposition:
     )
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a nonnegative int, or a TypeError or ValueError naming ``name``."""
-    value = _integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
-
-
 def _iterations(value) -> int:
     """An explicit iteration count: an integer (not a bool) in 0..2**53,
     or a TypeError or ValueError naming ``iterations``."""
-    count = _count(value, "iterations")
+    count = _integer(value, "iterations", 0)
     if count > MAX_ITERATIONS:
         raise ValueError(
             f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"
@@ -272,7 +264,7 @@ def optimal_iterations(
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    l_max = _count(l_max, "l_max")
+    l_max = _integer(l_max, "l_max", 0)
     g = _real(g, "g")
     if not 0.0 < g <= 1.0:
         raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
@@ -368,7 +360,7 @@ def make_plan(
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    l_max = _count(l_max, "l_max")
+    l_max = _integer(l_max, "l_max", 0)
     pre_rotated = False
     d = decompose(initial, good)
     if d.g < MIN_GOOD_WEIGHT and pre_rotation:

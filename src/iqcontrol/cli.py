@@ -522,6 +522,10 @@ def validate_config(raw: dict) -> RunConfig:
             _fail(name, f"required for {kind} {mode!r}")
     if mode == "amplify" and good is None and subspace is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
+    # every other mode reads one target: 'algo2' its subspace, the rest 'good'
+    if good is not None and subspace is not None and mode != "analyze":
+        ignored, read = ("good", "subspace") if mode == "algo2" else ("subspace", "good")
+        _fail(ignored, f"not read by mode {mode!r}, which takes {read!r}; set only one of them")
 
     # the library objects, each built once, after the presence checks above,
     # and the canonical texts of the echo fields that validation encoded
@@ -539,8 +543,8 @@ def validate_config(raw: dict) -> RunConfig:
             for name, labels in (("good", good), ("subspace", subspace))
             if labels is not None
         }
-        # 'algo2' amplifies its subspace; 'amplify' and 'measure-stats' take 'good' first
-        target = targets.get("subspace" if mode == "algo2" else "good", targets.get("subspace"))
+        # at most one is set, unless 'analyze', which reads neither, has both
+        target = targets.get("good", targets.get("subspace"))
     return RunConfig(
         mode=mode,
         # the echo, which a caller may edit and validate again, holds plain lists

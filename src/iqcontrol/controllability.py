@@ -366,20 +366,18 @@ def _verdict_for(
     irrational: list[IrrationalWitness],
     connected: bool,
 ) -> tuple[str, list[str]]:
-    notes: list[str] = []
     if not connected:
         return VERDICT_VIOLATED, ["coupling graph is not connected"]
     if irrational:
         return VERDICT_VIOLATED, [f"{len(irrational)} frequency ratio(s) failed the rationality check"]
     if collisions:
         if all(c.zero_frequency for c in collisions):
-            notes.append(
+            return VERDICT_INCONCLUSIVE, [
                 "all frequency collisions are zero-frequency transitions between "
                 "degenerate levels; the sufficient criteria do not decide this case"
-            )
-            return VERDICT_INCONCLUSIVE, notes
+            ]
         return VERDICT_VIOLATED, [f"{len(collisions)} frequency collision(s)"]
-    return VERDICT_CONTROLLABLE, notes
+    return VERDICT_CONTROLLABLE, []
 
 
 def _component_verdict(

@@ -82,14 +82,19 @@ def _norm(arr: np.ndarray) -> float:
     return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
     """``value`` as a Python int: any integer type, numpy's included, but no
-    bool and nothing that would be truncated; a TypeError names ``name``."""
+    bool and nothing that would be truncated; a TypeError names ``name``.
+    With ``minimum``, a smaller value is a ValueError naming ``name``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+            return value
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
@@ -364,7 +369,7 @@ def prepare_unitary(target: StateVector) -> UnitaryOperator:
     dim = t.size
     e1 = np.zeros(dim, dtype=complex)
     e1[0] = 1.0
-    if abs(t[0] - 1.0) < 1e-14 and (dim == 1 or np.max(np.abs(t[1:])) < 1e-14):
+    if abs(t[0] - 1.0) < 1e-14 and np.max(np.abs(t[1:])) < 1e-14:
         return UnitaryOperator.identity(dim)
     t0 = t[0]
     phase = t0 / abs(t0) if abs(t0) > 0.0 else 1.0

@@ -139,13 +139,9 @@ def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     starts ``first // 4`` values in and ``first % 4`` lanes are skipped.
     Chunks double from ``size`` up to ``_MAX_CHUNK``, so a caller that
     stops early draws little and a large count never holds every draw at
-    once.
+    once.  The callers have read ``seed`` and ``first`` as ints >= 0.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if first < 0:
-        raise ValueError(f"shot index must be >= 0, got {first}")
-    bitgen = np.random.Philox(int(seed))
+    bitgen = np.random.Philox(seed)
     if first >= 4:  # advancing by 0 would only cost the call
         bitgen.advance(first // 4)
     gen = np.random.Generator(bitgen)
@@ -195,7 +191,7 @@ def _sample(
     Returns that shot's outcome and the number of shots drawn.  Every
     drawn shot passes the impossible-branch guard, as in a loop of
     single shots that stops at the hit; later draws are never checked.
-    The caller has read ``seed`` and ``first`` as integers; ``count >= 1``.
+    The caller has read ``seed`` and ``first`` as ints >= 0; ``count >= 1``.
     """
     probs = born_probabilities(state, partition)
     drawn = 0
@@ -226,10 +222,10 @@ def sample_collapse(
 
     Deterministic in (state, partition, seed, shot): the uniform is
     output ``shot`` of the seed's Philox stream.  ``seed`` and ``shot``
-    must be nonnegative integers (not bools), or a TypeError or a
-    ValueError names the argument.
+    are integers (not bools) >= 0, or a TypeError or a ValueError names
+    the argument.
     """
-    seed, shot = _integer(seed, "seed"), _integer(shot, "shot")
+    seed, shot = _integer(seed, "seed", 0), _integer(shot, "shot", 0)
     return _sample(state, partition, seed, shot, 1, 0)[0]
 
 
@@ -244,13 +240,10 @@ def measurement_histogram(
     Shot k draws exactly what ``sample_collapse(..., shot=k)`` would, so
     histograms and single-shot runs agree outcome by outcome.  All shots
     are drawn, so every chunk holds ``_MAX_CHUNK`` draws but the last.
-    ``seed`` and ``shots`` must be integers (not bools), ``seed``
-    nonnegative and ``shots`` positive, or a TypeError or a ValueError
-    names the argument.
+    ``seed`` and ``shots`` are integers (not bools), ``seed`` >= 0 and
+    ``shots`` >= 1, or a TypeError or a ValueError names the argument.
     """
-    seed, shots = _integer(seed, "seed"), _integer(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    seed, shots = _integer(seed, "seed", 0), _integer(shots, "shots", 1)
     probs = born_probabilities(state, partition)
     counts = np.zeros(probs.size, dtype=np.int64)
     for u in _shot_uniforms(seed, 0, shots, _MAX_CHUNK):

@@ -611,18 +611,19 @@ BAD_ARGUMENTS = [
     ("l_max-float", {"l_max": 6.5}, TypeError, "l_max must be an integer"),
     # l_max is checked whether or not an explicit count makes it unused
     ("l_max-negative-explicit-iterations", {"iterations": 3, "l_max": -1}, ValueError,
-     "l_max must be nonnegative, got -1"),
+     "l_max must be >= 0, got -1"),
     ("iterations-float", {"iterations": 2.5}, TypeError, "iterations must be an integer"),
-    ("iterations-negative", {"iterations": -1}, ValueError, "iterations must be nonnegative"),
+    ("iterations-negative", {"iterations": -1}, ValueError, "iterations must be >= 0, got -1"),
     ("iterations-2**53+1", {"iterations": 2**53 + 1}, ValueError,
      "iterations must not exceed 2**53"),
-    ("max_attempts-0", {"max_attempts": 0}, ValueError,
-     "max_attempts needs shots == 1 and a count >= 1"),
+    ("max_attempts-0", {"max_attempts": 0}, ValueError, "max_attempts must be >= 1, got 0"),
     ("max_attempts-histogram", {"max_attempts": 3, "shots": 500}, ValueError,
      "max_attempts needs shots == 1"),
     ("max_attempts-float", {"max_attempts": 2.5}, TypeError, "max_attempts must be an integer"),
-    ("measurement_shot-negative", {"measurement_shot": -1}, ValueError,
-     "shot index must be >= 0"),
+    ("measurement_shot-negative", {"measurement_shot": -1}, ValueError, "shot must be >= 0, got -1"),
+    # a histogram leaves measurement_shot unused but still bounds it
+    ("measurement_shot-negative-histogram", {"measurement_shot": -1, "shots": 500}, ValueError,
+     "shot must be >= 0, got -1"),
     ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
     # the sampler takes seed and shot unchecked, so a repeat run reads both first
     ("measurement_shot-bool-repeat", {"measurement_shot": True, "max_attempts": 3}, TypeError,

@@ -57,8 +57,9 @@ BAD_ITERATIONS = [
     # L * alpha overflowed and the plan predicted nan
     (2**53 + 1, ValueError, "iterations must not exceed"),
     (10**308, ValueError, "iterations must not exceed"),
+    (-1, ValueError, "iterations must be >= 0, got -1"),
 ]
-BAD_ITERATION_IDS = ["float", "bool", "2**53+1", "1e308"]
+BAD_ITERATION_IDS = ["float", "bool", "2**53+1", "1e308", "negative"]
 
 
 class TestDecompose:
@@ -379,6 +380,10 @@ class TestOptimalIterations:
             with pytest.raises(TypeError, match="^l_max must be an integer"):
                 optimal_iterations(0.01, bad)
         assert optimal_iterations(0.01, np.int64(3)) == 3
+
+    def test_l_max_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"^l_max must be >= 0, got -1$"):
+            optimal_iterations(0.01, -1)
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):

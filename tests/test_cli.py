@@ -385,6 +385,28 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
              "good": 3, "seed": 1},
             "good", id="measure-stats-good",
         ),
+        # a mode reads one of 'good' and 'subspace'; the other one set was
+        # silently ignored, though the report's config echoed it
+        pytest.param(
+            {"mode": "algo1", "system": "hydrogen", "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+             "good": 5, "subspace": [1, 2, 3], "seed": 1},
+            "subspace", id="algo1-good-and-subspace",
+        ),
+        pytest.param(
+            {"mode": "algo2", "system": "hydrogen", "initial": [0.1, 0.06, 0.08, 0.7, 0.7],
+             "good": 5, "subspace": [1, 2, 3], "seed": 1},
+            "good", id="algo2-good-and-subspace",
+        ),
+        pytest.param(
+            {"mode": "amplify", "system": "hydrogen", "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+             "good": 5, "subspace": [1, 2, 3]},
+            "subspace", id="amplify-good-and-subspace",
+        ),
+        pytest.param(
+            {"mode": "measure-stats", "system": "hydrogen", "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+             "good": 5, "subspace": [1, 2, 3], "seed": 1},
+            "subspace", id="measure-stats-good-and-subspace",
+        ),
         pytest.param(
             {"mode": "analyze", "system": CHAIN, "tolerances": {"ratio_tol": -1e-9}},
             "tolerances.ratio_tol", id="ratio-tol-negative",
@@ -472,6 +494,15 @@ def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
     assert code == 2
     assert report["error"]["type"] == "ConfigError"
     assert report["error"]["message"].startswith(path + ": ")
+
+
+def test_analyze_accepts_good_and_subspace(tmp_path):
+    # 'analyze' reads neither target, so a config that sets both for another
+    # mode can still be re-run with --mode analyze
+    payload = {"mode": "algo1", "system": "hydrogen", "initial": [0.7, 0.5, 0.3, 0.4, 0.1],
+               "good": 5, "subspace": [1, 2, 3], "seed": 1}
+    code, report = run_cli(tmp_path, payload, ["--mode", "analyze"])
+    assert code == 0 and report["mode"] == "analyze" and "error" not in report
 
 
 # json.loads raises a plain ValueError for an integer literal past Python's

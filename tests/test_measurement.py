@@ -221,6 +221,24 @@ class TestIntegerArguments:
         single = sample_collapse(state, p, seed=np.int32(7), shot=np.int64(12))
         assert single.block_index == sample_collapse(state, p, seed=7, shot=12).block_index
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"seed": -1}, "seed must be >= 0, got -1"), ({"shots": 0}, "shots must be >= 1, got 0")],
+    )
+    def test_histogram_rejects_out_of_range(self, rng, kwargs, message):
+        args = {"seed": 1, "shots": 100, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measurement_histogram(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"seed": -1}, "seed must be >= 0, got -1"), ({"shot": -1}, "shot must be >= 0, got -1")],
+    )
+    def test_sample_collapse_rejects_out_of_range(self, rng, kwargs, message):
+        args = {"seed": 1, "shot": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_collapse(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
+
 
 def philox_blocks(state, partition, seed, shots) -> np.ndarray:
     """Reference outcome of shots 0..shots-1: output k of Philox(seed),
