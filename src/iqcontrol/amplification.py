@@ -148,10 +148,7 @@ def _iterations(value) -> int:
 
 
 def _check_phase(name: str, value: float) -> float:
-    value = _real(value, name)
-    if not 0.0 <= value <= math.pi:
-        raise ValueError(f"{name} must lie in [0, pi], got {value}")
-    return value
+    return _real(value, name, 0.0, math.pi)
 
 
 def amplification_operator(
@@ -236,9 +233,7 @@ def closed_form_weights(g: float, phi1: float, phi2: float, iterations: int) -> 
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
     iterations = _iterations(iterations)
-    g = _real(g, "g")
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"good weight must lie in [0, 1], got {g}")
+    g = _real(g, "g", 0.0, 1.0)
     return _weights(g, phi1, phi2, iterations)
 
 
@@ -265,9 +260,7 @@ def optimal_iterations(
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
     l_max = _integer(l_max, "l_max", 0)
-    g = _real(g, "g")
-    if not 0.0 < g <= 1.0:
-        raise ValueError(f"initial good weight must lie in (0, 1], got {g}")
+    g = _real(g, "g", 0.0, 1.0, exclusive=True)
     return _first_peak(g, l_max, phi1, phi2)
 
 

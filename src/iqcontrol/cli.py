@@ -400,7 +400,7 @@ def _system_spec(value) -> tuple[SystemSpec, Optional[str]]:
         if value["preset"] != "hydrogen":
             _fail("system.preset", f"unknown preset {value['preset']!r}")
         gap = _require_number(value.get("energy_gap", 1.0), "system.energy_gap")
-        return _built("system.energy_gap: ", hydrogen_spec, gap), None
+        return _built("system.", hydrogen_spec, gap), None
     for key in ("dim", "drift", "coupling"):
         if key not in value:
             _fail("system", f"missing required field {key!r}")

@@ -35,7 +35,6 @@ rule of ``ControllabilityConfig``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -144,8 +143,9 @@ class SubspaceVerdict:
 
 @dataclass(frozen=True)
 class ControllabilityConfig:
-    """Tolerances of the analysis: finite real numbers >= 0, and an integer
-    ``max_denominator`` >= 1.  Each error message starts with its field's name."""
+    """Tolerances of the analysis: finite real numbers >= 0, stored as
+    floats, and an integer ``max_denominator`` >= 1.  Each error message
+    starts with its field's name."""
 
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
@@ -154,16 +154,8 @@ class ControllabilityConfig:
 
     def __post_init__(self):
         for name in ("edge_threshold", "degeneracy_tol", "ratio_tol"):
-            _check_tolerance(getattr(self, name), name)
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
         object.__setattr__(self, "max_denominator", _max_denominator(self.max_denominator))
-
-
-def _check_tolerance(value, name: str) -> None:
-    """Raise unless ``value`` is a real number (no bool), finite and >= 0;
-    the error names ``name``.  A NaN would fail every comparison, so a
-    check would pass vacuously."""
-    if not (math.isfinite(_real(value, name)) and value >= 0):
-        raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
 
 
 def _max_denominator(value) -> int:
@@ -208,7 +200,7 @@ class ControllabilityReport:
 
 def build_graph(spec: SystemSpec, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> ConnectivityGraph:
     """Edges are exactly the pairs i < j with |B_ij| > edge_threshold."""
-    _check_tolerance(edge_threshold, "edge_threshold")
+    edge_threshold = _real(edge_threshold, "edge_threshold", 0.0)
     return ConnectivityGraph(spec.dim, frozenset(_edges(spec, range(1, spec.dim + 1), edge_threshold)))
 
 
@@ -242,8 +234,8 @@ def check_degenerate_transitions(
     eigenvalues the comparison is exact and ``tol`` is ignored.  The
     labels must be integers in 1..dim and the tolerances finite and >= 0.
     """
-    _check_tolerance(tol, "tol")
-    _check_tolerance(edge_threshold, "edge_threshold")
+    tol = _real(tol, "tol", 0.0)
+    edge_threshold = _real(edge_threshold, "edge_threshold", 0.0)
     return _collisions(spec, _edges(spec, _labels(spec, vertex_set), edge_threshold), tol)
 
 
@@ -299,7 +291,7 @@ def check_rational_ratios(
     ``tol`` finite and >= 0.
     """
     max_denominator = _max_denominator(max_denominator)
-    _check_tolerance(tol, "tol")
+    tol = _real(tol, "tol", 0.0)
     return _irrational_witnesses(spec, _labels(spec, vertex_set), max_denominator, tol)
 
 

@@ -98,16 +98,36 @@ def _integer(value, name: str, minimum: Optional[int] = None) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float: any real number, numpy's included, but no bool;
-    a TypeError names ``name``.  An int beyond the float range reads as an
-    infinity, so the caller's finiteness check names it."""
+def _real(
+    value,
+    name: str,
+    minimum: Optional[float] = None,
+    maximum: Optional[float] = None,
+    *,
+    exclusive: bool = False,
+) -> float:
+    """``value`` as a finite float: any real number, numpy's included, but no
+    bool; a TypeError names ``name``, and so does the NonFiniteError a NaN or
+    an infinity raises, an int beyond the float range included.  A value
+    below ``minimum`` (at it too, if ``exclusive``) or above ``maximum`` is a
+    ValueError naming ``name``; ``maximum`` comes with a ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name}: must be a real number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise NonFiniteError(f"{name}: must be finite, got {number!r}")
+    below = minimum is not None and (number <= minimum if exclusive else number < minimum)
+    if below or (maximum is not None and number > maximum):
+        if maximum is None:
+            bound = f"be {'>' if exclusive else '>='} {minimum:g}"
+        else:
+            high = "pi" if maximum == math.pi else f"{maximum:g}"
+            bound = f"lie in {'(' if exclusive else '['}{minimum:g}, {high}]"
+        raise ValueError(f"{name}: must {bound}, got {number!r}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,16 +360,9 @@ class ControlPulse:
 
     def __post_init__(self):
         segs = tuple(
-            (_real(d, f"segments[{k}][0]"), _real(u, f"segments[{k}][1]"))
+            (_real(d, f"segments[{k}][0]", 0.0, exclusive=True), _real(u, f"segments[{k}][1]"))
             for k, (d, u) in enumerate(self.segments)
         )
-        for k, (d, u) in enumerate(segs):
-            if not (math.isfinite(d) and math.isfinite(u)):
-                raise NonFiniteError(
-                    f"segments[{k}]: duration and amplitude must be finite, got ({d}, {u})"
-                )
-            if d <= 0.0:
-                raise ValueError(f"segment {k} duration must be positive, got {d}")
         object.__setattr__(self, "segments", segs)
 
     @property
@@ -387,16 +400,9 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     min(max_step, 0.02 / max(lambda_max - lambda_min, peak * max|B_ij|, 1e-6)),
     the peak read at the Gauss points of the steps the drift alone asks for.
     """
-    duration = None if duration is None else _real(duration, "duration")
+    duration = None if duration is None else _real(duration, "duration", 0.0)
     t0 = _real(t0, "t0")
-    limit = math.inf if max_step is None else _real(max_step, "max_step")
-    if not limit > 0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
-    for name, value in (("duration", duration), ("t0", t0)):
-        if value is not None and not math.isfinite(value):
-            raise NonFiniteError(f"{name}: must be finite, got {value!r}")
-    if duration is not None and duration < 0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
+    limit = math.inf if max_step is None else _real(max_step, "max_step", 0.0, exclusive=True)
     if isinstance(field, ControlPulse):
         durations, amplitudes = np.array(field.segments, dtype=float).reshape(-1, 2).T
         if duration is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .amplification import GoodSubspace, closed_form_weights
 from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real, _segments
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError
 
 KAPPA_GROUND = 128.0 * math.sqrt(2.0) / 243.0   # ground <-> excited-3 channel
 KAPPA_EXCITED = 3.0                              # excited-2 <-> excited-3 channel
@@ -45,7 +45,7 @@ __all__ = [
 @dataclass(frozen=True)
 class HydrogenModel:
     """Energies and coupling constants of the truncated 5-level atom, each
-    a finite real number (no bool), stored as a float."""
+    a finite real number (no bool), stored as a float; the gap is > 0."""
 
     energy_gap: float = 1.0
     kappa_ground: float = KAPPA_GROUND
@@ -53,12 +53,9 @@ class HydrogenModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = _real(getattr(self, f.name), f.name)
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{f.name}: must be finite, got {value!r}")
+            minimum = 0.0 if f.name == "energy_gap" else None
+            value = _real(getattr(self, f.name), f.name, minimum, exclusive=True)
             object.__setattr__(self, f.name, value)
-        if self.energy_gap <= 0:
-            raise ValueError(f"energy gap must be positive, got {self.energy_gap}")
 
 
 @functools.lru_cache(maxsize=64)

@@ -100,12 +100,7 @@ def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decompositio
 def success_probability(g: float, iterations: int) -> float:
     """sin^2((2L+1) theta) with sin^2(theta) = g, for L = iterations."""
     iterations = _iterations(iterations)
-    g = _real(g, "g")
-    if not 0.0 < g <= 1.0:
-        raise ValueError(
-            f"initial good weight must lie in (0, 1], got {g}; "
-            "amplification from zero weight is undefined"
-        )
+    g = _real(g, "g", 0.0, 1.0, exclusive=True)
     theta = math.asin(math.sqrt(g))
     return math.sin((2 * iterations + 1) * theta) ** 2
 

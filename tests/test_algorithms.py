@@ -599,7 +599,7 @@ BAD_ARGUMENTS = [
      "initial state dimension 4 does not match system 5"),
     ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
      "initial state has no weight on good indices"),
-    ("phi1", {"phi1": 4.0}, ValueError, "phi1 must lie in [0, pi]"),
+    ("phi1", {"phi1": 4.0}, ValueError, "phi1: must lie in [0, pi], got 4.0"),
     ("shots-0", {"shots": 0}, ValueError, "shots must be >= 1, got 0"),
     ("shots-negative", {"shots": -3}, ValueError, "shots must be >= 1, got -3"),
     ("shots-bool", {"shots": True}, TypeError, "shots must be an integer"),

@@ -496,6 +496,25 @@ def test_malformed_fields_rejected_with_path(tmp_path, payload, path):
     assert report["error"]["message"].startswith(path + ": ")
 
 
+@pytest.mark.parametrize(
+    "gap, message",
+    [
+        (0, "system.energy_gap: must be > 0, got 0.0"),
+        (-1, "system.energy_gap: must be > 0, got -1.0"),
+    ],
+    ids=["zero", "negative"],
+)
+def test_energy_gap_error_names_its_field_once(tmp_path, gap, message):
+    # the message read "system.energy_gap: energy gap must be positive, got 0.0"
+    out = tmp_path / "report.json"
+    payload = {"mode": "analyze", "system": {"preset": "hydrogen", "energy_gap": gap}}
+    code = main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+    report = _strict_json(out.read_text())
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"] == message
+
+
 def test_analyze_accepts_good_and_subspace(tmp_path):
     # 'analyze' reads neither target, so a config that sets both for another
     # mode can still be re-run with --mode analyze

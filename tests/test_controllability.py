@@ -477,6 +477,14 @@ class TestControllabilityConfig:
         )
         assert config.ratio_tol == 0.0
 
+    def test_tolerances_stored_as_floats(self):
+        # each tolerance was kept as given, a Fraction or a numpy scalar
+        config = ControllabilityConfig(
+            edge_threshold=np.float32(0.5), degeneracy_tol=0, ratio_tol=Fraction(1, 10**9)
+        )
+        for name, value in (("edge_threshold", 0.5), ("degeneracy_tol", 0.0), ("ratio_tol", 1e-9)):
+            assert type(getattr(config, name)) is float and getattr(config, name) == value
+
     @pytest.mark.parametrize("name", ["edge_threshold", "degeneracy_tol", "ratio_tol"])
     @pytest.mark.parametrize("value", [True, "x", None, 1j])
     def test_rejects_a_tolerance_of_the_wrong_kind(self, name, value):
@@ -558,9 +566,9 @@ class TestArgumentRule:
         # coupling's own, so assess reads no argument again
         config = ControllabilityConfig(degeneracy_tol=1e-6)
         calls = []
-        check = controllability._check_tolerance
+        read = controllability._real
         monkeypatch.setattr(
-            controllability, "_check_tolerance", lambda *args: calls.append(args) or check(*args)
+            controllability, "_real", lambda *args, **kwargs: calls.append(args) or read(*args, **kwargs)
         )
         monkeypatch.setattr(controllability, "_labels", lambda *args: pytest.fail("labels read"))
         spec = spec_from_edges([0.0, 1.0, 2.0, 5.0, 6.0, 7.0], [(1, 2), (2, 3), (4, 5), (5, 6)])

@@ -22,6 +22,9 @@ from iqcontrol import (
     SystemSpec,
     UnitarityError,
     UnitaryOperator,
+    build_graph,
+    check_degenerate_transitions,
+    check_rational_ratios,
     closed_form_weights,
     hydrogen_spec,
     make_plan,
@@ -230,7 +233,17 @@ REAL_ARGUMENTS = [
     # a pulse takes no steps, but its max_step is read all the same
     ("max_step-pulse", lambda v: propagate_interaction_picture(HydrogenModel(), PULSE, E1, max_step=v),
      "max_step", 0.25),
+    ("config-edge_threshold", lambda v: ControllabilityConfig(edge_threshold=v), "edge_threshold", 1e-12),
+    ("config-degeneracy_tol", lambda v: ControllabilityConfig(degeneracy_tol=v), "degeneracy_tol", 1e-9),
+    ("config-ratio_tol", lambda v: ControllabilityConfig(ratio_tol=v), "ratio_tol", 1e-9),
+    ("graph-edge_threshold", lambda v: build_graph(hydrogen_spec(), v), "edge_threshold", 1e-12),
+    ("degenerate-tol", lambda v: check_degenerate_transitions(hydrogen_spec(), [1, 2, 3], v), "tol", 1e-9),
+    ("degenerate-edge_threshold",
+     lambda v: check_degenerate_transitions(hydrogen_spec(), [1, 2, 3], edge_threshold=v),
+     "edge_threshold", 1e-12),
+    ("ratios-tol", lambda v: check_rational_ratios(hydrogen_spec(), [1, 2, 3], tol=v), "tol", 1e-9),
 ]
+REAL_BY_ID = {row[0]: row[1:] for row in REAL_ARGUMENTS}
 
 
 @pytest.mark.parametrize(
@@ -247,13 +260,66 @@ def test_real_arguments_are_read_as_real_numbers(call, name, valid):
         call(good)
 
 
+@pytest.mark.parametrize(
+    "call, name", [row[1:3] for row in REAL_ARGUMENTS], ids=[row[0] for row in REAL_ARGUMENTS]
+)
+def test_real_arguments_are_finite(call, name):
+    # a NaN phase, g or tolerance was called out of range, and a NaN
+    # max_step not positive, each by a plain ValueError
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(name)}: must be finite, got "):
+            call(bad)
+
+
+# the id of a REAL_ARGUMENTS row and a value just outside its interval
+BOUNDED_ARGUMENTS = [
+    ("phi1", -0.1),
+    ("phi2", 3.2),
+    ("weights-g", 1.1),
+    ("optimal-g", 0),
+    ("success-g", 0),
+    ("config-edge_threshold", -1e-300),
+    ("config-degeneracy_tol", -1e-300),
+    ("config-ratio_tol", -1e-300),
+    ("graph-edge_threshold", -1e-300),
+    ("degenerate-tol", -1e-300),
+    ("degenerate-edge_threshold", -1e-300),
+    ("ratios-tol", -1e-300),
+    ("duration", -1),
+    ("pulse-duration", 0),
+    ("max_step", 0),
+    ("energy_gap", 0),
+]
+
+
+@pytest.mark.parametrize("row, value", BOUNDED_ARGUMENTS, ids=[row for row, _ in BOUNDED_ARGUMENTS])
+def test_bounded_arguments_name_their_interval(row, value):
+    call, name, _ = REAL_BY_ID[row]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: must (be|lie)") as info:
+        call(value)
+    assert not isinstance(info.value, NonFiniteError)
+
+
+def test_bound_texts():
+    with pytest.raises(ValueError, match=r"^phi1: must lie in \[0, pi\], got 3\.2$"):
+        make_plan(E1, GoodSubspace.of(1, 5), phi1=3.2)
+    with pytest.raises(ValueError, match=r"^g: must lie in \[0, 1\], got 1\.1$"):
+        closed_form_weights(1.1, math.pi, math.pi, 1)
+    with pytest.raises(ValueError, match=r"^g: must lie in \(0, 1\], got 0\.0$"):
+        optimal_iterations(0)
+    with pytest.raises(ValueError, match=r"^ratio_tol: must be >= 0, got -1e-300$"):
+        ControllabilityConfig(ratio_tol=-1e-300)
+    with pytest.raises(ValueError, match=r"^segments\[0\]\[0\]: must be > 0, got 0\.0$"):
+        ControlPulse(((0, 0.5),))
+
+
 def test_int_past_the_float_range_is_not_finite():
     # float() raised a raw OverflowError
-    with pytest.raises(NonFiniteError, match=r"^segments\[0\]: .* got \(inf, -inf\)$"):
+    with pytest.raises(NonFiniteError, match=r"^segments\[0\]\[0\]: must be finite, got inf$"):
         ControlPulse(((10**400, -(10**400)),))
     with pytest.raises(NonFiniteError, match="^energy_gap: must be finite, got inf$"):
         HydrogenModel(10**400)
-    with pytest.raises(ValueError, match="^phi1 must lie in \\[0, pi\\], got inf$"):
+    with pytest.raises(NonFiniteError, match="^phi1: must be finite, got inf$"):
         make_plan(E1, GoodSubspace.of(1, 5), phi1=10**400)
 
 
@@ -493,7 +559,8 @@ class TestControlPulse:
     def test_rejects_non_finite_segment(self, segment):
         # unchecked, these reached propagate, which failed with a
         # LinAlgError or a misleading normalization error
-        with pytest.raises(NonFiniteError, match=r"^segments\[1\]: "):
+        field = 0 if not np.isfinite(segment[0]) else 1
+        with pytest.raises(NonFiniteError, match=rf"^segments\[1\]\[{field}\]: must be finite, got "):
             ControlPulse(((1.0, 0.2), segment))
 
     def test_duration_and_amplitude(self):

@@ -263,7 +263,7 @@ class TestInteractionPicture:
 
     def test_max_step_checked_for_a_pulse(self, rng):
         # a pulse took no steps, so its max_step went unread and 0 ran
-        with pytest.raises(ValueError, match="^max_step must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^max_step: must be > 0, got 0.0$"):
             propagate_interaction_picture(
                 HydrogenModel(), ControlPulse(((1.0, 0.1),)), random_state(rng, 5), max_step=0
             )
