@@ -1,7 +1,8 @@
 """State vectors, operators, and propagation under a control field.
 
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
-from the spec, into constant segments that ``_evolve`` applies exactly.
+from the spec, at most MAX_CF4_STEPS, into constant segments that ``_evolve``
+applies exactly, BATCH_ENTRIES matrix entries of a block at a time.
 A spec stores its coupling exactly Hermitian, so the graph's upper
 triangle and every reader of B agree on which levels it joins.  It finds
 the blocks of that graph, and builds the read-only levels, coupling and
@@ -38,7 +39,8 @@ PROPAGATION_NORM_TOL = 1e-9   # unit norm, propagated outputs
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
-SEGMENT_BATCH = 1 << 16   # segments per batched eigendecomposition
+BATCH_ENTRIES = 1 << 22   # matrix entries per batched eigendecomposition: 64 MiB complex
+MAX_CF4_STEPS = 1 << 22   # CF4 steps a callable field may ask for
 
 # Fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math.
 # 56, 1519 (2006)): the field at the Gauss points t_mid -+ GAUSS_OFFSET * h
@@ -399,26 +401,36 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     cut at ``duration``; a callable takes two CF4 half-steps per step of
     min(max_step, 0.02 / max(lambda_max - lambda_min, peak * max|B_ij|, 1e-6)),
     the peak read at the Gauss points of the steps the drift alone asks for.
+    Over MAX_CF4_STEPS steps, or a pulse's u_k * max|B_ij| overflowing, raises.
     """
     duration = None if duration is None else _real(duration, "duration", 0.0)
     t0 = _real(t0, "t0")
-    limit = math.inf if max_step is None else _real(max_step, "max_step", 0.0, exclusive=True)
+    max_step = None if max_step is None else _real(max_step, "max_step", 0.0, exclusive=True)
+    if not isinstance(field, ControlPulse) and not callable(field):
+        raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
+    coupling_max = float(np.abs(spec.coupling).max())
     if isinstance(field, ControlPulse):
         durations, amplitudes = np.array(field.segments, dtype=float).reshape(-1, 2).T
-        if duration is None:
-            return durations, amplitudes
-        starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
-        kept = starts < duration
-        return np.minimum(durations, duration - starts)[kept], amplitudes[kept]
-    if not callable(field):
-        raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
+        if duration is not None:
+            starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
+            kept = starts < duration
+            durations, amplitudes = np.minimum(durations, duration - starts)[kept], amplitudes[kept]
+        if not math.isfinite(float(np.abs(amplitudes).max(initial=0.0)) * coupling_max):
+            k = int(np.argmax(np.abs(amplitudes)))
+            raise NonFiniteError(f"segments[{k}][1]: {float(amplitudes[k])!r} * max|B_ij| overflows")
+        return durations, amplitudes
     if duration is None:
         raise ValueError("a callable field needs an explicit duration")
     if duration == 0:
         return np.empty((2, 0))
 
     def steps(rate: float) -> int:
-        return max(math.ceil(duration / min(limit, 0.02 / rate)), 1)
+        step = min(math.inf if max_step is None else max_step, 0.02 / rate)
+        count = duration / step if step else math.inf
+        if not count <= MAX_CF4_STEPS:
+            raise ValueError(f"duration: {duration!r} with max_step={max_step!r} needs "
+                             f"{count:.3g} CF4 steps, more than the cap of {MAX_CF4_STEPS}")
+        return max(math.ceil(count), 1)
 
     def gauss_values(n: int):
         h = duration / n
@@ -433,7 +445,7 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     n = steps(max(spread, 1e-6))
     u1, u2 = gauss_values(n)
     peak = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
-    finer = steps(max(spread, peak * float(np.abs(spec.coupling).max()), 1e-6))
+    finer = steps(max(spread, peak * coupling_max, 1e-6))
     if finer > n:
         n = finer
         u1, u2 = gauss_values(n)
@@ -449,6 +461,18 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
+def _apply_segments(coupling, drift, durations, amplitudes, part: np.ndarray) -> np.ndarray:
+    """``part`` after exp(-i (drift + u_k coupling) dt_k) per segment, in order, by one
+    exactly unitary batched ``eigh`` per BATCH_ENTRIES entries (65,536 segments at most)."""
+    batch = min(1 << 16, max(1, BATCH_ENTRIES // coupling.size))
+    for start in range(0, durations.size, batch):
+        chunk = slice(start, start + batch)
+        w, v = np.linalg.eigh(amplitudes[chunk, None, None] * coupling + drift)
+        phases = np.exp(-1j * w * durations[chunk, None])
+        part = _ordered_product((v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)) @ part
+    return part
+
+
 def _evolve(
     spec: SystemSpec, durations: np.ndarray, amplitudes: np.ndarray, c: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -457,9 +481,8 @@ def _evolve(
     Returns (levels, amplitudes) for each block of B's exact nonzeros that
     holds part of ``c`` on any of its levels; every other level evolves
     under A alone, so the caller applies its drift phase, or nothing.
-    The blocks' arrays come from the spec, built on its first propagation.
-    Each block's segments are diagonalised SEGMENT_BATCH at a time by one
-    batched Hermitian ``eigh``, so every segment is exactly unitary.
+    The blocks' arrays come from the spec, built on its first propagation;
+    ``_apply_segments`` evolves each block's part in batches sized from it.
     """
     held = c != 0
     evolved = []
@@ -468,11 +491,7 @@ def _evolve(
             continue
         part = c[levels]
         weight = _norm(part)
-        for start in range(0, durations.size, SEGMENT_BATCH):
-            batch = slice(start, start + SEGMENT_BATCH)
-            w, v = np.linalg.eigh(amplitudes[batch, None, None] * coupling + drift)
-            phases = np.exp(-1j * w * durations[batch, None])
-            part = _ordered_product((v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)) @ part
+        part = _apply_segments(coupling, drift, durations, amplitudes, part)
         reached = _norm(part)
         moved = abs(reached - weight)
         if moved > PROPAGATION_NORM_TOL:

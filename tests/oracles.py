@@ -55,8 +55,7 @@ from iqcontrol.core import (
     COMMUTATOR_TOL,
     HERMITICITY_TOL,
     PROPAGATION_NORM_TOL,
-    SEGMENT_BATCH,
-    _ordered_product,
+    _apply_segments,
     _real,
 )
 from iqcontrol.amplification import (
@@ -281,7 +280,8 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
     """``core._evolve`` that builds each block's levels, coupling and drift
     on every call, from the components of the coupling's exact nonzeros,
     and evolves a block that holds ``c`` on a level whose column of B has
-    a nonzero."""
+    a nonzero; each block's segments go through the library's one batch
+    kernel, ``core._apply_segments``."""
     held = set((np.flatnonzero(spec.coupling.any(axis=0) & (c != 0)) + 1).tolist())
     labels = range(1, spec.dim + 1)
     evolved = []
@@ -293,12 +293,7 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
         part = c[levels]
         if not coupling.imag.any():
             coupling = coupling.real
-        drift = np.diag(spec.drift[levels])
-        for start in range(0, durations.size, SEGMENT_BATCH):
-            batch = slice(start, start + SEGMENT_BATCH)
-            w, v = np.linalg.eigh(amplitudes[batch, None, None] * coupling + drift)
-            phases = np.exp(-1j * w * durations[batch, None])
-            part = _ordered_product((v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)) @ part
+        part = _apply_segments(coupling, np.diag(spec.drift[levels]), durations, amplitudes, part)
         weight, reached = float(np.linalg.norm(c[levels])), float(np.linalg.norm(part))
         moved = abs(reached - weight)
         if moved > PROPAGATION_NORM_TOL:

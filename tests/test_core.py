@@ -738,6 +738,53 @@ class TestPropagateBlocks:
         assert propagate(spec, pulse, state).amplitudes[0] == expected[0]
 
 
+class TestBatches:
+    def test_batches_are_sized_from_the_block(self, rng, monkeypatch):
+        # a budget of 2**16 entries takes a dense 64-level block 16 segments
+        # at a time; the batched path must agree with one eigh per segment
+        spec = SystemSpec(dim=64, drift=np.sort(rng.normal(size=64)),
+                          coupling=random_hermitian(rng, 64).real)
+        pulse = ControlPulse(tuple((0.05, float(rng.normal())) for _ in range(400)))
+        state = random_state(rng, 64)
+        monkeypatch.setattr(core, "BATCH_ENTRIES", 1 << 16)
+        batches = []
+        product = core._ordered_product
+        monkeypatch.setattr(
+            core, "_ordered_product", lambda steps: batches.append(len(steps)) or product(steps)
+        )
+        out = propagate(spec, pulse, state)
+        assert batches == [16] * 25
+        assert np.max(np.abs(out.amplitudes - full_matrix_propagate(spec, pulse, state))) < 1e-12
+        # at 0.10.6 the 400 segments made one batch, which peaked at 88 MiB
+        tracemalloc.start()
+        try:
+            propagate(spec, pulse, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "segments, k, value",
+        [(((1.0, 1e308),), 0, "1e+308"), (((1.0, 0.5), (2.0, -1e308), (1.0, 1e300)), 1, "-1e+308")],
+    )
+    def test_overflowing_amplitude_is_named(self, segments, k, value):
+        # u_k B overflowed in the batched product, warned, and the NaN state
+        # it left raised "state amplitudes must be finite"
+        message = rf"^segments\[{k}\]\[1\]: {re.escape(value)} \* max\|B_ij\| overflows$"
+        with pytest.raises(NonFiniteError, match=message):
+            propagate(hydrogen_spec(), ControlPulse(segments), StateVector.basis_state(1, 5))
+
+    def test_amplitude_within_range_runs(self):
+        # 1e307 * 3 stays finite, and a segment cut off by duration is never applied
+        state = StateVector.basis_state(1, 5)
+        assert propagate(hydrogen_spec(), ControlPulse(((1.0, 1e307),)), state).dim == 5
+        pulse = ControlPulse(((1.0, 0.5), (1.0, 1e308)))
+        out = propagate_interaction_picture(HydrogenModel(), pulse, state, duration=1.0)
+        expected = propagate_interaction_picture(HydrogenModel(), ControlPulse(((1.0, 0.5),)), state)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
+
+
 class TestUnitaryOperator:
     def test_stores_a_private_copy(self):
         # the caller's matrix stays writeable, and writing to it afterwards

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,39 @@ class TestInteractionPicture:
             propagate_interaction_picture(
                 HydrogenModel(), ControlPulse(((1.0, 0.1),)), random_state(rng, 5), max_step=0
             )
+
+    @pytest.mark.parametrize(
+        "value, duration, max_step, count",
+        [
+            (0.1, 1e12, None, "5e+13"),
+            (0.1, 1e300, None, "5e+301"),
+            (0.1, 1e300, 1e-300, "inf"),
+            (1e30, 1.0, None, "1.5e+32"),   # the field's peak sets the step
+            (1e308, 1.0, None, "inf"),      # peak * max|B_ij| overflows: a step of 0
+        ],
+    )
+    def test_step_cap(self, value, duration, max_step, count):
+        # each built its step grid first: numpy's MemoryError, "Maximum allowed
+        # size exceeded" (twice), OverflowError from math.ceil, ZeroDivisionError
+        calls = []
+        message = (f"duration: {duration!r} with max_step={max_step!r} needs {count} CF4 steps, "
+                   f"more than the cap of {core.MAX_CF4_STEPS}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagate_interaction_picture(
+                HydrogenModel(), lambda t: calls.append(t) or value, StateVector.basis_state(1, 5),
+                duration, max_step=max_step,
+            )
+        # the drift alone asks for too many steps before the field is sampled
+        assert bool(calls) == (value > 0.1)
+
+    def test_step_cap_reads_the_count_before_rounding(self, monkeypatch):
+        # the gap sets a step of 0.02: 50 steps over 1.0 are at the cap, 50.5 past it
+        monkeypatch.setattr(core, "MAX_CF4_STEPS", 50)
+        state = StateVector.basis_state(1, 5)
+        out = propagate_interaction_picture(HydrogenModel(), lambda t: 0.1, state, 1.0)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        with pytest.raises(ValueError, match=r"needs 50\.5 CF4 steps, more than the cap of 50$"):
+            propagate_interaction_picture(HydrogenModel(), lambda t: 0.1, state, 1.01)
 
     def test_mirrored_couplings_take_the_same_steps(self, rng):
         # flipping the sign of both couplings and of the field leaves u(t) B,
