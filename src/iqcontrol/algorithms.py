@@ -29,7 +29,7 @@ from .amplification import (
     make_plan,
 )
 from .controllability import ControllabilityConfig, _component_verdict
-from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, propagate
+from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _shown, propagate
 from .errors import DimensionMismatchError
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
 
@@ -136,7 +136,7 @@ def _run(
     if max_attempts is not None:
         max_attempts = _integer(max_attempts, "max_attempts", 1)
         if shots != 1:
-            raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
+            raise ValueError(f"max_attempts needs shots == 1, got shots={_shown(shots)}")
     amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     partition = MeasurementPartition.binary(good)
     if shots > 1:

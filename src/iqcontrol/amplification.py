@@ -59,12 +59,10 @@ class GoodSubspace:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        idx = frozenset(_integer(i, "good index") for i in self.indices)
+        idx = frozenset(_integer(i, "good index", 1, self.dim) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("good subspace must be nonempty")
-        if not all(1 <= i <= self.dim for i in idx):
-            raise ValueError(f"good indices {sorted(idx)} outside 1..{self.dim}")
         if len(idx) >= self.dim:
             raise ValueError("good subspace must be a strict subset of the basis")
 
@@ -74,7 +72,7 @@ class GoodSubspace:
         an iterable of labels that is not a mapping; every label is an
         integer (no bool), or a TypeError names it."""
         if isinstance(indices, Mapping):
-            raise TypeError(f"good index must be an integer or an iterable of them, "
+            raise TypeError(f"good index: must be an integer or an iterable of them, "
                             f"not a mapping, got {indices!r}")
         if not isinstance(indices, Iterable) or getattr(indices, "ndim", None) == 0:
             indices = [_integer(indices, "good index")]
@@ -134,17 +132,6 @@ def _split(good_part: np.ndarray, bad_part: np.ndarray) -> Decomposition:
         b=b,
         theta=math.asin(math.sqrt(g)),
     )
-
-
-def _iterations(value) -> int:
-    """An explicit iteration count: an integer (not a bool) in 0..2**53,
-    or a TypeError or ValueError naming ``iterations``."""
-    count = _integer(value, "iterations", 0)
-    if count > MAX_ITERATIONS:
-        raise ValueError(
-            f"iterations must not exceed 2**53, got a {count.bit_length()}-bit integer"
-        )
-    return count
 
 
 def _check_phase(name: str, value: float) -> float:
@@ -232,7 +219,7 @@ def closed_form_weights(g: float, phi1: float, phi2: float, iterations: int) -> 
     """
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    iterations = _iterations(iterations)
+    iterations = _integer(iterations, "iterations", 0, MAX_ITERATIONS)
     g = _real(g, "g", 0.0, 1.0)
     return _weights(g, phi1, phi2, iterations)
 
@@ -374,7 +361,7 @@ def make_plan(
     if iterations == "auto":
         count = _first_peak(d.g, l_max, phi1, phi2)
     else:
-        count = _iterations(iterations)
+        count = _integer(iterations, "iterations", 0, MAX_ITERATIONS)
     predicted, _ = _weights(d.g, phi1, phi2, count)
     plan = AmplificationPlan(
         prepared=initial,

@@ -40,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SystemSpec, _components, _edges, _integer, _real
+from .core import SystemSpec, _components, _edges, _integer, _real, _shown
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -79,7 +79,9 @@ class ConnectivityGraph:
     def __post_init__(self):
         for i, j in self.edges:
             if not (1 <= i < j <= self.num_vertices):
-                raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{self.num_vertices}")
+                raise ValueError(
+                    f"edge ({_shown(i)}, {_shown(j)}) outside vertex range 1..{_shown(self.num_vertices)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -155,24 +157,12 @@ class ControllabilityConfig:
     def __post_init__(self):
         for name in ("edge_threshold", "degeneracy_tol", "ratio_tol"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
-        object.__setattr__(self, "max_denominator", _max_denominator(self.max_denominator))
-
-
-def _max_denominator(value) -> int:
-    """``value`` as an int >= 1; the error names ``max_denominator``."""
-    value = _integer(value, "max_denominator")
-    if value < 1:
-        raise ValueError(f"max_denominator: must be >= 1, got {value!r}")
-    return value
+        object.__setattr__(self, "max_denominator", _integer(self.max_denominator, "max_denominator", 1))
 
 
 def _labels(spec: SystemSpec, vertex_set: Iterable[int]) -> list[int]:
     """The distinct labels of ``vertex_set``, sorted: integers in 1..dim."""
-    labels = sorted({_integer(v, "vertex_set label") for v in vertex_set})
-    for v in labels[:1] + labels[-1:]:
-        if not 1 <= v <= spec.dim:
-            raise ValueError(f"vertex_set: label {v} outside 1..{spec.dim}")
-    return labels
+    return sorted({_integer(v, "vertex_set label", 1, spec.dim) for v in vertex_set})
 
 
 @dataclass(frozen=True)
@@ -290,7 +280,7 @@ def check_rational_ratios(
     must be integers in 1..dim, ``max_denominator`` an integer >= 1 and
     ``tol`` finite and >= 0.
     """
-    max_denominator = _max_denominator(max_denominator)
+    max_denominator = _integer(max_denominator, "max_denominator", 1)
     tol = _real(tol, "tol", 0.0)
     return _irrational_witnesses(spec, _labels(spec, vertex_set), max_denominator, tol)
 

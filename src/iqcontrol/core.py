@@ -84,20 +84,47 @@ def _norm(arr: np.ndarray) -> float:
     return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
-def _integer(value, name: str, minimum: Optional[int] = None) -> int:
+def _shown(value) -> str:
+    """``value`` as a message quotes it, by ``str``, but an int of magnitude
+    2**64 or more by its bit length: ``str`` refuses one of more than 4,300
+    digits."""
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 1 << 64:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    return str(value)
+
+
+def _bounded(number, name: str, minimum, maximum, exclusive: bool = False):
+    """``number`` unless it lies below ``minimum`` (at it too, if
+    ``exclusive``) or above ``maximum``, None being no bound and ``maximum``
+    coming with a ``minimum``; else a ValueError, ``<name>: must be >= m,
+    got v`` or ``<name>: must lie in [a, b], got v``.  An int prints exactly,
+    pi by name and any other float bound in ``g`` format."""
+    below = minimum is not None and (number <= minimum if exclusive else number < minimum)
+    if not below and (maximum is None or number <= maximum):
+        return number
+    low, high = ("pi" if b == math.pi else f"{b:g}" if isinstance(b, float) else _shown(b)
+                 for b in (minimum, maximum))
+    if maximum is None:
+        bound = f"be {'>' if exclusive else '>='} {low}"
+    else:
+        bound = f"lie in {'(' if exclusive else '['}{low}, {high}]"
+    raise ValueError(f"{name}: must {bound}, got {_shown(number)}")
+
+
+def _integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
     """``value`` as a Python int: any integer type, numpy's included, but no
-    bool and nothing that would be truncated; a TypeError names ``name``.
-    With ``minimum``, a smaller value is a ValueError naming ``name``."""
+    bool and nothing that would be truncated; a TypeError names ``name``,
+    and so does the ValueError of a value outside [minimum, maximum]."""
     if not isinstance(value, bool):
         try:
             value = operator.index(value)
         except TypeError:
             pass
         else:
-            if minimum is not None and value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {value}")
-            return value
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+            if minimum is None and maximum is None:  # a partition label: skip the call
+                return value
+            return _bounded(value, name, minimum, maximum)
+    raise TypeError(f"{name}: must be an integer, got {value!r}")
 
 
 def _real(
@@ -121,15 +148,7 @@ def _real(
         number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
         raise NonFiniteError(f"{name}: must be finite, got {number!r}")
-    below = minimum is not None and (number <= minimum if exclusive else number < minimum)
-    if below or (maximum is not None and number > maximum):
-        if maximum is None:
-            bound = f"be {'>' if exclusive else '>='} {minimum:g}"
-        else:
-            high = "pi" if maximum == math.pi else f"{maximum:g}"
-            bound = f"lie in {'(' if exclusive else '['}{minimum:g}, {high}]"
-        raise ValueError(f"{name}: must {bound}, got {number!r}")
-    return number
+    return _bounded(number, name, minimum, maximum, exclusive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +188,8 @@ class StateVector:
     @classmethod
     def basis_state(cls, index: int, dim: int) -> "StateVector":
         """Basis state with 1-based label ``index``."""
-        index, dim = _integer(index, "index"), _integer(dim, "dim")
-        if not 1 <= index <= dim:
-            raise DimensionMismatchError(f"basis label {index} outside 1..{dim}")
+        dim = _integer(dim, "dim")
+        index = _integer(index, "index", 1, dim)
         amps = np.zeros(dim, dtype=complex)
         amps[index - 1] = 1.0
         return cls(amps)
@@ -199,18 +217,16 @@ class SystemSpec:
     exact_drift: Optional[tuple[Fraction, ...]] = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        if self.dim < 2:
-            raise DimensionMismatchError(f"dim: must be >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
         drift = np.array(self.drift, dtype=float).reshape(-1)
         coupling = _real_or_complex(self.coupling)
         if drift.size != self.dim:
             raise DimensionMismatchError(
-                f"drift: {drift.size} eigenvalues for dimension {self.dim}"
+                f"drift: {drift.size} eigenvalues for dimension {_shown(self.dim)}"
             )
         if coupling.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"coupling: shape {coupling.shape} does not match dimension {self.dim}"
+                f"coupling: shape {coupling.shape} does not match dimension {_shown(self.dim)}"
             )
         if not np.isfinite(drift).all():
             raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
@@ -351,7 +367,7 @@ class UnitaryOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "UnitaryOperator":
-        return cls(np.eye(dim, dtype=complex))
+        return cls(np.eye(_integer(dim, "dim"), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -401,7 +417,7 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     cut at ``duration``; a callable takes two CF4 half-steps per step of
     min(max_step, 0.02 / max(lambda_max - lambda_min, peak * max|B_ij|, 1e-6)),
     the peak read at the Gauss points of the steps the drift alone asks for.
-    Over MAX_CF4_STEPS steps, or a pulse's u_k * max|B_ij| overflowing, raises.
+    Over MAX_CF4_STEPS steps, or a phase overflowing (``_phases_checked``), raises.
     """
     duration = None if duration is None else _real(duration, "duration", 0.0)
     t0 = _real(t0, "t0")
@@ -415,10 +431,7 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
             starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
             kept = starts < duration
             durations, amplitudes = np.minimum(durations, duration - starts)[kept], amplitudes[kept]
-        if not math.isfinite(float(np.abs(amplitudes).max(initial=0.0)) * coupling_max):
-            k = int(np.argmax(np.abs(amplitudes)))
-            raise NonFiniteError(f"segments[{k}][1]: {float(amplitudes[k])!r} * max|B_ij| overflows")
-        return durations, amplitudes
+        return _phases_checked(spec, durations, amplitudes, t0, "segments[{}]", coupling_max)
     if duration is None:
         raise ValueError("a callable field needs an explicit duration")
     if duration == 0:
@@ -450,7 +463,34 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
         n = finer
         u1, u2 = gauss_values(n)
     amplitudes = np.column_stack((CF4_HEAVY * u1 + CF4_LIGHT * u2, CF4_LIGHT * u1 + CF4_HEAVY * u2))
-    return np.full(2 * n, duration / (2 * n)), amplitudes.ravel()
+    durations = np.full(2 * n, duration / (2 * n))
+    return _phases_checked(spec, durations, amplitudes.ravel(), t0, "field: CF4 half-step {}", coupling_max)
+
+
+def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, where: str, coupling_max: float):
+    """``(durations, amplitudes)`` once every phase formed from them is finite:
+    a block's (A + u_k B) dt_k has eigenvalues of at most (max|lambda| + |u_k|
+    k max|B_ij|) dt_k, k the largest block's size, and a drift phase at most
+    max|lambda| (|t0| + T).  Else a NonFiniteError names the first segment,
+    formatted into ``where``, or ``t0`` (``duration`` when t0 is 0)."""
+    if not durations.size:
+        return durations, amplitudes
+    drift_max = float(np.abs(spec.drift).max())
+    size = max((levels.size for levels, _, _ in spec._block_arrays), default=0)
+    reach = size * coupling_max
+    total = sum(durations.tolist())  # Python floats overflow to inf silently
+    if math.isfinite((drift_max + float(np.abs(amplitudes).max()) * reach) * (abs(t0) + total)):
+        return durations, amplitudes  # the largest bound of all is finite
+    with np.errstate(over="ignore"):
+        finite = np.isfinite((drift_max + np.abs(amplitudes) * reach) * durations)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteError(f"{where.format(k)}: the phase (max|lambda| + |u| * {size} * max|B_ij|) * dt "
+                             f"overflows, with u = {float(amplitudes[k])!r} and dt = {float(durations[k])!r}")
+    if not math.isfinite(drift_max * (abs(t0) + total)):
+        raise NonFiniteError(f"{'t0' if t0 else 'duration'}: the drift phase max|lambda| * (|t0| + T) "
+                             f"overflows, with max|lambda| = {drift_max!r}, t0 = {t0!r} and T = {total!r}")
+    return durations, amplitudes
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .amplification import GoodSubspace
-from .core import StateVector, _integer
+from .core import StateVector, _integer, _shown
 from .errors import DimensionMismatchError, MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
@@ -61,7 +61,8 @@ class MeasurementPartition:
         n = len(flat)
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError(
-                f"blocks must partition 1..N exactly, got labels {sorted(set(flat))}"
+                f"blocks must partition 1..N exactly, got labels "
+                f"[{', '.join(map(_shown, sorted(set(flat))))}]"
             )
         # 0-based block position of each label, in label order
         block_of_label = np.empty(n, dtype=np.intp)
@@ -93,7 +94,7 @@ class MeasurementPartition:
 
     @classmethod
     def per_index(cls, dim: int) -> "MeasurementPartition":
-        return cls(tuple((i,) for i in range(1, dim + 1)))
+        return cls(tuple((i,) for i in range(1, _integer(dim, "dim") + 1)))
 
 
 @dataclass(frozen=True, eq=False)

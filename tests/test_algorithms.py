@@ -432,7 +432,7 @@ def test_max_attempts_must_be_an_integer(run):
         return algorithm(spec, p.initial, target, iterations=0, seed=3, max_attempts=max_attempts)
 
     for bad in (2.5, True):
-        with pytest.raises(TypeError, match="^max_attempts must be an integer"):
+        with pytest.raises(TypeError, match="^max_attempts: must be an integer"):
             attempts(bad)
     report = attempts(np.int64(3))
     assert report.to_dict() == attempts(3).to_dict()
@@ -600,44 +600,45 @@ BAD_ARGUMENTS = [
     ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
      "initial state has no weight on good indices"),
     ("phi1", {"phi1": 4.0}, ValueError, "phi1: must lie in [0, pi], got 4.0"),
-    ("shots-0", {"shots": 0}, ValueError, "shots must be >= 1, got 0"),
-    ("shots-negative", {"shots": -3}, ValueError, "shots must be >= 1, got -3"),
-    ("shots-bool", {"shots": True}, TypeError, "shots must be an integer"),
-    ("shots-float", {"shots": 2.5}, TypeError, "shots must be an integer"),
-    ("seed-negative", {"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+    ("shots-0", {"shots": 0}, ValueError, "shots: must be >= 1, got 0"),
+    ("shots-negative", {"shots": -3}, ValueError, "shots: must be >= 1, got -3"),
+    ("shots-bool", {"shots": True}, TypeError, "shots: must be an integer"),
+    ("shots-float", {"shots": 2.5}, TypeError, "shots: must be an integer"),
+    ("seed-negative", {"seed": -1}, ValueError, "seed: must be >= 0, got -1"),
     ("seed-negative-histogram", {"seed": -1, "shots": 500}, ValueError,
-     "seed must be >= 0, got -1"),
-    ("seed-float", {"seed": 1.5}, TypeError, "seed must be an integer"),
-    ("l_max-float", {"l_max": 6.5}, TypeError, "l_max must be an integer"),
+     "seed: must be >= 0, got -1"),
+    ("seed-float", {"seed": 1.5}, TypeError, "seed: must be an integer"),
+    ("l_max-float", {"l_max": 6.5}, TypeError, "l_max: must be an integer"),
     # l_max is checked whether or not an explicit count makes it unused
     ("l_max-negative-explicit-iterations", {"iterations": 3, "l_max": -1}, ValueError,
-     "l_max must be >= 0, got -1"),
-    ("iterations-float", {"iterations": 2.5}, TypeError, "iterations must be an integer"),
-    ("iterations-negative", {"iterations": -1}, ValueError, "iterations must be >= 0, got -1"),
+     "l_max: must be >= 0, got -1"),
+    ("iterations-float", {"iterations": 2.5}, TypeError, "iterations: must be an integer"),
+    ("iterations-negative", {"iterations": -1}, ValueError,
+     "iterations: must lie in [0, 9007199254740992], got -1"),
     ("iterations-2**53+1", {"iterations": 2**53 + 1}, ValueError,
-     "iterations must not exceed 2**53"),
-    ("max_attempts-0", {"max_attempts": 0}, ValueError, "max_attempts must be >= 1, got 0"),
+     "iterations: must lie in [0, 9007199254740992], got 9007199254740993"),
+    ("max_attempts-0", {"max_attempts": 0}, ValueError, "max_attempts: must be >= 1, got 0"),
     ("max_attempts-histogram", {"max_attempts": 3, "shots": 500}, ValueError,
      "max_attempts needs shots == 1"),
-    ("max_attempts-float", {"max_attempts": 2.5}, TypeError, "max_attempts must be an integer"),
-    ("measurement_shot-negative", {"measurement_shot": -1}, ValueError, "shot must be >= 0, got -1"),
+    ("max_attempts-float", {"max_attempts": 2.5}, TypeError, "max_attempts: must be an integer"),
+    ("measurement_shot-negative", {"measurement_shot": -1}, ValueError, "shot: must be >= 0, got -1"),
     # a histogram leaves measurement_shot unused but still bounds it
     ("measurement_shot-negative-histogram", {"measurement_shot": -1, "shots": 500}, ValueError,
-     "shot must be >= 0, got -1"),
-    ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot must be an integer"),
+     "shot: must be >= 0, got -1"),
+    ("measurement_shot-bool", {"measurement_shot": True}, TypeError, "shot: must be an integer"),
     # the sampler takes seed and shot unchecked, so a repeat run reads both first
     ("measurement_shot-bool-repeat", {"measurement_shot": True, "max_attempts": 3}, TypeError,
-     "shot must be an integer, got True"),
+     "shot: must be an integer, got True"),
     ("seed-string-repeat", {"seed": "1", "max_attempts": 3}, TypeError,
-     "seed must be an integer, got '1'"),
+     "seed: must be an integer, got '1'"),
     # 'labels' is good_index for algorithm 1 and the subspace's labels for algorithm 2
-    ("label-float", {"labels": 5.0}, TypeError, "good index must be an integer, got 5.0"),
-    ("label-bool", {"labels": True}, TypeError, "good index must be an integer, got True"),
-    ("labels-float", {"labels": [2.7]}, TypeError, "good index must be an integer, got 2.7"),
+    ("label-float", {"labels": 5.0}, TypeError, "good index: must be an integer, got 5.0"),
+    ("label-bool", {"labels": True}, TypeError, "good index: must be an integer, got True"),
+    ("labels-float", {"labels": [2.7]}, TypeError, "good index: must be an integer, got 2.7"),
     ("label-0d-float", {"labels": np.array(2.5)}, TypeError,
-     "good index must be an integer, got array(2.5)"),
+     "good index: must be an integer, got array(2.5)"),
     ("labels-mapping", {"labels": {3: 1}}, TypeError,
-     "good index must be an integer or an iterable of them, not a mapping"),
+     "good index: must be an integer or an iterable of them, not a mapping"),
 ]
 
 
@@ -663,7 +664,7 @@ def test_invalid_argument_raises_named_error(run, kwargs, error, prefix):
 
 def test_invalid_target_raises_named_error():
     spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
-    with pytest.raises(ValueError, match=r"^good indices \[9\] outside 1\.\.5"):
+    with pytest.raises(ValueError, match=r"^good index: must lie in \[1, 5\], got 9$"):
         run_algorithm1(spec, p1.initial, 9, seed=3)
     with pytest.raises(DimensionMismatchError, match="^subspace dimension 4 does not match system 5"):
         run_algorithm2(spec, p2.initial, GoodSubspace.of([1, 2, 3], 4), seed=3)

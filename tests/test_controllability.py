@@ -537,11 +537,11 @@ class TestArgumentRule:
     @pytest.mark.parametrize(
         "labels, error, message",
         [
-            ([0, 1, 2], ValueError, "vertex_set: label 0 outside 1..3"),
-            ([1, 99], ValueError, "vertex_set: label 99 outside 1..3"),
-            ([-1, 2], ValueError, "vertex_set: label -1 outside 1..3"),
-            ([1, 2, 2.5], TypeError, "vertex_set label must be an integer, got 2.5"),
-            ([1, True], TypeError, "vertex_set label must be an integer, got True"),
+            ([0, 1, 2], ValueError, "vertex_set label: must lie in [1, 3], got 0"),
+            ([1, 99], ValueError, "vertex_set label: must lie in [1, 3], got 99"),
+            ([-1, 2], ValueError, "vertex_set label: must lie in [1, 3], got -1"),
+            ([1, 2, 2.5], TypeError, "vertex_set label: must be an integer, got 2.5"),
+            ([1, True], TypeError, "vertex_set label: must be an integer, got True"),
         ],
     )
     def test_bad_labels_raise_naming_vertex_set(self, check, labels, error, message):

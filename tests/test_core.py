@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqcontrol import (
+    ConnectivityGraph,
     ControllabilityConfig,
     ControlPulse,
     DimensionMismatchError,
     GoodSubspace,
     HermiticityError,
     HydrogenModel,
+    MeasurementPartition,
     NonFiniteError,
     NormalizationError,
     StateVector,
@@ -28,10 +30,13 @@ from iqcontrol import (
     closed_form_weights,
     hydrogen_spec,
     make_plan,
+    measurement_histogram,
     optimal_iterations,
     prepare_unitary,
     propagate,
     propagate_interaction_picture,
+    run_algorithm1,
+    sample_collapse,
 )
 from iqcontrol import core
 from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
@@ -72,15 +77,15 @@ class TestStateVector:
     def test_basis_state(self):
         e2 = StateVector.basis_state(2, 3)
         assert np.allclose(e2.amplitudes, [0, 1, 0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match=r"^index: must lie in \[1, 3\], got 4$"):
             StateVector.basis_state(4, 3)
 
     def test_basis_state_reads_integers(self):
         # unchecked, numpy raised IndexError for label 1.5, and True was label 1
         for bad in (1.5, True):
-            with pytest.raises(TypeError, match=f"^index must be an integer, got {bad!r}$"):
+            with pytest.raises(TypeError, match=f"^index: must be an integer, got {bad!r}$"):
                 StateVector.basis_state(bad, 3)
-        with pytest.raises(TypeError, match="^dim must be an integer, got 3.0$"):
+        with pytest.raises(TypeError, match="^dim: must be an integer, got 3.0$"):
             StateVector.basis_state(1, 3.0)
         assert StateVector.basis_state(np.int64(3), np.int64(3)).amplitudes.tolist() == [0, 0, 1]
 
@@ -187,6 +192,9 @@ INTEGER_FIELDS = [
     ("spec-dim", lambda v: SystemSpec(dim=v, drift=[0, 1], coupling=_sigma_x_block(2)), "dim", 2),
     ("good-dim", lambda v: GoodSubspace.of(1, v), "dim", 5),
     ("max_denominator", lambda v: ControllabilityConfig(max_denominator=v), "max_denominator", 3),
+    # per_index(True) was a one-label partition; 2.5 raised numpy's TypeError naming no argument
+    ("per_index-dim", lambda v: MeasurementPartition.per_index(v), "dim", 3),
+    ("identity-dim", lambda v: UnitaryOperator.identity(v), "dim", 3),
 ]
 
 
@@ -196,8 +204,8 @@ INTEGER_FIELDS = [
 def test_integer_fields_are_read_as_integers(build, name, valid):
     # unchecked, a float dim failed later in numpy naming no field, and a
     # float or bool max_denominator was used as given
-    for bad in (float(valid), np.float64(valid), True):
-        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}"):
+    for bad in (float(valid), np.float64(valid), True, 2.5):
+        with pytest.raises(TypeError, match=f"^{name}: must be an integer, got {re.escape(repr(bad))}"):
             build(bad)
     value = getattr(build(np.int64(valid)), name)
     assert value == valid and type(value) is int
@@ -205,6 +213,75 @@ def test_integer_fields_are_read_as_integers(build, name, valid):
 
 E1 = StateVector.basis_state(1, 5)
 PULSE = ControlPulse(((1.0, 0.1),))
+
+HUGE = 10**5000  # str() refuses an int of more than 4,300 digits
+HUGE_INTEGERS = [
+    # id, call with the integer, error type, message up to the value
+    ("seed", lambda v: measurement_histogram(E1, MeasurementPartition.per_index(5), v, 1), -HUGE,
+     ValueError, "seed: must be >= 0, got "),
+    ("shot", lambda v: sample_collapse(E1, MeasurementPartition.per_index(5), 0, v), -HUGE,
+     ValueError, "shot: must be >= 0, got "),
+    ("shots", lambda v: measurement_histogram(E1, MeasurementPartition.per_index(5), 0, v), -HUGE,
+     ValueError, "shots: must be >= 1, got "),
+    ("l_max", lambda v: optimal_iterations(0.1, v), -HUGE, ValueError, "l_max: must be >= 0, got "),
+    ("measurement_shot", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, measurement_shot=v), -HUGE,
+     ValueError, "shot: must be >= 0, got "),
+    ("good-label", lambda v: GoodSubspace.of(v, 5), HUGE, ValueError, "good index: must lie in [1, 5], got "),
+    ("good-label-negative", lambda v: GoodSubspace.of([1, v], 5), -HUGE, ValueError,
+     "good index: must lie in [1, 5], got "),
+    ("basis-label", lambda v: StateVector.basis_state(v, 5), HUGE, ValueError,
+     "index: must lie in [1, 5], got "),
+    ("basis-label-negative", lambda v: StateVector.basis_state(v, 5), -HUGE, ValueError,
+     "index: must lie in [1, 5], got "),
+    ("partition-label", lambda v: MeasurementPartition(((1,), (v,))), HUGE, ValueError,
+     "blocks must partition 1..N exactly, got labels [1, "),
+    ("partition-label-negative", lambda v: MeasurementPartition(((1,), (v,))), -HUGE, ValueError,
+     "blocks must partition 1..N exactly, got labels ["),
+    ("vertex_set-label", lambda v: check_degenerate_transitions(hydrogen_spec(), [1, v]), HUGE, ValueError,
+     "vertex_set label: must lie in [1, 5], got "),
+    ("vertex_set-label-negative", lambda v: check_rational_ratios(hydrogen_spec(), [v, 2]), -HUGE, ValueError,
+     "vertex_set label: must lie in [1, 5], got "),
+    ("max_denominator", lambda v: check_rational_ratios(hydrogen_spec(), [1, 2, 3], v), -HUGE, ValueError,
+     "max_denominator: must be >= 1, got "),
+    ("config-max_denominator", lambda v: ControllabilityConfig(max_denominator=v), -HUGE, ValueError,
+     "max_denominator: must be >= 1, got "),
+    ("graph-edge", lambda v: ConnectivityGraph(3, frozenset({(1, v)})), HUGE, ValueError, "edge (1, "),
+    ("graph-edge-negative", lambda v: ConnectivityGraph(3, frozenset({(v, 2)})), -HUGE, ValueError, "edge ("),
+    ("spec-dim", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), HUGE, DimensionMismatchError,
+     "drift: 2 eigenvalues for dimension "),
+    ("spec-dim-negative", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), -HUGE, ValueError,
+     "dim: must be >= 2, got "),
+    ("shots-max_attempts", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, shots=v, max_attempts=3), HUGE,
+     ValueError, "max_attempts needs shots == 1, got shots="),
+    ("iterations", lambda v: make_plan(E1, GoodSubspace.of(1, 5), iterations=v), HUGE, ValueError,
+     "iterations: must lie in [0, 9007199254740992], got "),
+    ("iterations-negative", lambda v: closed_form_weights(0.5, math.pi, math.pi, v), -HUGE, ValueError,
+     "iterations: must lie in [0, 9007199254740992], got "),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, error, prefix", [row[1:] for row in HUGE_INTEGERS], ids=[row[0] for row in HUGE_INTEGERS]
+)
+def test_huge_integers_are_named_by_bit_length(call, value, error, prefix):
+    # every row but "iterations" ended in "ValueError: Exceeds the limit
+    # (4300 digits) for integer string conversion", which names no argument
+    with pytest.raises(error) as info:
+        call(value)
+    message = str(info.value)
+    shown = f"a {'negative ' if value < 0 else ''}16610-bit integer"
+    assert type(info.value) is error and message.startswith(prefix + shown), message
+    assert "Exceeds the limit" not in message
+
+
+def test_integers_print_exactly():
+    # a bound and a value below 2**64 print in full, never in float format
+    message = f"iterations: must lie in [0, 9007199254740992], got {2**64 - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_plan(E1, GoodSubspace.of(1, 5), iterations=2**64 - 1)
+    with pytest.raises(ValueError, match=r"^seed: must be >= 0, got a negative 65-bit integer$"):
+        sample_collapse(E1, MeasurementPartition.per_index(5), -(2**64))
+
 
 REAL_ARGUMENTS = [
     # id, call with the argument's value, argument name, a valid value
@@ -738,6 +815,10 @@ class TestPropagateBlocks:
         assert propagate(spec, pulse, state).amplitudes[0] == expected[0]
 
 
+with pytest.warns(UserWarning, match="commute"):
+    EQUAL_LEVELS = SystemSpec(2, [1e308, 1e308], [[0, 1], [1, 0]])
+
+
 class TestBatches:
     def test_batches_are_sized_from_the_block(self, rng, monkeypatch):
         # a budget of 2**16 entries takes a dense 64-level block 16 segments
@@ -765,15 +846,54 @@ class TestBatches:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
-        "segments, k, value",
-        [(((1.0, 1e308),), 0, "1e+308"), (((1.0, 0.5), (2.0, -1e308), (1.0, 1e300)), 1, "-1e+308")],
+        "segments, k, value, dt",
+        [(((1.0, 1e308),), 0, "1e+308", "1.0"),
+         (((1.0, 0.5), (2.0, -1e308), (1.0, 1e300)), 1, "-1e+308", "2.0")],
     )
-    def test_overflowing_amplitude_is_named(self, segments, k, value):
+    def test_overflowing_amplitude_is_named(self, segments, k, value, dt):
         # u_k B overflowed in the batched product, warned, and the NaN state
         # it left raised "state amplitudes must be finite"
-        message = rf"^segments\[{k}\]\[1\]: {re.escape(value)} \* max\|B_ij\| overflows$"
-        with pytest.raises(NonFiniteError, match=message):
+        message = (f"segments[{k}]: the phase (max|lambda| + |u| * 3 * max|B_ij|) * dt overflows, "
+                   f"with u = {value} and dt = {dt}")
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
             propagate(hydrogen_spec(), ControlPulse(segments), StateVector.basis_state(1, 5))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # the drift's phase lambda * dt of one segment
+            (lambda: propagate(SystemSpec(2, [0.0, 1e308], [[0, 1], [1, 0]]), ControlPulse(((2.0, 0.1),)),
+                               StateVector.basis_state(1, 2)),
+             "segments[0]: the phase (max|lambda| + |u| * 2 * max|B_ij|) * dt overflows, "
+             "with u = 0.1 and dt = 2.0"),
+            # u * max|B_ij| is finite, its product with dt is not
+            (lambda: propagate(hydrogen_spec(), ControlPulse(((100.0, 3e307),)),
+                               StateVector.basis_state(1, 5)),
+             "segments[0]: the phase (max|lambda| + |u| * 3 * max|B_ij|) * dt overflows, "
+             "with u = 3e+307 and dt = 100.0"),
+            # the frame's phase lambda * t0
+            (lambda: propagate_interaction_picture(HydrogenModel(10.0), ControlPulse(((1.0, 0.1),)),
+                                                   StateVector.basis_state(1, 5), t0=1e308),
+             "t0: the drift phase max|lambda| * (|t0| + T) overflows, "
+             "with max|lambda| = 10.0, t0 = 1e+308 and T = 1.0"),
+            # every segment's phase is finite, their sum's is not
+            (lambda: propagate(hydrogen_spec(), ControlPulse(((1e308, 0.0), (1e308, 0.0))),
+                               StateVector.basis_state(1, 5)),
+             "duration: the drift phase max|lambda| * (|t0| + T) overflows, "
+             "with max|lambda| = 1.0, t0 = 0.0 and T = inf"),
+            # a callable's half-steps are named by their index; only equal
+            # levels, whose spread asks for no fine step, get this far
+            (lambda: core._segments(EQUAL_LEVELS, lambda t: 0.0, 1e4, 0.0, None),
+             "field: CF4 half-step 0: the phase (max|lambda| + |u| * 2 * max|B_ij|) * dt overflows, "
+             "with u = 0.0 and dt = 5000.0"),
+        ],
+        ids=["drift", "coupling", "t0", "total", "callable"],
+    )
+    def test_overflowing_phase_is_named(self, call, message):
+        # each warned about overflow and then blamed the state:
+        # "state amplitudes must be finite"
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_amplitude_within_range_runs(self):
         # 1e307 * 3 stays finite, and a segment cut off by duration is never applied

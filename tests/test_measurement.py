@@ -43,7 +43,7 @@ class TestPartition:
     @pytest.mark.parametrize("label", [1.5, True])
     def test_rejects_non_integer_labels(self, label):
         # int() truncated 1.5 to label 1 and took True as 1
-        with pytest.raises(TypeError, match=f"^partition label must be an integer, got {label!r}"):
+        with pytest.raises(TypeError, match=f"^partition label: must be an integer, got {label!r}"):
             MeasurementPartition(((label,), (2,)))
 
     def test_numpy_integer_labels_accepted(self):
@@ -200,7 +200,7 @@ class TestIntegerArguments:
     )
     def test_histogram_rejects_non_integers(self, rng, kwargs, name):
         args = {"seed": 1, "shots": 100, **kwargs}
-        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        with pytest.raises(TypeError, match=f"^{name}: must be an integer"):
             measurement_histogram(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
 
     @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ class TestIntegerArguments:
     )
     def test_sample_collapse_rejects_non_integers(self, rng, kwargs, name):
         args = {"seed": 1, "shot": 0, **kwargs}
-        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        with pytest.raises(TypeError, match=f"^{name}: must be an integer"):
             sample_collapse(random_state(rng, 3), MeasurementPartition.per_index(3), **args)
 
     def test_numpy_integers_accepted(self, rng):
@@ -223,7 +223,7 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"seed": -1}, "seed must be >= 0, got -1"), ({"shots": 0}, "shots must be >= 1, got 0")],
+        [({"seed": -1}, "seed: must be >= 0, got -1"), ({"shots": 0}, "shots: must be >= 1, got 0")],
     )
     def test_histogram_rejects_out_of_range(self, rng, kwargs, message):
         args = {"seed": 1, "shots": 100, **kwargs}
@@ -232,7 +232,7 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"seed": -1}, "seed must be >= 0, got -1"), ({"shot": -1}, "shot must be >= 0, got -1")],
+        [({"seed": -1}, "seed: must be >= 0, got -1"), ({"shot": -1}, "shot: must be >= 0, got -1")],
     )
     def test_sample_collapse_rejects_out_of_range(self, rng, kwargs, message):
         args = {"seed": 1, "shot": 0, **kwargs}
