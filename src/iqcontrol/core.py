@@ -121,8 +121,6 @@ def _integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[
         except TypeError:
             pass
         else:
-            if minimum is None and maximum is None:  # a partition label: skip the call
-                return value
             return _bounded(value, name, minimum, maximum)
     raise TypeError(f"{name}: must be an integer, got {value!r}")
 
@@ -428,10 +426,12 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     if isinstance(field, ControlPulse):
         durations, amplitudes = np.array(field.segments, dtype=float).reshape(-1, 2).T
         if duration is not None:
-            starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
+            with np.errstate(over="ignore"):  # a start past the float range is past duration too
+                starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
             kept = starts < duration
             durations, amplitudes = np.minimum(durations, duration - starts)[kept], amplitudes[kept]
-        return _phases_checked(spec, durations, amplitudes, t0, "segments[{}]", coupling_max)
+        return _phases_checked(spec, durations, amplitudes, t0, sum(durations.tolist()), coupling_max,
+                               "segments[{}]", "segments" if duration is None else "duration")
     if duration is None:
         raise ValueError("a callable field needs an explicit duration")
     if duration == 0:
@@ -464,31 +464,33 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
         u1, u2 = gauss_values(n)
     amplitudes = np.column_stack((CF4_HEAVY * u1 + CF4_LIGHT * u2, CF4_LIGHT * u1 + CF4_HEAVY * u2))
     durations = np.full(2 * n, duration / (2 * n))
-    return _phases_checked(spec, durations, amplitudes.ravel(), t0, "field: CF4 half-step {}", coupling_max)
+    return _phases_checked(spec, durations, amplitudes.ravel(), t0, duration, coupling_max,
+                           "field: CF4 half-step {}", "duration")
 
 
-def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, where: str, coupling_max: float):
-    """``(durations, amplitudes)`` once every phase formed from them is finite:
-    a block's (A + u_k B) dt_k has eigenvalues of at most (max|lambda| + |u_k|
-    k max|B_ij|) dt_k, k the largest block's size, and a drift phase at most
-    max|lambda| (|t0| + T).  Else a NonFiniteError names the first segment,
-    formatted into ``where``, or ``t0`` (``duration`` when t0 is 0)."""
+def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, coupling_max: float,
+                    where: str, length: str):
+    """``(durations, amplitudes)`` once every phase is finite: (A + u_k B) dt_k
+    has eigenvalues within (max|lambda| + |u_k| max|B_ij| k) dt_k, k the largest
+    block's size, and the drift phase lies within max|lambda| (|t0| + T), T being
+    ``total``.  Only an overflowing bound is searched: a NonFiniteError names the
+    first segment, by ``where``, else ``t0`` or ``length`` (the argument that set
+    T), whichever is larger."""
     if not durations.size:
         return durations, amplitudes
     drift_max = float(np.abs(spec.drift).max())
     size = max((levels.size for levels, _, _ in spec._block_arrays), default=0)
-    reach = size * coupling_max
-    total = sum(durations.tolist())  # Python floats overflow to inf silently
-    if math.isfinite((drift_max + float(np.abs(amplitudes).max()) * reach) * (abs(t0) + total)):
+    peak = max(-float(amplitudes.min()), float(amplitudes.max()))
+    if math.isfinite((drift_max + peak * coupling_max * size) * (abs(t0) + total)):
         return durations, amplitudes  # the largest bound of all is finite
-    with np.errstate(over="ignore"):
-        finite = np.isfinite((drift_max + np.abs(amplitudes) * reach) * durations)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound may overflow, or be inf * 0
+        finite = np.isfinite((drift_max + np.abs(amplitudes) * coupling_max * size) * durations)
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteError(f"{where.format(k)}: the phase (max|lambda| + |u| * {size} * max|B_ij|) * dt "
                              f"overflows, with u = {float(amplitudes[k])!r} and dt = {float(durations[k])!r}")
     if not math.isfinite(drift_max * (abs(t0) + total)):
-        raise NonFiniteError(f"{'t0' if t0 else 'duration'}: the drift phase max|lambda| * (|t0| + T) "
+        raise NonFiniteError(f"{'t0' if abs(t0) > total else length}: the drift phase max|lambda| * (|t0| + T) "
                              f"overflows, with max|lambda| = {drift_max!r}, t0 = {t0!r} and T = {total!r}")
     return durations, amplitudes
 

@@ -879,21 +879,39 @@ class TestBatches:
             # every segment's phase is finite, their sum's is not
             (lambda: propagate(hydrogen_spec(), ControlPulse(((1e308, 0.0), (1e308, 0.0))),
                                StateVector.basis_state(1, 5)),
-             "duration: the drift phase max|lambda| * (|t0| + T) overflows, "
+             "segments: the drift phase max|lambda| * (|t0| + T) overflows, "
              "with max|lambda| = 1.0, t0 = 0.0 and T = inf"),
+            # a pulse cut by duration names it; the segments' starts overflowed
+            # in np.cumsum, which warned before the cut read them
+            (lambda: propagate_interaction_picture(HydrogenModel(1.5),
+                                                   ControlPulse(((1e308, 0.0), (1e308, 0.0))),
+                                                   StateVector.basis_state(1, 5), duration=1.5e308),
+             "duration: the drift phase max|lambda| * (|t0| + T) overflows, "
+             "with max|lambda| = 1.5, t0 = 0.0 and T = 1.5e+308"),
             # a callable's half-steps are named by their index; only equal
             # levels, whose spread asks for no fine step, get this far
             (lambda: core._segments(EQUAL_LEVELS, lambda t: 0.0, 1e4, 0.0, None),
              "field: CF4 half-step 0: the phase (max|lambda| + |u| * 2 * max|B_ij|) * dt overflows, "
              "with u = 0.0 and dt = 5000.0"),
         ],
-        ids=["drift", "coupling", "t0", "total", "callable"],
+        ids=["drift", "coupling", "t0", "total", "cut", "callable"],
     )
     def test_overflowing_phase_is_named(self, call, message):
         # each warned about overflow and then blamed the state:
         # "state amplitudes must be finite"
         with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("k", [2, 128])
+    @pytest.mark.parametrize("u", [0.0, 1e-300])
+    def test_small_amplitude_on_huge_coupling_runs(self, k, u):
+        # k * max|B_ij| overflows, |u| * max|B_ij| * k does not: the phase
+        # bound multiplied in the first order read 0 * inf = nan and raised
+        coupling = np.diag(np.ones(k - 1), 1) + np.diag(np.ones(k - 1), -1)
+        coupling[0, 1] = coupling[1, 0] = 1e308
+        spec = SystemSpec(k, np.arange(k, dtype=float), coupling)
+        out = propagate(spec, ControlPulse(((1.0, u),)), StateVector.basis_state(1, k))
+        assert (abs(out.amplitudes[0]) == 1.0) == (u == 0.0)
 
     def test_amplitude_within_range_runs(self):
         # 1e307 * 3 stays finite, and a segment cut off by duration is never applied
