@@ -93,6 +93,18 @@ def _shown(value) -> str:
     return str(value)
 
 
+def _quoted(value) -> str:
+    """``value`` as a TypeError quotes it, by ``repr``, but a fraction with
+    its terms as ``_shown`` prints them, and any other value whose ``repr``
+    would print an int of more than 4,300 digits by its type."""
+    if isinstance(value, Fraction):
+        return f"{type(value).__name__}({_shown(value.numerator)}, {_shown(value.denominator)})"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
+
+
 def _bounded(number, name: str, minimum, maximum, exclusive: bool = False):
     """``number`` unless it lies below ``minimum`` (at it too, if
     ``exclusive``) or above ``maximum``, None being no bound and ``maximum``
@@ -122,7 +134,7 @@ def _integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[
             pass
         else:
             return _bounded(value, name, minimum, maximum)
-    raise TypeError(f"{name}: must be an integer, got {value!r}")
+    raise TypeError(f"{name}: must be an integer, got {_quoted(value)}")
 
 
 def _real(
@@ -139,7 +151,7 @@ def _real(
     below ``minimum`` (at it too, if ``exclusive``) or above ``maximum`` is a
     ValueError naming ``name``; ``maximum`` comes with a ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name}: must be a real number, got {value!r}")
+        raise TypeError(f"{name}: must be a real number, got {_quoted(value)}")
     try:
         number = float(value)
     except OverflowError:

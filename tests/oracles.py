@@ -28,6 +28,10 @@ is built from the good mask, and a spec keeps the arrays of its coupled
 blocks.  ``rebuilt_paths`` puts back the path that recomputed them, from
 ``resplit_amplified_state``, ``checked_binary_partition`` and
 ``rebuilding_evolve``, so a run can be compared with it bit for bit.
+
+Since 0.10.9 a histogram counts its shots from sorted draws;
+``per_shot_histogram`` is the path it replaced, which places every shot
+with the library's single-shot rule ``_select_block``.
 """
 
 import cmath
@@ -50,7 +54,7 @@ from iqcontrol import (
     UnitaryOperator,
     decompose,
 )
-from iqcontrol import algorithms, core, hydrogen
+from iqcontrol import algorithms, core, hydrogen, measurement
 from iqcontrol.core import (
     COMMUTATOR_TOL,
     HERMITICITY_TOL,
@@ -277,6 +281,17 @@ def checked_binary_partition(good: GoodSubspace) -> MeasurementPartition:
     return MeasurementPartition((tuple(sorted(good.indices)), rest))
 
 
+def per_shot_histogram(state, partition, seed, shots) -> list[int]:
+    """``measurement_histogram`` as a ``bincount`` of every shot's block,
+    placed by ``_select_block`` chunk by chunk, its guard included."""
+    seed, shots = _integer(seed, "seed", 0), _integer(shots, "shots", 1)
+    probs = measurement.born_probabilities(state, partition)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for u in measurement._shot_uniforms(seed, 0, shots, measurement._MAX_CHUNK):
+        counts += np.bincount(measurement._select_block(probs, u), minlength=probs.size)
+    return counts.tolist()
+
+
 def rebuilding_evolve(spec, durations, amplitudes, c):
     """``core._evolve`` that builds each block's levels, coupling and drift
     on every call, from the components of the coupling's exact nonzeros,
@@ -308,9 +323,11 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
 @contextlib.contextmanager
 def rebuilt_paths():
     """Run the library on the paths above instead of the ones that reuse
-    a plan's split, the good mask and a spec's block arrays."""
+    a plan's split, the good mask and a spec's block arrays, and count a
+    histogram shot by shot."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithms, "amplified_state", resplit_amplified_state)
+        patch.setattr(algorithms, "measurement_histogram", per_shot_histogram)
         patch.setattr(MeasurementPartition, "binary", staticmethod(checked_binary_partition))
         patch.setattr(core, "_evolve", rebuilding_evolve)
         patch.setattr(hydrogen, "_evolve", rebuilding_evolve)

@@ -229,6 +229,8 @@ HUGE_INTEGERS = [
     ("good-label", lambda v: GoodSubspace.of(v, 5), HUGE, ValueError, "good index: must lie in [1, 5], got "),
     ("good-label-negative", lambda v: GoodSubspace.of([1, v], 5), -HUGE, ValueError,
      "good index: must lie in [1, 5], got "),
+    ("good-label-fraction", lambda v: GoodSubspace.of(Fraction(v, 3), 5), HUGE, TypeError,
+     "good index: must be an integer, got Fraction("),
     ("basis-label", lambda v: StateVector.basis_state(v, 5), HUGE, ValueError,
      "index: must lie in [1, 5], got "),
     ("basis-label-negative", lambda v: StateVector.basis_state(v, 5), -HUGE, ValueError,
@@ -281,6 +283,22 @@ def test_integers_print_exactly():
         make_plan(E1, GoodSubspace.of(1, 5), iterations=2**64 - 1)
     with pytest.raises(ValueError, match=r"^seed: must be >= 0, got a negative 65-bit integer$"):
         sample_collapse(E1, MeasurementPartition.per_index(5), -(2**64))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda v: sample_collapse(E1, MeasurementPartition.per_index(5), v),
+         "seed: must be an integer, got a list too long to print"),
+        (lambda v: make_plan(E1, GoodSubspace.of(1, 5), phi1=v),
+         "phi1: must be a real number, got a list too long to print"),
+    ],
+)
+def test_values_of_a_wrong_kind_too_long_to_print_are_named_by_type(call, message):
+    # repr of a list holding a huge integer raised Python's unnamed
+    # "Exceeds the limit (4300 digits)" ValueError
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call([HUGE])
 
 
 REAL_ARGUMENTS = [

@@ -15,6 +15,7 @@ from iqcontrol import (
 )
 from iqcontrol.measurement import _sample, _select_block
 from conftest import random_state
+from oracles import per_shot_histogram
 
 
 def random_partition(rng, dim) -> MeasurementPartition:
@@ -57,6 +58,31 @@ class TestPartition:
 
     def test_per_index_helper(self):
         assert MeasurementPartition.per_index(3).blocks == ((1,), (2,), (3,))
+
+    def test_per_index_equals_the_checked_constructor(self):
+        # per_index builds its blocks and label map from the range alone
+        for dim in range(1, 301):
+            built = MeasurementPartition.per_index(dim)
+            checked = MeasurementPartition(tuple((i,) for i in range(1, dim + 1)))
+            assert built.blocks == checked.blocks
+            assert all(type(i) is int for (i,) in built.blocks)
+            built_map, checked_map = built._block_of_label, checked._block_of_label
+            assert np.array_equal(built_map, checked_map) and built_map.dtype == checked_map.dtype
+            assert not built_map.flags.writeable and not checked_map.flags.writeable
+
+    @pytest.mark.parametrize(
+        "dim, error, message",
+        [
+            (0, ValueError, "partition blocks must be nonempty"),
+            (-1, ValueError, "partition blocks must be nonempty"),
+            (2.0, TypeError, "dim: must be an integer, got 2.0"),
+            (True, TypeError, "dim: must be an integer, got True"),
+        ],
+    )
+    def test_per_index_rejects_what_the_checked_constructor_rejects(self, dim, error, message):
+        with pytest.raises(error) as info:
+            MeasurementPartition.per_index(dim)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestBornProbabilities:
@@ -333,6 +359,85 @@ class TestReplay:
             assert (outcome.block_index, outcome.block) == (single.block_index, single.block)
             assert outcome.probability == single.probability
             assert np.array_equal(outcome.collapsed.amplitudes, single.collapsed.amplitudes)
+
+
+def partition_with_blocks(rng, dim, blocks) -> MeasurementPartition:
+    """A random partition of 1..dim into exactly ``blocks`` blocks."""
+    labels = rng.permutation(np.arange(1, dim + 1)).tolist()
+    cuts = sorted(rng.choice(np.arange(1, dim), size=blocks - 1, replace=False).tolist())
+    bounds = [0, *cuts, dim]
+    return MeasurementPartition(tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+def state_off_blocks(rng, partition, empty, norm=1.0) -> StateVector:
+    """A random state of the given norm with no weight on the blocks ``empty``."""
+    z = rng.normal(size=partition.dim) + 1j * rng.normal(size=partition.dim)
+    z[np.isin(partition._block_of_label, list(empty))] = 0.0
+    return StateVector(norm * z / np.linalg.norm(z))
+
+
+# norm 1 - 9e-11 lies inside NORM_TOL: the probabilities sum to about
+# 1 - 1.8e-10, so a draw at or above that sum lands on the last block only
+# through the clamp
+SHORT_NORM = 1.0 - 9e-11
+
+
+class TestSortedCounts:
+    # measurement_histogram counts each chunk from its sorted draws; the
+    # per-shot oracle places every draw with _select_block
+    @pytest.mark.parametrize("shots", [1, 2, 65535, 65536, 65537, 140000])
+    def test_counts_equal_the_per_shot_oracle(self, rng, shots):
+        for blocks in (2, 256, *rng.integers(3, 256, size=4).tolist()):
+            dim = blocks + int(rng.integers(0, 9))
+            partition = partition_with_blocks(rng, dim, blocks)
+            empty = set(rng.choice(blocks - 1, size=int(rng.integers(0, blocks - 1)), replace=False).tolist())
+            for lost in (empty, empty | {blocks - 1}):
+                # a zero-probability last block is reached by the clamp alone
+                state = state_off_blocks(rng, partition, lost, SHORT_NORM)
+                seed = int(rng.integers(2**63))
+                counts = measurement_histogram(state, partition, seed, shots)
+                assert counts == per_shot_histogram(state, partition, seed, shots)
+                reference = np.bincount(philox_blocks(state, partition, seed, shots), minlength=blocks)
+                assert counts == reference.tolist()
+                assert all(counts[k] == 0 for k in lost)
+
+    def test_clamp_counts_on_the_last_block(self, monkeypatch):
+        state = StateVector(SHORT_NORM * np.array([0.6, 0.8]))
+        partition = MeasurementPartition.per_index(2)
+        edge, total = born_probabilities(state, partition).cumsum()
+        assert total < 1.0 - 1e-10
+        # a draw on an edge belongs to the block above it
+        draws = np.array([0.1, 1.0 - 1e-11, 0.5, total, edge, 0.9, 0.0])
+        monkeypatch.setattr(measurement, "_shot_uniforms", lambda *args: iter([draws.copy()]))
+        counts = measurement_histogram(state, partition, 0, draws.size)
+        assert counts == per_shot_histogram(state, partition, 0, draws.size) == [2, 5]
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            # the draw 0.0 lands on block 0 (probability 1e-20); a draw at or
+            # above the probabilities' sum lands on block 3 (probability 0)
+            [[0.3, 0.0, 0.7, 1.0 - 1e-11, 0.5]],
+            [[0.3, 1.0 - 1e-11, 0.7, 0.0, 0.5]],
+            [[0.3, 0.7], [0.5, 1.0 - 1e-11, 0.0, 0.2]],
+            [[0.3, 0.7], [0.5, 0.0, 1.0 - 1e-11, 0.2]],
+            [[0.3, 0.0, 0.7], [1.0 - 1e-11, 0.2]],
+        ],
+    )
+    def test_guard_names_the_first_draw_on_a_zero_width_block(self, monkeypatch, chunks):
+        state = StateVector(SHORT_NORM * np.array([1e-10, 0.6, 0.8, 0.0]))
+        partition = MeasurementPartition.per_index(4)
+        probs = born_probabilities(state, partition)
+        with pytest.raises(MeasurementGuardError) as expected:
+            _select_block(probs, np.concatenate([np.array(c) for c in chunks]))
+        shots = sum(map(len, chunks))
+        monkeypatch.setattr(
+            measurement, "_shot_uniforms", lambda *args: iter([np.array(c) for c in chunks])
+        )
+        for histogram in (measurement_histogram, per_shot_histogram):
+            with pytest.raises(MeasurementGuardError) as raised:
+                histogram(state, partition, 0, shots)
+            assert str(raised.value) == str(expected.value)
 
 
 @st.composite
