@@ -29,9 +29,9 @@ from .amplification import (
     make_plan,
 )
 from .controllability import ControllabilityConfig, _component_verdict
-from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _shown, propagate
+from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, propagate
 from .errors import DimensionMismatchError
-from .measurement import MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
+from .measurement import _MAX_SHOTS, MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
 
@@ -132,11 +132,11 @@ def _run(
     # read up front: a histogram leaves measurement_shot unused but still
     # rejects it out of range, and the sampler trusts what it is given
     seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
-    shots = _integer(shots, "shots", 1)
+    shots = _integer(shots, "shots", 1, _MAX_SHOTS)
     if max_attempts is not None:
         max_attempts = _integer(max_attempts, "max_attempts", 1)
         if shots != 1:
-            raise ValueError(f"max_attempts needs shots == 1, got shots={_shown(shots)}")
+            raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
     amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
     partition = MeasurementPartition.binary(good)
     if shots > 1:

@@ -19,8 +19,10 @@ The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline, byte for byte, without that call: ``render_report`` encodes it
 once as sorted compact strict JSON with json's C encoder, and
 ``_reindent`` spaces that out in one tokenizer pass, copying each piece
-once.  ``RunConfig.canonical`` is the config echo in the same encoding:
-``config_sha256`` hashes it and the report splices it in as its
+once.  A whole run of sibling lists of scalars (a coupling row of
+``[re, im]`` pairs, the edge list, per-index blocks) is one token, not
+one per list.  ``RunConfig.canonical`` is the config echo in the same
+encoding: ``config_sha256`` hashes it and the report splices it in as its
 ``config`` block.  Validation encodes each numeric array (``system.drift``,
 ``system.coupling``, ``initial``) at most once and the echo splices those
 texts in too, so a large coupling is encoded at most once per run.  An array's kinds
@@ -62,10 +64,11 @@ from . import __version__
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace
 from .controllability import ControllabilityConfig, assess
-from .core import StateVector, SystemSpec
+from .core import StateVector, SystemSpec, _bounded
 from .errors import ConfigError
 from .hydrogen import case1_preset, case2_preset, hydrogen_spec
 from .measurement import (
+    _MAX_SHOTS,
     MeasurementPartition,
     born_probabilities,
     measurement_histogram,
@@ -109,11 +112,12 @@ _quoted = json.encoder.encode_basestring_ascii
 # sorted, compact, strict JSON, written in C
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 # the tokens of compact JSON that re-indenting tells apart: the inside of
-# a nonempty list of scalars (no string, no container); a run of scalars,
+# a run of sibling nonempty lists of scalars (no string, no container),
+# ``[..],[..],...,[..]`` without its outer brackets; a run of scalars,
 # commas, colons, empty containers and strings that hold no escape and none
 # of ',:[]{}'; an opening bracket; a closing bracket; any other string
 _COMPACT_TOKEN = re.compile(
-    r'\[([^"\[\]{}]+)\]|((?:[^"\[\]{}]+|"[^"\\,:\[\]{}]*"|\[\]|\{\})+)'
+    r'\[([^"\[\]{}]+(?:\],\[[^"\[\]{}]+)*)\]|((?:[^"\[\]{}]+|"[^"\\,:\[\]{}]*"|\[\]|\{\})+)'
     r'|([\[{])|([\]}])|("[^"\\]*(?:\\.[^"\\]*)*")'
 )
 
@@ -282,12 +286,14 @@ def _at(path: str, *index: int) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
+def _require_int(value, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
+    # bounded by the library's one rule, so messages read as its own do
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
+    try:
+        return _bounded(value, path, minimum, maximum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_number(value, path: str, *index: int) -> float:
@@ -482,7 +488,7 @@ def validate_config(raw: dict) -> RunConfig:
     seed = raw.get("seed")
     if seed is not None:
         seed = _require_int(seed, "seed", minimum=0)
-    shots = _require_int(raw.get("shots", 1), "shots", minimum=1)
+    shots = _require_int(raw.get("shots", 1), "shots", minimum=1, maximum=_MAX_SHOTS)
     l_max = _require_int(raw.get("l_max", DEFAULT_L_MAX), "l_max", minimum=0)
 
     pre_rotation = raw.get("pre_rotation", False)
@@ -809,16 +815,23 @@ def _assemble_raw_config(args, raw: dict) -> dict:
 def _reindent(text: str) -> str:
     """Compact JSON ``text`` (``separators=(",", ":")``) as ``json.dumps``
     writes the same value with ``indent=2``, plus a newline: one token per
-    bracket, per list of scalars and per string holding an escape or a
-    separator, the runs between them spaced out by ``str.replace``.  Each
-    piece is copied once, by the final join."""
+    bracket, per run of sibling lists of scalars and per string holding an
+    escape or a separator, the runs between them spaced out by
+    ``str.replace``.  A run of lists splits on ``],[``, which no list of
+    scalars holds, and each list is spaced out and appended on its own.
+    Each piece is copied once, by the final join."""
     out = []
     append, extend = out.append, out.extend
     depth = 0
-    for scalars, run, opening, closing, string in _COMPACT_TOKEN.findall(text):
-        if scalars:
-            inner = _NEWLINES[depth + 1]
-            extend(("[", inner, scalars.replace(",", "," + inner), _NEWLINES[depth], "]"))
+    for lists, run, opening, closing, string in _COMPACT_TOKEN.findall(text):
+        if lists:
+            inner, outer = _NEWLINES[depth + 1], _NEWLINES[depth]
+            comma, between = "," + inner, outer + "]," + outer + "[" + inner
+            scalars = iter(lists.split("],["))
+            extend(("[", inner, next(scalars).replace(",", comma)))
+            for items in scalars:
+                extend((between, items.replace(",", comma)))
+            extend((outer, "]"))
         elif run:
             append(run.replace(",", "," + _NEWLINES[depth]).replace(":", ": "))
         elif opening:

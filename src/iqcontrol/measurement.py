@@ -35,6 +35,7 @@ from .errors import DimensionMismatchError, MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
 _MAX_CHUNK = 1 << 16  # uniforms drawn at once: bounds memory for any shot count
+_MAX_SHOTS = 2**63 - 1  # the largest shot count the histogram's int64 bounds array holds
 
 __all__ = [
     "MeasurementPartition",
@@ -255,9 +256,10 @@ def measurement_histogram(
     chunk that counts a draw on an impossible block goes through
     ``_select_block``, whose guard names the first such draw.
     ``seed`` and ``shots`` are integers (not bools), ``seed`` >= 0 and
-    ``shots`` >= 1, or a TypeError or a ValueError names the argument.
+    ``shots`` in [1, 2**63 - 1], or a TypeError or a ValueError names the
+    argument.
     """
-    seed, shots = _integer(seed, "seed", 0), _integer(shots, "shots", 1)
+    seed, shots = _integer(seed, "seed", 0), _integer(shots, "shots", 1, _MAX_SHOTS)
     probs = born_probabilities(state, partition)
     edges = probs.cumsum()[:-1]
     guarded = probs.min() < IMPOSSIBLE_BLOCK_TOL

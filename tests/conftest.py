@@ -10,6 +10,10 @@ from iqcontrol import StateVector, SystemSpec, UnitaryOperator
 # database, so every Tier-1 run checks the same inputs.
 settings.register_profile("iqcontrol", derandomize=True, database=None, deadline=None)
 settings.load_profile("iqcontrol")
+# A randomized soak for properties that read their example count from the
+# profile, such as the two render properties in tests/test_cli.py:
+# ``pytest --hypothesis-profile=soak``.  Tier-1 never loads it.
+settings.register_profile("soak", derandomize=False, database=None, deadline=None, max_examples=2000)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -600,8 +600,11 @@ BAD_ARGUMENTS = [
     ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
      "initial state has no weight on good indices"),
     ("phi1", {"phi1": 4.0}, ValueError, "phi1: must lie in [0, pi], got 4.0"),
-    ("shots-0", {"shots": 0}, ValueError, "shots: must be >= 1, got 0"),
-    ("shots-negative", {"shots": -3}, ValueError, "shots: must be >= 1, got -3"),
+    ("shots-0", {"shots": 0}, ValueError, "shots: must lie in [1, 9223372036854775807], got 0"),
+    ("shots-negative", {"shots": -3}, ValueError, "shots: must lie in [1, 9223372036854775807], got -3"),
+    # the histogram counts in int64
+    ("shots-2**63", {"shots": 2**63}, ValueError,
+     "shots: must lie in [1, 9223372036854775807], got 9223372036854775808"),
     ("shots-bool", {"shots": True}, TypeError, "shots: must be an integer"),
     ("shots-float", {"shots": 2.5}, TypeError, "shots: must be an integer"),
     ("seed-negative", {"seed": -1}, ValueError, "seed: must be >= 0, got -1"),

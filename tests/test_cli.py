@@ -730,6 +730,18 @@ MIXED_ROW_ERRORS = {
 }
 
 
+@pytest.mark.parametrize(
+    "shots, shown", [(2**63, "9223372036854775808"), (2**64, "a 65-bit integer")], ids=["2**63", "2**64"]
+)
+def test_shot_counts_past_int64_exit_2(tmp_path, shots, shown):
+    # the histogram's int64 bounds array raised numpy's unnamed OverflowError,
+    # which exited 1
+    out = tmp_path / "report.json"
+    assert main(["--mode", "hydrogen-case2", "--shots", str(shots), "--out", str(out)]) == 2
+    message = f"shots: must lie in [1, 9223372036854775807], got {shown}"
+    assert json.loads(out.read_text())["error"] == {"type": "ConfigError", "message": message}
+
+
 @pytest.mark.parametrize("kind", sorted(MIXED_ROW_ERRORS))
 def test_mixed_coupling_errors_name_the_entry(tmp_path, kind):
     row, message = MIXED_ROW_ERRORS[kind]
@@ -1376,27 +1388,71 @@ def json_trees(leaves):
     )
 
 
-@settings(max_examples=100)
+# the two render properties take their example count from the profile:
+# Tier-1's derandomized one, or a randomized soak (see tests/conftest.py)
 @given(tree=json_trees(FINITE_LEAVES))
 def test_render_report_equals_json_dumps(tree):
     assert render_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
-# the explicit examples hold separators inside plain strings, and lists of
-# scalars (one token each) at depths 0-3 next to nested and empty lists,
-# which the derandomized profile's 100 draws rarely do
-@settings(max_examples=100)
+# the explicit examples hold separators inside plain strings, lists of
+# scalars at depths 0-3 next to nested and empty lists, and runs of sibling
+# lists of scalars (one token each) at depths 0-3, next to bare scalars and
+# after a string that holds "],[", which the derandomized profile's draws
+# rarely do
 @given(tree=json_trees(FINITE_LEAVES))
 @example(tree={"a,b": ["c:d", "[x]", "{}", "", [], {}], ":": {"{": "é\u2028", "]": 'q"\\,'}})
 @example(tree=[True, None, -0.0, 1e308])
 @example(tree={"a": [[1]], "b": [[], [1, 2.5], []], "c": [7]})
 @example(tree=[[[True, None, -0.0, 1e308], [[1]]], [[], [-1, 2**64]]])
 @example(tree={"x": [{"y": [[0.5, -0.0], [], [5e-324]], "z": [{}, [1]]}]})
+@example(tree=[[1, 2], [3, 4]])
+@example(tree=[[1], [2], [3]])
+@example(tree={"a": [[1, 2], [3, 4], [5, 6]], "b": [[[7], [8]], [[9], [10]]]})
+@example(tree=[{"c": [[[1], [2, 3]], [[4.5, None], [True]]]}])
+@example(tree=[[-1.5, [0.5, 0.25], [1, -2]], [[0.5, -0.25], 2.0]])
+@example(tree={"a": "],[", "b": [[1], [2]]})
 def test_reindent_equals_json_dumps(tree):
     # the report's config block is the canonical compact text re-indented
     compact = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     expected = json.dumps(tree, sort_keys=True, indent=2)
     assert _reindent(compact) == expected + "\n"
+
+
+def dense_analyze_config(seed, dim=16):
+    # a dense complex coupling, as [re, im] pairs off the diagonal, and a
+    # float drift, whose ratios give the report its witnesses
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (z + z.conj().T) / 2.0
+    coupling = [[[h[r, c].real, h[r, c].imag] if r != c else h[r, r].real for c in range(dim)]
+                for r in range(dim)]
+    return {"mode": "analyze", "system": {"dim": dim, "drift": rng.uniform(0.0, 10.0, dim).tolist(),
+                                          "coupling": coupling}}
+
+
+def uniform_chain_config(seed, dim, **fields):
+    # integer_coupling_config with a uniform state of any dimension
+    return {**integer_coupling_config(seed, dim), "initial": [dim**-0.5] * dim, **fields}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [dense_analyze_config(5), uniform_chain_config(6, 256),
+     uniform_chain_config(7, 32, mode="measure-stats", good=None, shots=2000)],
+    ids=["analyze-dense-16", "algo1-chain-256", "measure-stats-per-index-32"],
+)
+def test_cli_reports_equal_json_dumps(tmp_path, payload):
+    # Hypothesis trees hold at most 12 leaves; these reports hold runs of
+    # 16 to 256 sibling lists: coupling rows, [re, im] pairs and blocks
+    out = tmp_path / "report.json"
+    assert main(["--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    # compared line by line: pytest's diff of two long strings takes minutes
+    assert text.split("\n") == (json.dumps(report, sort_keys=True, indent=2) + "\n").split("\n")
+    if payload["mode"] == "analyze":
+        assert report["result"]["irrational_witnesses"]
 
 
 @settings(max_examples=60)

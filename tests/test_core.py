@@ -222,7 +222,7 @@ HUGE_INTEGERS = [
     ("shot", lambda v: sample_collapse(E1, MeasurementPartition.per_index(5), 0, v), -HUGE,
      ValueError, "shot: must be >= 0, got "),
     ("shots", lambda v: measurement_histogram(E1, MeasurementPartition.per_index(5), 0, v), -HUGE,
-     ValueError, "shots: must be >= 1, got "),
+     ValueError, "shots: must lie in [1, 9223372036854775807], got "),
     ("l_max", lambda v: optimal_iterations(0.1, v), -HUGE, ValueError, "l_max: must be >= 0, got "),
     ("measurement_shot", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, measurement_shot=v), -HUGE,
      ValueError, "shot: must be >= 0, got "),
@@ -254,7 +254,7 @@ HUGE_INTEGERS = [
     ("spec-dim-negative", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), -HUGE, ValueError,
      "dim: must be >= 2, got "),
     ("shots-max_attempts", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, shots=v, max_attempts=3), HUGE,
-     ValueError, "max_attempts needs shots == 1, got shots="),
+     ValueError, "shots: must lie in [1, 9223372036854775807], got "),
     ("iterations", lambda v: make_plan(E1, GoodSubspace.of(1, 5), iterations=v), HUGE, ValueError,
      "iterations: must lie in [0, 9007199254740992], got "),
     ("iterations-negative", lambda v: closed_form_weights(0.5, math.pi, math.pi, v), -HUGE, ValueError,
@@ -274,6 +274,23 @@ def test_huge_integers_are_named_by_bit_length(call, value, error, prefix):
     shown = f"a {'negative ' if value < 0 else ''}16610-bit integer"
     assert type(info.value) is error and message.startswith(prefix + shown), message
     assert "Exceeds the limit" not in message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: measurement_histogram(E1, MeasurementPartition.per_index(5), 0, v),
+     lambda v: run_algorithm1(hydrogen_spec(), E1, 1, shots=v)],
+    ids=["histogram", "algorithm1"],
+)
+@pytest.mark.parametrize(
+    "value, shown", [(2**63, "9223372036854775808"), (2**64, "a 65-bit integer")], ids=["2**63", "2**64"]
+)
+def test_shot_counts_past_int64_are_named(call, value, shown):
+    # the histogram's int64 bounds array raised numpy's unnamed
+    # "OverflowError: Python int too large to convert to C long"
+    message = f"shots: must lie in [1, 9223372036854775807], got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_integers_print_exactly():
