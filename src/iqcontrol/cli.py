@@ -9,11 +9,17 @@ byte-identical reports apart from the timestamp field.
 
 Exit status: 0 on success, 2 on a malformed field (a ConfigError naming
 its JSON path, 'out' among them when the report cannot be written there
-and goes to stdout instead), 1 only on a runtime failure, a result
-holding a NaN or an infinity among them.  Any nonzero exit writes a
-report containing an error record, except an argparse usage error, which
-raises SystemExit(2) before any config is read.  Reports are strict JSON.
-Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
+and goes to stdout instead, and the flag of an input file that cannot be
+read or is not UTF-8), 1 only on a runtime failure, a result holding a
+NaN or an infinity among them.  Any nonzero exit writes a report
+containing an error record, except an argparse usage error, which raises
+SystemExit(2) before any config is read.  Reports are strict JSON.
+Each scalar field is read by the library's own reader (``core._integer``,
+``core._real``, or the type that takes it: ``ControllabilityConfig`` for
+a tolerance, ``HydrogenModel`` for ``system.energy_gap``), so its error
+reads as the library's under the field's path: ``seed: must be an
+integer, got 1.5``, ``iterations: must lie in [0, 9007199254740992], got
+...``.  Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline, byte for byte, without that call: ``render_report`` encodes it
@@ -64,7 +70,7 @@ from . import __version__
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace
 from .controllability import ControllabilityConfig, assess
-from .core import StateVector, SystemSpec, _bounded
+from .core import StateVector, SystemSpec, _integer, _real
 from .errors import ConfigError
 from .hydrogen import case1_preset, case2_preset, hydrogen_spec
 from .measurement import (
@@ -286,16 +292,6 @@ def _at(path: str, *index: int) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _require_int(value, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
-    # bounded by the library's one rule, so messages read as its own do
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    try:
-        return _bounded(value, path, minimum, maximum)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _require_number(value, path: str, *index: int) -> float:
     # rejects booleans, NaN, +-Infinity and integer literals beyond the float range
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
@@ -385,11 +381,12 @@ def _bulk_array(value: list, depth: int, pairs: bool) -> Optional[np.ndarray]:
 
 
 def _built(prefix: str, build, *args, **kwargs):
-    """``build(...)`` with a ValueError raised as a ConfigError: ``prefix`` is
-    "<path>: ", or "<path>." for types whose messages start with a field name."""
+    """``build(...)`` with a TypeError or a ValueError raised as a
+    ConfigError: ``prefix`` is "<path>: ", "<path>." for types whose
+    messages start with a field name, or "" for a reader given the path."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
@@ -405,12 +402,11 @@ def _system_spec(value) -> tuple[SystemSpec, Optional[str]]:
     if "preset" in value:
         if value["preset"] != "hydrogen":
             _fail("system.preset", f"unknown preset {value['preset']!r}")
-        gap = _require_number(value.get("energy_gap", 1.0), "system.energy_gap")
-        return _built("system.", hydrogen_spec, gap), None
+        return _built("system.", hydrogen_spec, value.get("energy_gap", 1.0)), None
     for key in ("dim", "drift", "coupling"):
         if key not in value:
             _fail("system", f"missing required field {key!r}")
-    dim = _require_int(value["dim"], "system.dim", minimum=2)
+    dim = _built("", _integer, value["dim"], "system.dim", 2)
     drift, coupling = value["drift"], value["coupling"]
     if not isinstance(drift, list):
         _fail("system.drift", f"expected {dim} eigenvalues")
@@ -459,37 +455,29 @@ def validate_config(raw: dict) -> RunConfig:
 
     good = raw.get("good")
     if good is not None:
-        good = _require_int(good, "good", minimum=1)
+        good = _built("", _integer, good, "good", 1)
     subspace = raw.get("subspace")
     if subspace is not None:
         if not isinstance(subspace, list) or not subspace:
             _fail("subspace", "expected a nonempty list of basis labels")
-        subspace = [_require_int(v, f"subspace[{k}]", minimum=1) for k, v in enumerate(subspace)]
+        subspace = [_built("", _integer, v, f"subspace[{k}]", 1) for k, v in enumerate(subspace)]
         if len(set(subspace)) != len(subspace):
             _fail("subspace", "labels must be distinct")
 
     phases = raw.get("phases", [math.pi, math.pi])
     if not isinstance(phases, list) or len(phases) != 2:
         _fail("phases", "expected [phi1, phi2]")
-    phi = []
-    for k, p in enumerate(phases):
-        v = _require_number(p, "phases", k)
-        if not 0.0 <= v <= math.pi:
-            _fail(f"phases[{k}]", f"must lie in [0, pi], got {v}")
-        phi.append(v)
+    phases = tuple(_built("", _real, p, f"phases[{k}]", 0.0, math.pi) for k, p in enumerate(phases))
 
     iterations = raw.get("iterations", "auto")
     if iterations != "auto":
-        iterations = _require_int(iterations, "iterations", minimum=0)
-        if iterations > MAX_ITERATIONS:
-            _fail("iterations", f"must not exceed 2**53, got a "
-                  f"{iterations.bit_length()}-bit integer")
+        iterations = _built("", _integer, iterations, "iterations", 0, MAX_ITERATIONS)
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = _require_int(seed, "seed", minimum=0)
-    shots = _require_int(raw.get("shots", 1), "shots", minimum=1, maximum=_MAX_SHOTS)
-    l_max = _require_int(raw.get("l_max", DEFAULT_L_MAX), "l_max", minimum=0)
+        seed = _built("", _integer, seed, "seed", 0)
+    shots = _built("", _integer, raw.get("shots", 1), "shots", 1, _MAX_SHOTS)
+    l_max = _built("", _integer, raw.get("l_max", DEFAULT_L_MAX), "l_max", 0)
 
     pre_rotation = raw.get("pre_rotation", False)
     if not isinstance(pre_rotation, bool):
@@ -502,13 +490,10 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
     allowed_tols = sorted(f.name for f in fields(ControllabilityConfig))
-    for key, value in tolerances.items():
+    for key in tolerances:
         if key not in allowed_tols:
             _fail(f"tolerances.{key}", f"unknown tolerance (allowed: {allowed_tols})")
-        if key == "max_denominator":
-            _require_int(value, f"tolerances.{key}")
-        else:
-            _require_number(value, f"tolerances.{key}")
+    controllability = _built("tolerances.", ControllabilityConfig, **tolerances)
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -558,7 +543,7 @@ def validate_config(raw: dict) -> RunConfig:
         initial=_plain(initial),
         good=good,
         subspace=subspace,
-        phases=(phi[0], phi[1]),
+        phases=phases,
         iterations=iterations,
         seed=seed,
         shots=shots,
@@ -570,7 +555,7 @@ def validate_config(raw: dict) -> RunConfig:
         spec=spec,
         state=state,
         target=target,
-        controllability=_built("tolerances.", ControllabilityConfig, **tolerances),
+        controllability=controllability,
         texts={name: text for name, text in texts.items() if text is not None},
     )
 
@@ -772,13 +757,21 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _read_file(name: str, path: str) -> str:
+    """The text of the UTF-8 file ``name``; one that cannot be read or
+    decoded is a ConfigError naming ``path``."""
+    try:
+        return Path(name).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read {name!r}: {exc}") from None
+
+
 def _load_json_or_path(value: str, path_hint: str):
     text = value
     if not value.lstrip().startswith(("[", "{")):
-        file = Path(value)
-        if not file.is_file():
+        if not Path(value).is_file():
             _fail(path_hint, f"{value!r} is neither inline JSON nor an existing file")
-        text = file.read_text()
+        text = _read_file(value, path_hint)
     return _parse_json(text, path_hint)
 
 
@@ -788,10 +781,7 @@ def _assemble_raw_config(args, raw: dict) -> dict:
     are read in flag order.  On a ConfigError ``raw`` keeps the file's
     fields when the file was read."""
     if args.config:
-        file = Path(args.config)
-        if not file.is_file():
-            _fail("config", f"no such file: {args.config}")
-        parsed = _parse_json(file.read_text(), "config")
+        parsed = _parse_json(_read_file(args.config, "config"), "config")
         if not isinstance(parsed, dict):
             _fail("config", "expected a JSON object at the top level")
         raw.update(parsed)

@@ -244,20 +244,29 @@ class SystemSpec:
             raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
         # the checks run in the coupling's own dtype, a real one in one
         # float scratch: for real entries |x - y| and |d_i b - b d_j| equal
-        # their complex-arithmetic values exactly
+        # their complex-arithmetic values exactly.  A difference past the
+        # float range is inf, which fails the Hermiticity tolerance, and a
+        # commutator term inf or NaN (inf - inf) fails the commuting one, so
+        # numpy's warnings about them are silenced.
         real = coupling.dtype == float
         scratch = np.empty(coupling.shape)
-        deviation = np.subtract(coupling, coupling.conj().T, out=scratch if real else None)
-        np.abs(deviation, out=scratch)
-        worst = scratch.max()
-        if worst > HERMITICITY_TOL:
-            # first offending entry in row-major order, 0-based as in nested lists
-            i, j = divmod(int(np.argmax(scratch > HERMITICITY_TOL)), self.dim)
-            raise HermiticityError(
-                f"coupling[{i}][{j}]: not Hermitian: value {np.complex128(coupling[i, j])} "
-                f"does not match the conjugate of coupling[{j}][{i}] = "
-                f"{np.complex128(coupling[j, i])}"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.subtract(coupling, coupling.conj().T, out=scratch if real else None)
+            np.abs(deviation, out=scratch)
+            worst = scratch.max()
+            if worst > HERMITICITY_TOL:
+                # first offending entry in row-major order, 0-based as in nested lists
+                i, j = divmod(int(np.argmax(scratch > HERMITICITY_TOL)), self.dim)
+                raise HermiticityError(
+                    f"coupling[{i}][{j}]: not Hermitian: value {np.complex128(coupling[i, j])} "
+                    f"does not match the conjugate of coupling[{j}][{i}] = "
+                    f"{np.complex128(coupling[j, i])}"
+                )
+            # [A, B] = 0 means the control cannot move populations at all.
+            commutator = np.multiply(drift[:, None], coupling, out=scratch if real else None)
+            commutator -= coupling * drift
+            commutes = np.abs(commutator, out=scratch).max() <= COMMUTATOR_TOL
+        del scratch, deviation, commutator  # before the complex copy, which sets the peak
         if self.exact_drift is not None:
             exact = tuple(Fraction(x) for x in self.exact_drift)
             if len(exact) != self.dim:
@@ -270,11 +279,6 @@ class SystemSpec:
                         f"exact_drift[{i}]: {num} disagrees with drift[{i}] = {approx}"
                     )
             object.__setattr__(self, "exact_drift", exact)
-        # [A, B] = 0 means the control cannot move populations at all.
-        commutator = np.multiply(drift[:, None], coupling, out=scratch if real else None)
-        commutator -= coupling * drift
-        commutes = np.abs(commutator, out=scratch).max() <= COMMUTATOR_TOL
-        del scratch, deviation, commutator  # before the complex copy, which sets the peak
         # the stored arrays are private copies, so no caller's array is
         # frozen or can change the spec afterwards
         coupling = coupling.astype(complex)

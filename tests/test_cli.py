@@ -22,14 +22,20 @@ import iqcontrol.cli
 import iqcontrol.hydrogen
 from iqcontrol import (
     ConfigError,
+    ControllabilityConfig,
     GoodSubspace,
+    HydrogenModel,
+    MeasurementPartition,
     StateVector,
     SystemSpec,
     case1_preset,
     case2_preset,
     hydrogen_spec,
+    make_plan,
+    measurement_histogram,
     run_algorithm1,
     run_algorithm2,
+    sample_collapse,
 )
 from iqcontrol.cli import (
     _reindent,
@@ -53,13 +59,22 @@ def oracle_render(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def assert_same_text(text, *expected):
+    """``text`` equals each of ``expected``, compared as lists of lines
+    first: pytest's diff of two long strings takes minutes, of two lists a
+    moment.  The texts are then compared whole, trailing newline included."""
+    for other in expected:
+        assert text.splitlines() == other.splitlines()
+        assert text == other
+
+
 def run_cli(tmp_path, payload, extra_args=(), capsys=None):
     out = str(tmp_path / "report.json")
     args = ["--config", write_config(tmp_path, payload), "--out", out, *extra_args]
     code = main(args)
     text = (tmp_path / "report.json").read_text()
     report = json.loads(text)
-    assert text == render_report(report) == oracle_render(report)
+    assert_same_text(text, render_report(report), oracle_render(report))
     return code, report
 
 
@@ -304,7 +319,7 @@ def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
     report = json.loads(text, parse_constant=reject)
-    assert text == oracle_render(report)
+    assert_same_text(text, oracle_render(report))
     return report
 
 
@@ -335,13 +350,6 @@ NAN, INF = float("nan"), float("inf")
             "initial[0][1]", id="initial-pair",
         ),
         pytest.param(
-            {"tolerances": {"ratio_tol": NAN}}, "tolerances.ratio_tol", id="tolerance-nan",
-        ),
-        pytest.param(
-            {"tolerances": {"edge_threshold": -INF}},
-            "tolerances.edge_threshold", id="tolerance-inf",
-        ),
-        pytest.param(
             {"system": {**HYDROGEN_INLINE, "coupling": [[0, 10**400], [1.0, 0]]}},
             "system.coupling[0][1]", id="coupling-int-beyond-float",
         ),
@@ -351,13 +359,34 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, overrides, path):
     # Python's json reads NaN and Infinity; they must end in a ConfigError
     # naming the field, never in a verdict, a late runtime error or a NaN
     # written into the report
+    assert _non_finite_error(tmp_path, overrides).startswith(path + ": expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        pytest.param(
+            {"tolerances": {"ratio_tol": NAN}}, "tolerances.ratio_tol", id="tolerance-nan",
+        ),
+        pytest.param(
+            {"tolerances": {"edge_threshold": -INF}},
+            "tolerances.edge_threshold", id="tolerance-inf",
+        ),
+    ],
+)
+def test_non_finite_tolerances_rejected_with_path(tmp_path, overrides, path):
+    # a tolerance is read by ControllabilityConfig alone, in its words
+    assert _non_finite_error(tmp_path, overrides).startswith(path + ": must be finite")
+
+
+def _non_finite_error(tmp_path, overrides):
     payload = {"mode": "analyze", "system": HYDROGEN_INLINE, **overrides}
     out = tmp_path / "report.json"
     code = main(["--config", write_config(tmp_path, payload), "--out", str(out)])
     report = _strict_json(out.read_text())
     assert code == 2
     assert report["error"]["type"] == "ConfigError"
-    assert report["error"]["message"].startswith(path + ": expected a finite number")
+    return report["error"]["message"]
 
 
 CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}
@@ -515,6 +544,98 @@ def test_energy_gap_error_names_its_field_once(tmp_path, gap, message):
     assert report["error"]["message"] == message
 
 
+CHAIN_STATE = StateVector([0.6, 0.8, 0.0])
+CHAIN_ALGO1 = {"mode": "algo1", "system": CHAIN, "initial": [0.6, 0.8, 0.0], "good": 2, "seed": 1}
+CHAIN_ALGO2 = {"mode": "algo2", "system": CHAIN, "initial": [0.6, 0.8, 0.0], "seed": 1}
+
+
+def chain_plan(**kwargs):
+    return make_plan(CHAIN_STATE, GoodSubspace.of(2, 3), **kwargs)
+
+
+def chain_histogram(shots):
+    return measurement_histogram(CHAIN_STATE, MeasurementPartition.per_index(3), 1, shots)
+
+
+# each scalar config field: the config that sets it to v, and the library
+# call that reads v, whose message the CLI's must repeat under the field's path
+SCALAR_READS = {
+    "system.dim": (
+        lambda v: {"mode": "analyze", "system": {**CHAIN, "dim": v}},
+        lambda v: SystemSpec(v, CHAIN["drift"], CHAIN["coupling"]),
+    ),
+    "system.energy_gap": (
+        lambda v: {"mode": "analyze", "system": {"preset": "hydrogen", "energy_gap": v}},
+        lambda v: HydrogenModel(energy_gap=v),
+    ),
+    "good": (
+        lambda v: {**CHAIN_ALGO1, "good": v},
+        lambda v: iqcontrol.core._integer(v, "good", 1),
+    ),
+    "subspace[1]": (
+        lambda v: {**CHAIN_ALGO2, "subspace": [1, v]},
+        lambda v: iqcontrol.core._integer(v, "subspace[1]", 1),
+    ),
+    "phases[0]": (lambda v: {**CHAIN_ALGO1, "phases": [v, 1.0]}, lambda v: chain_plan(phi1=v)),
+    "iterations": (lambda v: {**CHAIN_ALGO1, "iterations": v}, lambda v: chain_plan(iterations=v)),
+    "l_max": (lambda v: {**CHAIN_ALGO1, "l_max": v}, lambda v: chain_plan(l_max=v)),
+    "seed": (
+        lambda v: {**CHAIN_ALGO1, "seed": v},
+        lambda v: sample_collapse(CHAIN_STATE, MeasurementPartition.per_index(3), v),
+    ),
+    "shots": (lambda v: {**CHAIN_ALGO1, "shots": v}, chain_histogram),
+    "tolerances.ratio_tol": (
+        lambda v: {**CHAIN_ALGO1, "tolerances": {"ratio_tol": v}},
+        lambda v: ControllabilityConfig(ratio_tol=v),
+    ),
+    "tolerances.max_denominator": (
+        lambda v: {**CHAIN_ALGO1, "tolerances": {"max_denominator": v}},
+        lambda v: ControllabilityConfig(max_denominator=v),
+    ),
+}
+# a wrong kind, a value out of range and a non-finite value of each
+BAD_SCALARS = {
+    "system.dim": (1.5, 1, NAN),
+    "good": ("2", 0, INF),
+    "subspace[1]": (True, 0, NAN),
+    "phases[0]": ("x", 4.0, NAN),
+    "iterations": (2.5, 2**53 + 1, INF),
+    "seed": (1.5, -1, NAN),
+    "shots": ([2], 2**63, -INF),
+    "l_max": (False, -1, INF),
+    "tolerances.ratio_tol": ("x", -1e-9, NAN),
+    "tolerances.max_denominator": (2.5, 0, INF),
+    "system.energy_gap": (None, 0, INF),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(path, value) for path, values in BAD_SCALARS.items() for value in values],
+    ids=[f"{path}={json.dumps(value)}" for path, values in BAD_SCALARS.items() for value in values],
+)
+def test_scalar_errors_are_the_library_readers(tmp_path, path, value):
+    # one rule and one message per field: the CLI reads each scalar through
+    # the library's reader, so its error is "<path>: " plus the reader's
+    config, read = SCALAR_READS[path]
+    with pytest.raises((TypeError, ValueError)) as library:
+        read(value)
+    expected = f"{path}: " + str(library.value).split(": ", 1)[1]
+    code, report = run_cli(tmp_path, config(value))
+    assert code == 2
+    assert report["error"] == {"type": "ConfigError", "message": expected}
+
+
+def test_huge_energy_gap_warns_nothing(tmp_path):
+    # the spec's commutator check overflowed, and numpy's RuntimeWarnings
+    # reached stderr, or under -W error ended the run in a traceback
+    payload = {"mode": "analyze", "system": {"preset": "hydrogen", "energy_gap": 1e308}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_cli(tmp_path, payload)
+    assert code == 0 and "error" not in report
+
+
 def test_analyze_accepts_good_and_subspace(tmp_path):
     # 'analyze' reads neither target, so a config that sets both for another
     # mode can still be re-run with --mode analyze
@@ -561,6 +682,31 @@ def test_unreadable_json_exits_2_with_path(tmp_path, kind, flag):
 def test_parse_config_unreadable_json(kind):
     with pytest.raises(ConfigError, match="^config: invalid JSON"):
         parse_config(UNREADABLE_JSON[kind]["config"])
+
+
+@pytest.mark.parametrize("flag", ["config", "system", "initial", "subspace"])
+def test_non_utf8_file_exits_2_with_path(tmp_path, flag):
+    # read_text raised UnicodeDecodeError past main: exit 1 and no report
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff{"mode": "analyze"}')
+    if flag == "config":
+        args = ["--config", str(path)]
+    else:
+        args = ["--mode", "algo2", "--system", "hydrogen", "--seed", "1", f"--{flag}", str(path)]
+    out = tmp_path / "report.json"
+    assert main([*args, "--out", str(out)]) == 2
+    error = _strict_json(out.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"{flag}: cannot read {str(path)!r}: 'utf-8' codec")
+
+
+def test_unreadable_config_file_exits_2(tmp_path):
+    # a path that exists but is no file the reader can open: a directory
+    out = tmp_path / "report.json"
+    assert main(["--config", str(tmp_path), "--out", str(out)]) == 2
+    error = _strict_json(out.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"config: cannot read {str(tmp_path)!r}: ")
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])

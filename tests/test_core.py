@@ -137,6 +137,28 @@ class TestSystemSpec:
             SystemSpec(dim=2, drift=[0.0, 1.0], coupling=np.diag([1.0, 2.0]))
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize(
+        "coupling, error",
+        [
+            ([[0, 1e308], [1e308, 0]], None),
+            ([[0, 1e308j], [-1e308j, 0]], None),
+            ([[0, 1e308], [-1e308, 0]], HermiticityError),
+        ],
+        ids=["real", "complex", "not-hermitian"],
+    )
+    def test_overflowing_checks_warn_nothing(self, coupling, error):
+        # d_i b_ij past the float range, or b_ij - conj(b_ji), overflowed in
+        # the checks, and numpy's RuntimeWarnings reached the caller, an
+        # untyped error under -W error; the overflow fails its tolerance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                spec = SystemSpec(2, [0, 1e308], coupling)
+                assert spec.coupling[0, 1] == complex(coupling[0][1])
+            else:
+                with pytest.raises(error, match=r"^coupling\[0\]\[1\]: not Hermitian"):
+                    SystemSpec(2, [0, 1e308], coupling)
+
     def test_hermiticity_message_pinned(self):
         # the offending values print as complex numbers, whatever dtype the
         # coupling arrives in
