@@ -19,7 +19,11 @@ Each scalar field is read by the library's own reader (``core._integer``,
 a tolerance, ``HydrogenModel`` for ``system.energy_gap``), so its error
 reads as the library's under the field's path: ``seed: must be an
 integer, got 1.5``, ``iterations: must lie in [0, 9007199254740992], got
-...``.  Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
+...``.  The echo keeps a JSON int or float as given; a tolerance or
+``system.energy_gap`` of another kind its reader accepts (a
+``validate_config`` caller's ``np.float32`` or ``Fraction``) is echoed
+as the number the reader returned, so the config hash can encode it.
+Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline, byte for byte, without that call: ``render_report`` encodes it
@@ -222,6 +226,14 @@ def _plain(value):
     if isinstance(value, dict) and any(type(item) is _EchoedList for item in value.values()):
         return {key: _plain(item) for key, item in value.items()}
     return value
+
+
+def _json_number(value, read):
+    """``value`` when it is a number JSON reads (a Python int or float),
+    else ``read``, the number the library's reader made of it: any other
+    kind that the reader accepts (``np.float32``, ``Fraction``) would not
+    encode."""
+    return value if type(value) in (int, float) else read
 
 
 def _parse_json(text: str, path: str):
@@ -526,6 +538,9 @@ def validate_config(raw: dict) -> RunConfig:
     else:
         # every other mode requires a system
         spec, texts["system"] = _system_spec(system)
+        if "energy_gap" in system:  # a preset's drift is (0, gap, gap, gap, gap)
+            gap = _json_number(system["energy_gap"], float(spec.drift[1]))
+            system = {**system, "energy_gap": gap}
         state = None
         if initial is not None:
             state, texts["initial"] = _initial_state(initial, spec)
@@ -549,7 +564,10 @@ def validate_config(raw: dict) -> RunConfig:
         shots=shots,
         pre_rotation=pre_rotation,
         l_max=l_max,
-        tolerances=dict(tolerances),
+        tolerances={
+            key: _json_number(value, getattr(controllability, key))
+            for key, value in tolerances.items()
+        },
         repeat_until_success=repeat,
         out=out,
         spec=spec,

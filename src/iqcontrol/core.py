@@ -228,7 +228,10 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
-        drift = np.array(self.drift, dtype=float).reshape(-1)
+        drift = np.asarray(self.drift)
+        if drift.dtype.kind == "c":  # float() would drop the imaginary parts
+            raise TypeError(f"drift: eigenvalues must be real, got dtype {drift.dtype}")
+        drift = drift.astype(float).reshape(-1)  # a private copy
         coupling = _real_or_complex(self.coupling)
         if drift.size != self.dim:
             raise DimensionMismatchError(
@@ -242,31 +245,27 @@ class SystemSpec:
             raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
         if not np.isfinite(coupling).all():
             raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
-        # the checks run in the coupling's own dtype, a real one in one
-        # float scratch: for real entries |x - y| and |d_i b - b d_j| equal
-        # their complex-arithmetic values exactly.  A difference past the
-        # float range is inf, which fails the Hermiticity tolerance, and a
-        # commutator term inf or NaN (inf - inf) fails the commuting one, so
-        # numpy's warnings about them are silenced.
-        real = coupling.dtype == float
-        scratch = np.empty(coupling.shape)
+        # the checks run in the coupling's own dtype, which reads |B - B^H|
+        # and [A, B]_ij = (d_i - d_j) B_ij as complex arithmetic does.  An
+        # overflow is inf, which fails its tolerance; NaN comes only from
+        # inf * 0 where B_ij = 0, which commutes and is not above the
+        # tolerance, so numpy's warnings about them are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
-            deviation = np.subtract(coupling, coupling.conj().T, out=scratch if real else None)
-            np.abs(deviation, out=scratch)
-            worst = scratch.max()
+            deviation = np.abs(coupling - coupling.conj().T)
+            worst = deviation.max()
             if worst > HERMITICITY_TOL:
                 # first offending entry in row-major order, 0-based as in nested lists
-                i, j = divmod(int(np.argmax(scratch > HERMITICITY_TOL)), self.dim)
+                i, j = divmod(int(np.argmax(deviation > HERMITICITY_TOL)), self.dim)
                 raise HermiticityError(
                     f"coupling[{i}][{j}]: not Hermitian: value {np.complex128(coupling[i, j])} "
                     f"does not match the conjugate of coupling[{j}][{i}] = "
                     f"{np.complex128(coupling[j, i])}"
                 )
+            del deviation  # freed before the commutator's arrays, which set the peak
             # [A, B] = 0 means the control cannot move populations at all.
-            commutator = np.multiply(drift[:, None], coupling, out=scratch if real else None)
-            commutator -= coupling * drift
-            commutes = np.abs(commutator, out=scratch).max() <= COMMUTATOR_TOL
-        del scratch, deviation, commutator  # before the complex copy, which sets the peak
+            commutes = not (
+                np.abs(np.subtract.outer(drift, drift) * coupling) > COMMUTATOR_TOL
+            ).any()
         if self.exact_drift is not None:
             exact = tuple(Fraction(x) for x in self.exact_drift)
             if len(exact) != self.dim:

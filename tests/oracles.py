@@ -170,8 +170,11 @@ def system_spec_checks(dim: int, drift, coupling):
             f"coupling[{i}][{j}]: not Hermitian: value {coupling[i, j]} does not "
             f"match the conjugate of coupling[{j}][{i}] = {coupling[j, i]}"
         )
-    commutator = drift[:, None] * coupling - coupling * drift[None, :]
-    commutes = bool(np.max(np.abs(commutator)) <= COMMUTATOR_TOL)
+    # [A, B]_ij = (d_i - d_j) B_ij; a NaN magnitude, which only inf * 0
+    # where B_ij = 0 gives, commutes
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = np.abs(np.subtract.outer(drift, drift) * coupling)
+    commutes = not (commutator > COMMUTATOR_TOL).any()
     if (coupling != coupling.conj().T).any():
         mirrored = coupling.copy()
         for i in range(dim):

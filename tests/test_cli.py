@@ -9,6 +9,7 @@ import sys
 import threading
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -634,6 +635,54 @@ def test_huge_energy_gap_warns_nothing(tmp_path):
         warnings.simplefilter("error")
         code, report = run_cli(tmp_path, payload)
     assert code == 0 and "error" not in report
+
+
+def test_overflowing_degenerate_drift_warns_commute_once(tmp_path):
+    # [A, B] read as d_i b - b d_j was inf - inf = NaN past the float range,
+    # so A, a multiple of the identity, went unreported as commuting with B
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"dim": 2, "drift": [1e308, 1e308], "coupling": [[0, 10], [10, 0]]}))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--mode", "analyze", "--system", str(system), "--out", str(out)])
+    assert code == 0 and "error" not in json.loads(out.read_text())
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "drift and coupling commute; the control problem is trivial")
+    ]
+
+
+# numbers a Python caller of validate_config may pass that JSON never holds,
+# of each kind the field's reader accepts
+NON_JSON_SCALARS = [
+    *((f"tolerances.{name}", value)
+      for name in ("edge_threshold", "degeneracy_tol", "ratio_tol")
+      for value in (np.float32(1e-9), np.int64(0), Fraction(1, 10**9))),
+    *(("tolerances.max_denominator", value) for value in (np.int64(1000), np.int32(7), np.uint16(9))),
+    *(("system.energy_gap", value) for value in (np.float32(1.5), np.int64(2), Fraction(3, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value", NON_JSON_SCALARS,
+    ids=[f"{path}={type(value).__name__}" for path, value in NON_JSON_SCALARS],
+)
+def test_non_json_scalar_is_echoed_as_read(path, value):
+    # the echo held the value as given, and execute raised "Object of type
+    # float32 is not JSON serializable" from the config hash
+    section, name = path.split(".")
+    if section == "tolerances":
+        raw = {"mode": "analyze", "system": CHAIN, "tolerances": {name: value}}
+        read = getattr(ControllabilityConfig(**{name: value}), name)
+    else:
+        raw = {"mode": "analyze", "system": {"preset": "hydrogen", name: value}}
+        read = HydrogenModel(energy_gap=value).energy_gap
+    config = validate_config(raw)
+    code, report = execute(config)
+    assert code == 0 and "error" not in report
+    echoed = json.loads(config.canonical)[section][name]
+    assert type(echoed) is type(read) and echoed == read
+    assert json.loads(render_report(report))["config"] == json.loads(config.canonical)
 
 
 def test_analyze_accepts_good_and_subspace(tmp_path):

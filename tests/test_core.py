@@ -118,6 +118,15 @@ class TestSystemSpec:
         with pytest.raises(NonFiniteError, match="drift"):
             SystemSpec(dim=2, drift=drift, coupling=_sigma_x_block(2))
 
+    @pytest.mark.parametrize("drift", [[0, 1j], np.array([0, 1j])], ids=["list", "array"])
+    def test_rejects_complex_drift(self, drift):
+        # the array was stored as [0, 0] with numpy's ComplexWarning and a
+        # false "commute" warning; the list raised float()'s unnamed TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="^drift: eigenvalues must be real, got dtype complex128$"):
+                SystemSpec(dim=2, drift=drift, coupling=_sigma_x_block(2))
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
     def test_rejects_non_finite_coupling(self, entry):
         b = _sigma_x_block(2)
@@ -172,12 +181,16 @@ class TestSystemSpec:
                 SystemSpec(dim=2, drift=[0, 1], coupling=coupling)
             assert str(raised.value) == message
 
-    def test_real_coupling_peak_memory(self):
-        # a real coupling is checked in one float scratch and made complex
-        # once; checked in complex arithmetic it peaked at 3.19 MiB
+    @pytest.mark.parametrize("dtype, bound_mib", [(float, 2.0), (complex, 2.5)])
+    def test_coupling_peak_memory(self, dtype, bound_mib):
+        # the checks run in the coupling's dtype with no scratch array, each
+        # temporary freed before the next, and the coupling is made complex
+        # once: about 1.0 MiB real and 2.1 MiB complex.  A real coupling
+        # checked in complex arithmetic peaked at 3.19 MiB; a complex one
+        # checked beside a float scratch array at 3.63 MiB
         dim = 256
         coupling = np.diag(np.linspace(0.5, 2.0, dim - 1), 1)
-        coupling += coupling.T
+        coupling = (coupling + coupling.T).astype(dtype)
         drift = np.arange(dim, dtype=float)
         tracemalloc.start()
         try:
@@ -185,7 +198,7 @@ class TestSystemSpec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= bound_mib * 2**20
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stores_private_copies(self, dtype):
@@ -498,6 +511,13 @@ def spec_inputs(draw):
 @example(case=(2, [0.0, 1.0], np.array([[0.0, COMMUTATOR_TOL], [COMMUTATOR_TOL, 0.0]])))
 @example(case=(2, [0.0, 1.0], [[0, np.nextafter(COMMUTATOR_TOL, 1.0)], [COMMUTATOR_TOL, 0]]))
 @example(case=(2, [0.0, 1.0], [[0, 1], [2, 0]]))
+# [A, B] at the edge of the float range: (d_i - d_j) B_ij is 0 for a
+# degenerate drift and NaN as inf * 0 where B_ij = 0, both commuting (the
+# first two), and inf or huge elsewhere, which does not commute
+@example(case=(2, [1e308, 1e308], [[0, 10], [10, 0]]))
+@example(case=(2, [1e308, -1e308], [[1, 0], [0, 2]]))
+@example(case=(2, [1e308, -1e308], [[0, 1], [1, 0]]))
+@example(case=(2, [0, 1], [[0, 1e308], [1e308, 0]]))
 def test_spec_checks_equal_complex_oracle(case):
     # every input kind stores the same read-only complex128 arrays, raises
     # the same error with the same text, and warns exactly when the checks
