@@ -28,7 +28,7 @@ from .amplification import (
     amplified_state,
     make_plan,
 )
-from .controllability import ControllabilityConfig, _component_verdict
+from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
 from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, propagate
 from .errors import DimensionMismatchError
 from .measurement import _MAX_SHOTS, MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
@@ -219,8 +219,8 @@ def run_algorithm2(
     subspace and is recorded as the post-measurement starting point for
     any further in-subspace control.  ``measurement_shot`` and
     ``max_attempts`` work as in ``run_algorithm1``; the controllability
-    analysis, like the plan, runs once, and reads only the subspace's rows
-    of the coupling, which the spec stores exactly Hermitian.
+    analysis, like the plan, runs once: it finds the coupling graph's
+    components as ``assess`` does and analyses only the target's.
     """
     fields = _run(
         spec, initial, subspace, phi1, phi2, iterations,
@@ -228,21 +228,15 @@ def run_algorithm2(
     )
     config = controllability_config or ControllabilityConfig()
     target_set = tuple(sorted(subspace.indices))
-    rows = spec.coupling[np.asarray(target_set) - 1]
-    note = None
-    if not (np.abs(rows[:, ~subspace._mask]) > config.edge_threshold).any():
-        edges = _edges(spec, target_set, config.edge_threshold)
-        if len(_components(target_set, edges)) == 1:
-            note = _component_verdict(spec, target_set, edges, config)[0].to_dict()
-    if note is None:
+    labels = range(1, spec.dim + 1)
+    edges = _components(labels, _edges(spec, labels, config.edge_threshold)).get(target_set)
+    if edges is not None:
+        verdict = _component_verdict(spec, target_set, edges, config)[0]
+    else:
         warnings.warn(
             f"subspace {list(target_set)} is not a connected component of the "
             "coupling graph; its controllability is not established",
             stacklevel=2,
         )
-        note = {
-            "component": list(target_set),
-            "verdict": None,
-            "notes": ["not a connected component of the coupling graph"],
-        }
-    return RunReport(**fields, controllability_note=note)
+        verdict = SubspaceVerdict(target_set, None, ("not a connected component of the coupling graph",))
+    return RunReport(**fields, controllability_note=verdict.to_dict())

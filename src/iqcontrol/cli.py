@@ -541,6 +541,8 @@ def validate_config(raw: dict) -> RunConfig:
         if "energy_gap" in system:  # a preset's drift is (0, gap, gap, gap, gap)
             gap = _json_number(system["energy_gap"], float(spec.drift[1]))
             system = {**system, "energy_gap": gap}
+        elif "dim" in system and type(system["dim"]) is not int:  # np.int64 would not encode
+            system = {**system, "dim": spec.dim}
         state = None
         if initial is not None:
             state, texts["initial"] = _initial_state(initial, spec)

@@ -36,7 +36,7 @@ rule of ``ControllabilityConfig``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -131,8 +131,11 @@ class IrrationalWitness:
 
 @dataclass(frozen=True)
 class SubspaceVerdict:
+    """A component's verdict; ``None`` means the labels are not a connected
+    component of the coupling graph."""
+
     component: tuple[int, ...]
-    verdict: str
+    verdict: Optional[str]
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:

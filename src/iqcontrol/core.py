@@ -71,8 +71,14 @@ def _real_or_complex(values) -> np.ndarray:
 
 
 def _as_complex_vector(values: Sequence) -> np.ndarray:
-    # a private copy, never a view of the caller's array
-    arr = np.array(values, dtype=complex).reshape(-1)
+    """``values`` as a read-only 1-D complex array: a private copy, never a
+    view of the caller's array.  Text and any other shape are refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "US":
+        raise TypeError(f"amplitudes: must be numbers, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"amplitudes: expected a 1-D sequence, got shape {arr.shape}")
+    arr = arr.astype(complex)
     arr.setflags(write=False)
     return arr
 

@@ -502,8 +502,20 @@ def algorithm2_cases(draw):
     return spec, config, subspace, random_state(np.random.default_rng(draw(st.integers(0, 99))), spec.dim)
 
 
+def _hydrogen_target(labels):
+    # hydrogen's components are {1, 2, 3}, {4} and {5}: {1, 2} has an edge
+    # leaving it, {1, 2, 3, 4} and {4, 5} none but two components each
+    initial = random_state(np.random.default_rng(0), 5)
+    return hydrogen_spec(), ControllabilityConfig(), GoodSubspace.of(labels, 5), initial
+
+
 @settings(max_examples=150)
 @given(case=algorithm2_cases())
+@example(case=_hydrogen_target([1, 2, 3]))
+@example(case=_hydrogen_target([4]))
+@example(case=_hydrogen_target([1, 2]))
+@example(case=_hydrogen_target([1, 2, 3, 4]))
+@example(case=_hydrogen_target([4, 5]))
 def test_algorithm2_note_equals_the_assess_verdict(case):
     # the note is the matching component's verdict in a whole-system
     # assess, byte for byte, and a subspace that is no component warns
@@ -567,8 +579,8 @@ def _straddling_pair():
 @given(case=sparse_targets())
 @example(case=_straddling_pair())
 def test_algorithm2_note_has_a_verdict_exactly_for_a_component(case):
-    # the note reads only the target's rows of the coupling, and must agree
-    # with the whole graph's components
+    # the note looks the target up among the whole graph's components, and
+    # must agree with those of build_graph and connected_components
     spec, threshold, subspace = case
     target = tuple(sorted(subspace.indices))
     initial = StateVector(np.full(spec.dim, spec.dim**-0.5))

@@ -685,6 +685,20 @@ def test_non_json_scalar_is_echoed_as_read(path, value):
     assert json.loads(render_report(report))["config"] == json.loads(config.canonical)
 
 
+@pytest.mark.parametrize("dim", [np.int64(3), np.int32(3), np.uint16(3)], ids=lambda d: type(d).__name__)
+def test_numpy_dim_is_echoed_as_read(dim):
+    # the echo held the np.int64 as given, and render_report raised "Object
+    # of type int64 is not JSON serializable"
+    def rendered(system):
+        report = json.loads(render_report(execute(validate_config({"mode": "analyze", "system": system}))[1]))
+        report["provenance"].pop("generated_at")
+        return report
+
+    expected = rendered(CHAIN)
+    assert rendered({**CHAIN, "dim": dim}) == expected
+    assert expected["config"]["system"]["dim"] == 3 and "error" not in expected
+
+
 def test_analyze_accepts_good_and_subspace(tmp_path):
     # 'analyze' reads neither target, so a config that sets both for another
     # mode can still be re-run with --mode analyze

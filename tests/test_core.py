@@ -60,6 +60,23 @@ class TestStateVector:
         with pytest.raises(DimensionMismatchError):
             StateVector([1.0])
 
+    @pytest.mark.parametrize(
+        "amps, error, message",
+        [
+            ([[1, 0], [0, 0]], DimensionMismatchError, "amplitudes: expected a 1-D sequence, got shape (2, 2)"),
+            (1.0, DimensionMismatchError, "amplitudes: expected a 1-D sequence, got shape ()"),
+            (["1", "0"], TypeError, "amplitudes: must be numbers, got dtype <U1"),
+            ([1, "0"], TypeError, "amplitudes: must be numbers, got dtype <U"),
+            (np.array([b"1", b"0"]), TypeError, "amplitudes: must be numbers, got dtype |S1"),
+        ],
+        ids=["2-D", "scalar", "text", "number-and-text", "bytes"],
+    )
+    def test_rejects_text_and_other_shapes(self, amps, error, message):
+        # a 2-D input was flattened into a 4-level state, and text read as numbers
+        with pytest.raises(error) as caught:
+            StateVector(amps)
+        assert str(caught.value).startswith(message)
+
     def test_accepts_round_off(self):
         amps = np.array([0.6, 0.8]) * (1.0 + 1e-12)
         StateVector(amps)
