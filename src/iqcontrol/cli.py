@@ -15,14 +15,16 @@ NaN or an infinity among them.  Any nonzero exit writes a report
 containing an error record, except an argparse usage error, which raises
 SystemExit(2) before any config is read.  Reports are strict JSON.
 Each scalar field is read by the library's own reader (``core._integer``,
-``core._real``, or the type that takes it: ``ControllabilityConfig`` for
-a tolerance, ``HydrogenModel`` for ``system.energy_gap``), so its error
-reads as the library's under the field's path: ``seed: must be an
-integer, got 1.5``, ``iterations: must lie in [0, 9007199254740992], got
-...``.  The echo keeps a JSON int or float as given; a tolerance or
-``system.energy_gap`` of another kind its reader accepts (a
-``validate_config`` caller's ``np.float32`` or ``Fraction``) is echoed
-as the number the reader returned, so the config hash can encode it.
+``core._real``, ``make_plan``'s for an explicit ``iterations``, or the
+type that takes it: ``ControllabilityConfig`` for a tolerance,
+``HydrogenModel`` for ``system.energy_gap``), so its error reads as the
+library's under the field's path: ``seed: must be an integer, got
+1.5``, ``iterations: phase-error bound 1.00000008e-09 exceeds 1e-09;
+the largest count within it is 1125899, got 1125900``.  The echo keeps
+a JSON int or float as given; a tolerance or ``system.energy_gap`` of
+another kind its reader accepts (a ``validate_config`` caller's
+``np.float32`` or ``Fraction``) is echoed as the number the reader
+returned, so the config hash can encode it.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
@@ -72,7 +74,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
-from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace
+from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _explicit_count
 from .controllability import ControllabilityConfig, assess
 from .core import StateVector, SystemSpec, _integer, _real
 from .errors import ConfigError
@@ -483,7 +485,7 @@ def validate_config(raw: dict) -> RunConfig:
 
     iterations = raw.get("iterations", "auto")
     if iterations != "auto":
-        iterations = _built("", _integer, iterations, "iterations", 0, MAX_ITERATIONS)
+        iterations = _built("", _explicit_count, iterations)
 
     seed = raw.get("seed")
     if seed is not None:
@@ -762,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--good", type=int, help="1-based target basis label")
     parser.add_argument("--subspace", help="JSON array of 1-based labels, e.g. [1,2,3]")
     parser.add_argument("--phases", nargs=2, type=float, metavar=("PHI1", "PHI2"))
-    parser.add_argument("--iterations", help="'auto' or a nonnegative integer")
+    parser.add_argument("--iterations", help=f"'auto' or an integer in [0, {MAX_ITERATIONS}]")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--shots", type=int)
     parser.add_argument("--out", help="write the report here instead of stdout")

@@ -133,33 +133,26 @@ class CasePreset:
     algorithm: int  # 1 = single eigenstate target, 2 = subspace target
 
 
-def case1_preset() -> CasePreset:
-    """Amplify a 1% population on the uncoupled state 5 before measuring."""
-    initial = StateVector([0.7, 0.5, 0.3, 0.4, 0.1])
-    good = GoodSubspace.of(5, 5)
+def _case(name: str, amplitudes: list, good, weight: float, iterations: int, algorithm: int) -> CasePreset:
+    """A hydrogen case amplified at phi1 = phi2 = pi.  ``weight`` is the
+    good weight as written: 0.1**2 would move case 1's last bit."""
     return CasePreset(
-        name="hydrogen-case1",
-        initial=initial,
-        good=good,
+        name=name,
+        initial=StateVector(amplitudes),
+        good=GoodSubspace.of(good, 5),
         phi1=math.pi,
         phi2=math.pi,
-        expected_iterations=7,
-        expected_success=closed_form_weights(0.01, math.pi, math.pi, 7)[0],
-        algorithm=1,
+        expected_iterations=iterations,
+        expected_success=closed_form_weights(weight, math.pi, math.pi, iterations)[0],
+        algorithm=algorithm,
     )
+
+
+def case1_preset() -> CasePreset:
+    """Amplify a 1% population on the uncoupled state 5 before measuring."""
+    return _case("hydrogen-case1", [0.7, 0.5, 0.3, 0.4, 0.1], 5, 0.01, 7, 1)
 
 
 def case2_preset() -> CasePreset:
     """Amplify a 2% weight on the coupled subspace {1, 2, 3} before measuring."""
-    initial = StateVector([0.1, 0.06, 0.08, 0.7, 0.7])
-    good = GoodSubspace.of([1, 2, 3], 5)
-    return CasePreset(
-        name="hydrogen-case2",
-        initial=initial,
-        good=good,
-        phi1=math.pi,
-        phi2=math.pi,
-        expected_iterations=5,
-        expected_success=closed_form_weights(0.02, math.pi, math.pi, 5)[0],
-        algorithm=2,
-    )
+    return _case("hydrogen-case2", [0.1, 0.06, 0.08, 0.7, 0.7], [1, 2, 3], 0.02, 5, 2)

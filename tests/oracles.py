@@ -64,10 +64,10 @@ from iqcontrol.core import (
     _real,
 )
 from iqcontrol.amplification import (
-    MAX_ITERATIONS,
     PRE_ROTATION_ANGLE,
     _check_phase,
     _coefficients,
+    _explicit_count,
     _split,
 )
 
@@ -103,7 +103,7 @@ def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decompositio
 
 def success_probability(g: float, iterations: int) -> float:
     """sin^2((2L+1) theta) with sin^2(theta) = g, for L = iterations."""
-    iterations = _integer(iterations, "iterations", 0, MAX_ITERATIONS)
+    iterations = _explicit_count(iterations)
     g = _real(g, "g", 0.0, 1.0, exclusive=True)
     theta = math.asin(math.sqrt(g))
     return math.sin((2 * iterations + 1) * theta) ** 2

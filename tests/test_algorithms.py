@@ -31,7 +31,7 @@ from iqcontrol import (
     run_algorithm2,
 )
 from iqcontrol import ControllabilityConfig, algorithms, amplification, controllability, measurement
-from iqcontrol.amplification import amplification_operator
+from iqcontrol.amplification import MAX_ITERATIONS, amplification_operator
 from conftest import COUPLING_KINDS, coupling_of_kind, random_state
 from oracles import rebuilt_paths, success_probability
 
@@ -378,7 +378,7 @@ def pipeline_runs(draw):
         max_attempts=draw(st.none() | st.integers(1, 300)) if shots == 1 else None,
     )
     if kwargs["iterations"] == "explicit":
-        kwargs["iterations"] = draw(st.integers(1, 2**53))
+        kwargs["iterations"] = draw(st.integers(1, MAX_ITERATIONS + 1))
     initial = StateVector(amplitudes / np.linalg.norm(amplitudes))
     if algorithm == 2:
         return lambda: run_algorithm2(spec, initial, GoodSubspace.of(good, dim), **kwargs)
@@ -628,10 +628,13 @@ BAD_ARGUMENTS = [
     ("l_max-negative-explicit-iterations", {"iterations": 3, "l_max": -1}, ValueError,
      "l_max: must be >= 0, got -1"),
     ("iterations-float", {"iterations": 2.5}, TypeError, "iterations: must be an integer"),
-    ("iterations-negative", {"iterations": -1}, ValueError,
-     "iterations: must lie in [0, 9007199254740992], got -1"),
+    ("iterations-negative", {"iterations": -1}, ValueError, "iterations: must be >= 0, got -1"),
+    ("iterations-cap+1", {"iterations": MAX_ITERATIONS + 1}, ValueError,
+     "iterations: phase-error bound 1.00000008e-09 exceeds 1e-09; the largest count within it is "
+     "1125899, got 1125900"),
     ("iterations-2**53+1", {"iterations": 2**53 + 1}, ValueError,
-     "iterations: must lie in [0, 9007199254740992], got 9007199254740993"),
+     "iterations: phase-error bound 8 exceeds 1e-09; the largest count within it is 1125899, "
+     "got 9007199254740993"),
     ("max_attempts-0", {"max_attempts": 0}, ValueError, "max_attempts: must be >= 1, got 0"),
     ("max_attempts-histogram", {"max_attempts": 3, "shots": 500}, ValueError,
      "max_attempts needs shots == 1"),

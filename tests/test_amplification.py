@@ -19,7 +19,7 @@ from iqcontrol import (
     StateVector,
     UnitaryOperator,
 )
-from iqcontrol.amplification import DEFAULT_L_MAX, MIN_GOOD_WEIGHT, amplification_operator
+from iqcontrol.amplification import DEFAULT_L_MAX, MAX_ITERATIONS, MIN_GOOD_WEIGHT, amplification_operator
 from conftest import haar_unitary, random_state, state_with_good_weight
 from oracles import (
     closed_form_step,
@@ -53,13 +53,22 @@ BAD_ITERATIONS = [
     # int() read 2.5 as 2 and True as 1
     (2.5, TypeError, "iterations: must be an integer"),
     (True, TypeError, "iterations: must be an integer"),
-    # past 2**53 the float L is inexact; near the float range's top
+    # the first count past the cap carries a phase-error bound over the
+    # tolerance; 2**53 passed and returned 0.99984 for 0.25 at g = 0.25,
+    # past 2**53 the float L is inexact, and near the float range's top
     # L * alpha overflowed and the plan predicted nan
-    (2**53 + 1, ValueError, "iterations: must lie in [0, 9007199254740992], got 9007199254740993"),
-    (10**308, ValueError, "iterations: must lie in [0, 9007199254740992], got a 1024-bit integer"),
-    (-1, ValueError, "iterations: must lie in [0, 9007199254740992], got -1"),
+    (MAX_ITERATIONS + 1, ValueError,
+     "iterations: phase-error bound 1.00000008e-09 exceeds 1e-09; the largest count within it "
+     "is 1125899, got 1125900"),
+    (2**53, ValueError, "iterations: phase-error bound 8 exceeds 1e-09; the largest count within it "
+     "is 1125899, got 9007199254740992"),
+    (2**53 + 1, ValueError, "iterations: phase-error bound 8 exceeds 1e-09; the largest count within "
+     "it is 1125899, got 9007199254740993"),
+    (10**308, ValueError, "iterations: phase-error bound inf exceeds 1e-09; the largest count within "
+     "it is 1125899, got a 1024-bit integer"),
+    (-1, ValueError, "iterations: must be >= 0, got -1"),
 ]
-BAD_ITERATION_IDS = ["float", "bool", "2**53+1", "1e308", "negative"]
+BAD_ITERATION_IDS = ["float", "bool", "cap+1", "2**53", "2**53+1", "1e308", "negative"]
 
 
 class TestDecompose:
@@ -329,7 +338,8 @@ class TestSuccessProbability:
 @pytest.mark.parametrize(
     "iterations, error, prefix",
     BAD_ITERATIONS
-    + [(10**400, ValueError, "iterations: must lie in [0, 9007199254740992], got a 1329-bit integer")],
+    + [(10**400, ValueError, "iterations: phase-error bound inf exceeds 1e-09; the largest count "
+        "within it is 1125899, got a 1329-bit integer")],
     ids=BAD_ITERATION_IDS + ["1e400"],
 )
 def test_formulas_read_iterations_as_make_plan_does(formula, iterations, error, prefix):
@@ -480,7 +490,8 @@ class TestMakePlan:
         # the closed form takes L as a float: past the float range it ended
         # in "OverflowError: int too large to convert to float"
         state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
-        message = r"^iterations: must lie in \[0, 9007199254740992\], got a 1329-bit integer$"
+        message = (r"^iterations: phase-error bound inf exceeds 1e-09; the largest count within "
+                   r"it is 1125899, got a 1329-bit integer$")
         with pytest.raises(ValueError, match=message):
             make_plan(state, good, iterations=10**400)
 
@@ -496,10 +507,10 @@ class TestMakePlan:
         with pytest.raises(error, match="^" + re.escape(prefix)):
             make_plan(state, good, **kwargs)
 
-    def test_iterations_up_to_2_53_plan_finite(self):
+    def test_iterations_up_to_the_cap_plan_finite(self):
         state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
-        plan = make_plan(state, good, iterations=np.int64(2**53))
-        assert plan.iterations == 2**53 and type(plan.iterations) is int
+        plan = make_plan(state, good, iterations=np.int64(MAX_ITERATIONS))
+        assert plan.iterations == MAX_ITERATIONS and type(plan.iterations) is int
         assert 0.0 <= plan.predicted_success <= 1.0
         assert np.isfinite(amplified_state(plan).amplitudes).all()
 
@@ -552,6 +563,17 @@ class TestAmplifiedState:
         assert abs(float(np.linalg.norm(amp.amplitudes)) - 1.0) < 1e-12
         weight = float(np.sum(np.abs(amp.amplitudes[[1, 3]]) ** 2))
         assert abs(weight - success_probability(g, plan.iterations)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "phases, g", [((1e-8, 1e-8), 0.5), ((0.5, 0.5), 2e-15)], ids=["phi=1e-8", "phi=0.5"]
+    )
+    @pytest.mark.parametrize("iterations", [DEFAULT_L_MAX, MAX_ITERATIONS])
+    def test_long_runs_keep_the_prepared_norm(self, rng, phases, g, iterations):
+        # the closed form's norm drifted by 1.1e-10 to 1.5e-10 here, past
+        # the state tolerance, and amplified_state raised NormalizationError
+        s = state_with_good_weight(rng, 4, [1, 3], g)
+        amp = amplified_state(make_plan(s, GoodSubspace.of([1, 3], 4), *phases, iterations))
+        assert abs(float(np.linalg.norm(amp.amplitudes)) - 1.0) < 1e-15
 
     def test_near_full_weight_matches_operator(self, rng):
         # bad weight 1e-10: taken as 1 - g it keeps only six digits, which

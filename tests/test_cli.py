@@ -38,6 +38,7 @@ from iqcontrol import (
     run_algorithm2,
     sample_collapse,
 )
+from iqcontrol.amplification import MAX_ITERATIONS
 from iqcontrol.cli import (
     _reindent,
     execute,
@@ -468,8 +469,9 @@ CHAIN = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 1], [0, 1,
             {"mode": "hydrogen-case1", "seed": 1, "iterations": 10**400},
             "iterations", id="iterations-beyond-float",
         ),
-        # past 2**53 the float L is inexact, and near the float range's top
-        # the plan was nan (exit 1, "state amplitudes must be finite")
+        # past the phase-error cap the float answer is off by more than the
+        # tolerance; near the float range's top the plan was nan (exit 1,
+        # "state amplitudes must be finite")
         pytest.param(
             {"mode": "hydrogen-case1", "seed": 1, "iterations": 2**53 + 1},
             "iterations", id="iterations-beyond-2**53",
@@ -949,6 +951,49 @@ def test_shot_counts_past_int64_exit_2(tmp_path, shots, shown):
     assert main(["--mode", "hydrogen-case2", "--shots", str(shots), "--out", str(out)]) == 2
     message = f"shots: must lie in [1, 9223372036854775807], got {shown}"
     assert json.loads(out.read_text())["error"] == {"type": "ConfigError", "message": message}
+
+
+# a dim-4 chain with all four amplitudes 0.5, amplified toward level 4
+# (g = 0.25), where the exact weight after 2**53 applications is 0.25
+CHAIN4_ARGV = [
+    "--mode", "algo1", "--system",
+    '{"dim": 4, "drift": [0, 1, 2, 3], '
+    '"coupling": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]}',
+    "--initial", "[0.5, 0.5, 0.5, 0.5]", "--good", "4", "--seed", "3",
+]
+
+
+@pytest.mark.parametrize(
+    "iterations, bound",
+    [(2**53, "8"), (MAX_ITERATIONS + 1, "1.00000008e-09")],
+    ids=["2**53", "cap+1"],
+)
+def test_count_past_the_phase_error_cap_exits_2(tmp_path, iterations, bound):
+    # 2**53 exited 0 with "success": true and a predicted_success of
+    # 0.99984, for an exact 0.25; the first count past the cap is the
+    # first whose phase-error bound exceeds the tolerance
+    out = tmp_path / "report.json"
+    assert main([*CHAIN4_ARGV, "--iterations", str(iterations), "--out", str(out)]) == 2
+    message = (f"iterations: phase-error bound {bound} exceeds 1e-09; the largest count within it "
+               f"is 1125899, got {iterations}")
+    assert json.loads(out.read_text())["error"] == {"type": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*CHAIN4_ARGV, "--iterations", str(MAX_ITERATIONS)],
+        # a steer-small repeat run
+        ["--mode", "hydrogen-case2", "--seed", "5", "--iterations", "0", "--repeat-until-success",
+         "--shots", "50"],
+    ],
+    ids=["cap", "zero-repeat"],
+)
+def test_counts_up_to_the_cap_run(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    plan = json.loads(out.read_text())["result"]["plan"]
+    assert plan["iterations"] == int(argv[argv.index("--iterations") + 1])
 
 
 @pytest.mark.parametrize("kind", sorted(MIXED_ROW_ERRORS))

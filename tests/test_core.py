@@ -308,9 +308,9 @@ HUGE_INTEGERS = [
     ("shots-max_attempts", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, shots=v, max_attempts=3), HUGE,
      ValueError, "shots: must lie in [1, 9223372036854775807], got "),
     ("iterations", lambda v: make_plan(E1, GoodSubspace.of(1, 5), iterations=v), HUGE, ValueError,
-     "iterations: must lie in [0, 9007199254740992], got "),
+     "iterations: phase-error bound inf exceeds 1e-09; the largest count within it is 1125899, got "),
     ("iterations-negative", lambda v: closed_form_weights(0.5, math.pi, math.pi, v), -HUGE, ValueError,
-     "iterations: must lie in [0, 9007199254740992], got "),
+     "iterations: must be >= 0, got "),
 ]
 
 
@@ -347,7 +347,8 @@ def test_shot_counts_past_int64_are_named(call, value, shown):
 
 def test_integers_print_exactly():
     # a bound and a value below 2**64 print in full, never in float format
-    message = f"iterations: must lie in [0, 9007199254740992], got {2**64 - 1}"
+    message = ("iterations: phase-error bound 16384 exceeds 1e-09; the largest count within it is "
+               f"1125899, got {2**64 - 1}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_plan(E1, GoodSubspace.of(1, 5), iterations=2**64 - 1)
     with pytest.raises(ValueError, match=r"^seed: must be >= 0, got a negative 65-bit integer$"):

@@ -21,7 +21,7 @@ from iqcontrol import (
     hydrogen_spec,
 )
 from iqcontrol import core, hydrogen
-from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, _model_spec
+from iqcontrol.hydrogen import KAPPA_EXCITED, KAPPA_GROUND, CasePreset, _model_spec
 from conftest import random_state
 from oracles import rk4_interaction_picture, success_probability
 
@@ -119,6 +119,28 @@ class TestPresets:
         assert p.expected_iterations == 5
         assert p.expected_success == pytest.approx(0.9999, abs=1e-4)
         assert decompose(p.initial, p.good).g == pytest.approx(0.02, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "preset, fields",
+        [
+            (case1_preset, ("hydrogen-case1", [0.7, 0.5, 0.3, 0.4, 0.1], {5}, 7, "0.9953444003575987", 1)),
+            (case2_preset,
+             ("hydrogen-case2", [0.1, 0.06, 0.08, 0.7, 0.7], {1, 2, 3}, 5, "0.9999014236363267", 2)),
+        ],
+        ids=["case1", "case2"],
+    )
+    def test_fields_pinned(self, preset, fields):
+        # every field, bit for bit: the expectation takes the good weight as
+        # written (0.1**2 would give case 1 0.9953444003575989), and every
+        # preset report prints it
+        name, amplitudes, good, iterations, success, algorithm = fields
+        p = preset()
+        assert type(p) is CasePreset and p.name == name and p.algorithm == algorithm
+        assert p.initial.amplitudes.tolist() == amplitudes
+        assert (p.good.indices, p.good.dim) == (frozenset(good), 5)
+        assert (p.phi1, p.phi2) == (math.pi, math.pi)
+        assert p.expected_iterations == iterations and type(p.expected_iterations) is int
+        assert repr(p.expected_success) == success and type(p.expected_success) is float
 
     def test_expected_success_internally_consistent(self):
         for p in (case1_preset(), case2_preset()):
