@@ -1,5 +1,7 @@
 """State vectors, operators, and propagation under a control field.
 
+``_array`` is the one reader of an array argument: a state's amplitudes, a
+spec's drift and coupling, a unitary's matrix and a callable field's values.
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, at most MAX_CF4_STEPS, into constant segments that ``_evolve``
 applies exactly, BATCH_ENTRIES matrix entries of a block at a time.
@@ -60,27 +62,44 @@ __all__ = [
 ]
 
 
-def _real_or_complex(values) -> np.ndarray:
-    """``values`` as float64 when every entry is real (float, int or bool),
-    as complex128 when they are complex; anything else (strings, Python
-    ints past int64) as ``np.asarray(values, dtype=complex)`` reads it."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "biufc":
-        return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
-    return np.asarray(values, dtype=complex)
-
-
-def _as_complex_vector(values: Sequence) -> np.ndarray:
-    """``values`` as a read-only 1-D complex array: a private copy, never a
-    view of the caller's array.  Text and any other shape are refused."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "US":
-        raise TypeError(f"amplitudes: must be numbers, got dtype {arr.dtype}")
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"amplitudes: expected a 1-D sequence, got shape {arr.shape}")
-    arr = arr.astype(complex)
-    arr.setflags(write=False)
+def _array(values, name: str, ndim: int, dtype=None) -> np.ndarray:
+    """``values`` as an ``ndim``-D array of finite numbers, bools and object
+    entries such as a ``Fraction`` included: float64 for ``dtype=float``,
+    complex128 for ``complex``, and for None float64 unless it is complex.
+    Each error starts with ``name``: ragged nesting or another ndim is a
+    DimensionMismatchError, text, any other entry or complex input to a real
+    array a TypeError, and NaN or an infinity a NonFiniteError.  With a
+    ``dtype`` it is a read-only private copy; with None, maybe the caller's."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatchError(f"{name}: expected a {ndim}-D sequence, got ragged nesting") from None
+    if arr.dtype.kind == "O":
+        arr = np.array([_number(x, name) for x in arr.flat]).reshape(arr.shape)
+    elif arr.dtype.kind not in "biufc":
+        raise TypeError(f"{name}: must be numbers, got dtype {arr.dtype}")
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name}: expected a {ndim}-D sequence, got shape {arr.shape}")
+    if dtype is float and arr.dtype.kind == "c":
+        raise TypeError(f"{name}: must be real, got dtype {arr.dtype}")
+    arr = arr.astype(dtype or (complex if arr.dtype.kind == "c" else float), copy=dtype is not None)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NonFiniteError(f"{name}: must be finite, got {arr.flat[np.argmin(finite)].item()!r}")
+    if dtype is not None:
+        arr.setflags(write=False)
     return arr
+
+
+def _number(value, name: str):
+    """A number as a float, or a complex when it is not real, an int past the
+    float range as an infinity; anything else is a TypeError naming ``name``."""
+    if not isinstance(value, numbers.Number):
+        raise TypeError(f"{name}: must be numbers, got {_quoted(value)}")
+    try:
+        return float(value) if isinstance(value, numbers.Real) else complex(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _norm(arr: np.ndarray) -> float:
@@ -158,10 +177,7 @@ def _real(
     ValueError naming ``name``; ``maximum`` comes with a ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name}: must be a real number, got {_quoted(value)}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf if value > 0 else -math.inf
+    number = _number(value, name)
     if not math.isfinite(number):
         raise NonFiniteError(f"{name}: must be finite, got {number!r}")
     return _bounded(number, name, minimum, maximum, exclusive)
@@ -174,20 +190,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amplitudes)
+        arr = _array(self.amplitudes, "amplitudes", 1, complex)
         object.__setattr__(self, "amplitudes", arr)
         if arr.size < 2:
-            raise DimensionMismatchError(
-                f"state needs at least 2 levels, got {arr.size}"
-            )
-        # a finite norm has finite entries, so only a non-finite one needs the scan
+            raise DimensionMismatchError(f"state needs at least 2 levels, got {arr.size}")
         norm = _norm(arr)
-        if not math.isfinite(norm) and not np.isfinite(arr).all():
-            raise NonFiniteError("state amplitudes must be finite, got NaN or an infinity")
         if abs(norm - 1.0) > NORM_TOL:
-            raise NormalizationError(
-                f"state norm is {norm!r}, expected 1 within {NORM_TOL:g}"
-            )
+            raise NormalizationError(f"state norm is {norm!r}, expected 1 within {NORM_TOL:g}")
 
     @property
     def dim(self) -> int:
@@ -234,11 +243,8 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
-        drift = np.asarray(self.drift)
-        if drift.dtype.kind == "c":  # float() would drop the imaginary parts
-            raise TypeError(f"drift: eigenvalues must be real, got dtype {drift.dtype}")
-        drift = drift.astype(float).reshape(-1)  # a private copy
-        coupling = _real_or_complex(self.coupling)
+        drift = _array(self.drift, "drift", 1, float)
+        coupling = _array(self.coupling, "coupling", 2)
         if drift.size != self.dim:
             raise DimensionMismatchError(
                 f"drift: {drift.size} eigenvalues for dimension {_shown(self.dim)}"
@@ -247,10 +253,6 @@ class SystemSpec:
             raise DimensionMismatchError(
                 f"coupling: shape {coupling.shape} does not match dimension {_shown(self.dim)}"
             )
-        if not np.isfinite(drift).all():
-            raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
-        if not np.isfinite(coupling).all():
-            raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
         # the checks run in the coupling's own dtype, which reads |B - B^H|
         # and [A, B]_ij = (d_i - d_j) B_ij as complex arithmetic does.  An
         # overflow is inf, which fails its tolerance; NaN comes only from
@@ -284,14 +286,12 @@ class SystemSpec:
                         f"exact_drift[{i}]: {num} disagrees with drift[{i}] = {approx}"
                     )
             object.__setattr__(self, "exact_drift", exact)
-        # the stored arrays are private copies, so no caller's array is
-        # frozen or can change the spec afterwards
+        # a private copy, so no caller's array is frozen or can change the spec
         coupling = coupling.astype(complex)
         if worst:  # Hermitian within the tolerance only: mirror the upper triangle
             lower = np.tril_indices(self.dim, -1)
             coupling[lower] = coupling.T[lower].conj()
             coupling.imag[np.diag_indices(self.dim)] = 0.0
-        drift.setflags(write=False)
         coupling.setflags(write=False)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "coupling", coupling)
@@ -370,14 +370,12 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        # a private copy, so no caller's array is frozen or can change the operator
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got shape {mat.shape}")
+        mat = _array(self.matrix, "matrix", 2, complex)
+        if mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatchError(f"matrix: must be square, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > UNITARITY_TOL:
             raise UnitarityError(f"matrix is not unitary: max |U^H U - I| = {dev:.3e}")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -396,11 +394,15 @@ class ControlPulse:
     segments: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        segs = tuple(
-            (_real(d, f"segments[{k}][0]", 0.0, exclusive=True), _real(u, f"segments[{k}][1]"))
-            for k, (d, u) in enumerate(self.segments)
-        )
-        object.__setattr__(self, "segments", segs)
+        segs = []
+        for k, segment in enumerate(self.segments):
+            try:
+                d, u = segment
+            except (TypeError, ValueError):
+                raise TypeError(f"segments[{k}]: expected a (duration, amplitude) pair, "
+                                f"got {_quoted(segment)}") from None
+            segs.append((_real(d, f"segments[{k}][0]", 0.0, exclusive=True), _real(u, f"segments[{k}][1]")))
+        object.__setattr__(self, "segments", tuple(segs))
 
     @property
     def duration(self) -> float:
@@ -469,11 +471,8 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     def gauss_values(n: int):
         h = duration / n
         mid = t0 + h * (np.arange(n) + 0.5)
-        u1 = np.fromiter(map(field, (mid - GAUSS_OFFSET * h).tolist()), float, n)
-        u2 = np.fromiter(map(field, (mid + GAUSS_OFFSET * h).tolist()), float, n)
-        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-            raise NonFiniteError("field: values must be finite, got NaN or an infinity")
-        return u1, u2
+        return (_array(list(map(field, (mid - GAUSS_OFFSET * h).tolist())), "field", 1, float),
+                _array(list(map(field, (mid + GAUSS_OFFSET * h).tolist())), "field", 1, float))
 
     spread = float(spec.drift.max() - spec.drift.min())
     n = steps(max(spread, 1e-6))

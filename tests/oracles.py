@@ -20,7 +20,8 @@ optimum (2L+1) theta ~ pi/2.
 
 ``SystemSpec`` checks a real coupling in real arithmetic;
 ``system_spec_checks`` runs its checks on the coupling read as complex,
-as the library did before 0.8.1.
+as the library did before 0.8.1.  Its ``read_array`` reads the drift and
+coupling by the rules of ``core._array``, entry by entry in Python numbers.
 
 Since 0.10.3 a run carries what an earlier stage computed: a plan from
 ``make_plan`` keeps the split of its prepared state, the binary partition
@@ -37,6 +38,7 @@ with the library's single-shot rule ``_select_block``.
 import cmath
 import contextlib
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -145,24 +147,54 @@ def transition_frequency(spec, i: int, j: int) -> float:
     return float(spec.drift[i - 1] - spec.drift[j - 1])
 
 
+def read_array(values, name: str, ndim: int, real: bool) -> np.ndarray:
+    """``values`` as an ``ndim``-D complex array, or the error
+    ``core._array`` raises: numpy sets the shape and the dtype, and each
+    entry is read as a Python complex, an int past the float range as an
+    infinity.  A non-finite entry prints as the array ``core._array``
+    checks holds it: real unless the input is complex."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise DimensionMismatchError(f"{name}: expected a {ndim}-D sequence, got ragged nesting") from None
+    if arr.dtype.kind not in "biufcO":
+        raise TypeError(f"{name}: must be numbers, got dtype {arr.dtype}")
+    entries = arr.ravel().tolist()
+    for x in entries:
+        if not isinstance(x, numbers.Number):
+            raise TypeError(f"{name}: must be numbers, got {x!r}")
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name}: expected a {ndim}-D sequence, got shape {arr.shape}")
+    is_complex = arr.dtype.kind == "c" or any(not isinstance(x, numbers.Real) for x in entries)
+    if real and is_complex:
+        shown = arr.dtype if arr.dtype.kind == "c" else np.dtype(complex)
+        raise TypeError(f"{name}: must be real, got dtype {shown}")
+    read = []
+    for x in entries:
+        try:
+            z = complex(x)
+        except OverflowError:
+            z = complex(math.inf if x > 0 else -math.inf)
+        if not cmath.isfinite(z):
+            raise NonFiniteError(f"{name}: must be finite, got {z if is_complex else z.real!r}")
+        read.append(z)
+    return np.array(read, dtype=complex).reshape(arr.shape)
+
+
 def system_spec_checks(dim: int, drift, coupling):
     """The drift and coupling a ``SystemSpec`` stores, and whether it warns
     that they commute, from its checks in complex arithmetic; or the error
     it raises.  A coupling that passes but is not exactly Hermitian is
     stored with its upper triangle, that triangle's conjugate below the
     diagonal and a real diagonal.  ``exact_drift`` is not covered."""
-    drift = np.asarray(drift, dtype=float).reshape(-1)
-    coupling = np.array(coupling, dtype=complex)
+    drift = read_array(drift, "drift", 1, real=True).real
+    coupling = read_array(coupling, "coupling", 2, real=False)
     if drift.size != dim:
         raise DimensionMismatchError(f"drift: {drift.size} eigenvalues for dimension {dim}")
     if coupling.shape != (dim, dim):
         raise DimensionMismatchError(
             f"coupling: shape {coupling.shape} does not match dimension {dim}"
         )
-    if not np.isfinite(drift).all():
-        raise NonFiniteError("drift: eigenvalues must be finite, got NaN or an infinity")
-    if not np.isfinite(coupling).all():
-        raise NonFiniteError("coupling: entries must be finite, got NaN or an infinity")
     off = np.abs(coupling - coupling.conj().T) > HERMITICITY_TOL
     if off.any():
         i, j = divmod(int(np.argmax(off)), dim)

@@ -141,7 +141,7 @@ class TestSystemSpec:
         # false "commute" warning; the list raised float()'s unnamed TypeError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TypeError, match="^drift: eigenvalues must be real, got dtype complex128$"):
+            with pytest.raises(TypeError, match="^drift: must be real, got dtype complex128$"):
                 SystemSpec(dim=2, drift=drift, coupling=_sigma_x_block(2))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
@@ -488,6 +488,76 @@ def test_int_past_the_float_range_is_not_finite():
         make_plan(E1, GoodSubspace.of(1, 5), phi1=10**400)
 
 
+# each array argument: its call with a value, the stored array of the
+# result, a valid value with one entry set to x, a value of another ndim,
+# and whether it must be real.  The field's value is what it returns.
+ARRAY_ARGUMENTS = {
+    "amplitudes": (StateVector, lambda r: r.amplitudes, lambda x: [x, 0.0], [[1.0, 0.0]], False),
+    "drift": (lambda v: SystemSpec(2, v, [[0, 1], [1, 0]]), lambda r: r.drift, lambda x: [0.0, x],
+              [[0.0, 1.0]], True),
+    "coupling": (lambda v: SystemSpec(2, [0.0, 1.0], v), lambda r: r.coupling, lambda x: [[0, x], [x, 0]],
+                 [0.0, 1.0], False),
+    "matrix": (UnitaryOperator, lambda r: r.matrix, lambda x: [[x, 0], [0, 1]], [1.0, 0.0], False),
+    "field": (lambda v: propagate_interaction_picture(HydrogenModel(), lambda t: v, E1, duration=0.5),
+              lambda r: r.amplitudes, lambda x: x, [0.1, 0.2], True),
+}
+# id, the hostile value from (fill, other ndim), the error it raises
+HOSTILE_KINDS = [
+    ("text", lambda fill, other: fill("1"), TypeError),
+    ("bytes", lambda fill, other: fill(b"1"), TypeError),
+    ("none", lambda fill, other: fill(None), TypeError),
+    ("object-text", lambda fill, other: np.array(fill("1"), dtype=object), TypeError),
+    ("dict", lambda fill, other: fill({}), TypeError),
+    ("ragged", lambda fill, other: fill([1.0, [1.0]]), DimensionMismatchError),
+    ("ndim", lambda fill, other: other, DimensionMismatchError),
+    ("nan", lambda fill, other: fill(math.nan), NonFiniteError),
+    ("inf", lambda fill, other: fill(math.inf), NonFiniteError),
+    ("-inf", lambda fill, other: fill(-math.inf), NonFiniteError),
+    ("2**1100", lambda fill, other: fill(2**1100), NonFiniteError),
+    ("complex", lambda fill, other: fill(1j), TypeError),  # real arguments only
+]
+HOSTILE_ARRAYS = [
+    pytest.param(call, name, make(fill, other), error, id=f"{name}-{kind}")
+    for name, (call, _, fill, other, real) in ARRAY_ARGUMENTS.items()
+    for kind, make, error in HOSTILE_KINDS
+    if real or kind != "complex"
+]
+
+
+@pytest.mark.parametrize("call, name, value, error", HOSTILE_ARRAYS)
+def test_hostile_arrays_raise_named_errors(call, name, value, error):
+    # one reader for every array argument: a NaN matrix was unitary, text
+    # drift and matrices read as numbers, a 2-D drift flattened, None read
+    # as NaN, and ragged nesting, 2**1100 or a complex field value raised
+    # numpy's, float()'s or a bare OverflowError's text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(value)
+    assert type(info.value) is error and str(info.value).startswith(f"{name}: "), str(info.value)
+
+
+# a Fraction object array and a bool array of each argument
+NUMBER_ARRAYS = {
+    "amplitudes": ([Fraction(3, 5), Fraction(4, 5)], [True, False]),
+    "drift": ([Fraction(0), Fraction(1, 2)], [False, True]),
+    "coupling": ([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [[False, True], [True, False]]),
+    "matrix": ([[Fraction(1), 0], [0, Fraction(1)]], [[True, False], [False, True]]),
+    "field": (Fraction(1, 10), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_ARRAYS))
+def test_fraction_and_bool_arrays_are_numbers(name):
+    # each is stored as its float equivalent, with no warning
+    call, stored = ARRAY_ARGUMENTS[name][:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in NUMBER_ARRAYS[name]:
+            expected = stored(call(np.asarray(value, dtype=float)))
+            assert stored(call(value)).tobytes() == expected.tobytes()
+
+
 # entries at and just past both tolerances: |x - y| = HERMITICITY_TOL passes
 # the Hermiticity check, and |d_i b - b d_j| = COMMUTATOR_TOL still commutes
 SPEC_ENTRIES = st.sampled_from([
@@ -504,15 +574,37 @@ SPEC_INPUTS = {
     "list": lambda re, im: [[int(x) if x == int(x) else x for x in row] for row in re.tolist()],
     "complex": lambda re, im: re + 1j * im,
     "complex-list": lambda re, im: (re + 1j * im).tolist(),
+    # hostile kinds, each refused by the reader before any check
+    "text": lambda re, im: re.astype(str),
+    "none": lambda re, im: _last_entry(re.tolist(), None),
+    "huge": lambda re, im: _last_entry(re.tolist(), 2**1100),
+    "ragged": lambda re, im: re.tolist()[:-1] + [re.tolist()[-1][:-1]],
 }
+# a plain list mostly, else a hostile kind
+DRIFT_INPUTS = {
+    "list": lambda drift: drift,
+    "2-D": lambda drift: [drift],
+    "text": lambda drift: [str(x) for x in drift],
+    "none": lambda drift: drift[:-1] + [None],
+    "huge": lambda drift: drift[:-1] + [-(2**1100)],
+    "ragged": lambda drift: drift[:-1] + [drift[-1:]],
+}
+
+
+def _last_entry(rows: list, value) -> list:
+    """``rows`` with the last entry of its first row set to ``value``."""
+    rows[0][-1] = value
+    return rows
 
 
 @st.composite
 def spec_inputs(draw):
-    """dim, drift and a coupling of one input kind, its entries mostly
-    mirrored (conjugated) across the diagonal, where they are mostly real."""
+    """dim, drift and a coupling of one input kind each, the coupling's
+    entries mostly mirrored (conjugated) across the diagonal, where they are
+    mostly real."""
     dim = draw(st.integers(2, 4))
     drift = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), min_size=dim, max_size=dim))
+    drift = DRIFT_INPUTS[draw(st.sampled_from(["list"] * 5 + sorted(DRIFT_INPUTS)))](drift)
     re, im = (np.array([[draw(SPEC_ENTRIES) for _ in range(dim)] for _ in range(dim)])
               for _ in range(2))
     for i in range(dim):
@@ -536,6 +628,13 @@ def spec_inputs(draw):
 @example(case=(2, [1e308, -1e308], [[1, 0], [0, 2]]))
 @example(case=(2, [1e308, -1e308], [[0, 1], [1, 0]]))
 @example(case=(2, [0, 1], [[0, 1e308], [1e308, 0]]))
+# the hostile kinds: each was stored, or raised numpy's or float()'s text
+@example(case=(2, ["0", "1"], [[0, 1], [1, 0]]))
+@example(case=(4, [[0, 1], [2, 3]], np.eye(4)))
+@example(case=(2, [0, 2**1100], [[0, 1], [1, 0]]))
+@example(case=(2, [0, 1], [[0, 2**1100], [2**1100, 0]]))
+@example(case=(2, [0, 1], [[0, None], [1, 0]]))
+@example(case=(2, [0, 1], [[0, 1], [1]]))
 def test_spec_checks_equal_complex_oracle(case):
     # every input kind stores the same read-only complex128 arrays, raises
     # the same error with the same text, and warns exactly when the checks
@@ -543,8 +642,8 @@ def test_spec_checks_equal_complex_oracle(case):
     dim, drift, coupling = case
     try:
         expected_drift, expected_coupling, commutes = system_spec_checks(dim, drift, coupling)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
+    except (TypeError, ValueError) as exc:
+        with pytest.raises((TypeError, ValueError)) as raised:
             SystemSpec(dim=dim, drift=drift, coupling=coupling)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return
@@ -734,6 +833,18 @@ class TestControlPulse:
         field = 0 if not np.isfinite(segment[0]) else 1
         with pytest.raises(NonFiniteError, match=rf"^segments\[1\]\[{field}\]: must be finite, got "):
             ControlPulse(((1.0, 0.2), segment))
+
+    @pytest.mark.parametrize(
+        "segment, shown",
+        [((1.0,), "(1.0,)"), ((1.0, 0.5, 2.0), "(1.0, 0.5, 2.0)"), (1.0, "1.0")],
+        ids=["one", "three", "scalar"],
+    )
+    def test_segment_that_is_not_a_pair_is_named(self, segment, shown):
+        # unpacking raised "not enough values to unpack (expected 2, got 1)"
+        # or "cannot unpack non-iterable float object"
+        message = f"segments[1]: expected a (duration, amplitude) pair, got {shown}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ControlPulse(((1.0, 0.5), segment))
 
     def test_duration_and_amplitude(self):
         p = ControlPulse(((1.0, 0.3), (2.0, -0.5)))
