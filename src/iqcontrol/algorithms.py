@@ -29,8 +29,7 @@ from .amplification import (
     make_plan,
 )
 from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
-from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, propagate
-from .errors import DimensionMismatchError
+from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _same_dim, propagate
 from .measurement import _MAX_SHOTS, MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
@@ -121,14 +120,8 @@ def _run(
     ``attempts`` set to the shots drawn) is the one that re-running the
     whole pipeline per shot would give.
     """
-    if initial.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"initial state dimension {initial.dim} does not match system {spec.dim}"
-        )
-    if good.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"subspace dimension {good.dim} does not match system {spec.dim}"
-        )
+    _same_dim(initial.dim, "initial", spec.dim)
+    _same_dim(good.dim, "subspace", spec.dim)
     # read up front: a histogram leaves measurement_shot unused but still
     # rejects it out of range, and the sampler trusts what it is given
     seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
@@ -183,6 +176,8 @@ def run_algorithm1(
     on the last; the plan is made once and the report records the
     ``attempts``.
     """
+    if target is not None:  # checked before anything is sampled
+        _same_dim(target.dim, "target", spec.dim)
     fields = _run(
         spec, initial, GoodSubspace.of(good_index, spec.dim), phi1, phi2, iterations,
         seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,

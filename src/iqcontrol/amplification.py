@@ -28,8 +28,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import NORM_TOL, StateVector, UnitaryOperator, _integer, _real, _shown, prepare_unitary
-from .errors import DimensionMismatchError, ZeroOverlapError
+from .core import (NORM_TOL, StateVector, UnitaryOperator, _integer, _items, _real, _same_dim, _shown,
+                   prepare_unitary)
+from .errors import ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
 MIN_GOOD_WEIGHT = 1e-15
@@ -65,7 +66,7 @@ class GoodSubspace:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        idx = frozenset(_integer(i, "good index", 1, self.dim) for i in self.indices)
+        idx = frozenset(_integer(i, "good index", 1, self.dim) for i in _items(self.indices, "indices"))
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("good subspace must be nonempty")
@@ -117,10 +118,7 @@ class Decomposition:
 
 def decompose(state: StateVector, good: GoodSubspace) -> Decomposition:
     """Project ``state`` onto the good index set and its complement."""
-    if good.dim != state.dim:
-        raise DimensionMismatchError(
-            f"good subspace dimension {good.dim} does not match state dimension {state.dim}"
-        )
+    _same_dim(good.dim, "good", state.dim)
     mask = good._mask
     return _split(
         np.where(mask, state.amplitudes, 0.0), np.where(mask, 0.0, state.amplitudes)
@@ -168,10 +166,7 @@ def amplification_operator(
     ``__all__``, because the benchmark times a span under its name.
     P0 and Pchi are diagonal, so they scale columns.
     """
-    if good.dim != prep.dim:
-        raise DimensionMismatchError(
-            f"good subspace dimension {good.dim} does not match operator dimension {prep.dim}"
-        )
+    _same_dim(good.dim, "good", prep.dim)
     p0 = np.ones(prep.dim, dtype=complex)
     p0[0] = cmath.exp(1j * _check_phase("phi1", phi1))
     pchi = np.where(good._mask, cmath.exp(1j * _check_phase("phi2", phi2)), 1.0 + 0j)

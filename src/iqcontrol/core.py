@@ -2,6 +2,9 @@
 
 ``_array`` is the one reader of an array argument: a state's amplitudes, a
 spec's drift and coupling, a unitary's matrix and a callable field's values.
+``_items`` reads every other collection argument, and ``_same_dim`` is the
+one check that an operand has the levels of the system, state or operator
+it meets.
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, at most MAX_CF4_STEPS, into constant segments that ``_evolve``
 applies exactly, BATCH_ENTRIES matrix entries of a block at a time.
@@ -183,6 +186,22 @@ def _real(
     return _bounded(number, name, minimum, maximum, exclusive)
 
 
+def _items(values, name: str) -> list:
+    """The entries of the collection ``values``, or a TypeError naming ``name``."""
+    try:
+        entries = iter(values)
+    except TypeError:  # not iterable; an error while iterating is the caller's own
+        raise TypeError(f"{name}: must be a collection, got {_quoted(values)}") from None
+    return list(entries)
+
+
+def _same_dim(count: int, name: str, dim: int) -> None:
+    """Nothing when operand ``name`` has ``dim`` levels; else a
+    DimensionMismatchError, ``<name>: expected <dim> levels, got <count>``."""
+    if count != dim:
+        raise DimensionMismatchError(f"{name}: expected {_shown(dim)} levels, got {count}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over the drift eigenbasis."""
@@ -208,6 +227,7 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
+        _same_dim(other.dim, "other", self.dim)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     @classmethod
@@ -245,10 +265,7 @@ class SystemSpec:
         object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
         drift = _array(self.drift, "drift", 1, float)
         coupling = _array(self.coupling, "coupling", 2)
-        if drift.size != self.dim:
-            raise DimensionMismatchError(
-                f"drift: {drift.size} eigenvalues for dimension {_shown(self.dim)}"
-            )
+        _same_dim(drift.size, "drift", self.dim)
         if coupling.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"coupling: shape {coupling.shape} does not match dimension {_shown(self.dim)}"
@@ -275,17 +292,17 @@ class SystemSpec:
                 np.abs(np.subtract.outer(drift, drift) * coupling) > COMMUTATOR_TOL
             ).any()
         if self.exact_drift is not None:
-            exact = tuple(Fraction(x) for x in self.exact_drift)
-            if len(exact) != self.dim:
-                raise DimensionMismatchError(
-                    f"exact_drift: {len(exact)} entries for dimension {self.dim}"
-                )
-            for i, (num, approx) in enumerate(zip(exact, drift)):
-                if abs(float(num) - approx) > 1e-9:
+            exact = _items(self.exact_drift, "exact_drift")
+            _same_dim(len(exact), "exact_drift", self.dim)
+            for i, (x, approx) in enumerate(zip(exact, drift)):
+                # read by the scalar rule, then kept exact: a float as its binary value
+                number = _real(x, f"exact_drift[{i}]")
+                exact[i] = Fraction(x if isinstance(x, numbers.Rational) else number)
+                if abs(number - approx) > 1e-9:
                     raise ValueError(
-                        f"exact_drift[{i}]: {num} disagrees with drift[{i}] = {approx}"
+                        f"exact_drift[{i}]: {exact[i]} disagrees with drift[{i}] = {approx}"
                     )
-            object.__setattr__(self, "exact_drift", exact)
+            object.__setattr__(self, "exact_drift", tuple(exact))
         # a private copy, so no caller's array is frozen or can change the spec
         coupling = coupling.astype(complex)
         if worst:  # Hermitian within the tolerance only: mirror the upper triangle
@@ -373,6 +390,8 @@ class UnitaryOperator:
         mat = _array(self.matrix, "matrix", 2, complex)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"matrix: must be square, got shape {mat.shape}")
+        if not mat.size:
+            raise DimensionMismatchError(f"matrix: must have at least 1 level, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > UNITARITY_TOL:
             raise UnitarityError(f"matrix is not unitary: max |U^H U - I| = {dev:.3e}")
@@ -384,7 +403,7 @@ class UnitaryOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "UnitaryOperator":
-        return cls(np.eye(_integer(dim, "dim"), dtype=complex))
+        return cls(np.eye(_integer(dim, "dim", 1), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -395,7 +414,7 @@ class ControlPulse:
 
     def __post_init__(self):
         segs = []
-        for k, segment in enumerate(self.segments):
+        for k, segment in enumerate(_items(self.segments, "segments")):
             try:
                 d, u = segment
             except (TypeError, ValueError):
@@ -574,10 +593,7 @@ def propagate(spec: SystemSpec, pulse: ControlPulse, initial: StateVector) -> St
     c_i exp(-i lambda_i T).  An empty pulse returns the initial state
     unchanged.
     """
-    if initial.dim != spec.dim:
-        raise DimensionMismatchError(
-            f"state dimension {initial.dim} does not match system dimension {spec.dim}"
-        )
+    _same_dim(initial.dim, "initial", spec.dim)
     if not isinstance(pulse, ControlPulse):
         raise TypeError(f"pulse must be a ControlPulse, got {type(pulse)!r}")
     durations, amplitudes = _segments(spec, pulse, None, 0.0, None)

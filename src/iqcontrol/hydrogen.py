@@ -24,8 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .amplification import GoodSubspace, closed_form_weights
-from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real, _segments
-from .errors import DimensionMismatchError
+from .core import ControlPulse, StateVector, SystemSpec, _evolve, _real, _same_dim, _segments
 
 KAPPA_GROUND = 128.0 * math.sqrt(2.0) / 243.0   # ground <-> excited-3 channel
 KAPPA_EXCITED = 3.0                              # excited-2 <-> excited-3 channel
@@ -103,9 +102,8 @@ def propagate_interaction_picture(
     coupled levels the state occupies are evolved; every other amplitude
     (labels 4 and 5 always) comes back bit-exact.
     """
-    if initial.dim != 5:
-        raise DimensionMismatchError(f"hydrogen model is 5-level, state has {initial.dim}")
     spec = _model_spec(model)
+    _same_dim(initial.dim, "initial", spec.dim)
     durations, amplitudes = _segments(spec, field, duration, t0, max_step)
     if not durations.size:
         return initial

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .amplification import GoodSubspace
-from .core import StateVector, _integer, _shown
-from .errors import DimensionMismatchError, MeasurementGuardError
+from .core import StateVector, _integer, _items, _same_dim, _shown
+from .errors import MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
 _MAX_CHUNK = 1 << 16  # uniforms drawn at once: bounds memory for any shot count
@@ -55,7 +55,8 @@ class MeasurementPartition:
 
     def __post_init__(self):
         blocks = tuple(
-            tuple(sorted(_integer(i, "partition label") for i in b)) for b in self.blocks
+            tuple(sorted(_integer(i, "partition label") for i in _items(b, f"blocks[{k}]")))
+            for k, b in enumerate(_items(self.blocks, "blocks"))
         )
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
@@ -134,10 +135,7 @@ class MeasurementOutcome:
 
 def born_probabilities(state: StateVector, partition: MeasurementPartition) -> np.ndarray:
     """Per-block probabilities: sum of |c_i|^2 over each block."""
-    if partition.dim != state.dim:
-        raise DimensionMismatchError(
-            f"partition covers {partition.dim} labels, state has {state.dim}"
-        )
+    _same_dim(partition.dim, "partition", state.dim)
     return np.bincount(
         partition._block_of_label,
         weights=state.populations(),

@@ -86,9 +86,7 @@ def phase_oracle_chi(dim: int, good: GoodSubspace, phi2: float) -> UnitaryOperat
     """Diagonal operator putting phase e^{i phi2} on every good basis state."""
     phi2 = _check_phase("phi2", phi2)
     if good.dim != dim:
-        raise DimensionMismatchError(
-            f"good subspace dimension {good.dim} does not match {dim}"
-        )
+        raise DimensionMismatchError(f"good: expected {dim} levels, got {good.dim}")
     diag = np.where(good.mask(), cmath.exp(1j * phi2), 1.0 + 0j)
     return UnitaryOperator(np.diag(diag))
 
@@ -190,7 +188,7 @@ def system_spec_checks(dim: int, drift, coupling):
     drift = read_array(drift, "drift", 1, real=True).real
     coupling = read_array(coupling, "coupling", 2, real=False)
     if drift.size != dim:
-        raise DimensionMismatchError(f"drift: {drift.size} eigenvalues for dimension {dim}")
+        raise DimensionMismatchError(f"drift: expected {dim} levels, got {drift.size}")
     if coupling.shape != (dim, dim):
         raise DimensionMismatchError(
             f"coupling: shape {coupling.shape} does not match dimension {dim}"

@@ -608,7 +608,7 @@ def test_algorithm2_runs_no_assess(monkeypatch):
 BAD_ARGUMENTS = [
     # id, kwargs, exception type, message prefix: one argument out of range each
     ("initial-dim", {"initial": StateVector([0.6, 0.8, 0.0, 0.0])}, DimensionMismatchError,
-     "initial state dimension 4 does not match system 5"),
+     "initial: expected 5 levels, got 4"),
     ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
      "initial state has no weight on good indices"),
     ("phi1", {"phi1": 4.0}, ValueError, "phi1: must lie in [0, pi], got 4.0"),
@@ -684,5 +684,5 @@ def test_invalid_target_raises_named_error():
     spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
     with pytest.raises(ValueError, match=r"^good index: must lie in \[1, 5\], got 9$"):
         run_algorithm1(spec, p1.initial, 9, seed=3)
-    with pytest.raises(DimensionMismatchError, match="^subspace dimension 4 does not match system 5"):
+    with pytest.raises(DimensionMismatchError, match="^subspace: expected 5 levels, got 4$"):
         run_algorithm2(spec, p2.initial, GoodSubspace.of([1, 2, 3], 4), seed=3)

@@ -86,3 +86,20 @@ def test_layer_lists_only_what_it_defines(layer):
 def test_package_republishes_the_layers_in_order():
     layers = [importlib.import_module(f"iqcontrol.{layer}") for layer in LAYERS]
     assert iqcontrol.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+
+
+def _raised_names(path: Path) -> set:
+    """The names of the exception classes a module raises by name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_core_alone_raises_dimension_mismatch():
+    # whether an operand fits is decided in one place, core._same_dim
+    raisers = [path.name for path in SOURCES if "DimensionMismatchError" in _raised_names(path)]
+    assert raisers == ["core.py"]
