@@ -12,7 +12,7 @@ hbar = 1.  Each layer module's ``__all__`` lists its public names, and the
 package republishes their union.
 """
 
-__version__ = "0.10.16"
+__version__ = "0.10.17"
 
 from . import algorithms, amplification, controllability, core, errors, hydrogen, measurement
 from .core import *

@@ -25,6 +25,15 @@ a JSON int or float as given; a tolerance or ``system.energy_gap`` of
 another kind its reader accepts (a ``validate_config`` caller's
 ``np.float32`` or ``Fraction``) is echoed as the number the reader
 returned, so the config hash can encode it.
+Every config field is one record of the table ``_FIELDS``: its name,
+its JSON kind, its reader, its default and its flag's help.  The parser
+adds one flag per record whose kind has one, with the argparse keywords
+of that kind; ``validate_config`` reads every field but ``mode``,
+``system`` and ``initial`` by its record's reader, in table order, and
+builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
+table's names.  ``--iterations`` text that ``int`` refuses reaches the
+field's reader unchanged, so the flag and the file share one message:
+``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
@@ -63,6 +72,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -87,12 +97,6 @@ from .measurement import (
     sample_collapse,
 )
 
-# every config field, in the order a RunConfig holds them; the report
-# echoes all but 'out', and each flag's dest is its field
-CONFIG_FIELDS = (
-    "mode", "system", "initial", "good", "subspace", "phases", "iterations", "seed",
-    "shots", "pre_rotation", "l_max", "tolerances", "repeat_until_success", "out",
-)
 # each mode and the fields it cannot run without, in the order they are
 # checked; a mode that needs a seed samples, and 'amplify' also needs
 # 'good' or 'subspace'
@@ -451,6 +455,81 @@ def _initial_state(value, spec: SystemSpec) -> tuple[StateVector, str]:
     return _built("initial: ", StateVector, amps / norm), text
 
 
+def _labels(value, path: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a nonempty list of basis labels")
+    labels = [_integer(v, f"{path}[{k}]", 1) for k, v in enumerate(value)]
+    if len(set(labels)) != len(labels):
+        _fail(path, "labels must be distinct")
+    return labels
+
+
+def _phases(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(path, "expected [phi1, phi2]")
+    return tuple(_real(p, f"{path}[{k}]", 0.0, math.pi) for k, p in enumerate(value))
+
+
+def _instance(kind: type, expected: str):
+    """The reader of a value of type ``kind``, described as ``expected``."""
+
+    def read(value, path: str):
+        if not isinstance(value, kind):
+            _fail(path, f"expected {expected}, got {value!r}")
+        return value
+
+    return read
+
+
+def _iterations(value, path: str):
+    # 'auto' only as a string: an array compared with it is no boolean
+    return value if isinstance(value, str) and value == "auto" else _explicit_count(value)
+
+
+_TOLERANCE_NAMES = sorted(f.name for f in fields(ControllabilityConfig))
+
+
+def _tolerances(value, path: str) -> tuple[dict, ControllabilityConfig]:
+    """The tolerances' echo, each as given when JSON writes it so, and the
+    config read from them."""
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    for key in value:
+        if key not in _TOLERANCE_NAMES:
+            _fail(f"{path}.{key}", f"unknown tolerance (allowed: {_TOLERANCE_NAMES})")
+    config = _built(f"{path}.", ControllabilityConfig, **value)
+    return {key: _json_number(v, getattr(config, key)) for key, v in value.items()}, config
+
+
+# a config field: its name; its JSON kind, which sets its flag (see
+# _FLAG_KEYWORDS); its reader ``(value, path) -> value``, None for the
+# fields validate_config reads itself; its default; its flag's help
+_Field = namedtuple("_Field", "name kind read default help", defaults=(None, None, None))
+
+
+# every config field, in the order a RunConfig holds them; the report
+# echoes all but 'out', and each flag's dest is its field
+_FIELDS = (
+    _Field("mode", "mode"),
+    _Field("system", "system", help="'hydrogen' or a path to a system JSON object"),
+    _Field("initial", "array", help="JSON amplitude array or a path to one"),
+    _Field("good", "integer", lambda v, path: _integer(v, path, 1), help="1-based target basis label"),
+    _Field("subspace", "array", _labels, help="JSON array of 1-based labels, e.g. [1,2,3]"),
+    _Field("phases", "angles", _phases, [math.pi, math.pi]),
+    _Field("iterations", "count", _iterations, "auto", f"'auto' or an integer in [0, {MAX_ITERATIONS}]"),
+    _Field("seed", "integer", lambda v, path: _integer(v, path, 0)),
+    _Field("shots", "integer", lambda v, path: _integer(v, path, 1, _MAX_SHOTS), 1),
+    _Field("pre_rotation", "boolean", _instance(bool, "a boolean"), False),
+    _Field("l_max", "integer", lambda v, path: _integer(v, path, 0), DEFAULT_L_MAX),
+    _Field("tolerances", "object", _tolerances, {}),
+    _Field("repeat_until_success", "boolean", _instance(bool, "a boolean"), False),
+    _Field("out", "string", _instance(str, "a path string"),
+           help="write the report here instead of stdout"),
+)
+CONFIG_FIELDS = tuple(field.name for field in _FIELDS)
+_READ_FIELDS = tuple(field for field in _FIELDS if field.read is not None)
+
+
 def validate_config(raw: dict) -> RunConfig:
     """Validate a raw config dict, apply defaults, return a RunConfig."""
     if not isinstance(raw, dict):
@@ -466,71 +545,33 @@ def validate_config(raw: dict) -> RunConfig:
     if isinstance(system, str):
         system = {"preset": system}
     initial = raw.get("initial")
-
-    good = raw.get("good")
-    if good is not None:
-        good = _built("", _integer, good, "good", 1)
-    subspace = raw.get("subspace")
-    if subspace is not None:
-        if not isinstance(subspace, list) or not subspace:
-            _fail("subspace", "expected a nonempty list of basis labels")
-        subspace = [_built("", _integer, v, f"subspace[{k}]", 1) for k, v in enumerate(subspace)]
-        if len(set(subspace)) != len(subspace):
-            _fail("subspace", "labels must be distinct")
-
-    phases = raw.get("phases", [math.pi, math.pi])
-    if not isinstance(phases, list) or len(phases) != 2:
-        _fail("phases", "expected [phi1, phi2]")
-    phases = tuple(_built("", _real, p, f"phases[{k}]", 0.0, math.pi) for k, p in enumerate(phases))
-
-    iterations = raw.get("iterations", "auto")
-    if iterations != "auto":
-        iterations = _built("", _explicit_count, iterations)
-
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _built("", _integer, seed, "seed", 0)
-    shots = _built("", _integer, raw.get("shots", 1), "shots", 1, _MAX_SHOTS)
-    l_max = _built("", _integer, raw.get("l_max", DEFAULT_L_MAX), "l_max", 0)
-
-    pre_rotation = raw.get("pre_rotation", False)
-    if not isinstance(pre_rotation, bool):
-        _fail("pre_rotation", f"expected a boolean, got {pre_rotation!r}")
-    repeat = raw.get("repeat_until_success", False)
-    if not isinstance(repeat, bool):
-        _fail("repeat_until_success", f"expected a boolean, got {repeat!r}")
-
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        _fail("tolerances", "expected an object")
-    allowed_tols = sorted(f.name for f in fields(ControllabilityConfig))
-    for key in tolerances:
-        if key not in allowed_tols:
-            _fail(f"tolerances.{key}", f"unknown tolerance (allowed: {allowed_tols})")
-    controllability = _built("tolerances.", ControllabilityConfig, **tolerances)
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        _fail("out", f"expected a path string, got {out!r}")
+    # every other field by its reader, in table order; an absent field
+    # takes its default, and a null one is absent when that is None
+    read = {}
+    for field in _READ_FIELDS:
+        value = raw.get(field.name, field.default)
+        if value is not None or field.default is not None:
+            value = _built("", field.read, value, field.name)
+        read[field.name] = value
+    read["tolerances"], controllability = read["tolerances"]
 
     # the mode's requirements; a preset sets the system, the state and the target
-    present = {"system": system, "initial": initial, "good": good, "subspace": subspace}
+    present = {"system": system, "initial": initial, **read}
     preset = _PRESETS.get(mode)
     if preset is not None:
-        for name, value in present.items():
-            if value is not None:
+        for name in ("system", "initial", "good", "subspace"):
+            if present[name] is not None:
                 _fail(name, f"not accepted by preset mode {mode!r}; the preset sets it")
-    present["seed"] = seed
     for name in _MODE_FIELDS[mode]:
         if present[name] is None:
             kind = "sampling mode" if name == "seed" else "mode"
             _fail(name, f"required for {kind} {mode!r}")
-    if mode == "amplify" and good is None and subspace is None:
+    if mode == "amplify" and read["good"] is None and read["subspace"] is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
     # every other mode reads one target: 'algo2' its subspace, the rest 'good'
-    if good is not None and subspace is not None and mode != "analyze":
-        ignored, read = ("good", "subspace") if mode == "algo2" else ("subspace", "good")
-        _fail(ignored, f"not read by mode {mode!r}, which takes {read!r}; set only one of them")
+    if read["good"] is not None and read["subspace"] is not None and mode != "analyze":
+        ignored, taken = ("good", "subspace") if mode == "algo2" else ("subspace", "good")
+        _fail(ignored, f"not read by mode {mode!r}, which takes {taken!r}; set only one of them")
 
     # the library objects, each built once, after the presence checks above,
     # and the canonical texts of the echo fields that validation encoded
@@ -549,35 +590,16 @@ def validate_config(raw: dict) -> RunConfig:
         if initial is not None:
             state, texts["initial"] = _initial_state(initial, spec)
         targets = {
-            name: _built(f"{name}: ", GoodSubspace.of, labels, spec.dim)
-            for name, labels in (("good", good), ("subspace", subspace))
-            if labels is not None
+            name: _built(f"{name}: ", GoodSubspace.of, read[name], spec.dim)
+            for name in ("good", "subspace")
+            if read[name] is not None
         }
         # at most one is set, unless 'analyze', which reads neither, has both
         target = targets.get("good", targets.get("subspace"))
+    # the echo, which a caller may edit and validate again, holds plain lists
     return RunConfig(
-        mode=mode,
-        # the echo, which a caller may edit and validate again, holds plain lists
-        system=_plain(system),
-        initial=_plain(initial),
-        good=good,
-        subspace=subspace,
-        phases=phases,
-        iterations=iterations,
-        seed=seed,
-        shots=shots,
-        pre_rotation=pre_rotation,
-        l_max=l_max,
-        tolerances={
-            key: _json_number(value, getattr(controllability, key))
-            for key, value in tolerances.items()
-        },
-        repeat_until_success=repeat,
-        out=out,
-        spec=spec,
-        state=state,
-        target=target,
-        controllability=controllability,
+        mode=mode, system=_plain(system), initial=_plain(initial), **read,
+        spec=spec, state=state, target=target, controllability=controllability,
         texts={name: text for name, text in texts.items() if text is not None},
     )
 
@@ -751,34 +773,6 @@ def summarize(report: dict) -> str:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="iqcontrol",
-        description="Amplitude-amplified, measurement-assisted control runs "
-        "on finite-level quantum systems.",
-    )
-    parser.add_argument("--config", help="path to a JSON config document")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--system", help="'hydrogen' or a path to a system JSON object")
-    parser.add_argument("--initial", help="JSON amplitude array or a path to one")
-    parser.add_argument("--good", type=int, help="1-based target basis label")
-    parser.add_argument("--subspace", help="JSON array of 1-based labels, e.g. [1,2,3]")
-    parser.add_argument("--phases", nargs=2, type=float, metavar=("PHI1", "PHI2"))
-    parser.add_argument("--iterations", help=f"'auto' or an integer in [0, {MAX_ITERATIONS}]")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--pre-rotation", action="store_true", default=None)
-    parser.add_argument("--l-max", type=int)
-    parser.add_argument("--repeat-until-success", action="store_true", default=None)
-    return parser
-
-
-# built once at import: ``parse_args`` only reads it, so every ``main`` call
-# in a process, from any thread, shares it
-_PARSER = _build_parser()
-
-
 def _read_file(name: str, path: str) -> str:
     """The text of the UTF-8 file ``name``; one that cannot be read or
     decoded is a ConfigError naming ``path``."""
@@ -797,11 +791,56 @@ def _load_json_or_path(value: str, path_hint: str):
     return _parse_json(text, path_hint)
 
 
+def _count_text(text: str):
+    """A count flag's text as an int when ``int`` reads it, else unchanged,
+    for the field's reader: 'auto', or text it refuses by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+# each JSON kind's flag: its argparse keywords, argparse's defaults for a
+# kind not listed (an object has no flag), and the reader of a flag that
+# carries JSON or a path to it
+_FLAG_KEYWORDS = {
+    "mode": {"choices": MODES},
+    "integer": {"type": int},
+    "angles": {"nargs": 2, "type": float, "metavar": ("PHI1", "PHI2")},
+    "count": {"type": _count_text},
+    "boolean": {"action": "store_true", "default": None},
+}
+_FLAG_TEXT = {
+    # --system may name the preset
+    "system": lambda text, path: text if text == "hydrogen" else _load_json_or_path(text, path),
+    "array": _load_json_or_path,
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="iqcontrol",
+        description="Amplitude-amplified, measurement-assisted control runs "
+        "on finite-level quantum systems.",
+    )
+    parser.add_argument("--config", help="path to a JSON config document")
+    for field in _FIELDS:
+        if field.kind != "object":
+            parser.add_argument("--" + field.name.replace("_", "-"), help=field.help,
+                                **_FLAG_KEYWORDS.get(field.kind, {}))
+    return parser
+
+
+# built once at import: ``parse_args`` only reads it, so every ``main`` call
+# in a process, from any thread, shares it
+_PARSER = _build_parser()
+
+
 def _assemble_raw_config(args, raw: dict) -> dict:
     """``raw``, filled with the config file's fields and then every given
-    flag merged over them; the flags that carry JSON, a path or a keyword
-    are read in flag order.  On a ConfigError ``raw`` keeps the file's
-    fields when the file was read."""
+    flag merged over them; the flags that carry JSON or a path are read in
+    flag order.  On a ConfigError ``raw`` keeps the file's fields when the
+    file was read."""
     if args.config:
         parsed = _parse_json(_read_file(args.config, "config"), "config")
         if not isinstance(parsed, dict):
@@ -810,16 +849,9 @@ def _assemble_raw_config(args, raw: dict) -> dict:
     flags = {
         key: value for key, value in vars(args).items() if value is not None and key != "config"
     }
-    if flags.get("system", "hydrogen") != "hydrogen":
-        flags["system"] = _load_json_or_path(flags["system"], "system")
-    for key in ("initial", "subspace"):
-        if key in flags:
-            flags[key] = _load_json_or_path(flags[key], key)
-    if flags.get("iterations", "auto") != "auto":
-        try:
-            flags["iterations"] = int(flags["iterations"])
-        except ValueError:
-            _fail("iterations", f"expected 'auto' or an integer, got {flags['iterations']!r}")
+    for field in _FIELDS:
+        if field.kind in _FLAG_TEXT and field.name in flags:
+            flags[field.name] = _FLAG_TEXT[field.kind](flags[field.name], field.name)
     raw.update(flags)
     return raw
 

@@ -23,6 +23,7 @@ import iqcontrol.cli
 import iqcontrol.hydrogen
 from iqcontrol import (
     ConfigError,
+    ControlPulse,
     ControllabilityConfig,
     GoodSubspace,
     HydrogenModel,
@@ -1017,6 +1018,82 @@ def test_hermiticity_error_record_pinned(tmp_path):
     }
 
 
+TOLERANCE_NAMES = "['degeneracy_tol', 'edge_threshold', 'max_denominator', 'ratio_tol']"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"mode": "analyze", "system": 5},
+                     "system: expected a system object or preset name, got 5", id="system-kind"),
+        pytest.param({"mode": "analyze", "system": "helium"},
+                     "system.preset: unknown preset 'helium'", id="unknown-preset"),
+        pytest.param({"mode": "analyze", "system": {"dim": 2, "drift": [0, 1]}},
+                     "system: missing required field 'coupling'", id="missing-coupling"),
+        pytest.param({"mode": "analyze", "system": {**HYDROGEN_INLINE, "drift": 5}},
+                     "system.drift: expected 2 eigenvalues", id="drift-kind"),
+        pytest.param({"mode": "amplify", "system": CHAIN, "initial": 5, "good": 2},
+                     "initial: expected a list of amplitudes, got 5", id="initial-kind"),
+        pytest.param([1, 2], "config: expected a JSON object at the top level", id="config-kind"),
+        pytest.param({"mode": "analyze", "system": CHAIN, "subspace": []},
+                     "subspace: expected a nonempty list of basis labels", id="subspace-empty"),
+        pytest.param({"mode": "analyze", "system": CHAIN, "subspace": 2},
+                     "subspace: expected a nonempty list of basis labels", id="subspace-kind"),
+        pytest.param({"mode": "analyze", "system": CHAIN, "subspace": [2, 1, 2]},
+                     "subspace: labels must be distinct", id="subspace-repeated"),
+        pytest.param({"mode": "analyze", "system": CHAIN, "tolerances": {"ratio": 1e-9}},
+                     f"tolerances.ratio: unknown tolerance (allowed: {TOLERANCE_NAMES})",
+                     id="unknown-tolerance"),
+        pytest.param({"mode": "analyze", "system": CHAIN, "out": 5},
+                     "out: expected a path string, got 5", id="out-kind"),
+    ],
+)
+def test_config_error_messages_pinned(tmp_path, capsys, payload, message):
+    # without --out the report goes to stdout, so a config's own 'out' is read
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    report = _strict_json(capsys.readouterr().out)
+    assert report["error"] == {"type": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("text", ["2.0", "x"])
+def test_iterations_flag_reads_as_the_config_field(tmp_path, capsys, text):
+    # the flag's own check said "expected 'auto' or an integer, got '2.0'";
+    # text int() refuses now reaches the field's reader, as it does from a file
+    preset = ["--mode", "hydrogen-case1", "--seed", "1"]
+    assert main([*preset, "--iterations", text]) == 2
+    from_flag = json.loads(capsys.readouterr().out)["error"]
+    payload = {"mode": "hydrogen-case1", "seed": 1, "iterations": text}
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    from_file = json.loads(capsys.readouterr().out)["error"]
+    message = f"iterations: must be an integer, got '{text}'"
+    assert from_flag == from_file == {"type": "ConfigError", "message": message}
+
+
+def test_validate_config_refuses_a_non_object():
+    # a library caller's value; main reads only objects from --config
+    with pytest.raises(ConfigError) as error:
+        validate_config([("mode", "analyze")])
+    assert str(error.value) == "config: expected a JSON object at the top level"
+
+
+def test_array_iterations_name_their_field():
+    # a library caller's array: comparing it with 'auto' raised numpy's
+    # "truth value of an array ... is ambiguous", which names no field
+    with pytest.raises(ConfigError) as error:
+        validate_config({"mode": "hydrogen-case1", "seed": 1, "iterations": np.array([1, 2])})
+    assert str(error.value) == "iterations: must be an integer, got array([1, 2])"
+
+
+def test_summary_prints_the_final_state_fidelity():
+    p = case1_preset()
+    report = run_algorithm1(hydrogen_spec(), p.initial, 5, seed=11,
+                            final_pulse=ControlPulse(((0.9, 0.4),)),
+                            target=StateVector.basis_state(5, 5))
+    assert report.success and report.fidelity is not None
+    lines = summarize({"mode": "algo1", "result": report.to_dict()}).splitlines()
+    assert lines[-1] == f"final-state fidelity = {report.fidelity:.12g}"
+
+
 REQUIRED = {
     "analyze": ["system"],
     "amplify": ["system", "initial"],  # plus its good set, either field
@@ -1024,18 +1101,27 @@ REQUIRED = {
     "algo2": ["system", "initial", "subspace", "seed"],
     "measure-stats": ["system", "initial", "seed"],
 }
-# a scalar field set to a value of the wrong JSON kind or range: (field,
-# value, the path its error names); 'out' is left out, because --out
-# overrides it, and so is null, which means "absent"
+# values of the wrong JSON kind for each kind of config field that has a
+# reader, with the suffix that the path their error names adds to the field
+WRONG_VALUES = {
+    "integer": [(2.5, ""), (True, ""), ("x", "")],
+    "count": [(2.5, ""), (True, ""), ("x", "")],
+    "boolean": [(1, ""), ("yes", "")],
+    "angles": [("x", ""), ([1.0], ""), ([1.0, "x"], "[1]")],
+    "array": [("x", ""), (["x"], "[0]")],
+    "object": [([], "")],
+}
+# a field set to a value of the wrong JSON kind, one row per value of its
+# kind in WRONG_VALUES, or of the wrong range: (field, value, the path its
+# error names); 'out' is left out, because --out overrides it, and so is
+# null, which means "absent" for a field whose default is None
 WRONG_KINDS = [
-    ("phases", "x", "phases"), ("phases", [1.0], "phases"),
-    ("phases", [1.0, "x"], "phases[1]"), ("phases", [4.0, 1.0], "phases[0]"),
-    *(("iterations", v, "iterations") for v in (2.5, True, "x", -1)),
-    *(("seed", v, "seed") for v in (1.5, True, -1)),
-    *(("shots", v, "shots") for v in (0, True, 2.5)),
-    *(("l_max", v, "l_max") for v in (-1, 2.5)),
-    *((field, v, field) for field in ("pre_rotation", "repeat_until_success") for v in (1, "yes")),
-    ("tolerances", [], "tolerances"),
+    *((field.name, value, field.name + suffix)
+      for field in iqcontrol.cli._FIELDS if field.read is not None and field.name != "out"
+      for value, suffix in WRONG_VALUES[field.kind]),
+    ("phases", [4.0, 1.0], "phases[0]"),
+    *((field, -1, field) for field in ("iterations", "seed", "l_max")),
+    ("shots", 0, "shots"),
     ("tolerances", {"ratio_tol": "x"}, "tolerances.ratio_tol"),
     ("tolerances", {"max_denominator": 2.5}, "tolerances.max_denominator"),
 ]
@@ -1161,7 +1247,7 @@ def test_config_boundary_fuzz(fuzz_dir, case):
         assert code == 2 and error["message"].startswith(path + ": "), error
 
 
-# the derandomized fuzz draws few of its mutations (4 of the 23 WRONG_KINDS
+# the derandomized fuzz draws few of its mutations (a few of WRONG_KINDS
 # among them); this draws each mutation kind on its own
 @pytest.mark.filterwarnings("ignore:drift and coupling commute")
 @pytest.mark.filterwarnings("ignore:subspace .* is not a connected component")
@@ -2021,6 +2107,20 @@ def test_readme_lists_every_flag():
         for option in action.option_strings
     ]
     assert sorted(listed) == sorted(options)
+
+
+def test_readme_lists_every_config_field():
+    # one row per record of the field table, in its order, with its default
+    # and the modes that cannot run without it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|$", readme, re.M)
+    assert [name for name, _, _ in rows] == list(iqcontrol.cli.CONFIG_FIELDS)
+    for field, (name, default, needed) in zip(iqcontrol.cli._FIELDS, rows):
+        assert default.strip() == ("none" if field.default is None else f"`{json.dumps(field.default)}`")
+        modes = re.findall(r"`([a-z0-9-]+)`", needed.split(";")[0])
+        if name != "mode":
+            needs = iqcontrol.cli._MODE_FIELDS.items()
+            assert modes == [mode for mode, fields in needs if name in fields], name
 
 
 def test_preset_runs_build_no_preset(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import iqcontrol
+import iqcontrol.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -103,3 +104,33 @@ def test_core_alone_raises_dimension_mismatch():
     # whether an operand fits is decided in one place, core._same_dim
     raisers = [path.name for path in SOURCES if "DimensionMismatchError" in _raised_names(path)]
     assert raisers == ["core.py"]
+
+
+def _method_calls(node: ast.AST, method: str) -> list:
+    """The calls of ``<object>.method(...)`` within ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == method]
+
+
+def test_cli_declares_each_config_field_once():
+    # a config field is one record of cli._FIELDS: the parser adds a flag
+    # for '--config' and otherwise only in its loop over the table, and
+    # validate_config reads by name only the fields it reads itself
+    tree = ast.parse((ROOT / "src" / "iqcontrol" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(functions["_build_parser"]) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Name) and node.iter.id == "_FIELDS"]
+    in_loops = [call for loop in loops for call in _method_calls(loop, "add_argument")]
+    assert in_loops
+    others = [call for call in _method_calls(tree, "add_argument") if call not in in_loops]
+    assert [ast.literal_eval(call.args[0]) for call in others] == ["--config"]
+    gets = [call for call in _method_calls(functions["validate_config"], "get")
+            if isinstance(call.func.value, ast.Name) and call.func.value.id == "raw"]
+    named = [call.args[0].value for call in gets if isinstance(call.args[0], ast.Constant)]
+    assert named == ["mode", "system", "initial"]
+    # nor do the parser and the flag merge name any field
+    names = iqcontrol.cli.CONFIG_FIELDS
+    for name in ("_build_parser", "_assemble_raw_config"):
+        strings = {node.value for node in ast.walk(functions[name])
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert not strings & {*names, *(f"--{field.replace('_', '-')}" for field in names)}, name
