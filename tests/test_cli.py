@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import threading
@@ -2139,6 +2140,18 @@ def test_preset_runs_build_no_preset(tmp_path, monkeypatch):
         code, report = run_cli(tmp_path, payload)
         assert code == 0
         assert report["result"]["preset_expectation"]["iterations"] in (5, 7)
+
+
+def test_main_guard_exits_with_mains_status(tmp_path, monkeypatch, capsys):
+    # the module run as __main__, in this process, exits with main's status
+    out = tmp_path / "report.json"
+    monkeypatch.delitem(sys.modules, "iqcontrol.cli")
+    monkeypatch.setattr(sys, "argv", ["iqcontrol", "--mode", "hydrogen-case1", "--seed", "1", "--out", str(out)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("iqcontrol.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert json.loads(out.read_text())["mode"] == "hydrogen-case1"
+    assert "hydrogen-case1" in capsys.readouterr().out
 
 
 def test_python_dash_m_runs_main(tmp_path, capsys):

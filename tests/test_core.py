@@ -130,6 +130,16 @@ class TestSystemSpec:
         with pytest.raises(DimensionMismatchError):
             SystemSpec(dim=3, drift=[0.0, 1.0], coupling=np.zeros((3, 3)))
 
+    def test_coupling_shape_mismatch_message_pinned(self):
+        message = "coupling: shape (2, 3) does not match dimension 2"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            SystemSpec(dim=2, drift=[0, 1], coupling=[[0, 1, 0], [1, 0, 0]])
+
+    def test_exact_drift_disagreement_message_pinned(self):
+        message = "exact_drift[1]: 3 disagrees with drift[1] = 2.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SystemSpec(dim=2, drift=[0, 2], coupling=_sigma_x_block(2), exact_drift=[0, 3])
+
     @pytest.mark.parametrize("drift", [[0.0, np.nan], [np.inf, 1.0], [0.0, -np.inf]])
     def test_rejects_non_finite_drift(self, drift):
         with pytest.raises(NonFiniteError, match="drift"):
@@ -937,6 +947,20 @@ class TestPropagate:
         with pytest.raises(TypeError, match="^pulse must be a ControlPulse"):
             propagate(random_spec(rng, 4), lambda t: 0.1, random_state(rng, 4))
 
+    def test_only_the_combined_phase_bound_overflowing_passes(self):
+        # (max|lambda| + |u| k max|B_ij|) (|t0| + T) overflows, yet each
+        # segment's phase and the drift phase are finite: the segments pass
+        spec = SystemSpec(dim=2, drift=[0, 1], coupling=[[0, 1], [1, 0]])
+        pulse = ControlPulse(((1e-300, 1e300), (1e300, 1.0)))
+        out = propagate(spec, pulse, StateVector.basis_state(1, 2))
+        assert abs(core._norm(out.amplitudes) - 1.0) <= 1e-12
+
+    def test_lost_normalization_is_named(self, rng, monkeypatch):
+        # any norm drift exceeds a tolerance below zero
+        monkeypatch.setattr(core, "PROPAGATION_NORM_TOL", -1.0)
+        with pytest.raises(NormalizationError, match="^propagation lost normalization: the norm moved by "):
+            propagate(random_spec(rng, 3), ControlPulse(((1.0, 0.5),)), random_state(rng, 3))
+
 
 class TestSegments:
     def test_callable_matches_lab_frame_oracle(self, rng):
@@ -954,6 +978,15 @@ class TestSegments:
             for levels, part in core._evolve(spec, durations, amplitudes, c):
                 out[levels] = part
             assert np.max(np.abs(out - rk4_lab_frame(spec, field, state, duration, t0))) < 1e-9
+
+    def test_field_of_another_kind_is_named(self):
+        message = "field must be a ControlPulse or a callable, got <class 'int'>"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            propagate_interaction_picture(HydrogenModel(), 5, StateVector.basis_state(1, 5))
+
+    def test_callable_over_zero_duration_returns_the_initial_state(self):
+        state = StateVector([0.6, 0.0, 0.8, 0.0, 0.0])
+        assert propagate_interaction_picture(HydrogenModel(), lambda t: 0.3, state, duration=0) is state
 
 
 def random_segments(rng) -> ControlPulse:
