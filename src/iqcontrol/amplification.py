@@ -207,11 +207,10 @@ def _rotation(g: float, b: float, phi1: float, phi2: float) -> tuple:
     return alpha, math.atan2(sin_w, cos_w), sin_w, (s00, n01, n10, s11)
 
 
-def _coefficients(
-    g: float, b: float, phi1: float, phi2: float, iterations: int
-) -> tuple[complex, complex]:
+def _coefficients(g: float, b: float, rotation: tuple, iterations: int) -> tuple[complex, complex]:
     """Scalars (c_good, c_bad) with Q^L psi = c_good * good_part + c_bad * bad_part,
-    for L = ``iterations``, from the SU(2) form of :func:`_rotation`.
+    for L = ``iterations``, from ``rotation``, the SU(2) form
+    ``_rotation(g, b, phi1, phi2)`` of Q.
 
     The phase-error bound: the weights |c_good|^2 g and |c_bad|^2 b, and
     the amplitudes up to the phase e^{i L alpha} they share, lie within
@@ -224,7 +223,7 @@ def _coefficients(
     ulp(w) is 3e8 times smaller).  The shared phase, which no weight sees,
     rounds L alpha with alpha up to 2 pi and adds up to 5.4 L ulp(1.0).
     """
-    alpha, omega, sin_w, (s00, n01, n10, s11) = _rotation(g, b, phi1, phi2)
+    alpha, omega, sin_w, (s00, n01, n10, s11) = rotation
     root_g, root_b = math.sqrt(g), math.sqrt(b)
     # S = 0 (e.g. phi1 = phi2 = 0) makes the ratio's value irrelevant
     ratio = math.sin(iterations * omega) / sin_w if sin_w > 0.0 else 0.0
@@ -249,12 +248,13 @@ def closed_form_weights(g: float, phi1: float, phi2: float, iterations: int) -> 
     phi2 = _check_phase("phi2", phi2)
     iterations = _explicit_count(iterations)
     g = _real(g, "g", 0.0, 1.0)
-    return _weights(g, phi1, phi2, iterations)
+    return _weights(g, _rotation(g, 1.0 - g, phi1, phi2), iterations)
 
 
-def _weights(g: float, phi1: float, phi2: float, iterations: int) -> tuple[float, float]:
-    """:func:`closed_form_weights` of arguments it has already checked."""
-    c_good, c_bad = _coefficients(g, 1.0 - g, phi1, phi2, iterations)
+def _weights(g: float, rotation: tuple, iterations: int) -> tuple[float, float]:
+    """:func:`closed_form_weights` of arguments it has already checked, the
+    phases given by their ``rotation``, ``_rotation(g, 1 - g, phi1, phi2)``."""
+    c_good, c_bad = _coefficients(g, 1.0 - g, rotation, iterations)
     # round-off may not lift a probability above 1
     return min(abs(c_good) ** 2 * g, 1.0), min(abs(c_bad) ** 2 * (1.0 - g), 1.0)
 
@@ -276,12 +276,13 @@ def optimal_iterations(
     phi2 = _check_phase("phi2", phi2)
     l_max = _integer(l_max, "l_max", 0)
     g = _real(g, "g", 0.0, 1.0, exclusive=True)
-    return _first_peak(g, l_max, phi1, phi2)
+    return _first_peak(g, l_max, _rotation(g, 1.0 - g, phi1, phi2))
 
 
-def _first_peak(g: float, l_max: int, phi1: float, phi2: float) -> int:
-    """:func:`optimal_iterations` of arguments it has already checked."""
-    _, omega, sin_w, (s00, n01, _, _) = _rotation(g, 1.0 - g, phi1, phi2)
+def _first_peak(g: float, l_max: int, rotation: tuple) -> int:
+    """:func:`optimal_iterations` of arguments it has already checked, the
+    phases given by their ``rotation``, ``_rotation(g, 1 - g, phi1, phi2)``."""
+    _, omega, sin_w, (s00, n01, _, _) = rotation
     # sin(w) = 0 leaves P constant, whatever v is taken to be
     v = (s00 * math.sqrt(g) + n01 * math.sqrt(1.0 - g)) / sin_w if sin_w > 0.0 else 0j
     a_term = 0.5 * (g + abs(v) ** 2)
@@ -386,12 +387,14 @@ def make_plan(
         raise ZeroOverlapError(
             f"initial state has no weight on good indices {sorted(good.indices)}; {hint}"
         )
-    # the phases and l_max are checked above, and d.g lies in [MIN_GOOD_WEIGHT, 1]
+    # the phases and l_max are checked above, and d.g lies in [MIN_GOOD_WEIGHT, 1];
+    # one rotation serves the count and the predicted weight
+    rotation = _rotation(d.g, 1.0 - d.g, phi1, phi2)
     if iterations == "auto":
-        count = _first_peak(d.g, l_max, phi1, phi2)
+        count = _first_peak(d.g, l_max, rotation)
     else:
         count = _explicit_count(iterations)
-    predicted, _ = _weights(d.g, phi1, phi2, count)
+    predicted, _ = _weights(d.g, rotation, count)
     plan = AmplificationPlan(
         prepared=initial,
         good=good,
@@ -417,7 +420,8 @@ def amplified_state(plan: AmplificationPlan) -> StateVector:
     copied with ``dataclasses.replace`` among them, is split here.
     """
     d = vars(plan).get("_decomposition") or decompose(plan.prepared, plan.good)
-    c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
+    rotation = _rotation(d.g, d.b, plan.phi1, plan.phi2)
+    c_good, c_bad = _coefficients(d.g, d.b, rotation, plan.iterations)
     # Q^L keeps the norm, but the closed form's drifts by up to its
     # phase-error bound, past NORM_TOL for long runs at small or unequal
     # phases; a result off by more than half of it takes the prepared norm

@@ -31,7 +31,10 @@ adds one flag per record whose kind has one, with the argparse keywords
 of that kind; ``validate_config`` reads every field but ``mode``,
 ``system`` and ``initial`` by its record's reader, in table order, and
 builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
-table's names.  ``--iterations`` text that ``int`` refuses reaches the
+table's names.  Each default is read by its record's reader once, at
+import, and an absent field takes that value: all are immutable but the
+tolerances' echo, which each run copies.  The preset modes' spec is
+built at import too, beside the presets.  ``--iterations`` text that ``int`` refuses reaches the
 field's reader unchanged, so the flag and the file share one message:
 ``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
@@ -110,9 +113,10 @@ _MODE_FIELDS = {
     "measure-stats": ("system", "initial", "seed"),
 }
 MODES = tuple(_MODE_FIELDS)
-# the preset modes' hydrogen runs, built once at import: frozen, with
-# read-only arrays, so every run and thread shares them
+# the preset modes' hydrogen runs and the spec they run on, built once at
+# import: frozen, with read-only arrays, so every run and thread shares them
 _PRESETS = {preset.name: preset for preset in (case1_preset(), case2_preset())}
+_PRESET_SPEC = hydrogen_spec()
 INITIAL_NORM_TOL = 1e-8
 _FLOAT_MAX = sys.float_info.max
 # the characters of compact JSON lists whose leaves are plain numbers
@@ -528,6 +532,13 @@ _FIELDS = (
 )
 CONFIG_FIELDS = tuple(field.name for field in _FIELDS)
 _READ_FIELDS = tuple(field for field in _FIELDS if field.read is not None)
+# each read field's value when it is absent: its default as its reader
+# reads it, once; every value is immutable but the tolerances' echo dict,
+# which each run copies
+_READ_DEFAULTS = {
+    field.name: None if field.default is None else field.read(field.default, field.name)
+    for field in _READ_FIELDS
+}
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -546,14 +557,17 @@ def validate_config(raw: dict) -> RunConfig:
         system = {"preset": system}
     initial = raw.get("initial")
     # every other field by its reader, in table order; an absent field
-    # takes its default, and a null one is absent when that is None
-    read = {}
+    # takes its default as read at import, and a null one is absent when
+    # that is None
+    read = dict(_READ_DEFAULTS)
     for field in _READ_FIELDS:
-        value = raw.get(field.name, field.default)
-        if value is not None or field.default is not None:
-            value = _built("", field.read, value, field.name)
-        read[field.name] = value
-    read["tolerances"], controllability = read["tolerances"]
+        if field.name in raw:
+            value = raw[field.name]
+            if value is not None or field.default is not None:
+                value = _built("", field.read, value, field.name)
+            read[field.name] = value
+    tolerances, controllability = read["tolerances"]
+    read["tolerances"] = dict(tolerances)  # the run's own echo, which a caller may edit
 
     # the mode's requirements; a preset sets the system, the state and the target
     present = {"system": system, "initial": initial, **read}
@@ -577,7 +591,7 @@ def validate_config(raw: dict) -> RunConfig:
     # and the canonical texts of the echo fields that validation encoded
     texts = {}
     if preset is not None:
-        spec, state, target = hydrogen_spec(), preset.initial, preset.good
+        spec, state, target = _PRESET_SPEC, preset.initial, preset.good
     else:
         # every other mode requires a system
         spec, texts["system"] = _system_spec(system)

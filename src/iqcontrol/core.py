@@ -12,7 +12,9 @@ A spec stores its coupling exactly Hermitian, so the graph's upper
 triangle and every reader of B agree on which levels it joins.  It finds
 the blocks of that graph, and builds the read-only levels, coupling and
 drift arrays of each coupled one, on its first propagation and keeps
-them, so every later one starts at the batched ``eigh``.
+them beside the phase bounds max|B_ij|, max|lambda| and the largest
+block's size, so every later one starts at the batched ``eigh``.  A pulse
+builds its read-only (durations, amplitudes) arrays once, on first use.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
 entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
@@ -340,6 +342,14 @@ class SystemSpec:
             arrays.append(block)
         return arrays
 
+    @cached_property
+    def _phase_bounds(self) -> tuple[float, float, int]:
+        """(max|B_ij|, max|lambda|, the size of the largest block of
+        ``_block_arrays``, 0 when there is none): the constants of every
+        phase bound, which ``_segments`` and ``_phases_checked`` read per call."""
+        size = max((levels.size for levels, _, _ in self._block_arrays), default=0)
+        return float(np.abs(self.coupling).max()), float(np.abs(self.drift).max()), size
+
 
 def _edges(spec: SystemSpec, labels: Sequence[int], threshold: float) -> list[tuple[int, int]]:
     """The pairs i < j among the sorted distinct ``labels`` with
@@ -427,6 +437,15 @@ class ControlPulse:
     def duration(self) -> float:
         return sum(d for d, _ in self.segments)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The segments as (durations, amplitudes) float arrays, built on
+        first use and kept read-only; ``_segments`` reads them per call."""
+        segments = np.array(self.segments, dtype=float).reshape(-1, 2)
+        segments.setflags(write=False)
+        durations, amplitudes = segments.T
+        return durations, amplitudes
+
 
 def prepare_unitary(target: StateVector) -> UnitaryOperator:
     """Unitary sending the first basis state to ``target``.
@@ -464,15 +483,14 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     max_step = None if max_step is None else _real(max_step, "max_step", 0.0, exclusive=True)
     if not isinstance(field, ControlPulse) and not callable(field):
         raise TypeError(f"field must be a ControlPulse or a callable, got {type(field)!r}")
-    coupling_max = float(np.abs(spec.coupling).max())
     if isinstance(field, ControlPulse):
-        durations, amplitudes = np.array(field.segments, dtype=float).reshape(-1, 2).T
+        durations, amplitudes = field._arrays
         if duration is not None:
             with np.errstate(over="ignore"):  # a start past the float range is past duration too
                 starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
             kept = starts < duration
             durations, amplitudes = np.minimum(durations, duration - starts)[kept], amplitudes[kept]
-        return _phases_checked(spec, durations, amplitudes, t0, sum(durations.tolist()), coupling_max,
+        return _phases_checked(spec, durations, amplitudes, t0, sum(durations.tolist()),
                                "segments[{}]", "segments" if duration is None else "duration")
     if duration is None:
         raise ValueError("a callable field needs an explicit duration")
@@ -497,18 +515,17 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     n = steps(max(spread, 1e-6))
     u1, u2 = gauss_values(n)
     peak = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
-    finer = steps(max(spread, peak * coupling_max, 1e-6))
+    finer = steps(max(spread, peak * spec._phase_bounds[0], 1e-6))
     if finer > n:
         n = finer
         u1, u2 = gauss_values(n)
     amplitudes = np.column_stack((CF4_HEAVY * u1 + CF4_LIGHT * u2, CF4_LIGHT * u1 + CF4_HEAVY * u2))
     durations = np.full(2 * n, duration / (2 * n))
-    return _phases_checked(spec, durations, amplitudes.ravel(), t0, duration, coupling_max,
+    return _phases_checked(spec, durations, amplitudes.ravel(), t0, duration,
                            "field: CF4 half-step {}", "duration")
 
 
-def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, coupling_max: float,
-                    where: str, length: str):
+def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, where: str, length: str):
     """``(durations, amplitudes)`` once every phase is finite: (A + u_k B) dt_k
     has eigenvalues within (max|lambda| + |u_k| max|B_ij| k) dt_k, k the largest
     block's size, and the drift phase lies within max|lambda| (|t0| + T), T being
@@ -517,8 +534,7 @@ def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: f
     T), whichever is larger."""
     if not durations.size:
         return durations, amplitudes
-    drift_max = float(np.abs(spec.drift).max())
-    size = max((levels.size for levels, _, _ in spec._block_arrays), default=0)
+    coupling_max, drift_max, size = spec._phase_bounds
     peak = max(-float(amplitudes.min()), float(amplitudes.max()))
     if math.isfinite((drift_max + peak * coupling_max * size) * (abs(t0) + total)):
         return durations, amplitudes  # the largest bound of all is finite

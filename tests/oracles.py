@@ -70,6 +70,7 @@ from iqcontrol.amplification import (
     _check_phase,
     _coefficients,
     _explicit_count,
+    _rotation,
     _split,
 )
 
@@ -97,7 +98,7 @@ def closed_form_step(d: Decomposition, phi1: float, phi2: float) -> Decompositio
     scaled in place and the supports never mix."""
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
-    c_good, c_bad = _coefficients(d.g, d.b, phi1, phi2, 1)
+    c_good, c_bad = _coefficients(d.g, d.b, _rotation(d.g, d.b, phi1, phi2), 1)
     return _split(c_good * d.good_part, c_bad * d.bad_part)
 
 
@@ -303,7 +304,7 @@ def resplit_amplified_state(plan) -> StateVector:
     """``amplified_state`` that splits the prepared state again, as every
     plan was amplified before plans carried their split."""
     d = decompose(plan.prepared, plan.good)
-    c_good, c_bad = _coefficients(d.g, d.b, plan.phi1, plan.phi2, plan.iterations)
+    c_good, c_bad = _coefficients(d.g, d.b, _rotation(d.g, d.b, plan.phi1, plan.phi2), plan.iterations)
     return StateVector(c_good * d.good_part + c_bad * d.bad_part)
 
 
@@ -323,6 +324,16 @@ def per_shot_histogram(state, partition, seed, shots) -> list[int]:
     for u in measurement._shot_uniforms(seed, 0, shots, measurement._MAX_CHUNK):
         counts += np.bincount(measurement._select_block(probs, u), minlength=probs.size)
     return counts.tolist()
+
+
+def phase_bounds(spec) -> tuple[float, float, int]:
+    """max|B_ij|, max|lambda| and the size of the largest component of the
+    coupling's exact nonzeros on which B is nonzero, 0 when there is none,
+    computed afresh on every call."""
+    labels = range(1, spec.dim + 1)
+    sizes = [len(component) for component in core._components(labels, core._edges(spec, labels, 0.0))
+             if spec.coupling[np.ix_(np.array(component) - 1, np.array(component) - 1)].any()]
+    return float(np.max(np.abs(spec.coupling))), float(np.max(np.abs(spec.drift))), max(sizes, default=0)
 
 
 def rebuilding_evolve(spec, durations, amplitudes, c):

@@ -19,6 +19,7 @@ from iqcontrol import (
     StateVector,
     UnitaryOperator,
 )
+from iqcontrol import amplification
 from iqcontrol.amplification import DEFAULT_L_MAX, MAX_ITERATIONS, MIN_GOOD_WEIGHT, amplification_operator
 from conftest import haar_unitary, random_state, state_with_good_weight
 from oracles import (
@@ -533,6 +534,18 @@ class TestMakePlan:
         assert built == []
         assert plan.preparation.dim == 64
         assert built == [(64, 64)]
+
+    @pytest.mark.parametrize("iterations", ["auto", 3])
+    def test_plan_builds_one_rotation(self, monkeypatch, iterations):
+        # the first-peak search and the predicted weight share one rotation;
+        # an "auto" plan used to build it twice
+        built = []
+        rotation = amplification._rotation
+        monkeypatch.setattr(amplification, "_rotation", lambda *args: built.append(args) or rotation(*args))
+        state, good = StateVector([0.7, 0.5, 0.3, 0.4, 0.1]), GoodSubspace.of(5, 5)
+        plan = make_plan(state, good, iterations=iterations)
+        assert len(built) == 1
+        assert plan.iterations == (7 if iterations == "auto" else 3)
 
     def test_preparation_maps_e1_to_prepared_state(self, rng):
         for dim in (2, 5, 9):

@@ -2125,13 +2125,15 @@ def test_readme_lists_every_config_field():
 
 
 def test_preset_runs_build_no_preset(tmp_path, monkeypatch):
-    # the presets are built once, at import; a run reads them from the table
+    # the presets and their spec are built once, at import; a run reads
+    # them, and builds and hashes no HydrogenModel
     def built(*args):
         raise AssertionError("a run built a preset")
 
     for module in (iqcontrol, iqcontrol.hydrogen, iqcontrol.cli):
-        for name in ("case1_preset", "case2_preset"):
+        for name in ("case1_preset", "case2_preset", "hydrogen_spec"):
             monkeypatch.setattr(module, name, built, raising=False)
+    monkeypatch.setattr(HydrogenModel, "__post_init__", built)
     for payload in (
         {"mode": "hydrogen-case1", "seed": 11},
         {"mode": "hydrogen-case2", "seed": 7, "shots": 300},
@@ -2140,6 +2142,22 @@ def test_preset_runs_build_no_preset(tmp_path, monkeypatch):
         code, report = run_cli(tmp_path, payload)
         assert code == 0
         assert report["result"]["preset_expectation"]["iterations"] in (5, 7)
+
+
+def test_an_edited_echo_leaks_into_no_later_config():
+    # every field's default is read once, at import, and shared only when
+    # it is immutable: the tolerances' echo is each config's own dict
+    def fresh():
+        return validate_config({"mode": "analyze", "system": HYDROGEN_INLINE})
+
+    canonical = fresh().canonical
+    edited = fresh().echo()
+    edited["tolerances"]["ratio_tol"] = 0.5
+    edited["phases"][0] = 1.0
+    later = fresh()
+    assert later.echo()["tolerances"] == {} and later.echo()["phases"] == [math.pi, math.pi]
+    assert later.canonical == canonical
+    assert later.controllability == ControllabilityConfig()
 
 
 def test_main_guard_exits_with_mains_status(tmp_path, monkeypatch, capsys):

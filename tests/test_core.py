@@ -43,6 +43,7 @@ from iqcontrol.core import COMMUTATOR_TOL, HERMITICITY_TOL
 from conftest import COUPLING_KINDS, coupling_of_kind, random_hermitian, random_spec, random_state
 from oracles import (
     full_matrix_propagate,
+    phase_bounds,
     rebuilt_paths,
     rk4_lab_frame,
     success_probability,
@@ -752,6 +753,41 @@ def test_second_propagation_builds_no_block_arrays(rng, monkeypatch):
     built.clear()
     propagate_interaction_picture(model, pulse, random_state(rng, 5))
     assert built == []
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24), kind=st.sampled_from(COUPLING_KINDS + ("none",)))
+def test_cached_phase_bounds_equal_a_fresh_computation(seed, dim, kind):
+    # a spec keeps max|B_ij|, max|lambda| and its largest block's size; a
+    # zero coupling has no coupled block, so the size is 0
+    rng = np.random.default_rng(seed)
+    coupling = np.zeros((dim, dim)) if kind == "none" else coupling_of_kind(rng, dim, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a zero coupling commutes with the drift
+        spec = SystemSpec(dim=dim, drift=rng.normal(size=dim) * 3.0, coupling=coupling)
+    assert spec._phase_bounds == phase_bounds(spec)
+    assert spec._phase_bounds is spec._phase_bounds
+    if kind == "none":
+        assert spec._phase_bounds[2] == 0
+
+
+def test_pulse_arrays_are_built_once(monkeypatch):
+    # a pulse is converted to arrays on its first propagation and keeps them
+    # read-only, so propagating it again, in either frame, converts nothing
+    pulse = ControlPulse(((0.3, 0.5), (0.2, -0.4), (0.25, 0.0)))
+    converted = []
+    array = np.array
+    monkeypatch.setattr(np, "array", lambda *args, **kwargs: (
+        converted.append(args) if args and args[0] is pulse.segments else None) or array(*args, **kwargs))
+    state = StateVector([0.6, 0.0, 0.8, 0.0, 0.0])
+    first = propagate(hydrogen_spec(), pulse, state)
+    propagate_interaction_picture(HydrogenModel(), pulse, state)
+    assert propagate(hydrogen_spec(), pulse, state).amplitudes.tobytes() == first.amplitudes.tobytes()
+    assert len(converted) == 1
+    for row, expected in zip(pulse._arrays, array(pulse.segments, dtype=float).T):
+        assert not row.flags.writeable
+        assert row.dtype == float and row.tobytes() == expected.tobytes()
+    assert [a.shape for a in ControlPulse(())._arrays] == [(0,), (0,)]
 
 
 @settings(max_examples=100)
