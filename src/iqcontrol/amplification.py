@@ -420,8 +420,7 @@ def amplified_state(plan: AmplificationPlan) -> StateVector:
     copied with ``dataclasses.replace`` among them, is split here.
     """
     d = vars(plan).get("_decomposition") or decompose(plan.prepared, plan.good)
-    rotation = _rotation(d.g, d.b, plan.phi1, plan.phi2)
-    c_good, c_bad = _coefficients(d.g, d.b, rotation, plan.iterations)
+    c_good, c_bad = _coefficients(d.g, d.b, _rotation(d.g, d.b, plan.phi1, plan.phi2), plan.iterations)
     # Q^L keeps the norm, but the closed form's drifts by up to its
     # phase-error bound, past NORM_TOL for long runs at small or unequal
     # phases; a result off by more than half of it takes the prepared norm

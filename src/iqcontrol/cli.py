@@ -34,9 +34,9 @@ builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
 table's names.  Each default is read by its record's reader once, at
 import, and an absent field takes that value: all are immutable but the
 tolerances' echo, which each run copies.  The preset modes' spec is
-built at import too, beside the presets.  ``--iterations`` text that ``int`` refuses reaches the
-field's reader unchanged, so the flag and the file share one message:
-``iterations: must be an integer, got '2.0'``.
+built at import too, beside the presets.  ``--iterations`` text that
+``int`` refuses reaches the field's reader unchanged, so the flag and the
+file share one message: ``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a

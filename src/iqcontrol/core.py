@@ -525,7 +525,8 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
                            "field: CF4 half-step {}", "duration")
 
 
-def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, where: str, length: str):
+def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, where: str,
+                    length: str):
     """``(durations, amplitudes)`` once every phase is finite: (A + u_k B) dt_k
     has eigenvalues within (max|lambda| + |u_k| max|B_ij| k) dt_k, k the largest
     block's size, and the drift phase lies within max|lambda| (|t0| + T), T being

@@ -331,8 +331,8 @@ def phase_bounds(spec) -> tuple[float, float, int]:
     coupling's exact nonzeros on which B is nonzero, 0 when there is none,
     computed afresh on every call."""
     labels = range(1, spec.dim + 1)
-    sizes = [len(component) for component in core._components(labels, core._edges(spec, labels, 0.0))
-             if spec.coupling[np.ix_(np.array(component) - 1, np.array(component) - 1)].any()]
+    blocks = [np.array(component) - 1 for component in core._components(labels, core._edges(spec, labels, 0.0))]
+    sizes = [levels.size for levels in blocks if spec.coupling[np.ix_(levels, levels)].any()]
     return float(np.max(np.abs(spec.coupling))), float(np.max(np.abs(spec.drift))), max(sizes, default=0)
 
 

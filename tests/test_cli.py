@@ -2164,7 +2164,8 @@ def test_main_guard_exits_with_mains_status(tmp_path, monkeypatch, capsys):
     # the module run as __main__, in this process, exits with main's status
     out = tmp_path / "report.json"
     monkeypatch.delitem(sys.modules, "iqcontrol.cli")
-    monkeypatch.setattr(sys, "argv", ["iqcontrol", "--mode", "hydrogen-case1", "--seed", "1", "--out", str(out)])
+    argv = ["iqcontrol", "--mode", "hydrogen-case1", "--seed", "1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
     with pytest.raises(SystemExit) as exited:
         runpy.run_module("iqcontrol.cli", run_name="__main__")
     assert exited.value.code == 0
