@@ -30,7 +30,7 @@ from .amplification import (
 )
 from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
 from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _same_dim, propagate
-from .measurement import _MAX_SHOTS, MeasurementOutcome, MeasurementPartition, _sample, measurement_histogram
+from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _shots, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
 
@@ -125,7 +125,7 @@ def _run(
     # read up front: a histogram leaves measurement_shot unused but still
     # rejects it out of range, and the sampler trusts what it is given
     seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
-    shots = _integer(shots, "shots", 1, _MAX_SHOTS)
+    shots = _shots(shots)
     if max_attempts is not None:
         max_attempts = _integer(max_attempts, "max_attempts", 1)
         if shots != 1:
@@ -136,8 +136,8 @@ def _run(
         histogram = measurement_histogram(amplified, partition, seed, shots)
         fields.update(histogram=histogram, empirical_success=histogram[0] / shots)
         return fields
-    # block 0 is the good block: a repeated run stops at the first shot on it
-    measurement, drawn = _sample(amplified, partition, seed, measurement_shot, max_attempts or 1, 0)
+    # a repeated run stops at the first shot on block 0, the good block
+    measurement, drawn = _sample(amplified, partition, seed, measurement_shot, max_attempts or 1)
     fields.update(
         measurement=measurement, success=measurement.block_index == 0,
         attempts=None if max_attempts is None else drawn,

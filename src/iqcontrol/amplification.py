@@ -156,6 +156,12 @@ def _explicit_count(value) -> int:
     return count
 
 
+def _iterations(value) -> Union[int, str]:
+    """An ``iterations`` argument as read: "auto", taken only as a str
+    (an array compared with it is no boolean), or an explicit count."""
+    return value if isinstance(value, str) and value == "auto" else _explicit_count(value)
+
+
 def amplification_operator(
     prep: UnitaryOperator, good: GoodSubspace, phi1: float, phi2: float
 ) -> UnitaryOperator:
@@ -390,10 +396,9 @@ def make_plan(
     # the phases and l_max are checked above, and d.g lies in [MIN_GOOD_WEIGHT, 1];
     # one rotation serves the count and the predicted weight
     rotation = _rotation(d.g, 1.0 - d.g, phi1, phi2)
-    if iterations == "auto":
+    count = _iterations(iterations)
+    if isinstance(count, str):  # "auto"
         count = _first_peak(d.g, l_max, rotation)
-    else:
-        count = _explicit_count(iterations)
     predicted, _ = _weights(d.g, rotation, count)
     plan = AmplificationPlan(
         prepared=initial,

@@ -15,12 +15,12 @@ NaN or an infinity among them.  Any nonzero exit writes a report
 containing an error record, except an argparse usage error, which raises
 SystemExit(2) before any config is read.  Reports are strict JSON.
 Each scalar field is read by the library's own reader (``core._integer``,
-``core._real``, ``make_plan``'s for an explicit ``iterations``, or the
-type that takes it: ``ControllabilityConfig`` for a tolerance,
-``HydrogenModel`` for ``system.energy_gap``), so its error reads as the
-library's under the field's path: ``seed: must be an integer, got
-1.5``, ``iterations: phase-error bound 1.00000008e-09 exceeds 1e-09;
-the largest count within it is 1125899, got 1125900``.  The echo keeps
+``amplification``'s phase and ``iterations`` readers, ``measurement``'s
+``shots`` reader, or the type that takes it: ``ControllabilityConfig``
+for a tolerance, ``HydrogenModel`` for ``system.energy_gap``), so its
+error reads as the library's under the field's path: ``seed: must be an
+integer, got 1.5``, ``iterations: phase-error bound 1.00000008e-09
+exceeds 1e-09; the largest count within it is 1125899, got 1125900``.  The echo keeps
 a JSON int or float as given; a tolerance or ``system.energy_gap`` of
 another kind its reader accepts (a ``validate_config`` caller's
 ``np.float32`` or ``Fraction``) is echoed as the number the reader
@@ -32,9 +32,9 @@ of that kind; ``validate_config`` reads every field but ``mode``,
 ``system`` and ``initial`` by its record's reader, in table order, and
 builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
 table's names.  Each default is read by its record's reader once, at
-import, and an absent field takes that value: all are immutable but the
-tolerances' echo, which each run copies.  The preset modes' spec is
-built at import too, beside the presets.  ``--iterations`` text that
+import, and an absent or null field takes that value: all are immutable
+but the tolerances' echo, which each run copies.  The preset modes' spec
+is built at import too, beside the presets.  ``--iterations`` text that
 ``int`` refuses reaches the field's reader unchanged, so the flag and the
 file share one message: ``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
@@ -87,18 +87,13 @@ import numpy as np
 
 from . import __version__
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
-from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _explicit_count
+from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _check_phase, _iterations
 from .controllability import ControllabilityConfig, assess
-from .core import StateVector, SystemSpec, _integer, _real
+from .core import StateVector, SystemSpec, _integer
 from .errors import ConfigError
 from .hydrogen import case1_preset, case2_preset, hydrogen_spec
-from .measurement import (
-    _MAX_SHOTS,
-    MeasurementPartition,
-    born_probabilities,
-    measurement_histogram,
-    sample_collapse,
-)
+from .measurement import (MeasurementPartition, _shots, born_probabilities, measurement_histogram,
+                          sample_collapse)
 
 # each mode and the fields it cannot run without, in the order they are
 # checked; a mode that needs a seed samples, and 'amplify' also needs
@@ -471,7 +466,7 @@ def _labels(value, path: str) -> list[int]:
 def _phases(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         _fail(path, "expected [phi1, phi2]")
-    return tuple(_real(p, f"{path}[{k}]", 0.0, math.pi) for k, p in enumerate(value))
+    return tuple(_check_phase(f"{path}[{k}]", p) for k, p in enumerate(value))
 
 
 def _instance(kind: type, expected: str):
@@ -483,11 +478,6 @@ def _instance(kind: type, expected: str):
         return value
 
     return read
-
-
-def _iterations(value, path: str):
-    # 'auto' only as a string: an array compared with it is no boolean
-    return value if isinstance(value, str) and value == "auto" else _explicit_count(value)
 
 
 _TOLERANCE_NAMES = sorted(f.name for f in fields(ControllabilityConfig))
@@ -520,9 +510,10 @@ _FIELDS = (
     _Field("good", "integer", lambda v, path: _integer(v, path, 1), help="1-based target basis label"),
     _Field("subspace", "array", _labels, help="JSON array of 1-based labels, e.g. [1,2,3]"),
     _Field("phases", "angles", _phases, [math.pi, math.pi]),
-    _Field("iterations", "count", _iterations, "auto", f"'auto' or an integer in [0, {MAX_ITERATIONS}]"),
+    _Field("iterations", "count", lambda v, path: _iterations(v), "auto",
+           f"'auto' or an integer in [0, {MAX_ITERATIONS}]"),
     _Field("seed", "integer", lambda v, path: _integer(v, path, 0)),
-    _Field("shots", "integer", lambda v, path: _integer(v, path, 1, _MAX_SHOTS), 1),
+    _Field("shots", "integer", lambda v, path: _shots(v), 1),
     _Field("pre_rotation", "boolean", _instance(bool, "a boolean"), False),
     _Field("l_max", "integer", lambda v, path: _integer(v, path, 0), DEFAULT_L_MAX),
     _Field("tolerances", "object", _tolerances, {}),
@@ -532,7 +523,7 @@ _FIELDS = (
 )
 CONFIG_FIELDS = tuple(field.name for field in _FIELDS)
 _READ_FIELDS = tuple(field for field in _FIELDS if field.read is not None)
-# each read field's value when it is absent: its default as its reader
+# each read field's value when it is absent or null: its default as its reader
 # reads it, once; every value is immutable but the tolerances' echo dict,
 # which each run copies
 _READ_DEFAULTS = {
@@ -556,16 +547,13 @@ def validate_config(raw: dict) -> RunConfig:
     if isinstance(system, str):
         system = {"preset": system}
     initial = raw.get("initial")
-    # every other field by its reader, in table order; an absent field
-    # takes its default as read at import, and a null one is absent when
-    # that is None
+    # every other field by its reader, in table order; a field absent or
+    # null takes its default as read at import
     read = dict(_READ_DEFAULTS)
     for field in _READ_FIELDS:
-        if field.name in raw:
-            value = raw[field.name]
-            if value is not None or field.default is not None:
-                value = _built("", field.read, value, field.name)
-            read[field.name] = value
+        value = raw.get(field.name)
+        if value is not None:
+            read[field.name] = _built("", field.read, value, field.name)
     tolerances, controllability = read["tolerances"]
     read["tolerances"] = dict(tolerances)  # the run's own echo, which a caller may edit
 

@@ -471,9 +471,10 @@ def prepare_unitary(target: StateVector) -> UnitaryOperator:
 
 
 def _segments(spec: SystemSpec, field, duration, t0, max_step):
-    """(durations, amplitudes) of the constant segments standing for ``field``
-    from ``t0`` to ``t0 + duration``, after checking all three.  A pulse is
-    cut at ``duration``; a callable takes two CF4 half-steps per step of
+    """(durations, amplitudes, T) of the constant segments standing for ``field``
+    from ``t0`` to ``t0 + duration``, after checking all three, with T the length
+    both frames read: the durations summed in order, or a callable's ``duration``.
+    A pulse is cut at ``duration``; a callable takes two CF4 half-steps per step of
     min(max_step, 0.02 / max(lambda_max - lambda_min, peak * max|B_ij|, 1e-6)),
     the peak read at the Gauss points of the steps the drift alone asks for.
     Over MAX_CF4_STEPS steps, or a phase overflowing (``_phases_checked``), raises.
@@ -495,7 +496,7 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
     if duration is None:
         raise ValueError("a callable field needs an explicit duration")
     if duration == 0:
-        return np.empty((2, 0))
+        return np.empty(0), np.empty(0), duration
 
     def steps(rate: float) -> int:
         step = min(math.inf if max_step is None else max_step, 0.02 / rate)
@@ -527,18 +528,18 @@ def _segments(spec: SystemSpec, field, duration, t0, max_step):
 
 def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: float, where: str,
                     length: str):
-    """``(durations, amplitudes)`` once every phase is finite: (A + u_k B) dt_k
+    """``(durations, amplitudes, total)`` once every phase is finite: (A + u_k B) dt_k
     has eigenvalues within (max|lambda| + |u_k| max|B_ij| k) dt_k, k the largest
     block's size, and the drift phase lies within max|lambda| (|t0| + T), T being
     ``total``.  Only an overflowing bound is searched: a NonFiniteError names the
     first segment, by ``where``, else ``t0`` or ``length`` (the argument that set
     T), whichever is larger."""
     if not durations.size:
-        return durations, amplitudes
+        return durations, amplitudes, total
     coupling_max, drift_max, size = spec._phase_bounds
     peak = max(-float(amplitudes.min()), float(amplitudes.max()))
     if math.isfinite((drift_max + peak * coupling_max * size) * (abs(t0) + total)):
-        return durations, amplitudes  # the largest bound of all is finite
+        return durations, amplitudes, total  # the largest bound of all is finite
     with np.errstate(over="ignore", invalid="ignore"):  # a bound may overflow, or be inf * 0
         finite = np.isfinite((drift_max + np.abs(amplitudes) * coupling_max * size) * durations)
     if not finite.all():
@@ -548,7 +549,7 @@ def _phases_checked(spec: SystemSpec, durations, amplitudes, t0: float, total: f
     if not math.isfinite(drift_max * (abs(t0) + total)):
         raise NonFiniteError(f"{'t0' if abs(t0) > total else length}: the drift phase max|lambda| * (|t0| + T) "
                              f"overflows, with max|lambda| = {drift_max!r}, t0 = {t0!r} and T = {total!r}")
-    return durations, amplitudes
+    return durations, amplitudes, total
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
@@ -613,11 +614,11 @@ def propagate(spec: SystemSpec, pulse: ControlPulse, initial: StateVector) -> St
     _same_dim(initial.dim, "initial", spec.dim)
     if not isinstance(pulse, ControlPulse):
         raise TypeError(f"pulse must be a ControlPulse, got {type(pulse)!r}")
-    durations, amplitudes = _segments(spec, pulse, None, 0.0, None)
+    durations, amplitudes, total = _segments(spec, pulse, None, 0.0, None)
     if not durations.size:
         return initial
     c = initial.amplitudes
-    out = c * np.exp(-1j * spec.drift * pulse.duration)
+    out = c * np.exp(-1j * spec.drift * total)
     for levels, part in _evolve(spec, durations, amplitudes, c):
         out[levels] = part
     return StateVector(out)

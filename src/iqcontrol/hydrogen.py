@@ -98,18 +98,20 @@ def propagate_interaction_picture(
     lab-frame propagator of ``iqcontrol.core``: exact segment exponentials
     for a pulse, and for a callable the fourth-order commutator-free
     Magnus step, two constant half-steps per step of at most
-    ``max_step``, which is checked whichever field is given.  Only the
+    ``max_step``, which is checked whichever field is given.  T is the
+    length ``propagate`` reads too: a pulse's durations summed in order,
+    or a callable's ``duration``.  Only the
     coupled levels the state occupies are evolved; every other amplitude
     (labels 4 and 5 always) comes back bit-exact.
     """
     spec = _model_spec(model)
     _same_dim(initial.dim, "initial", spec.dim)
-    durations, amplitudes = _segments(spec, field, duration, t0, max_step)
+    durations, amplitudes, total = _segments(spec, field, duration, t0, max_step)
     if not durations.size:
         return initial
     t0 = float(t0)  # a finite real, as _segments has checked
     lab = initial.amplitudes * np.exp(-1j * spec.drift * t0)
-    frame = np.exp(1j * spec.drift * (t0 + durations.sum()))
+    frame = np.exp(1j * spec.drift * (t0 + total))
     out = initial.amplitudes.copy()
     for levels, part in _evolve(spec, durations, amplitudes, lab):
         out[levels] = frame[levels] * part

@@ -11,7 +11,7 @@ seed works), whose k-th ``random()`` output is the uniform of shot k
 Philox yields four 64-bit outputs per counter value, so the stream is
 entered at shot k by advancing the counter by k // 4 and skipping k % 4
 lanes.  One sampler serves every single-shot draw: it enters the stream
-once and reads shots from k on until one lands on a stop block or a
+once and reads shots from k on until one lands on the first block or a
 count runs out, guarding only those shots, and collapses the last one;
 ``sample_collapse`` is that sampler with a count of 1.  A histogram
 draws its uniforms in bulk, sorts each chunk and counts a block's shots
@@ -143,6 +143,11 @@ def born_probabilities(state: StateVector, partition: MeasurementPartition) -> n
     )
 
 
+def _shots(value) -> int:
+    """A ``shots`` argument: an integer (no bool) in [1, _MAX_SHOTS]."""
+    return _integer(value, "shots", 1, _MAX_SHOTS)
+
+
 def _shot_uniforms(seed: int, first: int, count: int, size: int = 64):
     """Yield the uniforms of shots ``first .. first + count - 1`` in chunks.
 
@@ -194,10 +199,10 @@ def _sample(
     seed: int,
     first: int,
     count: int,
-    stop: int,
 ) -> tuple[MeasurementOutcome, int]:
-    """Draw shots ``first``, ``first + 1``, ... until one lands on block
-    ``stop`` or ``count`` are drawn, and collapse the state on the last.
+    """Draw shots ``first``, ``first + 1``, ... until one lands on block 0
+    (a binary partition's good block) or ``count`` are drawn, and
+    collapse the state on the last.
 
     Returns that shot's outcome and the number of shots drawn.  Every
     drawn shot passes the impossible-branch guard, as in a loop of
@@ -207,9 +212,9 @@ def _sample(
     probs = born_probabilities(state, partition)
     drawn = 0
     for u in _shot_uniforms(seed, first, count):
-        idx = _select_block(probs, u, stop)
+        idx = _select_block(probs, u, 0)
         drawn += idx.size
-        if idx[-1] == stop:
+        if idx[-1] == 0:
             break
     block = int(idx[-1])
     p = float(probs[block])
@@ -237,7 +242,7 @@ def sample_collapse(
     the argument.
     """
     seed, shot = _integer(seed, "seed", 0), _integer(shot, "shot", 0)
-    return _sample(state, partition, seed, shot, 1, 0)[0]
+    return _sample(state, partition, seed, shot, 1)[0]
 
 
 def measurement_histogram(
@@ -257,7 +262,7 @@ def measurement_histogram(
     ``shots`` in [1, 2**63 - 1], or a TypeError or a ValueError names the
     argument.
     """
-    seed, shots = _integer(seed, "seed", 0), _integer(shots, "shots", 1, _MAX_SHOTS)
+    seed, shots = _integer(seed, "seed", 0), _shots(shots)
     probs = born_probabilities(state, partition)
     edges = probs.cumsum()[:-1]
     guarded = probs.min() < IMPOSSIBLE_BLOCK_TOL

@@ -439,6 +439,21 @@ def test_max_attempts_must_be_an_integer(run):
     assert type(report.attempts) is int
 
 
+@pytest.mark.parametrize("run", ["make_plan", "run_algorithm1", "run_algorithm2"])
+def test_array_iterations_name_their_argument(run):
+    # comparing an array with "auto" raised numpy's "truth value of an
+    # array ... is ambiguous", which names no argument
+    p = case2_preset()
+    calls = {
+        "make_plan": lambda **kw: amplification.make_plan(p.initial, p.good, **kw),
+        "run_algorithm1": lambda **kw: run_algorithm1(hydrogen_spec(), p.initial, 1, seed=1, **kw),
+        "run_algorithm2": lambda **kw: run_algorithm2(hydrogen_spec(), p.initial, p.good, seed=1, **kw),
+    }
+    with pytest.raises(TypeError) as error:
+        calls[run](iterations=np.array([1, 2]))
+    assert str(error.value) == "iterations: must be an integer, got array([1, 2])"
+
+
 @settings(max_examples=80)
 @given(
     k=st.sampled_from([4, 5]),

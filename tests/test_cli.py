@@ -1115,7 +1115,7 @@ WRONG_VALUES = {
 # a field set to a value of the wrong JSON kind, one row per value of its
 # kind in WRONG_VALUES, or of the wrong range: (field, value, the path its
 # error names); 'out' is left out, because --out overrides it, and so is
-# null, which means "absent" for a field whose default is None
+# null, which means "absent" for every field
 WRONG_KINDS = [
     *((field.name, value, field.name + suffix)
       for field in iqcontrol.cli._FIELDS if field.read is not None and field.name != "out"
@@ -1283,6 +1283,33 @@ def test_wrong_kind_names_its_field(tmp_path, field, value, path):
     for mode, fields in KIND_RUNS.items():
         code, report = run_cli(tmp_path, {"mode": mode, "system": system, **fields, field: value})
         assert code == 2 and report["error"]["message"].startswith(path + ": "), (mode, report)
+
+
+DEFAULTED = [field.name for field in iqcontrol.cli._FIELDS if field.default is not None]
+CASE2_STATE = [0.1, 0.06, 0.08, 0.7, 0.7]
+# one successful run of each mode
+MODE_RUNS = {
+    "analyze": {"system": "hydrogen"},
+    "amplify": {"system": "hydrogen", "initial": CASE2_STATE, "good": 5},
+    "algo1": {"system": "hydrogen", "initial": CASE2_STATE, "good": 5, "seed": 1},
+    "algo2": {"system": "hydrogen", "initial": CASE2_STATE, "subspace": [1, 2, 3], "seed": 1},
+    "hydrogen-case1": {"seed": 1},
+    "hydrogen-case2": {"seed": 1},
+    "measure-stats": {"system": "hydrogen", "initial": CASE2_STATE, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("field", DEFAULTED)
+def test_null_field_is_the_absent_field(tmp_path, field):
+    # a null field with a default was read by its reader, and refused
+    assert sorted(MODE_RUNS) == sorted(iqcontrol.cli.MODES)
+    for mode, fields in MODE_RUNS.items():
+        payload = {"mode": mode, **fields}
+        reports = [run_cli(tmp_path, {**payload, **extra})[1] for extra in ({}, {field: None})]
+        for report in reports:
+            assert "error" not in report, (mode, report)
+            report["provenance"].pop("generated_at")
+        assert reports[0] == reports[1], mode
 
 
 # leaves at the edges of json's spelling: bools and None, ints past 2^63,

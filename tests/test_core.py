@@ -1008,9 +1008,10 @@ class TestSegments:
             a, w, phase, offset = rng.uniform([0.5, 0.5, 0.0, -0.5], [2.0, 3.0, 6.0, 0.5])
             field = lambda t: a * math.cos(w * t + phase) + offset
             duration, t0 = float(rng.uniform(0.5, 1.5)), float(rng.uniform(-2.0, 2.0))
-            durations, amplitudes = core._segments(spec, field, duration, t0, None)
+            durations, amplitudes, total = core._segments(spec, field, duration, t0, None)
+            assert total == duration
             c = state.amplitudes
-            out = c * np.exp(-1j * spec.drift * duration)
+            out = c * np.exp(-1j * spec.drift * total)
             for levels, part in core._evolve(spec, durations, amplitudes, c):
                 out[levels] = part
             assert np.max(np.abs(out - rk4_lab_frame(spec, field, state, duration, t0))) < 1e-9

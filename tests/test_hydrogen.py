@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqcontrol import (
     ControlPulse,
@@ -456,3 +458,37 @@ class TestOneExactPropagator:
             assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
             assert out.amplitudes[3] == state.amplitudes[3]
             assert out.amplitudes[4] == state.amplitudes[4]
+
+
+# a random state holds every level, so both frames evolve the one coupled
+# block, levels 1 to 3; levels 4 and 5 come back as given
+EVOLVED = slice(0, 3)
+SEGMENTS = st.lists(
+    st.tuples(st.floats(0.01, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=20
+)
+
+
+@given(segments=SEGMENTS, seed=st.integers(0, 2**32 - 1))
+def test_interaction_picture_at_t0_zero_is_the_lab_frame_bit_for_bit(segments, seed):
+    # both frames take one T, the pulse's durations summed in order; the
+    # interaction picture's sum by np.sum missed the lab frame's in the last bit
+    spec, pulse = hydrogen_spec(), ControlPulse(tuple(segments))
+    state = random_state(np.random.default_rng(seed), 5)
+    out = propagate_interaction_picture(HydrogenModel(), pulse, state).amplitudes
+    lab = np.exp(1j * spec.drift * pulse.duration) * propagate(spec, pulse, state).amplitudes
+    assert np.array_equal(out[EVOLVED], lab[EVOLVED])
+
+
+@given(
+    amplitude=st.floats(-2.0, 2.0), rate=st.floats(0.1, 3.0), duration=st.floats(0.01, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_callable_frame_uses_its_duration(amplitude, rate, duration, seed):
+    # a callable's frame takes T = duration, not its CF4 half-steps summed
+    spec = hydrogen_spec()
+    state = random_state(np.random.default_rng(seed), 5)
+    field = lambda t: amplitude * math.cos(rate * t)
+    out = propagate_interaction_picture(HydrogenModel(), field, state, duration).amplitudes
+    steps = ControlPulse(tuple(zip(*core._segments(spec, field, duration, 0.0, None)[:2])))
+    lab = np.exp(1j * spec.drift * duration) * propagate(spec, steps, state).amplitudes
+    assert np.array_equal(out[EVOLVED], lab[EVOLVED])

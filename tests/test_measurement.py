@@ -331,11 +331,11 @@ class TestReplay:
             )
 
         uniforms(0.5, 1.0)
-        outcome, drawn = _sample(state, p, 0, 3, 2, 0)
+        outcome, drawn = _sample(state, p, 0, 3, 2)
         assert (outcome.block_index, drawn) == (0, 1)
         uniforms(1.0, 0.5)
         with pytest.raises(MeasurementGuardError, match="sampled block 1"):
-            _sample(state, p, 0, 3, 2, 0)
+            _sample(state, p, 0, 3, 2)
 
     def test_first_shot_on_matches_single_shots(self):
         # block 0 has probability 0.01: the first hit is usually past the
@@ -347,16 +347,15 @@ class TestReplay:
                 shots = range(first, first + count)
                 hits = [k for k in shots if sample_collapse(state, p, seed, shot=k).block_index == 0]
                 expected = hits[0] if hits else first + count - 1
-                outcome, drawn = _sample(state, p, seed, first, count, 0)
+                outcome, drawn = _sample(state, p, seed, first, count)
                 assert drawn == expected - first + 1
                 assert outcome.to_dict() == sample_collapse(state, p, seed, shot=expected).to_dict()
 
-    @pytest.mark.parametrize("stop", [0, 1, 3])
-    def test_one_shot_sample_is_sample_collapse(self, rng, stop):
-        # a count of 1 draws shot ``first`` whatever the stop block
+    def test_one_shot_sample_is_sample_collapse(self, rng):
+        # a count of 1 draws shot ``first`` whatever block it lands on
         state, p = random_state(rng, 6), random_partition(rng, 6)
         for shot in (0, 1, 5, 4099):
-            outcome, drawn = _sample(state, p, 13, shot, 1, stop)
+            outcome, drawn = _sample(state, p, 13, shot, 1)
             single = sample_collapse(state, p, seed=13, shot=shot)
             assert drawn == 1
             assert (outcome.block_index, outcome.block) == (single.block_index, single.block)

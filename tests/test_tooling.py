@@ -134,3 +134,54 @@ def test_cli_declares_each_config_field_once():
         strings = {node.value for node in ast.walk(functions[name])
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert not strings & {*names, *(f"--{field.replace('_', '-')}" for field in names)}, name
+
+
+def _places(test) -> set:
+    """(module file, innermost enclosing function or None) of each node
+    of the package's sources for which ``test`` holds."""
+    places = set()
+
+    def visit(node, module, function):
+        if test(node):
+            places.add((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.name, None)
+    return places
+
+
+def _is_math_pi(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "pi"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def test_each_run_quantity_has_one_rule():
+    # the phase interval [0, pi], the shot range [1, _MAX_SHOTS] and the
+    # "auto" count each have one reader, which every other layer calls
+    pi_bounds = _places(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_real"
+                        and any(map(_is_math_pi, [*node.args[2:], *(k.value for k in node.keywords)])))
+    assert pi_bounds == {("amplification.py", "_check_phase")}
+    max_shots = _places(lambda node: isinstance(node, ast.Name) and node.id == "_MAX_SHOTS"
+                        or isinstance(node, ast.alias) and node.name == "_MAX_SHOTS")
+    assert {module for module, _ in max_shots} == {"measurement.py"}
+    auto = _places(lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(operand, ast.Constant) and operand.value == "auto"
+        for operand in (node.left, *node.comparators)))
+    assert auto == {("amplification.py", "_iterations")}
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library quick start\n\n```python\n(.*?)^```$", readme, re.M | re.S)[1]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    verdict, iterations, success, *_ = capsys.readouterr().out.splitlines()
+    assert (verdict, iterations) == ("violated", "5")
+    assert success.startswith("0.99990")
+    collapsed = namespace["report"].measurement.collapsed
+    assert not collapsed.amplitudes[3:].any()  # inside {1, 2, 3}
