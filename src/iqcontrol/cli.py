@@ -32,9 +32,9 @@ of that kind; ``validate_config`` reads every field but ``mode``,
 ``system`` and ``initial`` by its record's reader, in table order, and
 builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
 table's names.  Each default is read by its record's reader once, at
-import, and an absent or null field takes that value: all are immutable
-but the tolerances' echo, which each run copies.  The preset modes' spec
-is built at import too, beside the presets.  ``--iterations`` text that
+import, with the presets and their spec, and an absent or null field
+takes that value.  Every mode is one record of ``_MODES``: the fields it
+needs, the target it takes and its run.  ``--iterations`` text that
 ``int`` refuses reaches the field's reader unchanged, so the flag and the
 file share one message: ``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
@@ -95,19 +95,6 @@ from .hydrogen import case1_preset, case2_preset, hydrogen_spec
 from .measurement import (MeasurementPartition, _shots, born_probabilities, measurement_histogram,
                           sample_collapse)
 
-# each mode and the fields it cannot run without, in the order they are
-# checked; a mode that needs a seed samples, and 'amplify' also needs
-# 'good' or 'subspace'
-_MODE_FIELDS = {
-    "analyze": ("system",),
-    "amplify": ("system", "initial"),
-    "algo1": ("system", "initial", "good", "seed"),
-    "algo2": ("system", "initial", "subspace", "seed"),
-    "hydrogen-case1": ("seed",),
-    "hydrogen-case2": ("seed",),
-    "measure-stats": ("system", "initial", "seed"),
-}
-MODES = tuple(_MODE_FIELDS)
 # the preset modes' hydrogen runs and the spec they run on, built once at
 # import: frozen, with read-only arrays, so every run and thread shares them
 _PRESETS = {preset.name: preset for preset in (case1_preset(), case2_preset())}
@@ -564,15 +551,15 @@ def validate_config(raw: dict) -> RunConfig:
         for name in ("system", "initial", "good", "subspace"):
             if present[name] is not None:
                 _fail(name, f"not accepted by preset mode {mode!r}; the preset sets it")
-    for name in _MODE_FIELDS[mode]:
+    for name in _MODES[mode].needs:
         if present[name] is None:
             kind = "sampling mode" if name == "seed" else "mode"
             _fail(name, f"required for {kind} {mode!r}")
     if mode == "amplify" and read["good"] is None and read["subspace"] is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
-    # every other mode reads one target: 'algo2' its subspace, the rest 'good'
-    if read["good"] is not None and read["subspace"] is not None and mode != "analyze":
-        ignored, taken = ("good", "subspace") if mode == "algo2" else ("subspace", "good")
+    taken = _MODES[mode].takes
+    if read["good"] is not None and read["subspace"] is not None and taken is not None:
+        ignored = "good" if taken == "subspace" else "subspace"
         _fail(ignored, f"not read by mode {mode!r}, which takes {taken!r}; set only one of them")
 
     # the library objects, each built once, after the presence checks above,
@@ -615,35 +602,30 @@ def parse_config(text: str) -> RunConfig:
 # execution
 
 
-def _execute_algorithm(config: RunConfig) -> dict:
-    preset = _PRESETS.get(config.mode)
+def _run_arguments(config: RunConfig) -> dict:
     phi1, phi2 = config.phases
-    common = dict(
-        phi1=phi1,
-        phi2=phi2,
-        iterations=config.iterations,
-        seed=config.seed,
-        pre_rotation=config.pre_rotation,
-        l_max=config.l_max,
-    )
     # repeat-until-success: up to ``shots`` single-shot attempts
-    if config.repeat_until_success:
-        common.update(shots=1, max_attempts=config.shots)
-    else:
-        common.update(shots=config.shots)
-    if config.mode == "algo1" or (preset is not None and preset.algorithm == 1):
-        report = run_algorithm1(config.spec, config.state, min(config.target.indices), **common)
-    else:
-        report = run_algorithm2(
-            config.spec, config.state, config.target,
-            controllability_config=config.controllability, **common,
-        )
-    result = report.to_dict()
-    if preset is not None:
-        result["preset_expectation"] = {
-            "iterations": preset.expected_iterations,
-            "success": preset.expected_success,
-        }
+    shots, max_attempts = (1, config.shots) if config.repeat_until_success else (config.shots, None)
+    return dict(phi1=phi1, phi2=phi2, iterations=config.iterations, seed=config.seed, shots=shots,
+                max_attempts=max_attempts, pre_rotation=config.pre_rotation, l_max=config.l_max)
+
+
+def _execute_algo1(config: RunConfig) -> dict:
+    good = min(config.target.indices)
+    return run_algorithm1(config.spec, config.state, good, **_run_arguments(config)).to_dict()
+
+
+def _execute_algo2(config: RunConfig) -> dict:
+    return run_algorithm2(config.spec, config.state, config.target,
+                          controllability_config=config.controllability,
+                          **_run_arguments(config)).to_dict()
+
+
+def _execute_preset(config: RunConfig) -> dict:
+    preset = _PRESETS[config.mode]
+    result = (_execute_algo1 if preset.algorithm == 1 else _execute_algo2)(config)
+    result["preset_expectation"] = {"iterations": preset.expected_iterations,
+                                    "success": preset.expected_success}
     return result
 
 
@@ -676,6 +658,29 @@ def _execute_measure_stats(config: RunConfig) -> dict:
     return result
 
 
+# a mode: the fields it cannot run without, in the order they are checked
+# (a mode that needs a seed samples; 'amplify' also needs 'good' or
+# 'subspace'); the target field it reads when both are given, None for one
+# that reads neither or refuses both; and its run of a validated config,
+# which looks the library's functions up in this module when it runs, so
+# that one replaced here (a tracer's wrapper) sees every call
+_Mode = namedtuple("_Mode", "needs takes run")
+
+
+# every mode, in the order the parser lists them; a preset sets the system,
+# the state and the target, and its algorithm picks its run
+_MODES = {
+    "analyze": _Mode(("system",), None,
+                     lambda config: assess(config.spec, config.controllability).to_dict()),
+    "amplify": _Mode(("system", "initial"), "good", _execute_amplify),
+    "algo1": _Mode(("system", "initial", "good", "seed"), "good", _execute_algo1),
+    "algo2": _Mode(("system", "initial", "subspace", "seed"), "subspace", _execute_algo2),
+    **{name: _Mode(("seed",), None, _execute_preset) for name in _PRESETS},
+    "measure-stats": _Mode(("system", "initial", "seed"), "good", _execute_measure_stats),
+}
+MODES = tuple(_MODES)
+
+
 def _with_error(report: dict, error: Exception) -> dict:
     """The report with a record of ``error`` in place of any result."""
     report = {key: value for key, value in report.items() if key != "result"}
@@ -687,14 +692,7 @@ def execute(config: RunConfig) -> tuple[int, dict]:
     """Run a validated config; return (exit code 0 or 1, report dict)."""
     report = {"provenance": _provenance(config), "config": config.echo(), "mode": config.mode}
     try:
-        if config.mode == "analyze":
-            result = assess(config.spec, config.controllability).to_dict()
-        elif config.mode == "amplify":
-            result = _execute_amplify(config)
-        elif config.mode == "measure-stats":
-            result = _execute_measure_stats(config)
-        else:
-            result = _execute_algorithm(config)
+        result = _MODES[config.mode].run(config)
     except Exception as exc:  # propagate module errors into the report
         return 1, _with_error(report, exc)
     report["result"] = result

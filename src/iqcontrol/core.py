@@ -214,7 +214,7 @@ class StateVector:
         arr = _array(self.amplitudes, "amplitudes", 1, complex)
         object.__setattr__(self, "amplitudes", arr)
         if arr.size < 2:
-            raise DimensionMismatchError(f"state needs at least 2 levels, got {arr.size}")
+            raise DimensionMismatchError(f"amplitudes: expected at least 2 levels, got {arr.size}")
         norm = _norm(arr)
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"state norm is {norm!r}, expected 1 within {NORM_TOL:g}")
@@ -301,9 +301,11 @@ class SystemSpec:
                 number = _real(x, f"exact_drift[{i}]")
                 exact[i] = Fraction(x if isinstance(x, numbers.Rational) else number)
                 if abs(number - approx) > 1e-9:
-                    raise ValueError(
-                        f"exact_drift[{i}]: {exact[i]} disagrees with drift[{i}] = {approx}"
-                    )
+                    try:
+                        shown = str(exact[i])
+                    except ValueError:  # a term past str's 4,300 digits
+                        shown = _quoted(exact[i])
+                    raise ValueError(f"exact_drift[{i}]: {shown} disagrees with drift[{i}] = {approx}")
             object.__setattr__(self, "exact_drift", tuple(exact))
         # a private copy, so no caller's array is frozen or can change the spec
         coupling = coupling.astype(complex)

@@ -524,6 +524,7 @@ def _hydrogen_target(labels):
     return hydrogen_spec(), ControllabilityConfig(), GoodSubspace.of(labels, 5), initial
 
 
+@pytest.mark.soak  # the note must agree with the graph's components
 @settings(max_examples=150)
 @given(case=algorithm2_cases())
 @example(case=_hydrogen_target([1, 2, 3]))
@@ -590,6 +591,7 @@ def _straddling_pair():
     return SystemSpec(dim=2, drift=[0.0, 1.0], coupling=coupling), 1e-12, GoodSubspace.of([2], 2)
 
 
+@pytest.mark.soak  # the note must agree with the graph's components
 @settings(max_examples=200)
 @given(case=sparse_targets())
 @example(case=_straddling_pair())

@@ -1223,6 +1223,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.mark.soak  # the derandomized draws hold few of the wrong kinds
 @settings(max_examples=150)
 @given(case=mutated_configs())
 def test_config_boundary_fuzz(fuzz_dir, case):
@@ -1250,6 +1251,7 @@ def test_config_boundary_fuzz(fuzz_dir, case):
 
 # the derandomized fuzz draws few of its mutations (a few of WRONG_KINDS
 # among them); this draws each mutation kind on its own
+@pytest.mark.soak  # the derandomized draws hold few of the wrong kinds
 @pytest.mark.filterwarnings("ignore:drift and coupling commute")
 @pytest.mark.filterwarnings("ignore:subspace .* is not a connected component")
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -1758,6 +1760,7 @@ def json_trees(leaves):
 
 # the two render properties take their example count from the profile:
 # Tier-1's derandomized one, or a randomized soak (see tests/conftest.py)
+@pytest.mark.soak  # a tokenizer fails only on shapes it has not seen
 @given(tree=json_trees(FINITE_LEAVES))
 def test_render_report_equals_json_dumps(tree):
     assert render_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
@@ -1768,6 +1771,7 @@ def test_render_report_equals_json_dumps(tree):
 # lists of scalars (one token each) at depths 0-3, next to bare scalars and
 # after a string that holds "],[", which the derandomized profile's draws
 # rarely do
+@pytest.mark.soak  # a tokenizer fails only on shapes it has not seen
 @given(tree=json_trees(FINITE_LEAVES))
 @example(tree={"a,b": ["c:d", "[x]", "{}", "", [], {}], ":": {"{": "é\u2028", "]": 'q"\\,'}})
 @example(tree=[True, None, -0.0, 1e308])
@@ -2137,6 +2141,12 @@ def test_readme_lists_every_flag():
     assert sorted(listed) == sorted(options)
 
 
+def test_readme_lists_every_mode():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"^Modes: (.*?)\.\s", readme, re.M | re.S)
+    assert re.findall(r"`([a-z0-9-]+)`", sentence.group(1)) == list(iqcontrol.cli.MODES)
+
+
 def test_readme_lists_every_config_field():
     # one row per record of the field table, in its order, with its default
     # and the modes that cannot run without it
@@ -2147,8 +2157,8 @@ def test_readme_lists_every_config_field():
         assert default.strip() == ("none" if field.default is None else f"`{json.dumps(field.default)}`")
         modes = re.findall(r"`([a-z0-9-]+)`", needed.split(";")[0])
         if name != "mode":
-            needs = iqcontrol.cli._MODE_FIELDS.items()
-            assert modes == [mode for mode, fields in needs if name in fields], name
+            needs = iqcontrol.cli._MODES.items()
+            assert modes == [mode for mode, record in needs if name in record.needs], name
 
 
 def test_preset_runs_build_no_preset(tmp_path, monkeypatch):

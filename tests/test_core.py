@@ -58,7 +58,8 @@ class TestStateVector:
             StateVector([1.0, 1.0])
 
     def test_rejects_single_level(self):
-        with pytest.raises(DimensionMismatchError):
+        message = "amplitudes: expected at least 2 levels, got 1"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             StateVector([1.0])
 
     @pytest.mark.parametrize(
@@ -136,10 +137,15 @@ class TestSystemSpec:
         with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             SystemSpec(dim=2, drift=[0, 1], coupling=[[0, 1, 0], [1, 0, 0]])
 
-    def test_exact_drift_disagreement_message_pinned(self):
-        message = "exact_drift[1]: 3 disagrees with drift[1] = 2.0"
+    @pytest.mark.parametrize("exact, shown", [
+        (3, "3"),
+        # str refuses a term past 4,300 digits
+        (Fraction(10**5000 + 1, 10**5000), "Fraction(a 16610-bit integer, a 16610-bit integer)"),
+    ], ids=["int", "long-fraction"])
+    def test_exact_drift_disagreement_message_pinned(self, exact, shown):
+        message = f"exact_drift[1]: {shown} disagrees with drift[1] = 2.0"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SystemSpec(dim=2, drift=[0, 2], coupling=_sigma_x_block(2), exact_drift=[0, 3])
+            SystemSpec(dim=2, drift=[0, 2], coupling=_sigma_x_block(2), exact_drift=[0, exact])
 
     @pytest.mark.parametrize("drift", [[0.0, np.nan], [np.inf, 1.0], [0.0, -np.inf]])
     def test_rejects_non_finite_drift(self, drift):
@@ -626,6 +632,7 @@ def spec_inputs(draw):
     return dim, drift, SPEC_INPUTS[kind](re, im)
 
 
+@pytest.mark.soak  # the checks must agree with the oracle on every input kind
 @settings(max_examples=300)
 @given(case=spec_inputs())
 @example(case=(2, [0.0, 1.0], np.array([[0.0, HERMITICITY_TOL], [0.0, 0.0]])))
@@ -702,6 +709,7 @@ def near_hermitian_couplings(draw):
     return dim, coupling if kind == "complex" else coupling.tolist()
 
 
+@pytest.mark.soak  # the stored coupling must be Hermitian for every input kind
 @settings(max_examples=300)
 @given(case=near_hermitian_couplings())
 def test_coupling_is_stored_exactly_hermitian(case):

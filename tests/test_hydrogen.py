@@ -468,6 +468,7 @@ SEGMENTS = st.lists(
 )
 
 
+@pytest.mark.soak  # the two frames must agree bit for bit on every pulse
 @given(segments=SEGMENTS, seed=st.integers(0, 2**32 - 1))
 def test_interaction_picture_at_t0_zero_is_the_lab_frame_bit_for_bit(segments, seed):
     # both frames take one T, the pulse's durations summed in order; the
@@ -479,6 +480,7 @@ def test_interaction_picture_at_t0_zero_is_the_lab_frame_bit_for_bit(segments, s
     assert np.array_equal(out[EVOLVED], lab[EVOLVED])
 
 
+@pytest.mark.soak  # the two frames must agree bit for bit on every pulse
 @given(
     amplitude=st.floats(-2.0, 2.0), rate=st.floats(0.1, 3.0), duration=st.floats(0.01, 4.0),
     seed=st.integers(0, 2**32 - 1),

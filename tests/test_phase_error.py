@@ -111,6 +111,7 @@ def test_amplitudes_within_the_bound(g):
                 check_amplitudes(state, good, phi1, phi2, iterations)
 
 
+@pytest.mark.soak  # the bound is an mpmath reading that no fixed grid exhausts
 @given(
     g=st.floats(MIN_GOOD_WEIGHT, 1.0, exclude_max=True) | st.floats(-15.0, 0.0).map(lambda e: 10**e * 0.999),
     phi1=st.floats(0.0, math.pi),

@@ -175,6 +175,24 @@ def test_each_run_quantity_has_one_rule():
     assert auto == {("amplification.py", "_iterations")}
 
 
+def test_each_mode_has_one_record():
+    # a mode's needs, target and run live in its record of _MODES, and the
+    # presets' records come from the presets: a mode name is compared only
+    # in the 'amplify' rule and in the summary, which formats report dicts
+    cli = iqcontrol.cli
+    compared = {mode: {function for module, function in _places(
+        lambda node: isinstance(node, ast.Compare) and any(
+            isinstance(operand, ast.Constant) and operand.value == mode
+            for operand in (node.left, *node.comparators))) if module == "cli.py"}
+        for mode in cli.MODES}
+    assert compared == {mode: set() for mode in cli.MODES} | {
+        "amplify": {"validate_config"}, "analyze": {"summarize"}, "measure-stats": {"summarize"}}
+    assert cli.MODES == tuple(cli._MODES)
+    tree = ast.parse((ROOT / "src" / "iqcontrol" / "cli.py").read_text())
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not strings & set(cli._PRESETS)
+
+
 def test_readme_quick_start_prints_what_its_comments_say(capsys):
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"^## Library quick start\n\n```python\n(.*?)^```$", readme, re.M | re.S)[1]
