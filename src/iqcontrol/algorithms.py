@@ -29,7 +29,9 @@ from .amplification import (
     make_plan,
 )
 from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
-from .core import ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _same_dim, propagate
+from .core import (
+    ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _record, _same_dim, propagate,
+)
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _shots, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
@@ -53,35 +55,19 @@ class RunReport:
     attempts: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "plan": {
-                "good_indices": sorted(self.plan.good.indices),
-                "phi1": self.plan.phi1,
-                "phi2": self.plan.phi2,
-                "iterations": self.plan.iterations,
-                "initial_good_weight": self.plan.initial_good_weight,
-                "predicted_success": self.plan.predicted_success,
-                "pre_rotated": self.plan.pre_rotated,
-            },
-            "pre_amplification": self.pre_amplification.tolist(),
-            "post_amplification": self.post_amplification.tolist(),
-            "predicted_success": self.predicted_success,
+        """The report as JSON, without the fields that are None; the plan
+        is written by name, its good set as ``good_indices``."""
+        plan = self.plan
+        out = _record(self, omit_none=True)
+        out["plan"] = {
+            "good_indices": sorted(plan.good.indices),
+            "phi1": plan.phi1,
+            "phi2": plan.phi2,
+            "iterations": plan.iterations,
+            "initial_good_weight": plan.initial_good_weight,
+            "predicted_success": plan.predicted_success,
+            "pre_rotated": plan.pre_rotated,
         }
-        if self.measurement is not None:
-            out["measurement"] = self.measurement.to_dict()
-        if self.histogram is not None:
-            out["histogram"] = list(self.histogram)
-            out["empirical_success"] = self.empirical_success
-        if self.success is not None:
-            out["success"] = self.success
-        if self.final_state is not None:
-            out["final_state"] = self.final_state.amplitudes.view(float).reshape(-1, 2).tolist()
-        if self.fidelity is not None:
-            out["fidelity"] = self.fidelity
-        if self.controllability_note is not None:
-            out["controllability_note"] = self.controllability_note
-        if self.attempts is not None:
-            out["attempts"] = self.attempts
         return out
 
 

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import SystemSpec, _components, _edges, _integer, _real, _shown
+from .core import SystemSpec, _components, _edges, _integer, _real, _record, _shown
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -98,13 +98,7 @@ class FrequencyCollision:
     nu_max: float
     zero_frequency: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "transitions": [list(t) for t in self.transitions],
-            "nu_min": self.nu_min,
-            "nu_max": self.nu_max,
-            "zero_frequency": self.zero_frequency,
-        }
+    to_dict = _record
 
 
 @dataclass(frozen=True)
@@ -118,15 +112,7 @@ class IrrationalWitness:
     best_denominator: int
     error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "numerator_pair": list(self.numerator_pair),
-            "denominator_pair": list(self.denominator_pair),
-            "ratio": self.ratio,
-            "best_numerator": self.best_numerator,
-            "best_denominator": self.best_denominator,
-            "error": self.error,
-        }
+    to_dict = _record
 
 
 @dataclass(frozen=True)
@@ -138,12 +124,7 @@ class SubspaceVerdict:
     verdict: Optional[str]
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "component": list(self.component),
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
+    to_dict = _record
 
 
 @dataclass(frozen=True)
@@ -179,16 +160,11 @@ class ControllabilityReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "num_vertices": self.graph.num_vertices,
-            "edges": [list(e) for e in sorted(self.graph.edges)],
-            "components": [list(c) for c in self.components],
-            "frequency_collisions": [c.to_dict() for c in self.frequency_collisions],
-            "irrational_witnesses": [w.to_dict() for w in self.irrational_witnesses],
-            "global_verdict": self.global_verdict,
-            "subspace_verdicts": [v.to_dict() for v in self.subspace_verdicts],
-            "notes": list(self.notes),
-        }
+        """The report as JSON, its graph written as ``num_vertices`` and
+        the sorted ``edges``."""
+        out = _record(self)
+        graph = out.pop("graph")
+        return {"num_vertices": graph.num_vertices, "edges": [list(e) for e in sorted(graph.edges)], **out}
 
 
 def build_graph(spec: SystemSpec, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> ConnectivityGraph:

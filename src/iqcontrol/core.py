@@ -4,7 +4,8 @@
 spec's drift and coupling, a unitary's matrix and a callable field's values.
 ``_items`` reads every other collection argument, and ``_same_dim`` is the
 one check that an operand has the levels of the system, state or operator
-it meets.
+it meets.  ``_json`` is the one rule by which every result record writes
+its values into a report, and ``_record`` applies it to a record's fields.
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, at most MAX_CF4_STEPS, into constant segments that ``_evolve``
 applies exactly, BATCH_ENTRIES matrix entries of a block at a time.
@@ -240,6 +241,35 @@ class StateVector:
         amps = np.zeros(dim, dtype=complex)
         amps[index - 1] = 1.0
         return cls(amps)
+
+
+def _json(value):
+    """``value`` as a report writes it, a new container at every level: a
+    dict entry by entry, a tuple or list as a list, a frozenset as a sorted
+    list, a state's amplitudes as [re, im] pairs, an array by ``tolist``, a
+    record by its ``to_dict``; a scalar or anything else as it is."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return {name: _json(entry) for name, entry in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(entry) for entry in value]
+    if isinstance(value, frozenset):
+        return [_json(entry) for entry in sorted(value)]
+    if isinstance(value, StateVector):
+        return value.amplitudes.view(float).reshape(-1, 2).tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return value
+
+
+def _record(record, omit_none: bool = False) -> dict:
+    """A result record as a report writes it: each field by ``_json``, in
+    field order, with those that are None left out if ``omit_none``."""
+    return {name: _json(value) for name, value in vars(record).items()
+            if not (omit_none and value is None)}
 
 
 @dataclass(frozen=True, eq=False)

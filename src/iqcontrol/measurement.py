@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .amplification import GoodSubspace
-from .core import StateVector, _integer, _items, _same_dim, _shown
+from .core import StateVector, _integer, _items, _record, _same_dim, _shown
 from .errors import MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
@@ -123,14 +123,7 @@ class MeasurementOutcome:
     probability: float
     collapsed: StateVector
 
-    def to_dict(self) -> dict:
-        """The outcome as JSON: amplitudes are [re, im] pairs."""
-        return {
-            "block_index": self.block_index,
-            "block": list(self.block),
-            "probability": self.probability,
-            "collapsed": self.collapsed.amplitudes.view(float).reshape(-1, 2).tolist(),
-        }
+    to_dict = _record
 
 
 def born_probabilities(state: StateVector, partition: MeasurementPartition) -> np.ndarray:

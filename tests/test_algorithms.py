@@ -150,6 +150,23 @@ class TestAlgorithm1:
         assert text == json.dumps(expected, sort_keys=True)
         assert "[-0.0, 0.6]" in text and "[0.8, -0.0]" in text
 
+    def test_report_omits_exactly_its_none_fields(self):
+        # every field that is set is written, whatever else the run set
+        spec, p = hydrogen_spec(), case1_preset()
+        pulse = ControlPulse(((0.9, 0.4),))
+        reports = [
+            RunReport(**algorithms._amplify(p.initial, p.good, math.pi, math.pi, "auto", False, 100)[1]),
+            run_algorithm1(spec, p.initial, 5, seed=11),
+            run_algorithm1(spec, p.initial, 5, seed=11, shots=100),
+            run_algorithm1(spec, p.initial, 5, seed=11, max_attempts=5),
+            run_algorithm1(spec, p.initial, 5, seed=11, final_pulse=pulse,
+                           target=StateVector.basis_state(4, 5)),
+            run_algorithm2(spec, case2_preset().initial, case2_preset().good, seed=17),
+        ]
+        for report in reports:
+            fields = [f.name for f in dataclasses.fields(report) if getattr(report, f.name) is not None]
+            assert list(report.to_dict()) == fields
+
 
 class TestAlgorithm2:
     def test_case2_reproduction(self):
@@ -192,6 +209,18 @@ class TestAlgorithm2:
         with pytest.warns(UserWarning, match="not a connected component"):
             report = run_algorithm2(spec, initial, GoodSubspace.of([1, 2], 5), seed=1)
         assert report.controllability_note["verdict"] is None
+
+    def test_report_dict_is_not_the_report_state(self):
+        # a caller may edit the dict it was given; the frozen report and
+        # every later dict keep the run's values
+        p = case2_preset()
+        report = run_algorithm2(hydrogen_spec(), p.initial, p.good, seed=17)
+        d = report.to_dict()
+        d["controllability_note"]["verdict"] = "edited"
+        d["controllability_note"]["notes"].append("edited")
+        d["plan"]["good_indices"].append(4)
+        assert report.controllability_note["verdict"] == VERDICT_INCONCLUSIVE
+        assert report.to_dict() == run_algorithm2(hydrogen_spec(), p.initial, p.good, seed=17).to_dict()
 
     def test_histogram_mode(self):
         p = case2_preset()

@@ -697,12 +697,13 @@ def near_hermitian_couplings(draw):
             coupling[i, j] = complex(draw(entries), draw(entries))
             coupling[j, i] = coupling[i, j].conjugate()
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):
             if draw(st.sampled_from([True, False, False])):
                 if i == j:
                     coupling[i, i] += 0.5j * draw(SMALL_DEVIATIONS)
-                elif i < j or not draw(st.booleans()):
-                    coupling[i, j] += complex(draw(SMALL_DEVIATIONS), draw(SMALL_DEVIATIONS)) / 2
+                else:
+                    side = (i, j) if draw(st.booleans()) else (j, i)
+                    coupling[side] += complex(draw(SMALL_DEVIATIONS), draw(SMALL_DEVIATIONS)) / 2
     kind = draw(st.sampled_from(["float", "complex", "complex-list"]))
     if kind == "float":
         return dim, coupling.real

@@ -1,9 +1,12 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iqcontrol
@@ -191,6 +194,70 @@ def test_each_mode_has_one_record():
     tree = ast.parse((ROOT / "src" / "iqcontrol" / "cli.py").read_text())
     strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not strings & set(cli._PRESETS)
+
+
+PLAIN_RECORDS = [iqcontrol.FrequencyCollision, iqcontrol.IrrationalWitness,
+                 iqcontrol.SubspaceVerdict, iqcontrol.MeasurementOutcome]
+
+
+def test_each_record_is_written_by_one_rule():
+    # a report value is converted by core._json alone, the one home of the
+    # [re, im] pair format, and each record's fields by core._record
+    pairs = _places(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "view" and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id == "float")
+    assert pairs == {("core.py", "_json")}
+    for record in PLAIN_RECORDS:
+        assert record.to_dict is iqcontrol.core._record, record.__name__
+    # RunReport and ControllabilityReport, which rename fields, call it
+    calls = _places(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_record")
+    assert calls == {("algorithms.py", "to_dict"), ("controllability.py", "to_dict")}
+
+
+def test_json_rule_writes_each_kind():
+    # each branch of the rule, the frozenset's too, though no record holds
+    # one yet; a dict is written as a new dict
+    _json = iqcontrol.core._json
+    verdict = iqcontrol.SubspaceVerdict((1, 2), None, ("note",))
+    state = iqcontrol.StateVector([0.6, 0.8j])
+    note = {"counts": [1, 2]}
+    value = {"scalars": (1, 2.5, "text", True, None), "edges": frozenset({(2, 3), (1, 2)}),
+             "state": state, "array": np.array([0.5, -0.0]), "record": verdict, "note": note,
+             "other": Fraction(1, 3)}
+    assert _json(value) == {"scalars": [1, 2.5, "text", True, None], "edges": [[1, 2], [2, 3]],
+                            "state": [[0.6, 0.0], [0.0, 0.8]], "array": [0.5, -0.0],
+                            "record": {"component": [1, 2], "verdict": None, "notes": ["note"]},
+                            "note": {"counts": [1, 2]}, "other": Fraction(1, 3)}
+    written = _json(value)
+    written["note"]["counts"].append(3)
+    assert note == {"counts": [1, 2]}
+
+
+def _built_records() -> list:
+    """One instance of each record that core._record writes, built by the
+    library's own functions."""
+    spec = iqcontrol.hydrogen_spec()
+    preset = iqcontrol.case2_preset()
+    chain = iqcontrol.SystemSpec(dim=3, drift=[0.0, 1.0, 2.0 ** 0.5],
+                                 coupling=[[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    collisions = iqcontrol.assess(spec)
+    witnesses = iqcontrol.assess(chain)
+    run = iqcontrol.run_algorithm2(spec, preset.initial, preset.good, seed=1)
+    for report in (collisions, witnesses, run):
+        report.to_dict()
+    return [collisions, collisions.frequency_collisions[0], witnesses.irrational_witnesses[0],
+            collisions.subspace_verdicts[0], run, run.measurement]
+
+
+def test_records_hold_only_their_fields():
+    # core._record writes vars(record): a cached_property or an attribute
+    # stored beside the fields would reach the report
+    records = _built_records()
+    assert {type(record) for record in records} == {
+        *PLAIN_RECORDS, iqcontrol.RunReport, iqcontrol.ControllabilityReport}
+    for record in records:
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(record)], type(record)
 
 
 def test_readme_quick_start_prints_what_its_comments_say(capsys):
