@@ -30,7 +30,7 @@ from .amplification import (
 )
 from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
 from .core import (
-    ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _record, _same_dim, propagate,
+    ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _json, _record, _same_dim, propagate,
 )
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _shots, measurement_histogram
 
@@ -58,9 +58,9 @@ class RunReport:
         """The report as JSON, without the fields that are None; the plan
         is written by name, its good set as ``good_indices``."""
         plan = self.plan
-        out = _record(self, omit_none=True)
+        out = {name: value for name, value in _record(self).items() if value is not None}
         out["plan"] = {
-            "good_indices": sorted(plan.good.indices),
+            "good_indices": _json(plan.good.indices),
             "phi1": plan.phi1,
             "phi2": plan.phi2,
             "iterations": plan.iterations,

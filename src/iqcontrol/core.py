@@ -265,11 +265,10 @@ def _json(value):
     return value
 
 
-def _record(record, omit_none: bool = False) -> dict:
+def _record(record) -> dict:
     """A result record as a report writes it: each field by ``_json``, in
-    field order, with those that are None left out if ``omit_none``."""
-    return {name: _json(value) for name, value in vars(record).items()
-            if not (omit_none and value is None)}
+    field order."""
+    return {name: _json(value) for name, value in vars(record).items()}
 
 
 @dataclass(frozen=True, eq=False)

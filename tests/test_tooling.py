@@ -209,6 +209,8 @@ def test_each_record_is_written_by_one_rule():
     assert pairs == {("core.py", "_json")}
     for record in PLAIN_RECORDS:
         assert record.to_dict is iqcontrol.core._record, record.__name__
+    # so a record's to_dict takes no argument but the record
+    assert list(inspect.signature(iqcontrol.core._record).parameters) == ["record"]
     # RunReport and ControllabilityReport, which rename fields, call it
     calls = _places(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "_record")
@@ -216,8 +218,7 @@ def test_each_record_is_written_by_one_rule():
 
 
 def test_json_rule_writes_each_kind():
-    # each branch of the rule, the frozenset's too, though no record holds
-    # one yet; a dict is written as a new dict
+    # each branch of the rule; a dict is written as a new dict
     _json = iqcontrol.core._json
     verdict = iqcontrol.SubspaceVerdict((1, 2), None, ("note",))
     state = iqcontrol.StateVector([0.6, 0.8j])
