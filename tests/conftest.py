@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import iqcontrol._text
 from iqcontrol import StateVector, SystemSpec, UnitaryOperator
 
 # Property tests draw a fixed sequence of examples and keep no example
@@ -11,7 +12,7 @@ from iqcontrol import StateVector, SystemSpec, UnitaryOperator
 settings.register_profile("iqcontrol", derandomize=True, database=None, deadline=None)
 settings.load_profile("iqcontrol")
 # A randomized soak for properties that read their example count from the
-# profile, such as the two render properties in tests/test_cli.py:
+# profile, such as the two render properties in tests/test_text.py:
 # ``pytest --hypothesis-profile=soak``.  Tier-1 never loads it.
 settings.register_profile("soak", derandomize=False, database=None, deadline=None, max_examples=2000)
 
@@ -91,3 +92,25 @@ def state_with_good_weight(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+# floats at the edges of what json writes: signed zero, the smallest
+# subnormal, a huge float and an inexact sum
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+# an integer literal past Python's 4,300-digit limit, for which json.loads
+# raises a plain ValueError
+HUGE_INT = "1" * 5000
+
+
+def echoed_texts(value):
+    """Each (list, carried text) pair in a parsed JSON value."""
+    found = []
+    if isinstance(value, dict):
+        for item in value.values():
+            found += echoed_texts(item)
+    elif isinstance(value, list):
+        if type(value) is iqcontrol._text._EchoedList:
+            found.append((value, value.text))
+        for item in value:
+            found += echoed_texts(item)
+    return found

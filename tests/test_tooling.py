@@ -196,6 +196,38 @@ def test_each_mode_has_one_record():
     assert not strings & set(cli._PRESETS)
 
 
+def _touches_json(node) -> bool:
+    """An import of json or of one of its modules, or a reference to its
+    encoder or decoder: the classes, or the modules that hold them."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "json" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").partition(".")[0] == "json"
+    if isinstance(node, ast.Name):
+        return node.id in ("JSONEncoder", "JSONDecoder")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("JSONEncoder", "JSONDecoder") or (
+            node.attr in ("encoder", "decoder")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+    return False
+
+
+def test_text_module_alone_handles_json():
+    # the JSON text format has one home, iqcontrol._text
+    assert {module for module, _ in _places(_touches_json)} == {"_text.py"}
+    # the CLI's entry points stay defined in cli: bench/spans.py times only
+    # the public functions whose __module__ is a layer module
+    for name in ("render_report", "validate_config", "execute", "parse_config", "summarize", "main"):
+        assert getattr(iqcontrol.cli, name).__module__ == "iqcontrol.cli", name
+    # and a call that _text made through its own name for a library
+    # function would go untimed, so it binds none
+    text = importlib.import_module("iqcontrol._text")
+    library = [name for name, obj in vars(text).items() if inspect.isfunction(obj)
+               and obj.__module__ != text.__name__ and obj.__module__.startswith("iqcontrol.")
+               and not obj.__name__.startswith("_")]
+    assert library == []
+
+
 PLAIN_RECORDS = [iqcontrol.FrequencyCollision, iqcontrol.IrrationalWitness,
                  iqcontrol.SubspaceVerdict, iqcontrol.MeasurementOutcome]
 
