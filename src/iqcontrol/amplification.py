@@ -28,8 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (NORM_TOL, StateVector, UnitaryOperator, _integer, _items, _real, _same_dim, _shown,
-                   prepare_unitary)
+from .core import (NORM_TOL, StateVector, UnitaryOperator, _integer, _items, _quoted, _real, _same_dim,
+                   _shown, prepare_unitary)
 from .errors import ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
@@ -80,7 +80,7 @@ class GoodSubspace:
         integer (no bool), or a TypeError names it."""
         if isinstance(indices, Mapping):
             raise TypeError(f"good index: must be an integer or an iterable of them, "
-                            f"not a mapping, got {indices!r}")
+                            f"not a mapping, got {_quoted(indices)}")
         if not isinstance(indices, Iterable) or getattr(indices, "ndim", None) == 0:
             indices = [_integer(indices, "good index")]
         return cls(frozenset(indices), dim)

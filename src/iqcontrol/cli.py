@@ -34,9 +34,16 @@ builds the ``RunConfig`` from the values read; ``CONFIG_FIELDS`` is the
 table's names.  Each default is read by its record's reader once, at
 import, with the presets and their spec, and an absent or null field
 takes that value.  Every mode is one record of ``_MODES``: the fields it
-needs, the target it takes and its run.  ``--iterations`` text that
-``int`` refuses reaches the field's reader unchanged, so the flag and the
-file share one message: ``iterations: must be an integer, got '2.0'``.
+needs, the target it takes and its run.  Each config reader returns its
+field's echo: ``_system_spec`` and ``_initial_state`` return the library
+object, the echo and its canonical text, and ``validate_config`` only
+assembles the ``RunConfig`` from them.  Every message quotes a caller's
+value by ``core._quoted`` and a key or a size by ``core._shown``, so a
+value that ``repr`` cannot print (an int of more than 4,300 digits from a
+``validate_config`` caller) still ends in a ConfigError naming its path.
+``--iterations`` text that ``int`` refuses reaches the field's reader
+unchanged, so the flag and the file share one message:
+``iterations: must be an integer, got '2.0'``.
 Run it as ``iqcontrol`` or as ``python -m iqcontrol.cli``.
 
 The JSON text is ``_text``'s: the report's encoding and indent, the
@@ -66,7 +73,7 @@ from ._text import _FLOAT_MAX, _encode, _numbers, _parse_json, _plain, _reindent
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _check_phase, _iterations
 from .controllability import ControllabilityConfig, assess
-from .core import StateVector, SystemSpec, _integer
+from .core import StateVector, SystemSpec, _integer, _quoted, _shown
 from .errors import ConfigError
 from .hydrogen import case1_preset, case2_preset, hydrogen_spec
 from .measurement import (MeasurementPartition, _shots, born_probabilities, measurement_histogram,
@@ -149,7 +156,7 @@ def _require_number(value, path: str, *index: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
         -_FLOAT_MAX <= value <= _FLOAT_MAX
     ):
-        _fail(_at(path, *index), f"expected a finite number, got {value!r}")
+        _fail(_at(path, *index), f"expected a finite number, got {_quoted(value)}")
     return float(value)
 
 
@@ -163,7 +170,7 @@ def _parse_complex(value, path: str, *index: int) -> complex:
     elif isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_require_number(value[0], path, *index, 0),
                        _require_number(value[1], path, *index, 1))
-    _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {value!r}")
+    _fail(_at(path, *index), f"expected a finite number or an [re, im] pair, got {_quoted(value)}")
 
 
 def _built(prefix: str, build, *args, **kwargs):
@@ -176,52 +183,62 @@ def _built(prefix: str, build, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _system_spec(value) -> tuple[SystemSpec, Optional[str]]:
-    """The spec ``value`` describes, and its canonical text when it is
-    written out (None for a preset, which is encoded with the echo)."""
+def _system_spec(value) -> tuple[SystemSpec, dict, Optional[str]]:
+    """The spec ``value`` describes, a preset's name or a system object,
+    with the field's echo and its canonical text (None for a preset, which
+    is encoded with the config echo).  The echo is ``value`` itself unless
+    it must differ: a name becomes its object, a ``dim`` or ``energy_gap``
+    that JSON cannot write is echoed as read, and each ``_EchoedList``
+    becomes a plain list, so an edited echo is encoded again."""
+    if isinstance(value, str):
+        value = {"preset": value}
     if not isinstance(value, dict):
-        _fail("system", f"expected a system object or preset name, got {value!r}")
+        _fail("system", f"expected a system object or preset name, got {_quoted(value)}")
     allowed = ("preset", "energy_gap") if "preset" in value else ("dim", "drift", "coupling")
     for key in value:
         if key not in allowed:
-            _fail(f"system.{key}", "unknown field")
+            _fail(f"system.{_shown(key)}", "unknown field")
     if "preset" in value:
         if value["preset"] != "hydrogen":
-            _fail("system.preset", f"unknown preset {value['preset']!r}")
-        return _built("system.", hydrogen_spec, value.get("energy_gap", 1.0)), None
+            _fail("system.preset", f"unknown preset {_quoted(value['preset'])}")
+        spec = _built("system.", hydrogen_spec, value.get("energy_gap", 1.0))
+        if "energy_gap" in value:  # a preset's drift is (0, gap, gap, gap, gap)
+            value = {**value, "energy_gap": _json_number(value["energy_gap"], float(spec.drift[1]))}
+        return spec, value, None
     for key in ("dim", "drift", "coupling"):
         if key not in value:
-            _fail("system", f"missing required field {key!r}")
+            _fail("system", f"missing required field {_quoted(key)}")
     dim = _built("", _integer, value["dim"], "system.dim", 2)
     drift, coupling = value["drift"], value["coupling"]
     if not isinstance(drift, list):
-        _fail("system.drift", f"expected {dim} eigenvalues")
+        _fail("system.drift", f"expected {_shown(dim)} eigenvalues")
     if not isinstance(coupling, list) or len(coupling) != dim:
-        _fail("system.coupling", f"expected a {dim}x{dim} matrix")
+        _fail("system.coupling", f"expected a {_shown(dim)}x{_shown(dim)} matrix")
     for i, row in enumerate(coupling):
         if not isinstance(row, list) or len(row) != dim:
-            _fail(f"system.coupling[{i}]", f"expected {dim} entries")
+            _fail(f"system.coupling[{i}]", f"expected {_shown(dim)} entries")
     drift, drift_text = _numbers(drift, "system.drift", _require_number, pairs=False)
     coupling, coupling_text = _numbers(coupling, "system.coupling", _parse_complex, depth=2)
     spec = _built("system.", SystemSpec, dim=dim, drift=drift, coupling=coupling)
+    if type(value["dim"]) is not int:  # np.int64 would not encode
+        value = {**value, "dim": dim}
     # the object's canonical text, its arrays' texts spliced in
-    texts = {"coupling": coupling_text, "drift": drift_text}
-    return spec, _spliced({**value, "dim": int(dim)}, texts)
+    return spec, _plain(value), _spliced(value, {"coupling": coupling_text, "drift": drift_text})
 
 
-def _initial_state(value, spec: SystemSpec) -> tuple[StateVector, str]:
+def _initial_state(value, spec: SystemSpec) -> tuple[StateVector, list, str]:
     """The state within INITIAL_NORM_TOL of unit norm, divided by its norm,
-    and the canonical text of ``value``."""
+    the echo of ``value`` (a plain list) and its canonical text."""
     if not isinstance(value, list):
-        _fail("initial", f"expected a list of amplitudes, got {value!r}")
+        _fail("initial", f"expected a list of amplitudes, got {_quoted(value)}")
     if len(value) != spec.dim:
         _fail("initial", f"expected {spec.dim} amplitudes to match the system, got {len(value)}")
     amps, text = _numbers(value, "initial", _parse_complex)
     amps = np.asarray(amps, dtype=complex)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > INITIAL_NORM_TOL:
-        _fail("initial", f"state is not normalized: norm is {norm!r}")
-    return _built("initial: ", StateVector, amps / norm), text
+        _fail("initial", f"state is not normalized: norm is {_quoted(norm)}")
+    return _built("initial: ", StateVector, amps / norm), _plain(value), text
 
 
 def _labels(value, path: str) -> list[int]:
@@ -244,7 +261,7 @@ def _instance(kind: type, expected: str):
 
     def read(value, path: str):
         if not isinstance(value, kind):
-            _fail(path, f"expected {expected}, got {value!r}")
+            _fail(path, f"expected {expected}, got {_quoted(value)}")
         return value
 
     return read
@@ -260,7 +277,7 @@ def _tolerances(value, path: str) -> tuple[dict, ControllabilityConfig]:
         _fail(path, "expected an object")
     for key in value:
         if key not in _TOLERANCE_NAMES:
-            _fail(f"{path}.{key}", f"unknown tolerance (allowed: {_TOLERANCE_NAMES})")
+            _fail(f"{path}.{_shown(key)}", f"unknown tolerance (allowed: {_TOLERANCE_NAMES})")
     config = _built(f"{path}.", ControllabilityConfig, **value)
     return {key: _json_number(v, getattr(config, key)) for key, v in value.items()}, config
 
@@ -308,14 +325,12 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("config: expected a JSON object at the top level")
     for key in raw:
         if key not in CONFIG_FIELDS:
-            _fail(key, "unknown field")
+            _fail(_shown(key), "unknown field")
     mode = raw.get("mode")
     if mode not in MODES:
-        _fail("mode", f"expected one of {', '.join(MODES)}; got {mode!r}")
+        _fail("mode", f"expected one of {', '.join(MODES)}; got {_quoted(mode)}")
 
     system = raw.get("system")
-    if isinstance(system, str):
-        system = {"preset": system}
     initial = raw.get("initial")
     # every other field by its reader, in table order; a field absent or
     # null takes its default as read at import
@@ -333,34 +348,30 @@ def validate_config(raw: dict) -> RunConfig:
     if preset is not None:
         for name in ("system", "initial", "good", "subspace"):
             if present[name] is not None:
-                _fail(name, f"not accepted by preset mode {mode!r}; the preset sets it")
+                _fail(name, f"not accepted by preset mode {_quoted(mode)}; the preset sets it")
     for name in _MODES[mode].needs:
         if present[name] is None:
             kind = "sampling mode" if name == "seed" else "mode"
-            _fail(name, f"required for {kind} {mode!r}")
+            _fail(name, f"required for {kind} {_quoted(mode)}")
     if mode == "amplify" and read["good"] is None and read["subspace"] is None:
         _fail("good", "mode 'amplify' needs either 'good' or 'subspace'")
     taken = _MODES[mode].takes
     if read["good"] is not None and read["subspace"] is not None and taken is not None:
         ignored = "good" if taken == "subspace" else "subspace"
-        _fail(ignored, f"not read by mode {mode!r}, which takes {taken!r}; set only one of them")
+        _fail(ignored, f"not read by mode {_quoted(mode)}, which takes {_quoted(taken)}; set only one of them")
 
     # the library objects, each built once, after the presence checks above,
-    # and the canonical texts of the echo fields that validation encoded
+    # with the echoes of 'system' and 'initial' and the canonical texts that
+    # their readers encoded
     texts = {}
     if preset is not None:
         spec, state, target = _PRESET_SPEC, preset.initial, preset.good
     else:
         # every other mode requires a system
-        spec, texts["system"] = _system_spec(system)
-        if "energy_gap" in system:  # a preset's drift is (0, gap, gap, gap, gap)
-            gap = _json_number(system["energy_gap"], float(spec.drift[1]))
-            system = {**system, "energy_gap": gap}
-        elif "dim" in system and type(system["dim"]) is not int:  # np.int64 would not encode
-            system = {**system, "dim": spec.dim}
+        spec, system, texts["system"] = _system_spec(system)
         state = None
         if initial is not None:
-            state, texts["initial"] = _initial_state(initial, spec)
+            state, initial, texts["initial"] = _initial_state(initial, spec)
         targets = {
             name: _built(f"{name}: ", GoodSubspace.of, read[name], spec.dim)
             for name in ("good", "subspace")
@@ -368,9 +379,8 @@ def validate_config(raw: dict) -> RunConfig:
         }
         # at most one is set, unless 'analyze', which reads neither, has both
         target = targets.get("good", targets.get("subspace"))
-    # the echo, which a caller may edit and validate again, holds plain lists
     return RunConfig(
-        mode=mode, system=_plain(system), initial=_plain(initial), **read,
+        mode=mode, system=system, initial=initial, **read,
         spec=spec, state=state, target=target, controllability=controllability,
         texts={name: text for name, text in texts.items() if text is not None},
     )
@@ -562,14 +572,14 @@ def _read_file(name: str, path: str) -> str:
     try:
         return Path(name).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read {name!r}: {exc}") from None
+        raise ConfigError(f"{path}: cannot read {_quoted(name)}: {exc}") from None
 
 
 def _load_json_or_path(value: str, path_hint: str):
     text = value
     if not value.lstrip().startswith(("[", "{")):
         if not Path(value).is_file():
-            _fail(path_hint, f"{value!r} is neither inline JSON nor an existing file")
+            _fail(path_hint, f"{_quoted(value)} is neither inline JSON nor an existing file")
         text = _read_file(value, path_hint)
     return _parse_json(text, path_hint)
 

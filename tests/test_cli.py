@@ -1084,6 +1084,56 @@ def test_array_iterations_name_their_field():
     assert str(error.value) == "iterations: must be an integer, got array([1, 2])"
 
 
+# an int of 5,001 digits, which repr and str refuse to print.  Only a Python
+# caller of validate_config can pass one: JSON text cannot carry it, since
+# json.loads refuses an integer literal of more than 4,300 digits
+HOSTILE = 10**5000
+HOSTILE_SHOWN = "a 16610-bit integer"
+HOSTILE_SITES = {
+    "mode": ({"mode": HOSTILE}, "mode"),
+    "system": ({"mode": "analyze", "system": HOSTILE}, "system"),
+    "system.preset": ({"mode": "analyze", "system": {"preset": HOSTILE}}, "system.preset"),
+    "dim-drift": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": 5, "coupling": []}},
+                  "system.drift"),
+    "dim-coupling": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": [], "coupling": []}},
+                     "system.coupling"),
+    "initial": ({"mode": "amplify", "system": CHAIN, "initial": HOSTILE, "good": 2}, "initial"),
+    "drift-entry": ({"mode": "analyze", "system": {**CHAIN, "drift": [0, HOSTILE, 3]}},
+                    "system.drift[1]"),
+    "coupling-entry": ({"mode": "analyze",
+                        "system": {**CHAIN, "coupling": [[0, 1, 0], [1, 0, HOSTILE], [0, 1, 0]]}},
+                       "system.coupling[1][2]"),
+    "initial-entry": ({"mode": "amplify", "system": CHAIN, "initial": [0.6, HOSTILE, 0], "good": 2},
+                      "initial[1]"),
+    "top-level-key": ({"mode": "analyze", "system": CHAIN, HOSTILE: 1}, HOSTILE_SHOWN),
+    "system-key": ({"mode": "analyze", "system": {**CHAIN, HOSTILE: 1}}, f"system.{HOSTILE_SHOWN}"),
+    "pre_rotation": ({"mode": "analyze", "system": CHAIN, "pre_rotation": HOSTILE}, "pre_rotation"),
+    "repeat_until_success": ({"mode": "analyze", "system": CHAIN, "repeat_until_success": HOSTILE},
+                             "repeat_until_success"),
+    "out": ({"mode": "analyze", "system": CHAIN, "out": HOSTILE}, "out"),
+    "tolerances-key": ({"mode": "analyze", "system": CHAIN, "tolerances": {HOSTILE: 1}},
+                       f"tolerances.{HOSTILE_SHOWN}"),
+}
+
+
+@pytest.mark.parametrize("site", HOSTILE_SITES)
+def test_unprintable_value_names_its_path(site):
+    # each site raised Python's own ValueError, "Exceeds the limit (4300
+    # digits) for integer string conversion", out of its message's repr or
+    # str; at the boolean, 'out' and tolerance-key sites that ValueError
+    # became a ConfigError that named no path
+    raw, path = HOSTILE_SITES[site]
+    with pytest.raises(ConfigError) as error:
+        validate_config(raw)
+    assert str(error.value).startswith(f"{path}: ")
+
+
+def test_unprintable_good_index_mapping_names_its_argument():
+    with pytest.raises(TypeError) as error:
+        GoodSubspace.of({HOSTILE: 1}, 3)
+    assert str(error.value).startswith("good index: ")
+
+
 def test_summary_prints_the_final_state_fidelity():
     p = case1_preset()
     report = run_algorithm1(hydrogen_spec(), p.initial, 5, seed=11,

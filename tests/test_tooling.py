@@ -303,3 +303,23 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
     assert success.startswith("0.99990")
     collapsed = namespace["report"].measurement.collapsed
     assert not collapsed.amplitudes[3:].any()  # inside {1, 2, 3}
+
+
+def test_messages_quote_values_by_one_rule():
+    # a message outside core shows a caller's value by core._quoted, not by
+    # repr, which refuses an int of more than 4,300 digits
+    conversions = _places(lambda node: isinstance(node, ast.FormattedValue)
+                          and node.conversion == ord("r"))
+    assert {module for module, _ in conversions} <= {"core.py"}
+
+
+def test_system_echo_has_one_reader():
+    # cli._system_spec alone writes the 'system' echo: validate_config names
+    # no key of a system object and leaves the echo's copies to its readers
+    tree = ast.parse((ROOT / "src" / "iqcontrol" / "cli.py").read_text())
+    validate = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate_config")
+    strings = {node.value for node in ast.walk(validate) if isinstance(node, ast.Constant)}
+    assert not strings & {"preset", "energy_gap", "dim"}
+    names = {node.id for node in ast.walk(validate) if isinstance(node, ast.Name)}
+    assert not names & {"_plain", "_json_number"}
