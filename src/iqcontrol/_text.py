@@ -67,8 +67,23 @@ _NEGATIVE_ZERO = re.compile(r"-0[,\]]")
 # with ensure_ascii
 _json_string = json.encoder.encode_basestring_ascii
 # the one encoder of the report and of the config's canonical text:
-# sorted, compact, strict JSON, written in C
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# sorted, compact, strict JSON, written by json's C encoder.  Built once
+# here, as ``JSONEncoder.encode`` builds one per call (about 0.8 us), and
+# with no markers dict, which concurrent calls would share: a cycle ends
+# in a RecursionError rather than json's ValueError.  A NaN or an
+# infinity raises json's ValueError.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+if json.encoder.c_make_encoder is None:  # a Python without json's C speedups
+    _encode = _ENCODER.encode
+else:
+    # the arguments JSONEncoder.iterencode passes it, in its order
+    _encode_chunks = json.encoder.c_make_encoder(
+        None, _ENCODER.default, _json_string, _ENCODER.indent, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def _encode(value) -> str:
+        return "".join(_encode_chunks(value, 0))
 # the tokens of compact JSON that re-indenting tells apart: the inside of
 # a run of sibling nonempty lists of scalars (no string, no container),
 # ``[..],[..],...,[..]`` without its outer brackets; a run of scalars,

@@ -9,11 +9,19 @@ the good block.  They differ in the target and in the last step.
 state onward with a caller-supplied pulse, recording the reached
 fidelity; the coherent transfer into an arbitrary target is outside the
 simulated scheme.  ``run_algorithm2`` targets a subspace and attaches
-the controllability verdict of the matching connected component.
+the controllability verdict of the matching connected component, which
+is found once per spec, subspace and ``ControllabilityConfig`` and kept
+on the spec.
+
+Only the measurement is random.  The plan, the amplified state and the
+partition of the last ``_STAGES`` distinct argument sets are kept, keyed
+by the initial ``StateVector``'s identity and the other arguments'
+values, so a run that repeats a state, target and phases only measures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +33,8 @@ from .amplification import (
     DEFAULT_L_MAX,
     AmplificationPlan,
     GoodSubspace,
+    _check_phase,
+    _iterations,
     amplified_state,
     make_plan,
 )
@@ -35,6 +45,10 @@ from .core import (
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _shots, measurement_histogram
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
+
+# the deterministic stages that ``_run`` keeps: a fixed count, as
+# hydrogen._model_spec keeps 64 specs, so the memo holds O(N) per run kept
+_STAGES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +102,25 @@ def _amplify(
     )
 
 
+@functools.lru_cache(maxsize=_STAGES)
+def _stage(
+    initial: StateVector, good: GoodSubspace, phi1: str, phi2: str,
+    iterations: Union[int, str], pre_rotation: bool, l_max: int,
+) -> tuple[StateVector, dict, MeasurementPartition]:
+    """A run's deterministic stage: ``_amplify`` and the good-vs-rest
+    partition of arguments ``_run`` has read, the phases as their
+    ``float.hex`` text.  Every run with the same key shares the result: the
+    state is keyed by identity, as it compares, and holds read-only
+    amplitudes; the |c| arrays are made read-only here, and each run
+    copies the fields dict."""
+    amplified, fields = _amplify(
+        initial, good, float.fromhex(phi1), float.fromhex(phi2), iterations, pre_rotation, l_max,
+    )
+    fields["pre_amplification"].setflags(write=False)
+    fields["post_amplification"].setflags(write=False)
+    return amplified, fields, MeasurementPartition.binary(good)
+
+
 def _run(
     spec: SystemSpec, initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
     iterations: Union[int, str], seed: int, shots: int, pre_rotation: bool, l_max: int,
@@ -102,9 +135,9 @@ def _run(
     ``max_attempts``, the shots from it on until one lands on the good
     block or ``max_attempts`` are drawn) and collapses the state on the
     last shot drawn.  The plan, the amplified state and the partition
-    are made once, so only the measurement repeats, and the report (with
-    ``attempts`` set to the shots drawn) is the one that re-running the
-    whole pipeline per shot would give.
+    are made once, by ``_stage``, so only the measurement repeats, and the
+    report (with ``attempts`` set to the shots drawn) is the one that
+    re-running the whole pipeline per shot would give.
     """
     _same_dim(initial.dim, "initial", spec.dim)
     _same_dim(good.dim, "subspace", spec.dim)
@@ -116,8 +149,22 @@ def _run(
         max_attempts = _integer(max_attempts, "max_attempts", 1)
         if shots != 1:
             raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
-    amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-    partition = MeasurementPartition.binary(good)
+    # read as make_plan reads them first, so each raises what it raised there
+    phi1, phi2 = _check_phase("phi1", phi1), _check_phase("phi2", phi2)
+    l_max = _integer(l_max, "l_max", 0)
+    try:
+        # each phase by its bits: -0.0 equals 0.0, but a report writes it as -0.0
+        key = (initial, good, phi1.hex(), phi2.hex(), _iterations(iterations), pre_rotation, l_max)
+        hash(key)
+    except (TypeError, ValueError):
+        # an argument the memo cannot key (an iterations its reader refuses,
+        # an unhashable pre_rotation) runs uncached, so it raises what
+        # make_plan raises, after the zero-overlap check as there
+        amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+        partition = MeasurementPartition.binary(good)
+    else:
+        amplified, fields, partition = _stage(*key)
+        fields = dict(fields)  # the run's own, which its algorithm completes
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         fields.update(histogram=histogram, empirical_success=histogram[0] / shots)
@@ -155,7 +202,9 @@ def run_algorithm1(
     supplied, the reached fidelity |<target|final>|^2 is recorded.  With
     ``shots > 1`` the run reports the outcome histogram instead.
     ``measurement_shot`` picks the shot index of the single measurement,
-    which lets a caller re-run the probabilistic part under one seed.
+    which lets a caller re-run the probabilistic part under one seed:
+    runs on the same ``initial`` object and arguments share one plan and
+    amplified state, so such a re-run only measures.
     With ``max_attempts`` (single-shot runs only) one pass of the
     sampler draws shots ``measurement_shot``, ``measurement_shot + 1``,
     ... until one succeeds or ``max_attempts`` are drawn, and collapses
@@ -199,9 +248,10 @@ def run_algorithm2(
     successful measurement the collapsed state lies entirely inside the
     subspace and is recorded as the post-measurement starting point for
     any further in-subspace control.  ``measurement_shot`` and
-    ``max_attempts`` work as in ``run_algorithm1``; the controllability
-    analysis, like the plan, runs once: it finds the coupling graph's
-    components as ``assess`` does and analyses only the target's.
+    ``max_attempts`` work as in ``run_algorithm1``.  The controllability
+    analysis finds the coupling graph's components as ``assess`` does and
+    analyses only the target's, once per spec, subspace and config: the
+    verdict is kept on the spec.  The warning is emitted on every call.
     """
     fields = _run(
         spec, initial, subspace, phi1, phi2, iterations,
@@ -209,11 +259,8 @@ def run_algorithm2(
     )
     config = controllability_config or ControllabilityConfig()
     target_set = tuple(sorted(subspace.indices))
-    labels = range(1, spec.dim + 1)
-    edges = _components(labels, _edges(spec, labels, config.edge_threshold)).get(target_set)
-    if edges is not None:
-        verdict = _component_verdict(spec, target_set, edges, config)[0]
-    else:
+    verdict = _subspace_verdict(spec, target_set, config)
+    if verdict is None:
         warnings.warn(
             f"subspace {list(target_set)} is not a connected component of the "
             "coupling graph; its controllability is not established",
@@ -221,3 +268,28 @@ def run_algorithm2(
         )
         verdict = SubspaceVerdict(target_set, None, ("not a connected component of the coupling graph",))
     return RunReport(**fields, controllability_note=verdict.to_dict())
+
+
+def _subspace_verdict(
+    spec: SystemSpec, labels: tuple[int, ...], config: ControllabilityConfig
+) -> Optional[SubspaceVerdict]:
+    """The verdict of the sorted ``labels`` as a connected component of
+    the coupling graph under ``config``, found as ``assess`` finds it; None
+    when they are not one.  A component's verdict is kept on the spec,
+    keyed by its labels and the config, so each is found once per spec; a
+    config that cannot be a key is analysed on every call."""
+    key = (labels, config)
+    try:
+        return spec._verdicts[key]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable
+        key = None
+    vertices = range(1, spec.dim + 1)
+    edges = _components(vertices, _edges(spec, vertices, config.edge_threshold)).get(labels)
+    if edges is None:
+        return None
+    verdict = _component_verdict(spec, labels, edges, config)[0]
+    if key is not None:
+        spec._verdicts[key] = verdict
+    return verdict

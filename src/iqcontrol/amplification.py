@@ -139,6 +139,10 @@ def _split(good_part: np.ndarray, bad_part: np.ndarray) -> Decomposition:
 
 
 def _check_phase(name: str, value: float) -> float:
+    # a float in [0, pi], which _real would return as it is, skips its
+    # type checks: a run reads each phase twice, to key its memo and to plan
+    if type(value) is float and 0.0 <= value <= math.pi:
+        return value
     return _real(value, name, 0.0, math.pi)
 
 
@@ -411,7 +415,10 @@ def make_plan(
         pre_rotated=pre_rotated,
     )
     # the prepared state's split, which amplified_state reads instead of
-    # splitting it again; a plan made any other way has none
+    # splitting it again; a plan made any other way has none.  Its arrays
+    # are read-only, as the plans that runs share must be
+    d.good_part.setflags(write=False)
+    d.bad_part.setflags(write=False)
     object.__setattr__(plan, "_decomposition", d)
     return plan
 

@@ -211,9 +211,9 @@ def _system_spec(value) -> tuple[SystemSpec, dict, Optional[str]]:
     dim = _built("", _integer, value["dim"], "system.dim", 2)
     drift, coupling = value["drift"], value["coupling"]
     if not isinstance(drift, list):
-        _fail("system.drift", f"expected {_shown(dim)} eigenvalues")
+        _fail("system.drift", f"expected dim eigenvalues, dim = {_shown(dim)}")
     if not isinstance(coupling, list) or len(coupling) != dim:
-        _fail("system.coupling", f"expected a {_shown(dim)}x{_shown(dim)} matrix")
+        _fail("system.coupling", f"expected a dim x dim matrix, dim = {_shown(dim)}")
     for i, row in enumerate(coupling):
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"system.coupling[{i}]", f"expected {_shown(dim)} entries")
@@ -248,6 +248,18 @@ def _labels(value, path: str) -> list[int]:
     if len(set(labels)) != len(labels):
         _fail(path, "labels must be distinct")
     return labels
+
+
+def _target(labels, path: str, dim: int) -> GoodSubspace:
+    """The good set of ``labels``, one label or a list as the field
+    ``path``'s reader read them; a label past ``dim`` is named by its own
+    path, as the reader names one below 1."""
+    if isinstance(labels, list):
+        for k, label in enumerate(labels):
+            _built("", _integer, label, f"{path}[{k}]", 1, dim)
+    else:
+        _built("", _integer, labels, path, 1, dim)
+    return _built(f"{path}: ", GoodSubspace.of, labels, dim)
 
 
 def _phases(value, path: str) -> tuple[float, float]:
@@ -373,7 +385,7 @@ def validate_config(raw: dict) -> RunConfig:
         if initial is not None:
             state, initial, texts["initial"] = _initial_state(initial, spec)
         targets = {
-            name: _built(f"{name}: ", GoodSubspace.of, read[name], spec.dim)
+            name: _target(read[name], name, spec.dim)
             for name in ("good", "subspace")
             if read[name] is not None
         }

@@ -14,7 +14,8 @@ triangle and every reader of B agree on which levels it joins.  It finds
 the blocks of that graph, and builds the read-only levels, coupling and
 drift arrays of each coupled one, on its first propagation and keeps
 them beside the phase bounds max|B_ij|, max|lambda| and the largest
-block's size, so every later one starts at the batched ``eigh``.  A pulse
+block's size, so every later one starts at the batched ``eigh``; it also
+keeps the component verdicts that ``run_algorithm2`` finds.  A pulse
 builds its read-only (durations, amplitudes) arrays once, on first use.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
@@ -133,7 +134,8 @@ def _quoted(value) -> str:
     try:
         return repr(value)
     except ValueError:
-        return f"a {type(value).__name__} too long to print"
+        name = type(value).__name__
+        return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name} too long to print"
 
 
 def _bounded(number, name: str, minimum, maximum, exclusive: bool = False):
@@ -372,6 +374,13 @@ class SystemSpec:
                 array.setflags(write=False)
             arrays.append(block)
         return arrays
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """The verdicts of this spec's connected components that
+        ``run_algorithm2`` has found, keyed by (labels, config): made on
+        first use and kept with the spec, as ``_block_arrays`` is."""
+        return {}
 
     @cached_property
     def _phase_bounds(self) -> tuple[float, float, int]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import iqcontrol._text
+import iqcontrol.algorithms
 from iqcontrol import StateVector, SystemSpec, UnitaryOperator
 
 # Property tests draw a fixed sequence of examples and keep no example
@@ -114,3 +115,11 @@ def echoed_texts(value):
         for item in value:
             found += echoed_texts(item)
     return found
+
+
+def clear_run_memos(*specs: SystemSpec) -> None:
+    """Empty the memo of runs' deterministic stages and the controllability
+    verdicts kept on each of ``specs``, so a test sees its own first run."""
+    iqcontrol.algorithms._stage.cache_clear()
+    for spec in specs:
+        vars(spec).pop("_verdicts", None)

@@ -29,6 +29,9 @@ is built from the good mask, and a spec keeps the arrays of its coupled
 blocks.  ``rebuilt_paths`` puts back the path that recomputed them, from
 ``resplit_amplified_state``, ``checked_binary_partition`` and
 ``rebuilding_evolve``, so a run can be compared with it bit for bit.
+Since 0.10.24 runs also share their deterministic stage through
+``algorithms._stage`` and a spec keeps its components' verdicts;
+``rebuilt_paths`` runs without either memo too.
 
 Since 0.10.9 a histogram counts its shots from sorted draws;
 ``per_shot_histogram`` is the path it replaced, which places every shot
@@ -368,8 +371,12 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
 def rebuilt_paths():
     """Run the library on the paths above instead of the ones that reuse
     a plan's split, the good mask and a spec's block arrays, and count a
-    histogram shot by shot."""
+    histogram shot by shot; plan every run and analyse every verdict
+    afresh, past the memo of runs and a spec's verdicts."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "_stage", algorithms._stage.__wrapped__)
+        # a data descriptor, which the instance's kept dict cannot shadow
+        patch.setattr(core.SystemSpec, "_verdicts", property(lambda spec: {}))
         patch.setattr(algorithms, "amplified_state", resplit_amplified_state)
         patch.setattr(algorithms, "measurement_histogram", per_shot_histogram)
         patch.setattr(MeasurementPartition, "binary", staticmethod(checked_binary_partition))

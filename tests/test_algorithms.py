@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from iqcontrol import (
     DimensionMismatchError,
     GoodSubspace,
     MeasurementPartition,
+    NonFiniteError,
     RunReport,
     StateVector,
     SystemSpec,
@@ -32,7 +35,7 @@ from iqcontrol import (
 )
 from iqcontrol import ControllabilityConfig, algorithms, amplification, controllability, measurement
 from iqcontrol.amplification import MAX_ITERATIONS, amplification_operator
-from conftest import COUPLING_KINDS, coupling_of_kind, random_state
+from conftest import COUPLING_KINDS, clear_run_memos, coupling_of_kind, random_state
 from oracles import rebuilt_paths, success_probability
 
 
@@ -732,3 +735,211 @@ def test_invalid_target_raises_named_error():
         run_algorithm1(spec, p1.initial, 9, seed=3)
     with pytest.raises(DimensionMismatchError, match="^subspace: expected 5 levels, got 4$"):
         run_algorithm2(spec, p2.initial, GoodSubspace.of([1, 2, 3], 4), seed=3)
+
+
+# ---------------------------------------------------------------------------
+# the memo of a run's deterministic stage, and the verdicts a spec keeps
+
+
+def _case1_run(initial, seed=1, **kwargs):
+    return run_algorithm1(hydrogen_spec(), initial, 5, seed=seed, **kwargs)
+
+
+def test_equal_but_distinct_states_plan_separately(monkeypatch):
+    # a StateVector compares by identity, so the memo keys it so: an equal
+    # copy is a new state and plans anew, to the same report
+    clear_run_memos()
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    p = case1_preset()
+    twin = StateVector(p.initial.amplitudes)
+    first = _case1_run(p.initial)
+    again = _case1_run(p.initial, seed=2)
+    assert len(plans) == 1 and again.plan is first.plan
+    other = _case1_run(twin)
+    assert len(plans) == 2 and other.plan is not first.plan
+    assert other.plan.prepared is twin and first.plan.prepared is p.initial
+    assert other.to_dict() == first.to_dict()
+
+
+# (argument, the value a first run takes, the value a second run changes it to)
+MEMO_KEYS = [
+    ("phi1", math.pi, 3.0),
+    ("phi2", math.pi, 3.0),
+    # equal as floats, but reported apart
+    ("phi1", 0.0, -0.0),
+    ("iterations", "auto", 3),
+    ("iterations", 3, 4),
+    ("l_max", 10**6, 2),
+    ("pre_rotation", False, True),
+]
+
+
+@pytest.mark.parametrize("name, first, changed", MEMO_KEYS,
+                         ids=[f"{row[0]}={row[2]!r}" for row in MEMO_KEYS])
+def test_changed_arguments_plan_again(monkeypatch, name, first, changed):
+    clear_run_memos()
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    p = case1_preset()
+    base = _case1_run(p.initial, **{name: first})
+    assert _case1_run(p.initial, seed=2, **{name: first}).plan is base.plan
+    assert len(plans) == 1
+    report = _case1_run(p.initial, **{name: changed})
+    assert len(plans) == 2 and report.plan is not base.plan
+    assert _case1_run(p.initial, **{name: changed}).plan is report.plan and len(plans) == 2
+    # the report a run with no memo writes, -0.0 as -0.0
+    with rebuilt_paths():
+        fresh = _case1_run(p.initial, **{name: changed})
+    assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+
+
+def test_shared_stage_is_read_only_and_reports_share_nothing():
+    clear_run_memos()
+    spec, p = hydrogen_spec(), case2_preset()
+    histogram = run_algorithm2(spec, p.initial, p.good, seed=1, shots=500)
+    single = run_algorithm2(spec, p.initial, p.good, seed=1)
+    assert single.plan is histogram.plan
+    split = vars(single.plan)["_decomposition"]
+    shared = [single.pre_amplification, single.post_amplification, single.plan.prepared.amplitudes,
+              split.good_part, split.bad_part]
+    for array in shared:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        single.pre_amplification[0] = 0.0
+    # each report has its own fields: the histogram run's never reach the next run
+    assert single.histogram is None and single.empirical_success is None
+    assert histogram.measurement is None and single.measurement is not None
+    expected = json.dumps(single.to_dict())
+    written = single.to_dict()
+    written["pre_amplification"][0] = -1.0
+    written["plan"]["good_indices"].append(9)
+    written["controllability_note"]["notes"] = ["edited"]
+    written["measurement"]["collapsed"][0][0] = 9.0
+    assert json.dumps(single.to_dict()) == expected
+    assert json.dumps(run_algorithm2(spec, p.initial, p.good, seed=1).to_dict()) == expected
+
+
+def test_non_component_warns_on_every_run(monkeypatch):
+    # hydrogen's {1, 2} has an edge to 3: no component, so no verdict is kept
+    clear_run_memos(hydrogen_spec())
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    p, subspace = case2_preset(), GoodSubspace.of([1, 2], 5)
+    for seed in (1, 2, 3):
+        with pytest.warns(UserWarning, match=r"^subspace \[1, 2\] is not a connected component"):
+            report = run_algorithm2(hydrogen_spec(), p.initial, subspace, seed=seed)
+        assert report.controllability_note["verdict"] is None
+    assert len(plans) == 1
+
+
+def test_verdict_is_kept_per_spec_subspace_and_config(monkeypatch):
+    spec, p = hydrogen_spec(), case2_preset()
+    clear_run_memos(spec)
+    analysed = _count_calls(monkeypatch, algorithms, "_edges")
+    loose = ControllabilityConfig(degeneracy_tol=0.5)
+    notes = {}
+    for config in (None, ControllabilityConfig(), loose, ControllabilityConfig(degeneracy_tol=0.5)):
+        report = run_algorithm2(spec, p.initial, p.good, seed=1, controllability_config=config)
+        notes.setdefault(config == loose, report.controllability_note)
+        assert report.controllability_note == notes[config == loose]
+    # the default config, given or not, and the loose one, once each
+    assert len(analysed) == 2
+    expected = {v.component: v.to_dict() for v in assess(spec, loose).subspace_verdicts}[(1, 2, 3)]
+    assert notes[True] == expected
+    # another spec, equal or not, keeps its own
+    twin = SystemSpec(dim=5, drift=spec.drift, coupling=spec.coupling)
+    assert run_algorithm2(twin, p.initial, p.good, seed=1).controllability_note == notes[False]
+    assert len(analysed) == 3
+
+
+# each bad argument raises what a run with no memo raises, with the memo
+# cold or holding the same run with a good argument
+MEMO_ERRORS = [
+    ("list-iterations", 1, {"iterations": [3]}, TypeError, "iterations: must be an integer, got [3]"),
+    ("nan-phase", 2, {"phi2": float("nan")}, NonFiniteError, "phi2: must be finite, got nan"),
+    ("list-state", 1, {"initial": list(case1_preset().initial.amplitudes)}, AttributeError,
+     "'list' object has no attribute 'dim'"),
+    # the memo reads iterations before planning, but the zero overlap is
+    # still the error, as make_plan checks it first
+    ("zero-overlap-list-iterations", 1, {"initial": StateVector.basis_state(1, 5), "iterations": [3]},
+     ZeroOverlapError, "initial state has no weight on good indices [5]; apply a unitary"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("run, kwargs, error, prefix", [row[1:] for row in MEMO_ERRORS],
+                         ids=[row[0] for row in MEMO_ERRORS])
+def test_bad_arguments_raise_hit_or_miss(warm, run, kwargs, error, prefix):
+    clear_run_memos()
+    p = case1_preset() if run == 1 else case2_preset()
+    algorithm = run_algorithm1 if run == 1 else run_algorithm2
+    target = 5 if run == 1 else p.good
+    if warm:
+        algorithm(hydrogen_spec(), p.initial, target, seed=1)
+    arguments = {"seed": 1, **kwargs}
+    initial = arguments.pop("initial", p.initial)
+    with pytest.raises(error) as info:
+        algorithm(hydrogen_spec(), initial, target, **arguments)
+    assert type(info.value) is error
+    assert str(info.value).startswith(prefix), str(info.value)
+
+
+def test_unkeyable_argument_runs_uncached(monkeypatch):
+    # a list pre_rotation cannot be a key; its truth value still pre-rotates
+    clear_run_memos()
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    initial = StateVector.basis_state(1, 5)
+    reports = [_case1_run(initial, pre_rotation=[1]) for _ in range(2)]
+    assert len(plans) == 2 and algorithms._stage.cache_info().currsize == 0
+    assert reports[0].plan.pre_rotated
+    assert reports[0].to_dict() == reports[1].to_dict() == _case1_run(initial, pre_rotation=True).to_dict()
+
+
+def test_memo_holds_a_fixed_count():
+    clear_run_memos()
+    p = case1_preset()
+    for _ in range(algorithms._STAGES + 5):
+        _case1_run(StateVector(p.initial.amplitudes))
+    assert algorithms._stage.cache_info().currsize == algorithms._STAGES
+
+
+@pytest.mark.soak  # threads interleave differently on every run
+@settings(max_examples=20)
+@given(
+    seeds=st.lists(st.integers(0, 2**64), min_size=4, max_size=4, unique=True),
+    shots=st.sampled_from([1, 1, 300]),
+    max_attempts=st.sampled_from([None, 40]),
+    iterations=st.sampled_from(["auto", 0, 2]),
+)
+def test_threads_sharing_a_state_report_as_serial_runs(seeds, shots, max_attempts, iterations):
+    # four threads run on one state and spec at once, each with its own
+    # seed, first on a cold memo and then on the warm one that they left
+    spec, p = hydrogen_spec(), case2_preset()
+    kwargs = dict(iterations=iterations, shots=shots, max_attempts=max_attempts if shots == 1 else None)
+
+    def run(seed):
+        return run_algorithm2(spec, p.initial, p.good, seed=seed, **kwargs).to_dict()
+
+    expected = {}
+    for seed in seeds:
+        clear_run_memos(spec)
+        expected[seed] = run(seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching often
+    try:
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                clear_run_memos(spec)
+            barrier, reports = threading.Barrier(len(seeds), timeout=30), {}
+
+            def worker(seed):
+                barrier.wait()
+                reports[seed] = run(seed)
+
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert reports == expected, memo
+    finally:
+        sys.setswitchinterval(interval)

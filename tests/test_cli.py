@@ -50,7 +50,7 @@ from iqcontrol.cli import (
     summarize,
     validate_config,
 )
-from conftest import EDGE_FLOATS, HUGE_INT, echoed_texts
+from conftest import EDGE_FLOATS, HUGE_INT, clear_run_memos, echoed_texts
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -1031,7 +1031,7 @@ TOLERANCE_NAMES = "['degeneracy_tol', 'edge_threshold', 'max_denominator', 'rati
         pytest.param({"mode": "analyze", "system": {"dim": 2, "drift": [0, 1]}},
                      "system: missing required field 'coupling'", id="missing-coupling"),
         pytest.param({"mode": "analyze", "system": {**HYDROGEN_INLINE, "drift": 5}},
-                     "system.drift: expected 2 eigenvalues", id="drift-kind"),
+                     "system.drift: expected dim eigenvalues, dim = 2", id="drift-kind"),
         pytest.param({"mode": "amplify", "system": CHAIN, "initial": 5, "good": 2},
                      "initial: expected a list of amplitudes, got 5", id="initial-kind"),
         pytest.param([1, 2], "config: expected a JSON object at the top level", id="config-kind"),
@@ -1046,6 +1046,16 @@ TOLERANCE_NAMES = "['degeneracy_tol', 'edge_threshold', 'max_denominator', 'rati
                      id="unknown-tolerance"),
         pytest.param({"mode": "analyze", "system": CHAIN, "out": 5},
                      "out: expected a path string, got 5", id="out-kind"),
+        # a label past the system's size is named by its field's own path,
+        # as one below 1 is; these read "good: good index: ..." and
+        # "subspace: good index: ..."
+        pytest.param({"mode": "amplify", "system": CHAIN, "initial": [0.6, 0.8, 0], "good": 4},
+                     "good: must lie in [1, 3], got 4", id="good-past-dim"),
+        pytest.param({"mode": "amplify", "system": CHAIN, "initial": [0.6, 0.8, 0], "subspace": [1, 4]},
+                     "subspace[1]: must lie in [1, 3], got 4", id="subspace-label-past-dim"),
+        pytest.param({"mode": "algo2", "system": CHAIN, "initial": [0.6, 0.8, 0], "subspace": [3, 1, 2],
+                      "seed": 1},
+                     "subspace: good subspace must be a strict subset of the basis", id="subspace-whole"),
     ],
 )
 def test_config_error_messages_pinned(tmp_path, capsys, payload, message):
@@ -1089,30 +1099,41 @@ def test_array_iterations_name_their_field():
 # json.loads refuses an integer literal of more than 4,300 digits
 HOSTILE = 10**5000
 HOSTILE_SHOWN = "a 16610-bit integer"
+HOSTILE_TOO_LONG = "an int too long to print"
+# each site: the config, the path its error names and the rest of the message
 HOSTILE_SITES = {
-    "mode": ({"mode": HOSTILE}, "mode"),
-    "system": ({"mode": "analyze", "system": HOSTILE}, "system"),
-    "system.preset": ({"mode": "analyze", "system": {"preset": HOSTILE}}, "system.preset"),
+    "mode": ({"mode": HOSTILE}, "mode", "expected one of analyze, amplify, algo1, algo2, "
+             f"hydrogen-case1, hydrogen-case2, measure-stats; got {HOSTILE_TOO_LONG}"),
+    "system": ({"mode": "analyze", "system": HOSTILE}, "system",
+               f"expected a system object or preset name, got {HOSTILE_TOO_LONG}"),
+    "system.preset": ({"mode": "analyze", "system": {"preset": HOSTILE}}, "system.preset",
+                      f"unknown preset {HOSTILE_TOO_LONG}"),
     "dim-drift": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": 5, "coupling": []}},
-                  "system.drift"),
+                  "system.drift", f"expected dim eigenvalues, dim = {HOSTILE_SHOWN}"),
     "dim-coupling": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": [], "coupling": []}},
-                     "system.coupling"),
-    "initial": ({"mode": "amplify", "system": CHAIN, "initial": HOSTILE, "good": 2}, "initial"),
+                     "system.coupling", f"expected a dim x dim matrix, dim = {HOSTILE_SHOWN}"),
+    "initial": ({"mode": "amplify", "system": CHAIN, "initial": HOSTILE, "good": 2}, "initial",
+                f"expected a list of amplitudes, got {HOSTILE_TOO_LONG}"),
     "drift-entry": ({"mode": "analyze", "system": {**CHAIN, "drift": [0, HOSTILE, 3]}},
-                    "system.drift[1]"),
+                    "system.drift[1]", f"expected a finite number, got {HOSTILE_TOO_LONG}"),
     "coupling-entry": ({"mode": "analyze",
                         "system": {**CHAIN, "coupling": [[0, 1, 0], [1, 0, HOSTILE], [0, 1, 0]]}},
-                       "system.coupling[1][2]"),
+                       "system.coupling[1][2]",
+                       f"expected a finite number or an [re, im] pair, got {HOSTILE_TOO_LONG}"),
     "initial-entry": ({"mode": "amplify", "system": CHAIN, "initial": [0.6, HOSTILE, 0], "good": 2},
-                      "initial[1]"),
-    "top-level-key": ({"mode": "analyze", "system": CHAIN, HOSTILE: 1}, HOSTILE_SHOWN),
-    "system-key": ({"mode": "analyze", "system": {**CHAIN, HOSTILE: 1}}, f"system.{HOSTILE_SHOWN}"),
-    "pre_rotation": ({"mode": "analyze", "system": CHAIN, "pre_rotation": HOSTILE}, "pre_rotation"),
+                      "initial[1]", f"expected a finite number or an [re, im] pair, got {HOSTILE_TOO_LONG}"),
+    "top-level-key": ({"mode": "analyze", "system": CHAIN, HOSTILE: 1}, HOSTILE_SHOWN, "unknown field"),
+    "system-key": ({"mode": "analyze", "system": {**CHAIN, HOSTILE: 1}}, f"system.{HOSTILE_SHOWN}",
+                   "unknown field"),
+    "pre_rotation": ({"mode": "analyze", "system": CHAIN, "pre_rotation": HOSTILE}, "pre_rotation",
+                     f"expected a boolean, got {HOSTILE_TOO_LONG}"),
     "repeat_until_success": ({"mode": "analyze", "system": CHAIN, "repeat_until_success": HOSTILE},
-                             "repeat_until_success"),
-    "out": ({"mode": "analyze", "system": CHAIN, "out": HOSTILE}, "out"),
+                             "repeat_until_success", f"expected a boolean, got {HOSTILE_TOO_LONG}"),
+    "out": ({"mode": "analyze", "system": CHAIN, "out": HOSTILE}, "out",
+            f"expected a path string, got {HOSTILE_TOO_LONG}"),
     "tolerances-key": ({"mode": "analyze", "system": CHAIN, "tolerances": {HOSTILE: 1}},
-                       f"tolerances.{HOSTILE_SHOWN}"),
+                       f"tolerances.{HOSTILE_SHOWN}", "unknown tolerance (allowed: ['degeneracy_tol', "
+                       "'edge_threshold', 'max_denominator', 'ratio_tol'])"),
 }
 
 
@@ -1121,11 +1142,13 @@ def test_unprintable_value_names_its_path(site):
     # each site raised Python's own ValueError, "Exceeds the limit (4300
     # digits) for integer string conversion", out of its message's repr or
     # str; at the boolean, 'out' and tolerance-key sites that ValueError
-    # became a ConfigError that named no path
-    raw, path = HOSTILE_SITES[site]
+    # became a ConfigError that named no path.  The whole message is pinned:
+    # a count reads "dim = a 16610-bit integer" and a value "an int too
+    # long to print"
+    raw, path, message = HOSTILE_SITES[site]
     with pytest.raises(ConfigError) as error:
         validate_config(raw)
-    assert str(error.value).startswith(f"{path}: ")
+    assert str(error.value) == f"{path}: {message}"
 
 
 def test_unprintable_good_index_mapping_names_its_argument():
@@ -1235,7 +1258,8 @@ def mutated_configs(draw, mutations=MUTATIONS):
             payload["good"] = bad or dim + 2
             return payload, "good"
         payload["subspace"] = [*labels[:-1], bad] if bad is not None else list(range(1, dim + 1))
-        return payload, f"subspace[{len(labels) - 1}]" if bad == 0 else "subspace"
+        # a bad label is named by its own index, below 1 or past dim
+        return payload, f"subspace[{len(labels) - 1}]" if bad is not None else "subspace"
     if mutation == "length":
         what = draw(st.sampled_from(["initial", "drift", "row", "rows"]))
         grow = draw(st.booleans())
@@ -1936,6 +1960,10 @@ def per_attempt_oracle(payload, seed, cap):
     ],
 )
 def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, late, monkeypatch):
+    # the memos start empty, whatever ran before; a preset's runs share its
+    # state and the hydrogen spec, and a config's runs share that spec but
+    # each validation builds its own state
+    clear_run_memos(hydrogen_spec(), iqcontrol.cli._PRESET_SPEC)
     calls = {"make_plan": 0, "_edges": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
@@ -1943,6 +1971,8 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(iqcontrol.algorithms, name, counted)
+    algorithm2 = payload["mode"] in ("algo2", "hydrogen-case2")
+    shared_state = payload["mode"] in iqcontrol.cli._PRESETS
     outcomes = []
     for cap in caps:
         for seed in seeds:
@@ -1951,9 +1981,11 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
             )
             calls.update(make_plan=0, _edges=0)
             code, report = execute(config)
-            # plan and controllability analysis once per run, not per attempt
-            algorithm2 = payload["mode"] in ("algo2", "hydrogen-case2")
-            assert calls == {"make_plan": 1, "_edges": int(algorithm2)}
+            # never per attempt: the plan once per state, on its first run,
+            # and the controllability analysis on the first run alone
+            first = not outcomes
+            assert calls == {"make_plan": int(first or not shared_state),
+                             "_edges": int(algorithm2 and first)}
             assert code == 0
             result = report["result"]
             result.pop("preset_expectation", None)

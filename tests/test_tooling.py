@@ -323,3 +323,51 @@ def test_system_echo_has_one_reader():
     assert not strings & {"preset", "energy_gap", "dim"}
     names = {node.id for node in ast.walk(validate) if isinstance(node, ast.Name)}
     assert not names & {"_plain", "_json_number"}
+
+
+# every cache in the package: each lru_cache, cached_property and
+# __missing__ dict, as module.qualified name.  The package keeps no global
+# mutable state but these, each bounded or kept by the object it describes,
+# so a new one joins this list only by a deliberate edit, as a public name
+# joins PUBLIC_NAMES
+CACHES = [
+    "_text._Newlines.__missing__",
+    "algorithms._stage",
+    "amplification.GoodSubspace._mask",
+    "cli.RunConfig.canonical",
+    "core.ControlPulse._arrays",
+    "core.SystemSpec._block_arrays",
+    "core.SystemSpec._phase_bounds",
+    "core.SystemSpec._verdicts",
+    "hydrogen._model_spec",
+]
+CACHE_DECORATORS = {"cache", "cached_property", "lru_cache"}
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def test_every_cache_is_pinned():
+    found, uses = [], 0
+
+    def visit(node, prefix):
+        nonlocal uses
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                caching = [d for d in child.decorator_list if _decorator_name(d) in CACHE_DECORATORS]
+                uses -= len(caching)
+                if caching or child.name == "__missing__":
+                    found.append(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+        # every use of a cache decorator is one of the decorations counted above
+        if isinstance(node, (ast.Name, ast.Attribute)) and _decorator_name(node) in CACHE_DECORATORS:
+            uses += 1
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.stem + ".")
+    assert sorted(found) == CACHES
+    assert uses == 0
