@@ -14,15 +14,17 @@ is found once per spec, subspace and ``ControllabilityConfig`` and kept
 on the spec.
 
 Only the measurement is random.  The plan, the amplified state and the
-partition of the last ``_STAGES`` distinct argument sets are kept, keyed
-by the initial ``StateVector``'s identity and the other arguments'
-values, so a run that repeats a state, target and phases only measures.
+partition are kept on the initial ``StateVector``, up to ``_STAGES`` of
+them per state keyed by the other arguments' values, oldest dropped
+first, so a run that repeats a state, target and phases only measures,
+and a state's stages are freed with it.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -46,9 +48,13 @@ from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _sho
 
 __all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
 
-# the deterministic stages that ``_run`` keeps: a fixed count, as
-# hydrogen._model_spec keeps 64 specs, so the memo holds O(N) per run kept
+# the deterministic stages that ``_run`` keeps on one state: a fixed
+# count, as hydrogen._model_spec keeps 64 specs, so a state holds O(N) per
+# stage kept
 _STAGES = 64
+# a stage's phases by their bits: -0.0 equals 0.0, but a report writes it as -0.0
+_PHASE_BITS = struct.Struct("<2d")
+_PLAN_FIELDS = tuple(field.name for field in dataclasses.fields(AmplificationPlan))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,23 +108,26 @@ def _amplify(
     )
 
 
-@functools.lru_cache(maxsize=_STAGES)
 def _stage(
-    initial: StateVector, good: GoodSubspace, phi1: str, phi2: str,
+    initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
     iterations: Union[int, str], pre_rotation: bool, l_max: int,
-) -> tuple[StateVector, dict, MeasurementPartition]:
-    """A run's deterministic stage: ``_amplify`` and the good-vs-rest
-    partition of arguments ``_run`` has read, the phases as their
-    ``float.hex`` text.  Every run with the same key shares the result: the
-    state is keyed by identity, as it compares, and holds read-only
-    amplitudes; the |c| arrays are made read-only here, and each run
-    copies the fields dict."""
-    amplified, fields = _amplify(
-        initial, good, float.fromhex(phi1), float.fromhex(phi2), iterations, pre_rotation, l_max,
-    )
+) -> tuple[tuple[StateVector, dict, dict, MeasurementPartition], AmplificationPlan]:
+    """A run's deterministic stage and its plan.  The stage is what
+    ``_amplify`` returns, with the plan's fields in place of the plan, and
+    the good-vs-rest partition.  Runs that share it share the result: the
+    amplified state holds read-only amplitudes, the |c| arrays are made
+    read-only here, and each later run copies the fields dict and makes its
+    own plan.  The plan's fields leave out a prepared state that is
+    ``initial`` itself: a stage kept on ``initial`` that held it would
+    make a cycle, which only the cyclic collector frees, so a dropped
+    state's stages would outlive it."""
+    amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+    plan = fields.pop("plan")
+    plan_fields = {name: getattr(plan, name) for name in _PLAN_FIELDS
+                   if name != "prepared" or plan.prepared is not initial}
     fields["pre_amplification"].setflags(write=False)
     fields["post_amplification"].setflags(write=False)
-    return amplified, fields, MeasurementPartition.binary(good)
+    return (amplified, fields, plan_fields, MeasurementPartition.binary(good)), plan
 
 
 def _run(
@@ -135,9 +144,10 @@ def _run(
     ``max_attempts``, the shots from it on until one lands on the good
     block or ``max_attempts`` are drawn) and collapses the state on the
     last shot drawn.  The plan, the amplified state and the partition
-    are made once, by ``_stage``, so only the measurement repeats, and the
-    report (with ``attempts`` set to the shots drawn) is the one that
-    re-running the whole pipeline per shot would give.
+    are made once per state and arguments, by ``_stage``, and kept on the
+    state, so only the measurement repeats, and the report (with
+    ``attempts`` set to the shots drawn) is the one that re-running the
+    whole pipeline per shot would give.
     """
     _same_dim(initial.dim, "initial", spec.dim)
     _same_dim(good.dim, "subspace", spec.dim)
@@ -153,18 +163,29 @@ def _run(
     phi1, phi2 = _check_phase("phi1", phi1), _check_phase("phi2", phi2)
     l_max = _integer(l_max, "l_max", 0)
     try:
-        # each phase by its bits: -0.0 equals 0.0, but a report writes it as -0.0
-        key = (initial, good, phi1.hex(), phi2.hex(), _iterations(iterations), pre_rotation, l_max)
-        hash(key)
-    except (TypeError, ValueError):
-        # an argument the memo cannot key (an iterations its reader refuses,
-        # an unhashable pre_rotation) runs uncached, so it raises what
-        # make_plan raises, after the zero-overlap check as there
-        amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-        partition = MeasurementPartition.binary(good)
-    else:
-        amplified, fields, partition = _stage(*key)
-        fields = dict(fields)  # the run's own, which its algorithm completes
+        # the state's dim is the good set's, so its labels stand for it
+        key = (good.indices, _PHASE_BITS.pack(phi1, phi2), _iterations(iterations), pre_rotation, l_max)
+        stages = initial._stages
+        stage = stages.get(key)
+    except (AttributeError, TypeError, ValueError):
+        # an argument the state cannot key (an iterations its reader
+        # refuses, an unhashable pre_rotation, a state that keeps no
+        # stages) runs uncached, so it raises what make_plan raises, after
+        # the zero-overlap check as there
+        stages = stage = None
+    plan = None
+    if stage is None:
+        stage, plan = _stage(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
+        if stages is not None:
+            stages[key] = stage
+            # trimmed after the insert, so that threads sharing the state
+            # leave at most _STAGES whichever order their steps interleave in
+            while len(stages) > _STAGES:
+                stages.popitem(last=False)
+    amplified, fields, plan_fields, partition = stage
+    if plan is None:  # a kept stage: the run makes its own plan
+        plan = AmplificationPlan(**{"prepared": initial, **plan_fields})
+    fields = dict(fields, plan=plan)  # the run's own, which its algorithm completes
     if shots > 1:
         histogram = measurement_histogram(amplified, partition, seed, shots)
         fields.update(histogram=histogram, empirical_success=histogram[0] / shots)

@@ -28,8 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (NORM_TOL, StateVector, UnitaryOperator, _integer, _items, _quoted, _real, _same_dim,
-                   _shown, prepare_unitary)
+from .core import (NORM_TOL, StateVector, UnitaryOperator, _dim, _integer, _items, _quoted, _real,
+                   _same_dim, _shown, prepare_unitary)
 from .errors import ZeroOverlapError
 
 DEFAULT_L_MAX = 10**6
@@ -65,7 +65,7 @@ class GoodSubspace:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
+        object.__setattr__(self, "dim", _dim(self.dim, "dim"))
         idx = frozenset(_integer(i, "good index", 1, self.dim) for i in _items(self.indices, "indices"))
         object.__setattr__(self, "indices", idx)
         if not idx:

@@ -73,7 +73,7 @@ from ._text import _FLOAT_MAX, _encode, _numbers, _parse_json, _plain, _reindent
 from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _check_phase, _iterations
 from .controllability import ControllabilityConfig, assess
-from .core import StateVector, SystemSpec, _integer, _quoted, _shown
+from .core import StateVector, SystemSpec, _dim, _integer, _quoted, _shown
 from .errors import ConfigError
 from .hydrogen import case1_preset, case2_preset, hydrogen_spec
 from .measurement import (MeasurementPartition, _shots, born_probabilities, measurement_histogram,
@@ -208,7 +208,7 @@ def _system_spec(value) -> tuple[SystemSpec, dict, Optional[str]]:
     for key in ("dim", "drift", "coupling"):
         if key not in value:
             _fail("system", f"missing required field {_quoted(key)}")
-    dim = _built("", _integer, value["dim"], "system.dim", 2)
+    dim = _built("", _dim, value["dim"], "system.dim", 2)
     drift, coupling = value["drift"], value["coupling"]
     if not isinstance(drift, list):
         _fail("system.drift", f"expected dim eigenvalues, dim = {_shown(dim)}")
@@ -427,10 +427,17 @@ def _execute_algo2(config: RunConfig) -> dict:
 
 
 def _execute_preset(config: RunConfig) -> dict:
+    """A preset's run, with the count and success it should hit when its
+    plan is the preset's own: the preset's phases and count (the one that
+    ``iterations`` "auto" finds when ``l_max`` reaches it), not
+    pre-rotated."""
     preset = _PRESETS[config.mode]
     result = (_execute_algo1 if preset.algorithm == 1 else _execute_algo2)(config)
-    result["preset_expectation"] = {"iterations": preset.expected_iterations,
-                                    "success": preset.expected_success}
+    plan = result["plan"]
+    if ((plan["phi1"], plan["phi2"], plan["iterations"], plan["pre_rotated"])
+            == (preset.phi1, preset.phi2, preset.expected_iterations, False)):
+        result["preset_expectation"] = {"iterations": preset.expected_iterations,
+                                        "success": preset.expected_success}
     return result
 
 
@@ -710,7 +717,12 @@ def main(argv=None) -> int:
         report = {"provenance": {"version": __version__}, "mode": mode if mode in MODES else None}
         return _emit(2, _with_error(report, exc), args.out)
     code, report = execute(config)
-    return _emit(code, report, config.out, config.canonical)
+    out, canonical = config.out, config.canonical
+    # the run's spec and state, and the stages kept on the state, are freed
+    # before the report is written, so their memory and the report's text
+    # are not held at once
+    del config
+    return _emit(code, report, out, canonical)
 
 
 if __name__ == "__main__":

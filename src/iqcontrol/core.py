@@ -15,8 +15,11 @@ the blocks of that graph, and builds the read-only levels, coupling and
 drift arrays of each coupled one, on its first propagation and keeps
 them beside the phase bounds max|B_ij|, max|lambda| and the largest
 block's size, so every later one starts at the batched ``eigh``; it also
-keeps the component verdicts that ``run_algorithm2`` finds.  A pulse
-builds its read-only (durations, amplitudes) arrays once, on first use.
+keeps the component verdicts that ``run_algorithm2`` finds.  A state
+keeps the deterministic stages of the runs that start from it, which a
+copy or an unpickled state does not carry.  A pulse builds its read-only
+(durations, amplitudes) arrays once, on first use.  ``_dim`` reads every
+count of levels, up to the longest axis numpy can index.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
 entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
@@ -28,7 +31,8 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -50,6 +54,7 @@ HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
 BATCH_ENTRIES = 1 << 22   # matrix entries per batched eigendecomposition: 64 MiB complex
 MAX_CF4_STEPS = 1 << 22   # CF4 steps a callable field may ask for
+_MAX_DIM = int(np.iinfo(np.intp).max)  # the longest axis numpy can index
 
 # Fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math.
 # 56, 1519 (2006)): the field at the Gauss points t_mid -+ GAUSS_OFFSET * h
@@ -140,10 +145,10 @@ def _quoted(value) -> str:
 
 def _bounded(number, name: str, minimum, maximum, exclusive: bool = False):
     """``number`` unless it lies below ``minimum`` (at it too, if
-    ``exclusive``) or above ``maximum``, None being no bound and ``maximum``
-    coming with a ``minimum``; else a ValueError, ``<name>: must be >= m,
-    got v`` or ``<name>: must lie in [a, b], got v``.  An int prints exactly,
-    pi by name and any other float bound in ``g`` format."""
+    ``exclusive``) or above ``maximum``, None being no bound; else a
+    ValueError, ``<name>: must be >= m, got v``, ``<name>: must be <= M,
+    got v`` or ``<name>: must lie in [a, b], got v``.  An int prints
+    exactly, pi by name and any other float bound in ``g`` format."""
     below = minimum is not None and (number <= minimum if exclusive else number < minimum)
     if not below and (maximum is None or number <= maximum):
         return number
@@ -151,6 +156,8 @@ def _bounded(number, name: str, minimum, maximum, exclusive: bool = False):
                  for b in (minimum, maximum))
     if maximum is None:
         bound = f"be {'>' if exclusive else '>='} {low}"
+    elif minimum is None:
+        bound = f"be <= {high}"
     else:
         bound = f"lie in {'(' if exclusive else '['}{low}, {high}]"
     raise ValueError(f"{name}: must {bound}, got {_shown(number)}")
@@ -168,6 +175,13 @@ def _integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[
         else:
             return _bounded(value, name, minimum, maximum)
     raise TypeError(f"{name}: must be an integer, got {_quoted(value)}")
+
+
+def _dim(value, name: str, minimum: Optional[int] = None) -> int:
+    """A count of levels read by ``_integer``, at least ``minimum`` and at
+    most _MAX_DIM, the longest axis numpy can index; either error names
+    ``name``, before any array of that length is asked for."""
+    return _bounded(_integer(value, name, minimum), name, None, _MAX_DIM)
 
 
 def _real(
@@ -202,9 +216,10 @@ def _items(values, name: str) -> list:
 
 def _same_dim(count: int, name: str, dim: int) -> None:
     """Nothing when operand ``name`` has ``dim`` levels; else a
-    DimensionMismatchError, ``<name>: expected <dim> levels, got <count>``."""
+    DimensionMismatchError, ``<name>: expected dim levels, dim = <dim>, got
+    <count>``, in the words of the CLI's shape messages."""
     if count != dim:
-        raise DimensionMismatchError(f"{name}: expected {_shown(dim)} levels, got {count}")
+        raise DimensionMismatchError(f"{name}: expected dim levels, dim = {_shown(dim)}, got {count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +241,24 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
+    @cached_property
+    def _stages(self) -> OrderedDict:
+        """The deterministic stages of the runs that started from this
+        state, oldest first, which ``algorithms._run`` keeps and bounds:
+        made on first use and freed with the state, as a spec's
+        ``_verdicts`` are with the spec; no stage refers to the state."""
+        return OrderedDict()
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a copy or an unpickled state starts with no stages
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy's or an unpickled state's amplitudes are its own, and
+        # read-only as every state's are
+        vars(self).update(state)
+        self.amplitudes.setflags(write=False)
+
     def populations(self) -> np.ndarray:
         """|c_i|^2 per basis state."""
         return np.abs(self.amplitudes) ** 2
@@ -238,7 +271,7 @@ class StateVector:
     @classmethod
     def basis_state(cls, index: int, dim: int) -> "StateVector":
         """Basis state with 1-based label ``index``."""
-        dim = _integer(dim, "dim")
+        dim = _dim(dim, "dim")
         index = _integer(index, "index", 1, dim)
         amps = np.zeros(dim, dtype=complex)
         amps[index - 1] = 1.0
@@ -295,7 +328,7 @@ class SystemSpec:
     exact_drift: Optional[tuple[Fraction, ...]] = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
+        object.__setattr__(self, "dim", _dim(self.dim, "dim", 2))
         drift = _array(self.drift, "drift", 1, float)
         coupling = _array(self.coupling, "coupling", 2)
         _same_dim(drift.size, "drift", self.dim)
@@ -453,7 +486,7 @@ class UnitaryOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "UnitaryOperator":
-        return cls(np.eye(_integer(dim, "dim", 1), dtype=complex))
+        return cls(np.eye(_dim(dim, "dim", 1), dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .amplification import GoodSubspace
-from .core import StateVector, _integer, _items, _record, _same_dim, _shown
+from .core import StateVector, _dim, _integer, _items, _record, _same_dim, _shown
 from .errors import MeasurementGuardError
 
 IMPOSSIBLE_BLOCK_TOL = 1e-15
@@ -104,7 +104,7 @@ class MeasurementPartition:
     @classmethod
     def per_index(cls, dim: int) -> "MeasurementPartition":
         """One block per label 1..dim, built from the range."""
-        dim = _integer(dim, "dim")
+        dim = _dim(dim, "dim")
         if dim < 1:
             raise ValueError("partition blocks must be nonempty")
         return cls._of(tuple((i,) for i in range(1, dim + 1)), np.arange(dim, dtype=np.intp))

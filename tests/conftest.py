@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 import iqcontrol._text
-import iqcontrol.algorithms
 from iqcontrol import StateVector, SystemSpec, UnitaryOperator
 
 # Property tests draw a fixed sequence of examples and keep no example
@@ -117,9 +116,10 @@ def echoed_texts(value):
     return found
 
 
-def clear_run_memos(*specs: SystemSpec) -> None:
-    """Empty the memo of runs' deterministic stages and the controllability
-    verdicts kept on each of ``specs``, so a test sees its own first run."""
-    iqcontrol.algorithms._stage.cache_clear()
-    for spec in specs:
-        vars(spec).pop("_verdicts", None)
+def clear_run_memos(*holders) -> None:
+    """Empty the runs' deterministic stages kept on each state and the
+    controllability verdicts kept on each spec among ``holders``, so a test
+    sees its own first run."""
+    for holder in holders:
+        vars(holder).pop("_stages", None)
+        vars(holder).pop("_verdicts", None)

@@ -29,9 +29,9 @@ is built from the good mask, and a spec keeps the arrays of its coupled
 blocks.  ``rebuilt_paths`` puts back the path that recomputed them, from
 ``resplit_amplified_state``, ``checked_binary_partition`` and
 ``rebuilding_evolve``, so a run can be compared with it bit for bit.
-Since 0.10.24 runs also share their deterministic stage through
-``algorithms._stage`` and a spec keeps its components' verdicts;
-``rebuilt_paths`` runs without either memo too.
+Since 0.10.24 runs also share their deterministic stage, kept on the
+initial state since 0.10.25 (``StateVector._stages``), and a spec keeps
+its components' verdicts; ``rebuilt_paths`` runs without either memo too.
 
 Since 0.10.9 a histogram counts its shots from sorted draws;
 ``per_shot_histogram`` is the path it replaced, which places every shot
@@ -42,6 +42,7 @@ import cmath
 import contextlib
 import math
 import numbers
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def phase_oracle_chi(dim: int, good: GoodSubspace, phi2: float) -> UnitaryOperat
     """Diagonal operator putting phase e^{i phi2} on every good basis state."""
     phi2 = _check_phase("phi2", phi2)
     if good.dim != dim:
-        raise DimensionMismatchError(f"good: expected {dim} levels, got {good.dim}")
+        raise DimensionMismatchError(f"good: expected dim levels, dim = {dim}, got {good.dim}")
     diag = np.where(good.mask(), cmath.exp(1j * phi2), 1.0 + 0j)
     return UnitaryOperator(np.diag(diag))
 
@@ -192,7 +193,7 @@ def system_spec_checks(dim: int, drift, coupling):
     drift = read_array(drift, "drift", 1, real=True).real
     coupling = read_array(coupling, "coupling", 2, real=False)
     if drift.size != dim:
-        raise DimensionMismatchError(f"drift: expected {dim} levels, got {drift.size}")
+        raise DimensionMismatchError(f"drift: expected dim levels, dim = {dim}, got {drift.size}")
     if coupling.shape != (dim, dim):
         raise DimensionMismatchError(
             f"coupling: shape {coupling.shape} does not match dimension {dim}"
@@ -374,8 +375,8 @@ def rebuilt_paths():
     histogram shot by shot; plan every run and analyse every verdict
     afresh, past the memo of runs and a spec's verdicts."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algorithms, "_stage", algorithms._stage.__wrapped__)
-        # a data descriptor, which the instance's kept dict cannot shadow
+        # data descriptors, which an instance's kept dict cannot shadow
+        patch.setattr(core.StateVector, "_stages", property(lambda state: OrderedDict()))
         patch.setattr(core.SystemSpec, "_verdicts", property(lambda spec: {}))
         patch.setattr(algorithms, "amplified_state", resplit_amplified_state)
         patch.setattr(algorithms, "measurement_histogram", per_shot_histogram)

@@ -1,9 +1,13 @@
+import copy
 import dataclasses
+import gc
 import json
 import math
+import pickle
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +37,7 @@ from iqcontrol import (
     run_algorithm1,
     run_algorithm2,
 )
-from iqcontrol import ControllabilityConfig, algorithms, amplification, controllability, measurement
+from iqcontrol import ControllabilityConfig, algorithms, amplification, cli, controllability, measurement
 from iqcontrol.amplification import MAX_ITERATIONS, amplification_operator
 from conftest import COUPLING_KINDS, clear_run_memos, coupling_of_kind, random_state
 from oracles import rebuilt_paths, success_probability
@@ -657,7 +661,7 @@ def test_algorithm2_runs_no_assess(monkeypatch):
 BAD_ARGUMENTS = [
     # id, kwargs, exception type, message prefix: one argument out of range each
     ("initial-dim", {"initial": StateVector([0.6, 0.8, 0.0, 0.0])}, DimensionMismatchError,
-     "initial: expected 5 levels, got 4"),
+     "initial: expected dim levels, dim = 5, got 4"),
     ("zero-overlap", {"initial": StateVector.basis_state(4, 5)}, ZeroOverlapError,
      "initial state has no weight on good indices"),
     ("phi1", {"phi1": 4.0}, ValueError, "phi1: must lie in [0, pi], got 4.0"),
@@ -733,12 +737,16 @@ def test_invalid_target_raises_named_error():
     spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
     with pytest.raises(ValueError, match=r"^good index: must lie in \[1, 5\], got 9$"):
         run_algorithm1(spec, p1.initial, 9, seed=3)
-    with pytest.raises(DimensionMismatchError, match="^subspace: expected 5 levels, got 4$"):
+    with pytest.raises(DimensionMismatchError, match="^subspace: expected dim levels, dim = 5, got 4$"):
         run_algorithm2(spec, p2.initial, GoodSubspace.of([1, 2, 3], 4), seed=3)
 
 
 # ---------------------------------------------------------------------------
-# the memo of a run's deterministic stage, and the verdicts a spec keeps
+# the deterministic stages a state keeps, and the verdicts a spec keeps
+
+
+def _fields_of(plan) -> dict:
+    return {field.name: getattr(plan, field.name) for field in dataclasses.fields(plan)}
 
 
 def _case1_run(initial, seed=1, **kwargs):
@@ -746,19 +754,21 @@ def _case1_run(initial, seed=1, **kwargs):
 
 
 def test_equal_but_distinct_states_plan_separately(monkeypatch):
-    # a StateVector compares by identity, so the memo keys it so: an equal
-    # copy is a new state and plans anew, to the same report
-    clear_run_memos()
+    # a StateVector compares by identity and keeps its own stages: an
+    # equal copy is a new state and plans anew, to the same report
     plans = _count_calls(monkeypatch, algorithms, "make_plan")
     p = case1_preset()
     twin = StateVector(p.initial.amplitudes)
     first = _case1_run(p.initial)
     again = _case1_run(p.initial, seed=2)
-    assert len(plans) == 1 and again.plan is first.plan
+    # runs on one stage share its arrays, and each makes its own equal plan
+    assert len(plans) == 1 and again.post_amplification is first.post_amplification
+    assert _fields_of(again.plan) == _fields_of(first.plan) and again.plan is not first.plan
     other = _case1_run(twin)
-    assert len(plans) == 2 and other.plan is not first.plan
+    assert len(plans) == 2 and other.post_amplification is not first.post_amplification
     assert other.plan.prepared is twin and first.plan.prepared is p.initial
     assert other.to_dict() == first.to_dict()
+    assert len(p.initial._stages) == len(twin._stages) == 1
 
 
 # (argument, the value a first run takes, the value a second run changes it to)
@@ -777,15 +787,15 @@ MEMO_KEYS = [
 @pytest.mark.parametrize("name, first, changed", MEMO_KEYS,
                          ids=[f"{row[0]}={row[2]!r}" for row in MEMO_KEYS])
 def test_changed_arguments_plan_again(monkeypatch, name, first, changed):
-    clear_run_memos()
     plans = _count_calls(monkeypatch, algorithms, "make_plan")
     p = case1_preset()
     base = _case1_run(p.initial, **{name: first})
-    assert _case1_run(p.initial, seed=2, **{name: first}).plan is base.plan
+    assert _case1_run(p.initial, seed=2, **{name: first}).post_amplification is base.post_amplification
     assert len(plans) == 1
     report = _case1_run(p.initial, **{name: changed})
-    assert len(plans) == 2 and report.plan is not base.plan
-    assert _case1_run(p.initial, **{name: changed}).plan is report.plan and len(plans) == 2
+    assert len(plans) == 2 and report.post_amplification is not base.post_amplification
+    again = _case1_run(p.initial, **{name: changed})
+    assert again.post_amplification is report.post_amplification and len(plans) == 2
     # the report a run with no memo writes, -0.0 as -0.0
     with rebuilt_paths():
         fresh = _case1_run(p.initial, **{name: changed})
@@ -793,14 +803,12 @@ def test_changed_arguments_plan_again(monkeypatch, name, first, changed):
 
 
 def test_shared_stage_is_read_only_and_reports_share_nothing():
-    clear_run_memos()
     spec, p = hydrogen_spec(), case2_preset()
     histogram = run_algorithm2(spec, p.initial, p.good, seed=1, shots=500)
     single = run_algorithm2(spec, p.initial, p.good, seed=1)
-    assert single.plan is histogram.plan
-    split = vars(single.plan)["_decomposition"]
-    shared = [single.pre_amplification, single.post_amplification, single.plan.prepared.amplitudes,
-              split.good_part, split.bad_part]
+    assert single.post_amplification is histogram.post_amplification
+    assert _fields_of(single.plan) == _fields_of(histogram.plan) and single.plan is not histogram.plan
+    shared = [single.pre_amplification, single.post_amplification, single.plan.prepared.amplitudes]
     for array in shared:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -868,7 +876,6 @@ MEMO_ERRORS = [
 @pytest.mark.parametrize("run, kwargs, error, prefix", [row[1:] for row in MEMO_ERRORS],
                          ids=[row[0] for row in MEMO_ERRORS])
 def test_bad_arguments_raise_hit_or_miss(warm, run, kwargs, error, prefix):
-    clear_run_memos()
     p = case1_preset() if run == 1 else case2_preset()
     algorithm = run_algorithm1 if run == 1 else run_algorithm2
     target = 5 if run == 1 else p.good
@@ -884,21 +891,82 @@ def test_bad_arguments_raise_hit_or_miss(warm, run, kwargs, error, prefix):
 
 def test_unkeyable_argument_runs_uncached(monkeypatch):
     # a list pre_rotation cannot be a key; its truth value still pre-rotates
-    clear_run_memos()
     plans = _count_calls(monkeypatch, algorithms, "make_plan")
     initial = StateVector.basis_state(1, 5)
     reports = [_case1_run(initial, pre_rotation=[1]) for _ in range(2)]
-    assert len(plans) == 2 and algorithms._stage.cache_info().currsize == 0
+    assert len(plans) == 2 and not initial._stages
     assert reports[0].plan.pre_rotated
     assert reports[0].to_dict() == reports[1].to_dict() == _case1_run(initial, pre_rotation=True).to_dict()
 
 
-def test_memo_holds_a_fixed_count():
-    clear_run_memos()
+def test_a_state_holds_at_most_a_fixed_count(monkeypatch):
+    # the oldest stage goes first: the first count plans again, the last does not
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    initial = StateVector(case1_preset().initial.amplitudes)
+    counts = range(algorithms._STAGES + 5)
+    for count in counts:
+        _case1_run(initial, iterations=count)
+    assert len(initial._stages) == algorithms._STAGES and len(plans) == len(counts)
+    kept = [key[2] for key in initial._stages]
+    assert kept == list(counts[-algorithms._STAGES:])
+    _case1_run(initial, iterations=counts[-1])
+    assert len(plans) == len(counts)
+    _case1_run(initial, iterations=0)
+    assert len(plans) == len(counts) + 1 and len(initial._stages) == algorithms._STAGES
+
+
+@pytest.mark.parametrize("pre_rotation", [False, True], ids=["as-given", "pre-rotated"])
+def test_a_dropped_state_is_freed_with_its_stages(pre_rotation):
+    # a stage refers to no state that keeps it, so reference counting
+    # frees a dropped state and its stages at once: with the cyclic
+    # collector off, which would otherwise free them only on a later pass
+    amplitudes = [1.0, 0, 0, 0, 0] if pre_rotation else case1_preset().initial.amplitudes
+    initial = StateVector(amplitudes)
+    report = _case1_run(initial, pre_rotation=pre_rotation)
+    assert (report.plan.prepared is initial) is not pre_rotation
+    stages = initial._stages
+    (amplified, fields, plan_fields, partition), = stages.values()
+    kept = [initial, report.plan.prepared, stages, amplified, fields["pre_amplification"], partition]
+    refs = [weakref.ref(value) for value in kept]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del initial, report, stages, amplified, fields, plan_fields, partition, kept
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_preset_state_keeps_its_stage_across_runs(monkeypatch):
+    # the CLI's presets run on states built once at import, so every run
+    # after the first only measures
+    initial = cli._PRESETS["hydrogen-case1"].initial
+    clear_run_memos(initial)
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    for seed in (1, 2):
+        code, _ = cli.execute(cli.validate_config({"mode": "hydrogen-case1", "seed": seed}))
+        gc.collect()
+        assert code == 0 and len(initial._stages) == 1
+    assert len(plans) == 1
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_state_neither_carries_nor_shares_stages(duplicate, monkeypatch):
     p = case1_preset()
-    for _ in range(algorithms._STAGES + 5):
-        _case1_run(StateVector(p.initial.amplitudes))
-    assert algorithms._stage.cache_info().currsize == algorithms._STAGES
+    first = _case1_run(p.initial)
+    twin = duplicate(p.initial)
+    assert "_stages" not in vars(twin) and not twin.amplitudes.flags.writeable
+    assert np.array_equal(twin.amplitudes, p.initial.amplitudes)
+    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+    report = _case1_run(twin)
+    assert len(plans) == 1 and report.plan.prepared is twin
+    assert twin._stages is not p.initial._stages
+    assert len(twin._stages) == len(p.initial._stages) == 1
+    assert report.to_dict() == first.to_dict()
 
 
 @pytest.mark.soak  # threads interleave differently on every run
@@ -911,7 +979,7 @@ def test_memo_holds_a_fixed_count():
 )
 def test_threads_sharing_a_state_report_as_serial_runs(seeds, shots, max_attempts, iterations):
     # four threads run on one state and spec at once, each with its own
-    # seed, first on a cold memo and then on the warm one that they left
+    # seed, first with no stage or verdict kept and then with those they left
     spec, p = hydrogen_spec(), case2_preset()
     kwargs = dict(iterations=iterations, shots=shots, max_attempts=max_attempts if shots == 1 else None)
 
@@ -920,14 +988,14 @@ def test_threads_sharing_a_state_report_as_serial_runs(seeds, shots, max_attempt
 
     expected = {}
     for seed in seeds:
-        clear_run_memos(spec)
+        clear_run_memos(spec, p.initial)
         expected[seed] = run(seed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more threads than cores, switching often
     try:
         for memo in ("cold", "warm"):
             if memo == "cold":
-                clear_run_memos(spec)
+                clear_run_memos(spec, p.initial)
             barrier, reports = threading.Barrier(len(seeds), timeout=30), {}
 
             def worker(seed):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -186,6 +188,33 @@ class TestExecute:
         assert result["plan"]["iterations"] == 7
         assert abs(result["predicted_success"] - 0.9953) < 5e-4
         assert result["preset_expectation"]["iterations"] == 7
+
+    @pytest.mark.parametrize(
+        "mode, fields, expected",
+        [
+            ("hydrogen-case1", {}, True),
+            ("hydrogen-case2", {"shots": 300}, True),
+            # the preset's phases and count, however they are asked for
+            ("hydrogen-case1", {"iterations": 7, "phases": [math.pi, math.pi], "l_max": 7}, True),
+            # the preset state has good weight, so it is not rotated
+            ("hydrogen-case2", {"pre_rotation": True}, True),
+            ("hydrogen-case1", {"phases": [1.0, 1.0], "iterations": 3}, False),
+            ("hydrogen-case1", {"phases": [1.0, math.pi]}, False),
+            ("hydrogen-case2", {"iterations": 4}, False),
+            ("hydrogen-case1", {"l_max": 2}, False),
+            ("hydrogen-case2", {"iterations": 0, "repeat_until_success": True, "shots": 50}, False),
+        ],
+        ids=["case1", "case2-histogram", "case1-explicit", "case2-pre-rotation", "case1-phases",
+             "case1-phi1", "case2-iterations", "case1-l_max", "case2-repeat"],
+    )
+    def test_preset_expectation_only_for_the_presets_plan(self, tmp_path, mode, fields, expected):
+        # the block gave the preset's count and success beside any plan,
+        # e.g. iterations 7 and success 0.9953 beside a plan of 3 at phases 1
+        code, report = run_cli(tmp_path, {"mode": mode, "seed": 1, **fields})
+        assert code == 0
+        result, preset = report["result"], iqcontrol.cli._PRESETS[mode]
+        own = {"iterations": preset.expected_iterations, "success": preset.expected_success}
+        assert result.get("preset_expectation") == (own if expected else None)
 
     def test_case2_statistics(self, tmp_path):
         code, report = run_cli(
@@ -1108,10 +1137,12 @@ HOSTILE_SITES = {
                f"expected a system object or preset name, got {HOSTILE_TOO_LONG}"),
     "system.preset": ({"mode": "analyze", "system": {"preset": HOSTILE}}, "system.preset",
                       f"unknown preset {HOSTILE_TOO_LONG}"),
+    # dim is bounded by the longest axis numpy can index before the drift
+    # and the coupling are read against it
     "dim-drift": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": 5, "coupling": []}},
-                  "system.drift", f"expected dim eigenvalues, dim = {HOSTILE_SHOWN}"),
+                  "system.dim", f"must be <= 9223372036854775807, got {HOSTILE_SHOWN}"),
     "dim-coupling": ({"mode": "analyze", "system": {"dim": HOSTILE, "drift": [], "coupling": []}},
-                     "system.coupling", f"expected a dim x dim matrix, dim = {HOSTILE_SHOWN}"),
+                     "system.dim", f"must be <= 9223372036854775807, got {HOSTILE_SHOWN}"),
     "initial": ({"mode": "amplify", "system": CHAIN, "initial": HOSTILE, "good": 2}, "initial",
                 f"expected a list of amplitudes, got {HOSTILE_TOO_LONG}"),
     "drift-entry": ({"mode": "analyze", "system": {**CHAIN, "drift": [0, HOSTILE, 3]}},
@@ -1143,8 +1174,8 @@ def test_unprintable_value_names_its_path(site):
     # digits) for integer string conversion", out of its message's repr or
     # str; at the boolean, 'out' and tolerance-key sites that ValueError
     # became a ConfigError that named no path.  The whole message is pinned:
-    # a count reads "dim = a 16610-bit integer" and a value "an int too
-    # long to print"
+    # a count reads "a 16610-bit integer" and a value "an int too long to
+    # print"
     raw, path, message = HOSTILE_SITES[site]
     with pytest.raises(ConfigError) as error:
         validate_config(raw)
@@ -1963,7 +1994,8 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
     # the memos start empty, whatever ran before; a preset's runs share its
     # state and the hydrogen spec, and a config's runs share that spec but
     # each validation builds its own state
-    clear_run_memos(hydrogen_spec(), iqcontrol.cli._PRESET_SPEC)
+    clear_run_memos(hydrogen_spec(), iqcontrol.cli._PRESET_SPEC,
+                    *(preset.initial for preset in iqcontrol.cli._PRESETS.values()))
     calls = {"make_plan": 0, "_edges": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
@@ -1998,6 +2030,40 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
         # the inputs reach both ends: caps run out, and hits come late
         assert any(not hit and n == limit > 1 for n, hit, limit in outcomes)
         assert any(hit and n > late for n, hit, _ in outcomes)
+
+
+# levels 1 and 2 coupled, level 3 apart: {1, 2} is a component for algo2
+PAIR_AND_LEVEL = {"dim": 3, "drift": [0, 1, 3], "coupling": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}
+
+
+@pytest.mark.parametrize("mode", ["algo1", "algo2"])
+def test_run_objects_freed_before_the_report_is_written(mode, tmp_path, monkeypatch):
+    # main held the validated config, with its spec, its state and the
+    # stages the run kept on that state, while it wrote the report; they go
+    # when the run is done, by reference counting, so the collector is off
+    built, alive = [], []
+
+    def validated(raw, _validate=iqcontrol.cli.validate_config):
+        config = _validate(raw)
+        built.extend(weakref.ref(value) for value in (config, config.spec, config.state))
+        return config
+
+    def rendered(report, _render=iqcontrol.cli.render_report, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return _render(report, **kwargs)
+
+    monkeypatch.setattr(iqcontrol.cli, "validate_config", validated)
+    monkeypatch.setattr(iqcontrol.cli, "render_report", rendered)
+    target = ["--good", "2"] if mode == "algo1" else ["--subspace", "[1, 2]"]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(["--mode", mode, "--system", json.dumps(PAIR_AND_LEVEL), "--initial", "[0.6, 0.48, 0.64]",
+                     *target, "--seed", "1", "--out", str(tmp_path / "report.json")])
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0 and built and alive == [[False, False, False]]
 
 
 def test_one_flag_per_config_field():

@@ -318,8 +318,18 @@ HUGE_INTEGERS = [
      "max_denominator: must be >= 1, got "),
     ("graph-edge", lambda v: ConnectivityGraph(3, frozenset({(1, v)})), HUGE, ValueError, "edge (1, "),
     ("graph-edge-negative", lambda v: ConnectivityGraph(3, frozenset({(v, 2)})), -HUGE, ValueError, "edge ("),
-    ("spec-dim", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), HUGE, DimensionMismatchError,
-     "drift: expected "),
+    # a dim past the longest axis numpy can index is refused by name before
+    # any array of it is asked for
+    ("spec-dim", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), HUGE, ValueError,
+     "dim: must be <= 9223372036854775807, got "),
+    ("good-dim", lambda v: GoodSubspace.of([1], v), HUGE, ValueError,
+     "dim: must be <= 9223372036854775807, got "),
+    ("basis-dim", lambda v: StateVector.basis_state(1, v), HUGE, ValueError,
+     "dim: must be <= 9223372036854775807, got "),
+    ("identity-dim", lambda v: UnitaryOperator.identity(v), HUGE, ValueError,
+     "dim: must be <= 9223372036854775807, got "),
+    ("partition-dim", lambda v: MeasurementPartition.per_index(v), HUGE, ValueError,
+     "dim: must be <= 9223372036854775807, got "),
     ("spec-dim-negative", lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]), -HUGE, ValueError,
      "dim: must be >= 2, got "),
     ("shots-max_attempts", lambda v: run_algorithm1(hydrogen_spec(), E1, 1, shots=v, max_attempts=3), HUGE,
@@ -360,6 +370,29 @@ def test_shot_counts_past_int64_are_named(call, value, shown):
     message = f"shots: must lie in [1, 9223372036854775807], got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+DIM_READERS = {
+    "spec": lambda v: SystemSpec(v, [0.0, 1.0], [[0, 1], [1, 0]]),
+    "good": lambda v: GoodSubspace.of([1], v),
+    "basis": lambda v: StateVector.basis_state(1, v),
+    "identity": lambda v: UnitaryOperator.identity(v),
+    "partition": lambda v: MeasurementPartition.per_index(v),
+}
+
+
+@pytest.mark.parametrize("call", DIM_READERS.values(), ids=DIM_READERS)
+def test_dim_past_the_longest_numpy_axis_is_named(call):
+    # a good set of such a dim was accepted, and its mask() raised numpy's
+    # "Maximum allowed dimension exceeded", which names no argument
+    message = "dim: must be <= 9223372036854775807, got 9223372036854775808"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(2**63)
+
+
+def test_dim_at_the_longest_numpy_axis_is_read():
+    # no array of a good set's dim is built until its mask is asked for
+    assert GoodSubspace.of([1], 2**63 - 1).dim == 2**63 - 1
 
 
 def test_integers_print_exactly():

@@ -50,35 +50,35 @@ def _spec2(exact_drift):
 HOSTILE_CALLS = [
     # operands of another size than the one they meet
     ("propagate-initial", lambda: propagate(SPEC, PULSE, THREE), DimensionMismatchError,
-     "initial: expected 5 levels, got 3"),
+     "initial: expected dim levels, dim = 5, got 3"),
     ("interaction-picture-initial", lambda: propagate_interaction_picture(HydrogenModel(), PULSE, THREE),
-     DimensionMismatchError, "initial: expected 5 levels, got 3"),
+     DimensionMismatchError, "initial: expected dim levels, dim = 5, got 3"),
     ("algorithm1-initial", lambda: run_algorithm1(SPEC, THREE, 1), DimensionMismatchError,
-     "initial: expected 5 levels, got 3"),
+     "initial: expected dim levels, dim = 5, got 3"),
     ("algorithm1-target", lambda: run_algorithm1(SPEC, INIT5, 5, final_pulse=PULSE, target=THREE,
                                                  max_attempts=300),
-     DimensionMismatchError, "target: expected 5 levels, got 3"),
+     DimensionMismatchError, "target: expected dim levels, dim = 5, got 3"),
     ("algorithm2-initial", lambda: run_algorithm2(SPEC, THREE, GoodSubspace.of([1, 2, 3], 5)),
-     DimensionMismatchError, "initial: expected 5 levels, got 3"),
+     DimensionMismatchError, "initial: expected dim levels, dim = 5, got 3"),
     ("algorithm2-subspace", lambda: run_algorithm2(SPEC, INIT5, GOOD4), DimensionMismatchError,
-     "subspace: expected 5 levels, got 4"),
+     "subspace: expected dim levels, dim = 5, got 4"),
     ("decompose-good", lambda: decompose(INIT5, GOOD4), DimensionMismatchError,
-     "good: expected 5 levels, got 4"),
+     "good: expected dim levels, dim = 5, got 4"),
     ("make_plan-good", lambda: make_plan(INIT5, GOOD4), DimensionMismatchError,
-     "good: expected 5 levels, got 4"),
+     "good: expected dim levels, dim = 5, got 4"),
     ("amplification_operator-good", lambda: amplification_operator(UnitaryOperator.identity(5), GOOD4, 1, 1),
-     DimensionMismatchError, "good: expected 5 levels, got 4"),
+     DimensionMismatchError, "good: expected dim levels, dim = 5, got 4"),
     ("born_probabilities-partition", lambda: born_probabilities(INIT5, PARTITION4), DimensionMismatchError,
-     "partition: expected 5 levels, got 4"),
+     "partition: expected dim levels, dim = 5, got 4"),
     ("sample_collapse-partition", lambda: sample_collapse(INIT5, PARTITION4, 0), DimensionMismatchError,
-     "partition: expected 5 levels, got 4"),
+     "partition: expected dim levels, dim = 5, got 4"),
     ("histogram-partition", lambda: measurement_histogram(INIT5, PARTITION4, 0, 10), DimensionMismatchError,
-     "partition: expected 5 levels, got 4"),
+     "partition: expected dim levels, dim = 5, got 4"),
     ("spec-drift", lambda: SystemSpec(3, [0, 1], np.eye(3)), DimensionMismatchError,
-     "drift: expected 3 levels, got 2"),
+     "drift: expected dim levels, dim = 3, got 2"),
     ("spec-exact_drift", lambda: _spec2([0, 1, 2]), DimensionMismatchError,
-     "exact_drift: expected 2 levels, got 3"),
-    ("overlap-other", lambda: INIT5.overlap(THREE), DimensionMismatchError, "other: expected 5 levels, got 3"),
+     "exact_drift: expected dim levels, dim = 2, got 3"),
+    ("overlap-other", lambda: INIT5.overlap(THREE), DimensionMismatchError, "other: expected dim levels, dim = 5, got 3"),
     # an empty unitary, refused before its unitarity product
     ("matrix-empty", lambda: UnitaryOperator(np.zeros((0, 0))), DimensionMismatchError,
      "matrix: must have at least 1 level, got shape (0, 0)"),
@@ -125,7 +125,7 @@ def test_target_is_checked_when_the_measurement_misses():
     # that would never have steered or read it
     kwargs = dict(iterations=0, seed=0, final_pulse=PULSE)
     assert run_algorithm1(SPEC, INIT5, 5, target=StateVector.basis_state(1, 5), **kwargs).success is False
-    with pytest.raises(DimensionMismatchError, match=r"^target: expected 5 levels, got 3$"):
+    with pytest.raises(DimensionMismatchError, match=r"^target: expected dim levels, dim = 5, got 3$"):
         run_algorithm1(SPEC, INIT5, 5, target=THREE, **kwargs)
 
 

@@ -332,10 +332,10 @@ def test_system_echo_has_one_reader():
 # joins PUBLIC_NAMES
 CACHES = [
     "_text._Newlines.__missing__",
-    "algorithms._stage",
     "amplification.GoodSubspace._mask",
     "cli.RunConfig.canonical",
     "core.ControlPulse._arrays",
+    "core.StateVector._stages",
     "core.SystemSpec._block_arrays",
     "core.SystemSpec._phase_bounds",
     "core.SystemSpec._verdicts",
