@@ -11,10 +11,8 @@ multiplies every good basis state by e^{i phi2}.  With phi1 = phi2 = pi
 and initial good weight g = sin^2(theta), L applications of Q to the
 prepared state U e1 leave good weight sin^2((2L+1) theta).  Q never
 leaves the span of the prepared state's good and bad parts, so no N x N
-matrix is built: Q^L acts as a 2x2 power on that span.  ``make_plan``
-splits the prepared state into those parts once and the plan carries the
-split, so ``amplified_state`` scales them without splitting it again;
-a ``GoodSubspace`` builds its mask on first use and keeps it.
+matrix is built: Q^L acts as a 2x2 power on that span.  A
+``GoodSubspace`` builds its mask on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -381,12 +379,11 @@ def make_plan(
     phi1 = _check_phase("phi1", phi1)
     phi2 = _check_phase("phi2", phi2)
     l_max = _integer(l_max, "l_max", 0)
-    pre_rotated = False
     d = decompose(initial, good)
-    if d.g < MIN_GOOD_WEIGHT and pre_rotation:
+    pre_rotated = d.g < MIN_GOOD_WEIGHT and bool(pre_rotation)
+    if pre_rotated:
         initial = _pre_rotated(initial, good)
         d = decompose(initial, good)
-        pre_rotated = True
     if d.g < MIN_GOOD_WEIGHT:
         hint = (
             "the pre-rotation also left no good weight"
@@ -404,7 +401,7 @@ def make_plan(
     if isinstance(count, str):  # "auto"
         count = _first_peak(d.g, l_max, rotation)
     predicted, _ = _weights(d.g, rotation, count)
-    plan = AmplificationPlan(
+    return AmplificationPlan(
         prepared=initial,
         good=good,
         phi1=phi1,
@@ -414,13 +411,6 @@ def make_plan(
         initial_good_weight=d.g,
         pre_rotated=pre_rotated,
     )
-    # the prepared state's split, which amplified_state reads instead of
-    # splitting it again; a plan made any other way has none.  Its arrays
-    # are read-only, as the plans that runs share must be
-    d.good_part.setflags(write=False)
-    d.bad_part.setflags(write=False)
-    object.__setattr__(plan, "_decomposition", d)
-    return plan
 
 
 def amplified_state(plan: AmplificationPlan) -> StateVector:
@@ -428,10 +418,8 @@ def amplified_state(plan: AmplificationPlan) -> StateVector:
 
     Scales the good and bad parts of the prepared state by the closed-form
     coefficients of Q^L: O(N) work, independent of L, and no N x N matrix.
-    A plan from :func:`make_plan` carries that split; any other plan, one
-    copied with ``dataclasses.replace`` among them, is split here.
     """
-    d = vars(plan).get("_decomposition") or decompose(plan.prepared, plan.good)
+    d = decompose(plan.prepared, plan.good)
     c_good, c_bad = _coefficients(d.g, d.b, _rotation(d.g, d.b, plan.phi1, plan.phi2), plan.iterations)
     # Q^L keeps the norm, but the closed form's drifts by up to its
     # phase-error bound, past NORM_TOL for long runs at small or unequal

@@ -103,11 +103,19 @@ class MeasurementPartition:
 
     @classmethod
     def per_index(cls, dim: int) -> "MeasurementPartition":
-        """One block per label 1..dim, built from the range."""
+        """One block per label 1..dim, built from the range once its label
+        array is allocated: a dim numpy cannot allocate is a ValueError."""
         dim = _dim(dim, "dim")
         if dim < 1:
             raise ValueError("partition blocks must be nonempty")
-        return cls._of(tuple((i,) for i in range(1, dim + 1)), np.arange(dim, dtype=np.intp))
+        try:
+            block_of_label = np.arange(dim, dtype=np.intp)
+        except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+            block_of_label = None
+        # np.arange(2**63 - 1) returns an empty array rather than refuse
+        if block_of_label is None or block_of_label.size != dim:
+            raise ValueError(f"dim: too many labels to allocate, got {_shown(dim)}")
+        return cls._of(tuple((i,) for i in range(1, dim + 1)), block_of_label)
 
 
 @dataclass(frozen=True, eq=False)

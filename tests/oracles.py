@@ -23,12 +23,13 @@ optimum (2L+1) theta ~ pi/2.
 as the library did before 0.8.1.  Its ``read_array`` reads the drift and
 coupling by the rules of ``core._array``, entry by entry in Python numbers.
 
-Since 0.10.3 a run carries what an earlier stage computed: a plan from
-``make_plan`` keeps the split of its prepared state, the binary partition
-is built from the good mask, and a spec keeps the arrays of its coupled
-blocks.  ``rebuilt_paths`` puts back the path that recomputed them, from
-``resplit_amplified_state``, ``checked_binary_partition`` and
-``rebuilding_evolve``, so a run can be compared with it bit for bit.
+Since 0.10.3 a run carries what an earlier stage computed: the binary
+partition is built from the good mask, and a spec keeps the arrays of its
+coupled blocks.  ``rebuilt_paths`` puts back the path that recomputed
+them, from ``checked_binary_partition`` and ``rebuilding_evolve``, so a
+run can be compared with it bit for bit.  From 0.10.3 to 0.10.25 a plan
+from ``make_plan`` also kept the split of its prepared state; since
+0.10.26 ``amplified_state`` splits it for every plan.
 Since 0.10.24 runs also share their deterministic stage, kept on the
 initial state since 0.10.25 (``StateVector._stages``), and a spec keeps
 its components' verdicts; ``rebuilt_paths`` runs without either memo too.
@@ -58,7 +59,6 @@ from iqcontrol import (
     NormalizationError,
     StateVector,
     UnitaryOperator,
-    decompose,
 )
 from iqcontrol import algorithms, core, hydrogen, measurement
 from iqcontrol.core import (
@@ -304,14 +304,6 @@ def rk4_lab_frame(spec, field, initial, duration, t0=0.0, step=2.5e-4) -> np.nda
     return c
 
 
-def resplit_amplified_state(plan) -> StateVector:
-    """``amplified_state`` that splits the prepared state again, as every
-    plan was amplified before plans carried their split."""
-    d = decompose(plan.prepared, plan.good)
-    c_good, c_bad = _coefficients(d.g, d.b, _rotation(d.g, d.b, plan.phi1, plan.phi2), plan.iterations)
-    return StateVector(c_good * d.good_part + c_bad * d.bad_part)
-
-
 def checked_binary_partition(good: GoodSubspace) -> MeasurementPartition:
     """The good-vs-rest partition through the generic constructor and its
     cover checks."""
@@ -371,14 +363,13 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
 @contextlib.contextmanager
 def rebuilt_paths():
     """Run the library on the paths above instead of the ones that reuse
-    a plan's split, the good mask and a spec's block arrays, and count a
-    histogram shot by shot; plan every run and analyse every verdict
-    afresh, past the memo of runs and a spec's verdicts."""
+    the good mask and a spec's block arrays, and count a histogram shot
+    by shot; plan every run and analyse every verdict afresh, past the
+    memo of runs and a spec's verdicts."""
     with pytest.MonkeyPatch.context() as patch:
         # data descriptors, which an instance's kept dict cannot shadow
         patch.setattr(core.StateVector, "_stages", property(lambda state: OrderedDict()))
         patch.setattr(core.SystemSpec, "_verdicts", property(lambda spec: {}))
-        patch.setattr(algorithms, "amplified_state", resplit_amplified_state)
         patch.setattr(algorithms, "measurement_histogram", per_shot_histogram)
         patch.setattr(MeasurementPartition, "binary", staticmethod(checked_binary_partition))
         patch.setattr(core, "_evolve", rebuilding_evolve)

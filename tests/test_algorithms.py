@@ -303,25 +303,6 @@ def _count_calls(monkeypatch, module, name) -> list:
 RUN_KINDS = [{}, {"shots": 500}, {"max_attempts": 300}]
 
 
-@pytest.mark.parametrize("kwargs", RUN_KINDS, ids=["single-shot", "histogram", "repeat"])
-def test_one_decomposition_per_run(monkeypatch, kwargs):
-    # the plan carries the split of its prepared state, and amplifying reads
-    # it: a run used to split the same state twice
-    splits = _count_calls(monkeypatch, amplification, "_split")
-    spec, p1, p2 = hydrogen_spec(), case1_preset(), case2_preset()
-    for run in (
-        lambda: run_algorithm1(spec, p1.initial, 5, iterations=0, seed=3, **kwargs),
-        lambda: run_algorithm2(spec, p2.initial, p2.good, seed=3, **kwargs),
-    ):
-        splits.clear()
-        run()
-        assert len(splits) == 1
-    # a pre-rotated plan splits the initial and the rotated state, and no more
-    splits.clear()
-    run_algorithm1(spec, StateVector.basis_state(1, 5), 5, seed=3, pre_rotation=True, **kwargs)
-    assert len(splits) == 2
-
-
 def test_one_report_per_run(monkeypatch):
     # each run makes its RunReport once, with every field, instead of
     # copying a partial one with dataclasses.replace

@@ -34,6 +34,7 @@ from iqcontrol import (
     MeasurementPartition,
     StateVector,
     SystemSpec,
+    amplified_state,
     case1_preset,
     case2_preset,
     hydrogen_spec,
@@ -276,6 +277,21 @@ class TestExecute:
         assert result["plan"]["iterations"] == 7
         assert "measurement" not in result
         assert abs(sum(x**2 for x in result["post_amplification"]) - 1.0) < 1e-9
+
+    def test_amplify_mode_pre_rotation_reads_the_rotated_state(self, tmp_path):
+        # a state with no good weight is amplified from its pre-rotated
+        # state, whose |c| the report gives as the amplitudes before
+        amplitudes = [0.6, 0.8, 0.0, 0.0, 0.0]
+        payload = {"mode": "amplify", "system": "hydrogen", "initial": amplitudes, "good": 3}
+        code, report = run_cli(tmp_path, payload, extra_args=["--pre-rotation"])
+        assert code == 0
+        result = report["result"]
+        assert result["plan"]["pre_rotated"] is True
+        plan = make_plan(StateVector(amplitudes), GoodSubspace.of(3, 5), pre_rotation=True)
+        rotated = np.abs(plan.prepared.amplitudes).tolist()
+        assert rotated != np.abs(amplitudes).tolist()
+        assert result["pre_amplification"] == rotated
+        assert result["post_amplification"] == np.abs(amplified_state(plan).amplitudes).tolist()
 
     def test_analyze_tolerance_overrides(self, tmp_path):
         payload = {

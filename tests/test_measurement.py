@@ -15,6 +15,7 @@ from iqcontrol import (
     measurement_histogram,
     sample_collapse,
 )
+from iqcontrol.core import _MAX_DIM
 from iqcontrol.measurement import _sample, _select_block
 from conftest import random_state
 from oracles import per_shot_histogram
@@ -85,6 +86,16 @@ class TestPartition:
         with pytest.raises(error) as info:
             MeasurementPartition.per_index(dim)
         assert type(info.value) is error and str(info.value) == message
+
+    # only dims numpy refuses at once: 8 PiB of labels at 2**50, "array is
+    # too big" at 2**62, an empty range at the longest axis 2**63 - 1
+    @pytest.mark.parametrize("dim", [2**50, 2**62, _MAX_DIM], ids=["2**50", "2**62", "max-dim"])
+    def test_per_index_of_a_dim_numpy_cannot_allocate_is_named(self, dim):
+        # per_index built a tuple of dim blocks before its label array, and
+        # ran until its process was killed
+        message = f"dim: too many labels to allocate, got {dim}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementPartition.per_index(dim)
 
 
 class TestBornProbabilities:

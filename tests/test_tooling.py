@@ -371,3 +371,75 @@ def test_every_cache_is_pinned():
         visit(ast.parse(path.read_text()), path.stem + ".")
     assert sorted(found) == CACHES
     assert uses == 0
+
+
+# the methods of vars(x) and x.__dict__ that write x's attributes
+DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _instance_dict(node):
+    """x, when ``node`` is vars(x) or x.__dict__."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars" and node.args:
+        return node.args[0]
+    return node.value if isinstance(node, ast.Attribute) and node.attr == "__dict__" else None
+
+
+def _written_instance(node):
+    """The instance whose attributes ``node`` writes past its class's
+    __setattr__, or None: object.__setattr__'s first argument, or x of a
+    vars(x) or x.__dict__ written by a method or an item store or delete."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        if node.func.attr == "__setattr__" and getattr(owner, "id", None) == "object":
+            return node.args[0]
+        if node.func.attr in DICT_WRITES:
+            return _instance_dict(owner)
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return _instance_dict(node.value)
+    return None
+
+
+def _made_by_new(value, makers) -> bool:
+    """Whether ``value`` is object.__new__(m) for a name m in ``makers``."""
+    return (isinstance(value, ast.Call) and getattr(value.func, "attr", None) == "__new__"
+            and getattr(value.func.value, "id", None) == "object"
+            and bool(value.args) and getattr(value.args[0], "id", None) in makers)
+
+
+def _own_instances(method, cls) -> set:
+    """Names that hold an instance of ``cls`` in ``method``: an instance
+    method's first parameter, or in a classmethod each name bound to
+    object.__new__ of its first parameter or of ``cls``."""
+    decorators = {_decorator_name(d) for d in method.decorator_list}
+    params = [a.arg for a in method.args.posonlyargs + method.args.args]
+    if "staticmethod" in decorators or not params:
+        return set()
+    if "classmethod" not in decorators:
+        return {params[0]}
+    makers = {params[0], cls.name}
+    return {target.id for node in ast.walk(method)
+            if isinstance(node, ast.Assign) and _made_by_new(node.value, makers)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_instance_writes_stay_in_their_class():
+    # object.__setattr__ and vars(...) writes get past a frozen dataclass;
+    # each sits in a method of the class whose instance it writes, so no
+    # function can keep a per-instance cache there that CACHES cannot see
+    writers, strays = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                own = _own_instances(method, cls)
+                for node in ast.walk(method):
+                    if getattr(_written_instance(node), "id", None) in own:
+                        allowed.add(node)
+                        writers.add(method.name)
+        strays += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if _written_instance(node) is not None and node not in allowed]
+    assert strays == []
+    assert writers == {"__post_init__", "__setstate__", "_of"}
