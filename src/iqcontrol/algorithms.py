@@ -1,60 +1,43 @@
-"""End-to-end control runs: amplify, measure, then act on the collapsed state.
+"""End-to-end control runs: prepare once, then measure.
 
-The paper's two algorithms are one pipeline, ``_run``: plan the
-amplification of the initial state toward a good index set and apply it
-in closed form, then measure against the binary good-vs-rest partition,
-as one shot, a histogram, or single shots repeated until one lands on
-the good block.  They differ in the target and in the last step.
-``run_algorithm1`` targets one eigenstate and may steer the collapsed
-state onward with a caller-supplied pulse, recording the reached
-fidelity; the coherent transfer into an arbitrary target is outside the
-simulated scheme.  ``run_algorithm2`` targets a subspace and attaches
-the controllability verdict of the matching connected component, which
-is found once per spec, subspace and ``ControllabilityConfig`` and kept
-on the spec.
+A run has a deterministic half and a random half.  ``prepare_run`` makes
+the deterministic half once: it plans the amplification of the initial
+state toward a good index set, applies it in closed form, and builds the
+binary good-vs-rest partition the amplified state is measured against;
+given a ``ControllabilityConfig`` it also finds the verdict of the
+matching connected component of the coupling graph, as ``assess`` finds
+it, analysing only that component.  The frozen ``PreparedRun`` it
+returns holds read-only values only, so runs and threads share one, and
+its ``run`` is the random half: one shot, a histogram, or single shots
+repeated until one lands on the good block.  A caller that sweeps seeds,
+shot counts or shot indices prepares once and runs many times.
 
-Only the measurement is random.  The plan, the amplified state and the
-partition are kept on the initial ``StateVector``, up to ``_STAGES`` of
-them per state keyed by the other arguments' values, oldest dropped
-first, so a run that repeats a state, target and phases only measures,
-and a state's stages are freed with it.
+The paper's two algorithms are "prepare, then run".  They differ in the
+target and in the last step.  ``run_algorithm1`` targets one eigenstate
+and may steer the collapsed state onward with a caller-supplied pulse,
+recording the reached fidelity; the coherent transfer into an arbitrary
+target is outside the simulated scheme.  ``run_algorithm2`` targets a
+subspace and attaches the verdict of its component.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .amplification import (
-    DEFAULT_L_MAX,
-    AmplificationPlan,
-    GoodSubspace,
-    _check_phase,
-    _iterations,
-    amplified_state,
-    make_plan,
-)
+from .amplification import DEFAULT_L_MAX, AmplificationPlan, GoodSubspace, amplified_state, make_plan
 from .controllability import ControllabilityConfig, SubspaceVerdict, _component_verdict
 from .core import (
-    ControlPulse, StateVector, SystemSpec, _components, _edges, _integer, _json, _record, _same_dim, propagate,
+    ControlPulse, StateVector, SystemSpec, _components, _edges, _instance, _integer, _json, _record, _same_dim,
+    propagate,
 )
 from .measurement import MeasurementOutcome, MeasurementPartition, _sample, _shots, measurement_histogram
 
-__all__ = ["RunReport", "run_algorithm1", "run_algorithm2"]
-
-# the deterministic stages that ``_run`` keeps on one state: a fixed
-# count, as hydrogen._model_spec keeps 64 specs, so a state holds O(N) per
-# stage kept
-_STAGES = 64
-# a stage's phases by their bits: -0.0 equals 0.0, but a report writes it as -0.0
-_PHASE_BITS = struct.Struct("<2d")
-_PLAN_FIELDS = tuple(field.name for field in dataclasses.fields(AmplificationPlan))
+__all__ = ["RunReport", "PreparedRun", "prepare_run", "run_algorithm1", "run_algorithm2"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,112 +74,108 @@ class RunReport:
         return out
 
 
-def _amplify(
-    initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
-    iterations: Union[int, str], pre_rotation: bool, l_max: int,
-) -> tuple[StateVector, dict]:
-    """Plan and amplify: the amplified state and the fields of a
-    ``RunReport`` with no measurement yet, which a caller completes
-    before making the report once."""
+@dataclass(frozen=True, eq=False)
+class PreparedRun:
+    """The deterministic half of a run, made once by ``prepare_run``: the
+    plan, the amplified state, the read-only |c_i| arrays before and after
+    amplification, the good-vs-rest partition and, for a run prepared with
+    a ``ControllabilityConfig``, the verdict of the target's component.
+    ``run`` measures; the runs of one prepared run share its values and
+    each makes its own ``RunReport``."""
+
+    plan: AmplificationPlan
+    amplified: StateVector
+    pre_amplification: np.ndarray
+    post_amplification: np.ndarray
+    partition: MeasurementPartition
+    verdict: Optional[SubspaceVerdict] = None
+
+    def run(
+        self, seed: int, shots: int = 1, measurement_shot: int = 0, max_attempts: Optional[int] = None,
+    ) -> RunReport:
+        """Measure the amplified state against the good-vs-rest partition.
+
+        ``shots > 1`` gives the outcome histogram; otherwise one pass of
+        the single-shot sampler draws shot ``measurement_shot`` (with
+        ``max_attempts``, the shots from it on until one lands on the good
+        block or ``max_attempts`` are drawn) and collapses the state on
+        the last shot drawn, and the report records those ``attempts``.
+        The report is the one that re-running the whole pipeline per shot
+        would give.  ``measurement_shot`` is read even when a histogram
+        leaves it unused.
+        """
+        return RunReport(**self._fields(seed, shots, measurement_shot, max_attempts))
+
+    def _fields(self, seed, shots, measurement_shot, max_attempts) -> dict:
+        """The fields of ``run``'s report, which ``run_algorithm1``
+        completes with its steering before it makes the report once."""
+        # read up front: the sampler trusts what it is given
+        seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
+        shots = _shots(shots)
+        if max_attempts is not None:
+            max_attempts = _integer(max_attempts, "max_attempts", 1)
+            if shots != 1:
+                raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
+        fields = dict(plan=self.plan, pre_amplification=self.pre_amplification,
+                      post_amplification=self.post_amplification,
+                      predicted_success=self.plan.predicted_success)
+        if shots > 1:
+            histogram = measurement_histogram(self.amplified, self.partition, seed, shots)
+            fields.update(histogram=histogram, empirical_success=histogram[0] / shots)
+        else:
+            # a repeated run stops at the first shot on block 0, the good block
+            measurement, drawn = _sample(self.amplified, self.partition, seed, measurement_shot,
+                                         max_attempts or 1)
+            fields.update(measurement=measurement, success=measurement.block_index == 0,
+                          attempts=None if max_attempts is None else drawn)
+        if self.verdict is not None:
+            fields["controllability_note"] = self.verdict.to_dict()
+        return fields
+
+
+def prepare_run(
+    spec: SystemSpec,
+    initial: StateVector,
+    good: Union[GoodSubspace, int, Iterable[int]],
+    phi1: float = math.pi,
+    phi2: float = math.pi,
+    iterations: Union[int, str] = "auto",
+    pre_rotation: bool = False,
+    l_max: int = DEFAULT_L_MAX,
+    controllability_config: Optional[ControllabilityConfig] = None,
+) -> PreparedRun:
+    """Plan and amplify ``initial`` toward ``good`` and build the partition
+    it is measured against, once for every ``PreparedRun.run``.
+
+    ``good`` is a ``GoodSubspace`` of the spec's levels, or a label or
+    labels as ``GoodSubspace.of`` reads them; the plan's arguments are
+    ``make_plan``'s.  With a ``controllability_config`` the prepared run
+    carries the verdict of the connected component whose labels are the
+    good set's, found as ``assess`` finds it; when no component matches,
+    that verdict reads None and a warning is emitted.
+    """
+    _instance(spec, "spec", SystemSpec)
+    if not isinstance(good, GoodSubspace):
+        good = GoodSubspace.of(good, spec.dim)
+    _same_dim(_instance(initial, "initial", StateVector).dim, "initial", spec.dim)
+    _same_dim(good.dim, "subspace", spec.dim)
     plan = make_plan(initial, good, phi1, phi2, iterations, l_max, pre_rotation)
     amplified = amplified_state(plan)
-    return amplified, dict(
-        plan=plan,
-        pre_amplification=np.abs(plan.prepared.amplitudes),
-        post_amplification=np.abs(amplified.amplitudes),
-        predicted_success=plan.predicted_success,
-    )
-
-
-def _stage(
-    initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
-    iterations: Union[int, str], pre_rotation: bool, l_max: int,
-) -> tuple[tuple[StateVector, dict, dict, MeasurementPartition], AmplificationPlan]:
-    """A run's deterministic stage and its plan.  The stage is what
-    ``_amplify`` returns, with the plan's fields in place of the plan, and
-    the good-vs-rest partition.  Runs that share it share the result: the
-    amplified state holds read-only amplitudes, the |c| arrays are made
-    read-only here, and each later run copies the fields dict and makes its
-    own plan.  The plan's fields leave out a prepared state that is
-    ``initial`` itself: a stage kept on ``initial`` that held it would
-    make a cycle, which only the cyclic collector frees, so a dropped
-    state's stages would outlive it."""
-    amplified, fields = _amplify(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-    plan = fields.pop("plan")
-    plan_fields = {name: getattr(plan, name) for name in _PLAN_FIELDS
-                   if name != "prepared" or plan.prepared is not initial}
-    fields["pre_amplification"].setflags(write=False)
-    fields["post_amplification"].setflags(write=False)
-    return (amplified, fields, plan_fields, MeasurementPartition.binary(good)), plan
-
-
-def _run(
-    spec: SystemSpec, initial: StateVector, good: GoodSubspace, phi1: float, phi2: float,
-    iterations: Union[int, str], seed: int, shots: int, pre_rotation: bool, l_max: int,
-    measurement_shot: int, max_attempts: Optional[int],
-) -> dict:
-    """The pipeline both algorithms share: amplify, then measure against
-    the good-vs-rest partition.  Returns the fields of the run's
-    ``RunReport``, which each algorithm completes and makes once.
-
-    ``shots > 1`` gives the outcome histogram; otherwise one pass of the
-    single-shot sampler draws shot ``measurement_shot`` (with
-    ``max_attempts``, the shots from it on until one lands on the good
-    block or ``max_attempts`` are drawn) and collapses the state on the
-    last shot drawn.  The plan, the amplified state and the partition
-    are made once per state and arguments, by ``_stage``, and kept on the
-    state, so only the measurement repeats, and the report (with
-    ``attempts`` set to the shots drawn) is the one that re-running the
-    whole pipeline per shot would give.
-    """
-    _same_dim(initial.dim, "initial", spec.dim)
-    _same_dim(good.dim, "subspace", spec.dim)
-    # read up front: a histogram leaves measurement_shot unused but still
-    # rejects it out of range, and the sampler trusts what it is given
-    seed, measurement_shot = _integer(seed, "seed", 0), _integer(measurement_shot, "shot", 0)
-    shots = _shots(shots)
-    if max_attempts is not None:
-        max_attempts = _integer(max_attempts, "max_attempts", 1)
-        if shots != 1:
-            raise ValueError(f"max_attempts needs shots == 1, got shots={shots}")
-    # read as make_plan reads them first, so each raises what it raised there
-    phi1, phi2 = _check_phase("phi1", phi1), _check_phase("phi2", phi2)
-    l_max = _integer(l_max, "l_max", 0)
-    try:
-        # the state's dim is the good set's, so its labels stand for it
-        key = (good.indices, _PHASE_BITS.pack(phi1, phi2), _iterations(iterations), pre_rotation, l_max)
-        stages = initial._stages
-        stage = stages.get(key)
-    except (AttributeError, TypeError, ValueError):
-        # an argument the state cannot key (an iterations its reader
-        # refuses, an unhashable pre_rotation, a state that keeps no
-        # stages) runs uncached, so it raises what make_plan raises, after
-        # the zero-overlap check as there
-        stages = stage = None
-    plan = None
-    if stage is None:
-        stage, plan = _stage(initial, good, phi1, phi2, iterations, pre_rotation, l_max)
-        if stages is not None:
-            stages[key] = stage
-            # trimmed after the insert, so that threads sharing the state
-            # leave at most _STAGES whichever order their steps interleave in
-            while len(stages) > _STAGES:
-                stages.popitem(last=False)
-    amplified, fields, plan_fields, partition = stage
-    if plan is None:  # a kept stage: the run makes its own plan
-        plan = AmplificationPlan(**{"prepared": initial, **plan_fields})
-    fields = dict(fields, plan=plan)  # the run's own, which its algorithm completes
-    if shots > 1:
-        histogram = measurement_histogram(amplified, partition, seed, shots)
-        fields.update(histogram=histogram, empirical_success=histogram[0] / shots)
-        return fields
-    # a repeated run stops at the first shot on block 0, the good block
-    measurement, drawn = _sample(amplified, partition, seed, measurement_shot, max_attempts or 1)
-    fields.update(
-        measurement=measurement, success=measurement.block_index == 0,
-        attempts=None if max_attempts is None else drawn,
-    )
-    return fields
+    pre, post = np.abs(plan.prepared.amplitudes), np.abs(amplified.amplitudes)
+    pre.setflags(write=False)
+    post.setflags(write=False)
+    verdict = None
+    if controllability_config is not None:
+        labels = tuple(sorted(good.indices))
+        vertices = range(1, spec.dim + 1)
+        edges = _components(vertices, _edges(spec, vertices, controllability_config.edge_threshold)).get(labels)
+        if edges is None:
+            warnings.warn(f"subspace {list(labels)} is not a connected component of the coupling graph; "
+                          "its controllability is not established", stacklevel=2)
+            verdict = SubspaceVerdict(labels, None, ("not a connected component of the coupling graph",))
+        else:
+            verdict = _component_verdict(spec, labels, edges, controllability_config)[0]
+    return PreparedRun(plan, amplified, pre, post, MeasurementPartition.binary(good), verdict)
 
 
 def run_algorithm1(
@@ -222,22 +201,15 @@ def run_algorithm1(
     propagated from the collapsed eigenstate and, if ``target`` is
     supplied, the reached fidelity |<target|final>|^2 is recorded.  With
     ``shots > 1`` the run reports the outcome histogram instead.
-    ``measurement_shot`` picks the shot index of the single measurement,
-    which lets a caller re-run the probabilistic part under one seed:
-    runs on the same ``initial`` object and arguments share one plan and
-    amplified state, so such a re-run only measures.
-    With ``max_attempts`` (single-shot runs only) one pass of the
-    sampler draws shots ``measurement_shot``, ``measurement_shot + 1``,
-    ... until one succeeds or ``max_attempts`` are drawn, and collapses
-    on the last; the plan is made once and the report records the
-    ``attempts``.
+    ``measurement_shot`` and ``max_attempts`` are those of
+    ``PreparedRun.run``: the run is ``prepare_run`` and then one
+    ``PreparedRun.run``, so a caller that re-runs the probabilistic part
+    under other seeds or shots prepares once and calls ``run`` instead.
     """
+    prepared = prepare_run(spec, initial, good_index, phi1, phi2, iterations, pre_rotation, l_max)
     if target is not None:  # checked before anything is sampled
         _same_dim(target.dim, "target", spec.dim)
-    fields = _run(
-        spec, initial, GoodSubspace.of(good_index, spec.dim), phi1, phi2, iterations,
-        seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
-    )
+    fields = prepared._fields(seed, shots, measurement_shot, max_attempts)
     if fields.get("success") and final_pulse is not None:
         final = propagate(spec, final_pulse, fields["measurement"].collapsed)
         fields["final_state"] = final
@@ -269,48 +241,11 @@ def run_algorithm2(
     successful measurement the collapsed state lies entirely inside the
     subspace and is recorded as the post-measurement starting point for
     any further in-subspace control.  ``measurement_shot`` and
-    ``max_attempts`` work as in ``run_algorithm1``.  The controllability
-    analysis finds the coupling graph's components as ``assess`` does and
-    analyses only the target's, once per spec, subspace and config: the
-    verdict is kept on the spec.  The warning is emitted on every call.
+    ``max_attempts`` work as in ``run_algorithm1``.  The run is
+    ``prepare_run`` with ``controllability_config`` (the default config
+    when None), which analyses only the target's component, and then one
+    ``PreparedRun.run``; the warning is emitted on every call.
     """
-    fields = _run(
-        spec, initial, subspace, phi1, phi2, iterations,
-        seed, shots, pre_rotation, l_max, measurement_shot, max_attempts,
-    )
-    config = controllability_config or ControllabilityConfig()
-    target_set = tuple(sorted(subspace.indices))
-    verdict = _subspace_verdict(spec, target_set, config)
-    if verdict is None:
-        warnings.warn(
-            f"subspace {list(target_set)} is not a connected component of the "
-            "coupling graph; its controllability is not established",
-            stacklevel=2,
-        )
-        verdict = SubspaceVerdict(target_set, None, ("not a connected component of the coupling graph",))
-    return RunReport(**fields, controllability_note=verdict.to_dict())
-
-
-def _subspace_verdict(
-    spec: SystemSpec, labels: tuple[int, ...], config: ControllabilityConfig
-) -> Optional[SubspaceVerdict]:
-    """The verdict of the sorted ``labels`` as a connected component of
-    the coupling graph under ``config``, found as ``assess`` finds it; None
-    when they are not one.  A component's verdict is kept on the spec,
-    keyed by its labels and the config, so each is found once per spec; a
-    config that cannot be a key is analysed on every call."""
-    key = (labels, config)
-    try:
-        return spec._verdicts[key]
-    except KeyError:
-        pass
-    except TypeError:  # unhashable
-        key = None
-    vertices = range(1, spec.dim + 1)
-    edges = _components(vertices, _edges(spec, vertices, config.edge_threshold)).get(labels)
-    if edges is None:
-        return None
-    verdict = _component_verdict(spec, labels, edges, config)[0]
-    if key is not None:
-        spec._verdicts[key] = verdict
-    return verdict
+    prepared = prepare_run(spec, initial, subspace, phi1, phi2, iterations, pre_rotation, l_max,
+                           controllability_config or ControllabilityConfig())
+    return prepared.run(seed, shots, measurement_shot, max_attempts)

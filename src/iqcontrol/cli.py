@@ -62,7 +62,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import __version__
 from ._text import _FLOAT_MAX, _encode, _numbers, _parse_json, _plain, _reindent, _spliced
-from .algorithms import RunReport, _amplify, run_algorithm1, run_algorithm2
+from .algorithms import PreparedRun, RunReport, prepare_run, run_algorithm1, run_algorithm2
 from .amplification import DEFAULT_L_MAX, MAX_ITERATIONS, GoodSubspace, _check_phase, _iterations
 from .controllability import ControllabilityConfig, assess
 from .core import StateVector, SystemSpec, _dim, _integer, _quoted, _shown
@@ -407,32 +407,53 @@ def parse_config(text: str) -> RunConfig:
 # execution
 
 
-def _run_arguments(config: RunConfig) -> dict:
+def _plan_arguments(config: RunConfig) -> dict:
     phi1, phi2 = config.phases
+    return dict(phi1=phi1, phi2=phi2, iterations=config.iterations, pre_rotation=config.pre_rotation,
+                l_max=config.l_max)
+
+
+def _measure_arguments(config: RunConfig) -> dict:
     # repeat-until-success: up to ``shots`` single-shot attempts
     shots, max_attempts = (1, config.shots) if config.repeat_until_success else (config.shots, None)
-    return dict(phi1=phi1, phi2=phi2, iterations=config.iterations, seed=config.seed, shots=shots,
-                max_attempts=max_attempts, pre_rotation=config.pre_rotation, l_max=config.l_max)
+    return dict(seed=config.seed, shots=shots, max_attempts=max_attempts)
 
 
 def _execute_algo1(config: RunConfig) -> dict:
     good = min(config.target.indices)
-    return run_algorithm1(config.spec, config.state, good, **_run_arguments(config)).to_dict()
+    return run_algorithm1(config.spec, config.state, good, **_plan_arguments(config),
+                          **_measure_arguments(config)).to_dict()
 
 
 def _execute_algo2(config: RunConfig) -> dict:
     return run_algorithm2(config.spec, config.state, config.target,
                           controllability_config=config.controllability,
-                          **_run_arguments(config)).to_dict()
+                          **_plan_arguments(config), **_measure_arguments(config)).to_dict()
+
+
+@lru_cache(maxsize=64)
+def _prepared_preset(mode: str, phases: tuple[str, str], iterations: Union[int, str], pre_rotation: bool,
+                     l_max: int, controllability: ControllabilityConfig) -> PreparedRun:
+    """The prepared run of the preset ``mode``, its phases given by
+    ``float.hex``: -0.0 equals 0.0, but a report writes it as -0.0.  Made
+    once per process and arguments, as the presets' states are, so the
+    runs after the first only measure; an algorithm 2 preset carries its
+    component's verdict under ``controllability``."""
+    preset = _PRESETS[mode]
+    phi1, phi2 = map(float.fromhex, phases)
+    return prepare_run(_PRESET_SPEC, preset.initial, preset.good, phi1, phi2, iterations, pre_rotation,
+                       l_max, controllability if preset.algorithm == 2 else None)
 
 
 def _execute_preset(config: RunConfig) -> dict:
-    """A preset's run, with the count and success it should hit when its
-    plan is the preset's own: the preset's phases and count (the one that
-    ``iterations`` "auto" finds when ``l_max`` reaches it), not
-    pre-rotated."""
+    """A preset's run, on its prepared run, with the count and success it
+    should hit when its plan is the preset's own: the preset's phases and
+    count (the one that ``iterations`` "auto" finds when ``l_max`` reaches
+    it), not pre-rotated."""
     preset = _PRESETS[config.mode]
-    result = (_execute_algo1 if preset.algorithm == 1 else _execute_algo2)(config)
+    prepared = _prepared_preset(config.mode, tuple(map(float.hex, config.phases)), config.iterations,
+                                config.pre_rotation, config.l_max, config.controllability)
+    result = prepared.run(**_measure_arguments(config)).to_dict()
     plan = result["plan"]
     if ((plan["phi1"], plan["phi2"], plan["iterations"], plan["pre_rotated"])
             == (preset.phi1, preset.phi2, preset.expected_iterations, False)):
@@ -442,12 +463,9 @@ def _execute_preset(config: RunConfig) -> dict:
 
 
 def _execute_amplify(config: RunConfig) -> dict:
-    phi1, phi2 = config.phases
-    _, run_fields = _amplify(
-        config.state, config.target, phi1, phi2,
-        config.iterations, config.pre_rotation, config.l_max,
-    )
-    return RunReport(**run_fields).to_dict()
+    prepared = prepare_run(config.spec, config.state, config.target, **_plan_arguments(config))
+    return RunReport(prepared.plan, prepared.pre_amplification, prepared.post_amplification,
+                     prepared.plan.predicted_success).to_dict()
 
 
 def _execute_measure_stats(config: RunConfig) -> dict:
@@ -475,7 +493,9 @@ def _execute_measure_stats(config: RunConfig) -> dict:
 # 'subspace'); the target field it reads when both are given, None for one
 # that reads neither or refuses both; and its run of a validated config,
 # which looks the library's functions up in this module when it runs, so
-# that one replaced here (a tracer's wrapper) sees every call
+# that one replaced here (a tracer's wrapper) sees every call; a preset
+# calls prepare_run only when its prepared run is not yet kept, and
+# measures with PreparedRun.run
 _Mode = namedtuple("_Mode", "needs takes run")
 
 
@@ -718,9 +738,8 @@ def main(argv=None) -> int:
         return _emit(2, _with_error(report, exc), args.out)
     code, report = execute(config)
     out, canonical = config.out, config.canonical
-    # the run's spec and state, and the stages kept on the state, are freed
-    # before the report is written, so their memory and the report's text
-    # are not held at once
+    # the run's spec and state are freed before the report is written, so
+    # their memory and the report's text are not held at once
     del config
     return _emit(code, report, out, canonical)
 

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import SystemSpec, _components, _edges, _integer, _real, _record, _shown
+from .core import SystemSpec, _components, _edges, _instance, _integer, _real, _record, _shown
 
 VERDICT_CONTROLLABLE = "controllable"
 VERDICT_VIOLATED = "violated"
@@ -376,7 +376,7 @@ def assess(spec: SystemSpec, config: ControllabilityConfig = ControllabilityConf
     verdict is the sufficient criteria for the whole system: a connected
     graph and the verdict of its one component.
     """
-    labels = range(1, spec.dim + 1)
+    labels = range(1, _instance(spec, "spec", SystemSpec).dim + 1)
     edges = _edges(spec, labels, config.edge_threshold)
     components = _components(labels, edges)
     collisions: list[FrequencyCollision] = []

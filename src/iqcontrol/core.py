@@ -9,17 +9,17 @@ its values into a report, and ``_record`` applies it to a record's fields.
 ``_segments`` turns a pulse, or a callable u(t) sampled in CF4 steps sized
 from the spec, at most MAX_CF4_STEPS, into constant segments that ``_evolve``
 applies exactly, BATCH_ENTRIES matrix entries of a block at a time.
-A spec stores its coupling exactly Hermitian, so the graph's upper
-triangle and every reader of B agree on which levels it joins.  It finds
-the blocks of that graph, and builds the read-only levels, coupling and
-drift arrays of each coupled one, on its first propagation and keeps
-them beside the phase bounds max|B_ij|, max|lambda| and the largest
-block's size, so every later one starts at the batched ``eigh``; it also
-keeps the component verdicts that ``run_algorithm2`` finds.  A state
-keeps the deterministic stages of the runs that start from it, which a
-copy or an unpickled state does not carry.  A pulse builds its read-only
-(durations, amplitudes) arrays once, on first use.  ``_dim`` reads every
-count of levels, up to the longest axis numpy can index.
+``_instance`` is the one check that an argument is of the library's
+class it must be.  A spec stores its coupling exactly Hermitian, so the
+graph's upper triangle and every reader of B agree on which levels it
+joins.  It finds the blocks of that graph, and builds the read-only
+levels, coupling and drift arrays of each coupled one, on its first
+propagation and keeps them beside the phase bounds max|B_ij|,
+max|lambda| and the largest block's size, so every later one starts at
+the batched ``eigh``.  A pulse builds its read-only (durations,
+amplitudes) arrays once, on first use.  ``_dim`` reads every count of
+levels, up to the longest axis numpy can index, and ``_zeros`` names a
+count that numpy cannot allocate.
 Internal units set hbar = 1: energies and times are reciprocal to each
 other.  Basis labels in the public API are 1-based (state 1 is the first
 entry of the amplitude vector); numpy arrays are indexed 0-based as usual.
@@ -31,8 +31,7 @@ import math
 import numbers
 import operator
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -214,6 +213,23 @@ def _items(values, name: str) -> list:
     return list(entries)
 
 
+def _instance(value, name: str, cls: type):
+    """``value`` when it is a ``cls``; else a TypeError, ``<name>: must be
+    a <cls>, got <type>``.  Nothing is converted: a list is no state."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name}: must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _zeros(dim: int, ndim: int) -> np.ndarray:
+    """A complex zero array of ``ndim`` axes of ``dim`` levels each; a dim
+    that numpy cannot allocate is a ValueError naming ``dim``."""
+    try:
+        return np.zeros((dim,) * ndim, dtype=complex)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise ValueError(f"dim: too many levels to allocate, got {_shown(dim)}") from None
+
+
 def _same_dim(count: int, name: str, dim: int) -> None:
     """Nothing when operand ``name`` has ``dim`` levels; else a
     DimensionMismatchError, ``<name>: expected dim levels, dim = <dim>, got
@@ -241,18 +257,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @cached_property
-    def _stages(self) -> OrderedDict:
-        """The deterministic stages of the runs that started from this
-        state, oldest first, which ``algorithms._run`` keeps and bounds:
-        made on first use and freed with the state, as a spec's
-        ``_verdicts`` are with the spec; no stage refers to the state."""
-        return OrderedDict()
-
-    def __getstate__(self) -> dict:
-        # the fields alone: a copy or an unpickled state starts with no stages
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def __setstate__(self, state: dict) -> None:
         # a deep copy's or an unpickled state's amplitudes are its own, and
         # read-only as every state's are
@@ -273,7 +277,7 @@ class StateVector:
         """Basis state with 1-based label ``index``."""
         dim = _dim(dim, "dim")
         index = _integer(index, "index", 1, dim)
-        amps = np.zeros(dim, dtype=complex)
+        amps = _zeros(dim, 1)
         amps[index - 1] = 1.0
         return cls(amps)
 
@@ -409,13 +413,6 @@ class SystemSpec:
         return arrays
 
     @cached_property
-    def _verdicts(self) -> dict:
-        """The verdicts of this spec's connected components that
-        ``run_algorithm2`` has found, keyed by (labels, config): made on
-        first use and kept with the spec, as ``_block_arrays`` is."""
-        return {}
-
-    @cached_property
     def _phase_bounds(self) -> tuple[float, float, int]:
         """(max|B_ij|, max|lambda|, the size of the largest block of
         ``_block_arrays``, 0 when there is none): the constants of every
@@ -486,7 +483,9 @@ class UnitaryOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "UnitaryOperator":
-        return cls(np.eye(_dim(dim, "dim", 1), dtype=complex))
+        matrix = _zeros(_dim(dim, "dim", 1), 2)
+        np.fill_diagonal(matrix, 1.0)
+        return cls(matrix)
 
 
 @dataclass(frozen=True)
@@ -684,9 +683,9 @@ def propagate(spec: SystemSpec, pulse: ControlPulse, initial: StateVector) -> St
     c_i exp(-i lambda_i T).  An empty pulse returns the initial state
     unchanged.
     """
-    _same_dim(initial.dim, "initial", spec.dim)
-    if not isinstance(pulse, ControlPulse):
-        raise TypeError(f"pulse must be a ControlPulse, got {type(pulse)!r}")
+    _instance(spec, "spec", SystemSpec)
+    _same_dim(_instance(initial, "initial", StateVector).dim, "initial", spec.dim)
+    _instance(pulse, "pulse", ControlPulse)
     durations, amplitudes, total = _segments(spec, pulse, None, 0.0, None)
     if not durations.size:
         return initial

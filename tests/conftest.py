@@ -114,12 +114,3 @@ def echoed_texts(value):
         for item in value:
             found += echoed_texts(item)
     return found
-
-
-def clear_run_memos(*holders) -> None:
-    """Empty the runs' deterministic stages kept on each state and the
-    controllability verdicts kept on each spec among ``holders``, so a test
-    sees its own first run."""
-    for holder in holders:
-        vars(holder).pop("_stages", None)
-        vars(holder).pop("_verdicts", None)

@@ -30,9 +30,6 @@ them, from ``checked_binary_partition`` and ``rebuilding_evolve``, so a
 run can be compared with it bit for bit.  From 0.10.3 to 0.10.25 a plan
 from ``make_plan`` also kept the split of its prepared state; since
 0.10.26 ``amplified_state`` splits it for every plan.
-Since 0.10.24 runs also share their deterministic stage, kept on the
-initial state since 0.10.25 (``StateVector._stages``), and a spec keeps
-its components' verdicts; ``rebuilt_paths`` runs without either memo too.
 
 Since 0.10.9 a histogram counts its shots from sorted draws;
 ``per_shot_histogram`` is the path it replaced, which places every shot
@@ -43,7 +40,6 @@ import cmath
 import contextlib
 import math
 import numbers
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -364,12 +360,8 @@ def rebuilding_evolve(spec, durations, amplitudes, c):
 def rebuilt_paths():
     """Run the library on the paths above instead of the ones that reuse
     the good mask and a spec's block arrays, and count a histogram shot
-    by shot; plan every run and analyse every verdict afresh, past the
-    memo of runs and a spec's verdicts."""
+    by shot."""
     with pytest.MonkeyPatch.context() as patch:
-        # data descriptors, which an instance's kept dict cannot shadow
-        patch.setattr(core.StateVector, "_stages", property(lambda state: OrderedDict()))
-        patch.setattr(core.SystemSpec, "_verdicts", property(lambda spec: {}))
         patch.setattr(algorithms, "measurement_histogram", per_shot_histogram)
         patch.setattr(MeasurementPartition, "binary", staticmethod(checked_binary_partition))
         patch.setattr(core, "_evolve", rebuilding_evolve)

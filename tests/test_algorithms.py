@@ -33,13 +33,14 @@ from iqcontrol import (
     connected_components,
     decompose,
     hydrogen_spec,
+    prepare_run,
     prepare_unitary,
     run_algorithm1,
     run_algorithm2,
 )
 from iqcontrol import ControllabilityConfig, algorithms, amplification, cli, controllability, measurement
 from iqcontrol.amplification import MAX_ITERATIONS, amplification_operator
-from conftest import COUPLING_KINDS, clear_run_memos, coupling_of_kind, random_state
+from conftest import COUPLING_KINDS, coupling_of_kind, random_state
 from oracles import rebuilt_paths, success_probability
 
 
@@ -161,8 +162,10 @@ class TestAlgorithm1:
         # every field that is set is written, whatever else the run set
         spec, p = hydrogen_spec(), case1_preset()
         pulse = ControlPulse(((0.9, 0.4),))
+        prepared = prepare_run(spec, p.initial, p.good, l_max=100)  # the CLI's amplify report
         reports = [
-            RunReport(**algorithms._amplify(p.initial, p.good, math.pi, math.pi, "auto", False, 100)[1]),
+            RunReport(prepared.plan, prepared.pre_amplification, prepared.post_amplification,
+                      prepared.plan.predicted_success),
             run_algorithm1(spec, p.initial, 5, seed=11),
             run_algorithm1(spec, p.initial, 5, seed=11, shots=100),
             run_algorithm1(spec, p.initial, 5, seed=11, max_attempts=5),
@@ -723,77 +726,75 @@ def test_invalid_target_raises_named_error():
 
 
 # ---------------------------------------------------------------------------
-# the deterministic stages a state keeps, and the verdicts a spec keeps
-
-
-def _fields_of(plan) -> dict:
-    return {field.name: getattr(plan, field.name) for field in dataclasses.fields(plan)}
+# a prepared run: the deterministic half made once and measured many times
 
 
 def _case1_run(initial, seed=1, **kwargs):
     return run_algorithm1(hydrogen_spec(), initial, 5, seed=seed, **kwargs)
 
 
-def test_equal_but_distinct_states_plan_separately(monkeypatch):
-    # a StateVector compares by identity and keeps its own stages: an
-    # equal copy is a new state and plans anew, to the same report
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
-    p = case1_preset()
-    twin = StateVector(p.initial.amplitudes)
-    first = _case1_run(p.initial)
-    again = _case1_run(p.initial, seed=2)
-    # runs on one stage share its arrays, and each makes its own equal plan
-    assert len(plans) == 1 and again.post_amplification is first.post_amplification
-    assert _fields_of(again.plan) == _fields_of(first.plan) and again.plan is not first.plan
-    other = _case1_run(twin)
-    assert len(plans) == 2 and other.post_amplification is not first.post_amplification
-    assert other.plan.prepared is twin and first.plan.prepared is p.initial
-    assert other.to_dict() == first.to_dict()
-    assert len(p.initial._stages) == len(twin._stages) == 1
+def _dumped(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)  # -0.0 apart from 0.0
 
 
-# (argument, the value a first run takes, the value a second run changes it to)
-MEMO_KEYS = [
-    ("phi1", math.pi, 3.0),
-    ("phi2", math.pi, 3.0),
-    # equal as floats, but reported apart
-    ("phi1", 0.0, -0.0),
-    ("iterations", "auto", 3),
-    ("iterations", 3, 4),
-    ("l_max", 10**6, 2),
-    ("pre_rotation", False, True),
-]
+@st.composite
+def prepared_sweeps(draw):
+    """A spec, an initial state, a target of either algorithm, the plan's
+    arguments and 20 measurements: seeds, shot counts, shot indices and
+    repeat caps."""
+    dim = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a diagonal coupling commutes with the drift
+        spec = SystemSpec(dim=dim, drift=rng.normal(size=dim) * 2.0,
+                          coupling=coupling_of_kind(rng, dim, draw(st.sampled_from(COUPLING_KINDS))))
+    algorithm = draw(st.sampled_from([1, 2]))
+    good = draw(st.sets(st.integers(1, dim), min_size=1, max_size=1 if algorithm == 1 else dim - 1))
+    plan = dict(phi1=draw(st.sampled_from([math.pi, 0.0, -0.0, 2.5])), phi2=draw(st.floats(0.0, math.pi)),
+                iterations=draw(st.sampled_from(["auto", 0, 3])), pre_rotation=draw(st.booleans()))
+    measurement = st.tuples(st.integers(0, 2**70), st.sampled_from([1, 1, 2, 700]), st.integers(0, 9),
+                            st.sampled_from([None, 1, 40]))
+    runs = [dict(seed=seed, shots=shots, measurement_shot=shot, max_attempts=cap if shots == 1 else None)
+            for seed, shots, shot, cap in draw(st.lists(measurement, min_size=20, max_size=20))]
+    return spec, random_state(rng, dim).amplitudes, algorithm, good, plan, runs
 
 
-@pytest.mark.parametrize("name, first, changed", MEMO_KEYS,
-                         ids=[f"{row[0]}={row[2]!r}" for row in MEMO_KEYS])
-def test_changed_arguments_plan_again(monkeypatch, name, first, changed):
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
-    p = case1_preset()
-    base = _case1_run(p.initial, **{name: first})
-    assert _case1_run(p.initial, seed=2, **{name: first}).post_amplification is base.post_amplification
-    assert len(plans) == 1
-    report = _case1_run(p.initial, **{name: changed})
-    assert len(plans) == 2 and report.post_amplification is not base.post_amplification
-    again = _case1_run(p.initial, **{name: changed})
-    assert again.post_amplification is report.post_amplification and len(plans) == 2
-    # the report a run with no memo writes, -0.0 as -0.0
-    with rebuilt_paths():
-        fresh = _case1_run(p.initial, **{name: changed})
-    assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+@settings(max_examples=25)
+@given(sweep=prepared_sweeps())
+def test_one_prepared_run_reports_as_fresh_runs(sweep):
+    # one PreparedRun measured 20 times writes the reports of 20 runs of
+    # its algorithm, each on a fresh state equal to the prepared one
+    spec, amplitudes, algorithm, good, plan, runs = sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a target that is no component warns
+        config = ControllabilityConfig() if algorithm == 2 else None
+        prepared = prepare_run(spec, StateVector(amplitudes), sorted(good), controllability_config=config,
+                               **plan)
+        for kwargs in runs:
+            if algorithm == 1:
+                fresh = run_algorithm1(spec, StateVector(amplitudes), min(good), **plan, **kwargs)
+            else:
+                fresh = run_algorithm2(spec, StateVector(amplitudes), GoodSubspace.of(good, spec.dim),
+                                       **plan, **kwargs)
+            assert _dumped(prepared.run(**kwargs)) == _dumped(fresh)
 
 
-def test_shared_stage_is_read_only_and_reports_share_nothing():
+def test_a_prepared_run_is_read_only_and_its_reports_share_nothing():
     spec, p = hydrogen_spec(), case2_preset()
-    histogram = run_algorithm2(spec, p.initial, p.good, seed=1, shots=500)
-    single = run_algorithm2(spec, p.initial, p.good, seed=1)
-    assert single.post_amplification is histogram.post_amplification
-    assert _fields_of(single.plan) == _fields_of(histogram.plan) and single.plan is not histogram.plan
-    shared = [single.pre_amplification, single.post_amplification, single.plan.prepared.amplitudes]
+    prepared = prepare_run(spec, p.initial, p.good, controllability_config=ControllabilityConfig())
+    histogram = prepared.run(1, shots=500)
+    single = prepared.run(1)
+    # the runs share the prepared values, and each makes its own report
+    assert single.post_amplification is histogram.post_amplification is prepared.post_amplification
+    assert single.plan is histogram.plan is prepared.plan
+    shared = [prepared.pre_amplification, prepared.post_amplification, prepared.plan.prepared.amplitudes,
+              prepared.amplified.amplitudes]
     for array in shared:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         single.pre_amplification[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prepared.verdict = None
     # each report has its own fields: the histogram run's never reach the next run
     assert single.histogram is None and single.empirical_success is None
     assert histogram.measurement is None and single.measurement is not None
@@ -804,150 +805,170 @@ def test_shared_stage_is_read_only_and_reports_share_nothing():
     written["controllability_note"]["notes"] = ["edited"]
     written["measurement"]["collapsed"][0][0] = 9.0
     assert json.dumps(single.to_dict()) == expected
+    assert json.dumps(prepared.run(1).to_dict()) == expected
     assert json.dumps(run_algorithm2(spec, p.initial, p.good, seed=1).to_dict()) == expected
 
 
 def test_non_component_warns_on_every_run(monkeypatch):
-    # hydrogen's {1, 2} has an edge to 3: no component, so no verdict is kept
-    clear_run_memos(hydrogen_spec())
+    # hydrogen's {1, 2} has an edge to 3: no component.  Each run of the
+    # algorithm prepares and warns; a prepared run warns once, when made
     plans = _count_calls(monkeypatch, algorithms, "make_plan")
     p, subspace = case2_preset(), GoodSubspace.of([1, 2], 5)
     for seed in (1, 2, 3):
         with pytest.warns(UserWarning, match=r"^subspace \[1, 2\] is not a connected component"):
             report = run_algorithm2(hydrogen_spec(), p.initial, subspace, seed=seed)
         assert report.controllability_note["verdict"] is None
-    assert len(plans) == 1
+    assert len(plans) == 3
+    with pytest.warns(UserWarning, match=r"^subspace \[1, 2\] is not a connected component"):
+        prepared = prepare_run(hydrogen_spec(), p.initial, subspace, controllability_config=ControllabilityConfig())
+    notes = [prepared.run(seed).controllability_note for seed in (1, 2)]  # warnings are errors here
+    assert notes[0] == notes[1] == report.controllability_note and len(plans) == 4
 
 
-def test_verdict_is_kept_per_spec_subspace_and_config(monkeypatch):
+def test_verdict_is_found_once_per_prepared_run(monkeypatch):
     spec, p = hydrogen_spec(), case2_preset()
-    clear_run_memos(spec)
     analysed = _count_calls(monkeypatch, algorithms, "_edges")
     loose = ControllabilityConfig(degeneracy_tol=0.5)
     notes = {}
-    for config in (None, ControllabilityConfig(), loose, ControllabilityConfig(degeneracy_tol=0.5)):
-        report = run_algorithm2(spec, p.initial, p.good, seed=1, controllability_config=config)
-        notes.setdefault(config == loose, report.controllability_note)
-        assert report.controllability_note == notes[config == loose]
-    # the default config, given or not, and the loose one, once each
+    for config in (ControllabilityConfig(), loose):
+        prepared = prepare_run(spec, p.initial, p.good, controllability_config=config)
+        notes[config] = [prepared.run(seed).controllability_note for seed in (1, 2, 3)]
+        assert notes[config] == [notes[config][0]] * 3
     assert len(analysed) == 2
-    expected = {v.component: v.to_dict() for v in assess(spec, loose).subspace_verdicts}[(1, 2, 3)]
-    assert notes[True] == expected
-    # another spec, equal or not, keeps its own
-    twin = SystemSpec(dim=5, drift=spec.drift, coupling=spec.coupling)
-    assert run_algorithm2(twin, p.initial, p.good, seed=1).controllability_note == notes[False]
-    assert len(analysed) == 3
+    for config in notes:
+        expected = {v.component: v.to_dict() for v in assess(spec, config).subspace_verdicts}[(1, 2, 3)]
+        assert notes[config][0] == expected
+    # with no config a prepared run carries no verdict, and its reports no note
+    plain = prepare_run(spec, p.initial, p.good)
+    assert plain.verdict is None and plain.run(1).controllability_note is None
+    assert len(analysed) == 2
 
 
-# each bad argument raises what a run with no memo raises, with the memo
-# cold or holding the same run with a good argument
-MEMO_ERRORS = [
+# each bad plan argument raises from prepare_run what the algorithm raises
+PLAN_ERRORS = [
     ("list-iterations", 1, {"iterations": [3]}, TypeError, "iterations: must be an integer, got [3]"),
     ("nan-phase", 2, {"phi2": float("nan")}, NonFiniteError, "phi2: must be finite, got nan"),
-    ("list-state", 1, {"initial": list(case1_preset().initial.amplitudes)}, AttributeError,
-     "'list' object has no attribute 'dim'"),
-    # the memo reads iterations before planning, but the zero overlap is
-    # still the error, as make_plan checks it first
+    # the zero overlap is still the error, as make_plan checks it first
     ("zero-overlap-list-iterations", 1, {"initial": StateVector.basis_state(1, 5), "iterations": [3]},
      ZeroOverlapError, "initial state has no weight on good indices [5]; apply a unitary"),
 ]
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("run, kwargs, error, prefix", [row[1:] for row in MEMO_ERRORS],
-                         ids=[row[0] for row in MEMO_ERRORS])
-def test_bad_arguments_raise_hit_or_miss(warm, run, kwargs, error, prefix):
+@pytest.mark.parametrize("prepared", [False, True], ids=["algorithm", "prepare_run"])
+@pytest.mark.parametrize("run, kwargs, error, prefix", [row[1:] for row in PLAN_ERRORS],
+                         ids=[row[0] for row in PLAN_ERRORS])
+def test_bad_plan_arguments_raise_alike_from_prepare_run(prepared, run, kwargs, error, prefix):
     p = case1_preset() if run == 1 else case2_preset()
-    algorithm = run_algorithm1 if run == 1 else run_algorithm2
     target = 5 if run == 1 else p.good
-    if warm:
-        algorithm(hydrogen_spec(), p.initial, target, seed=1)
-    arguments = {"seed": 1, **kwargs}
+    arguments = dict(kwargs)
     initial = arguments.pop("initial", p.initial)
     with pytest.raises(error) as info:
-        algorithm(hydrogen_spec(), initial, target, **arguments)
+        if prepared:
+            prepare_run(hydrogen_spec(), initial, target, **arguments)
+        else:
+            (run_algorithm1 if run == 1 else run_algorithm2)(hydrogen_spec(), initial, target, seed=1,
+                                                             **arguments)
     assert type(info.value) is error
     assert str(info.value).startswith(prefix), str(info.value)
 
 
-def test_unkeyable_argument_runs_uncached(monkeypatch):
-    # a list pre_rotation cannot be a key; its truth value still pre-rotates
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
+def test_pre_rotation_is_read_by_its_truth_value():
+    # a list pre_rotation pre-rotates as True does
     initial = StateVector.basis_state(1, 5)
     reports = [_case1_run(initial, pre_rotation=[1]) for _ in range(2)]
-    assert len(plans) == 2 and not initial._stages
     assert reports[0].plan.pre_rotated
     assert reports[0].to_dict() == reports[1].to_dict() == _case1_run(initial, pre_rotation=True).to_dict()
 
 
-def test_a_state_holds_at_most_a_fixed_count(monkeypatch):
-    # the oldest stage goes first: the first count plans again, the last does not
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
-    initial = StateVector(case1_preset().initial.amplitudes)
-    counts = range(algorithms._STAGES + 5)
-    for count in counts:
-        _case1_run(initial, iterations=count)
-    assert len(initial._stages) == algorithms._STAGES and len(plans) == len(counts)
-    kept = [key[2] for key in initial._stages]
-    assert kept == list(counts[-algorithms._STAGES:])
-    _case1_run(initial, iterations=counts[-1])
-    assert len(plans) == len(counts)
-    _case1_run(initial, iterations=0)
-    assert len(plans) == len(counts) + 1 and len(initial._stages) == algorithms._STAGES
-
-
 @pytest.mark.parametrize("pre_rotation", [False, True], ids=["as-given", "pre-rotated"])
-def test_a_dropped_state_is_freed_with_its_stages(pre_rotation):
-    # a stage refers to no state that keeps it, so reference counting
-    # frees a dropped state and its stages at once: with the cyclic
-    # collector off, which would otherwise free them only on a later pass
+def test_a_dropped_prepared_run_is_freed_at_once(pre_rotation):
+    # a prepared run holds no reference cycle, so reference counting frees
+    # it, its states and its arrays at once: with the cyclic collector off,
+    # which would otherwise free them only on a later pass
     amplitudes = [1.0, 0, 0, 0, 0] if pre_rotation else case1_preset().initial.amplitudes
     initial = StateVector(amplitudes)
-    report = _case1_run(initial, pre_rotation=pre_rotation)
-    assert (report.plan.prepared is initial) is not pre_rotation
-    stages = initial._stages
-    (amplified, fields, plan_fields, partition), = stages.values()
-    kept = [initial, report.plan.prepared, stages, amplified, fields["pre_amplification"], partition]
+    prepared = prepare_run(hydrogen_spec(), initial, 5, pre_rotation=pre_rotation)
+    report = prepared.run(1)
+    assert (prepared.plan.prepared is initial) is not pre_rotation
+    kept = [initial, prepared, prepared.plan.prepared, prepared.amplified, prepared.pre_amplification,
+            prepared.partition, report]
     refs = [weakref.ref(value) for value in kept]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del initial, report, stages, amplified, fields, plan_fields, partition, kept
+        del initial, prepared, report, kept
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
 
 
-def test_a_preset_state_keeps_its_stage_across_runs(monkeypatch):
-    # the CLI's presets run on states built once at import, so every run
-    # after the first only measures
-    initial = cli._PRESETS["hydrogen-case1"].initial
-    clear_run_memos(initial)
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
-    for seed in (1, 2):
-        code, _ = cli.execute(cli.validate_config({"mode": "hydrogen-case1", "seed": seed}))
-        gc.collect()
-        assert code == 0 and len(initial._stages) == 1
+# (config field, the value a first run takes, the value a second run changes it to)
+PRESET_KEYS = [
+    ("phases", [math.pi, math.pi], [3.0, math.pi]),
+    ("phases", [math.pi, math.pi], [math.pi, 3.0]),
+    # equal as floats, but reported apart
+    ("phases", [0.0, math.pi], [-0.0, math.pi]),
+    ("iterations", "auto", 3),
+    ("iterations", 3, 4),
+    ("l_max", 10**6, 2),
+    ("pre_rotation", False, True),
+    ("tolerances", {}, {"degeneracy_tol": 0.5}),
+]
+
+
+@pytest.mark.parametrize("name, first, changed", PRESET_KEYS,
+                         ids=[f"{row[0]}={json.dumps(row[2])}" for row in PRESET_KEYS])
+def test_a_preset_keeps_one_prepared_run_per_plan(monkeypatch, name, first, changed):
+    # the CLI's presets run on states built once at import, and their
+    # prepared runs are kept per plan: every run after a plan's first only
+    # measures, and a changed argument prepares anew
+    cli._prepared_preset.cache_clear()
+    plans = _count_calls(monkeypatch, cli, "prepare_run")
+
+    def run(value, seed):
+        config = cli.validate_config({"mode": "hydrogen-case2", "seed": seed, name: value})
+        code, report = cli.execute(config)
+        assert code == 0
+        return json.dumps(report["result"], sort_keys=True)
+
+    run(first, 1)
+    run(first, 2)
     assert len(plans) == 1
+    report = run(changed, 1)
+    run(changed, 2)
+    assert len(plans) == 2
+    # the report of a preparation made for this run, -0.0 as -0.0
+    cli._prepared_preset.cache_clear()
+    assert run(changed, 1) == report
+
+
+def test_presets_keep_at_most_a_fixed_count_of_prepared_runs(monkeypatch):
+    # the least recently used goes first: the last count is kept, the first is not
+    cli._prepared_preset.cache_clear()
+    plans = _count_calls(monkeypatch, cli, "prepare_run")
+    counts = range(cli._prepared_preset.cache_info().maxsize + 6)
+    for count in counts:
+        cli.execute(cli.validate_config({"mode": "hydrogen-case1", "seed": 1, "iterations": count}))
+    assert len(plans) == len(counts) and cli._prepared_preset.cache_info().currsize == 64
+    cli.execute(cli.validate_config({"mode": "hydrogen-case1", "seed": 2, "iterations": counts[-1]}))
+    assert len(plans) == len(counts)
+    cli.execute(cli.validate_config({"mode": "hydrogen-case1", "seed": 2, "iterations": 0}))
+    assert len(plans) == len(counts) + 1
 
 
 @pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))],
     ids=["copy", "deepcopy", "pickle"],
 )
-def test_a_copied_state_neither_carries_nor_shares_stages(duplicate, monkeypatch):
+def test_a_copied_state_is_read_only_and_runs_alike(duplicate):
     p = case1_preset()
-    first = _case1_run(p.initial)
     twin = duplicate(p.initial)
-    assert "_stages" not in vars(twin) and not twin.amplitudes.flags.writeable
+    assert list(vars(twin)) == ["amplitudes"] and not twin.amplitudes.flags.writeable
     assert np.array_equal(twin.amplitudes, p.initial.amplitudes)
-    plans = _count_calls(monkeypatch, algorithms, "make_plan")
     report = _case1_run(twin)
-    assert len(plans) == 1 and report.plan.prepared is twin
-    assert twin._stages is not p.initial._stages
-    assert len(twin._stages) == len(p.initial._stages) == 1
-    assert report.to_dict() == first.to_dict()
+    assert report.plan.prepared is twin
+    assert report.to_dict() == _case1_run(p.initial).to_dict()
 
 
 @pytest.mark.soak  # threads interleave differently on every run
@@ -958,37 +979,33 @@ def test_a_copied_state_neither_carries_nor_shares_stages(duplicate, monkeypatch
     max_attempts=st.sampled_from([None, 40]),
     iterations=st.sampled_from(["auto", 0, 2]),
 )
-def test_threads_sharing_a_state_report_as_serial_runs(seeds, shots, max_attempts, iterations):
-    # four threads run on one state and spec at once, each with its own
-    # seed, first with no stage or verdict kept and then with those they left
+def test_threads_sharing_a_prepared_run_report_as_serial_runs(seeds, shots, max_attempts, iterations):
+    # four threads measure one prepared run at once, each with its own
+    # seed, and each also runs the algorithm on the state and spec they share
     spec, p = hydrogen_spec(), case2_preset()
-    kwargs = dict(iterations=iterations, shots=shots, max_attempts=max_attempts if shots == 1 else None)
+    kwargs = dict(shots=shots, max_attempts=max_attempts if shots == 1 else None)
+    prepared = prepare_run(spec, p.initial, p.good, iterations=iterations,
+                           controllability_config=ControllabilityConfig())
 
     def run(seed):
-        return run_algorithm2(spec, p.initial, p.good, seed=seed, **kwargs).to_dict()
+        return run_algorithm2(spec, p.initial, p.good, seed=seed, iterations=iterations, **kwargs).to_dict()
 
-    expected = {}
-    for seed in seeds:
-        clear_run_memos(spec, p.initial)
-        expected[seed] = run(seed)
+    expected = {seed: (run(seed), run(seed)) for seed in seeds}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more threads than cores, switching often
     try:
-        for memo in ("cold", "warm"):
-            if memo == "cold":
-                clear_run_memos(spec, p.initial)
-            barrier, reports = threading.Barrier(len(seeds), timeout=30), {}
+        barrier, reports = threading.Barrier(len(seeds), timeout=30), {}
 
-            def worker(seed):
-                barrier.wait()
-                reports[seed] = run(seed)
+        def worker(seed):
+            barrier.wait()
+            reports[seed] = (prepared.run(seed, **kwargs).to_dict(), run(seed))
 
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert reports == expected, memo
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert reports == expected
     finally:
         sys.setswitchinterval(interval)

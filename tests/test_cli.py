@@ -53,7 +53,7 @@ from iqcontrol.cli import (
     summarize,
     validate_config,
 )
-from conftest import EDGE_FLOATS, HUGE_INT, clear_run_memos, echoed_texts
+from conftest import EDGE_FLOATS, HUGE_INT, echoed_texts
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -2007,11 +2007,9 @@ def per_attempt_oracle(payload, seed, cap):
     ],
 )
 def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, late, monkeypatch):
-    # the memos start empty, whatever ran before; a preset's runs share its
-    # state and the hydrogen spec, and a config's runs share that spec but
-    # each validation builds its own state
-    clear_run_memos(hydrogen_spec(), iqcontrol.cli._PRESET_SPEC,
-                    *(preset.initial for preset in iqcontrol.cli._PRESETS.values()))
+    # the presets' prepared runs start empty, whatever ran before: a
+    # preset's runs share its prepared run, and a config's run prepares its own
+    iqcontrol.cli._prepared_preset.cache_clear()
     calls = {"make_plan": 0, "_edges": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(iqcontrol.algorithms, name), **kwargs):
@@ -2029,11 +2027,10 @@ def test_repeat_until_success_matches_per_attempt_runs(payload, caps, seeds, lat
             )
             calls.update(make_plan=0, _edges=0)
             code, report = execute(config)
-            # never per attempt: the plan once per state, on its first run,
-            # and the controllability analysis on the first run alone
-            first = not outcomes
-            assert calls == {"make_plan": int(first or not shared_state),
-                             "_edges": int(algorithm2 and first)}
+            # never per attempt: the plan and the controllability analysis
+            # once per run, or for a preset on its first run alone
+            prepared = bool(outcomes) and shared_state
+            assert calls == {"make_plan": int(not prepared), "_edges": int(algorithm2 and not prepared)}
             assert code == 0
             result = report["result"]
             result.pop("preset_expectation", None)

@@ -1022,7 +1022,7 @@ class TestPropagate:
 
     def test_rejects_a_callable(self, rng):
         # propagate takes no duration, so a callable is a type error here
-        with pytest.raises(TypeError, match="^pulse must be a ControlPulse"):
+        with pytest.raises(TypeError, match="^pulse: must be a ControlPulse, got function$"):
             propagate(random_spec(rng, 4), lambda t: 0.1, random_state(rng, 4))
 
     def test_only_the_combined_phase_bound_overflowing_passes(self):

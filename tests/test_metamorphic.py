@@ -226,7 +226,7 @@ def coupled_graphs(draw, levels):
     return drift, coupling
 
 
-def _verdicts(spec):
+def verdicts_of(spec):
     report = assess(spec)
     return report.global_verdict, [(v.component, v.verdict) for v in report.subspace_verdicts]
 
@@ -244,7 +244,7 @@ def test_integer_shift_of_a_dyadic_spectrum_changes_no_verdict(case, shift):
     drift, coupling = case
     spec = SystemSpec(dim=len(drift), drift=[float(x) for x in drift], coupling=coupling)
     moved = SystemSpec(dim=len(drift), drift=[float(x + shift) for x in drift], coupling=coupling)
-    assert _verdicts(moved) == _verdicts(spec)
+    assert verdicts_of(moved) == verdicts_of(spec)
 
 
 @pytest.mark.filterwarnings("ignore:drift and coupling commute")
@@ -258,7 +258,7 @@ def test_rational_shift_of_an_exact_spectrum_changes_no_verdict(case, shift):
         return SystemSpec(dim=len(levels), drift=[float(x) for x in levels], coupling=coupling,
                           exact_drift=levels)
 
-    assert _verdicts(exact_spec([x + shift for x in drift])) == _verdicts(exact_spec(drift))
+    assert verdicts_of(exact_spec([x + shift for x in drift])) == verdicts_of(exact_spec(drift))
 
 
 @pytest.mark.filterwarnings("ignore:drift and coupling commute")
@@ -273,5 +273,5 @@ def test_exact_and_float_drift_agree_on_small_denominators(case):
     floats = [float(x) for x in drift]
     exact = SystemSpec(dim=len(drift), drift=floats, coupling=coupling, exact_drift=drift)
     heuristic = SystemSpec(dim=len(drift), drift=floats, coupling=coupling)
-    assert _verdicts(heuristic) == _verdicts(exact)
+    assert verdicts_of(heuristic) == verdicts_of(exact)
     assert assess(heuristic).irrational_witnesses == ()

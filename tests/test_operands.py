@@ -19,12 +19,14 @@ from iqcontrol import (
     StateVector,
     SystemSpec,
     UnitaryOperator,
+    assess,
     born_probabilities,
     case1_preset,
     decompose,
     hydrogen_spec,
     make_plan,
     measurement_histogram,
+    prepare_run,
     propagate,
     propagate_interaction_picture,
     run_algorithm1,
@@ -40,6 +42,7 @@ PULSE = ControlPulse(((0.3, 0.5), (0.2, -0.4)))
 GOOD4 = GoodSubspace.of(1, 4)
 PARTITION4 = MeasurementPartition.per_index(4)
 SIGMA_X = [[0, 1], [1, 0]]
+LIST5 = list(INIT5.amplitudes)
 
 
 def _spec2(exact_drift):
@@ -84,6 +87,34 @@ HOSTILE_CALLS = [
      "matrix: must have at least 1 level, got shape (0, 0)"),
     ("identity-0", lambda: UnitaryOperator.identity(0), ValueError, "dim: must be >= 1, got 0"),
     ("identity-negative", lambda: UnitaryOperator.identity(-1), ValueError, "dim: must be >= 1, got -1"),
+    # arguments of another kind than the library's class, which is never built from them
+    ("make_plan-initial-list", lambda: make_plan(LIST5, GoodSubspace.of(5, 5)), TypeError,
+     "initial: must be a StateVector, got list"),
+    ("propagate-initial-list", lambda: propagate(SPEC, PULSE, LIST5), TypeError,
+     "initial: must be a StateVector, got list"),
+    ("propagate-spec-dict", lambda: propagate({"dim": 5}, PULSE, INIT5), TypeError,
+     "spec: must be a SystemSpec, got dict"),
+    ("propagate-pulse-callable", lambda: propagate(SPEC, lambda t: 0.1, INIT5), TypeError,
+     "pulse: must be a ControlPulse, got function"),
+    ("assess-spec-dict", lambda: assess({"dim": 2, "drift": [0, 1], "coupling": SIGMA_X}), TypeError,
+     "spec: must be a SystemSpec, got dict"),
+    ("prepare_run-initial-list", lambda: prepare_run(SPEC, LIST5, 5), TypeError,
+     "initial: must be a StateVector, got list"),
+    ("prepare_run-spec-dict", lambda: prepare_run({"dim": 5}, INIT5, 5), TypeError,
+     "spec: must be a SystemSpec, got dict"),
+    ("algorithm1-initial-list", lambda: run_algorithm1(SPEC, LIST5, 5), TypeError,
+     "initial: must be a StateVector, got list"),
+    ("algorithm2-spec-dict", lambda: run_algorithm2({"dim": 5}, INIT5, GoodSubspace.of([1, 2, 3], 5)),
+     TypeError, "spec: must be a SystemSpec, got dict"),
+    # dims that numpy refuses to allocate at once, before any memory is touched
+    ("basis_state-2**62", lambda: StateVector.basis_state(1, 2**62), ValueError,
+     "dim: too many levels to allocate, got 4611686018427387904"),
+    ("basis_state-2**50", lambda: StateVector.basis_state(1, 2**50), ValueError,
+     "dim: too many levels to allocate, got 1125899906842624"),
+    ("identity-2**62", lambda: UnitaryOperator.identity(2**62), ValueError,
+     "dim: too many levels to allocate, got 4611686018427387904"),
+    ("identity-2**50", lambda: UnitaryOperator.identity(2**50), ValueError,
+     "dim: too many levels to allocate, got 1125899906842624"),
     # collections that are not one
     ("segments-int", lambda: ControlPulse(5), TypeError, "segments: must be a collection, got 5"),
     ("segments-None", lambda: ControlPulse(None), TypeError, "segments: must be a collection, got None"),
@@ -108,8 +139,10 @@ HOSTILE_CALLS = [
 def test_hostile_call_names_its_argument(call, error, prefix):
     # the target and the overlap's other state failed inside numpy's vdot,
     # each collection in Python's "object is not iterable", an empty
-    # unitary in numpy's reduction and each exact_drift entry in Fraction's
-    # text; the other operands raised seven message forms of their own
+    # unitary in numpy's reduction, each exact_drift entry in Fraction's
+    # text, a list state or a dict spec in an AttributeError and a dim
+    # numpy cannot allocate in numpy's own error; the other operands
+    # raised seven message forms of their own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as info:
